@@ -423,7 +423,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 // BenchmarkCheckpointDelta measures the flight recorder's delta-encoded
 // chain: the HEB-D hour snapshotting every slot into a discarding sink,
 // keyframes every obs.DefaultKeyframeEvery records and suffix-spliced
-// deltas between. Compare against BenchmarkEngineCheckpointDisabled for
+// deltas between. Compare against BenchmarkEngineStep for
 // the overhead ratio (target: under 1.2x ns/op and under 400 KB/op —
 // full-state chains cost ~2 MB/op) and see ckptKB/op for the bytes the
 // chain itself carries.
@@ -468,13 +468,12 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	b.ReportMetric(float64(deltas)/float64(records), "deltaShare")
 }
 
-// benchEngineObs runs the HEB-D hour with the observability layer either
-// fully off (nil sinks — the allocation-free fast path every sweep takes
-// by default) or fully on (event log + decision trace). Comparing the
-// two allocs/op columns is the proof that the nil-sink guards keep the
-// hot loop unchanged: Disabled must match the pre-observability
-// BenchmarkEngineStep numbers.
-func benchEngineObs(b *testing.B, enabled bool) {
+// benchHooksOn times the HEB-D hour with one engine hook family switched
+// on by arm, which configures a fresh prototype copy and run options per
+// iteration. The hooks-off path is BenchmarkEngineStep itself: its exact
+// allocs/op gate in BENCH_sweep.json is the proof that every nil-guarded
+// hook costs nothing when off.
+func benchHooksOn(b *testing.B, arm func(q *Prototype, opts *RunOptions)) {
 	b.Helper()
 	p := DefaultPrototype()
 	pr, err := WorkloadNamed("PR")
@@ -489,131 +488,14 @@ func benchEngineObs(b *testing.B, enabled bool) {
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		opts := RunOptions{Duration: time.Hour}
-		if enabled {
-			log := obs.NewLog(0)
-			dl := obs.NewDecisionLog()
-			opts.Events = log
-			opts.DecisionTrace = dl.Append
-		}
-		res, err := p.Run(HEBD, pr.WithDuration(time.Hour), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineObsDisabled(b *testing.B) { benchEngineObs(b, false) }
-
-func BenchmarkEngineObsEnabled(b *testing.B) { benchEngineObs(b, true) }
-
-// benchEngineDeep runs the HEB-D hour with the deep-observability layer
-// (per-device probes, energy audit, span tracing) either fully off or
-// fully on. Disabled must match BenchmarkEngineStep's allocs/op exactly:
-// the nil guards keep the hot loop allocation-free when nothing listens.
-func benchEngineDeep(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.ProbeEvery = 60
-			q.Audit = obs.AuditModeReport
-			q.Audits = obs.NewAuditLog()
-			q.Tracer = obs.NewTracer()
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineProbesDisabled(b *testing.B) { benchEngineDeep(b, false) }
-
-func BenchmarkEngineProbesEnabled(b *testing.B) { benchEngineDeep(b, true) }
-
-// benchEngineCheckpoint runs the HEB-D hour with the flight recorder
-// either off (the default) or snapshotting every slot into a discarding
-// sink. Disabled must match BenchmarkEngineStep's allocs/op exactly:
-// checkpointing is guarded out of the hot loop entirely when off, and
-// even when on it runs only at slot boundaries.
-func benchEngineCheckpoint(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
 		q := p
 		opts := RunOptions{Duration: time.Hour}
-		if enabled {
-			q.CheckpointEvery = 1
-			opts.CheckpointSink = func(obs.CheckpointRecord) {}
-		}
+		arm(&q, &opts)
 		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-}
-
-func BenchmarkEngineCheckpointDisabled(b *testing.B) { benchEngineCheckpoint(b, false) }
-
-func BenchmarkEngineCheckpointEnabled(b *testing.B) { benchEngineCheckpoint(b, true) }
-
-// benchEngineManifest runs the HEB-D hour with the capture + manifest
-// layer either off (Capture nil — the default every bare run takes) or
-// on (capture attached, the run's manifest row built per iteration, no
-// file IO). Disabled must match BenchmarkEngineStep's allocs/op
-// exactly: manifests are built entirely from contributed artifacts, so
-// a run without a capture pays nothing for them.
-func benchEngineManifest(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.Capture = obs.NewCapture()
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if enabled {
+		if q.Capture != nil {
 			if m := q.Capture.BuildManifest(); len(m.Runs) != 1 {
 				b.Fatalf("manifest holds %d runs", len(m.Runs))
 			}
@@ -623,90 +505,64 @@ func benchEngineManifest(b *testing.B, enabled bool) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
 }
 
-func BenchmarkEngineManifestDisabled(b *testing.B) { benchEngineManifest(b, false) }
-
-func BenchmarkEngineManifestEnabled(b *testing.B) { benchEngineManifest(b, true) }
-
-// benchEngineAlerts runs the HEB-D hour with the SLO alert engine either
-// off (Alert ModeOff — the default) or on in report mode with the default
-// rules. Disabled must match BenchmarkEngineStep's allocs/op exactly: the
-// nil-engine guards keep the hot loop untouched when no rules are loaded.
-func benchEngineAlerts(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		q := p
-		if enabled {
-			q.Alert = alerts.ModeReport
-		}
-		res, err := q.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
+// BenchmarkEngineObsEnabled runs the hour with the event log and decision
+// trace attached.
+func BenchmarkEngineObsEnabled(b *testing.B) {
+	benchHooksOn(b, func(_ *Prototype, opts *RunOptions) {
+		opts.Events = obs.NewLog(0)
+		opts.DecisionTrace = obs.NewDecisionLog().Append
+	})
 }
 
-func BenchmarkEngineAlertsDisabled(b *testing.B) { benchEngineAlerts(b, false) }
-
-func BenchmarkEngineAlertsEnabled(b *testing.B) { benchEngineAlerts(b, true) }
-
-// benchEngineProf runs the HEB-D hour with the profiling layer either off
-// (no collector window open — the default every run takes) or on (a heap
-// collector armed, so every run executes under its pprof cell labels).
-// Disabled must match BenchmarkEngineStep's allocs/op exactly: the only
-// cost on the disabled path is one atomic load in Prototype.Run, and the
-// engine's phase-label switches are nil-guarded out of the loop.
-func benchEngineProf(b *testing.B, enabled bool) {
-	b.Helper()
-	p := DefaultPrototype()
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pr.WithDuration(time.Hour).Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	if enabled {
-		// A heap-only collector opens the label window without the CPU
-		// profiler's sampling overhead distorting ns/op.
-		c := prof.NewCollector(b.TempDir(), []string{"heap"})
-		if err := c.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			if err := c.Stop(); err != nil {
-				b.Fatal(err)
-			}
-		}()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		res, err := p.Run(HEBD, pr.WithDuration(time.Hour), RunOptions{Duration: time.Hour})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
+// BenchmarkEngineProbesEnabled runs the hour with the deep layer on:
+// per-device probes, the energy auditor and span tracing.
+func BenchmarkEngineProbesEnabled(b *testing.B) {
+	benchHooksOn(b, func(q *Prototype, _ *RunOptions) {
+		q.ProbeEvery = 60
+		q.Audit = obs.AuditModeReport
+		q.Audits = obs.NewAuditLog()
+		q.Tracer = obs.NewTracer()
+	})
 }
 
-func BenchmarkEngineProfDisabled(b *testing.B) { benchEngineProf(b, false) }
+// BenchmarkEngineCheckpointEnabled runs the hour snapshotting every slot
+// into a discarding sink; its overhead target is measured against
+// BenchmarkEngineStep.
+func BenchmarkEngineCheckpointEnabled(b *testing.B) {
+	benchHooksOn(b, func(q *Prototype, opts *RunOptions) {
+		q.CheckpointEvery = 1
+		opts.CheckpointSink = func(obs.CheckpointRecord) {}
+	})
+}
 
-func BenchmarkEngineProfEnabled(b *testing.B) { benchEngineProf(b, true) }
+// BenchmarkEngineManifestEnabled runs the hour with a capture attached
+// and builds the run's manifest row per iteration (no file IO).
+func BenchmarkEngineManifestEnabled(b *testing.B) {
+	benchHooksOn(b, func(q *Prototype, _ *RunOptions) { q.Capture = obs.NewCapture() })
+}
+
+// BenchmarkEngineAlertsEnabled runs the hour with the SLO rule engine in
+// report mode with the default rules.
+func BenchmarkEngineAlertsEnabled(b *testing.B) {
+	benchHooksOn(b, func(q *Prototype, _ *RunOptions) { q.Alert = alerts.ModeReport })
+}
+
+// BenchmarkEngineProfEnabled runs the hour with a heap collector armed,
+// so every run executes under its pprof cell labels.
+func BenchmarkEngineProfEnabled(b *testing.B) {
+	// A heap-only collector opens the label window without the CPU
+	// profiler's sampling overhead distorting ns/op.
+	c := prof.NewCollector(b.TempDir(), []string{"heap"})
+	if err := c.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := c.Stop(); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	benchHooksOn(b, func(*Prototype, *RunOptions) {})
+}
 
 // benchMultiSeed measures the multi-seed sweep at a fixed worker count.
 // The seed × scheme grid is the repo's heaviest embarrassingly-parallel

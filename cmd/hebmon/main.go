@@ -160,7 +160,7 @@ func run(addr, scheme, wl string, duration time.Duration, speedup float64, histo
 	runDone := make(chan error, 1)
 	go func() {
 		p := heb.DefaultPrototype()
-		var alertLog *alerts.Log
+		var alertLog *alerts.Log[alerts.Report]
 		if alertMode != alerts.ModeOff {
 			alertLog = alerts.NewLog()
 			p.Alert = alertMode

@@ -52,8 +52,8 @@ func main() {
 		obsDir   = flag.String("obs", "", "write observability artifacts (events.jsonl, decisions.jsonl, metrics.prom, probes.jsonl, audits.jsonl) to this directory")
 		probes   = flag.Int("probes", 0, "sample per-device probes every N engine steps (0 = off); samples land in the -obs capture")
 		probeCap = flag.Int("probe-ring", 0, "retained probe samples per device (0 = obs package default)")
-		audit    = flag.String("audit", "off", "energy-conservation audit: off, report, or strict (strict aborts a run at its first violation)")
-		alertsF  = flag.String("alerts", "off", "online SLO alerting: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict")
+		audit    = flag.String("audit", "off", "invariant checker, energy-audit side: off, report, or strict (strict aborts a run at its first audit violation); reports land in the -obs capture's audits.jsonl. -resume rejects it, -replay turns it off")
+		alertsF  = flag.String("alerts", "off", "invariant checker, SLO-rule side: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict. -resume rejects it, -replay turns it off")
 		alertFlr = flag.Float64("alert-soc-floor", 0, "override the soc_floor alert threshold (0 = rule default, negative disables); tightening it above a scheme's natural SoC swing fault-injects a critical breach")
 		profileF = flag.String("profile", "", "capture pprof profiles into <obs>/profiles/ (comma list of cpu, heap, allocs, mutex, block, or all; requires -obs); profiles measure wall-clock behaviour and are excluded from byte-identity checks, like -trace-clock wall")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event span profile to this file (open in Perfetto; summarize with hebtrace)")
@@ -69,6 +69,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hebsim:", err)
 		os.Exit(2)
 	}
+	if *duration <= 0 {
+		slog.Error("-duration must be positive", "duration", *duration)
+		os.Exit(2)
+	}
 
 	p := heb.DefaultPrototype()
 	p.Seed = *seed
@@ -82,29 +86,9 @@ func main() {
 	}
 	p.ProbeEvery = *probes
 	p.ProbeRing = *probeCap
-	mode, err := obs.ParseAuditMode(*audit)
-	if err != nil {
-		slog.Error("bad -audit flag", "err", err)
-		os.Exit(2)
-	}
-	p.Audit = mode
-	var audits *obs.AuditLog
-	if mode != obs.AuditModeOff {
-		audits = obs.NewAuditLog()
-		p.Audits = audits
-	}
-	alertMode, aerr := alerts.ParseMode(*alertsF)
-	if aerr != nil {
-		slog.Error("bad -alerts flag", "err", aerr)
-		os.Exit(2)
-	}
-	p.Alert = alertMode
+	p.Audit = parseMode("-audit", *audit)
+	p.Alert = parseMode("-alerts", *alertsF)
 	p.AlertRules.SoCFloor = *alertFlr
-	var alertLog *alerts.Log
-	if alertMode != alerts.ModeOff {
-		alertLog = alerts.NewLog()
-		p.Alerts = alertLog
-	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		switch *traceClk {
@@ -155,15 +139,20 @@ func main() {
 	}
 	if *replay != "" {
 		// A replay re-executes a window of an already-recorded run; it must
-		// inspect, not overwrite, that run's artifacts. The alert engine is
-		// disabled with the capture: it does not compose with resuming from
-		// a checkpoint (its per-step state is not checkpointed).
+		// inspect, not overwrite, that run's artifacts. The invariant checker
+		// goes off with the capture, whichever of -audit and -alerts armed
+		// it: its per-step state is not checkpointed, so it cannot start
+		// mid-run. (-resume keeps it on, and the run rejects the pairing.)
 		capture = nil
 		p.Capture = nil
 		p.CheckpointEvery = 0
-		p.Alert = alerts.ModeOff
-		p.Alerts = nil
-		alertLog = nil
+		p.Audit, p.Alert = alerts.ModeOff, alerts.ModeOff
+	}
+	if p.Audit != alerts.ModeOff {
+		p.Audits = obs.NewAuditLog()
+	}
+	if p.Alert != alerts.ModeOff {
+		p.Alerts = alerts.NewLog()
 	}
 	if capture != nil {
 		// Manifest lifecycle: mark the capture directory as running before
@@ -205,6 +194,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	var err error
 	if *exp == "run" {
 		err = runOnce(os.Stdout, p, *duration, *scheme, *wlName, *wlCSV, *patIn, *patOut, fl)
 	} else {
@@ -215,17 +205,16 @@ func main() {
 			err = fmt.Errorf("profile capture: %w", perr)
 		}
 	}
-	if audits != nil {
-		reports := audits.Reports()
-		failed := audits.Failed()
-		slog.Info("audits done", "runs", len(reports), "failed", len(failed))
+	if p.Audits != nil {
+		failed := p.Audits.Unhealthy()
+		slog.Info("audits done", "runs", len(p.Audits.Reports()), "failed", len(failed))
 		for _, r := range failed {
 			slog.Warn("audit failed", "run", r.Run, "summary", r.Summary())
 		}
 	}
-	if alertLog != nil {
-		reports := alertLog.Reports()
-		unhealthy := alertLog.Unhealthy()
+	if p.Alerts != nil {
+		reports := p.Alerts.Reports()
+		unhealthy := p.Alerts.Unhealthy()
 		criticals := 0
 		for _, r := range reports {
 			criticals += r.Criticals
@@ -263,6 +252,16 @@ func main() {
 		slog.Error("run failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// parseMode reads an -audit or -alerts value, exiting 2 on a bad one.
+func parseMode(name, value string) alerts.Mode {
+	m, err := alerts.ParseMode(value)
+	if err != nil {
+		slog.Error("bad "+name+" flag", "err", err)
+		os.Exit(2)
+	}
+	return m
 }
 
 // serveTelemetry exposes the process's live self-telemetry — the

@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests drive hebsim end to end: with HEBSIM_TEST_MAIN
+// set, the test binary runs main() on its command-line arguments instead
+// of the test suite, so exit codes and stderr are the real ones.
+func TestMain(m *testing.M) {
+	if os.Getenv("HEBSIM_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// hebsim runs the command with args and returns its exit code and stderr.
+func hebsim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "HEBSIM_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
+}
+
+// wantExit fails the test unless hebsim exits with code and its stderr
+// contains msg.
+func wantExit(t *testing.T, code int, msg string, args ...string) {
+	t.Helper()
+	got, stderr := hebsim(t, args...)
+	if got != code || !strings.Contains(stderr, msg) {
+		t.Errorf("hebsim %s: exit %d, want %d with %q; stderr:\n%s",
+			strings.Join(args, " "), got, code, msg, stderr)
+	}
+}
+
+func TestRejectsNonPositiveDuration(t *testing.T) {
+	for _, d := range []string{"-1h", "0s"} {
+		wantExit(t, 2, "-duration must be positive", "-exp", "run", "-duration", d)
+	}
+}
+
+func TestRejectsBadCheckerModes(t *testing.T) {
+	wantExit(t, 2, "bad -audit flag", "-exp", "run", "-duration", "1h", "-audit", "loud")
+	wantExit(t, 2, "bad -alerts flag", "-exp", "run", "-duration", "1h", "-alerts", "loud")
+}
+
+// TestReplayAndResumeTreatCheckerFlagsAlike pins one rule for both
+// checker flags: -replay turns the checker off whichever flag armed it,
+// and -resume with either flag fails loudly.
+func TestReplayAndResumeTreatCheckerFlagsAlike(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cap")
+	run := []string{"-exp", "run", "-duration", "1h", "-obs", dir}
+	wantExit(t, 0, "", append(run, "-checkpoint-every", "1")...)
+	for _, flag := range []string{"-audit", "-alerts"} {
+		wantExit(t, 0, "", append(run, "-replay", "3-4", flag, "report")...)
+		wantExit(t, 1, "resume does not compose with the invariant checker",
+			append(run, "-resume", flag, "report")...)
+	}
+}

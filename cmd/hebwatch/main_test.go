@@ -181,7 +181,7 @@ func TestBenchDrift(t *testing.T) {
   {"name":"BenchmarkEngineStep","ns_per_op":1000,"allocs_per_op":897,"bytes_per_op":156000,"sim_steps_per_second":null},
   {"name":"BenchmarkEngineReuse","ns_per_op":1000,"allocs_per_op":62,"bytes_per_op":9300,"sim_steps_per_second":null},
   {"name":"BenchmarkCheckpointDelta","ns_per_op":1300,"allocs_per_op":1064,"bytes_per_op":352000,"sim_steps_per_second":null},
-  {"name":"BenchmarkEngineAlertsDisabled","ns_per_op":1000,"allocs_per_op":897,"bytes_per_op":156000,"sim_steps_per_second":null}
+  {"name":"BenchmarkEngineAlertsEnabled","ns_per_op":1300,"allocs_per_op":919,"bytes_per_op":159000,"sim_steps_per_second":null}
 ]}`)
 
 	// Identical file: clean.

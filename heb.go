@@ -152,21 +152,21 @@ type Prototype struct {
 	// never assembles state.
 	CheckpointEvery int
 
-	// Audit selects the energy-conservation auditor mode. AuditModeReport
-	// attaches per-run AuditReports to the Capture and Audits collectors;
-	// AuditModeStrict additionally aborts a run at its first violation and
-	// surfaces it as an error from Run.
-	Audit obs.AuditMode
+	// Audit and Alert select the modes of the invariant checker's two
+	// components (see sim.Checker). Audit drives the energy-conservation
+	// auditor: report mode attaches per-run AuditReports to the Capture
+	// and Audits collectors. Alert drives the SLO rule engine: report mode
+	// evaluates the rules on every step, attaches fired alerts to the
+	// Capture's alerts.jsonl and stamps a per-run health verdict
+	// (ok/warn/critical) into the manifest. Strict mode on either aborts a
+	// run once that component has failed (any audit violation, any
+	// critical alert) and surfaces it as an error from Run.
+	Audit alerts.Mode
 	// Audits, when set, collects every run's AuditReport (thread-safe, so
 	// one collector may serve a parallel sweep).
 	Audits *obs.AuditLog
 
-	// Alert selects the online SLO rule engine mode. alerts.ModeReport
-	// evaluates the rules on every step, attaches fired alerts to the
-	// Capture's alerts.jsonl and stamps a per-run health verdict
-	// (ok/warn/critical) into the manifest; alerts.ModeStrict
-	// additionally aborts a run once a critical alert has fired and
-	// surfaces it as an error from Run.
+	// Alert selects the rule engine's mode (see Audit).
 	Alert alerts.Mode
 	// AlertRules overrides the rule thresholds; the zero value selects
 	// alerts.DefaultRules (a zero field keeps that rule's default, a
@@ -174,7 +174,7 @@ type Prototype struct {
 	AlertRules alerts.Rules
 	// Alerts, when set, collects every run's alert report (thread-safe,
 	// so one collector may serve a parallel sweep).
-	Alerts *alerts.Log
+	Alerts *alerts.Log[alerts.Report]
 
 	// Tracer, when set, records each run's span hierarchy (run → slot
 	// plan/finish → step batches) on a fresh per-run track named by the
@@ -440,8 +440,8 @@ type RunOptions struct {
 	// The prototype and options must otherwise describe the same run that
 	// recorded the chain; mismatches surface as restore errors. Resume
 	// composes with Capture, probes and event sinks, but not with the
-	// Tracer, the energy auditor or the alert engine (their per-step
-	// state is not checkpointed).
+	// Tracer or the invariant checker — Audit or Alert other than off —
+	// whose per-step state is not checkpointed; Run rejects either.
 	ResumeCheckpoints []obs.CheckpointRecord
 	// MaxSteps, when positive, stops the engine after the given number of
 	// executed steps without end-of-run bookkeeping — the substrate of
@@ -456,8 +456,7 @@ type RunOptions struct {
 // While a prof.Collector window is open (hebsim -profile) the whole run
 // executes under pprof labels {scheme, workload, seed, phase}, so CPU
 // samples attribute to the sweep cell and its lifecycle phase. The
-// disabled path costs one atomic load (BenchmarkEngineProfDisabled pins
-// its allocs/op to BenchmarkEngineStep's).
+// disabled path costs one atomic load.
 func (p Prototype) Run(id SchemeID, workload Workload, opts RunOptions) (sim.Result, error) {
 	return p.RunWith(nil, 0, id, workload, opts)
 }
@@ -577,22 +576,19 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	if p.ProbeEvery > 0 {
 		probes = obs.NewProbeRecorder(p.ProbeRing)
 	}
-	auditor := obs.NewAuditor(p.Audit, 0)
+	auditor := obs.NewAuditor(p.Audit)
 	alerter := alerts.NewEngine(p.Alert, p.AlertRules)
+	checker := sim.NewChecker(auditor, alerter)
 
 	if len(opts.ResumeCheckpoints) > 0 {
-		// The tracer's span clock and the auditor's and alert engine's
-		// per-step state are not part of the checkpoint; resuming under
-		// any of them would record state that silently disagrees with an
-		// uninterrupted run.
+		// The tracer's span clock and the invariant checker's per-step state
+		// are not part of the checkpoint; resuming under either would record
+		// state that silently disagrees with an uninterrupted run.
 		if p.Tracer != nil {
 			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the span tracer")
 		}
-		if auditor != nil {
-			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the energy auditor")
-		}
-		if alerter != nil {
-			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the alert engine")
+		if checker != nil {
+			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the invariant checker (audit %s, alerts %s)", p.Audit, p.Alert)
 		}
 		if err := obs.ValidateCheckpoints(opts.ResumeCheckpoints); err != nil {
 			return sim.Result{}, fmt.Errorf("heb: resume chain: %w", err)
@@ -848,8 +844,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		Events:          events,
 		Probes:          probes,
 		ProbeEvery:      p.ProbeEvery,
-		Audit:           auditor,
-		Alerts:          alerter,
+		Invariants:      checker,
 		Spans:           span,
 		MaxSteps:        opts.MaxSteps,
 		CheckpointEvery: p.CheckpointEvery,
@@ -938,21 +933,17 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			opts.TableSink(table)
 		}
 	}
-	var audit obs.AuditReport
+	var audit *obs.AuditReport
 	if auditor != nil {
-		audit = auditor.Report()
-		audit.Run = key
-		if p.Audits != nil {
-			p.Audits.Add(key, audit)
-		}
+		r := auditor.Report().WithRun(key)
+		p.Audits.Add(key, r)
+		audit = &r
 	}
-	var alertReport alerts.Report
+	var alertReport *alerts.Report
 	if alerter != nil {
-		alertReport = alerter.Report()
-		alertReport.Run = key
-		if p.Alerts != nil {
-			p.Alerts.Add(key, alertReport)
-		}
+		r := alerter.Report().WithRun(key)
+		p.Alerts.Add(key, r)
+		alertReport = &r
 	}
 	if p.Capture != nil {
 		artifact := obs.RunArtifact{
@@ -964,6 +955,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			MismatchSteps: int64(res.MismatchSteps),
 			Slots:         int64(res.SlotCount),
 			RelaySwitches: map[string]int64{},
+			Audit:         audit,
+			AlertEvents:   alerter.Events(),
+			Alerts:        alertReport,
 			Metrics: map[string]float64{
 				"energy_efficiency":       res.EnergyEfficiency,
 				"downtime_server_seconds": res.DowntimeServerSeconds,
@@ -980,13 +974,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		if ckptLog != nil {
 			artifact.Checkpoints = ckptLog.Records()
 		}
-		if auditor != nil {
-			artifact.Audit = &audit
-		}
-		if alerter != nil {
-			artifact.AlertEvents = alerter.Events()
-			artifact.Alerts = &alertReport
-		}
 		for src, n := range res.RelaySwitches {
 			if n > 0 {
 				artifact.RelaySwitches[power.Source(src).String()] = n
@@ -999,11 +986,8 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		}
 		p.Capture.Contribute(artifact)
 	}
-	if auditor.Strict() && !audit.Passed {
-		return res, fmt.Errorf("heb: energy audit failed for %s: %s", key, audit.Summary())
-	}
-	if alerter.Strict() && alerter.Violated() {
-		return res, fmt.Errorf("heb: alert SLOs failed for %s: %s", key, alertReport.Summary())
+	if err := checker.Err(); err != nil {
+		return res, fmt.Errorf("heb: %s: %w", key, err)
 	}
 	return res, nil
 }

@@ -1,11 +1,13 @@
-// Package alerts is the judgment layer of the observability stack: a
-// declarative rule engine evaluated online against the simulation
-// engine's live signals. Where the energy auditor (internal/obs/audit)
-// checks conservation — an invariant of the *model* — the alert engine
-// checks the *operational* envelope the paper promises: state-of-charge
-// floors, depth-of-discharge budgets, relay exclusivity, bounded
-// mismatch windows, bus-ledger integrity, battery wear rate, bus ramp
-// rate and checkpoint-chain continuity.
+// Package alerts holds the run invariant checker's shared vocabulary —
+// the Mode both of its artifacts run under, the Kind taxonomy of every
+// finding, and the per-run Log collector — plus its rule engine. The
+// checker itself (sim.Checker) feeds two components from one pass per
+// step: the energy auditor (obs.Auditor, audits.jsonl) checks
+// conservation and physical bounds — invariants of the *model* — and the
+// rule engine here checks the *operational* envelope the paper promises:
+// state-of-charge floors, depth-of-discharge budgets, relay exclusivity,
+// bounded mismatch windows, bus-ledger integrity, battery wear rate, bus
+// ramp rate and checkpoint-chain continuity.
 //
 // Each rule has a fixed severity (warn or critical), a debounce (how
 // many consecutive violating observations arm it) and a hysteresis (how
@@ -26,26 +28,28 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Mode selects how the alert engine participates in a run.
+// Mode selects how one checker component (the auditor or the rule
+// engine) participates in a run.
 type Mode uint8
 
 const (
-	// ModeOff disables alerting entirely; the engine's nil-check fast
-	// path allocates nothing.
+	// ModeOff disables the component entirely; the nil-check fast path
+	// allocates nothing.
 	ModeOff Mode = iota
-	// ModeReport evaluates every rule and records fired alerts without
+	// ModeReport runs every check and records the findings without
 	// affecting the run.
 	ModeReport
-	// ModeStrict additionally aborts the run at the first critical
-	// alert, mirroring the auditor's strict mode.
+	// ModeStrict additionally aborts the run once the component has
+	// failed: any audit violation, any critical alert.
 	ModeStrict
 )
 
-// String names the mode as the -alerts flag spells it.
+// String names the mode as the -audit and -alerts flags spell it.
 func (m Mode) String() string {
 	switch m {
 	case ModeOff:
@@ -69,7 +73,7 @@ func ParseMode(s string) (Mode, error) {
 	case "strict":
 		return ModeStrict, nil
 	default:
-		return ModeOff, fmt.Errorf("alerts: unknown alert mode %q (want off, report or strict)", s)
+		return ModeOff, fmt.Errorf("alerts: unknown mode %q (want off, report or strict)", s)
 	}
 }
 
@@ -124,13 +128,14 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Kind identifies one rule family.
+// Kind identifies one family of checker findings: an alert rule or an
+// audit check. Ledger drift and relay exclusivity are both.
 type Kind uint8
 
-// The rule taxonomy. Severities are fixed per kind: structural breaks
+// The finding taxonomy. Severities are fixed per kind: structural breaks
 // (empty buffer, relay fault, energy-ledger drift, broken checkpoint
-// chain) are critical; envelope excursions (ceiling, DoD, mismatch
-// window, wear, ramp) are warnings.
+// chain, physical bound) are critical; envelope excursions (ceiling,
+// DoD, mismatch window, wear, ramp) are warnings.
 const (
 	// KindSoCFloor fires when a device's state of charge stays below the
 	// configured floor — the buffer is effectively empty.
@@ -160,6 +165,13 @@ const (
 	// KindCheckpointChain fires when a checkpoint record's prev hash
 	// does not extend the previously observed record.
 	KindCheckpointChain
+	// KindSoCBound, KindVoltageBound and KindChargeBound are audit-only
+	// findings: a device state of charge outside [0, 1], an open-circuit
+	// voltage outside its legal window, a charge well negative or above
+	// chemical capacity.
+	KindSoCBound
+	KindVoltageBound
+	KindChargeBound
 
 	numKinds // sentinel
 )
@@ -167,7 +179,7 @@ const (
 var kindNames = [numKinds]string{
 	"soc_floor", "soc_ceiling", "dod_excursion", "relay_exclusivity",
 	"mismatch_window", "ledger_drift", "wear_rate", "ramp_rate",
-	"checkpoint_chain",
+	"checkpoint_chain", "soc_bound", "voltage_bound", "charge_bound",
 }
 
 // kindSeverities fixes each rule family's severity.
@@ -181,6 +193,9 @@ var kindSeverities = [numKinds]Severity{
 	KindWearRate:         SeverityWarn,
 	KindRampRate:         SeverityWarn,
 	KindCheckpointChain:  SeverityCritical,
+	KindSoCBound:         SeverityCritical,
+	KindVoltageBound:     SeverityCritical,
+	KindChargeBound:      SeverityCritical,
 }
 
 // structuralKinds fire on the first violating observation regardless of
@@ -192,7 +207,7 @@ var structuralKinds = [numKinds]bool{
 	KindWearRate:         true,
 }
 
-// NumKinds is the number of rule families (for table-driven callers).
+// NumKinds is the number of finding kinds (for table-driven callers).
 const NumKinds = int(numKinds)
 
 // String names the kind as it appears in JSONL.
@@ -287,6 +302,11 @@ type Rules struct {
 	HysteresisSteps int
 }
 
+// LedgerTolerance is the relative bus-ledger drift both checker
+// components hold a run to: the auditor per step, the ledger_drift rule
+// (by default) on the cumulative sums.
+const LedgerTolerance = 1e-6
+
 // DefaultRules returns the prototype's operational envelope: the
 // battery must never run empty (SoC < 5%), never overcharge past the
 // usable window, never swing deeper than 85% DoD, any one mismatch
@@ -294,16 +314,15 @@ type Rules struct {
 // peaks the buffers are provisioned to shave, and the evaluation
 // workloads' longest natural peaks run just under 20 minutes — a window
 // past half an hour is sustained overload, not a peak), the bus ledger
-// must hold the auditor's 1e-6 relative drift, the batteries may cycle
-// at most three equivalent full cycles per day, and the bus may ramp at
-// most 250 W/s.
+// must hold LedgerTolerance, the batteries may cycle at most three
+// equivalent full cycles per day, and the bus may ramp at most 250 W/s.
 func DefaultRules() Rules {
 	return Rules{
 		SoCFloor:              0.05,
 		SoCCeiling:            1.0,
 		DoDMax:                0.85,
 		MismatchWindowSeconds: 1800,
-		LedgerDriftRel:        1e-6,
+		LedgerDriftRel:        LedgerTolerance,
 		WearEFCPerDay:         3,
 		RampWattsPerSecond:    250,
 		DebounceSteps:         5,
@@ -350,12 +369,6 @@ func (r Rules) withDefaults() Rules {
 // its capture.
 const EventCap = 256
 
-// stateKey addresses one rule instance (kind × device).
-type stateKey struct {
-	kind   Kind
-	device string
-}
-
 // ruleState is one rule instance's debounce/hysteresis automaton.
 type ruleState struct {
 	over   int  // consecutive violating observations while armed
@@ -363,10 +376,13 @@ type ruleState struct {
 	firing bool // fired and not yet re-armed
 }
 
-// socState tracks a device's running SoC maximum for DoD swings.
-type socState struct {
-	top  float64
-	seen bool
+// deviceRules is one registered device's SoC rule instances plus its
+// running SoC maximum for DoD swings.
+type deviceRules struct {
+	name                string
+	floor, ceiling, dod ruleState
+	top                 float64
+	seen                bool
 }
 
 // Engine evaluates the rule set online. It is used by a single run from
@@ -378,8 +394,11 @@ type Engine struct {
 	mode  Mode
 	rules Rules
 
-	state map[stateKey]*ruleState
-	soc   map[string]*socState
+	// Rule instances live in slices, never behind a map lookup: bus holds
+	// the device-less rules by kind, devices the SoC rules of every
+	// AddDevice registration.
+	bus     [numKinds]ruleState
+	devices []deviceRules
 
 	mismatchSecs float64 // current contiguous mismatch window
 	ledgerIn     float64 // cumulative bus Wh in
@@ -402,12 +421,14 @@ func NewEngine(mode Mode, rules Rules) *Engine {
 	if mode == ModeOff {
 		return nil
 	}
-	return &Engine{
-		mode:  mode,
-		rules: rules.withDefaults(),
-		state: map[stateKey]*ruleState{},
-		soc:   map[string]*socState{},
-	}
+	return &Engine{mode: mode, rules: rules.withDefaults()}
+}
+
+// AddDevice registers a device for the SoC floor, SoC ceiling and DoD
+// rules and returns the index ObserveSoC takes for it.
+func (a *Engine) AddDevice(name string) int {
+	a.devices = append(a.devices, deviceRules{name: name})
+	return len(a.devices) - 1
 }
 
 // Mode reports the engine's mode; a nil engine is off.
@@ -434,13 +455,8 @@ func (a *Engine) Rules() Rules {
 
 // observe runs one rule instance's debounce/hysteresis automaton and
 // fires at the arming threshold.
-func (a *Engine) observe(t float64, k Kind, device string, violating bool, value, limit float64, detail string) {
-	key := stateKey{kind: k, device: device}
-	st := a.state[key]
-	if st == nil {
-		st = &ruleState{}
-		a.state[key] = st
-	}
+func (a *Engine) observe(st *ruleState, t float64, k Kind, device string,
+	violating bool, value, limit float64, detail string) {
 	switch {
 	case violating && st.firing:
 		st.clean = 0
@@ -485,32 +501,27 @@ func (a *Engine) fire(e Event) {
 	a.fired = append(a.fired, e)
 }
 
-// ObserveSoC feeds one device's state of charge; it drives the SoC
-// floor, SoC ceiling and DoD excursion rules.
-func (a *Engine) ObserveSoC(t float64, device string, soc float64) {
+// ObserveSoC feeds the state of charge of device dev (an AddDevice
+// index); it drives the SoC floor, SoC ceiling and DoD excursion rules.
+func (a *Engine) ObserveSoC(t float64, dev int, soc float64) {
 	if a == nil {
 		return
 	}
-	r := a.rules
+	r, d := a.rules, &a.devices[dev]
 	if r.SoCFloor >= 0 {
-		a.observe(t, KindSoCFloor, device, soc < r.SoCFloor, soc, r.SoCFloor,
+		a.observe(&d.floor, t, KindSoCFloor, d.name, soc < r.SoCFloor, soc, r.SoCFloor,
 			"state of charge below floor")
 	}
 	if r.SoCCeiling >= 0 {
-		a.observe(t, KindSoCCeiling, device, soc > r.SoCCeiling, soc, r.SoCCeiling,
+		a.observe(&d.ceiling, t, KindSoCCeiling, d.name, soc > r.SoCCeiling, soc, r.SoCCeiling,
 			"state of charge above ceiling")
 	}
 	if r.DoDMax >= 0 {
-		ss := a.soc[device]
-		if ss == nil {
-			ss = &socState{}
-			a.soc[device] = ss
+		if !d.seen || soc > d.top {
+			d.top, d.seen = soc, true
 		}
-		if !ss.seen || soc > ss.top {
-			ss.top, ss.seen = soc, true
-		}
-		depth := ss.top - soc
-		a.observe(t, KindDoDExcursion, device, depth > r.DoDMax, depth, r.DoDMax,
+		depth := d.top - soc
+		a.observe(&d.dod, t, KindDoDExcursion, d.name, depth > r.DoDMax, depth, r.DoDMax,
 			"discharge swing beyond design DoD")
 	}
 }
@@ -526,7 +537,8 @@ func (a *Engine) ObserveMismatch(t float64, inMismatch bool, stepSeconds float64
 	} else {
 		a.mismatchSecs = 0
 	}
-	a.observe(t, KindMismatchWindow, "", a.mismatchSecs > a.rules.MismatchWindowSeconds,
+	a.observe(&a.bus[KindMismatchWindow], t, KindMismatchWindow, "",
+		a.mismatchSecs > a.rules.MismatchWindowSeconds,
 		a.mismatchSecs, a.rules.MismatchWindowSeconds, "mismatch window outlasted bound")
 }
 
@@ -541,7 +553,8 @@ func (a *Engine) ObserveLedger(t float64, inWh, outWh float64) {
 	drift := math.Abs(a.ledgerIn - a.ledgerOut)
 	scale := math.Max(math.Max(a.ledgerIn, a.ledgerOut), 1)
 	rel := drift / scale
-	a.observe(t, KindLedgerDrift, "", rel > a.rules.LedgerDriftRel && drift > 1e-9,
+	a.observe(&a.bus[KindLedgerDrift], t, KindLedgerDrift, "",
+		rel > a.rules.LedgerDriftRel && drift > 1e-9,
 		rel, a.rules.LedgerDriftRel, "cumulative bus ledger drift")
 }
 
@@ -551,7 +564,8 @@ func (a *Engine) ObserveRamp(t float64, wattsPerSecond float64) {
 	if a == nil || a.rules.RampWattsPerSecond < 0 {
 		return
 	}
-	a.observe(t, KindRampRate, "", wattsPerSecond > a.rules.RampWattsPerSecond,
+	a.observe(&a.bus[KindRampRate], t, KindRampRate, "",
+		wattsPerSecond > a.rules.RampWattsPerSecond,
 		wattsPerSecond, a.rules.RampWattsPerSecond, "bus ramp outside envelope")
 }
 
@@ -560,17 +574,19 @@ func (a *Engine) ObserveRelays(t float64, exclusive bool, total, servers int) {
 	if a == nil {
 		return
 	}
-	a.observe(t, KindRelayExclusivity, "", !exclusive, float64(total), float64(servers),
+	a.observe(&a.bus[KindRelayExclusivity], t, KindRelayExclusivity, "",
+		!exclusive, float64(total), float64(servers),
 		"relay positions do not partition the servers")
 }
 
-// ObserveWear feeds a device's equivalent-full-cycle rate (cycles per
-// simulated day), typically once at end of run.
+// ObserveWear feeds the battery pool's equivalent-full-cycle rate
+// (cycles per simulated day), once at end of run.
 func (a *Engine) ObserveWear(t float64, device string, efcPerDay float64) {
 	if a == nil || a.rules.WearEFCPerDay < 0 {
 		return
 	}
-	a.observe(t, KindWearRate, device, efcPerDay > a.rules.WearEFCPerDay,
+	a.observe(&a.bus[KindWearRate], t, KindWearRate, device,
+		efcPerDay > a.rules.WearEFCPerDay,
 		efcPerDay, a.rules.WearEFCPerDay, "battery wear rate above budget")
 }
 
@@ -581,7 +597,7 @@ func (a *Engine) ObserveCheckpoint(t float64, prev, hash string) {
 		return
 	}
 	if a.haveCkpt {
-		a.observe(t, KindCheckpointChain, "", prev != a.lastCkpt, 0, 0,
+		a.observe(&a.bus[KindCheckpointChain], t, KindCheckpointChain, "", prev != a.lastCkpt, 0, 0,
 			"checkpoint does not extend the recorded chain")
 	}
 	a.lastCkpt, a.haveCkpt = hash, true
@@ -668,45 +684,75 @@ func (a *Engine) Report() Report {
 	return r
 }
 
+// WithRun returns the report labeled with its run key.
+func (r Report) WithRun(run string) Report {
+	r.Run = run
+	return r
+}
+
+// OK reports whether the run's health verdict is ok.
+func (r Report) OK() bool { return r.Health == HealthOK }
+
 // Summary renders the report one-line.
 func (r Report) Summary() string {
 	return fmt.Sprintf("health=%s: %d warnings, %d criticals over %d fired alerts",
 		r.Health, r.Warnings, r.Criticals, r.Events)
 }
 
-// Log collects per-run reports from a (possibly parallel) sweep. It is
-// safe for concurrent use.
-type Log struct {
-	mu      sync.Mutex
-	reports []Report
+// Verdict is a per-run report a Log collects.
+type Verdict[R any] interface {
+	// WithRun returns the report labeled with its run key.
+	WithRun(run string) R
+	// OK reports whether the run came through its checks clean.
+	OK() bool
 }
 
-// NewLog builds an empty collector.
-func NewLog() *Log { return &Log{} }
+// Log collects per-run reports from a (possibly parallel) sweep and
+// returns them sorted by run key, so its output is deterministic for any
+// worker count. It is safe for concurrent use, and a nil Log discards.
+// Each checker artifact has one: Log[Report] for the rule engine,
+// obs.AuditLog for the auditor.
+type Log[R Verdict[R]] struct {
+	mu      sync.Mutex
+	entries []logEntry[R]
+}
 
-// Add records one run's report under its key.
-func (l *Log) Add(run string, r Report) {
-	r.Run = run
+type logEntry[R any] struct {
+	run    string
+	report R
+}
+
+// NewLog builds an empty rule-engine report collector.
+func NewLog() *Log[Report] { return &Log[Report]{} }
+
+// Add records one run's report, labeled with its key.
+func (l *Log[R]) Add(run string, r R) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
-	l.reports = append(l.reports, r)
+	l.entries = append(l.entries, logEntry[R]{run, r.WithRun(run)})
 	l.mu.Unlock()
 }
 
-// Reports returns every report sorted by run key (deterministic for any
-// worker count).
-func (l *Log) Reports() []Report {
+// Reports returns every report sorted by run key.
+func (l *Log[R]) Reports() []R {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := append([]Report(nil), l.reports...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Run < out[j].Run })
+	entries := slices.Clone(l.entries)
+	l.mu.Unlock()
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].run < entries[j].run })
+	out := make([]R, len(entries))
+	for i, e := range entries {
+		out[i] = e.report
+	}
 	return out
 }
 
-// Unhealthy returns the reports whose verdict is not ok, sorted by run.
-func (l *Log) Unhealthy() []Report {
-	var bad []Report
+// Unhealthy returns the reports that are not OK, sorted by run key.
+func (l *Log[R]) Unhealthy() []R {
+	var bad []R
 	for _, r := range l.Reports() {
-		if r.Health != HealthOK {
+		if !r.OK() {
 			bad = append(bad, r)
 		}
 	}

@@ -42,7 +42,7 @@ func TestOffModeIsNil(t *testing.T) {
 		t.Fatal("ModeOff engine not nil")
 	}
 	// Every method must be nil-safe.
-	a.ObserveSoC(0, "battery/0", -1)
+	a.ObserveSoC(0, 0, -1)
 	a.ObserveMismatch(0, true, 1)
 	a.ObserveLedger(0, 5, 1)
 	a.ObserveRamp(0, 1e9)
@@ -62,20 +62,21 @@ func TestOffModeIsNil(t *testing.T) {
 
 func TestDebounceArmsAfterConsecutiveViolations(t *testing.T) {
 	a := NewEngine(ModeReport, Rules{DebounceSteps: 3})
+	b := a.AddDevice("b")
 	// Two violations, a clean step, two more: never fires.
-	a.ObserveSoC(0, "b", 0.01)
-	a.ObserveSoC(1, "b", 0.01)
-	a.ObserveSoC(2, "b", 0.5)
-	a.ObserveSoC(3, "b", 0.01)
-	a.ObserveSoC(4, "b", 0.01)
+	a.ObserveSoC(0, b, 0.01)
+	a.ObserveSoC(1, b, 0.01)
+	a.ObserveSoC(2, b, 0.5)
+	a.ObserveSoC(3, b, 0.01)
+	a.ObserveSoC(4, b, 0.01)
 	if got := a.Report().Events; got != 0 {
 		t.Fatalf("fired %d alerts before debounce threshold", got)
 	}
 	// The third consecutive violation (t=3,4,5) fires exactly once;
 	// further violations while firing stay silent.
-	a.ObserveSoC(5, "b", 0.01)
-	a.ObserveSoC(6, "b", 0.01)
-	a.ObserveSoC(7, "b", 0.01)
+	a.ObserveSoC(5, b, 0.01)
+	a.ObserveSoC(6, b, 0.01)
+	a.ObserveSoC(7, b, 0.01)
 	r := a.Report()
 	if r.Criticals != 1 || r.Counts["soc_floor"] != 1 {
 		t.Fatalf("debounced fire wrong: %+v", r)
@@ -83,6 +84,21 @@ func TestDebounceArmsAfterConsecutiveViolations(t *testing.T) {
 	ev := a.Events()
 	if len(ev) != 1 || ev[0].Seconds != 5 || ev[0].Kind != KindSoCFloor || ev[0].Device != "b" {
 		t.Fatalf("event wrong: %+v", ev)
+	}
+}
+
+// TestDevicesKeepSeparateRuleState checks each AddDevice slot runs its
+// own automata: one device's breach neither arms nor fires another's.
+func TestDevicesKeepSeparateRuleState(t *testing.T) {
+	a := NewEngine(ModeReport, Rules{DebounceSteps: 2, DoDMax: -1})
+	x, y := a.AddDevice("x"), a.AddDevice("y")
+	a.ObserveSoC(0, x, 0.01)
+	a.ObserveSoC(0, y, 0.5)
+	a.ObserveSoC(1, x, 0.01)
+	a.ObserveSoC(1, y, 0.01)
+	ev := a.Events()
+	if len(ev) != 1 || ev[0].Device != "x" || ev[0].Seconds != 1 {
+		t.Fatalf("events %+v, want one soc_floor for x at t=1", ev)
 	}
 }
 
@@ -163,12 +179,13 @@ func TestLedgerDriftAccumulates(t *testing.T) {
 
 func TestDoDSwingTracksRunningMax(t *testing.T) {
 	a := NewEngine(ModeReport, Rules{DoDMax: 0.5, DebounceSteps: 1, SoCFloor: -1, SoCCeiling: -1})
-	a.ObserveSoC(0, "b", 0.9)
-	a.ObserveSoC(1, "b", 0.5) // swing 0.4: fine
+	b := a.AddDevice("b")
+	a.ObserveSoC(0, b, 0.9)
+	a.ObserveSoC(1, b, 0.5) // swing 0.4: fine
 	if a.Report().Events != 0 {
 		t.Fatal("fired within DoD budget")
 	}
-	a.ObserveSoC(2, "b", 0.3) // swing 0.6 from the 0.9 top
+	a.ObserveSoC(2, b, 0.3) // swing 0.6 from the 0.9 top
 	r := a.Report()
 	if r.Counts["dod_excursion"] != 1 {
 		t.Fatalf("DoD rule wrong: %+v", r)
@@ -177,8 +194,9 @@ func TestDoDSwingTracksRunningMax(t *testing.T) {
 
 func TestNegativeThresholdDisablesRule(t *testing.T) {
 	a := NewEngine(ModeReport, Rules{SoCFloor: -1, SoCCeiling: -1, DoDMax: -1, DebounceSteps: 1})
+	b := a.AddDevice("b")
 	for i := 0; i < 10; i++ {
-		a.ObserveSoC(float64(i), "b", -5)
+		a.ObserveSoC(float64(i), b, -5)
 	}
 	if got := a.Report().Events; got != 0 {
 		t.Fatalf("disabled rules fired %d alerts", got)
@@ -187,6 +205,7 @@ func TestNegativeThresholdDisablesRule(t *testing.T) {
 
 func TestStrictViolatedAndHealth(t *testing.T) {
 	a := NewEngine(ModeStrict, Rules{DebounceSteps: 1})
+	b := a.AddDevice("b")
 	if !a.Strict() || a.Violated() {
 		t.Fatal("fresh strict engine state wrong")
 	}
@@ -197,7 +216,7 @@ func TestStrictViolatedAndHealth(t *testing.T) {
 	if h := a.Report().Health; h != HealthWarn {
 		t.Fatalf("health %q after warning", h)
 	}
-	a.ObserveSoC(1, "b", -1) // critical
+	a.ObserveSoC(1, b, -1) // critical
 	if !a.Violated() {
 		t.Fatal("critical not counted as violation")
 	}
@@ -208,6 +227,7 @@ func TestStrictViolatedAndHealth(t *testing.T) {
 
 func TestTakeFiredDrains(t *testing.T) {
 	a := NewEngine(ModeReport, Rules{DebounceSteps: 1})
+	b := a.AddDevice("b")
 	a.ObserveRamp(0, 1e6)
 	if got := a.TakeFired(); len(got) != 1 {
 		t.Fatalf("TakeFired returned %d", len(got))
@@ -215,7 +235,7 @@ func TestTakeFiredDrains(t *testing.T) {
 	if got := a.TakeFired(); got != nil {
 		t.Fatalf("second TakeFired returned %d", len(got))
 	}
-	a.ObserveSoC(1, "b", -1)
+	a.ObserveSoC(1, b, -1)
 	if got := a.TakeFired(); len(got) != 1 || got[0].Kind != KindSoCFloor {
 		t.Fatalf("drain after refire wrong: %+v", got)
 	}

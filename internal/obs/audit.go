@@ -6,113 +6,24 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
+
+	"heb/internal/obs/alerts"
 )
 
-// AuditMode selects how much the energy-conservation auditor interferes
-// with a run.
-type AuditMode uint8
-
+// The auditor runs under the invariant checker's shared modes; these
+// names spell the audit side of alerts.Mode.
 const (
-	// AuditModeOff disables auditing entirely (the zero value): no ledger, no
-	// checks, no allocations.
-	AuditModeOff AuditMode = iota
-	// AuditModeReport runs the full ledger and bound checks and reports
-	// the result, but never interrupts the run.
-	AuditModeReport
-	// AuditModeStrict is AuditModeReport plus fail-fast: the engine aborts
-	// the run at the first violation and the caller surfaces an error.
-	AuditModeStrict
+	AuditModeOff    = alerts.ModeOff
+	AuditModeReport = alerts.ModeReport
+	AuditModeStrict = alerts.ModeStrict
 )
-
-// String names the mode as accepted by ParseAuditMode.
-func (m AuditMode) String() string {
-	switch m {
-	case AuditModeOff:
-		return "off"
-	case AuditModeReport:
-		return "report"
-	case AuditModeStrict:
-		return "strict"
-	default:
-		return fmt.Sprintf("AuditMode(%d)", int(m))
-	}
-}
-
-// ParseAuditMode inverts String.
-func ParseAuditMode(s string) (AuditMode, error) {
-	switch s {
-	case "off":
-		return AuditModeOff, nil
-	case "report":
-		return AuditModeReport, nil
-	case "strict":
-		return AuditModeStrict, nil
-	}
-	return AuditModeOff, fmt.Errorf("obs: unknown audit mode %q (want off, report or strict)", s)
-}
-
-// AuditKind classifies auditor findings.
-type AuditKind uint8
-
-const (
-	// AuditLedgerDrift is a per-step bus-ledger mismatch above tolerance.
-	AuditLedgerDrift AuditKind = iota
-	// AuditSoCBound is a device state of charge outside [0, 1] or a
-	// negative/overfull charge well.
-	AuditSoCBound
-	// AuditVoltageBound is a device open-circuit voltage outside its legal
-	// window.
-	AuditVoltageBound
-	// AuditChargeBound is stored charge above chemical capacity or a
-	// negative well.
-	AuditChargeBound
-	// AuditRelayExclusivity is a relay fabric whose per-source totals do
-	// not partition the servers.
-	AuditRelayExclusivity
-
-	numAuditKinds // sentinel
-)
-
-var auditKindNames = [numAuditKinds]string{
-	"ledger_drift", "soc_bound", "voltage_bound", "charge_bound", "relay_exclusivity",
-}
-
-// String names the kind as it appears in audit artifacts.
-func (k AuditKind) String() string {
-	if int(k) < len(auditKindNames) {
-		return auditKindNames[k]
-	}
-	return fmt.Sprintf("AuditKind(%d)", int(k))
-}
-
-// MarshalJSON encodes the kind as its string name.
-func (k AuditKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(k.String())
-}
-
-// UnmarshalJSON decodes a string kind name.
-func (k *AuditKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	for i, name := range auditKindNames {
-		if name == s {
-			*k = AuditKind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown audit kind %q", s)
-}
 
 // AuditEvent is one typed violation the auditor observed.
 type AuditEvent struct {
 	// Seconds is the simulation time of the finding.
 	Seconds float64 `json:"t"`
-	// Kind classifies the violation.
-	Kind AuditKind `json:"kind"`
+	// Kind classifies the violation (an audit kind of alerts.Kind).
+	Kind alerts.Kind `json:"kind"`
 	// Device names the offending device, empty for bus/fabric findings.
 	Device string `json:"device,omitempty"`
 	// Value and Limit quantify the violation (e.g. drift and tolerance).
@@ -141,11 +52,11 @@ type DeviceResidual struct {
 const auditEventCap = 32
 
 // Auditor accumulates the per-step energy-conservation ledger of one run
-// and collects typed violations. It is not safe for concurrent use; each
-// run owns its own auditor.
+// and collects typed violations; the invariant checker (sim.Checker)
+// feeds it. It is not safe for concurrent use; each run owns its own
+// auditor.
 type Auditor struct {
-	mode      AuditMode
-	tolerance float64
+	mode alerts.Mode
 
 	steps       int64
 	inWh, outWh float64
@@ -156,31 +67,15 @@ type Auditor struct {
 	violated   bool
 
 	devices []DeviceResidual
-	started map[string]int
 }
 
-// DefaultAuditTolerance is the relative ledger drift above which a run
-// fails its audit.
-const DefaultAuditTolerance = 1e-6
-
-// NewAuditor builds an auditor for mode; tolerance <= 0 selects
-// DefaultAuditTolerance. A nil auditor is valid and disabled.
-func NewAuditor(mode AuditMode, tolerance float64) *Auditor {
-	if mode == AuditModeOff {
+// NewAuditor builds an auditor for mode, holding the run to
+// alerts.LedgerTolerance. A nil auditor is valid and disabled.
+func NewAuditor(mode alerts.Mode) *Auditor {
+	if mode == alerts.ModeOff {
 		return nil
 	}
-	if tolerance <= 0 {
-		tolerance = DefaultAuditTolerance
-	}
-	return &Auditor{mode: mode, tolerance: tolerance, started: make(map[string]int)}
-}
-
-// Mode returns the auditor's mode (AuditModeOff for nil).
-func (a *Auditor) Mode() AuditMode {
-	if a == nil {
-		return AuditModeOff
-	}
-	return a.mode
+	return &Auditor{mode: mode}
 }
 
 // Strict reports whether the auditor wants fail-fast behaviour.
@@ -205,12 +100,12 @@ func (a *Auditor) RecordStep(sec float64, inWh, outWh float64) {
 	scale := math.Max(math.Abs(inWh), math.Abs(outWh))
 	// The absolute floor keeps idle steps (microwatt-hours of leakage)
 	// from tripping on float noise.
-	if diff > a.tolerance*scale && diff > 1e-9 {
+	if diff > alerts.LedgerTolerance*scale && diff > 1e-9 {
 		a.Flag(AuditEvent{
 			Seconds: sec,
-			Kind:    AuditLedgerDrift,
+			Kind:    alerts.KindLedgerDrift,
 			Value:   diff,
-			Limit:   a.tolerance * scale,
+			Limit:   alerts.LedgerTolerance * scale,
 			Detail:  fmt.Sprintf("in %.9g Wh, out %.9g Wh", inWh, outWh),
 		})
 	}
@@ -226,9 +121,9 @@ func (a *Auditor) Flag(e AuditEvent) {
 }
 
 // StartDevice opens a device's run-long terminal ledger with its starting
-// cumulative stats and stored energy (all watt-hours).
+// cumulative stats and stored energy (all watt-hours); devices are
+// indexed in StartDevice order.
 func (a *Auditor) StartDevice(device string, inWh, outWh, lossWh, storedWh float64) {
-	a.started[device] = len(a.devices)
 	a.devices = append(a.devices, DeviceResidual{
 		Device:  device,
 		InWh:    -inWh,
@@ -238,13 +133,9 @@ func (a *Auditor) StartDevice(device string, inWh, outWh, lossWh, storedWh float
 	})
 }
 
-// EndDevice closes a device ledger with its final cumulative stats and
+// EndDevice closes device i's ledger with its final cumulative stats and
 // stored energy; the residual becomes In − Out − Loss − ΔStored.
-func (a *Auditor) EndDevice(device string, inWh, outWh, lossWh, storedWh float64) {
-	i, ok := a.started[device]
-	if !ok {
-		return
-	}
+func (a *Auditor) EndDevice(i int, inWh, outWh, lossWh, storedWh float64) {
 	d := &a.devices[i]
 	d.InWh += inWh
 	d.OutWh += outWh
@@ -288,7 +179,7 @@ type AuditReport struct {
 // (returns a zero report marked passed with mode off).
 func (a *Auditor) Report() AuditReport {
 	if a == nil {
-		return AuditReport{Mode: AuditModeOff.String(), Passed: true}
+		return AuditReport{Mode: alerts.ModeOff.String(), Passed: true}
 	}
 	r := AuditReport{
 		Mode:        a.mode.String(),
@@ -297,7 +188,7 @@ func (a *Auditor) Report() AuditReport {
 		EnergyOutWh: a.outWh,
 		DriftWh:     a.inWh - a.outWh,
 		MaxStepWh:   a.maxStepWh,
-		Tolerance:   a.tolerance,
+		Tolerance:   alerts.LedgerTolerance,
 		Violations:  a.violations,
 		Events:      append([]AuditEvent(nil), a.events...),
 		Devices:     append([]DeviceResidual(nil), a.devices...),
@@ -305,9 +196,18 @@ func (a *Auditor) Report() AuditReport {
 	if scale := math.Max(math.Abs(a.inWh), math.Abs(a.outWh)); scale > 0 {
 		r.RelDrift = math.Abs(r.DriftWh) / scale
 	}
-	r.Passed = !a.violated && r.RelDrift <= a.tolerance
+	r.Passed = !a.violated && r.RelDrift <= alerts.LedgerTolerance
 	return r
 }
+
+// WithRun returns the report labeled with its run key.
+func (r AuditReport) WithRun(run string) AuditReport {
+	r.Run = run
+	return r
+}
+
+// OK reports whether the audit passed.
+func (r AuditReport) OK() bool { return r.Passed }
 
 // Summary renders a one-line human verdict.
 func (r AuditReport) Summary() string {
@@ -319,43 +219,11 @@ func (r AuditReport) Summary() string {
 		verdict, r.Mode, r.Steps, r.EnergyInWh, r.EnergyOutWh, r.DriftWh, r.RelDrift, r.Violations)
 }
 
-// AuditLog collects per-run audit reports across a sweep. It is safe for
-// concurrent use.
-type AuditLog struct {
-	mu      sync.Mutex
-	reports []AuditReport
-}
+// AuditLog collects per-run audit reports across a sweep.
+type AuditLog = alerts.Log[AuditReport]
 
 // NewAuditLog builds an empty collector.
 func NewAuditLog() *AuditLog { return &AuditLog{} }
-
-// Add stores one run's report under its run key.
-func (l *AuditLog) Add(run string, r AuditReport) {
-	r.Run = run
-	l.mu.Lock()
-	l.reports = append(l.reports, r)
-	l.mu.Unlock()
-}
-
-// Reports returns the stored reports sorted by run key.
-func (l *AuditLog) Reports() []AuditReport {
-	l.mu.Lock()
-	out := append([]AuditReport(nil), l.reports...)
-	l.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Run < out[j].Run })
-	return out
-}
-
-// Failed returns the stored reports that did not pass, sorted by run key.
-func (l *AuditLog) Failed() []AuditReport {
-	var out []AuditReport
-	for _, r := range l.Reports() {
-		if !r.Passed {
-			out = append(out, r)
-		}
-	}
-	return out
-}
 
 // WriteAuditsJSONL writes reports one JSON object per line.
 func WriteAuditsJSONL(w io.Writer, reports []AuditReport) error {

@@ -2,29 +2,35 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"heb/internal/obs/alerts"
 )
 
+// TestParseAuditModeRoundTrip checks the audit mode names are the shared
+// checker modes, so -audit parses exactly like -alerts.
 func TestParseAuditModeRoundTrip(t *testing.T) {
-	for _, m := range []AuditMode{AuditModeOff, AuditModeReport, AuditModeStrict} {
-		got, err := ParseAuditMode(m.String())
+	for _, m := range []alerts.Mode{AuditModeOff, AuditModeReport, AuditModeStrict} {
+		got, err := alerts.ParseMode(m.String())
 		if err != nil || got != m {
-			t.Errorf("ParseAuditMode(%q) = %v, %v", m.String(), got, err)
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseAuditMode("bogus"); err == nil {
+	if _, err := alerts.ParseMode("bogus"); err == nil {
 		t.Error("accepted bogus mode")
 	}
 }
 
 func TestNilAuditorIsSafeAndOff(t *testing.T) {
-	a := NewAuditor(AuditModeOff, 0)
+	a := NewAuditor(AuditModeOff)
 	if a != nil {
 		t.Fatal("off auditor should be nil")
 	}
-	if a.Mode() != AuditModeOff || a.Strict() || a.Violated() {
+	if a.Strict() || a.Violated() {
 		t.Error("nil auditor misreports state")
 	}
 	r := a.Report()
@@ -34,7 +40,7 @@ func TestNilAuditorIsSafeAndOff(t *testing.T) {
 }
 
 func TestRecordStepFlagsDriftAboveTolerance(t *testing.T) {
-	a := NewAuditor(AuditModeReport, 1e-6)
+	a := NewAuditor(AuditModeReport)
 	a.RecordStep(0, 100, 100)      // balanced
 	a.RecordStep(1, 100, 100+5e-5) // relative 5e-7 < tol: fine
 	a.RecordStep(2, 1e-12, 3e-12)  // relative 2/3 but absolute 2e-12 < 1e-9 floor: fine
@@ -50,7 +56,7 @@ func TestRecordStepFlagsDriftAboveTolerance(t *testing.T) {
 		t.Fatalf("violations %d events %d, want 1/1", r.Violations, len(r.Events))
 	}
 	e := r.Events[0]
-	if e.Kind != AuditLedgerDrift || e.Seconds != 3 || math.Abs(e.Value-1) > 1e-9 {
+	if e.Kind != alerts.KindLedgerDrift || e.Seconds != 3 || math.Abs(e.Value-1) > 1e-9 {
 		t.Errorf("drift event %+v", e)
 	}
 	if r.Passed {
@@ -59,9 +65,9 @@ func TestRecordStepFlagsDriftAboveTolerance(t *testing.T) {
 }
 
 func TestAuditEventCapCountsOverflow(t *testing.T) {
-	a := NewAuditor(AuditModeReport, 0)
+	a := NewAuditor(AuditModeReport)
 	for i := 0; i < auditEventCap+10; i++ {
-		a.Flag(AuditEvent{Seconds: float64(i), Kind: AuditSoCBound})
+		a.Flag(AuditEvent{Seconds: float64(i), Kind: alerts.KindSoCBound})
 	}
 	r := a.Report()
 	if len(r.Events) != auditEventCap {
@@ -73,9 +79,9 @@ func TestAuditEventCapCountsOverflow(t *testing.T) {
 }
 
 func TestDeviceResidualMath(t *testing.T) {
-	a := NewAuditor(AuditModeReport, 0)
+	a := NewAuditor(AuditModeReport)
 	a.StartDevice("battery/0", 10, 5, 1, 50)
-	a.EndDevice("battery/0", 22, 11, 2, 54)
+	a.EndDevice(0, 22, 11, 2, 54)
 	r := a.Report()
 	if len(r.Devices) != 1 {
 		t.Fatalf("devices %d, want 1", len(r.Devices))
@@ -88,12 +94,10 @@ func TestDeviceResidualMath(t *testing.T) {
 	if math.Abs(d.ResidualWh-1) > 1e-12 {
 		t.Errorf("residual %g, want 1", d.ResidualWh)
 	}
-	// Ending an unknown device is ignored, not a panic.
-	a.EndDevice("ghost", 1, 1, 1, 1)
 }
 
 func TestReportFailsOnAccumulatedDrift(t *testing.T) {
-	a := NewAuditor(AuditModeReport, 1e-6)
+	a := NewAuditor(AuditModeReport)
 	// Each step's mismatch hides under the absolute floor, so no per-step
 	// flag fires, but against tiny run totals the accumulation blows the
 	// relative budget.
@@ -110,10 +114,10 @@ func TestReportFailsOnAccumulatedDrift(t *testing.T) {
 }
 
 func TestStrictModeReported(t *testing.T) {
-	if !NewAuditor(AuditModeStrict, 0).Strict() {
+	if !NewAuditor(AuditModeStrict).Strict() {
 		t.Error("strict auditor not strict")
 	}
-	if NewAuditor(AuditModeReport, 0).Strict() {
+	if NewAuditor(AuditModeReport).Strict() {
 		t.Error("report auditor claims strict")
 	}
 }
@@ -127,18 +131,18 @@ func TestAuditLogSortsByRunAndFiltersFailed(t *testing.T) {
 	if len(rs) != 3 || rs[0].Run != "aaa" || rs[2].Run != "zzz" {
 		t.Errorf("reports out of order: %+v", rs)
 	}
-	failed := l.Failed()
+	failed := l.Unhealthy()
 	if len(failed) != 1 || failed[0].Run != "aaa" {
 		t.Errorf("failed filter wrong: %+v", failed)
 	}
 }
 
 func TestAuditsJSONLRoundTrip(t *testing.T) {
-	a := NewAuditor(AuditModeStrict, 1e-6)
+	a := NewAuditor(AuditModeStrict)
 	a.RecordStep(0, 10, 10)
-	a.Flag(AuditEvent{Seconds: 1, Kind: AuditVoltageBound, Device: "battery/0", Value: 30, Limit: 28.8, Detail: "over"})
+	a.Flag(AuditEvent{Seconds: 1, Kind: alerts.KindVoltageBound, Device: "battery/0", Value: 30, Limit: 28.8, Detail: "over"})
 	a.StartDevice("battery/0", 0, 0, 0, 10)
-	a.EndDevice("battery/0", 5, 3, 1, 11)
+	a.EndDevice(0, 5, 3, 1, 11)
 	in := []AuditReport{a.Report()}
 	in[0].Run = "r1"
 
@@ -165,12 +169,17 @@ func TestAuditsJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAuditKindJSONRejectsUnknown decodes audit events through the shared
+// kind taxonomy: audit-only and shared kinds parse, unknown ones fail.
 func TestAuditKindJSONRejectsUnknown(t *testing.T) {
-	var k AuditKind
-	if err := k.UnmarshalJSON([]byte(`"not_a_kind"`)); err == nil {
+	var e AuditEvent
+	if err := json.Unmarshal([]byte(`{"kind":"not_a_kind"}`), &e); err == nil {
 		t.Error("accepted unknown kind")
 	}
-	if err := k.UnmarshalJSON([]byte(`"relay_exclusivity"`)); err != nil || k != AuditRelayExclusivity {
-		t.Errorf("known kind rejected: %v %v", k, err)
+	for _, k := range []alerts.Kind{alerts.KindRelayExclusivity, alerts.KindLedgerDrift, alerts.KindChargeBound} {
+		raw := fmt.Sprintf(`{"kind":%q}`, k)
+		if err := json.Unmarshal([]byte(raw), &e); err != nil || e.Kind != k {
+			t.Errorf("known kind %s rejected: %v %v", k, e.Kind, err)
+		}
 	}
 }

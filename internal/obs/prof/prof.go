@@ -93,8 +93,8 @@ func KindFromFile(name string) (string, bool) {
 
 // active is the process-wide profiling switch. Prototype.Run consults it
 // on the hot path with a single atomic load, so disabled runs pay nothing
-// measurable (proven by BenchmarkEngineProfDisabled == BenchmarkEngineStep
-// allocs/op).
+// measurable (BenchmarkEngineStep, which runs with profiling off, gates
+// allocs/op exactly).
 var active atomic.Bool
 
 // Active reports whether a Collector is currently running.

@@ -16,7 +16,6 @@ import (
 	"heb/internal/core"
 	"heb/internal/esd"
 	"heb/internal/obs"
-	"heb/internal/obs/alerts"
 	"heb/internal/obs/prof"
 	"heb/internal/power"
 	"heb/internal/trace"
@@ -107,7 +106,7 @@ type Config struct {
 	// mismatch window begin/end, and PAT hit/miss per slot plan. The sink
 	// is called synchronously from the engine goroutine. A nil sink is the
 	// fast path: no event values are built at all, so the hot loop stays
-	// allocation-free (guarded by BenchmarkEngineObsDisabled).
+	// allocation-free (guarded by BenchmarkEngineStep's exact allocs/op).
 	Events obs.EventSink
 
 	// DVFSCapping enables the performance-scaling baseline the paper
@@ -121,28 +120,18 @@ type Config struct {
 	// Probes, when set, receives decimated per-device state samples (SoC,
 	// voltage, charge wells, Ah-throughput) for every battery string and
 	// super-capacitor bank in the pools. A nil recorder is the fast path:
-	// no snapshots are taken and the hot loop stays allocation-free
-	// (guarded by BenchmarkEngineProbesDisabled).
+	// no snapshots are taken and the hot loop stays allocation-free.
 	Probes *obs.ProbeRecorder
 	// ProbeEvery is the probe decimation in steps (default 60: one
 	// sample per simulated minute at the 1 s step).
 	ProbeEvery int
 
-	// Audit, when set, runs the energy-conservation auditor: a per-step
-	// bus ledger plus device bound and relay-exclusivity checks. With a
-	// strict auditor the run aborts at the first violation.
-	Audit *obs.Auditor
-
-	// Alerts, when set, runs the online SLO rule engine: per-step SoC
-	// floor/ceiling and DoD-excursion checks on every probed device, the
-	// mismatch-window clock, bus-ledger drift (sharing the auditor's
-	// ledger deltas), bus ramp rate, relay exclusivity, and an
-	// end-of-run battery wear-rate check. Fired alerts are bridged to
-	// Events as EventAlert. With a strict engine the run aborts once a
-	// critical alert has fired. A nil engine is the fast path: no
-	// observations are taken and the hot loop stays allocation-free
-	// (guarded by BenchmarkEngineAlertsDisabled).
-	Alerts *alerts.Engine
+	// Invariants, when set, runs the invariant checker (see Checker):
+	// the energy auditor and the alert rules, fed from one pass per step.
+	// A checker in strict mode ends the run at the first failed strict
+	// check. Nil is the fast path: no checks run and the hot loop stays
+	// allocation-free.
+	Invariants *Checker
 
 	// Spans, when set, is the trace track this run records its span
 	// hierarchy on (run → slot plan/finish → step batches).
@@ -154,7 +143,7 @@ type Config struct {
 	// before the first step of the new slot. The state buffer is reused
 	// by the next emission; the sink must copy what it keeps. A nil sink
 	// is the fast path: no state is assembled at all, so the hot loop
-	// stays allocation-free (guarded by BenchmarkEngineCheckpointDisabled).
+	// stays allocation-free.
 	Checkpoints func(slot, step int, now time.Duration, state []byte)
 	// CheckpointEvery is the checkpoint decimation in control slots
 	// (1 = every slot boundary). Zero disables checkpointing even when
@@ -313,16 +302,9 @@ type Engine struct {
 	lruScratch      []int         // LRU id buffer for select/shed
 	ovSorter        overloadSorter
 
-	// Probe/audit/alert state, built in Run only when cfg.Probes,
-	// cfg.Audit or cfg.Alerts is set: the enumerated pool devices and
-	// the cumulative ledger baselines for per-step delta measurement.
+	// probeTargets enumerates the pool devices, built in Run only when
+	// cfg.Probes or cfg.Invariants is set.
 	probeTargets []probeTarget
-	ledger       ledgerState
-
-	// alertMismatchPrev is the alert engine's last-seen mismatchSteps
-	// count; comparing it per step detects in-mismatch ticks without the
-	// Events-gated inMismatch flag.
-	alertMismatchPrev int
 
 	// Delta-checkpoint state: how much of each metric series the last
 	// emitted (or restored) checkpoint already carried, so a delta record
@@ -338,17 +320,6 @@ type probeTarget struct {
 	// alert rules scope to these: supercaps deep-cycle through their full
 	// window by design, so charge-protection SLOs only apply to batteries.
 	battery bool
-}
-
-// ledgerState holds the auditor's previous-step cumulative readings; the
-// per-step bus ledger is measured as deltas of these.
-type ledgerState struct {
-	utilityDrawn units.Energy // e.utilityDrawn
-	meterUtility units.Energy // fabric meter utility credit
-	served       units.Energy // e.servedBA + e.servedSC
-	devIn        units.Energy // sum of device Stats().EnergyIn
-	devOut       units.Energy // sum of device Stats().EnergyOut
-	convLoss     units.Energy // discharge + utility converter losses
 }
 
 // overloadSorter orders server ids by descending demand (id ascending on
@@ -527,8 +498,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.shedEvents = 0
 	e.mismatchSteps, e.steps = 0, 0
 	e.probeTargets = e.probeTargets[:0]
-	e.ledger = ledgerState{}
-	e.alertMismatchPrev = 0
 	e.ckptDemandLen, e.ckptPeaksLen, e.ckptValleysLen = 0, 0, 0
 	if cfg.CheckpointDelta != nil {
 		cfg.Controller.TrackCheckpointDeltas()
@@ -567,17 +536,11 @@ func (e *Engine) Run() Result {
 		e.slotValleys = sizeSeries(e.slotValleys, len(e.slotValleys), nSlots)
 	}
 
-	if cfg.Probes != nil || cfg.Audit != nil || cfg.Alerts != nil {
+	if cfg.Probes != nil || cfg.Invariants != nil {
 		e.buildProbeTargets()
 	}
-	if cfg.Audit != nil || cfg.Alerts != nil {
-		e.resetLedger()
-	}
-	if cfg.Audit != nil {
-		for _, t := range e.probeTargets {
-			s := t.dev.ProbeSnapshot()
-			cfg.Audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
-		}
+	if cfg.Invariants != nil {
+		cfg.Invariants.start(e)
 	}
 
 	if cfg.Events != nil && e.startStep == 0 {
@@ -635,23 +598,13 @@ func (e *Engine) Run() Result {
 				batch = 0
 			}
 		}
-		if cfg.Audit != nil || cfg.Alerts != nil {
-			inWh, outWh := e.ledgerStep()
-			if cfg.Audit != nil {
-				e.auditStep(now, inWh, outWh)
-			}
-			if cfg.Alerts != nil {
-				e.alertStep(now, inWh, outWh)
-			}
+		if cfg.Invariants != nil {
+			cfg.Invariants.step(e, now)
 		}
 		if cfg.Probes != nil && i%cfg.ProbeEvery == 0 {
 			e.recordProbes(now)
 		}
-		if cfg.Audit != nil && cfg.Audit.Strict() && cfg.Audit.Violated() {
-			aborted = true
-			break
-		}
-		if cfg.Alerts != nil && cfg.Alerts.Strict() && cfg.Alerts.Violated() {
+		if cfg.Invariants != nil && cfg.Invariants.abort() {
 			aborted = true
 			break
 		}
@@ -665,14 +618,8 @@ func (e *Engine) Run() Result {
 		e.finishSlot()
 	}
 	span.End()
-	if cfg.Audit != nil {
-		for _, t := range e.probeTargets {
-			s := t.dev.ProbeSnapshot()
-			cfg.Audit.EndDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
-		}
-	}
-	if cfg.Alerts != nil {
-		e.alertFinish()
+	if cfg.Invariants != nil {
+		cfg.Invariants.finish(e)
 	}
 	if cfg.Events != nil && !stopped {
 		end := cfg.Duration.Seconds()
@@ -727,197 +674,6 @@ func (e *Engine) recordProbes(now time.Duration) {
 	for _, t := range e.probeTargets {
 		s := t.dev.ProbeSnapshot()
 		e.cfg.Probes.Record(t.name, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
-	}
-}
-
-// resetLedger initializes the auditor's cumulative baselines.
-func (e *Engine) resetLedger() {
-	devIn, devOut := e.deviceEnergy()
-	e.ledger = ledgerState{
-		utilityDrawn: e.utilityDrawn,
-		meterUtility: e.fabric.Meter().Utility,
-		served:       e.servedBA + e.servedSC,
-		devIn:        devIn,
-		devOut:       devOut,
-		convLoss:     e.dischargeConv.Loss() + e.utilityConv.Loss(),
-	}
-}
-
-// deviceEnergy sums the pools' cumulative terminal energy ledgers.
-func (e *Engine) deviceEnergy() (in, out units.Energy) {
-	ba := e.cfg.Battery.Stats()
-	in, out = ba.EnergyIn, ba.EnergyOut
-	if e.cfg.Supercap != nil {
-		sc := e.cfg.Supercap.Stats()
-		in += sc.EnergyIn
-		out += sc.EnergyOut
-	}
-	return in, out
-}
-
-// ledgerStep measures the step's bus-boundary ledger from cumulative
-// deltas and advances the baselines. It is shared by the auditor and the
-// alert engine, so the deltas are computed once per step however many
-// consumers are attached.
-//
-// The bus boundary sits between the sources (utility feed, discharging
-// devices) and the sinks (server load as metered, charging devices,
-// modeled conversion losses):
-//
-//	in  = Δutility drawn + Δdevice discharge (terminal side)
-//	out = Δutility load credit + Δbuffer-served load + Δdevice charge
-//	      + Δconverter losses
-//
-// Every engine path balances these exactly, so the audit tolerance only
-// absorbs float summation error — any modeling bug that creates or
-// destroys energy at the bus shows up as drift.
-func (e *Engine) ledgerStep() (inWh, outWh float64) {
-	devIn, devOut := e.deviceEnergy()
-	meterUtility := e.fabric.Meter().Utility
-	served := e.servedBA + e.servedSC
-	convLoss := e.dischargeConv.Loss() + e.utilityConv.Loss()
-
-	in := (e.utilityDrawn - e.ledger.utilityDrawn) + (devOut - e.ledger.devOut)
-	out := (meterUtility - e.ledger.meterUtility) + (served - e.ledger.served) +
-		(devIn - e.ledger.devIn) + (convLoss - e.ledger.convLoss)
-
-	e.ledger = ledgerState{
-		utilityDrawn: e.utilityDrawn,
-		meterUtility: meterUtility,
-		served:       served,
-		devIn:        devIn,
-		devOut:       devOut,
-		convLoss:     convLoss,
-	}
-	return in.Wh(), out.Wh()
-}
-
-// auditStep feeds the step's bus ledger into the auditor and runs the
-// structural invariant checks.
-func (e *Engine) auditStep(now time.Duration, inWh, outWh float64) {
-	e.cfg.Audit.RecordStep(now.Seconds(), inWh, outWh)
-	e.auditBounds(now)
-	e.auditRelays(now)
-}
-
-// alertStep feeds the step's live signals to the SLO rule engine: SoC on
-// every probed device (floor/ceiling/DoD rules), the mismatch-window
-// clock, the shared bus ledger, the bus ramp rate, and relay
-// exclusivity. Newly fired alerts are bridged to the event log.
-func (e *Engine) alertStep(now time.Duration, inWh, outWh float64) {
-	al := e.cfg.Alerts
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		// Charge-protection SLOs scope to batteries: supercaps sweep their
-		// full usable window by design, so floor/DoD breaches there are
-		// normal operation, not faults.
-		if t.battery {
-			al.ObserveSoC(sec, t.name, t.dev.ProbeSnapshot().SoC)
-		}
-	}
-	al.ObserveMismatch(sec, e.mismatchSteps > e.alertMismatchPrev, e.cfg.Step.Seconds())
-	e.alertMismatchPrev = e.mismatchSteps
-	al.ObserveLedger(sec, inWh, outWh)
-	if n := len(e.demandSeries); n >= 2 {
-		al.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/e.cfg.Step.Seconds())
-	}
-	counts := e.fabric.SourceCounts()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	exclusive := total == e.fabric.NumServers() && counts[power.SourceOff] == e.fabric.NumOffline()
-	al.ObserveRelays(sec, exclusive, total, e.fabric.NumServers())
-	e.emitAlerts()
-}
-
-// alertFinish runs the end-of-run battery wear-rate rule and drains any
-// still-queued alerts to the event sink.
-func (e *Engine) alertFinish() {
-	al := e.cfg.Alerts
-	sec := float64(e.steps) * e.cfg.Step.Seconds()
-	if days := sec / 86400; days > 0 {
-		if wearer, ok := e.cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
-			if report, n := wearer.Wear(); n > 0 {
-				al.ObserveWear(sec, "battery", report.EquivalentFullCycles/days)
-			}
-		} else if b, ok := e.cfg.Battery.(*esd.Battery); ok {
-			al.ObserveWear(sec, "battery", b.Wear().EquivalentFullCycles/days)
-		}
-	}
-	e.emitAlerts()
-}
-
-// emitAlerts drains newly fired alerts into the event log as EventAlert;
-// with no event sink the queue is still drained so it cannot grow.
-func (e *Engine) emitAlerts() {
-	fired := e.cfg.Alerts.TakeFired()
-	if len(fired) == 0 || e.cfg.Events == nil {
-		return
-	}
-	for _, a := range fired {
-		detail := a.Kind.String() + "/" + a.Severity.String()
-		if a.Device != "" {
-			detail += " @" + a.Device
-		}
-		e.cfg.Events.Emit(obs.Event{
-			Seconds: a.Seconds, Kind: obs.EventAlert, Server: -1,
-			Watts: a.Value, Detail: detail,
-		})
-	}
-}
-
-// auditBounds checks every probed device against its physical envelope:
-// state of charge inside [0,1], raw charge wells non-negative and within
-// chemical capacity, open-circuit voltage inside its legal window.
-func (e *Engine) auditBounds(now time.Duration) {
-	a := e.cfg.Audit
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		s := t.dev.ProbeSnapshot()
-		if s.SoC < 0 || s.SoC > 1 {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditSoCBound, Device: t.name,
-				Value: s.SoC, Limit: 1, Detail: "state of charge outside [0,1]"})
-		}
-		// Absolute slack for well roundoff: a few nano-amp-hours.
-		const slackAh = 1e-9
-		if s.AvailAh < -slackAh || s.BoundAh < -slackAh {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditChargeBound, Device: t.name,
-				Value: math.Min(s.AvailAh, s.BoundAh), Limit: 0, Detail: "negative charge well"})
-		}
-		if s.CapacityAh > 0 && s.AvailAh+s.BoundAh > s.CapacityAh*(1+1e-9)+slackAh {
-			a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditChargeBound, Device: t.name,
-				Value: s.AvailAh + s.BoundAh, Limit: s.CapacityAh, Detail: "stored charge above capacity"})
-		}
-		if s.VMaxV > s.VMinV {
-			const slackV = 1e-9
-			if s.VoltageV < s.VMinV-slackV || s.VoltageV > s.VMaxV+slackV {
-				a.Flag(obs.AuditEvent{Seconds: sec, Kind: obs.AuditVoltageBound, Device: t.name,
-					Value: s.VoltageV, Limit: s.VMaxV, Detail: "open-circuit voltage outside window"})
-			}
-		}
-	}
-}
-
-// auditRelays checks the fabric's exclusivity invariant: every server's
-// relay sits in exactly one position, so the per-source counts partition
-// the fleet and the off count matches the fabric's shed accounting.
-func (e *Engine) auditRelays(now time.Duration) {
-	a := e.cfg.Audit
-	counts := e.fabric.SourceCounts()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != e.fabric.NumServers() {
-		a.Flag(obs.AuditEvent{Seconds: now.Seconds(), Kind: obs.AuditRelayExclusivity,
-			Value: float64(total), Limit: float64(e.fabric.NumServers()),
-			Detail: "relay positions do not partition the servers"})
-	}
-	if counts[power.SourceOff] != e.fabric.NumOffline() {
-		a.Flag(obs.AuditEvent{Seconds: now.Seconds(), Kind: obs.AuditRelayExclusivity,
-			Value: float64(counts[power.SourceOff]), Limit: float64(e.fabric.NumOffline()),
-			Detail: "off-relay count disagrees with shed accounting"})
 	}
 }
 

@@ -1,0 +1,252 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"heb/internal/esd"
+	"heb/internal/obs"
+	"heb/internal/obs/alerts"
+	"heb/internal/power"
+	"heb/internal/units"
+)
+
+// Checker is one run's invariant checker. It owns the bus ledger and the
+// per-device and relay checks, and feeds its two components — the energy
+// auditor (audits.jsonl) and the alert rule engine (alerts.jsonl, bridged
+// onto Events as EventAlert) — from a single pass per step: one snapshot
+// per probed device, one ledger delta, one relay partition count.
+//
+// The strict rule: a component in strict mode turns its failure into an
+// aborted run — any audit violation for the auditor, any critical alert
+// for the rule engine. The engine stops at the end of the first step on
+// which a strict component has failed, and Err reports every failed
+// strict component once the run is over.
+//
+// A Checker serves exactly one run; it is driven from the engine
+// goroutine and needs no locking.
+type Checker struct {
+	audit *obs.Auditor
+	alert *alerts.Engine
+
+	targets      []probeTarget // the engine's probed devices
+	ledger       ledgerState   // previous step's cumulative readings
+	mismatchPrev int           // mismatchSteps at the previous step
+}
+
+// NewChecker composes the run's checker from its components, either of
+// which may be nil (off); it returns nil when both are.
+func NewChecker(audit *obs.Auditor, alert *alerts.Engine) *Checker {
+	if audit == nil && alert == nil {
+		return nil
+	}
+	return &Checker{audit: audit, alert: alert}
+}
+
+// Err is the strict verdict of a finished run: nil unless a strict
+// component failed. A nil checker never fails.
+func (c *Checker) Err() error {
+	if c == nil {
+		return nil
+	}
+	var errs []error
+	if c.audit.Strict() {
+		if r := c.audit.Report(); !r.Passed {
+			errs = append(errs, fmt.Errorf("energy audit failed: %s", r.Summary()))
+		}
+	}
+	if c.alert.Strict() && c.alert.Violated() {
+		errs = append(errs, fmt.Errorf("alert SLOs failed: %s", c.alert.Report().Summary()))
+	}
+	return errors.Join(errs...)
+}
+
+// abort applies the strict rule after a step.
+func (c *Checker) abort() bool {
+	return c.audit.Strict() && c.audit.Violated() || c.alert.Strict() && c.alert.Violated()
+}
+
+// ledgerState holds the cumulative bus readings the next step's ledger
+// is measured against.
+type ledgerState struct {
+	utilityDrawn units.Energy // e.utilityDrawn
+	meterUtility units.Energy // fabric meter utility credit
+	served       units.Energy // e.servedBA + e.servedSC
+	devIn        units.Energy // sum of device Stats().EnergyIn
+	devOut       units.Energy // sum of device Stats().EnergyOut
+	convLoss     units.Energy // discharge + utility converter losses
+}
+
+// readLedger takes the engine's cumulative bus readings.
+func readLedger(e *Engine) ledgerState {
+	ba := e.cfg.Battery.Stats()
+	devIn, devOut := ba.EnergyIn, ba.EnergyOut
+	if e.cfg.Supercap != nil {
+		sc := e.cfg.Supercap.Stats()
+		devIn += sc.EnergyIn
+		devOut += sc.EnergyOut
+	}
+	return ledgerState{
+		utilityDrawn: e.utilityDrawn,
+		meterUtility: e.fabric.Meter().Utility,
+		served:       e.servedBA + e.servedSC,
+		devIn:        devIn,
+		devOut:       devOut,
+		convLoss:     e.dischargeConv.Loss() + e.utilityConv.Loss(),
+	}
+}
+
+// start binds the checker to the run: ledger baselines, the devices'
+// run-long audit ledgers and one rule slot per probed device.
+func (c *Checker) start(e *Engine) {
+	c.targets = e.probeTargets
+	c.ledger = readLedger(e)
+	c.mismatchPrev = e.mismatchSteps
+	for _, t := range c.targets {
+		if c.audit != nil {
+			s := t.dev.ProbeSnapshot()
+			c.audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
+		}
+		if c.alert != nil {
+			c.alert.AddDevice(t.name)
+		}
+	}
+}
+
+// step checks one executed step. The bus boundary sits between the
+// sources (utility feed, discharging devices) and the sinks (server load
+// as metered, charging devices, modeled conversion losses):
+//
+//	in  = Δutility drawn + Δdevice discharge (terminal side)
+//	out = Δutility load credit + Δbuffer-served load + Δdevice charge
+//	      + Δconverter losses
+//
+// Every engine path balances these exactly, so the tolerance only
+// absorbs float summation error — any modeling bug that creates or
+// destroys energy at the bus shows up as drift.
+func (c *Checker) step(e *Engine, now time.Duration) {
+	sec := now.Seconds()
+	cur, prev := readLedger(e), c.ledger
+	c.ledger = cur
+	inWh := ((cur.utilityDrawn - prev.utilityDrawn) + (cur.devOut - prev.devOut)).Wh()
+	outWh := ((cur.meterUtility - prev.meterUtility) + (cur.served - prev.served) +
+		(cur.devIn - prev.devIn) + (cur.convLoss - prev.convLoss)).Wh()
+	if c.audit != nil {
+		c.audit.RecordStep(sec, inWh, outWh)
+	}
+	for i, t := range c.targets {
+		s := t.dev.ProbeSnapshot()
+		if c.audit != nil {
+			c.checkBounds(sec, t.name, &s)
+		}
+		// Charge-protection SLOs scope to batteries: supercaps sweep their
+		// full usable window by design, so floor/DoD breaches there are
+		// normal operation, not faults.
+		if t.battery {
+			c.alert.ObserveSoC(sec, i, s.SoC)
+		}
+	}
+	// Relay exclusivity: every server's relay sits in exactly one
+	// position, so the per-source counts partition the fleet and the off
+	// count matches the fabric's shed accounting.
+	counts := e.fabric.SourceCounts()
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	servers, offline := e.fabric.NumServers(), e.fabric.NumOffline()
+	if c.audit != nil {
+		if total != servers {
+			c.audit.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindRelayExclusivity,
+				Value: float64(total), Limit: float64(servers),
+				Detail: "relay positions do not partition the servers"})
+		}
+		if counts[power.SourceOff] != offline {
+			c.audit.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindRelayExclusivity,
+				Value: float64(counts[power.SourceOff]), Limit: float64(offline),
+				Detail: "off-relay count disagrees with shed accounting"})
+		}
+	}
+	if c.alert != nil {
+		c.alert.ObserveMismatch(sec, e.mismatchSteps > c.mismatchPrev, e.cfg.Step.Seconds())
+		c.alert.ObserveLedger(sec, inWh, outWh)
+		if n := len(e.demandSeries); n >= 2 {
+			c.alert.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/e.cfg.Step.Seconds())
+		}
+		c.alert.ObserveRelays(sec, total == servers && counts[power.SourceOff] == offline, total, servers)
+		c.emitAlerts(e)
+	}
+	c.mismatchPrev = e.mismatchSteps
+}
+
+// checkBounds holds one probed device to its physical envelope: state of
+// charge inside [0,1], raw charge wells non-negative and within chemical
+// capacity, open-circuit voltage inside its legal window.
+func (c *Checker) checkBounds(sec float64, device string, s *esd.ProbeSnapshot) {
+	a := c.audit
+	if s.SoC < 0 || s.SoC > 1 {
+		a.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindSoCBound, Device: device,
+			Value: s.SoC, Limit: 1, Detail: "state of charge outside [0,1]"})
+	}
+	// Absolute slack for well roundoff: a few nano-amp-hours.
+	const slackAh = 1e-9
+	if s.AvailAh < -slackAh || s.BoundAh < -slackAh {
+		a.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindChargeBound, Device: device,
+			Value: math.Min(s.AvailAh, s.BoundAh), Limit: 0, Detail: "negative charge well"})
+	}
+	if s.CapacityAh > 0 && s.AvailAh+s.BoundAh > s.CapacityAh*(1+1e-9)+slackAh {
+		a.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindChargeBound, Device: device,
+			Value: s.AvailAh + s.BoundAh, Limit: s.CapacityAh, Detail: "stored charge above capacity"})
+	}
+	const slackV = 1e-9
+	if s.VMaxV > s.VMinV && (s.VoltageV < s.VMinV-slackV || s.VoltageV > s.VMaxV+slackV) {
+		a.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindVoltageBound, Device: device,
+			Value: s.VoltageV, Limit: s.VMaxV, Detail: "open-circuit voltage outside window"})
+	}
+}
+
+// finish closes the devices' audit ledgers, runs the end-of-run battery
+// wear-rate rule and drains any still-queued alerts.
+func (c *Checker) finish(e *Engine) {
+	if c.audit != nil {
+		for i, t := range c.targets {
+			s := t.dev.ProbeSnapshot()
+			c.audit.EndDevice(i, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
+		}
+	}
+	if c.alert == nil {
+		return
+	}
+	sec := float64(e.steps) * e.cfg.Step.Seconds()
+	if days := sec / 86400; days > 0 {
+		if wearer, ok := e.cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
+			if report, n := wearer.Wear(); n > 0 {
+				c.alert.ObserveWear(sec, "battery", report.EquivalentFullCycles/days)
+			}
+		} else if b, ok := e.cfg.Battery.(*esd.Battery); ok {
+			c.alert.ObserveWear(sec, "battery", b.Wear().EquivalentFullCycles/days)
+		}
+	}
+	c.emitAlerts(e)
+}
+
+// emitAlerts drains newly fired alerts into the event log as EventAlert;
+// with no event sink the queue is still drained so it cannot grow.
+func (c *Checker) emitAlerts(e *Engine) {
+	fired := c.alert.TakeFired()
+	if len(fired) == 0 || e.cfg.Events == nil {
+		return
+	}
+	for _, a := range fired {
+		detail := a.Kind.String() + "/" + a.Severity.String()
+		if a.Device != "" {
+			detail += " @" + a.Device
+		}
+		e.cfg.Events.Emit(obs.Event{
+			Seconds: a.Seconds, Kind: obs.EventAlert, Server: -1,
+			Watts: a.Value, Detail: detail,
+		})
+	}
+}

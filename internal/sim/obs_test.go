@@ -7,6 +7,7 @@ import (
 	"heb/internal/core"
 	"heb/internal/esd"
 	"heb/internal/obs"
+	"heb/internal/obs/alerts"
 )
 
 func TestProbeDecimationAndDeviceNames(t *testing.T) {
@@ -64,8 +65,8 @@ func TestAuditPassesOnRealRun(t *testing.T) {
 	r := newRig(t, 260)
 	w := squareTrace(0.2, 1.0, 4*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
-	auditor := obs.NewAuditor(obs.AuditModeReport, 0)
-	cfg.Audit = auditor
+	auditor := obs.NewAuditor(obs.AuditModeReport)
+	cfg.Invariants = NewChecker(auditor, nil)
 	res := MustNew(cfg).Run()
 
 	rep := auditor.Report()
@@ -100,8 +101,8 @@ func TestAuditPassesUnderShedAndCharge(t *testing.T) {
 	r.supercap = esd.MustNewPool("supercap", esd.MustNewSupercap(tiny))
 	w := squareTrace(0.2, 1.0, 6*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 200))
-	auditor := obs.NewAuditor(obs.AuditModeReport, 0)
-	cfg.Audit = auditor
+	auditor := obs.NewAuditor(obs.AuditModeReport)
+	cfg.Invariants = NewChecker(auditor, nil)
 	res := MustNew(cfg).Run()
 	if res.ShedEvents == 0 {
 		t.Fatal("regime produced no sheds; test lost its point")
@@ -119,17 +120,50 @@ func TestAuditStrictAbortsRun(t *testing.T) {
 	r := newRig(t, 260)
 	w := flatTrace(0.5, 6, 10*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
-	auditor := obs.NewAuditor(obs.AuditModeStrict, 0)
+	auditor := obs.NewAuditor(obs.AuditModeStrict)
 	// Pre-flag a violation: the engine must stop at the first step's
-	// audit check instead of running out the clock.
-	auditor.Flag(obs.AuditEvent{Kind: obs.AuditLedgerDrift, Detail: "injected"})
-	cfg.Audit = auditor
+	// strict check instead of running out the clock.
+	auditor.Flag(obs.AuditEvent{Kind: alerts.KindLedgerDrift, Detail: "injected"})
+	cfg.Invariants = NewChecker(auditor, nil)
 	res := MustNew(cfg).Run()
 	if res.Steps >= 600 {
 		t.Fatalf("strict audit did not abort: ran %d steps", res.Steps)
 	}
 	if !auditor.Violated() {
 		t.Fatal("violation lost")
+	}
+}
+
+// countingBattery counts ProbeSnapshot calls on a bare battery device.
+type countingBattery struct {
+	*esd.Battery
+	snaps int
+}
+
+func (c *countingBattery) ProbeSnapshot() esd.ProbeSnapshot {
+	c.snaps++
+	return c.Battery.ProbeSnapshot()
+}
+
+// TestCheckerSnapshotsEachDeviceOncePerStep pins the merged pass: with the
+// auditor and the rule engine both on, each step snapshots every probed
+// device exactly once.
+func TestCheckerSnapshotsEachDeviceOncePerStep(t *testing.T) {
+	r := newRig(t, 260)
+	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
+	cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
+	bat := &countingBattery{Battery: esd.MustNewBattery(esd.DefaultBatteryConfig())}
+	cfg.Battery = bat
+	cfg.Supercap = nil
+	cfg.Invariants = NewChecker(obs.NewAuditor(obs.AuditModeReport), alerts.NewEngine(alerts.ModeReport, alerts.Rules{}))
+	res := MustNew(cfg).Run()
+	// Beyond one per step: enumerating the target, then opening and
+	// closing its audit ledger.
+	if want := res.Steps + 3; bat.snaps != want {
+		t.Errorf("%d ProbeSnapshot calls over %d steps, want %d", bat.snaps, res.Steps, want)
+	}
+	if err := cfg.Invariants.Err(); err != nil {
+		t.Errorf("report-mode checker returned a strict error: %v", err)
 	}
 }
 

@@ -8,19 +8,17 @@
 # the Sequential/Parallel pair is the wall-clock headline for the shared
 # runner (internal/runner) and needs GOMAXPROCS >= 4 to show a speedup.
 #
-# The obs set runs the same HEB-D hour with the observability layer off
-# (nil sinks) and on (event log + decision trace): Disabled's allocs/op
-# must equal BenchmarkEngineStep's, proving the nil-sink guards keep the
-# engine hot loop allocation-free. The Probes pair does the same for the
-# deep layer (per-device probes + energy auditor + span tracer), the
-# Checkpoint pair for the flight recorder (state snapshots at slot
-# boundaries), the Manifest pair for the capture run-index layer
-# (manifest rows built from contributed artifacts, no file IO), the
-# Alerts pair for the online SLO rule engine (internal/obs/alerts), and
-# the Prof pair for the labeled profile capture layer (internal/obs/prof
-# cell labels on the engine hot loop). BenchmarkCheckpointDelta rides in
-# the obs set: the checkpointed hour again, but reporting the delta
-# chain's own bytes (ckptKB/op) and delta share alongside ns/op.
+# The obs set runs the same HEB-D hour with one hook family on each: Obs
+# (event log + decision trace), Probes (per-device probes + energy
+# auditor + span tracer), Checkpoint (state snapshots at slot
+# boundaries), Manifest (capture run-index rows built from contributed
+# artifacts, no file IO), Alerts (the SLO rule engine, internal/obs/alerts)
+# and Prof (internal/obs/prof cell labels on the engine hot loop). The
+# hooks-off path is BenchmarkEngineStep itself: its exact allocs/op gate
+# in the sweep set proves every nil-guarded hook costs nothing when off.
+# BenchmarkCheckpointDelta rides in the obs set: the checkpointed hour
+# again, but reporting the delta chain's own bytes (ckptKB/op) and delta
+# share alongside ns/op.
 #
 # Usage:
 #   scripts/bench.sh [sweep.json [obs.json]]   measure and write baselines
@@ -36,8 +34,8 @@
 # allocation counts are deterministic); ns/op may regress by at most
 # 50% (wall-clock is noisy across machines, so only gross regressions
 # fail). Two exceptions to exact allocs: the multi-seed pair (pooled
-# run state rides sync.Pools the GC is free to clear mid-run) and the
-# Prof pair (runtime/pprof sampling buffers grow with nondeterministic
+# run state rides sync.Pools the GC is free to clear mid-run) and
+# ProfEnabled (runtime/pprof sampling buffers grow with nondeterministic
 # sample counts) wobble by one or two allocs across runs — they get a
 # small absolute slack instead. When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebprof
@@ -53,7 +51,7 @@
 #     format's allocation budget; full-state chains cost ~2.2 MB/op.
 #   - BenchmarkCheckpointDelta deltaShare >= 0.5 — deltas, not
 #     keyframes, must dominate the chain.
-#   - CheckpointEnabled ns/op <= Disabled x 1.2 (overhead target) x the
+#   - CheckpointEnabled ns/op <= EngineStep x 1.2 (overhead target) x the
 #     ns_tol noise allowance. The deterministic columns above are gated
 #     exactly; the ratio shares the wall-clock tolerance because a
 #     single-core box measures 1.25-1.4x for a true ~1.25x (the floor
@@ -193,7 +191,7 @@ run_set() {
 }
 
 run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
-run_set 'BenchmarkEngineObsDisabled|BenchmarkEngineObsEnabled|BenchmarkEngineProbesDisabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointDisabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestDisabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsDisabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfDisabled|BenchmarkEngineProfEnabled' "$obs_out"
+run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the
@@ -237,11 +235,11 @@ if [[ "$check" == 1 ]]; then
 				bad = 1
 			}
 		}
-		if (need("BenchmarkEngineCheckpointEnabled") && need("BenchmarkEngineCheckpointDisabled")) {
-			lim = ns["BenchmarkEngineCheckpointDisabled"] * 1.2 * ns_tol
+		if (need("BenchmarkEngineCheckpointEnabled") && need("BenchmarkEngineStep")) {
+			lim = ns["BenchmarkEngineStep"] * 1.2 * ns_tol
 			if (ns["BenchmarkEngineCheckpointEnabled"] + 0 > lim) {
-				printf "TARGET checkpoint overhead: Enabled %s ns/op vs Disabled %s exceeds 1.2x target with %gx noise allowance\n",
-					ns["BenchmarkEngineCheckpointEnabled"], ns["BenchmarkEngineCheckpointDisabled"], ns_tol
+				printf "TARGET checkpoint overhead: Enabled %s ns/op vs EngineStep %s exceeds 1.2x target with %gx noise allowance\n",
+					ns["BenchmarkEngineCheckpointEnabled"], ns["BenchmarkEngineStep"], ns_tol
 				bad = 1
 			}
 		}
