@@ -329,32 +329,36 @@ func frac(avail, capacity units.Energy) float64 {
 // error, HEB-D corrects it online. scCap anchors the energy scale; maxPM
 // bounds the mismatch range to profile. The unused baCap parameter keeps
 // the profiling signature symmetric for future battery-aware seeds.
+//
+// The table must be empty (fresh, or after Reset). Profiling visits bins
+// in ascending key order and every seeded entry is unhit, so inserting all
+// of them would make each Add past MaxEntries evict the oldest entry; the
+// survivors are always the highest-keyed MaxEntries bins. SeedPAT adds
+// just those, skipping the rest. The return value is the number of bins
+// profiled, kept or not.
 func SeedPAT(t *pat.Table, scCap, baCap units.Energy, maxPM units.Power, derate, noise float64) int {
 	_ = derate
 	_ = baCap
 	cfg := t.Config()
-	added := 0
-	pmBins := int(float64(maxPM)/cfg.PMBinWatts) + 1
-	for si := 0; si < cfg.LevelBins; si++ {
-		for bi := 0; bi < cfg.LevelBins; bi++ {
-			for pi := 0; pi < pmBins; pi++ {
-				scFrac := (float64(si) + 0.5) / float64(cfg.LevelBins)
-				baFrac := (float64(bi) + 0.5) / float64(cfg.LevelBins)
-				pm := units.Power((float64(pi) + 0.5) * cfg.PMBinWatts)
-				r := HorizonRatio(
-					units.Energy(scFrac*float64(scCap)),
-					pm,
-					DefaultPlanningHorizon,
-				)
-				if noise > 0 {
-					r = units.Clamp(r+noise*hashNoise(si, bi, pi), 0, 1)
-				}
-				t.Add(scFrac, baFrac, pm, r)
-				added++
-			}
+	pmBins := max(int(float64(maxPM)/cfg.PMBinWatts)+1, 0)
+	perSC := cfg.LevelBins * pmBins
+	total := cfg.LevelBins * perSC
+	for i := max(total-cfg.MaxEntries, 0); i < total; i++ {
+		si, bi, pi := i/perSC, i%perSC/pmBins, i%pmBins
+		scFrac := (float64(si) + 0.5) / float64(cfg.LevelBins)
+		baFrac := (float64(bi) + 0.5) / float64(cfg.LevelBins)
+		pm := units.Power((float64(pi) + 0.5) * cfg.PMBinWatts)
+		r := HorizonRatio(
+			units.Energy(scFrac*float64(scCap)),
+			pm,
+			DefaultPlanningHorizon,
+		)
+		if noise > 0 {
+			r = units.Clamp(r+noise*hashNoise(si, bi, pi), 0, 1)
 		}
+		t.Add(scFrac, baFrac, pm, r)
 	}
-	return added
+	return total
 }
 
 // hashNoise maps a bin to a deterministic pseudo-random value in [-1, 1].

@@ -36,6 +36,17 @@ func BenchmarkSupercapDischargeStep(b *testing.B) {
 	}
 }
 
+func BenchmarkSupercapRest(b *testing.B) {
+	sc := MustNewSupercap(DefaultSupercapConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Rest(time.Second)
+		if i%100000 == 0 { // recharge before the leak drains it to VMin
+			sc.SetSoC(1)
+		}
+	}
+}
+
 func BenchmarkHybridPoolDischarge(b *testing.B) {
 	pool := MustNewPool("hybrid",
 		MustNewBattery(DefaultBatteryConfig()),

@@ -84,6 +84,11 @@ type Supercap struct {
 	// failed marks a fault-injected dead bank.
 	failed bool
 
+	// leakSecs and leakFactor memoize leak's per-call voltage factor for
+	// the last step length (the engine always steps the same dt). Derived
+	// from the config, so neither is part of SupercapState.
+	leakSecs, leakFactor float64
+
 	stats Stats
 }
 
@@ -289,8 +294,11 @@ func (s *Supercap) leak(secs float64) {
 	}
 	before := float64(s.Stored())
 	// Energy leaks at the configured fraction per hour; V ∝ √E.
-	f := math.Pow(1-s.cfg.SelfDischargePerHour, secs/3600)
-	s.v *= math.Sqrt(f)
+	if secs != s.leakSecs {
+		s.leakSecs = secs
+		s.leakFactor = math.Sqrt(math.Pow(1-s.cfg.SelfDischargePerHour, secs/3600))
+	}
+	s.v *= s.leakFactor
 	vmin := float64(s.cfg.VMin)
 	if s.v < vmin {
 		s.v = vmin

@@ -270,6 +270,22 @@ func TestSupercapSelfDischarge(t *testing.T) {
 	}
 }
 
+// TestSupercapLeakMemoFollowsStepLength: the memoized leak factor tracks
+// changes of dt and matches the direct expression bit for bit.
+func TestSupercapLeakMemoFollowsStepLength(t *testing.T) {
+	cfg := DefaultSupercapConfig()
+	cfg.SelfDischargePerHour = 0.01
+	s := MustNewSupercap(cfg)
+	v := float64(cfg.VMax)
+	for _, dt := range []time.Duration{time.Second, time.Second, 2 * time.Second, time.Second, time.Minute, time.Second} {
+		s.Rest(dt)
+		v *= math.Sqrt(math.Pow(1-cfg.SelfDischargePerHour, dt.Seconds()/3600))
+		if got := float64(s.Voltage()); got != v {
+			t.Fatalf("after Rest(%v) voltage %v, want %v", dt, got, v)
+		}
+	}
+}
+
 func TestSupercapResetRestoresFull(t *testing.T) {
 	s := testSupercap(t)
 	s.Discharge(500, time.Minute)

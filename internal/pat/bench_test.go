@@ -1,14 +1,19 @@
 package pat
 
-import "testing"
+import (
+	"testing"
 
+	"heb/internal/units"
+)
+
+// seeded builds a full 10×10×10 table: every SC and battery level at ten
+// PM bins from 10 W to 190 W.
 func seeded() *Table {
 	t := MustNew(DefaultConfig())
 	for sc := 0.05; sc < 1; sc += 0.1 {
 		for ba := 0.05; ba < 1; ba += 0.1 {
 			for pm := 10.0; pm < 200; pm += 20 {
-				t.Add(sc, ba, 10, 0.5)
-				_ = pm
+				t.Add(sc, ba, units.Power(pm), 0.5)
 			}
 		}
 	}

@@ -187,6 +187,26 @@ func TestCheckpointPatchRequiresTracking(t *testing.T) {
 	}
 }
 
+// TestResetTurnsTrackingOff: a pooled table reset after serving a
+// delta-checkpointed run behaves like a fresh one and tracks nothing
+// until TrackChanges is called again.
+func TestResetTurnsTrackingOff(t *testing.T) {
+	tab := MustNew(DefaultConfig())
+	tab.TrackChanges()
+	tab.Add(0.5, 0.5, 100, 0.4)
+	tab.Reset()
+	tab.Add(0.5, 0.5, 100, 0.4)
+	tab.Add(0.1, 0.9, 20, 0.6)
+	tab.Lookup(0.5, 0.5, 100)
+	tab.Lookup(0.3, 0.3, 300)
+	if len(tab.dirty) != 0 || len(tab.dropped) != 0 {
+		t.Fatalf("reset table tracked %d dirty and %d dropped keys", len(tab.dirty), len(tab.dropped))
+	}
+	if _, err := tab.CheckpointPatch(); err == nil {
+		t.Fatal("CheckpointPatch after Reset did not require TrackChanges")
+	}
+}
+
 // TestCheckpointRestoreRoundTrip: restore rebuilds the exact table and
 // rejects a snapshot from a differently-binned table.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {

@@ -202,8 +202,9 @@ func (t *Table) Add(scFrac, baFrac float64, pm units.Power, ratio float64) Key {
 	return k
 }
 
-// Reset empties the table and clears the lookup counters, keeping the
-// configuration. The retired entries are parked for Add to recycle, so a
+// Reset empties the table, clears the lookup counters and turns change
+// tracking off, keeping the configuration: a reset table matches a fresh
+// one. The retired entries are parked for Add to recycle, so a
 // pooled table re-seeded with a similar operating grid allocates nothing.
 func (t *Table) Reset() {
 	if t.spare == nil {
@@ -215,6 +216,7 @@ func (t *Table) Reset() {
 	}
 	t.entries, t.spare = t.spare, t.entries
 	t.lookups, t.misses = 0, 0
+	t.track = false
 	clear(t.dirty)
 	clear(t.dropped)
 }
@@ -272,19 +274,15 @@ func (t *Table) Lookup(scFrac, baFrac float64, pm units.Power) (ratio float64, e
 func (t *Table) similar(k Key) *Entry {
 	var best *Entry
 	bestDist := math.Inf(1)
-	// Deterministic iteration: collect and sort keys.
-	keys := make([]Key, 0, len(t.entries))
-	for kk := range t.entries {
-		keys = append(keys, kk)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	for _, kk := range keys {
+	// Map order does not matter: a tie goes to the lower key, so one pass
+	// picks what a scan in key order would.
+	for kk, e := range t.entries {
 		d := 2*math.Abs(float64(kk.PMLevel-k.PMLevel)) +
 			math.Abs(float64(kk.SCLevel-k.SCLevel)) +
 			math.Abs(float64(kk.BALevel-k.BALevel))
-		if d < bestDist {
+		if d < bestDist || (d == bestDist && keyLess(kk, best.Key)) {
 			bestDist = d
-			best = t.entries[kk]
+			best = e
 		}
 	}
 	return best

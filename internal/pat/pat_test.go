@@ -3,6 +3,8 @@ package pat
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +98,70 @@ func TestLookupSimilarFallsBackToNearest(t *testing.T) {
 	if r != 0.2 {
 		t.Errorf("similar picked ratio %g, want 0.2 (nearest in PM)", r)
 	}
+}
+
+// sortedSimilar is the reference nearest-entry search: scan the keys in
+// ascending order and keep the first strictly closer one.
+func sortedSimilar(t *Table, k Key) *Entry {
+	keys := make([]Key, 0, len(t.entries))
+	for kk := range t.entries {
+		keys = append(keys, kk)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	var best *Entry
+	bestDist := math.Inf(1)
+	for _, kk := range keys {
+		if d := keyDist(kk, k); d < bestDist {
+			bestDist = d
+			best = t.entries[kk]
+		}
+	}
+	return best
+}
+
+// TestSimilarMatchesSortedScan: the one-pass scan picks exactly the entry
+// a key-ordered scan picks, ties included. Keys are drawn from a small
+// grid so equidistant candidates are common.
+func TestSimilarMatchesSortedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ties := 0
+	for trial := 0; trial < 500; trial++ {
+		tb := MustNew(DefaultConfig())
+		for n := rng.Intn(40); n > 0; n-- {
+			k := Key{SCLevel: rng.Intn(5), BALevel: rng.Intn(5), PMLevel: rng.Intn(6) - 1}
+			tb.entries[k] = &Entry{Key: k, Ratio: rng.Float64()}
+		}
+		for probe := 0; probe < 20; probe++ {
+			k := Key{SCLevel: rng.Intn(7) - 1, BALevel: rng.Intn(7) - 1, PMLevel: rng.Intn(8) - 1}
+			got, want := tb.similar(k), sortedSimilar(tb, k)
+			if got != want {
+				t.Fatalf("trial %d: similar(%+v) = %+v, sorted scan = %+v", trial, k, got, want)
+			}
+			if want != nil && equidistant(tb, k, want.Key) {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equidistant candidates drawn; the tie-break went untested")
+	}
+}
+
+// keyDist is similar's weighted Manhattan distance between two keys.
+func keyDist(a, b Key) float64 {
+	return 2*math.Abs(float64(a.PMLevel-b.PMLevel)) +
+		math.Abs(float64(a.SCLevel-b.SCLevel)) +
+		math.Abs(float64(a.BALevel-b.BALevel))
+}
+
+// equidistant reports whether another entry is as close to k as best.
+func equidistant(t *Table, k, best Key) bool {
+	for kk := range t.entries {
+		if kk != best && keyDist(kk, k) == keyDist(best, k) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestAddClampsRatio(t *testing.T) {
