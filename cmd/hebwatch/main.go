@@ -22,9 +22,12 @@
 //
 //	hebwatch bench [-ns-tol R] current.json baseline.json
 //	    Check benchmark drift between two BENCH_*.json files as written
-//	    by scripts/bench.sh: allocs/op must match exactly (allocation
-//	    counts are deterministic), ns/op may grow by at most R (default
-//	    1.5, matching bench.sh -check). When baseline.json is a
+//	    by scripts/bench.sh (this is the gate bench.sh -check runs):
+//	    allocs/op must match exactly (allocation counts are
+//	    deterministic) except for the MultiSeed* and EngineProf* rows,
+//	    which get ±allocSlack (sync.Pool clears and pprof sampling
+//	    buffers wobble); ns/op may grow by at most R (default 1.5).
+//	    When baseline.json is a
 //	    BENCH_prof.json profile baseline (a "frames" array), current is
 //	    instead a pprof file or capture dir and the comparison runs
 //	    cmd/hebprof's frame gate. Exits 1 on any violation.
@@ -265,8 +268,22 @@ type benchRow struct {
 	Allocs *float64 `json:"allocs_per_op"`
 }
 
-// bench compares two bench.sh JSON files with bench.sh -check's rules:
-// allocs/op exact, ns/op within nsTol×. Every violation is critical.
+// allocSlack is the absolute allocs/op tolerance for benchmarks whose
+// counts are not deterministic: the multi-seed pair's pooled run state
+// rides sync.Pools the GC may clear mid-run, and the EngineProf rows'
+// runtime/pprof sampling buffers grow with the sample count.
+const allocSlack = 8
+
+// allocTolerance is the allowed |allocs/op - baseline| for a benchmark.
+func allocTolerance(name string) float64 {
+	if strings.Contains(name, "MultiSeed") || strings.Contains(name, "EngineProf") {
+		return allocSlack
+	}
+	return 0
+}
+
+// bench compares two bench.sh JSON files: allocs/op exact (within
+// allocTolerance), ns/op within nsTol×. Every violation is critical.
 func bench(w io.Writer, curPath, basePath string, nsTol float64) (int, error) {
 	cur, err := loadBench(curPath)
 	if err != nil {
@@ -291,9 +308,15 @@ func bench(w io.Writer, curPath, basePath string, nsTol float64) (int, error) {
 			criticals++
 			continue
 		}
-		if b.Allocs != nil && c.Allocs != nil && *c.Allocs != *b.Allocs {
-			fmt.Fprintf(w, "%s: allocs/op %g, baseline %g (must match exactly)\n", name, *c.Allocs, *b.Allocs)
-			criticals++
+		if b.Allocs != nil && c.Allocs != nil {
+			if slack := allocTolerance(name); math.Abs(*c.Allocs-*b.Allocs) > slack {
+				if slack > 0 {
+					fmt.Fprintf(w, "%s: allocs/op %g, baseline %g (pool-wobble slack is ±%g)\n", name, *c.Allocs, *b.Allocs, slack)
+				} else {
+					fmt.Fprintf(w, "%s: allocs/op %g, baseline %g (must match exactly)\n", name, *c.Allocs, *b.Allocs)
+				}
+				criticals++
+			}
 		}
 		if b.Ns != nil && c.Ns != nil && *b.Ns > 0 && *c.Ns > *b.Ns*nsTol {
 			fmt.Fprintf(w, "%s: ns/op %g exceeds baseline %g by more than %gx\n", name, *c.Ns, *b.Ns, nsTol)
@@ -304,8 +327,8 @@ func bench(w io.Writer, curPath, basePath string, nsTol float64) (int, error) {
 	if criticals > 0 {
 		verdict = "REGRESSED"
 	}
-	fmt.Fprintf(w, "hebwatch: %d benchmarks vs %s: %s (%d findings, allocs exact, ns/op <= %gx)\n",
-		len(names), basePath, verdict, criticals, nsTol)
+	fmt.Fprintf(w, "hebwatch: %d benchmarks vs %s: %s (%d findings, allocs exact or ±%d pool slack, ns/op <= %gx)\n",
+		len(names), basePath, verdict, criticals, allocSlack, nsTol)
 	return criticals, nil
 }
 

@@ -216,6 +216,42 @@ func TestBenchDrift(t *testing.T) {
 			t.Errorf("bench output missing %q:\n%s", want, out)
 		}
 	}
+
+	// The pool-wobble slack: MultiSeed* and EngineProf* rows tolerate
+	// ±8 allocs/op, every other row none.
+	slackBase := filepath.Join(dir, "slack_base.json")
+	writeBench(t, slackBase, `{"benchmarks": [
+  {"name":"BenchmarkMultiSeedParallel","ns_per_op":1000,"allocs_per_op":100},
+  {"name":"BenchmarkEngineProfEnabled","ns_per_op":1000,"allocs_per_op":100},
+  {"name":"BenchmarkEngineStep","ns_per_op":1000,"allocs_per_op":100}
+]}`)
+	for _, tc := range []struct {
+		multi, prof, step string
+		want              int
+	}{
+		{"108", "92", "100", 0},
+		{"92", "108", "100", 0},
+		{"109", "100", "100", 1},
+		{"100", "91", "100", 1},
+		{"100", "100", "101", 1},
+		{"100", "100", "99", 1},
+	} {
+		cur := filepath.Join(dir, "slack_cur.json")
+		writeBench(t, cur, `{"benchmarks": [
+  {"name":"BenchmarkMultiSeedParallel","ns_per_op":1000,"allocs_per_op":`+tc.multi+`},
+  {"name":"BenchmarkEngineProfEnabled","ns_per_op":1000,"allocs_per_op":`+tc.prof+`},
+  {"name":"BenchmarkEngineStep","ns_per_op":1000,"allocs_per_op":`+tc.step+`}
+]}`)
+		sb.Reset()
+		criticals, err := bench(&sb, cur, slackBase, 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if criticals != tc.want {
+			t.Errorf("MultiSeed %s, EngineProf %s, EngineStep %s vs 100: criticals = %d, want %d:\n%s",
+				tc.multi, tc.prof, tc.step, criticals, tc.want, sb.String())
+		}
+	}
 }
 
 func TestBenchBadFiles(t *testing.T) {

@@ -1,7 +1,12 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +17,17 @@ import (
 	"heb/internal/obs/alerts"
 	"heb/internal/obs/prof"
 )
+
+// TestMain lets a test drive obscheck end to end: with
+// OBSCHECK_TEST_MAIN set, the test binary runs main() on its
+// command-line arguments instead of the test suite.
+func TestMain(m *testing.M) {
+	if os.Getenv("OBSCHECK_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // writeCapture records one real HEB-D run (probes + audit + alerts on)
 // into dir. The tight SoC ceiling guarantees the rule engine fires, so
@@ -314,27 +330,9 @@ func TestCheckRejectsForeignProfileEntry(t *testing.T) {
 	}
 }
 
-// mixedChainJSONL hand-builds a checkpoint chain whose prefix predates
-// the delta upgrade (v1 full records) and whose tail is v2 keyframes and
-// deltas — the shape a pre-upgrade capture resumed by a newer binary
-// leaves on disk.
-func mixedChainJSONL(t *testing.T, dir string, breakIt bool) {
+// writeChainJSONL writes records as dir's checkpoints.jsonl.
+func writeChainJSONL(t *testing.T, dir string, records []obs.CheckpointRecord) {
 	t.Helper()
-	mk := func(v, slot int, delta bool, prev string) obs.CheckpointRecord {
-		r := obs.CheckpointRecord{V: v, Slot: slot, Step: slot * 600,
-			Seconds: float64(slot * 600), State: []byte(`{}`), Delta: delta, Prev: prev}
-		r.Hash = obs.HashCheckpoint(r)
-		return r
-	}
-	v1a := mk(1, 1, false, "")
-	v1b := mk(1, 2, false, v1a.Hash)
-	v2key := mk(2, 3, false, v1b.Hash)
-	v2delta := mk(2, 4, true, v2key.Hash)
-	records := []obs.CheckpointRecord{v1a, v1b, v2key, v2delta}
-	if breakIt {
-		// A delta record claiming the pre-delta schema version.
-		records = append(records, mk(1, 5, true, v2delta.Hash))
-	}
 	f, err := os.Create(filepath.Join(dir, "checkpoints.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -345,28 +343,46 @@ func mixedChainJSONL(t *testing.T, dir string, breakIt bool) {
 	}
 }
 
-// TestCheckAcceptsMixedVersionChain holds obscheck to the format-upgrade
-// contract: a capture whose checkpoint chain mixes v1 full records with
-// v2 keyframes and deltas validates cleanly, while a delta stamped with
-// the pre-delta version is refused. The manifest is removed because this
-// chain was written by the test, not by the capture.
-func TestCheckAcceptsMixedVersionChain(t *testing.T) {
+// TestCheckRejectsV1Chain holds obscheck to the single checkpoint schema:
+// a hand-built v2 keyframe/delta chain validates, while a v1 record is
+// refused — and the command exits non-zero — even though its retired
+// v1 hash (SHA-256 over the header and the whole state) is correct. The
+// manifest is removed because these chains were written by the test,
+// not by the capture.
+func TestCheckRejectsV1Chain(t *testing.T) {
 	dir := t.TempDir()
 	writeCapture(t, dir)
 	if err := os.Remove(filepath.Join(dir, obs.ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	mixedChainJSONL(t, dir, false)
+	key := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 1, Step: 600, Seconds: 600, State: []byte(`{}`)}
+	key.Hash = obs.HashCheckpoint(key)
+	delta := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 2, Step: 1200, Seconds: 1200,
+		State: []byte(`{}`), Delta: true, Prev: key.Hash}
+	delta.Hash = obs.HashCheckpoint(delta)
+	writeChainJSONL(t, dir, []obs.CheckpointRecord{key, delta})
 	inv, _, err := check(dir, false)
 	if err != nil {
-		t.Fatalf("mixed v1/v2 chain rejected: %v", err)
+		t.Fatalf("v2 chain rejected: %v", err)
 	}
-	if !strings.Contains(inv, "4 checkpoints (chain intact)") {
+	if !strings.Contains(inv, "2 checkpoints (chain intact)") {
 		t.Errorf("inventory missing checkpoint summary: %q", inv)
 	}
 
-	mixedChainJSONL(t, dir, true)
-	if _, _, err := check(dir, false); err == nil || !strings.Contains(err.Error(), "deltas need v2") {
-		t.Fatalf("v1 delta record accepted: %v", err)
+	v1 := obs.CheckpointRecord{V: 1, Slot: 1, Step: 600, Seconds: 600, State: []byte(`{}`)}
+	h := sha256.New()
+	fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|prev=%s|", v1.V, v1.Slot, v1.Step, v1.Seconds, v1.Prev)
+	h.Write(v1.State)
+	v1.Hash = hex.EncodeToString(h.Sum(nil))
+	writeChainJSONL(t, dir, []obs.CheckpointRecord{v1})
+	if _, _, err := check(dir, false); err == nil || !strings.Contains(err.Error(), "unknown schema version 1") {
+		t.Fatalf("v1 record accepted: %v", err)
+	}
+	cmd := exec.Command(os.Args[0], dir)
+	cmd.Env = append(os.Environ(), "OBSCHECK_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "unknown schema version 1") {
+		t.Fatalf("obscheck on a v1 chain: %v\n%s", err, out)
 	}
 }

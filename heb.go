@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 
 	"heb/internal/core"
@@ -601,91 +600,21 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		// checkpoints.jsonl a byte-identical extension of it.
 		ckptLog.Seed(opts.ResumeCheckpoints)
 	}
-	var checkpointFn func(slot, step int, now time.Duration, state []byte)
+	var checkpointFn func(slot, step int, now time.Duration, state []byte, delta bool)
 	var checkpointDeltaFn func() bool
 	// Splice bases for delta records: how much of the event and decision
 	// logs the previous record (or the restored checkpoint) already
 	// carried. Owned by the single engine goroutine.
 	var ckptEventsBase, ckptDecisionsBase int
-	// ckptDrain joins the checkpoint tail worker: the record bytes are
-	// fully determined on the engine goroutine, but hashing, chain
-	// storage and sink delivery lag behind on a single worker so the
-	// engine can resume stepping. Every record is stored and delivered
-	// (in chain order) by the time drain returns; it runs right after
-	// the engine stops and, via the Once, on every early-error path.
-	var ckptDrain func()
 	if ckptLog != nil {
 		sink := opts.CheckpointSink
 		progress := p.Progress
 		// Keyframe cadence is a function of chain position alone, so a
 		// resumed chain continues the exact keyframe/delta sequence an
-		// uninterrupted run would have produced. The position is counted
-		// here rather than read from the log because the log trails the
-		// engine by whatever the tail worker has not stored yet.
-		chainLen := ckptLog.Len()
-		checkpointDeltaFn = func() bool { return chainLen%obs.DefaultKeyframeEvery != 0 }
-		type ckptItem struct {
-			slot, step int
-			seconds    float64
-			raw        json.RawMessage
-			delta      bool
-		}
-		var (
-			queue     chan ckptItem
-			workerErr any
-			workerWG  sync.WaitGroup
-			drainOnce sync.Once
-		)
-		// The alert engine is fed from the engine goroutine every step;
-		// feeding it chain hashes from the worker would race, so alerted
-		// runs keep the tail synchronous.
-		async := alerter == nil
-		store := func(it ckptItem) {
-			rec := ckptLog.AppendOwned(it.slot, it.step, it.seconds, it.raw, it.delta)
-			if alerter != nil {
-				alerter.ObserveCheckpoint(it.seconds, rec.Prev, rec.Hash)
-			}
-			if sink != nil {
-				sink(rec)
-			}
-			if progress != nil {
-				progress.AddCheckpoints(1)
-			}
-		}
-		if async {
-			queue = make(chan ckptItem, 8)
-			workerWG.Add(1)
-			go func() {
-				defer workerWG.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						workerErr = r
-						for range queue { // keep the engine from blocking on a dead worker
-						}
-					}
-				}()
-				for it := range queue {
-					store(it)
-				}
-			}()
-		}
-		ckptDrain = func() {
-			drainOnce.Do(func() {
-				if queue != nil {
-					close(queue)
-					workerWG.Wait()
-					if workerErr != nil {
-						panic(workerErr)
-					}
-				}
-			})
-		}
-		defer ckptDrain()
-		checkpointFn = func(slot, step int, now time.Duration, state []byte) {
-			// The engine consulted checkpointDeltaFn for this same record;
-			// the chain position has not advanced in between, so the
-			// answers agree.
-			delta := chainLen%obs.DefaultKeyframeEvery != 0
+		// uninterrupted run would have produced. Each record is stored
+		// before the engine steps on, so the log is always current.
+		checkpointDeltaFn = func() bool { return ckptLog.NextIsDelta(obs.DefaultKeyframeEvery) }
+		checkpointFn = func(slot, step int, now time.Duration, state []byte, delta bool) {
 			// The engine state is already compact JSON, so the record is
 			// stitched around it instead of re-marshaled through a
 			// json.RawMessage field — Marshal would re-scan (compact) the
@@ -736,13 +665,16 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 				ckptEventsBase = capLog.Len()
 				ckptDecisionsBase = capDecisions.Len()
 			}
-			chainLen++
-			it := ckptItem{slot: slot, step: step, seconds: now.Seconds(), raw: raw, delta: delta}
-			if queue != nil {
-				queue <- it
-				return
+			rec := ckptLog.AppendOwned(slot, step, now.Seconds(), raw, delta)
+			if alerter != nil {
+				alerter.ObserveCheckpoint(rec.Seconds, rec.Prev, rec.Hash)
 			}
-			store(it)
+			if sink != nil {
+				sink(rec)
+			}
+			if progress != nil {
+				progress.AddCheckpoints(1)
+			}
 		}
 	}
 
@@ -918,9 +850,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	}
 	prof.SetPhase(profCtx, prof.PhaseSteps)
 	res := eng.Run()
-	if ckptDrain != nil {
-		ckptDrain()
-	}
 	prof.SetPhase(profCtx, prof.PhaseFinish)
 	// A trailing slot the run ended inside still deserves its record, so
 	// the decision count always equals SlotCount.

@@ -8,27 +8,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"strings"
 	"sync"
 )
 
-// CheckpointVersion is the schema version stamped into every record; a
-// reader that sees a higher version must refuse to restore from it.
-// Version history:
-//
-//	v1 — full-state records only.
-//	v2 — adds delta records: State may carry only the suffix grown since
-//	     the previous record for append-only series (paired "<key>@base"
-//	     fields hold the splice offsets) and only the changed elements of
-//	     keyed collections (paired "<key>@mergekey" fields name the
-//	     identity field, "<key>@drop" lists removed identities), with a
-//	     full keyframe every DefaultKeyframeEvery records. Readers accept
-//	     both versions, and mixed v1/v2 chains (a pre-upgrade capture
-//	     resumed post-upgrade) validate and materialize normally.
+// CheckpointVersion is the schema version stamped into every record;
+// readers refuse any other version. Version 2 records are either full
+// keyframes or deltas: a delta's State may carry only the suffix grown
+// since the previous record for append-only series (paired "<key>@base"
+// fields hold the splice offsets) and only the changed elements of keyed
+// collections (paired "<key>@mergekey" fields name the identity field,
+// "<key>@drop" lists removed identities), with a full keyframe every
+// DefaultKeyframeEvery records.
 const CheckpointVersion = 2
-
-// checkpointMinVersion is the oldest schema readers still accept.
-const checkpointMinVersion = 1
 
 // DefaultKeyframeEvery is the keyframe cadence for delta-encoded chains:
 // record indices divisible by it carry full state, so any record
@@ -58,16 +51,16 @@ type CheckpointRecord struct {
 	// Seconds is the simulation time of the snapshot.
 	Seconds float64 `json:"t"`
 	// State is the serialized simulation state (engine + obs sinks). In a
-	// delta record (v2), append-only series inside it carry only their
+	// delta record, append-only series inside it carry only their
 	// suffix beyond the previous record, tagged by "<key>@base" offsets;
 	// MaterializeAt reconstructs the full state.
 	State json.RawMessage `json:"state"`
-	// Delta marks a v2 record whose State is encoded against the previous
+	// Delta marks a record whose State is encoded against the previous
 	// record of the same run. The first record of a chain is never a delta.
 	Delta bool `json:"delta,omitempty"`
 	// Prev is the previous record's Hash ("" for the first record).
 	Prev string `json:"prev,omitempty"`
-	// Hash chains V, Slot, Step, Seconds, Delta (v2+), Prev and State.
+	// Hash chains V, Slot, Step, Seconds, Delta, Prev and State.
 	Hash string `json:"hash"`
 }
 
@@ -75,22 +68,16 @@ type CheckpointRecord struct {
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
 
 // HashCheckpoint computes the record's chain hash from its own fields
-// (ignoring the stored Hash and the late-stamped Run label). v1 records
-// keep the original preimage layout so pre-upgrade chains still verify.
-// In v2 the state payload contributes through its length and a CRC-32C
-// digest rather than being fed through SHA-256 whole: the chain hash
-// still pins ordering and every payload byte, but the emission path
-// pays a hardware CRC over the record instead of a full cryptographic
-// hash — about a tenth of the cost on the slot boundary.
+// (ignoring the stored Hash and the late-stamped Run label). The state
+// payload contributes through its length and a CRC-32C digest rather
+// than being fed through SHA-256 whole: the chain hash still pins
+// ordering and every payload byte, but the emission path pays a hardware
+// CRC over the record instead of a full cryptographic hash — about a
+// tenth of the cost on the slot boundary.
 func HashCheckpoint(r CheckpointRecord) string {
 	h := sha256.New()
-	if r.V >= 2 {
-		fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|delta=%t|prev=%s|len=%d|crc=%08x",
-			r.V, r.Slot, r.Step, r.Seconds, r.Delta, r.Prev, len(r.State), crc32.Checksum(r.State, crc32c))
-	} else {
-		fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|prev=%s|", r.V, r.Slot, r.Step, r.Seconds, r.Prev)
-		h.Write(r.State)
-	}
+	fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|delta=%t|prev=%s|len=%d|crc=%08x",
+		r.V, r.Slot, r.Step, r.Seconds, r.Delta, r.Prev, len(r.State), crc32.Checksum(r.State, crc32c))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -162,13 +149,6 @@ func (l *CheckpointLog) NextIsDelta(every int) bool {
 	return len(l.records)%every != 0
 }
 
-// Len returns the number of stored records.
-func (l *CheckpointLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
 // Records returns a copy of the stored records in chain order.
 func (l *CheckpointLog) Records() []CheckpointRecord {
 	l.mu.Lock()
@@ -215,11 +195,8 @@ func ValidateCheckpoints(records []CheckpointRecord) error {
 	}
 	chains := make(map[string]*chainState)
 	for i, r := range records {
-		if r.V < checkpointMinVersion || r.V > CheckpointVersion {
-			return fmt.Errorf("obs: checkpoint %d: unknown schema version %d (want %d..%d)", i, r.V, checkpointMinVersion, CheckpointVersion)
-		}
-		if r.Delta && r.V < 2 {
-			return fmt.Errorf("obs: checkpoint %d: delta record under schema version %d (deltas need v2)", i, r.V)
+		if r.V != CheckpointVersion {
+			return fmt.Errorf("obs: checkpoint %d: unknown schema version %d (want %d)", i, r.V, CheckpointVersion)
 		}
 		c := chains[r.Run]
 		if c == nil {
@@ -341,17 +318,17 @@ func spliceCheckpointDelta(prev, delta map[string]any) (map[string]any, error) {
 		}
 		if baseAny, ok := delta[k+deltaBaseSuffix]; ok {
 			baseF, ok := baseAny.(float64)
-			if !ok {
-				return nil, fmt.Errorf("splice %q: offset %v is not a number", k, baseAny)
+			if !ok || baseF < 0 || baseF != math.Trunc(baseF) {
+				return nil, fmt.Errorf("splice %q: offset %v is not a non-negative integer", k, baseAny)
 			}
-			base := int(baseF)
 			var prevArr []any
 			if pa, ok := prev[k].([]any); ok {
 				prevArr = pa
 			}
-			if base > len(prevArr) {
-				return nil, fmt.Errorf("splice %q: offset %d beyond previous length %d", k, base, len(prevArr))
+			if baseF > float64(len(prevArr)) {
+				return nil, fmt.Errorf("splice %q: offset %v beyond previous length %d", k, baseAny, len(prevArr))
 			}
+			base := int(baseF)
 			suffix, ok := v.([]any)
 			if !ok && v != nil {
 				return nil, fmt.Errorf("splice %q: delta value is not an array", k)

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -252,41 +255,62 @@ func TestMaterializeAtSkipsForeignRuns(t *testing.T) {
 	}
 }
 
-// TestMaterializeAtBadOffset rejects a splice offset beyond the previous
-// series length instead of silently corrupting state.
+// TestMaterializeAtBadOffset rejects splice offsets that do not index
+// the previous series — beyond its length, negative, or fractional —
+// instead of panicking or silently corrupting state. The hashes are
+// recomputable, so every such chain passes ValidateCheckpoints and
+// MaterializeAt is the last line of defence.
 func TestMaterializeAtBadOffset(t *testing.T) {
-	l := NewCheckpointLog()
-	l.Append(0, 0, 0, json.RawMessage(`{"series":[1]}`), false)
-	l.Append(1, 600, 600, json.RawMessage(`{"series":[2],"series@base":5}`), true)
-	if _, err := MaterializeAt(l.Records(), 1); err == nil || !strings.Contains(err.Error(), "beyond previous length") {
-		t.Fatalf("offset beyond previous length not rejected: %v", err)
+	for base, want := range map[string]string{
+		"5":   "beyond previous length",
+		"-1":  "not a non-negative integer",
+		"1.5": "not a non-negative integer",
+		`"0"`: "not a non-negative integer",
+	} {
+		l := NewCheckpointLog()
+		l.Append(0, 0, 0, json.RawMessage(`{"series":[1,2]}`), false)
+		l.Append(1, 600, 600, json.RawMessage(`{"series":[3],"series@base":`+base+`}`), true)
+		records := l.Records()
+		if err := ValidateCheckpoints(records); err != nil {
+			t.Fatalf("@base %s: %v", base, err)
+		}
+		if _, err := MaterializeAt(records, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("@base %s: got %v, want an error containing %q", base, err, want)
+		}
 	}
 }
 
-// TestValidateMixedVersionChain accepts a pre-upgrade v1 prefix continued
-// by v2 records — the shape a capture resumed across the format upgrade
-// produces — while rejecting the malformed variants.
-func TestValidateMixedVersionChain(t *testing.T) {
+// v1Hash is the retired schema-1 chain hash: SHA-256 over the header
+// fields followed by the whole state payload.
+func v1Hash(r CheckpointRecord) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|prev=%s|", r.V, r.Slot, r.Step, r.Seconds, r.Prev)
+	h.Write(r.State)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestValidateRejectsV1Records holds readers to the single schema: a v1
+// record is refused even when its v1 hash is correct, as are chains that
+// open with a delta and records from a future version.
+func TestValidateRejectsV1Records(t *testing.T) {
 	mk := func(v, slot int, delta bool, prev string) CheckpointRecord {
 		r := CheckpointRecord{V: v, Slot: slot, Step: slot * 600, Seconds: float64(slot * 600),
 			State: json.RawMessage(`{}`), Delta: delta, Prev: prev}
 		r.Hash = HashCheckpoint(r)
 		return r
 	}
-	v1 := mk(1, 0, false, "")
-	v2key := mk(2, 1, false, v1.Hash)
-	v2delta := mk(2, 2, true, v2key.Hash)
-	if err := ValidateCheckpoints([]CheckpointRecord{v1, v2key, v2delta}); err != nil {
-		t.Fatalf("mixed v1/v2 chain rejected: %v", err)
+	v1 := CheckpointRecord{V: 1, Slot: 0, State: json.RawMessage(`{}`)}
+	v1.Hash = v1Hash(v1)
+	if err := ValidateCheckpoints([]CheckpointRecord{v1}); err == nil || !strings.Contains(err.Error(), "unknown schema version 1") {
+		t.Fatalf("v1 record not rejected: %v", err)
 	}
-
-	// A delta stamped v1 is malformed.
-	badV1Delta := mk(1, 3, true, v2delta.Hash)
-	if err := ValidateCheckpoints([]CheckpointRecord{v1, v2key, v2delta, badV1Delta}); err == nil {
-		t.Fatal("v1 delta record accepted")
+	key := mk(CheckpointVersion, 0, false, "")
+	delta := mk(CheckpointVersion, 1, true, key.Hash)
+	if err := ValidateCheckpoints([]CheckpointRecord{key, delta}); err != nil {
+		t.Fatalf("v2 chain rejected: %v", err)
 	}
 	// A chain may not open with a delta.
-	orphan := mk(2, 0, true, "")
+	orphan := mk(CheckpointVersion, 0, true, "")
 	if err := ValidateCheckpoints([]CheckpointRecord{orphan}); err == nil {
 		t.Fatal("chain opening with a delta accepted")
 	}

@@ -81,32 +81,11 @@ type EngineState struct {
 	Controller   *core.ControllerState `json:"controller,omitempty"`
 }
 
-// Checkpoint assembles the engine's current state. It is meaningful only
-// at a slot boundary (after finishSlot and the next planSlot), which is
-// where Run invokes it.
-func (e *Engine) Checkpoint() (EngineState, error) {
-	st, err := e.checkpoint()
-	if err != nil {
-		return EngineState{}, err
-	}
-	ctrl, err := e.cfg.Controller.Checkpoint()
-	if err != nil {
-		return EngineState{}, fmt.Errorf("sim: checkpoint controller: %w", err)
-	}
-	st.Controller = &ctrl
-	// Callers own the returned state; detach it from the live series.
-	st.DemandSeries = append([]float64(nil), st.DemandSeries...)
-	st.SlotPeaks = append([]float64(nil), st.SlotPeaks...)
-	st.SlotValleys = append([]float64(nil), st.SlotValleys...)
-	return st, nil
-}
-
-// checkpoint assembles the state with the series fields aliasing the
-// engine's live slices — emitCheckpoint marshals immediately, so it skips
-// the defensive copy Checkpoint makes for external callers. The
-// controller is left to the caller: the full and delta paths encode it
-// differently, and assembling the full PAT just to discard it would
-// dominate the delta path's cost.
+// checkpoint assembles the state at a slot boundary, with the series
+// fields aliasing the engine's live slices (emitCheckpoint marshals
+// immediately). The controller is left to the caller: the full and delta
+// paths encode it differently, and assembling the full PAT just to
+// discard it would dominate the delta path's cost.
 func (e *Engine) checkpoint() (EngineState, error) {
 	st := EngineState{
 		Steps:         e.steps,
@@ -257,7 +236,7 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
 	e.ckptPeaksLen = len(e.slotPeaks)
 	e.ckptValleysLen = len(e.slotValleys)
 	e.cfg.Controller.MarkCheckpointed()
-	e.cfg.Checkpoints(slot, step, now, b)
+	e.cfg.Checkpoints(slot, step, now, b, delta)
 	*bp = b
 	ckptBufPool.Put(bp)
 }

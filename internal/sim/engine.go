@@ -140,11 +140,12 @@ type Config struct {
 	// Checkpoints, when set together with a positive CheckpointEvery,
 	// receives the engine's serialized state (see EngineState) at
 	// checkpointed slot boundaries — after the boundary's finish/plan,
-	// before the first step of the new slot. The state buffer is reused
-	// by the next emission; the sink must copy what it keeps. A nil sink
-	// is the fast path: no state is assembled at all, so the hot loop
-	// stays allocation-free.
-	Checkpoints func(slot, step int, now time.Duration, state []byte)
+	// before the first step of the new slot. delta reports whether the
+	// state is delta-encoded (the CheckpointDelta answer for this record).
+	// The state buffer is reused by the next emission; the sink must copy
+	// what it keeps. A nil sink is the fast path: no state is assembled at
+	// all, so the hot loop stays allocation-free.
+	Checkpoints func(slot, step int, now time.Duration, state []byte, delta bool)
 	// CheckpointEvery is the checkpoint decimation in control slots
 	// (1 = every slot boundary). Zero disables checkpointing even when
 	// a sink is installed.
@@ -155,7 +156,7 @@ type Config struct {
 	// "<key>@base" splice offsets), false emits full state. The chain owner
 	// uses it to align keyframes with its record count; it must return
 	// false for the first record of a fresh chain. Nil always emits full
-	// state (the v1 behaviour).
+	// state.
 	CheckpointDelta func() bool
 
 	// MaxSteps, when positive, stops the run after executing steps

@@ -30,14 +30,12 @@
 #                                              the BENCH_prof.json top-frames
 #                                              baseline via hebprof check
 #
-# -check tolerances: allocs/op must match the baseline exactly (the
-# allocation counts are deterministic); ns/op may regress by at most
-# 50% (wall-clock is noisy across machines, so only gross regressions
-# fail). Two exceptions to exact allocs: the multi-seed pair (pooled
-# run state rides sync.Pools the GC is free to clear mid-run) and
-# ProfEnabled (runtime/pprof sampling buffers grow with nondeterministic
-# sample counts) wobble by one or two allocs across runs — they get a
-# small absolute slack instead. When BENCH_prof.json is committed, -check additionally re-runs
+# -check compares each set against its committed baseline with
+# `hebwatch bench` (cmd/hebwatch), which holds the tolerances: allocs/op
+# exact (deterministic) except ±8 for the MultiSeed pair and ProfEnabled,
+# whose pools and pprof buffers wobble; ns/op at most 1.5x the baseline
+# (wall-clock is noisy across machines, so only gross regressions fail).
+# When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebprof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
 # Exits non-zero on any violation.
@@ -115,59 +113,9 @@ to_json() {
 	'
 }
 
-# compare CURRENT BASELINE — fail when a benchmark present in both files
-# regressed: allocs/op differ at all, or ns/op grew beyond ns_tol×.
+# ns/op growth tolerance for the baseline comparison and the checkpoint
+# overhead target below.
 ns_tol=1.5
-compare() {
-	awk -v ns_tol="$ns_tol" '
-	function parse(line, kv,   n, parts, i, p, kv2) {
-		n = split(line, parts, ",")
-		for (i = 1; i <= n; i++) {
-			p = parts[i]
-			gsub(/[{}"\]\[ \t]/, "", p)
-			split(p, kv2, ":")
-			kv[kv2[1]] = kv2[2]
-		}
-	}
-	FNR == 1 { file++ }
-	/"name"/ {
-		delete kv
-		parse($0, kv)
-		name = kv["name"]
-		if (file == 1) {
-			cur_ns[name] = kv["ns_per_op"]
-			cur_allocs[name] = kv["allocs_per_op"]
-		} else {
-			base_ns[name] = kv["ns_per_op"]
-			base_allocs[name] = kv["allocs_per_op"]
-		}
-	}
-	END {
-		bad = 0
-		for (name in base_ns) {
-			if (!(name in cur_ns)) {
-				printf "MISSING %s: in baseline but not measured\n", name
-				bad = 1
-				continue
-			}
-			slack = (name ~ /MultiSeed|EngineProf/) ? 8 : 0
-			d = cur_allocs[name] - base_allocs[name]
-			if (d < -slack || d > slack) {
-				if (slack > 0)
-					printf "REGRESSION %s: allocs/op %s, baseline %s (pool-wobble slack is +/-%d)\n", name, cur_allocs[name], base_allocs[name], slack
-				else
-					printf "REGRESSION %s: allocs/op %s, baseline %s (must match exactly)\n", name, cur_allocs[name], base_allocs[name]
-				bad = 1
-			}
-			if (base_ns[name] > 0 && cur_ns[name] > base_ns[name] * ns_tol) {
-				printf "REGRESSION %s: ns/op %s exceeds baseline %s by more than %gx\n", name, cur_ns[name], base_ns[name], ns_tol
-				bad = 1
-			}
-		}
-		exit bad
-	}
-	' "$1" "$2"
-}
 
 run_set() {
 	local pattern="$1" out="$2"
@@ -177,13 +125,12 @@ run_set() {
 		local cur
 		cur="$(mktemp)"
 		to_json <"$raw" >"$cur"
-		if ! compare "$cur" "$out"; then
+		if ! go run ./cmd/hebwatch bench -ns-tol "$ns_tol" "$cur" "$out"; then
 			rm -f "$cur"
 			echo "bench.sh: regression against $out" >&2
 			exit 1
 		fi
 		rm -f "$cur"
-		echo "ok: within tolerance of $out (allocs exact, ns/op <= ${ns_tol}x)"
 	else
 		to_json <"$raw" >"$out"
 		echo "wrote $out"

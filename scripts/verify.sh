@@ -11,7 +11,7 @@
 # pipeline through obscheck and hebtrace).
 # Tier 4: docs drift — regenerate the committed hebsim -exp all output
 # (timing columns normalized) and fail if it no longer matches
-# docs/hebsim_all_output.txt.
+# docs/hebsim_all_output.txt. CI's test job runs the same check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
