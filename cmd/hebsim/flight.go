@@ -27,12 +27,21 @@ func (f flight) enabled() bool { return f.every > 0 || f.resume || f.replay != "
 
 func (f flight) path() string { return filepath.Join(f.dir, "checkpoints.jsonl") }
 
-// wireFlight loads/validates the prior chain for -resume and -replay,
-// installs the write-through checkpoint appender for -checkpoint-every,
-// and (for replay) attaches the window collectors. It returns a non-nil
+// wireFlight loads and validates the prior chain for -resume and
+// -replay, hands it to the run to check (taking the run's checkpoint
+// cadence from it unless -checkpoint-every set one), installs the
+// write-through checkpoint appender when the run records, and (for
+// replay) attaches the window collectors. It returns a non-nil
 // replayWindow when a windowed replay is armed.
 func wireFlight(w io.Writer, p *heb.Prototype, opts *heb.RunOptions, fl flight) (*replayWindow, error) {
-	var prior []obs.CheckpointRecord
+	var group []obs.CheckpointRecord
+	runKey, a, b := "", 0, 0
+	if fl.replay != "" {
+		var err error
+		if runKey, a, b, err = parseReplayWindow(fl.replay); err != nil {
+			return nil, err
+		}
+	}
 	if fl.resume || fl.replay != "" {
 		f, err := os.Open(fl.path())
 		if err != nil {
@@ -46,45 +55,33 @@ func wireFlight(w io.Writer, p *heb.Prototype, opts *heb.RunOptions, fl flight) 
 		if err := obs.ValidateCheckpoints(records); err != nil {
 			return nil, err
 		}
-		if len(records) == 0 {
+		group = lastRunGroup(records, runKey)
+		switch {
+		case len(records) == 0:
 			return nil, fmt.Errorf("flight recorder: no checkpoints in %s", fl.path())
+		case len(group) == 0:
+			return nil, fmt.Errorf("flight recorder: no checkpoints for run %q in %s", runKey, fl.path())
 		}
-		prior = records
-	}
-	slotSteps := int(p.Slot / p.Step)
-	if slotSteps < 1 {
-		slotSteps = 1
+		if p.CheckpointEvery == 0 {
+			// A chain's first record lands at the first checkpointed slot.
+			p.CheckpointEvery = group[0].Slot
+		}
 	}
 
 	if fl.replay != "" {
-		runKey, a, b, err := parseReplayWindow(fl.replay)
-		if err != nil {
-			return nil, err
+		// The window ends at step b*slotSteps; the run re-executes
+		// everything before it and checks every record it passes.
+		slotSteps := int(p.Slot / p.Step)
+		if slotSteps < 1 {
+			slotSteps = 1
 		}
-		group := lastRunGroup(prior, runKey)
-		if len(group) == 0 {
-			return nil, fmt.Errorf("flight recorder: no checkpoints for run %q in %s", runKey, fl.path())
+		n := 0
+		for n < len(group) && group[n].Slot <= b {
+			n++
 		}
-		// The nearest usable checkpoint is the last one taken at or
-		// before the start of slot a (record Slot counts completed slots,
-		// so slot a starts at record Slot a-1). Everything between it and
-		// the window is fast-forwarded by re-execution.
-		idx := -1
-		for i, r := range group {
-			if r.Slot <= a-1 {
-				idx = i
-			}
-		}
-		if idx >= 0 {
-			from := group[idx]
-			opts.ResumeCheckpoints = group[:idx+1]
-			fmt.Fprintf(w, "replay slots %d-%d: fast-forward from checkpoint at slot %d (step %d, t=%gs)\n",
-				a, b, from.Slot, from.Step, from.Seconds)
-		} else {
-			fmt.Fprintf(w, "replay slots %d-%d: no checkpoint at or before slot %d, re-executing from scratch\n",
-				a, b, a-1)
-		}
+		opts.ResumeCheckpoints = group[:n]
 		opts.MaxSteps = b * slotSteps
+		fmt.Fprintf(w, "replay slots %d-%d: re-executing from the seed, checking %d recorded checkpoints on the way\n", a, b, n)
 		win := &replayWindow{a: a, b: b, slotSecs: p.Slot.Seconds(), events: obs.NewLog(0)}
 		userEvents := opts.Events
 		opts.Events = obs.MultiSink(userEvents, win.events)
@@ -100,14 +97,13 @@ func wireFlight(w io.Writer, p *heb.Prototype, opts *heb.RunOptions, fl flight) 
 
 	groupRun := ""
 	if fl.resume {
-		group := lastRunGroup(prior, "")
 		last := group[len(group)-1]
 		groupRun = last.Run
 		opts.ResumeCheckpoints = group
-		fmt.Fprintf(w, "resuming from checkpoint at slot %d (step %d, t=%gs), %d prior records\n",
-			last.Slot, last.Step, last.Seconds, len(group))
+		fmt.Fprintf(w, "resuming: re-executing from the seed, checking %d recorded checkpoints (through slot %d, step %d, t=%gs)\n",
+			len(group), last.Slot, last.Step, last.Seconds)
 	}
-	if fl.every > 0 {
+	if p.CheckpointEvery > 0 {
 		sink, err := newCheckpointAppender(fl.path(), fl.resume, groupRun)
 		if err != nil {
 			return nil, err

@@ -52,15 +52,15 @@ func main() {
 		obsDir   = flag.String("obs", "", "write observability artifacts (events.jsonl, decisions.jsonl, metrics.prom, probes.jsonl, audits.jsonl) to this directory")
 		probes   = flag.Int("probes", 0, "sample per-device probes every N engine steps (0 = off); samples land in the -obs capture")
 		probeCap = flag.Int("probe-ring", 0, "retained probe samples per device (0 = obs package default)")
-		audit    = flag.String("audit", "off", "invariant checker, energy-audit side: off, report, or strict (strict aborts a run at its first audit violation); reports land in the -obs capture's audits.jsonl. -resume rejects it, -replay turns it off")
-		alertsF  = flag.String("alerts", "off", "invariant checker, SLO-rule side: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict. -resume rejects it, -replay turns it off")
+		audit    = flag.String("audit", "off", "invariant checker, energy-audit side: off, report, or strict (strict aborts a run at its first audit violation); reports land in the -obs capture's audits.jsonl")
+		alertsF  = flag.String("alerts", "off", "invariant checker, SLO-rule side: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict")
 		alertFlr = flag.Float64("alert-soc-floor", 0, "override the soc_floor alert threshold (0 = rule default, negative disables); tightening it above a scheme's natural SoC swing fault-injects a critical breach")
 		profileF = flag.String("profile", "", "capture pprof profiles into <obs>/profiles/ (comma list of cpu, heap, allocs, mutex, block, or all; requires -obs); profiles measure wall-clock behaviour and are excluded from byte-identity checks, like -trace-clock wall")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event span profile to this file (open in Perfetto; summarize with hebtrace)")
 		traceClk = flag.String("trace-clock", "virtual", "trace timestamps: virtual (deterministic) or wall (real elapsed time)")
-		ckptEvry = flag.Int("checkpoint-every", 0, "flight recorder: checkpoint the full run state every N control slots into <obs>/checkpoints.jsonl (-exp run; requires -obs)")
-		resume   = flag.Bool("resume", false, "flight recorder: resume an interrupted -exp run from the last checkpoint in <obs>/checkpoints.jsonl")
-		replay   = flag.String("replay", "", "flight recorder: replay the slot window \"[run:]A-B\" from the nearest checkpoint in <obs>/checkpoints.jsonl, printing its events and decisions (-exp run)")
+		ckptEvry = flag.Int("checkpoint-every", 0, "flight recorder: checkpoint the engine state every N control slots into <obs>/checkpoints.jsonl (-exp run; requires -obs)")
+		resume   = flag.Bool("resume", false, "flight recorder: resume the interrupted -exp run recorded in <obs>/checkpoints.jsonl: re-run it from the seed, check it against the recorded chain, and append the records past its end")
+		replay   = flag.String("replay", "", "flight recorder: re-run to the end of the slot window \"[run:]A-B\", checking the run against <obs>/checkpoints.jsonl on the way, and print the window's events and decisions (-exp run)")
 		logMode  = flag.String("log", logging.ModeText, "structured log format on stderr: text (deterministic) or json")
 		telAddr  = flag.String("telemetry", "", "serve live heb_runner_*/heb_proc_* self-telemetry at this address while the sweep runs (e.g. :9100)")
 	)
@@ -135,18 +135,19 @@ func main() {
 			slog.Error("-resume and -replay are mutually exclusive")
 			os.Exit(2)
 		}
+		if *replay != "" {
+			if _, _, _, err := parseReplayWindow(*replay); err != nil {
+				slog.Error("bad -replay flag", "err", err)
+				os.Exit(2)
+			}
+		}
 		p.CheckpointEvery = *ckptEvry
 	}
 	if *replay != "" {
 		// A replay re-executes a window of an already-recorded run; it must
-		// inspect, not overwrite, that run's artifacts. The invariant checker
-		// goes off with the capture, whichever of -audit and -alerts armed
-		// it: its per-step state is not checkpointed, so it cannot start
-		// mid-run. (-resume keeps it on, and the run rejects the pairing.)
+		// inspect, not overwrite, that run's artifacts.
 		capture = nil
 		p.Capture = nil
-		p.CheckpointEvery = 0
-		p.Audit, p.Alert = alerts.ModeOff, alerts.ModeOff
 	}
 	if p.Audit != alerts.ModeOff {
 		p.Audits = obs.NewAuditLog()

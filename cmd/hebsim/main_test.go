@@ -62,15 +62,32 @@ func TestRejectsBadCheckerModes(t *testing.T) {
 }
 
 // TestReplayAndResumeTreatCheckerFlagsAlike pins one rule for both
-// checker flags: -replay turns the checker off whichever flag armed it,
-// and -resume with either flag fails loudly.
+// checker flags: -replay and -resume both re-run from the seed, so both
+// run the checker from step 0, whichever flag armed it.
 func TestReplayAndResumeTreatCheckerFlagsAlike(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cap")
 	run := []string{"-exp", "run", "-duration", "1h", "-obs", dir}
 	wantExit(t, 0, "", append(run, "-checkpoint-every", "1")...)
 	for _, flag := range []string{"-audit", "-alerts"} {
 		wantExit(t, 0, "", append(run, "-replay", "3-4", flag, "report")...)
-		wantExit(t, 1, "resume does not compose with the invariant checker",
-			append(run, "-resume", flag, "report")...)
+		wantExit(t, 0, "", append(run, "-resume", flag, "report")...)
 	}
+}
+
+// TestFlightFlagMisuse covers the flight-recorder flags' failure modes:
+// malformed -replay windows are usage errors, -resume and -replay do not
+// combine, and -replay needs a recorded chain to check.
+func TestFlightFlagMisuse(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cap")
+	run := []string{"-exp", "run", "-duration", "1h", "-obs", dir}
+	for _, window := range []string{"0-3", "5-2", "x"} {
+		wantExit(t, 2, "bad -replay flag", append(run, "-replay", window)...)
+	}
+	wantExit(t, 2, "-resume and -replay are mutually exclusive", append(run, "-resume", "-replay", "1-2")...)
+	// A capture recorded without -checkpoint-every has no chain.
+	wantExit(t, 0, "", run...)
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("capture without -checkpoint-every wrote checkpoints.jsonl (stat: %v)", err)
+	}
+	wantExit(t, 1, "checkpoints.jsonl", append(run, "-replay", "1-2")...)
 }

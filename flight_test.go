@@ -2,13 +2,16 @@ package heb
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"heb/internal/obs"
+	"heb/internal/obs/alerts"
 )
 
 // flightArtifacts collects every artifact file a capture wrote.
@@ -278,36 +281,205 @@ func TestCheckpointsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsUncheckpointedObservers documents the composition
-// limits: per-step tracer and auditor state is not checkpointed, so
-// resuming with either attached must fail loudly instead of silently
-// producing divergent artifacts.
-func TestResumeRejectsUncheckpointedObservers(t *testing.T) {
-	const d = 40 * time.Minute
+// TestChainIndependentOfHooks pins what makes replay-based resume
+// possible: a checkpoint records engine state only, so a chain recorded
+// into a bare sink is byte-identical to one recorded with capture,
+// probes, audit, alerts and the tracer all on.
+func TestChainIndependentOfHooks(t *testing.T) {
+	const d = 2 * time.Hour
 	pr, err := WorkloadNamed("PR")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wl := pr.WithDuration(d)
+	chain := func(p Prototype, id SchemeID) []byte {
+		t.Helper()
+		var records []obs.CheckpointRecord
+		if _, err := p.Run(id, wl, RunOptions{
+			Duration:       d,
+			CheckpointSink: func(r obs.CheckpointRecord) { records = append(records, r) },
+		}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteCheckpointsJSONL(&buf, records); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, id := range []SchemeID{HEBD, BaOnly, HEBS} {
+		bare := DefaultPrototype()
+		bare.CheckpointEvery = 1
+		hooked := flightProto(42)
+		hooked.Audit = obs.AuditModeReport
+		hooked.Alert = alerts.ModeReport
+		hooked.Tracer = obs.NewTracer()
+		want, got := chain(bare, id), chain(hooked, id)
+		if len(want) == 0 {
+			t.Fatalf("%s: sink-only run recorded no chain", id)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: chain recorded with every hook on differs from the sink-only chain", id)
+		}
+	}
+}
 
-	rec := flightProto(42)
+// TestResumeRejectsForeignChain checks that a resume proves it is
+// continuing the run that recorded the chain: a seed-42 chain resumed at
+// seed 43, at another budget or at another cadence fails, naming the
+// first slot where the two runs' records differ.
+func TestResumeRejectsForeignChain(t *testing.T) {
+	const d = time.Hour
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := pr.WithDuration(d)
+	record := func(p Prototype) []obs.CheckpointRecord {
+		t.Helper()
+		var records []obs.CheckpointRecord
+		if _, err := p.Run(HEBD, wl, RunOptions{
+			Duration:       d,
+			CheckpointSink: func(r obs.CheckpointRecord) { records = append(records, r) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	base := DefaultPrototype()
+	base.CheckpointEvery = 1
+	chain := record(base)
+
+	otherSeed := base
+	otherSeed.Seed = 43
+	otherBudget := base
+	otherBudget.Budget = 238
+	otherCadence := base
+	otherCadence.CheckpointEvery = 2
+	for _, tc := range []struct {
+		name string
+		p    Prototype
+	}{{"seed 43", otherSeed}, {"budget 238 W", otherBudget}, {"every 2 slots", otherCadence}} {
+		// The first slot at which the foreign run's records differ.
+		foreign := record(tc.p)
+		slot := -1
+		for i := range chain {
+			if i >= len(foreign) || foreign[i].Hash != chain[i].Hash {
+				slot = min(chain[i].Slot, foreign[i].Slot)
+				break
+			}
+		}
+		if slot < 0 {
+			t.Fatalf("%s: the foreign run recorded the same chain", tc.name)
+		}
+		var sunk int
+		_, err := tc.p.Run(HEBD, wl, RunOptions{
+			Duration:          d,
+			ResumeCheckpoints: chain,
+			CheckpointSink:    func(obs.CheckpointRecord) { sunk++ },
+		})
+		want := fmt.Sprintf("diverges at slot %d:", slot)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: resume error %v, want one containing %q", tc.name, err, want)
+		}
+		if sunk != 0 {
+			t.Errorf("%s: a rejected resume sank %d records", tc.name, sunk)
+		}
+	}
+	if _, err := base.Run(HEBD, wl, RunOptions{Duration: d / 2, ResumeCheckpoints: chain}); err == nil {
+		t.Error("resuming into a run shorter than the chain succeeded")
+	}
+}
+
+// TestResumeComposesWithCheckerAndTracer: a resumed run re-simulates
+// from the seed, so the invariant checker's per-step state and the
+// tracer's virtual clock are rebuilt from step 0 and every artifact —
+// audits.jsonl and alerts.jsonl included — is byte-identical to the
+// uninterrupted run's.
+func TestResumeComposesWithCheckerAndTracer(t *testing.T) {
+	const d = 2 * time.Hour
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := pr.WithDuration(d)
+	proto := func() Prototype {
+		p := flightProto(42)
+		p.Audit = obs.AuditModeReport
+		p.Alert = alerts.ModeReport
+		// A ceiling below the starting SoC makes alerts fire.
+		p.AlertRules = alerts.Rules{SoCCeiling: 0.5}
+		p.Tracer = obs.NewTracer()
+		return p
+	}
+	trace := func(p Prototype) []byte {
+		var buf bytes.Buffer
+		if err := p.Tracer.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	full := proto()
+	wantRes, err := full.Run(HEBD, wl, RunOptions{Duration: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := flightArtifacts(t, full.Capture)
+	for _, name := range []string{"audits.jsonl", "alerts.jsonl"} {
+		if len(want[name]) == 0 {
+			t.Fatalf("uninterrupted run wrote no %s", name)
+		}
+	}
+
+	killed := proto()
 	var records []obs.CheckpointRecord
-	if _, err := rec.Run(HEBD, wl, RunOptions{
+	if _, err := killed.Run(HEBD, wl, RunOptions{
 		Duration:       d,
-		MaxSteps:       1200,
+		MaxSteps:       3457,
 		CheckpointSink: func(r obs.CheckpointRecord) { records = append(records, r) },
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if len(records) == 0 {
+		t.Fatal("killed run left no checkpoints")
+	}
 
-	withTracer := flightProto(42)
-	withTracer.Tracer = obs.NewTracer()
-	if _, err := withTracer.Run(HEBD, wl, RunOptions{Duration: d, ResumeCheckpoints: records}); err == nil {
-		t.Error("resume with a span tracer should fail")
+	resumed := proto()
+	var sunk []obs.CheckpointRecord
+	gotRes, err := resumed.Run(HEBD, wl, RunOptions{
+		Duration:          d,
+		ResumeCheckpoints: records,
+		CheckpointSink:    func(r obs.CheckpointRecord) { sunk = append(sunk, r) },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	withAudit := flightProto(42)
-	withAudit.Audit = obs.AuditModeReport
-	if _, err := withAudit.Run(HEBD, wl, RunOptions{Duration: d, ResumeCheckpoints: records}); err == nil {
-		t.Error("resume with the energy auditor should fail")
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("resumed Result differs:\n got %+v\nwant %+v", gotRes, wantRes)
 	}
+	got := flightArtifacts(t, resumed.Capture)
+	for name, wb := range want {
+		if !bytes.Equal(got[name], wb) {
+			t.Errorf("%s differs between full and resumed run", name)
+		}
+	}
+	if !bytes.Equal(trace(resumed), trace(full)) {
+		t.Error("span trace differs between full and resumed run")
+	}
+	// Only the records past the carried chain go to the sink.
+	chain := append(append([]obs.CheckpointRecord(nil), records...), sunk...)
+	if all := full.Capture.Runs()[0].Checkpoints; !reflect.DeepEqual(stripRun(chain), stripRun(all)) {
+		t.Errorf("carried %d + sunk %d records do not make up the uninterrupted chain of %d", len(records), len(sunk), len(all))
+	}
+}
+
+// stripRun clears the late-stamped run labels so chains from a sink and
+// from a capture compare equal.
+func stripRun(records []obs.CheckpointRecord) []obs.CheckpointRecord {
+	out := append([]obs.CheckpointRecord(nil), records...)
+	for i := range out {
+		out[i].Run = ""
+	}
+	return out
 }

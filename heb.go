@@ -10,7 +10,6 @@ package heb
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -143,8 +142,8 @@ type Prototype struct {
 	ProbeRing int
 
 	// CheckpointEvery enables the flight recorder: every CheckpointEvery
-	// control slots the run's full state (engine, devices, controller,
-	// observability prefixes) is serialized into a hash-chained
+	// control slots the run's engine state (accumulators, devices, relay
+	// fabric, controller, feed) is serialized into a hash-chained
 	// obs.CheckpointRecord. Records land in the Capture's
 	// checkpoints.jsonl and in RunOptions.CheckpointSink. Zero (the
 	// default) disables checkpointing and costs nothing — the engine
@@ -432,15 +431,19 @@ type RunOptions struct {
 	// chain behind. Records arrive with Run unset (the key is stamped at
 	// capture time); the hash excludes Run, so the chain stays valid.
 	CheckpointSink func(obs.CheckpointRecord)
-	// ResumeCheckpoints, when non-empty, resumes the run from the LAST
-	// record of this previously recorded chain instead of starting from
-	// scratch. The full chain is required (not just the last record) so
-	// the resumed run's own checkpoints.jsonl extends it byte-identically.
-	// The prototype and options must otherwise describe the same run that
-	// recorded the chain; mismatches surface as restore errors. Resume
-	// composes with Capture, probes and event sinks, but not with the
-	// Tracer or the invariant checker — Audit or Alert other than off —
-	// whose per-step state is not checkpointed; Run rejects either.
+	// ResumeCheckpoints, when non-empty, resumes the run that recorded
+	// this chain. The simulator is deterministic given its configuration
+	// and seed, so a resume re-runs from step 0 with the caller's hooks
+	// and checks the chain on the way: each record the run emits at an
+	// index the chain already holds must match the carried one on slot,
+	// step and hash. A matched record is already on disk, so it is not
+	// sent to CheckpointSink again; the Capture and the alert engine still
+	// see it, so every artifact comes out as in the uninterrupted run.
+	// Records past the chain's end are emitted as usual. The first
+	// mismatch (a changed seed, budget, workload or cadence) stops the run
+	// and Run returns an error naming that slot, as it does when a run
+	// without MaxSteps ends short of the chain. Resume composes with every
+	// hook; CheckpointEvery must be the cadence that recorded the chain.
 	ResumeCheckpoints []obs.CheckpointRecord
 	// MaxSteps, when positive, stops the engine after the given number of
 	// executed steps without end-of-run bookkeeping — the substrate of
@@ -579,95 +582,47 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	alerter := alerts.NewEngine(p.Alert, p.AlertRules)
 	checker := sim.NewChecker(auditor, alerter)
 
-	if len(opts.ResumeCheckpoints) > 0 {
-		// The tracer's span clock and the invariant checker's per-step state
-		// are not part of the checkpoint; resuming under either would record
-		// state that silently disagrees with an uninterrupted run.
-		if p.Tracer != nil {
-			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the span tracer")
+	carried := opts.ResumeCheckpoints
+	if len(carried) > 0 {
+		if p.CheckpointEvery <= 0 {
+			return sim.Result{}, fmt.Errorf("heb: resume needs CheckpointEvery, the cadence that recorded the chain")
 		}
-		if checker != nil {
-			return sim.Result{}, fmt.Errorf("heb: resume does not compose with the invariant checker (audit %s, alerts %s)", p.Audit, p.Alert)
-		}
-		if err := obs.ValidateCheckpoints(opts.ResumeCheckpoints); err != nil {
+		if err := obs.ValidateCheckpoints(carried); err != nil {
 			return sim.Result{}, fmt.Errorf("heb: resume chain: %w", err)
 		}
 	}
 	var ckptLog *obs.CheckpointLog
-	if p.CheckpointEvery > 0 && (p.Capture != nil || opts.CheckpointSink != nil) {
-		ckptLog = obs.NewCheckpointLog()
-		// Seeding with the prior chain makes the resumed run's
-		// checkpoints.jsonl a byte-identical extension of it.
-		ckptLog.Seed(opts.ResumeCheckpoints)
-	}
-	var checkpointFn func(slot, step int, now time.Duration, state []byte, delta bool)
+	var checkpointFn func(slot, step int, now time.Duration, state []byte, delta bool) bool
 	var checkpointDeltaFn func() bool
-	// Splice bases for delta records: how much of the event and decision
-	// logs the previous record (or the restored checkpoint) already
-	// carried. Owned by the single engine goroutine.
-	var ckptEventsBase, ckptDecisionsBase int
-	if ckptLog != nil {
+	// checked counts the carried records the run has regenerated so far;
+	// resumeErr is set at the first one it could not. Both are owned by
+	// the single engine goroutine.
+	checked := 0
+	var resumeErr error
+	if p.CheckpointEvery > 0 && (p.Capture != nil || opts.CheckpointSink != nil || len(carried) > 0) {
+		ckptLog = obs.NewCheckpointLog()
 		sink := opts.CheckpointSink
 		progress := p.Progress
-		// Keyframe cadence is a function of chain position alone, so a
-		// resumed chain continues the exact keyframe/delta sequence an
-		// uninterrupted run would have produced. Each record is stored
-		// before the engine steps on, so the log is always current.
+		// Keyframe cadence is a function of chain position alone. Each
+		// record is stored before the engine steps on, so the log is
+		// always current.
 		checkpointDeltaFn = func() bool { return ckptLog.NextIsDelta(obs.DefaultKeyframeEvery) }
-		checkpointFn = func(slot, step int, now time.Duration, state []byte, delta bool) {
-			// The engine state is already compact JSON, so the record is
-			// stitched around it instead of re-marshaled through a
-			// json.RawMessage field — Marshal would re-scan (compact) the
-			// whole payload on every record. The stitched bytes match what
-			// marshaling runCheckpointState/runCheckpointDelta produces, and
-			// the resume path still decodes through those types.
-			var obsRaw []byte
-			var err error
-			if capLog != nil || probes != nil {
-				if delta {
-					o := &runObsDelta{EventsBase: ckptEventsBase, DecisionsBase: ckptDecisionsBase}
-					if capLog != nil {
-						o.Events = capLog.EventsSince(ckptEventsBase)
-						o.EventsDropped = capLog.Dropped()
-						o.Decisions = capDecisions.RecordsSince(ckptDecisionsBase)
-					}
-					if probes != nil {
-						ps := probes.State()
-						o.Probes = &ps
-					}
-					obsRaw, err = json.Marshal(o)
-				} else {
-					o := &runObsState{}
-					if capLog != nil {
-						o.Events = capLog.Events()
-						o.EventsDropped = capLog.Dropped()
-						o.Decisions = capDecisions.Records()
-					}
-					if probes != nil {
-						ps := probes.State()
-						o.Probes = &ps
-					}
-					obsRaw, err = json.Marshal(o)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("heb: marshal checkpoint: %v", err))
-				}
-			}
-			raw := make([]byte, 0, len(`{"engine":`)+len(state)+len(`,"obs":`)+len(obsRaw)+1)
-			raw = append(raw, `{"engine":`...)
-			raw = append(raw, state...)
-			if obsRaw != nil {
-				raw = append(raw, `,"obs":`...)
-				raw = append(raw, obsRaw...)
-			}
-			raw = append(raw, '}')
-			if capLog != nil {
-				ckptEventsBase = capLog.Len()
-				ckptDecisionsBase = capDecisions.Len()
-			}
-			rec := ckptLog.AppendOwned(slot, step, now.Seconds(), raw, delta)
+		checkpointFn = func(slot, step int, now time.Duration, state []byte, delta bool) bool {
+			rec := ckptLog.Append(slot, step, now.Seconds(), state, delta)
 			if alerter != nil {
 				alerter.ObserveCheckpoint(rec.Seconds, rec.Prev, rec.Hash)
+			}
+			if checked < len(carried) {
+				// The carried record is already on disk: check it, do not
+				// sink it again.
+				c := carried[checked]
+				checked++
+				if rec.Slot != c.Slot || rec.Step != c.Step || rec.Hash != c.Hash {
+					resumeErr = fmt.Errorf("heb: resume chain diverges at slot %d: the run recorded slot %d step %d hash %.12s, the chain holds slot %d step %d hash %.12s",
+						min(rec.Slot, c.Slot), rec.Slot, rec.Step, rec.Hash, c.Slot, c.Step, c.Hash)
+					return false
+				}
+				return true
 			}
 			if sink != nil {
 				sink(rec)
@@ -675,6 +630,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			if progress != nil {
 				progress.AddCheckpoints(1)
 			}
+			return true
 		}
 	}
 
@@ -815,41 +771,15 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		}
 		cache.store(worker, poolKey, ns)
 	}
-	if len(opts.ResumeCheckpoints) > 0 {
-		// The chain's last record may be a delta; materialize it against
-		// its keyframe before restoring.
-		state, err := obs.MaterializeAt(opts.ResumeCheckpoints, len(opts.ResumeCheckpoints)-1)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("heb: resume chain: %w", err)
-		}
-		var cs runCheckpointState
-		if err := json.Unmarshal(state, &cs); err != nil {
-			return sim.Result{}, fmt.Errorf("heb: decode checkpoint state: %w", err)
-		}
-		if cs.Obs != nil {
-			if capLog != nil {
-				capLog.Restore(cs.Obs.Events, cs.Obs.EventsDropped)
-				capDecisions.Restore(cs.Obs.Decisions)
-				ckptEventsBase = capLog.Len()
-				ckptDecisionsBase = capDecisions.Len()
-			}
-			if probes != nil {
-				if cs.Obs.Probes == nil {
-					return sim.Result{}, fmt.Errorf("heb: checkpoint carries no probe state but probes are enabled")
-				}
-				if err := probes.Restore(*cs.Obs.Probes); err != nil {
-					return sim.Result{}, err
-				}
-			}
-		} else if capLog != nil || probes != nil {
-			return sim.Result{}, fmt.Errorf("heb: checkpoint carries no observability state but capture/probes are enabled")
-		}
-		if err := eng.RestoreJSON(cs.Engine); err != nil {
-			return sim.Result{}, err
-		}
-	}
 	prof.SetPhase(profCtx, prof.PhaseSteps)
 	res := eng.Run()
+	if resumeErr == nil && checked < len(carried) && opts.MaxSteps == 0 && checker.Err() == nil {
+		resumeErr = fmt.Errorf("heb: resume chain runs past the run's end: %d records from slot %d on were not recorded",
+			len(carried)-checked, carried[checked].Slot)
+	}
+	if resumeErr != nil {
+		return res, resumeErr
+	}
 	prof.SetPhase(profCtx, prof.PhaseFinish)
 	// A trailing slot the run ended inside still deserves its record, so
 	// the decision count always equals SlotCount.

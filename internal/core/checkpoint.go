@@ -3,18 +3,16 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"heb/internal/forecast"
-	"heb/internal/obs"
 	"heb/internal/pat"
 )
 
 // ControllerState is the flight-recorder snapshot of hControl: predictor
 // internals, accuracy accumulators, the in-flight slot, the PAT (which is
 // the only state the learning schemes hold) and the sensor-noise stream
-// position. Restoring reproduces the controller's future decision
-// sequence exactly.
+// position. The decision record the trace tap keeps pending stays out,
+// so the snapshot does not depend on whether tracing is on.
 type ControllerState struct {
 	SlotCount int      `json:"slot_count"`
 	HaveSlot  bool     `json:"have_slot"`
@@ -25,12 +23,11 @@ type ControllerState struct {
 	PeakErrors      forecast.ErrorsState    `json:"peak_errors"`
 	ValleyErrors    forecast.ErrorsState    `json:"valley_errors"`
 
-	LastLookups int                 `json:"last_lookups,omitempty"`
-	LastMisses  int                 `json:"last_misses,omitempty"`
-	Pending     *obs.DecisionRecord `json:"pending,omitempty"`
+	LastLookups int `json:"last_lookups,omitempty"`
+	LastMisses  int `json:"last_misses,omitempty"`
 
 	// NoiseDraws is how many Float64 values the sensor-noise generator
-	// has produced; restore replays that many draws from the seed.
+	// has produced: its stream position.
 	NoiseDraws int64 `json:"noise_draws,omitempty"`
 
 	// PAT is declared last so AppendCheckpointJSON can stitch the
@@ -143,58 +140,5 @@ func (c *Controller) checkpointCommon() (ControllerState, error) {
 	if st.ValleyPredictor, err = forecast.CheckpointPredictor(c.valleyPred); err != nil {
 		return ControllerState{}, err
 	}
-	if c.havePending {
-		rec := c.pending
-		st.Pending = &rec
-	}
 	return st, nil
-}
-
-// Restore overwrites the controller's mutable state from a checkpoint.
-// The controller must be freshly built with the same configuration and
-// scheme shape (same predictor kinds, same PAT binning).
-func (c *Controller) Restore(st ControllerState) error {
-	if err := forecast.RestorePredictor(c.peakPred, st.PeakPredictor); err != nil {
-		return fmt.Errorf("core: restore peak predictor: %w", err)
-	}
-	if err := forecast.RestorePredictor(c.valleyPred, st.ValleyPredictor); err != nil {
-		return fmt.Errorf("core: restore valley predictor: %w", err)
-	}
-	if st.PAT != nil {
-		if c.patTable == nil {
-			return fmt.Errorf("core: checkpoint has a PAT but scheme %q has none", c.scheme.Name())
-		}
-		if err := c.patTable.Restore(*st.PAT); err != nil {
-			return fmt.Errorf("core: restore PAT: %w", err)
-		}
-	} else if c.patTable != nil {
-		return fmt.Errorf("core: checkpoint has no PAT but scheme %q has one", c.scheme.Name())
-	}
-	c.peakErr.Restore(st.PeakErrors)
-	c.valleyErr.Restore(st.ValleyErrors)
-	c.slotCount = st.SlotCount
-	c.haveSlot = st.HaveSlot
-	c.lastView = st.LastView
-	c.lastLookups = st.LastLookups
-	c.lastMisses = st.LastMisses
-	if st.Pending != nil {
-		c.pending = *st.Pending
-		c.havePending = true
-	} else {
-		c.pending = obs.DecisionRecord{}
-		c.havePending = false
-	}
-	c.noiseDraws = 0
-	if c.noise != nil {
-		// Rebuild the generator at the recorded stream position by
-		// replaying the draws from the seed.
-		c.noise = rand.New(rand.NewSource(c.cfg.NoiseSeed))
-		for i := int64(0); i < st.NoiseDraws; i++ {
-			c.noise.Float64()
-		}
-		c.noiseDraws = st.NoiseDraws
-	} else if st.NoiseDraws > 0 {
-		return fmt.Errorf("core: checkpoint has %d noise draws but sensor noise is off", st.NoiseDraws)
-	}
-	return nil
 }

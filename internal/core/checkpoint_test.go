@@ -13,8 +13,9 @@ import (
 // TestAppendCheckpointJSONMatchesMarshal pins the stitched encoder the
 // engine writes keyframes with to its reference: AppendCheckpointJSON
 // must produce exactly json.Marshal(Checkpoint()), both for a HEB-D
-// controller with a populated PAT, warmed predictors, a pending trace
-// record and sensor-noise draws, and for a table-less scheme.
+// controller with a populated PAT, warmed predictors and sensor-noise
+// draws, and for a table-less scheme. A trace tap is attached, and its
+// pending record must stay out of the state.
 func TestAppendCheckpointJSONMatchesMarshal(t *testing.T) {
 	cfg := testConfig()
 	cfg.SensorNoise = 0.05
@@ -41,12 +42,15 @@ func TestAppendCheckpointJSONMatchesMarshal(t *testing.T) {
 		if name == "HEB-D" && (st.PAT == nil || len(st.PAT.Entries) == 0) {
 			t.Fatalf("%s: PAT not populated; the test would not cover the table encoder", name)
 		}
-		if st.Pending == nil || st.NoiseDraws == 0 {
-			t.Fatalf("%s: pending record or noise draws missing from the state", name)
+		if st.NoiseDraws == 0 {
+			t.Fatalf("%s: noise draws missing from the state", name)
 		}
 		want, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if bytes.Contains(want, []byte(`"pending"`)) {
+			t.Fatalf("%s: the trace tap's pending record leaked into the state", name)
 		}
 		got, err := c.AppendCheckpointJSON(nil)
 		if err != nil {

@@ -79,7 +79,7 @@ type Controller struct {
 
 	noise *rand.Rand
 	// noiseDraws counts Float64 draws taken from noise, so a checkpoint
-	// can rebuild the generator at the exact same stream position.
+	// records the generator's stream position.
 	noiseDraws int64
 }
 

@@ -3,13 +3,9 @@ package esd
 import "fmt"
 
 // This file is the device half of the flight recorder: every Device can
-// dump its full mutable state into a JSON-able DeviceState and later be
-// restored from one, bit-for-bit. Restore writes fields directly — no
-// Charge/Discharge/Reset side effects — so a restored device continues
-// exactly as the original would have. Configuration is deliberately NOT
-// serialized: a checkpoint restores into a freshly constructed device of
-// the same configuration, and the kind/member-count guards catch the
-// obvious mismatches.
+// dump its full mutable state into a JSON-able DeviceState. Configuration
+// is deliberately NOT serialized: it is what a resumed run rebuilds from,
+// and the checkpoint chain then proves the rebuilt run matches.
 
 // BatteryState is the serialized mutable state of a Battery: the KiBaM
 // wells, fault flag, thermal state, energy ledger and wear accumulators.
@@ -69,32 +65,9 @@ func (b *Battery) Checkpoint() BatteryState {
 	}
 }
 
-// Restore overwrites the battery's mutable state from a checkpoint.
-func (b *Battery) Restore(s BatteryState) {
-	b.q1 = s.Q1
-	b.q2 = s.Q2
-	b.failed = s.Failed
-	b.thermal.tempC = s.TempC
-	b.thermal.peakC = s.PeakC
-	b.stats = s.Stats
-	b.wear = wearTracker{
-		throughputAh: s.ThroughputAh,
-		weightedAh:   s.WeightedAh,
-		lastWeight:   s.LastWeight,
-		peakWeight:   s.PeakWeight,
-	}
-}
-
 // Checkpoint captures the bank's mutable state.
 func (s *Supercap) Checkpoint() SupercapState {
 	return SupercapState{V: s.v, Failed: s.failed, Stats: s.stats}
-}
-
-// Restore overwrites the bank's mutable state from a checkpoint.
-func (s *Supercap) Restore(st SupercapState) {
-	s.v = st.V
-	s.failed = st.Failed
-	s.stats = st.Stats
 }
 
 // CheckpointDevice serializes any Device implementation, recursing into
@@ -122,44 +95,5 @@ func CheckpointDevice(d Device) (DeviceState, error) {
 		return out, nil
 	default:
 		return DeviceState{}, fmt.Errorf("esd: cannot checkpoint device type %T", d)
-	}
-}
-
-// RestoreDevice writes a checkpointed state back into a freshly built
-// device of the same shape; kind or pool-size mismatches are errors.
-func RestoreDevice(d Device, s DeviceState) error {
-	switch v := d.(type) {
-	case *Battery:
-		if s.Kind != "battery" || s.Battery == nil {
-			return fmt.Errorf("esd: restore kind %q into battery", s.Kind)
-		}
-		v.Restore(*s.Battery)
-		return nil
-	case *Supercap:
-		if s.Kind != "supercap" || s.Supercap == nil {
-			return fmt.Errorf("esd: restore kind %q into supercap", s.Kind)
-		}
-		v.Restore(*s.Supercap)
-		return nil
-	case Null:
-		if s.Kind != "null" {
-			return fmt.Errorf("esd: restore kind %q into null device", s.Kind)
-		}
-		return nil
-	case *Pool:
-		if s.Kind != "pool" {
-			return fmt.Errorf("esd: restore kind %q into pool %q", s.Kind, v.name)
-		}
-		if len(s.Members) != len(v.members) {
-			return fmt.Errorf("esd: restore pool %q: %d member states for %d members", v.name, len(s.Members), len(v.members))
-		}
-		for i, m := range v.members {
-			if err := RestoreDevice(m, s.Members[i]); err != nil {
-				return fmt.Errorf("esd: pool %q member %d: %w", v.name, i, err)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("esd: cannot restore device type %T", d)
 	}
 }

@@ -3,10 +3,8 @@ package forecast
 import "fmt"
 
 // Flight-recorder state for the demand predictors: each predictor's
-// internal windows/components serialize losslessly so a restored
-// controller produces the exact forecast sequence the original would
-// have. Restore writes into a freshly constructed predictor of the same
-// configuration (and, for Oracle, the same primed series).
+// internal windows/components serialize losslessly, so two runs whose
+// forecasts diverge produce different checkpoint records.
 
 // NaiveState is the serialized state of a Naive predictor.
 type NaiveState struct {
@@ -53,14 +51,6 @@ func (e *Errors) Checkpoint() ErrorsState {
 	return ErrorsState{N: e.n, SumAbs: e.sumAbs, SumAbsPct: e.sumAbsPct, SumSquared: e.sumSquared}
 }
 
-// Restore overwrites the error tracker from a checkpoint.
-func (e *Errors) Restore(s ErrorsState) {
-	e.n = s.N
-	e.sumAbs = s.SumAbs
-	e.sumAbsPct = s.SumAbsPct
-	e.sumSquared = s.SumSquared
-}
-
 // CheckpointPredictor serializes any built-in Predictor implementation.
 func CheckpointPredictor(p Predictor) (PredictorState, error) {
 	switch v := p.(type) {
@@ -79,48 +69,5 @@ func CheckpointPredictor(p Predictor) (PredictorState, error) {
 		return PredictorState{Kind: "oracle", Oracle: &OracleState{Idx: v.idx, Last: v.last, Seen: v.seen}}, nil
 	default:
 		return PredictorState{}, fmt.Errorf("forecast: cannot checkpoint predictor type %T", p)
-	}
-}
-
-// RestorePredictor writes a checkpointed state back into a predictor of
-// the same kind; kind mismatches are errors.
-func RestorePredictor(p Predictor, s PredictorState) error {
-	switch v := p.(type) {
-	case *Naive:
-		if s.Kind != "naive" || s.Naive == nil {
-			return fmt.Errorf("forecast: restore kind %q into naive predictor", s.Kind)
-		}
-		v.last, v.seen = s.Naive.Last, s.Naive.Seen
-		return nil
-	case *HoltWinters:
-		if s.Kind != "holt-winters" || s.HoltWinters == nil {
-			return fmt.Errorf("forecast: restore kind %q into holt-winters predictor", s.Kind)
-		}
-		hw := s.HoltWinters
-		if len(hw.Season) > 0 && len(hw.Season) != v.cfg.SeasonLength {
-			return fmt.Errorf("forecast: restore season length %d into config season length %d", len(hw.Season), v.cfg.SeasonLength)
-		}
-		v.level, v.trend = hw.Level, hw.Trend
-		v.idx, v.n = hw.Idx, hw.N
-		v.warmup = append([]float64(nil), hw.Warmup...)
-		if len(hw.Season) > 0 {
-			v.season = append([]float64(nil), hw.Season...)
-		} else if v.cfg.SeasonLength > 0 {
-			v.season = make([]float64, v.cfg.SeasonLength)
-		} else {
-			v.season = nil
-		}
-		return nil
-	case *Oracle:
-		if s.Kind != "oracle" || s.Oracle == nil {
-			return fmt.Errorf("forecast: restore kind %q into oracle predictor", s.Kind)
-		}
-		if s.Oracle.Idx > len(v.future) {
-			return fmt.Errorf("forecast: restore oracle index %d beyond primed series length %d", s.Oracle.Idx, len(v.future))
-		}
-		v.idx, v.last, v.seen = s.Oracle.Idx, s.Oracle.Last, s.Oracle.Seen
-		return nil
-	default:
-		return fmt.Errorf("forecast: cannot restore predictor type %T", p)
 	}
 }

@@ -14,14 +14,16 @@ import (
 )
 
 // CheckpointVersion is the schema version stamped into every record;
-// readers refuse any other version. Version 2 records are either full
-// keyframes or deltas: a delta's State may carry only the suffix grown
-// since the previous record for append-only series (paired "<key>@base"
-// fields hold the splice offsets) and only the changed elements of keyed
+// readers refuse any other version. Records are either full keyframes or
+// deltas: a delta's State may carry only the suffix grown since the
+// previous record for append-only series (paired "<key>@base" fields
+// hold the splice offsets) and only the changed elements of keyed
 // collections (paired "<key>@mergekey" fields name the identity field,
 // "<key>@drop" lists removed identities), with a full keyframe every
-// DefaultKeyframeEvery records.
-const CheckpointVersion = 2
+// DefaultKeyframeEvery records. Version 3 State is the engine state
+// alone; version 2 also carried the run's event log, decision trace and
+// probe rings.
+const CheckpointVersion = 3
 
 // DefaultKeyframeEvery is the keyframe cadence for delta-encoded chains:
 // record indices divisible by it carry full state, so any record
@@ -50,10 +52,10 @@ type CheckpointRecord struct {
 	Step int `json:"step"`
 	// Seconds is the simulation time of the snapshot.
 	Seconds float64 `json:"t"`
-	// State is the serialized simulation state (engine + obs sinks). In a
-	// delta record, append-only series inside it carry only their
-	// suffix beyond the previous record, tagged by "<key>@base" offsets;
-	// MaterializeAt reconstructs the full state.
+	// State is the serialized engine state (sim.EngineState). In a delta
+	// record, append-only series inside it carry only their suffix beyond
+	// the previous record, tagged by "<key>@base" offsets; MaterializeAt
+	// reconstructs the full state.
 	State json.RawMessage `json:"state"`
 	// Delta marks a record whose State is encoded against the previous
 	// record of the same run. The first record of a chain is never a delta.
@@ -93,36 +95,17 @@ type CheckpointLog struct {
 // NewCheckpointLog builds an empty log.
 func NewCheckpointLog() *CheckpointLog { return &CheckpointLog{} }
 
-// Seed preloads a previously captured chain so a resumed run's log starts
-// where the interrupted run left off: the carried records reappear in
-// Records() (keeping the written artifact byte-identical to an
-// uninterrupted run) and new appends chain off the last carried hash.
-func (l *CheckpointLog) Seed(records []CheckpointRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.records = append([]CheckpointRecord(nil), records...)
-	if n := len(l.records); n > 0 {
-		l.prev = l.records[n-1].Hash
-	}
-}
-
-// Append chains and stores one snapshot, returning the finished record.
-// delta marks the state as encoded against the previous record; it must
-// be false when the log is empty (a chain's first record is a keyframe).
+// Append chains and stores one snapshot (copying state, so the caller
+// may reuse its buffer), returning the finished record. delta marks the
+// state as encoded against the previous record; it must be false when
+// the log is empty (a chain's first record is a keyframe).
 func (l *CheckpointLog) Append(slot, step int, seconds float64, state json.RawMessage, delta bool) CheckpointRecord {
-	return l.AppendOwned(slot, step, seconds, append(json.RawMessage(nil), state...), delta)
-}
-
-// AppendOwned is Append for a caller that hands over ownership of state:
-// the log stores the slice as-is instead of copying it. The caller must
-// not reuse or mutate the buffer afterwards.
-func (l *CheckpointLog) AppendOwned(slot, step int, seconds float64, state json.RawMessage, delta bool) CheckpointRecord {
 	rec := CheckpointRecord{
 		V:       CheckpointVersion,
 		Slot:    slot,
 		Step:    step,
 		Seconds: seconds,
-		State:   state,
+		State:   append(json.RawMessage(nil), state...),
 		Delta:   delta,
 	}
 	l.mu.Lock()
@@ -137,9 +120,8 @@ func (l *CheckpointLog) AppendOwned(slot, step int, seconds float64, state json.
 // NextIsDelta reports whether the log's next append should be a delta
 // under the keyframe cadence: every record whose chain index is divisible
 // by every is a keyframe, everything between is a delta. The cadence is a
-// function of chain position alone, so a resumed log (seeded with the
-// interrupted run's records) continues the exact sequence an
-// uninterrupted run would have produced.
+// function of chain position alone, so every run of a configuration
+// produces the same sequence.
 func (l *CheckpointLog) NextIsDelta(every int) bool {
 	if every <= 1 {
 		return false

@@ -93,32 +93,11 @@ func (l *DecisionLog) Len() int {
 	return len(l.records)
 }
 
-// Restore replaces the log's contents with a checkpointed prefix.
-func (l *DecisionLog) Restore(records []DecisionRecord) {
-	l.mu.Lock()
-	l.records = append([]DecisionRecord(nil), records...)
-	l.mu.Unlock()
-}
-
 // Records returns a copy of the stored records in append order.
 func (l *DecisionLog) Records() []DecisionRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]DecisionRecord(nil), l.records...)
-}
-
-// RecordsSince returns a copy of the stored records from index from on —
-// the suffix a delta checkpoint records beyond its predecessor.
-func (l *DecisionLog) RecordsSince(from int) []DecisionRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(l.records) {
-		from = len(l.records)
-	}
-	return append([]DecisionRecord(nil), l.records[from:]...)
 }
 
 // Slot returns the record for the given 1-based slot ordinal.

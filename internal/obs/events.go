@@ -161,36 +161,11 @@ func (l *Log) Dropped() int {
 	return l.dropped
 }
 
-// Restore replaces the log's contents with a checkpointed prefix: the
-// given events (copied) and drop count. The capacity is unchanged, so a
-// resumed run keeps truncating exactly where the original would have.
-func (l *Log) Restore(events []Event, dropped int) {
-	l.mu.Lock()
-	l.events = append([]Event(nil), events...)
-	l.dropped = dropped
-	l.mu.Unlock()
-}
-
 // Events returns a copy of the stored events in emission order.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Event(nil), l.events...)
-}
-
-// EventsSince returns a copy of the stored events from index from on —
-// the suffix a delta checkpoint records beyond its predecessor. The cap
-// truncates (it never rotates), so indices are stable for the log's life.
-func (l *Log) EventsSince(from int) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(l.events) {
-		from = len(l.events)
-	}
-	return append([]Event(nil), l.events[from:]...)
 }
 
 // ByKind returns the stored events of one kind, in order.

@@ -115,67 +115,6 @@ func (r *ProbeRecorder) Record(device string, sec float64, soc, voltage, availAh
 	ring.dropped++
 }
 
-// ProbeRingState is one device ring's checkpointed state, raw: samples in
-// storage order with the write cursor, not unwrapped, so a restore is an
-// exact structural clone and subsequent drops land identically.
-type ProbeRingState struct {
-	Device    string        `json:"device"`
-	Samples   []ProbeSample `json:"samples,omitempty"`
-	Next      int           `json:"next"`
-	Dropped   int64         `json:"dropped,omitempty"`
-	LastNetWh float64       `json:"last_net_wh"`
-	LastSec   float64       `json:"last_sec"`
-	Primed    bool          `json:"primed"`
-}
-
-// ProbeRecorderState is the flight-recorder snapshot of a ProbeRecorder.
-type ProbeRecorderState struct {
-	RingCap int              `json:"ring_cap"`
-	Rings   []ProbeRingState `json:"rings,omitempty"`
-}
-
-// State captures the recorder's full state.
-func (r *ProbeRecorder) State() ProbeRecorderState {
-	st := ProbeRecorderState{RingCap: r.ringCap}
-	for _, ring := range r.rings {
-		st.Rings = append(st.Rings, ProbeRingState{
-			Device:    ring.device,
-			Samples:   append([]ProbeSample(nil), ring.samples...),
-			Next:      ring.next,
-			Dropped:   ring.dropped,
-			LastNetWh: ring.lastNetWh,
-			LastSec:   ring.lastSec,
-			Primed:    ring.primed,
-		})
-	}
-	return st
-}
-
-// Restore overwrites the recorder from a checkpoint. The ring capacity
-// must match the recorder's — a different bound would shift where future
-// samples drop.
-func (r *ProbeRecorder) Restore(st ProbeRecorderState) error {
-	if st.RingCap != r.ringCap {
-		return fmt.Errorf("obs: restore probe ring cap %d into recorder with cap %d", st.RingCap, r.ringCap)
-	}
-	r.rings = r.rings[:0]
-	r.index = make(map[string]int, len(st.Rings))
-	for _, rs := range st.Rings {
-		ring := &probeRing{
-			device:    rs.Device,
-			samples:   append([]ProbeSample(nil), rs.Samples...),
-			next:      rs.Next,
-			dropped:   rs.Dropped,
-			lastNetWh: rs.LastNetWh,
-			lastSec:   rs.LastSec,
-			primed:    rs.Primed,
-		}
-		r.index[rs.Device] = len(r.rings)
-		r.rings = append(r.rings, ring)
-	}
-	return nil
-}
-
 // Devices returns the probed device names in registration order.
 func (r *ProbeRecorder) Devices() []string {
 	out := make([]string, len(r.rings))

@@ -11,8 +11,8 @@ import (
 
 // TableState is the flight-recorder snapshot of a PAT: the learned
 // entries (with their hit/update counters) plus the lookup statistics.
-// The configuration rides along for validation — a checkpoint restores
-// into a table of the same binning, never a different one.
+// The configuration rides along, so chains of differently binned tables
+// differ from the first record.
 type TableState struct {
 	Config  Config  `json:"config"`
 	Entries []Entry `json:"entries"`
@@ -31,24 +31,6 @@ func (t *Table) Checkpoint() TableState {
 	}
 }
 
-// Restore overwrites the table's entries and statistics from a
-// checkpoint. The checkpointed configuration must match the table's.
-// The restored state becomes the new delta baseline.
-func (t *Table) Restore(s TableState) error {
-	if s.Config != t.cfg {
-		return fmt.Errorf("pat: restore config %+v into table with config %+v", s.Config, t.cfg)
-	}
-	t.entries = make(map[Key]*Entry, len(s.Entries))
-	for _, e := range s.Entries {
-		e := e
-		t.entries[e.Key] = &e
-	}
-	t.lookups = s.Lookups
-	t.misses = s.Misses
-	t.MarkCheckpointed()
-	return nil
-}
-
 // TablePatch is the delta form of TableState: only the entries touched
 // since the last checkpoint mark, plus tombstones for evicted keys. Its
 // JSON keys mirror TableState's so that a checkpoint chain's keyed-merge
@@ -64,7 +46,7 @@ type TablePatch struct {
 }
 
 // CheckpointPatch captures only what changed since the last
-// MarkCheckpointed (or Restore/Reset). It has no side effects; call
+// MarkCheckpointed (or Reset). It has no side effects; call
 // MarkCheckpointed once the record holding the patch is emitted. The
 // table must have TrackChanges enabled — a patch built without tracking
 // would silently encode "nothing changed".

@@ -206,27 +206,3 @@ func TestResetTurnsTrackingOff(t *testing.T) {
 		t.Fatal("CheckpointPatch after Reset did not require TrackChanges")
 	}
 }
-
-// TestCheckpointRestoreRoundTrip: restore rebuilds the exact table and
-// rejects a snapshot from a differently-binned table.
-func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	tab := seededTable(t)
-	snap := tab.Checkpoint()
-
-	other := MustNew(tab.Config())
-	other.Add(0.9, 0.9, 500, 0.9) // junk the restore must clear
-	if err := other.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, want := other.Checkpoint(), snap
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("restore round trip drifted:\n got %s\nwant %s", gotJSON, wantJSON)
-	}
-
-	mismatched := MustNew(Config{LevelBins: 5, PMBinWatts: 20, DeltaR: 0.01, MaxEntries: 64})
-	if err := mismatched.Restore(snap); err == nil {
-		t.Fatal("restore into mismatched config did not error")
-	}
-}

@@ -1,16 +1,13 @@
 package power
 
 import (
-	"fmt"
 	"time"
 
 	"heb/internal/units"
 )
 
-// Flight-recorder state for the power-delivery layer. Restore writes
-// fields directly — it never goes through Assign/PowerOn/PowerOff — so no
-// switch listeners fire, no boot-energy waste is charged and no relay
-// counters move while reinstating a snapshot.
+// Flight-recorder state for the power-delivery layer: the relay fabric,
+// its servers and the utility feed's meters.
 
 // ServerState is the serialized mutable state of one Server.
 type ServerState struct {
@@ -38,16 +35,6 @@ func (s *Server) Checkpoint() ServerState {
 	return ServerState{On: s.on, Util: s.util, Freq: s.freq, Cycles: s.cycles, WastedBoot: s.wastedBoot}
 }
 
-// Restore overwrites the server's mutable state from a checkpoint without
-// charging boot energy or counting a power cycle.
-func (s *Server) Restore(st ServerState) {
-	s.on = st.On
-	s.util = st.Util
-	s.freq = st.Freq
-	s.cycles = st.Cycles
-	s.wastedBoot = st.WastedBoot
-}
-
 // Checkpoint captures the fabric's mutable state, including every server.
 func (f *Fabric) Checkpoint() FabricState {
 	st := FabricState{
@@ -65,30 +52,6 @@ func (f *Fabric) Checkpoint() FabricState {
 	return st
 }
 
-// Restore overwrites the fabric's mutable state from a checkpoint. The
-// fabric must have the same server count as the one checkpointed.
-func (f *Fabric) Restore(st FabricState) error {
-	if len(st.Assign) != len(f.servers) || len(st.Servers) != len(f.servers) || len(st.LastUse) != len(f.servers) {
-		return fmt.Errorf("power: restore fabric: state covers %d servers, fabric has %d", len(st.Servers), len(f.servers))
-	}
-	copy(f.assign, st.Assign)
-	copy(f.lastUse, st.LastUse)
-	if len(st.Stuck) == len(f.stuck) {
-		copy(f.stuck, st.Stuck)
-	} else {
-		for i := range f.stuck {
-			f.stuck[i] = false
-		}
-	}
-	f.offline = st.Offline
-	f.switches = st.Switches
-	f.meter = st.Meter
-	for i, s := range f.servers {
-		s.Restore(st.Servers[i])
-	}
-	return nil
-}
-
 // UtilityFeedState is the serialized mutable state of a UtilityFeed.
 // TraceFeed replays a precomputed series and carries no mutable state.
 type UtilityFeedState struct {
@@ -100,13 +63,3 @@ type UtilityFeedState struct {
 func (f *UtilityFeed) Checkpoint() UtilityFeedState {
 	return UtilityFeedState{Drawn: f.drawn, Peak: f.peak}
 }
-
-// Restore overwrites the feed's cumulative meters from a checkpoint.
-func (f *UtilityFeed) Restore(st UtilityFeedState) {
-	f.drawn = st.Drawn
-	f.peak = st.Peak
-}
-
-// RestoreLoss overwrites the stage's cumulative loss meter (the flight
-// recorder's counterpart to AddLoss, which can only accumulate).
-func (c *Converter) RestoreLoss(e units.Energy) { c.loss = e }

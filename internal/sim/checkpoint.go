@@ -24,10 +24,13 @@ type CappedFreq struct {
 
 // EngineState is the flight-recorder snapshot of a run at a control-slot
 // boundary: every accumulator, the in-flight slot plan, and the full
-// state of the storage devices, relay fabric, controller and feed.
-// Restoring it into a freshly built engine of the same configuration and
-// resuming produces step, event, decision and probe sequences identical
-// to the uninterrupted run.
+// state of the storage devices, relay fabric, controller and feed. It
+// holds simulation state only — what the event tap keeps for change
+// detection (the open-mismatch flag, the last dispatch mode) stays out —
+// so a run's chain is byte-identical whichever hooks it has on. Nothing
+// restores from it: a resumed run re-simulates from the seed and checks
+// its records against the carried chain, and hebbisect diffs two chains
+// field by field.
 type EngineState struct {
 	Steps int           `json:"steps"`
 	Now   time.Duration `json:"now"`
@@ -37,10 +40,6 @@ type EngineState struct {
 	SlotPeak      units.Power   `json:"slot_peak"`
 	SlotValley    units.Power   `json:"slot_valley"`
 	SlotHasSample bool          `json:"slot_has_sample"`
-
-	InMismatch bool      `json:"in_mismatch"`
-	LastMode   core.Mode `json:"last_mode"`
-	HaveMode   bool      `json:"have_mode"`
 
 	LastShed time.Duration `json:"last_shed"`
 	HasShed  bool          `json:"has_shed"`
@@ -95,9 +94,6 @@ func (e *Engine) checkpoint() (EngineState, error) {
 		SlotPeak:      e.slotPeak,
 		SlotValley:    e.slotValley,
 		SlotHasSample: e.slotHasSample,
-		InMismatch:    e.inMismatch,
-		LastMode:      e.lastMode,
-		HaveMode:      e.haveMode,
 		LastShed:      e.lastShed,
 		HasShed:       e.hasShed,
 		DegradedSecs:  e.degradedSecs,
@@ -167,8 +163,9 @@ var ckptBufPool = sync.Pool{New: func() any {
 
 // emitCheckpoint serializes the state into a pooled buffer and hands it
 // to the configured sink (which must copy — the buffer goes back to the
-// pool when the sink returns). It runs only at checkpointed slot
-// boundaries, never in the hot loop.
+// pool when the sink returns), reporting the sink's verdict on whether
+// the run goes on. It runs only at checkpointed slot boundaries, never
+// in the hot loop.
 //
 // The document is stitched rather than marshaled in one reflection pass:
 // the reflected "head" (everything but the metric series and the
@@ -179,7 +176,7 @@ var ckptBufPool = sync.Pool{New: func() any {
 // previous emission (tagged with "<key>@base" splice offsets) and the
 // PAT travels as a keyed-merge patch of the entries the slot touched, so
 // a record's cost tracks slot activity instead of run history.
-func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
+func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) bool {
 	delta := e.cfg.CheckpointDelta != nil && e.cfg.CheckpointDelta()
 	st, err := e.checkpoint()
 	if err != nil {
@@ -236,104 +233,8 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) {
 	e.ckptPeaksLen = len(e.slotPeaks)
 	e.ckptValleysLen = len(e.slotValleys)
 	e.cfg.Controller.MarkCheckpointed()
-	e.cfg.Checkpoints(slot, step, now, b, delta)
+	ok := e.cfg.Checkpoints(slot, step, now, b, delta)
 	*bp = b
 	ckptBufPool.Put(bp)
-}
-
-// Restore overwrites the engine's state from a checkpoint taken by an
-// engine of the same configuration. The next Run resumes at the
-// checkpointed step with the checkpointed slot plan already in flight.
-func (e *Engine) Restore(st EngineState) error {
-	if st.Steps < 0 {
-		return fmt.Errorf("sim: restore negative step count %d", st.Steps)
-	}
-	if err := esd.RestoreDevice(e.cfg.Battery, st.Battery); err != nil {
-		return fmt.Errorf("sim: restore battery: %w", err)
-	}
-	if e.cfg.Supercap != nil {
-		if st.Supercap == nil {
-			return fmt.Errorf("sim: checkpoint has no supercap state but engine has a supercap pool")
-		}
-		if err := esd.RestoreDevice(e.cfg.Supercap, *st.Supercap); err != nil {
-			return fmt.Errorf("sim: restore supercap: %w", err)
-		}
-	} else if st.Supercap != nil {
-		return fmt.Errorf("sim: checkpoint has supercap state but engine has no supercap pool")
-	}
-	if err := e.fabric.Restore(st.Fabric); err != nil {
-		return fmt.Errorf("sim: restore fabric: %w", err)
-	}
-	if st.Controller == nil {
-		return fmt.Errorf("sim: checkpoint carries no controller state")
-	}
-	if err := e.cfg.Controller.Restore(*st.Controller); err != nil {
-		return fmt.Errorf("sim: restore controller: %w", err)
-	}
-	if uf, ok := e.cfg.Feed.(*power.UtilityFeed); ok {
-		if st.Feed == nil {
-			return fmt.Errorf("sim: checkpoint has no feed state but engine feed is metered")
-		}
-		uf.Restore(*st.Feed)
-	} else if st.Feed != nil {
-		return fmt.Errorf("sim: checkpoint has feed state but engine feed is unmetered")
-	}
-	if e.dischargeConv != nil {
-		e.dischargeConv.RestoreLoss(st.DischargeConvLoss)
-	}
-	if e.utilityConv != nil {
-		e.utilityConv.RestoreLoss(st.UtilityConvLoss)
-	}
-
-	e.steps = st.Steps
-	e.now = st.Now
-	e.decision = st.Decision
-	e.view = st.View
-	e.slotPeak = st.SlotPeak
-	e.slotValley = st.SlotValley
-	e.slotHasSample = st.SlotHasSample
-	e.inMismatch = st.InMismatch
-	e.lastMode = st.LastMode
-	e.haveMode = st.HaveMode
-	e.lastShed = st.LastShed
-	e.hasShed = st.HasShed
-	e.degradedSecs = st.DegradedSecs
-	e.servedSC = st.ServedSC
-	e.servedBA = st.ServedBA
-	e.renewGen = st.RenewGen
-	e.renewUsed = st.RenewUsed
-	e.renewStored = st.RenewStored
-	e.renewSpilled = st.RenewSpilled
-	e.utilityDrawn = st.UtilityDrawn
-	e.utilityPeak = st.UtilityPeak
-	e.initialStored = st.InitialStored
-	e.demandSeries = append([]float64(nil), st.DemandSeries...)
-	e.slotPeaks = append([]float64(nil), st.SlotPeaks...)
-	e.slotValleys = append([]float64(nil), st.SlotValleys...)
-	e.shedEvents = st.ShedEvents
-	e.mismatchSteps = st.MismatchSteps
-	e.cappedFrom = nil
-	if len(st.CappedFrom) > 0 {
-		e.cappedFrom = make(map[int]power.FreqLevel, len(st.CappedFrom))
-		for _, cf := range st.CappedFrom {
-			e.cappedFrom[cf.ID] = cf.Freq
-		}
-	}
-	e.startStep = st.Steps
-	// The restored checkpoint is the chain's last record: the next delta
-	// emission encodes against exactly the state restored here.
-	e.ckptDemandLen = len(e.demandSeries)
-	e.ckptPeaksLen = len(e.slotPeaks)
-	e.ckptValleysLen = len(e.slotValleys)
-	return nil
-}
-
-// RestoreJSON is Restore from the serialized form the checkpoint sink
-// received.
-func (e *Engine) RestoreJSON(raw []byte) error {
-	var st EngineState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("sim: decode checkpoint: %w", err)
-	}
-	return e.Restore(st)
+	return ok
 }

@@ -143,9 +143,10 @@ type Config struct {
 	// before the first step of the new slot. delta reports whether the
 	// state is delta-encoded (the CheckpointDelta answer for this record).
 	// The state buffer is reused by the next emission; the sink must copy
-	// what it keeps. A nil sink is the fast path: no state is assembled at
-	// all, so the hot loop stays allocation-free.
-	Checkpoints func(slot, step int, now time.Duration, state []byte, delta bool)
+	// what it keeps. Returning false stops the run where it stands, as a
+	// MaxSteps stop does. A nil sink is the fast path: no state is
+	// assembled at all, so the hot loop stays allocation-free.
+	Checkpoints func(slot, step int, now time.Duration, state []byte, delta bool) bool
 	// CheckpointEvery is the checkpoint decimation in control slots
 	// (1 = every slot boundary). Zero disables checkpointing even when
 	// a sink is installed.
@@ -160,10 +161,9 @@ type Config struct {
 	CheckpointDelta func() bool
 
 	// MaxSteps, when positive, stops the run after executing steps
-	// [0, MaxSteps) — or [startStep, MaxSteps) when resuming — without
-	// the usual end-of-run bookkeeping (no trailing slot finish, no
-	// run_end event). It is the substrate of windowed replay and of the
-	// kill half of kill-and-resume tests.
+	// [0, MaxSteps) without the usual end-of-run bookkeeping (no trailing
+	// slot finish, no run_end event). It is the substrate of windowed
+	// replay and of the kill half of kill-and-resume tests.
 	MaxSteps int
 
 	// Prof, when set, is the cell-labeled pprof context (see
@@ -275,10 +275,6 @@ type Engine struct {
 	cappedFrom   map[int]power.FreqLevel
 	degradedSecs float64
 
-	// startStep is the first step index Run executes: zero for a fresh
-	// run, the checkpointed step count after Restore.
-	startStep int
-
 	// Accounting.
 	servedSC, servedBA   units.Energy // delivered to servers per pool
 	renewGen, renewUsed  units.Energy
@@ -308,7 +304,7 @@ type Engine struct {
 	probeTargets []probeTarget
 
 	// Delta-checkpoint state: how much of each metric series the last
-	// emitted (or restored) checkpoint already carried, so a delta record
+	// emitted checkpoint already carried, so a delta record
 	// needs only the suffix grown since then.
 	ckptDemandLen, ckptPeaksLen, ckptValleysLen int
 }
@@ -414,13 +410,13 @@ func MustNew(cfg Config) *Engine {
 // Fabric exposes the relay fabric (for tests and telemetry).
 func (e *Engine) Fabric() *power.Fabric { return e.fabric }
 
-// sizeSeries returns s truncated to keep elements with capacity for at
-// least want, copying only when the existing backing array is too small.
-func sizeSeries(s []float64, keep, want int) []float64 {
+// sizeSeries returns s emptied with capacity for at least want,
+// allocating only when the existing backing array is too small.
+func sizeSeries(s []float64, want int) []float64 {
 	if cap(s) >= want {
-		return s[:keep]
+		return s[:0]
 	}
-	return append(make([]float64, 0, want), s[:keep]...)
+	return make([]float64, 0, want)
 }
 
 // Reset rebinds the engine to a new run configuration while keeping every
@@ -487,7 +483,6 @@ func (e *Engine) Reset(cfg Config) error {
 		clear(e.cappedFrom)
 	}
 	e.degradedSecs = 0
-	e.startStep = 0
 	e.servedSC, e.servedBA = 0, 0
 	e.renewGen, e.renewUsed = 0, 0
 	e.renewStored, e.renewSpilled = 0, 0
@@ -519,23 +514,14 @@ func (e *Engine) Run() Result {
 		slotSteps = 1
 	}
 	nSlots := steps/slotSteps + 1
-	if e.startStep == 0 {
-		e.initialStored = e.storedTotal()
-		// Size the metric series up front: appending one sample per tick to
-		// a growing slice would re-copy the whole history log2(steps) times.
-		// A pooled engine arrives here with full-capacity backing arrays
-		// from its previous run, so sizing truncates instead of allocating.
-		e.demandSeries = sizeSeries(e.demandSeries, 0, steps)
-		e.slotPeaks = sizeSeries(e.slotPeaks, 0, nSlots)
-		e.slotValleys = sizeSeries(e.slotValleys, 0, nSlots)
-	} else {
-		// Resuming: keep the restored prefixes (initialStored came from the
-		// checkpoint) and grow their backing to full run capacity only when
-		// the restore left them short.
-		e.demandSeries = sizeSeries(e.demandSeries, len(e.demandSeries), steps)
-		e.slotPeaks = sizeSeries(e.slotPeaks, len(e.slotPeaks), nSlots)
-		e.slotValleys = sizeSeries(e.slotValleys, len(e.slotValleys), nSlots)
-	}
+	e.initialStored = e.storedTotal()
+	// Size the metric series up front: appending one sample per tick to a
+	// growing slice would re-copy the whole history log2(steps) times. A
+	// pooled engine arrives here with full-capacity backing arrays from
+	// its previous run, so sizing truncates instead of allocating.
+	e.demandSeries = sizeSeries(e.demandSeries, steps)
+	e.slotPeaks = sizeSeries(e.slotPeaks, nSlots)
+	e.slotValleys = sizeSeries(e.slotValleys, nSlots)
 
 	if cfg.Probes != nil || cfg.Invariants != nil {
 		e.buildProbeTargets()
@@ -544,7 +530,7 @@ func (e *Engine) Run() Result {
 		cfg.Invariants.start(e)
 	}
 
-	if cfg.Events != nil && e.startStep == 0 {
+	if cfg.Events != nil {
 		cfg.Events.Emit(obs.Event{
 			Kind: obs.EventRunStart, Server: -1,
 			Detail: cfg.Controller.Scheme().Name(),
@@ -552,21 +538,19 @@ func (e *Engine) Run() Result {
 	}
 	span := cfg.Spans
 	span.Begin("run", "engine")
-	if e.startStep == 0 {
-		if cfg.Prof != nil {
-			prof.SetPhase(cfg.Prof, prof.PhasePlan)
-		}
-		e.planSlot(0)
-		if cfg.Prof != nil {
-			prof.SetPhase(cfg.Prof, prof.PhaseSteps)
-		}
+	if cfg.Prof != nil {
+		prof.SetPhase(cfg.Prof, prof.PhasePlan)
+	}
+	e.planSlot(0)
+	if cfg.Prof != nil {
+		prof.SetPhase(cfg.Prof, prof.PhaseSteps)
 	}
 	batch := 0
 	aborted := false
 	stopped := false
-	for i := e.startStep; i < steps; i++ {
+	for i := 0; i < steps; i++ {
 		now := time.Duration(i) * cfg.Step
-		if i > e.startStep && i%slotSteps == 0 {
+		if i > 0 && i%slotSteps == 0 {
 			if batch > 0 {
 				span.End()
 				batch = 0
@@ -576,8 +560,10 @@ func (e *Engine) Run() Result {
 			}
 			e.finishSlot()
 			e.planSlot(now)
-			if cfg.Checkpoints != nil && cfg.CheckpointEvery > 0 && (i/slotSteps)%cfg.CheckpointEvery == 0 {
-				e.emitCheckpoint(i/slotSteps, i, now)
+			if cfg.Checkpoints != nil && cfg.CheckpointEvery > 0 && (i/slotSteps)%cfg.CheckpointEvery == 0 &&
+				!e.emitCheckpoint(i/slotSteps, i, now) {
+				stopped = true
+				break
 			}
 			if cfg.Prof != nil {
 				prof.SetPhase(cfg.Prof, prof.PhaseSteps)
@@ -615,7 +601,7 @@ func (e *Engine) Run() Result {
 	}
 	if !stopped {
 		// A MaxSteps stop is mid-slot by construction: the trailing slot
-		// stays open so a resumed or windowed continuation finishes it.
+		// stays open, as it was when the run was killed.
 		e.finishSlot()
 	}
 	span.End()

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -81,19 +82,25 @@ func (tr *Trace) At(t time.Duration) []float64 {
 	return tr.Samples[i]
 }
 
-// Validate checks the trace's structural invariants: rectangular rows and
-// every sample in [0,1].
+// Validate checks the trace's structural invariants: at least one
+// non-empty row, rectangular rows and every sample a finite value in
+// [0,1].
 func (tr *Trace) Validate() error {
 	if tr.Step <= 0 {
 		return fmt.Errorf("trace %q: step %v must be positive", tr.Name, tr.Step)
 	}
 	w := tr.Servers()
+	if w == 0 {
+		return fmt.Errorf("trace %q: no samples", tr.Name)
+	}
 	for i, row := range tr.Samples {
 		if len(row) != w {
 			return fmt.Errorf("trace %q: row %d has %d columns, want %d", tr.Name, i, len(row), w)
 		}
 		for j, v := range row {
-			if v < 0 || v > 1 {
+			// The negated form also rejects NaN, which fails every
+			// comparison.
+			if !(v >= 0 && v <= 1) {
 				return fmt.Errorf("trace %q: sample [%d][%d] = %g outside [0,1]", tr.Name, i, j, v)
 			}
 		}
@@ -232,7 +239,9 @@ func ReadCSV(r io.Reader, name string, fallbackStep time.Duration) (*Trace, erro
 		t0, err0 := strconv.ParseFloat(records[1][0], 64)
 		t1, err1 := strconv.ParseFloat(records[2][0], 64)
 		if err0 == nil && err1 == nil && t1 > t0 {
-			tr.Step = time.Duration((t1 - t0) * float64(time.Second))
+			// Round, not truncate: WriteCSV's timestamps are the step's
+			// seconds, which scale back to a hair under whole nanoseconds.
+			tr.Step = time.Duration(math.Round((t1 - t0) * float64(time.Second)))
 		}
 	}
 	if tr.Step <= 0 {
@@ -263,11 +272,14 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &tj); err != nil {
 		return fmt.Errorf("trace: unmarshal: %w", err)
 	}
-	if tj.StepSeconds <= 0 {
-		return fmt.Errorf("trace: json step %g must be positive", tj.StepSeconds)
+	step := time.Duration(tj.StepSeconds * float64(time.Second))
+	if tj.StepSeconds <= 0 || step <= 0 {
+		// A step under a nanosecond truncates to zero, and one past the
+		// Duration range wraps negative; At divides by it.
+		return fmt.Errorf("trace: json step %g s must be at least 1 ns and fit a time.Duration", tj.StepSeconds)
 	}
 	tr.Name = tj.Name
-	tr.Step = time.Duration(tj.StepSeconds * float64(time.Second))
+	tr.Step = step
 	tr.Samples = tj.Samples
 	return nil
 }

@@ -309,3 +309,42 @@ func TestMergeValidation(t *testing.T) {
 		t.Error("accepted mismatched steps")
 	}
 }
+
+// TestValidateRejectsNonFinite: NaN fails every comparison, so a plain
+// range check passes it; Validate must still refuse it, and infinities,
+// and a trace without samples.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := MustNew("x", time.Second, 2, 2)
+		tr.Samples[1][0] = v
+		if err := tr.Validate(); err == nil {
+			t.Errorf("sample %g accepted", v)
+		}
+	}
+	csvNaN := "t_seconds,server0\n0,0.5\n10,NaN\n"
+	tr, err := ReadCSV(strings.NewReader(csvNaN), "x", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err == nil {
+		t.Error("CSV with a NaN cell validated")
+	}
+	if err := MustNew("x", time.Second, 1, 0).Validate(); err == nil {
+		t.Error("trace without rows validated")
+	}
+}
+
+// TestJSONRejectsUnrepresentableStep: a step below one nanosecond
+// truncates to a zero Duration, which At would divide by, and one past
+// the Duration range wraps negative.
+func TestJSONRejectsUnrepresentableStep(t *testing.T) {
+	for _, raw := range []string{
+		`{"step_seconds":1e-12,"samples":[[0.5]]}`,
+		`{"step_seconds":1e300,"samples":[[0.5]]}`,
+	} {
+		var tr Trace
+		if err := json.Unmarshal([]byte(raw), &tr); err == nil {
+			t.Errorf("%s accepted with step %v", raw, tr.Step)
+		}
+	}
+}

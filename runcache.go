@@ -131,11 +131,11 @@ func (p Prototype) poolKey(id SchemeID, budget units.Power) string {
 }
 
 // poolable reports whether a run may go through the cache: options that
-// inject foreign components (a custom feed, table, predictors, a resume
-// chain) or hand internal state to the caller (TableSink would leak the
-// pooled table, which the next reuse resets) force the fresh path.
+// inject foreign components (a custom feed, table, predictors) or hand
+// internal state to the caller (TableSink would leak the pooled table,
+// which the next reuse resets) force the fresh path.
 func (opts RunOptions) poolable() bool {
 	return opts.Feed == nil && opts.Table == nil &&
 		opts.PeakPredictor == nil && opts.ValleyPredictor == nil &&
-		opts.TableSink == nil && len(opts.ResumeCheckpoints) == 0
+		opts.TableSink == nil
 }
