@@ -1,64 +1,41 @@
-// Command hebbisect locates the first behavioral divergence between two
-// recorded runs. Both runs must have been recorded with
-// `hebsim -obs dir/ -checkpoint-every N` so each directory holds a
-// hash-chained checkpoints.jsonl; decisions.jsonl and events.jsonl are
-// used, when present, to explain the divergence at full resolution.
-//
-// Because the simulator is deterministic, two runs that agree at a
-// checkpoint agree at every earlier one, so divergence is monotone in
-// the slot index and the first diverging checkpoint is found by binary
-// search — only O(log n) state pairs are ever decoded and diffed.
-//
-// The report names the first diverging checkpoint, the field-level state
-// diff at that slot, and the bracketing decision records and discrete
-// events from both runs. Config-echo fields that trivially differ when
-// the two runs were configured differently (utility budget, cluster
-// size) are excluded by default; pass -ignore "" to diff strictly.
-//
-// Usage:
-//
-//	hebbisect [flags] dirA dirB
-//
-//	-run-a / -run-b   run key to select within a multi-run chain file
-//	                  (default: the run of the file's last record)
-//	-tol              float comparison tolerance (default 0: exact)
-//	-ignore           comma-separated field names excluded from the diff
-//	-max-diffs        cap on reported field diffs per slot
-//
-// Exit status: 0 when the common slot range is equivalent, 1 when a
-// divergence was found, 2 on usage or read errors.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
 	"strings"
 
 	"heb/internal/obs"
 )
 
-func main() {
-	runA := flag.String("run-a", "", "run key to select from dirA's chain (default: last record's run)")
-	runB := flag.String("run-b", "", "run key to select from dirB's chain (default: last record's run)")
-	tol := flag.Float64("tol", 0, "absolute+relative float tolerance (0 = exact)")
-	ignore := flag.String("ignore", "budget_w,Budget,NumServers", "comma-separated field names excluded from the state diff")
-	maxDiffs := flag.Int("max-diffs", 16, "cap on reported field diffs")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: hebbisect [flags] dirA dirB")
-		os.Exit(2)
+// bisectCmd locates the first behavioral divergence between two runs
+// recorded with `hebsim -obs dir/ -checkpoint-every N`. The simulator is
+// deterministic, so two runs that agree at a checkpoint agree at every
+// earlier one: divergence is monotone in the slot index, and a binary
+// search decodes and diffs only O(log n) state pairs. The report names
+// the first diverging checkpoint, its field-level state diff, and the
+// bracketing decisions and events when decisions.jsonl and events.jsonl
+// are present. Config-echo fields that differ between differently
+// configured runs (utility budget, cluster size) are ignored by default;
+// pass -ignore "" to diff strictly. A divergence is a finding.
+func bisectCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("bisect", flag.ExitOnError)
+	runA := fs.String("run-a", "", "run key to select from dirA's chain (default: last record's run)")
+	runB := fs.String("run-b", "", "run key to select from dirB's chain (default: last record's run)")
+	tol := fs.Float64("tol", 0, "absolute+relative float tolerance (0 = exact)")
+	ignore := fs.String("ignore", "budget_w,Budget,NumServers", "comma-separated field names excluded from the state diff")
+	maxDiffs := fs.Int("max-diffs", 16, "cap on reported field diffs")
+	if err := parse(fs, args, 2); err != nil {
+		return err
 	}
-	diverged, err := bisect(os.Stdout, flag.Arg(0), flag.Arg(1), *runA, *runB, *tol, ignoreSet(*ignore), *maxDiffs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hebbisect:", err)
-		os.Exit(2)
+	diverged, err := bisect(w, fs.Arg(0), fs.Arg(1), *runA, *runB, *tol, ignoreSet(*ignore), *maxDiffs)
+	if err == nil && diverged {
+		return findings{errors.New("runs diverge")}
 	}
-	if diverged {
-		os.Exit(1)
-	}
+	return err
 }
 
 func ignoreSet(s string) map[string]bool {
@@ -74,8 +51,7 @@ func ignoreSet(s string) map[string]bool {
 // side is one run's recorded artifacts: its checkpoint group plus the
 // optional decision/event traces filtered to the same run.
 type side struct {
-	dir string
-	run string
+	name, dir, run string
 	// records is the full validated chain (all runs); delta records
 	// materialize against it. bySlot maps this run's slots to indices
 	// into records.
@@ -88,27 +64,22 @@ type side struct {
 }
 
 // loadSide reads and validates one directory's chain and picks the
-// requested run group.
-func loadSide(dir, runKey string) (*side, error) {
-	f, err := os.Open(filepath.Join(dir, "checkpoints.jsonl"))
+// requested run group; name labels the side in the report.
+func loadSide(name, dir, runKey string) (*side, error) {
+	records, _, err := readArtifact(dir, "checkpoints.jsonl", obs.ReadCheckpoints)
+	if err == nil {
+		err = obs.ValidateCheckpoints(records)
+	}
+	if err == nil && len(records) == 0 {
+		err = errors.New("no checkpoints")
+	}
 	if err != nil {
-		return nil, err
-	}
-	records, rerr := obs.ReadCheckpoints(f)
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("%s: %w", dir, rerr)
-	}
-	if err := obs.ValidateCheckpoints(records); err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("%s: no checkpoints", dir)
 	}
 	if runKey == "" {
 		runKey = records[len(records)-1].Run
 	}
-	s := &side{dir: dir, run: runKey, records: records, bySlot: make(map[int]int)}
+	s := &side{name: name, dir: dir, run: runKey, records: records, bySlot: make(map[int]int)}
 	for i, r := range records {
 		if r.Run != runKey {
 			continue
@@ -121,30 +92,16 @@ func loadSide(dir, runKey string) (*side, error) {
 	}
 	sort.Ints(s.slots)
 
-	if df, err := os.Open(filepath.Join(dir, "decisions.jsonl")); err == nil {
-		recs, rerr := obs.ReadDecisions(df)
-		df.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("%s: %w", dir, rerr)
-		}
-		for _, r := range recs {
-			if r.Run == runKey {
-				s.decisions = append(s.decisions, r)
-			}
-		}
+	decisions, _, err := readArtifact(dir, "decisions.jsonl", obs.ReadDecisions)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
-	if ef, err := os.Open(filepath.Join(dir, "events.jsonl")); err == nil {
-		evs, rerr := obs.ReadEvents(ef)
-		ef.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("%s: %w", dir, rerr)
-		}
-		for _, e := range evs {
-			if e.Run == runKey {
-				s.events = append(s.events, e)
-			}
-		}
+	events, _, err := readArtifact(dir, "events.jsonl", obs.ReadEvents)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
+	s.decisions = ofRun(decisions, runKey, func(r obs.DecisionRecord) string { return r.Run })
+	s.events = ofRun(events, runKey, func(e obs.Event) string { return e.Run })
 	return s, nil
 }
 
@@ -186,12 +143,12 @@ func (s *side) decision(slot int) (obs.DecisionRecord, bool) {
 
 // bisect finds and reports the first diverging checkpoint. It returns
 // whether a divergence exists in the common slot range.
-func bisect(w *os.File, dirA, dirB, runA, runB string, tol float64, ignore map[string]bool, maxDiffs int) (bool, error) {
-	a, err := loadSide(dirA, runA)
+func bisect(w io.Writer, dirA, dirB, runA, runB string, tol float64, ignore map[string]bool, maxDiffs int) (bool, error) {
+	a, err := loadSide("A", dirA, runA)
 	if err != nil {
 		return false, err
 	}
-	b, err := loadSide(dirB, runB)
+	b, err := loadSide("B", dirB, runB)
 	if err != nil {
 		return false, err
 	}
@@ -262,17 +219,14 @@ func bisect(w *os.File, dirA, dirB, runA, runB string, tol float64, ignore map[s
 
 // reportDecisions prints both runs' decision records bracketing the
 // divergence: the slot the behavior diverged in and the next plan.
-func reportDecisions(w *os.File, a, b *side, slot int) {
+func reportDecisions(w io.Writer, a, b *side, slot int) {
 	if a.decisions == nil && b.decisions == nil {
 		return
 	}
 	fmt.Fprintf(w, "\nbracketing decisions (control slots %d-%d):\n", slot, slot+1)
 	for s := slot; s <= slot+1; s++ {
-		for _, sd := range []struct {
-			name string
-			side *side
-		}{{"A", a}, {"B", b}} {
-			r, ok := sd.side.decision(s)
+		for _, sd := range []*side{a, b} {
+			r, ok := sd.decision(s)
 			if !ok {
 				continue
 			}
@@ -285,7 +239,7 @@ func reportDecisions(w *os.File, a, b *side, slot int) {
 // reportEvents prints both runs' discrete events inside the diverging
 // control slot (checkpoint slot s covers simulation time
 // [(s-1)*slot, s*slot)).
-func reportEvents(w *os.File, a, b *side, slot int) {
+func reportEvents(w io.Writer, a, b *side, slot int) {
 	if a.events == nil && b.events == nil {
 		return
 	}
@@ -295,12 +249,9 @@ func reportEvents(w *os.File, a, b *side, slot int) {
 	}
 	lo, hi := float64(slot-1)*slotSecs, float64(slot)*slotSecs
 	fmt.Fprintf(w, "\nbracketing events (t=%g-%gs):\n", lo, hi)
-	for _, sd := range []struct {
-		name string
-		side *side
-	}{{"A", a}, {"B", b}} {
+	for _, sd := range []*side{a, b} {
 		n := 0
-		for _, e := range sd.side.events {
+		for _, e := range sd.events {
 			if e.Seconds < lo || e.Seconds >= hi {
 				continue
 			}

@@ -3,10 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,17 +16,6 @@ import (
 	"heb/internal/obs/prof"
 )
 
-// TestMain lets a test drive obscheck end to end: with
-// OBSCHECK_TEST_MAIN set, the test binary runs main() on its
-// command-line arguments instead of the test suite.
-func TestMain(m *testing.M) {
-	if os.Getenv("OBSCHECK_TEST_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // writeCapture records one real HEB-D run (probes + audit + alerts on)
 // into dir. The tight SoC ceiling guarantees the rule engine fires, so
 // the capture always carries an alerts.jsonl to validate.
@@ -36,7 +23,7 @@ func writeCapture(t *testing.T, dir string) {
 	t.Helper()
 	p := heb.DefaultPrototype()
 	p.Capture = obs.NewCapture()
-	p.Capture.SetLabel("obscheck-test")
+	p.Capture.SetLabel("hebobs-check-test")
 	p.ProbeEvery = 300
 	p.Audit = obs.AuditModeReport
 	p.Alert = alerts.ModeReport
@@ -110,6 +97,52 @@ func TestCheckRejectsTamperedArtifact(t *testing.T) {
 	_, _, err = check(dir, false)
 	if err == nil || !strings.Contains(err.Error(), "manifest says") {
 		t.Fatalf("tampered artifact accepted: %v", err)
+	}
+}
+
+// TestCheckRejectsShortInventoryHash pins the mismatch report for a
+// manifest hash shorter than the 12 characters the message abbreviates
+// to: it must be reported, not sliced out of range.
+func TestCheckRejectsShortInventoryHash(t *testing.T) {
+	dir := t.TempDir()
+	writeCapture(t, dir)
+	m, err := obs.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Artifacts[0].SHA256 = "abc"
+	if err := obs.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = check(dir, false)
+	if err == nil || !strings.Contains(err.Error(), "manifest says abc") {
+		t.Fatalf("short inventory hash accepted: %v", err)
+	}
+}
+
+// TestCheckRejectsForeignArtifactEntry holds the artifact inventory to
+// the capture's own file names: an entry that reaches outside the
+// capture is refused even when its size and hash match.
+func TestCheckRejectsForeignArtifactEntry(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "capture")
+	writeCapture(t, dir)
+	body := []byte("not part of the capture\n")
+	if err := os.WriteFile(filepath.Join(root, "outside.txt"), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	m.Artifacts = append(m.Artifacts, obs.ArtifactInfo{
+		Name: "../outside.txt", Bytes: int64(len(body)), SHA256: hex.EncodeToString(sum[:])})
+	if err := obs.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := check(dir, false); err == nil || !strings.Contains(err.Error(), "../outside.txt") {
+		t.Fatalf("inventory entry outside the capture accepted: %v", err)
 	}
 }
 
@@ -343,7 +376,7 @@ func writeChainJSONL(t *testing.T, dir string, records []obs.CheckpointRecord) {
 	}
 }
 
-// TestCheckRejectsV1Chain holds obscheck to the single checkpoint schema:
+// TestCheckRejectsV1Chain holds hebobs check to the single checkpoint schema:
 // a hand-built v2 keyframe/delta chain validates, while a v1 record is
 // refused — and the command exits non-zero — even though its retired
 // v1 hash (SHA-256 over the header and the whole state) is correct. The
@@ -378,11 +411,8 @@ func TestCheckRejectsV1Chain(t *testing.T) {
 	if _, _, err := check(dir, false); err == nil || !strings.Contains(err.Error(), "unknown schema version 1") {
 		t.Fatalf("v1 record accepted: %v", err)
 	}
-	cmd := exec.Command(os.Args[0], dir)
-	cmd.Env = append(os.Environ(), "OBSCHECK_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "unknown schema version 1") {
-		t.Fatalf("obscheck on a v1 chain: %v\n%s", err, out)
+	out, code := runMain(t, "check", dir)
+	if code != 1 || !strings.Contains(out, "unknown schema version 1") {
+		t.Fatalf("hebobs check on a v1 chain: exit %d\n%s", code, out)
 	}
 }

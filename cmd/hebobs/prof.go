@@ -1,19 +1,3 @@
-// Command hebprof is the differential profiler for hebsim captures: it
-// rolls up the pprof artifacts a profiled run leaves in <obs>/profiles/,
-// compares two profiled runs frame by frame, and gates a profile against
-// the committed BENCH_prof.json top-frames baseline. It is the profile
-// analogue of hebwatch: human tables on stdout, thresholded exit status
-// for CI.
-//
-// Usage:
-//
-//	hebprof top  [-kind cpu] [-sample cpu] [-n 20] [-by phase] <input>...
-//	hebprof diff [-kind cpu] [-min 1] [-threshold 5] <base> <new>
-//	hebprof check [-baseline BENCH_prof.json] [-update] <input>...
-//
-// An input is a pprof proto file (.pb.gz or raw, e.g. a `go test
-// -memprofile` output), a capture directory holding profiles/, or a tree
-// of capture directories — tree inputs merge every matching profile.
 package main
 
 import (
@@ -21,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,55 +14,10 @@ import (
 	"heb/internal/obs/prof"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "top":
-		err = topCmd(os.Stdout, os.Args[2:])
-	case "diff":
-		err = diffCmd(os.Stdout, os.Args[2:])
-	case "check":
-		err = checkCmd(os.Stdout, os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage(os.Stdout)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "hebprof: unknown subcommand %q\n\n", os.Args[1])
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	if err != nil {
-		if _, thresh := err.(exceeded); thresh {
-			fmt.Fprintln(os.Stderr, "hebprof:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "hebprof:", err)
-		os.Exit(2)
-	}
-}
-
-func usage(w io.Writer) {
-	fmt.Fprint(w, `hebprof — differential profiler for hebsim capture profiles
-
-subcommands:
-  top    merged per-frame flat/cum rollup of one or many profiled runs
-  diff   per-frame delta table between two profiles or capture trees
-  check  gate a profile against a committed BENCH_prof.json baseline
-
-inputs are pprof files (.pb.gz), capture dirs (use <dir>/profiles/), or
-trees of capture dirs (merged).
-`)
-}
-
-// exceeded marks threshold-style failures (exit 1) as opposed to usage or
-// IO errors (exit 2).
-type exceeded struct{ msg string }
-
-func (e exceeded) Error() string { return e.msg }
+// The prof subcommands are the differential profiler for hebsim capture
+// profiles. An input is a pprof proto file (.pb.gz or raw, e.g. a `go
+// test -memprofile` output), a capture directory holding profiles/, or a
+// tree of capture directories — tree inputs merge every matching profile.
 
 // resolveInputs expands each input into pprof file paths for the kind:
 // a file is taken as-is; a capture dir contributes dir/profiles/<kind>;
@@ -142,15 +82,16 @@ func loadRollup(inputs []string, kind, sample, by string) (*prof.Rollup, []strin
 	return r, files, nil
 }
 
-func topCmd(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
+// profTopCmd prints the merged per-frame flat/cum rollup of one or many
+// profiled runs.
+func profTopCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("prof top", flag.ExitOnError)
 	kind := fs.String("kind", "cpu", "profile kind to load from capture dirs (cpu, heap, allocs, mutex, block)")
 	sample := fs.String("sample", "", "sample type to aggregate (default: the profile's headline column)")
 	n := fs.Int("n", 20, "frames to show")
 	by := fs.String("by", "", "also bucket totals by this pprof label (scheme, workload, seed, phase)")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("top: need at least one input (profile file or capture dir)")
+	if err := parse(fs, args, -1); err != nil {
+		return err
 	}
 	r, files, err := loadRollup(fs.Args(), *kind, *sample, *by)
 	if err != nil {
@@ -193,15 +134,16 @@ func writeLabelBuckets(w io.Writer, r *prof.Rollup, label string) {
 	}
 }
 
-func diffCmd(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+// profDiffCmd prints the per-frame delta table between two profiles or
+// capture trees; a frame share moved past -threshold is a finding.
+func profDiffCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("prof diff", flag.ExitOnError)
 	kind := fs.String("kind", "cpu", "profile kind to load from capture dirs")
 	sample := fs.String("sample", "", "sample type to aggregate (default: headline column)")
 	minPct := fs.Float64("min", 1.0, "hide frames below this flat%% on both sides")
 	threshold := fs.Float64("threshold", 5.0, "exit nonzero when any frame's flat share moved more than this many percentage points (0 disables)")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return fmt.Errorf("diff: need exactly two inputs (base and new)")
+	if err := parse(fs, args, 2); err != nil {
+		return err
 	}
 	base, _, err := loadRollup(fs.Args()[:1], *kind, *sample, "")
 	if err != nil {
@@ -212,7 +154,7 @@ func diffCmd(w io.Writer, args []string) error {
 		return fmt.Errorf("new: %w", err)
 	}
 	if base.Sample != cur.Sample {
-		return fmt.Errorf("diff: sample types differ: base %s vs new %s", base.Sample, cur.Sample)
+		return fmt.Errorf("sample types differ: base %s vs new %s", base.Sample, cur.Sample)
 	}
 	rows := prof.Diff(base, cur, *minPct)
 	fmt.Fprintf(w, "sample %s, base total %s, new total %s\n", base.Sample,
@@ -224,31 +166,29 @@ func diffCmd(w io.Writer, args []string) error {
 			prof.FormatValue(row.BaseFlat, base.Sample.Unit), row.BasePct,
 			prof.FormatValue(row.NewFlat, cur.Sample.Unit), row.NewPct,
 			row.DeltaPct, prof.ShortName(row.Name))
-		if d := row.DeltaPct; d > worst {
-			worst = d
-		} else if -d > worst {
-			worst = -d
-		}
+		worst = math.Max(worst, math.Abs(row.DeltaPct))
 	}
 	if *threshold > 0 && worst > *threshold {
-		return exceeded{fmt.Sprintf("diff: worst frame delta %.2fpp exceeds threshold %.2fpp", worst, *threshold)}
+		return findings{fmt.Errorf("worst frame delta %.2fpp exceeds threshold %.2fpp", worst, *threshold)}
 	}
 	return nil
 }
 
-func checkCmd(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
+// profCheckCmd gates a profile against a committed BENCH_prof.json
+// top-frames baseline (new or grown frames are findings), or rewrites the
+// baseline with -update.
+func profCheckCmd(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("prof check", flag.ExitOnError)
 	baseline := fs.String("baseline", "BENCH_prof.json", "committed top-frames baseline")
-	kind := fs.String("kind", "allocs", "profile kind to load from capture dirs")
+	kind := fs.String("kind", "", "profile kind to load from capture dirs (default: the kind carrying the sample, else allocs)")
 	sample := fs.String("sample", "", "sample type to aggregate (default: the baseline's recorded sample, else headline)")
 	newPct := fs.Float64("new-pct", 3.0, "fail a frame absent from the baseline at or above this flat%%")
 	growth := fs.Float64("growth", 1.5, "fail a known frame grown past baseline×factor")
 	top := fs.Int("n", 25, "frames snapshotted with -update")
 	update := fs.Bool("update", false, "rewrite the baseline from the input instead of gating")
 	source := fs.String("source", "", "with -update: regeneration note stored in the baseline")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("check: need at least one input (profile file or capture dir)")
+	if err := parse(fs, args, -1); err != nil {
+		return err
 	}
 	sampleName := *sample
 	var b *prof.Baseline
@@ -262,6 +202,12 @@ func checkCmd(w io.Writer, args []string) error {
 			// "alloc_space/bytes" -> "alloc_space": select the same column
 			// the baseline was built from.
 			sampleName = strings.SplitN(b.Sample, "/", 2)[0]
+		}
+	}
+	if *kind == "" {
+		*kind = "allocs"
+		if sampleName != "" {
+			*kind = prof.KindForSample(sampleName)
 		}
 	}
 	cur, files, err := loadRollup(fs.Args(), *kind, sampleName, "")
@@ -288,5 +234,5 @@ func checkCmd(w io.Writer, args []string) error {
 	for _, v := range viol {
 		fmt.Fprintf(w, "  %s\n", v)
 	}
-	return exceeded{fmt.Sprintf("check: %d frame(s) regressed", len(viol))}
+	return findings{fmt.Errorf("%d frame(s) regressed", len(viol))}
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,12 +14,24 @@ import (
 )
 
 // capture writes a real allocs+cpu profile pair into dir/profiles by
-// running a labeled allocation workload under a collector.
+// running a labeled allocation workload under a collector. The allocs
+// profile is cumulative since process start, so the workload runs in a
+// fresh process (see TestMain) that the other tests' allocations never
+// touched.
 func capture(t *testing.T, dir string, perIter int) {
 	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), fmt.Sprintf("HEBOBS_TEST_CAPTURE=%d:%s", perIter, dir))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("capture workload: %v\n%s", err, out)
+	}
+}
+
+// captureWorkload is capture's child-process body.
+func captureWorkload(dir string, perIter int) error {
 	c := prof.NewCollector(dir, []string{"cpu", "allocs"})
 	if err := c.Start(); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var escape [][]byte
 	prof.DoCell("HEB-D", "PR", 42, func(ctx context.Context) {
@@ -27,9 +41,7 @@ func capture(t *testing.T, dir string, perIter int) {
 		}
 	})
 	_ = escape
-	if err := c.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	return c.Stop()
 }
 
 func TestResolveInputs(t *testing.T) {
@@ -65,7 +77,7 @@ func TestTopCmd(t *testing.T) {
 	dir := t.TempDir()
 	capture(t, dir, 1024)
 	var out bytes.Buffer
-	if err := topCmd(&out, []string{"-kind", "allocs", "-n", "10", dir}); err != nil {
+	if err := profTopCmd(&out, []string{"-kind", "allocs", "-n", "10", dir}); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -84,7 +96,7 @@ func TestTopByLabel(t *testing.T) {
 	// Labels only attach to CPU samples; the CPU profile may legitimately
 	// be empty for this tiny workload, in which case top still succeeds
 	// with a zero total.
-	err := topCmd(&out, []string{"-kind", "allocs", "-by", "phase", dir})
+	err := profTopCmd(&out, []string{"-kind", "allocs", "-by", "phase", dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +111,7 @@ func TestDiffCmdThreshold(t *testing.T) {
 	capture(t, cur, 256)
 	var out bytes.Buffer
 	// Same workload twice: frame shares match, no threshold trip.
-	if err := diffCmd(&out, []string{"-kind", "allocs", "-threshold", "30", base, cur}); err != nil {
+	if err := profDiffCmd(&out, []string{"-kind", "allocs", "-threshold", "30", base, cur}); err != nil {
 		t.Fatalf("identical workloads should pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "Δpp") {
@@ -107,7 +119,7 @@ func TestDiffCmdThreshold(t *testing.T) {
 	}
 	// Threshold 0 disables the gate entirely.
 	out.Reset()
-	if err := diffCmd(&out, []string{"-kind", "allocs", "-threshold", "0", base, cur}); err != nil {
+	if err := profDiffCmd(&out, []string{"-kind", "allocs", "-threshold", "0", base, cur}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,7 +130,7 @@ func TestCheckCmdUpdateAndGate(t *testing.T) {
 	baseline := filepath.Join(t.TempDir(), "BENCH_prof.json")
 
 	var out bytes.Buffer
-	if err := checkCmd(&out, []string{"-baseline", baseline, "-kind", "allocs", "-update", "-source", "test", dir}); err != nil {
+	if err := profCheckCmd(&out, []string{"-baseline", baseline, "-kind", "allocs", "-update", "-source", "test", dir}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(baseline); err != nil {
@@ -127,7 +139,7 @@ func TestCheckCmdUpdateAndGate(t *testing.T) {
 
 	// Self-check passes.
 	out.Reset()
-	if err := checkCmd(&out, []string{"-baseline", baseline, "-kind", "allocs", dir}); err != nil {
+	if err := profCheckCmd(&out, []string{"-baseline", baseline, "-kind", "allocs", dir}); err != nil {
 		t.Fatalf("self check: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "profile check OK") {
@@ -141,14 +153,51 @@ func TestCheckCmdUpdateAndGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	err := checkCmd(&out, []string{"-baseline", fake, "-kind", "allocs", dir})
+	err := profCheckCmd(&out, []string{"-baseline", fake, "-kind", "allocs", dir})
 	if err == nil {
 		t.Fatalf("seeded regression should fail:\n%s", out.String())
 	}
-	if _, ok := err.(exceeded); !ok {
+	if _, ok := err.(findings); !ok {
 		t.Fatalf("want threshold failure (exit 1 class), got %T: %v", err, err)
 	}
 	if !strings.Contains(out.String(), "new-frame") {
 		t.Fatalf("missing violation detail:\n%s", out.String())
+	}
+}
+
+// TestCheckCmdFollowsBaselineSample pins prof check's default kind: with
+// no -kind, a capture dir input loads the profile kind that carries the
+// baseline's sample (allocs for an alloc_space baseline), for both a
+// direct pprof file and the capture directory.
+func TestCheckCmdFollowsBaselineSample(t *testing.T) {
+	dir := t.TempDir()
+	capture(t, dir, 1024)
+	profPath := filepath.Join(dir, prof.Dir, prof.FileName("allocs"))
+	base := filepath.Join(t.TempDir(), "BENCH_prof.json")
+	var out bytes.Buffer
+	if err := profCheckCmd(&out, []string{"-baseline", base, "-sample", "alloc_space", "-update", profPath}); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{profPath, dir} {
+		out.Reset()
+		if err := profCheckCmd(&out, []string{"-baseline", base, in}); err != nil {
+			t.Fatalf("self check via %s: %v\n%s", in, err, out.String())
+		}
+		if !strings.Contains(out.String(), "profile check OK") || !strings.Contains(out.String(), "alloc_space") {
+			t.Errorf("self check via %s:\n%s", in, out.String())
+		}
+	}
+
+	// A cpu-sample baseline sends the same capture dir to cpu.pb.gz: the
+	// gate may pass or flag frames, but it must not fail to find the
+	// cpu sample type, as it would in the allocs profile.
+	cpuBase := filepath.Join(t.TempDir(), "BENCH_prof.json")
+	if err := os.WriteFile(cpuBase, []byte(`{"v":1,"sample":"cpu/nanoseconds","frames":[{"name":"no.suchFrame","flat_pct":95}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err := profCheckCmd(&out, []string{"-baseline", cpuBase, dir})
+	if _, isFinding := err.(findings); err != nil && !isFinding {
+		t.Fatalf("cpu baseline against %s: %v\n%s", dir, err, out.String())
 	}
 }

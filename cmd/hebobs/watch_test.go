@@ -8,7 +8,6 @@ import (
 
 	"heb/internal/obs"
 	"heb/internal/obs/alerts"
-	"heb/internal/obs/prof"
 	"heb/internal/obs/registry/baseline"
 )
 
@@ -41,10 +40,10 @@ func artifact(scheme string, seed int64, eff float64, health string) obs.RunArti
 	return a
 }
 
-func writeCapture(t *testing.T, dir string, arts ...obs.RunArtifact) obs.Manifest {
+func writeArtifacts(t *testing.T, dir string, arts ...obs.RunArtifact) obs.Manifest {
 	t.Helper()
 	c := obs.NewCapture()
-	c.SetLabel("hebwatch-test")
+	c.SetLabel("hebobs-watch-test")
 	for _, a := range arts {
 		c.Contribute(a)
 	}
@@ -60,7 +59,7 @@ func writeCapture(t *testing.T, dir string, arts ...obs.RunArtifact) obs.Manifes
 
 func TestScoreFlagsOutlierRun(t *testing.T) {
 	root := t.TempDir()
-	writeCapture(t, filepath.Join(root, "sweep"),
+	writeArtifacts(t, filepath.Join(root, "sweep"),
 		artifact("HEB-D", 1, 0.81, ""),
 		artifact("HEB-D", 2, 0.82, ""),
 		artifact("HEB-D", 3, 0.83, ""),
@@ -86,7 +85,7 @@ func TestScoreFlagsOutlierRun(t *testing.T) {
 
 func TestScoreSingleRunAndUnknown(t *testing.T) {
 	root := t.TempDir()
-	m := writeCapture(t, filepath.Join(root, "sweep"),
+	m := writeArtifacts(t, filepath.Join(root, "sweep"),
 		artifact("HEB-D", 1, 0.81, ""),
 		artifact("HEB-D", 2, 0.82, ""),
 		artifact("HEB-D", 3, 0.83, ""),
@@ -106,7 +105,7 @@ func TestScoreSingleRunAndUnknown(t *testing.T) {
 
 func TestScoreEscalatesUnhealthyRun(t *testing.T) {
 	root := t.TempDir()
-	writeCapture(t, filepath.Join(root, "sweep"),
+	writeArtifacts(t, filepath.Join(root, "sweep"),
 		artifact("HEB-D", 1, 0.81, ""),
 		artifact("HEB-D", 2, 0.82, ""),
 		artifact("HEB-D", 3, 0.83, alerts.HealthCritical),
@@ -125,13 +124,13 @@ func TestScoreEscalatesUnhealthyRun(t *testing.T) {
 func TestDiffFlagsCohortDrift(t *testing.T) {
 	root := t.TempDir()
 	a, b := filepath.Join(root, "a"), filepath.Join(root, "b")
-	writeCapture(t, a,
+	writeArtifacts(t, a,
 		artifact("HEB-D", 1, 0.81, ""),
 		artifact("HEB-D", 2, 0.82, ""),
 		artifact("HEB-D", 3, 0.83, ""),
 		artifact("HEB-D", 4, 0.84, ""))
 	// Cohort B collapsed to a quarter of A's efficiency: critical drift.
-	writeCapture(t, b,
+	writeArtifacts(t, b,
 		artifact("HEB-D", 1, 0.20, ""),
 		artifact("HEB-D", 2, 0.21, ""),
 		artifact("HEB-D", 3, 0.22, ""),
@@ -155,8 +154,8 @@ func TestDiffIdenticalTreesClean(t *testing.T) {
 		artifact("HEB-D", 3, 0.83, ""),
 		artifact("HEB-D", 4, 0.84, ""),
 	}
-	writeCapture(t, a, arts...)
-	writeCapture(t, b, arts...)
+	writeArtifacts(t, a, arts...)
+	writeArtifacts(t, b, arts...)
 	var sb strings.Builder
 	criticals, err := diff(&sb, a, b, baseline.Window{})
 	if err != nil {
@@ -271,68 +270,5 @@ func TestBenchBadFiles(t *testing.T) {
 	writeBench(t, empty, `{"benchmarks": []}`)
 	if _, err := bench(&sb, empty, good, 1.5); err == nil {
 		t.Fatal("empty benchmark list accepted")
-	}
-}
-
-// TestBenchRoutesProfileBaseline pins the bench subcommand's routing: a
-// baseline file with a "frames" array runs the profile frame gate
-// against a pprof input instead of the timings comparator.
-func TestBenchRoutesProfileBaseline(t *testing.T) {
-	dir := t.TempDir()
-	c := prof.NewCollector(dir, []string{"allocs"})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var sink [][]byte
-	for i := 0; i < 2000; i++ {
-		sink = append(sink, make([]byte, 1024))
-	}
-	_ = sink
-	if err := c.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	profPath := filepath.Join(dir, prof.Dir, prof.FileName("allocs"))
-	p, err := prof.ParseFile(profPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := prof.NewRollup([]*prof.Profile{p}, "alloc_space", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base := filepath.Join(t.TempDir(), "BENCH_prof.json")
-	if err := prof.WriteBaseline(base, prof.NewBaseline(r, 25, "test")); err != nil {
-		t.Fatal(err)
-	}
-	if !prof.IsBaselineFile(base) {
-		t.Fatal("written baseline not recognized as a profile baseline")
-	}
-
-	// Self-check: profile against its own baseline is clean, via both a
-	// direct file path and the capture directory.
-	for _, in := range []string{profPath, dir} {
-		var out strings.Builder
-		n, err := benchProf(&out, in, base)
-		if err != nil || n != 0 {
-			t.Fatalf("self check via %s: %d findings, %v\n%s", in, n, err, out.String())
-		}
-		if !strings.Contains(out.String(), "within tolerance") {
-			t.Errorf("missing verdict line:\n%s", out.String())
-		}
-	}
-
-	// A baseline that doesn't cover the profile's frames regresses.
-	fake := filepath.Join(t.TempDir(), "BENCH_prof.json")
-	if err := os.WriteFile(fake, []byte(`{"v":1,"sample":"alloc_space/bytes","frames":[{"name":"no.suchFrame","flat_pct":95}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	n, err := benchProf(&out, profPath, fake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || !strings.Contains(out.String(), "REGRESSED") {
-		t.Fatalf("seeded regression not flagged (%d findings):\n%s", n, out.String())
 	}
 }

@@ -56,7 +56,7 @@ func main() {
 		alertsF  = flag.String("alerts", "off", "invariant checker, SLO-rule side: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict")
 		alertFlr = flag.Float64("alert-soc-floor", 0, "override the soc_floor alert threshold (0 = rule default, negative disables); tightening it above a scheme's natural SoC swing fault-injects a critical breach")
 		profileF = flag.String("profile", "", "capture pprof profiles into <obs>/profiles/ (comma list of cpu, heap, allocs, mutex, block, or all; requires -obs); profiles measure wall-clock behaviour and are excluded from byte-identity checks, like -trace-clock wall")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event span profile to this file (open in Perfetto; summarize with hebtrace)")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event span profile to this file (open in Perfetto; summarize with hebobs trace)")
 		traceClk = flag.String("trace-clock", "virtual", "trace timestamps: virtual (deterministic) or wall (real elapsed time)")
 		ckptEvry = flag.Int("checkpoint-every", 0, "flight recorder: checkpoint the engine state every N control slots into <obs>/checkpoints.jsonl (-exp run; requires -obs)")
 		resume   = flag.Bool("resume", false, "flight recorder: resume the interrupted -exp run recorded in <obs>/checkpoints.jsonl: re-run it from the seed, check it against the recorded chain, and append the records past its end")

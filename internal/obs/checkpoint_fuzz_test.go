@@ -38,7 +38,7 @@ func FuzzMaterializeAt(f *testing.F) {
 }
 
 // FuzzReadCheckpoints feeds the chain reader and validator — what
-// hebsim -resume/-replay, hebbisect and obscheck run on a
+// hebsim -resume/-replay, hebobs bisect and hebobs check run on a
 // checkpoints.jsonl before trusting it — arbitrary bytes: both must
 // return an error or a verdict, never panic, and a chain the validator
 // accepts must hash-check record by record. The seed is a valid

@@ -8,7 +8,7 @@ import (
 )
 
 // FieldDiff is one leaf where two JSON documents disagree. It is the
-// exchange format of the structural differ shared by cmd/hebbisect (which
+// exchange format of the structural differ shared by `hebobs bisect` (which
 // diffs checkpoint states) and the run registry's compare endpoint (which
 // diffs run summaries).
 type FieldDiff struct {

@@ -59,7 +59,7 @@ type Manifest struct {
 	// (profiles/*.pb.gz). Profiles measure wall-clock behaviour and are
 	// inherently non-deterministic, so they live outside Artifacts: the
 	// byte-identity contract covers the manifest *minus this section*,
-	// and obscheck/flight-recorder comparisons strip it before diffing.
+	// and `hebobs check`/flight-recorder comparisons strip it before diffing.
 	Profiles []ArtifactInfo `json:"profiles,omitempty"`
 }
 

@@ -132,17 +132,3 @@ func ReadBaseline(path string) (*Baseline, error) {
 	}
 	return &b, nil
 }
-
-// IsBaselineFile sniffs whether a JSON file is a profile baseline (has a
-// "frames" array) as opposed to a bench-timings file; hebwatch bench uses
-// this to route to the right comparator.
-func IsBaselineFile(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	var probe struct {
-		Frames []json.RawMessage `json:"frames"`
-	}
-	return json.Unmarshal(data, &probe) == nil && probe.Frames != nil
-}

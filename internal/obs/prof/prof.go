@@ -1,8 +1,8 @@
 // Package prof is the capture-integrated profiling layer: it labels every
 // sweep cell with pprof labels (scheme, workload, seed, phase) so CPU
 // samples attribute to cells, collects opt-in per-run pprof protos into a
-// capture directory, and decodes/rolls up those protos for hebprof and
-// obscheck without any third-party pprof dependency.
+// capture directory, and decodes/rolls up those protos for `hebobs prof`
+// and `hebobs check` without any third-party pprof dependency.
 //
 // Profiles are wall-clock artifacts: like execution traces they are
 // explicitly non-deterministic and live outside the byte-identity
@@ -89,6 +89,22 @@ func KindFromFile(name string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// KindForSample names the profile kind whose proto carries a sample
+// type: alloc_* in allocs, inuse_* in heap, contentions and delay in
+// mutex, anything else in cpu.
+func KindForSample(sample string) string {
+	switch sample {
+	case "alloc_space", "alloc_objects":
+		return "allocs"
+	case "inuse_space", "inuse_objects":
+		return "heap"
+	case "contentions", "delay":
+		return "mutex"
+	default:
+		return "cpu"
+	}
 }
 
 // active is the process-wide profiling switch. Prototype.Run consults it
@@ -263,7 +279,7 @@ func SetPhase(ctx context.Context, phase string) {
 	pprof.SetGoroutineLabels(ctx)
 }
 
-// CellLabelKeys is the label set obscheck expects on labeled CPU samples.
+// CellLabelKeys is the label set hebobs check expects on labeled CPU samples.
 var CellLabelKeys = []string{LabelScheme, LabelWorkload, LabelSeed, LabelPhase}
 
 // LabeledShare reports the fraction [0,1] of a profile's headline value

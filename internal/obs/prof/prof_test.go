@@ -40,6 +40,19 @@ func TestKindFromFile(t *testing.T) {
 	}
 }
 
+func TestKindForSample(t *testing.T) {
+	for sample, want := range map[string]string{
+		"alloc_space": "allocs", "alloc_objects": "allocs",
+		"inuse_space": "heap", "inuse_objects": "heap",
+		"contentions": "mutex", "delay": "mutex",
+		"cpu": "cpu", "samples": "cpu",
+	} {
+		if got := KindForSample(sample); got != want {
+			t.Errorf("KindForSample(%q) = %q, want %q", sample, got, want)
+		}
+	}
+}
+
 // burn gives the CPU profiler something attributable to this function.
 //
 //go:noinline

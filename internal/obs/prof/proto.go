@@ -12,7 +12,7 @@ import (
 // profile format (profile.proto) that runtime/pprof emits. The repo bakes
 // in no third-party modules, so the differential profiler decodes the
 // wire format directly: profiles are small (a handful of KB), the schema
-// is frozen, and hebprof only needs sample values, stack frames and
+// is frozen, and hebobs prof only needs sample values, stack frames and
 // sample labels — not the full pprof feature surface.
 
 // Profile is the decoded subset of a pprof proto that the rollup and

@@ -1,7 +1,7 @@
 // Package baseline computes statistical fleet baselines over run
 // populations: robust location/spread (median and MAD) per metric and
 // robust z-score outlier classification. It is the math layer under
-// registry.Score and the hebwatch regression sentinel; it deliberately
+// registry.Score and the `hebobs watch` regression sentinel; it deliberately
 // knows nothing about registries or manifests, only float populations,
 // so the same machinery scores run metrics and benchmark series alike.
 package baseline
@@ -133,7 +133,7 @@ func Compute(values []float64, w Window) Stats {
 // MaxZ saturates the robust z-score. Any deviation from a constant
 // (zero-MAD) cohort is an unambiguous far outlier, but the score must
 // stay finite: ±Inf cannot survive encoding/json, and the score rides
-// the hebmon and hebwatch wire forms.
+// the hebmon and `hebobs watch` wire forms.
 const MaxZ = 1e6
 
 // Z returns the robust z-score of x against the stats, saturated to

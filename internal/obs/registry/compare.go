@@ -45,7 +45,7 @@ type Comparison struct {
 	// sorted by name.
 	MetricDeltas []MetricDelta `json:"metric_deltas,omitempty"`
 	// SummaryDiffs is the structural field diff of the two run
-	// summaries (the hebbisect differ applied to RunSummary JSON).
+	// summaries (the `hebobs bisect` differ applied to RunSummary JSON).
 	SummaryDiffs []obs.FieldDiff `json:"summary_diffs,omitempty"`
 	// DecisionDiffs counts diverging control slots; DecisionSample
 	// holds the first few in slot order.

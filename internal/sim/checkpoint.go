@@ -29,7 +29,7 @@ type CappedFreq struct {
 // detection (the open-mismatch flag, the last dispatch mode) stays out —
 // so a run's chain is byte-identical whichever hooks it has on. Nothing
 // restores from it: a resumed run re-simulates from the seed and checks
-// its records against the carried chain, and hebbisect diffs two chains
+// its records against the carried chain, and hebobs bisect diffs two chains
 // field by field.
 type EngineState struct {
 	Steps int           `json:"steps"`

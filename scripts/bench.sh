@@ -28,15 +28,15 @@
 #                                              loop: run BenchmarkEngineStep
 #                                              under -memprofile and rewrite
 #                                              the BENCH_prof.json top-frames
-#                                              baseline via hebprof check
+#                                              baseline via hebobs prof check
 #
 # -check compares each set against its committed baseline with
-# `hebwatch bench` (cmd/hebwatch), which holds the tolerances: allocs/op
+# `hebobs watch bench` (cmd/hebobs), which holds the tolerances: allocs/op
 # exact (deterministic) except ±8 for the MultiSeed pair and ProfEnabled,
 # whose pools and pprof buffers wobble; ns/op at most 1.5x the baseline
 # (wall-clock is noisy across machines, so only gross regressions fail).
 # When BENCH_prof.json is committed, -check additionally re-runs
-# the engine memprofile and gates its frame shares through `hebprof
+# the engine memprofile and gates its frame shares through `hebobs prof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
 # Exits non-zero on any violation.
 #
@@ -85,7 +85,7 @@ if [[ "$profile" == 1 ]]; then
 	prof_base="${1:-BENCH_prof.json}"
 	echo "profiling BenchmarkEngineStep (allocation attribution)..."
 	engine_memprofile
-	go run ./cmd/hebprof check -update -baseline "$prof_base" -sample alloc_space \
+	go run ./cmd/hebobs prof check -update -baseline "$prof_base" -sample alloc_space \
 		-source "scripts/bench.sh -profile: go test -bench BenchmarkEngineStep -memprofile" \
 		"$scratch/engine_mem.pprof"
 	exit 0
@@ -125,7 +125,7 @@ run_set() {
 		local cur
 		cur="$(mktemp)"
 		to_json <"$raw" >"$cur"
-		if ! go run ./cmd/hebwatch bench -ns-tol "$ns_tol" "$cur" "$out"; then
+		if ! go run ./cmd/hebobs watch bench -ns-tol "$ns_tol" "$cur" "$out"; then
 			rm -f "$cur"
 			echo "bench.sh: regression against $out" >&2
 			exit 1
@@ -210,11 +210,11 @@ if [[ "$check" == 1 ]]; then
 fi
 
 # Profile gate: with a committed top-frames baseline, re-attribute the
-# engine hot loop and fail on new or grown frames (same gate hebprof
-# check and hebwatch bench apply to profiled captures).
+# engine hot loop and fail on new or grown frames (the gate `hebobs prof
+# check` applies to profiled captures).
 if [[ "$check" == 1 && -f "$prof_base" ]]; then
 	engine_memprofile
-	if ! go run ./cmd/hebprof check -baseline "$prof_base" "$scratch/engine_mem.pprof"; then
+	if ! go run ./cmd/hebobs prof check -baseline "$prof_base" "$scratch/engine_mem.pprof"; then
 		echo "bench.sh: profile regression against $prof_base" >&2
 		exit 1
 	fi

@@ -3,7 +3,7 @@
 #
 # Phase 1 runs hebsim with -obs on a 10-minute PR workload and asserts
 # the three baseline artifacts exist, are non-empty, and parse:
-# cmd/obscheck feeds the JSONL files back through the obs package's own
+# `hebobs check` feeds the JSONL files back through the obs package's own
 # readers (so the round-trip the EXPERIMENTS.md diff recipe depends on
 # is exercised for real) and requires the Prometheus exposition to carry
 # the engine counters.
@@ -11,16 +11,16 @@
 # Phase 2 turns the deep-observability layer on — per-device probes,
 # the energy-conservation auditor in strict mode, and the span profiler
 # — and asserts: probes.jsonl/audits.jsonl land next to the baseline
-# artifacts, trace.json passes obscheck's trace validator, hebtrace can
+# artifacts, trace.json passes hebobs check's trace validator, hebobs trace can
 # roll the trace up into per-phase self times, and the run report
 # carries the battery wear line and a clean strict-audit summary.
 #
 # Phase 3 exercises the flight recorder end to end: record a run with
-# -checkpoint-every (obscheck validates the hash chain), kill it by
+# -checkpoint-every (hebobs check validates the hash chain), kill it by
 # truncating the chain and -resume (artifacts — manifest included —
 # must come out byte-identical to the uninterrupted run, and the
 # leftover "running" manifest must go through the killed transition),
-# -replay a slot window, and hebbisect the run against a
+# -replay a slot window, and hebobs bisect the run against a
 # differently-budgeted recording (must find a divergence) and against
 # itself (must not).
 #
@@ -30,24 +30,25 @@
 # run from its differently-budgeted twin while calling the resumed
 # re-recording identical to the original.
 #
-# Phase 5 exercises the SLO alerting layer and the hebwatch sentinel: a
+# Phase 5 exercises the SLO alerting layer and the hebobs watch sentinel: a
 # clean run with -alerts report stays healthy (no alerts.jsonl, ok
 # verdict in the manifest), a fault-injected run (-alert-soc-floor
 # tightened above BaOnly's natural SoC swing) fires soc_floor criticals
 # into alerts.jsonl with a critical health verdict, -alerts strict
-# exits nonzero on the same breach, hebwatch score flags the unhealthy
-# capture (exit 1) while passing the clean one, hebwatch diff
-# self-compares clean, and hebwatch bench accepts the committed
+# exits nonzero on the same breach, watch score flags the unhealthy
+# capture (exit 1) while passing the clean one, watch diff
+# self-compares clean, and watch bench accepts the committed
 # BENCH_obs.json baseline against itself.
 #
-# Phase 6 exercises the labeled profile capture and hebprof: a profiled
+# Phase 6 exercises the labeled profile capture and hebobs prof: a profiled
 # multiseed sweep (-profile cpu,heap,allocs) lands pprof protos in
-# <obs>/profiles/ that obscheck validates against the manifest's
-# profiles inventory (CPU samples must carry cell labels), hebprof top
+# <obs>/profiles/ that hebobs check validates against the manifest's
+# profiles inventory (CPU samples must carry cell labels), prof top
 # attributes the allocation frames and buckets CPU by scheme, diff
 # self-compares clean, check -update then gates its own baseline OK
-# while a seeded fake baseline fails, hebwatch bench routes a profile
-# baseline to the same gate, and a differently-parallel profiled rerun
+# while a seeded fake baseline fails, check without -kind follows the
+# baseline's sample to the allocs profile, and a differently-parallel
+# profiled rerun
 # keeps every deterministic artifact byte-identical (manifest compared
 # with its wall-clock profiles section stripped).
 set -euo pipefail
@@ -55,6 +56,9 @@ cd "$(dirname "$0")/.."
 
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
+
+# Every artifact check below runs the one hebobs binary, linked once.
+go build -o "$dir/hebobs" ./cmd/hebobs
 
 echo "== obs smoke: hebsim -exp run -obs =="
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 10m \
@@ -64,7 +68,7 @@ for f in events.jsonl decisions.jsonl metrics.prom; do
 	[[ -s "$dir/out/$f" ]] || { echo "obs smoke: $f missing or empty" >&2; exit 1; }
 done
 
-go run ./cmd/obscheck "$dir/out"
+"$dir/hebobs" check "$dir/out"
 
 echo "== obs smoke: probes + strict audit + trace =="
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 10m \
@@ -80,22 +84,22 @@ grep -q "battery wear:" "$dir/deep_stdout.txt" ||
 grep -q 'msg="audits done" runs=1 failed=0' "$dir/deep_stderr.txt" ||
 	{ echo "obs smoke: strict audit did not report a clean pass" >&2; exit 1; }
 
-# obscheck validates the deep artifacts too: probe/audit JSONL round-trip
+# hebobs check validates the deep artifacts too: probe/audit JSONL round-trip
 # through the obs readers, every audit report passed, trace nesting valid,
 # and the dropped-events counter at zero (no -allow-drops needed).
-go run ./cmd/obscheck "$dir/deep"
+"$dir/hebobs" check "$dir/deep"
 
-go run ./cmd/hebtrace "$dir/deep/trace.json" >"$dir/rollup.txt"
+"$dir/hebobs" trace "$dir/deep/trace.json" >"$dir/rollup.txt"
 grep -q "steps" "$dir/rollup.txt" ||
-	{ echo "obs smoke: hebtrace rollup lacks the steps phase" >&2; exit 1; }
+	{ echo "obs smoke: hebobs trace rollup lacks the steps phase" >&2; exit 1; }
 
 echo "== obs smoke: flight recorder (checkpoint / resume / replay / bisect) =="
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 30m \
 	-obs "$dir/fr" -checkpoint-every 1 >"$dir/fr_stdout.txt"
 [[ -s "$dir/fr/checkpoints.jsonl" ]] ||
 	{ echo "obs smoke: checkpoints.jsonl missing or empty" >&2; exit 1; }
-go run ./cmd/obscheck "$dir/fr" | grep -q "chain intact" ||
-	{ echo "obs smoke: obscheck did not validate the checkpoint chain" >&2; exit 1; }
+"$dir/hebobs" check "$dir/fr" | grep -q "chain intact" ||
+	{ echo "obs smoke: hebobs check did not validate the checkpoint chain" >&2; exit 1; }
 
 # Kill-and-resume: keep only the first checkpoint (as if the run died
 # right after writing it) and a still-"running" manifest (as the dead
@@ -122,13 +126,13 @@ grep -q "replay window: slots 2-2" "$dir/fr_replay.txt" ||
 
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 30m -budget 238 \
 	-obs "$dir/fr_b" -checkpoint-every 1 >/dev/null
-if go run ./cmd/hebbisect "$dir/fr" "$dir/fr_b" >"$dir/bisect.txt"; then
-	echo "obs smoke: hebbisect missed the budget divergence" >&2; exit 1
+if "$dir/hebobs" bisect "$dir/fr" "$dir/fr_b" >"$dir/bisect.txt"; then
+	echo "obs smoke: hebobs bisect missed the budget divergence" >&2; exit 1
 fi
 grep -q "first divergence at checkpoint slot" "$dir/bisect.txt" ||
-	{ echo "obs smoke: hebbisect report lacks the divergence line" >&2; exit 1; }
-go run ./cmd/hebbisect "$dir/fr" "$dir/fr" | grep -q "no divergence" ||
-	{ echo "obs smoke: hebbisect self-compare found a divergence" >&2; exit 1; }
+	{ echo "obs smoke: hebobs bisect report lacks the divergence line" >&2; exit 1; }
+"$dir/hebobs" bisect "$dir/fr" "$dir/fr" | grep -q "no divergence" ||
+	{ echo "obs smoke: hebobs bisect self-compare found a divergence" >&2; exit 1; }
 
 echo "== obs smoke: run registry over HTTP (hebmon -runs) =="
 go build -o "$dir/hebmon" ./cmd/hebmon
@@ -177,7 +181,7 @@ grep -q '"identical":true' "$dir/cmp_ar.json" ||
 
 kill "$hebmon_pid" 2>/dev/null
 
-echo "== obs smoke: SLO alerts + hebwatch sentinel =="
+echo "== obs smoke: SLO alerts + hebobs watch sentinel =="
 # Clean run with the rule engine on: default thresholds fire nothing.
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 10m \
 	-obs "$dir/alerts_clean" -alerts report >/dev/null 2>"$dir/clean_stderr.txt"
@@ -187,7 +191,7 @@ grep -q 'msg="alerts done" runs=1 unhealthy=0 criticals=0' "$dir/clean_stderr.tx
 	{ echo "obs smoke: clean run wrote alerts.jsonl" >&2; exit 1; }
 grep -q '"health": "ok"' "$dir/alerts_clean/manifest.json" ||
 	{ echo "obs smoke: clean manifest lacks the ok health verdict" >&2; exit 1; }
-go run ./cmd/obscheck "$dir/alerts_clean"
+"$dir/hebobs" check "$dir/alerts_clean"
 
 # Seeded fault injection: a SoC floor above BaOnly's natural swing must
 # fire soc_floor criticals; report mode records the breach, strict mode
@@ -199,7 +203,7 @@ grep -q '"kind":"soc_floor","severity":"critical"' "$dir/alerts_breach/alerts.js
 	{ echo "obs smoke: breach capture lacks the soc_floor critical" >&2; exit 1; }
 grep -q '"health": "critical"' "$dir/alerts_breach/manifest.json" ||
 	{ echo "obs smoke: breach manifest lacks the critical health verdict" >&2; exit 1; }
-go run ./cmd/obscheck "$dir/alerts_breach"
+"$dir/hebobs" check "$dir/alerts_breach"
 
 if go run ./cmd/hebsim -exp run -scheme BaOnly -workload PR -duration 2h \
 	-alerts strict -alert-soc-floor 0.5 >/dev/null 2>"$dir/strict_stderr.txt"; then
@@ -208,24 +212,22 @@ fi
 grep -q "alert SLOs failed" "$dir/strict_stderr.txt" ||
 	{ echo "obs smoke: strict failure lacks the SLO error" >&2; exit 1; }
 
-# hebwatch: the clean capture scores without criticals, the breach
+# hebobs watch: the clean capture scores without criticals, the breach
 # capture's health verdict escalates to exit 1, diff self-compares
 # clean, and the committed benchmark baseline passes against itself.
-go build -o "$dir/hebwatch" ./cmd/hebwatch
-"$dir/hebwatch" score "$dir/alerts_clean" | grep -q " 0 critical" ||
-	{ echo "obs smoke: hebwatch score flagged the clean capture" >&2; exit 1; }
-if "$dir/hebwatch" score "$dir/alerts_breach" >"$dir/score_breach.txt"; then
-	echo "obs smoke: hebwatch score missed the breached run" >&2; exit 1
+"$dir/hebobs" watch score "$dir/alerts_clean" | grep -q " 0 critical" ||
+	{ echo "obs smoke: hebobs watch score flagged the clean capture" >&2; exit 1; }
+if "$dir/hebobs" watch score "$dir/alerts_breach" >"$dir/score_breach.txt"; then
+	echo "obs smoke: hebobs watch score missed the breached run" >&2; exit 1
 fi
 grep -q "health=critical" "$dir/score_breach.txt" ||
-	{ echo "obs smoke: hebwatch score lacks the health escalation" >&2; exit 1; }
-"$dir/hebwatch" diff "$dir/alerts_clean" "$dir/alerts_clean" | grep -q "0 critical, 0 warn" ||
-	{ echo "obs smoke: hebwatch diff dirtied a self-compare" >&2; exit 1; }
-"$dir/hebwatch" bench BENCH_obs.json BENCH_obs.json | grep -q "within tolerance" ||
-	{ echo "obs smoke: hebwatch bench rejected the committed baseline" >&2; exit 1; }
+	{ echo "obs smoke: hebobs watch score lacks the health escalation" >&2; exit 1; }
+"$dir/hebobs" watch diff "$dir/alerts_clean" "$dir/alerts_clean" | grep -q "0 critical, 0 warn" ||
+	{ echo "obs smoke: hebobs watch diff dirtied a self-compare" >&2; exit 1; }
+"$dir/hebobs" watch bench BENCH_obs.json BENCH_obs.json | grep -q "within tolerance" ||
+	{ echo "obs smoke: hebobs watch bench rejected the committed baseline" >&2; exit 1; }
 
-echo "== obs smoke: labeled profiles + hebprof round-trip =="
-go build -o "$dir/hebprof" ./cmd/hebprof
+echo "== obs smoke: labeled profiles + hebobs prof round-trip =="
 # A multiseed sweep burns enough CPU for the 100 Hz sampler to land
 # labeled samples; 24h simulated per cell keeps the phase fast.
 go run ./cmd/hebsim -exp multiseed -duration 24h -workers 2 \
@@ -234,40 +236,40 @@ for k in cpu heap allocs; do
 	[[ -s "$dir/prof_a/profiles/$k.pb.gz" ]] ||
 		{ echo "obs smoke: profiles/$k.pb.gz missing or empty" >&2; exit 1; }
 done
-# obscheck must verify the inventory (existence, hashes, parse, and the
+# hebobs check must verify the inventory (existence, hashes, parse, and the
 # cell labels on the CPU samples).
-go run ./cmd/obscheck "$dir/prof_a" | grep -q "3 profiles validated" ||
-	{ echo "obs smoke: obscheck did not validate the profile inventory" >&2; exit 1; }
+"$dir/hebobs" check "$dir/prof_a" | grep -q "3 profiles validated" ||
+	{ echo "obs smoke: hebobs check did not validate the profile inventory" >&2; exit 1; }
 
-"$dir/hebprof" top -kind allocs "$dir/prof_a" >"$dir/top_allocs.txt"
+"$dir/hebobs" prof top -kind allocs "$dir/prof_a" >"$dir/top_allocs.txt"
 grep -q "alloc_space/bytes" "$dir/top_allocs.txt" ||
-	{ echo "obs smoke: hebprof top did not aggregate alloc_space" >&2; exit 1; }
-"$dir/hebprof" top -kind cpu -by scheme "$dir/prof_a" >"$dir/top_cpu.txt"
+	{ echo "obs smoke: hebobs prof top did not aggregate alloc_space" >&2; exit 1; }
+"$dir/hebobs" prof top -kind cpu -by scheme "$dir/prof_a" >"$dir/top_cpu.txt"
 grep -q "by scheme:" "$dir/top_cpu.txt" ||
-	{ echo "obs smoke: hebprof top -by scheme lacks the label buckets" >&2; exit 1; }
+	{ echo "obs smoke: hebobs prof top -by scheme lacks the label buckets" >&2; exit 1; }
 
 # diff against itself is clean; check -update writes a baseline the
 # same capture then passes, while a fabricated baseline whose dominant
 # frame never ran must fail the gate.
-"$dir/hebprof" diff -kind allocs "$dir/prof_a" "$dir/prof_a" | grep -q "Δpp" ||
-	{ echo "obs smoke: hebprof diff lacks the delta column" >&2; exit 1; }
-"$dir/hebprof" check -kind allocs -baseline "$dir/prof_baseline.json" -update \
+"$dir/hebobs" prof diff -kind allocs "$dir/prof_a" "$dir/prof_a" | grep -q "Δpp" ||
+	{ echo "obs smoke: hebobs prof diff lacks the delta column" >&2; exit 1; }
+"$dir/hebobs" prof check -kind allocs -baseline "$dir/prof_baseline.json" -update \
 	-source "obs_smoke phase 6" "$dir/prof_a" >/dev/null
-"$dir/hebprof" check -kind allocs -baseline "$dir/prof_baseline.json" "$dir/prof_a" |
+"$dir/hebobs" prof check -kind allocs -baseline "$dir/prof_baseline.json" "$dir/prof_a" |
 	grep -q "profile check OK" ||
-	{ echo "obs smoke: hebprof check rejected its own baseline" >&2; exit 1; }
+	{ echo "obs smoke: hebobs prof check rejected its own baseline" >&2; exit 1; }
 printf '%s\n' '{"v":1,"sample":"alloc_space/bytes","frames":[{"name":"no.suchFrame","flat_pct":95}]}' \
 	>"$dir/prof_fake.json"
-if "$dir/hebprof" check -kind allocs -baseline "$dir/prof_fake.json" "$dir/prof_a" \
+if "$dir/hebobs" prof check -kind allocs -baseline "$dir/prof_fake.json" "$dir/prof_a" \
 	>"$dir/check_fake.txt"; then
-	echo "obs smoke: hebprof check passed a fabricated baseline" >&2; exit 1
+	echo "obs smoke: hebobs prof check passed a fabricated baseline" >&2; exit 1
 fi
 grep -q "new-frame" "$dir/check_fake.txt" ||
-	{ echo "obs smoke: hebprof check did not flag the new frames" >&2; exit 1; }
-# hebwatch bench recognizes a profile baseline and routes it to the
-# same gate the benchmark-timings comparator would otherwise get.
-"$dir/hebwatch" bench "$dir/prof_a" "$dir/prof_baseline.json" | grep -q "within tolerance" ||
-	{ echo "obs smoke: hebwatch bench rejected the profile baseline" >&2; exit 1; }
+	{ echo "obs smoke: hebobs prof check did not flag the new frames" >&2; exit 1; }
+# Without -kind, prof check loads the profile kind that carries the
+# baseline's sample (allocs for this alloc_space baseline).
+"$dir/hebobs" prof check -baseline "$dir/prof_baseline.json" "$dir/prof_a" | grep -q "profile check OK" ||
+	{ echo "obs smoke: hebobs prof check did not follow the baseline's sample kind" >&2; exit 1; }
 
 # Determinism with profiling on: a differently-parallel rerun keeps the
 # deterministic artifacts byte-identical; only the wall-clock profiles

@@ -8,7 +8,7 @@
 # exercises the parallel sweep runner under contention.
 # Tier 3: the end-to-end observability smoke test (hebsim -obs artifacts
 # parse back through the obs readers, plus the probes/audit/trace deep
-# pipeline through obscheck and hebtrace).
+# pipeline through hebobs check and hebobs trace).
 # Tier 4: docs drift — regenerate the committed hebsim -exp all output
 # (timing columns normalized) and fail if it no longer matches
 # docs/hebsim_all_output.txt. CI's test job runs the same check.
