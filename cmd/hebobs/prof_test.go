@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,8 +28,12 @@ func capture(t *testing.T, dir string, perIter int) {
 	}
 }
 
-// captureWorkload is capture's child-process body.
+// captureWorkload is capture's child-process body. It records every
+// allocation: at the default sampling rate (one sample per 512 KiB) the
+// workload's few hundred KiB would be sampled too sparsely for two
+// captures of it to match.
 func captureWorkload(dir string, perIter int) error {
+	runtime.MemProfileRate = 1
 	c := prof.NewCollector(dir, []string{"cpu", "allocs"})
 	if err := c.Start(); err != nil {
 		return err

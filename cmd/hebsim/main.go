@@ -89,17 +89,18 @@ func main() {
 	p.Audit = parseMode("-audit", *audit)
 	p.Alert = parseMode("-alerts", *alertsF)
 	p.AlertRules.SoCFloor = *alertFlr
+	newTracer := obs.NewTracer
+	switch *traceClk {
+	case "virtual":
+	case "wall":
+		newTracer = obs.NewWallTracer
+	default:
+		slog.Error("unknown trace clock (want virtual or wall)", "clock", *traceClk)
+		os.Exit(2)
+	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
-		switch *traceClk {
-		case "virtual":
-			tracer = obs.NewTracer()
-		case "wall":
-			tracer = obs.NewWallTracer()
-		default:
-			slog.Error("unknown trace clock (want virtual or wall)", "clock", *traceClk)
-			os.Exit(2)
-		}
+		tracer = newTracer()
 		p.Tracer = tracer
 		p.TraceCell = *exp
 	}

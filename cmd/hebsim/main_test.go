@@ -61,6 +61,17 @@ func TestRejectsBadCheckerModes(t *testing.T) {
 	wantExit(t, 2, "bad -alerts flag", "-exp", "run", "-duration", "1h", "-alerts", "loud")
 }
 
+// TestRejectsBadTraceAndProfileFlags checks that -trace-clock is validated
+// whether or not -trace is set, and that -profile needs a capture
+// directory to write into.
+func TestRejectsBadTraceAndProfileFlags(t *testing.T) {
+	run := []string{"-exp", "run", "-duration", "1h"}
+	wantExit(t, 2, "unknown trace clock", append(run, "-trace-clock", "bogus")...)
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	wantExit(t, 2, "unknown trace clock", append(run, "-trace", trace, "-trace-clock", "bogus")...)
+	wantExit(t, 2, "-profile requires -obs", append(run, "-profile", "cpu")...)
+}
+
 // TestReplayAndResumeTreatCheckerFlagsAlike pins one rule for both
 // checker flags: -replay and -resume both re-run from the seed, so both
 // run the checker from step 0, whichever flag armed it.

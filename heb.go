@@ -276,18 +276,14 @@ func (p Prototype) BuildBatteryPool(totalWh float64) (*esd.Pool, error) {
 		cfg.InternalOhm *= scale
 		cfg.SagOhm *= scale
 	}
-	members := make([]esd.Device, p.BatteryStrings)
-	for i := range members {
-		b, err := esd.NewBattery(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if p.BatteryPreAge > 0 {
-			b.PreAge(p.BatteryPreAge)
-		}
-		members[i] = b
+	b, err := esd.NewBattery(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return esd.NewPool("battery", members...)
+	if p.BatteryPreAge > 0 {
+		b.PreAge(p.BatteryPreAge)
+	}
+	return esd.NewUniformPool("battery", p.BatteryStrings, b)
 }
 
 // BuildSupercapPool builds an SC pool with the given total usable energy,
@@ -310,15 +306,11 @@ func (p Prototype) BuildSupercapPool(totalWh float64) (*esd.Pool, error) {
 	if refC > 0 && cfg.Capacitance > 0 {
 		cfg.ESR *= refC / cfg.Capacitance
 	}
-	members := make([]esd.Device, p.SCBanks)
-	for i := range members {
-		s, err := esd.NewSupercap(cfg)
-		if err != nil {
-			return nil, err
-		}
-		members[i] = s
+	s, err := esd.NewSupercap(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return esd.NewPool("supercap", members...)
+	return esd.NewUniformPool("supercap", p.SCBanks, s)
 }
 
 // BuildPools builds the battery and SC pools for the scheme: hybrid

@@ -1,6 +1,7 @@
 package esd
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -67,6 +68,46 @@ func BenchmarkThermalBatteryDischargeStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if bat.Discharge(70, time.Second) < 35 {
 			bat.SetSoC(1)
+		}
+	}
+}
+
+// BenchmarkUniformPoolTransfer prices the uniform fast path: a battery
+// pool built by NewUniformPool against one of the same size built with
+// NewPool, which steps every member. Each op is one discharge and one
+// charge step at half the pool's charge acceptance.
+func BenchmarkUniformPoolTransfer(b *testing.B) {
+	cfg := DefaultBatteryConfig()
+	for _, n := range []int{2, 32} {
+		uniform, err := NewUniformPool("battery", n, MustNewBattery(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		members := make([]Device, n)
+		for i := range members {
+			members[i] = MustNewBattery(cfg)
+		}
+		pools := []struct {
+			name string
+			pool *Pool
+		}{
+			{"uniform", uniform},
+			{"newpool", MustNewPool("battery", members...)},
+		}
+		for _, c := range pools {
+			b.Run(fmt.Sprintf("%s/x%d", c.name, n), func(b *testing.B) {
+				p := c.pool
+				p.SetSoC(0.5)
+				load := p.MaxChargePower() / 2
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%1024 == 0 { // undo the round-trip losses
+						p.SetSoC(0.5)
+					}
+					p.Discharge(load, time.Second)
+					p.Charge(load, time.Second)
+				}
+			})
 		}
 	}
 }

@@ -72,7 +72,9 @@ func (s *Supercap) Checkpoint() SupercapState {
 
 // CheckpointDevice serializes any Device implementation, recursing into
 // pools. Unknown implementations are an error: a device the recorder
-// cannot serialize must not silently escape the checkpoint.
+// cannot serialize must not silently escape the checkpoint. A uniform
+// pool first syncs its stale members, so it serializes exactly as the
+// per-member pool would.
 func CheckpointDevice(d Device) (DeviceState, error) {
 	switch v := d.(type) {
 	case *Battery:
@@ -84,6 +86,7 @@ func CheckpointDevice(d Device) (DeviceState, error) {
 	case Null:
 		return DeviceState{Kind: "null"}, nil
 	case *Pool:
+		v.sync()
 		out := DeviceState{Kind: "pool", Members: make([]DeviceState, len(v.members))}
 		for i, m := range v.members {
 			ms, err := CheckpointDevice(m)

@@ -21,6 +21,12 @@ import (
 // rather than allocated per call. Member order is preserved everywhere, so
 // the floating-point summation order — and therefore every simulation
 // result — is bit-identical to the naive per-device loop.
+//
+// A pool built by NewUniformPool owns n copies of one prototype. They
+// stay in lockstep, so while the pool is uniform it steps member 0 alone
+// and lets members 1..n-1 go stale; every aggregate adds member 0's
+// value n times in member order, which keeps it bit-identical to the
+// per-member loop.
 type Pool struct {
 	name    string
 	members []Device
@@ -36,6 +42,11 @@ type Pool struct {
 	// allocates. The pool is single-goroutine (like its members), so one
 	// scratch suffices.
 	caps []units.Power
+
+	// uniform is set while every member is a copy of one prototype that
+	// no caller can reach, so only member 0 holds live state. sync brings
+	// the stale members up to date; Members drops the flag for good.
+	uniform bool
 }
 
 var _ Device = (*Pool)(nil)
@@ -68,6 +79,39 @@ func NewPool(name string, members ...Device) (*Pool, error) {
 	return p, nil
 }
 
+// NewUniformPool builds a pool of n copies of proto, a *Battery or
+// *Supercap. The copies are taken by value and proto is not a member, so
+// no caller holds a member until Members hands them out; until then the
+// pool steps member 0 only.
+func NewUniformPool(name string, n int, proto Device) (*Pool, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("esd: pool %q needs at least one member", name)
+	}
+	members := make([]Device, n)
+	switch d := proto.(type) {
+	case *Battery:
+		copies := make([]Battery, n)
+		for i := range copies {
+			copies[i] = *d
+			members[i] = &copies[i]
+		}
+	case *Supercap:
+		copies := make([]Supercap, n)
+		for i := range copies {
+			copies[i] = *d
+			members[i] = &copies[i]
+		}
+	default:
+		return nil, fmt.Errorf("esd: uniform pool %q cannot copy a %T", name, proto)
+	}
+	p, err := NewPool(name, members...)
+	if err != nil {
+		return nil, err
+	}
+	p.uniform = true
+	return p, nil
+}
+
 // MustNewPool is NewPool for known-good member lists.
 func MustNewPool(name string, members ...Device) *Pool {
 	p, err := NewPool(name, members...)
@@ -80,8 +124,43 @@ func MustNewPool(name string, members ...Device) *Pool {
 // Name returns the pool's name (e.g. "battery", "supercap").
 func (p *Pool) Name() string { return p.name }
 
-// Members returns the member devices (shared, not copied).
-func (p *Pool) Members() []Device { return p.members }
+// Members returns the member devices (shared, not copied). The caller
+// may then touch one member alone, so a uniform pool syncs its members
+// and steps each of them from here on.
+func (p *Pool) Members() []Device {
+	p.sync()
+	p.uniform = false
+	return p.members
+}
+
+// Uniform reports whether the pool still steps member 0 alone.
+func (p *Pool) Uniform() bool { return p.uniform }
+
+// sync copies member 0's state over the stale members of a uniform pool.
+func (p *Pool) sync() {
+	if !p.uniform {
+		return
+	}
+	for i := 1; i < len(p.members); i++ {
+		if b := p.bat[0]; b != nil {
+			*p.bat[i] = *b
+		} else {
+			*p.sc[i] = *p.sc[0]
+		}
+	}
+}
+
+// BatteryConfig returns the configuration of the first battery member.
+// Configurations never change after construction, so unlike Members it
+// leaves a uniform pool uniform.
+func (p *Pool) BatteryConfig() (BatteryConfig, bool) {
+	for _, b := range p.bat {
+		if b != nil {
+			return b.Config(), true
+		}
+	}
+	return BatteryConfig{}, false
+}
 
 // Size returns the member count.
 func (p *Pool) Size() int { return len(p.members) }
@@ -211,12 +290,30 @@ func (p *Pool) memberTerminalVoltage(i int, load units.Power) (units.Voltage, bo
 	return tv.TerminalVoltage(load), true
 }
 
+// The aggregates below loop over every member in order. Members at or
+// past live() are stale copies of member 0 in a uniform pool, so each
+// loop reads a value only from live members and adds the last one read
+// for the rest: the same sequential sum the per-member loop makes, bit
+// for bit (multiplying by the member count would round differently).
+
+// live is the number of members holding live state: one while the pool
+// is uniform.
+func (p *Pool) live() int {
+	if p.uniform {
+		return 1
+	}
+	return len(p.members)
+}
+
 // SoC is the capacity-weighted mean state of charge.
 func (p *Pool) SoC() float64 {
-	var num, den float64
+	live := p.live()
+	var num, den, soc, c float64
 	for i := range p.members {
-		c := float64(p.memberCapacity(i))
-		num += p.memberSoC(i) * c
+		if i < live {
+			soc, c = p.memberSoC(i), float64(p.memberCapacity(i))
+		}
+		num += soc * c
 		den += c
 	}
 	if den == 0 {
@@ -227,18 +324,26 @@ func (p *Pool) SoC() float64 {
 
 // Stored sums members' usable stored energy.
 func (p *Pool) Stored() units.Energy {
-	var e units.Energy
+	live := p.live()
+	var e, m units.Energy
 	for i := range p.members {
-		e += p.memberStored(i)
+		if i < live {
+			m = p.memberStored(i)
+		}
+		e += m
 	}
 	return e
 }
 
 // Capacity sums members' usable capacity.
 func (p *Pool) Capacity() units.Energy {
-	var e units.Energy
+	live := p.live()
+	var e, m units.Energy
 	for i := range p.members {
-		e += p.memberCapacity(i)
+		if i < live {
+			m = p.memberCapacity(i)
+		}
+		e += m
 	}
 	return e
 }
@@ -247,7 +352,7 @@ func (p *Pool) Capacity() units.Energy {
 // strongest string through its ORing diode).
 func (p *Pool) Voltage() units.Voltage {
 	var v units.Voltage
-	for i := range p.members {
+	for i := range p.live() {
 		if mv := p.memberVoltage(i); mv > v {
 			v = mv
 		}
@@ -259,27 +364,26 @@ func (p *Pool) Voltage() units.Voltage {
 // watts: each member carries a share proportional to its capability, and
 // the bus sits at the capability-weighted mean of member terminals.
 func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
-	caps := p.caps
-	var capSum units.Power
-	for i := range p.members {
-		caps[i] = p.memberMaxDischarge(i)
-		capSum += caps[i]
-	}
+	capSum := p.scanCaps(true)
 	if capSum <= 0 {
 		return p.Voltage()
 	}
 	if load > capSum {
 		load = capSum
 	}
-	var num, den float64
+	live := p.live()
+	var num, den, vw, w float64
 	for i := range p.members {
-		share := units.Power(float64(load) * float64(caps[i]) / float64(capSum))
-		v, ok := p.memberTerminalVoltage(i, share)
-		if !ok {
-			continue
+		if i < live {
+			share := units.Power(float64(load) * float64(p.caps[i]) / float64(capSum))
+			v, ok := p.memberTerminalVoltage(i, share)
+			vw, w = 0, 0
+			if ok {
+				w = float64(p.caps[i])
+				vw = float64(v) * w
+			}
 		}
-		w := float64(caps[i])
-		num += float64(v) * w
+		num += vw
 		den += w
 	}
 	if den == 0 {
@@ -290,25 +394,33 @@ func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 
 // MaxDischargePower sums member discharge capability.
 func (p *Pool) MaxDischargePower() units.Power {
-	var pw units.Power
+	live := p.live()
+	var pw, m units.Power
 	for i := range p.members {
-		pw += p.memberMaxDischarge(i)
+		if i < live {
+			m = p.memberMaxDischarge(i)
+		}
+		pw += m
 	}
 	return pw
 }
 
 // MaxChargePower sums member charge acceptance.
 func (p *Pool) MaxChargePower() units.Power {
-	var pw units.Power
+	live := p.live()
+	var pw, m units.Power
 	for i := range p.members {
-		pw += p.memberMaxCharge(i)
+		if i < live {
+			m = p.memberMaxCharge(i)
+		}
+		pw += m
 	}
 	return pw
 }
 
 // Depleted reports whether every member is depleted.
 func (p *Pool) Depleted() bool {
-	for i := range p.members {
+	for i := range p.live() {
 		if !p.memberDepleted(i) {
 			return false
 		}
@@ -328,66 +440,81 @@ func (p *Pool) Charge(offered units.Power, dt time.Duration) units.Power {
 	return p.transfer(offered, dt, false)
 }
 
+// scanCaps fills the capability scratch for the live members with their
+// discharge (or charge) capability and returns the sum over all members.
+func (p *Pool) scanCaps(discharge bool) units.Power {
+	live := p.live()
+	var capSum, c units.Power
+	for i := range p.members {
+		if i < live {
+			if discharge {
+				c = p.memberMaxDischarge(i)
+			} else {
+				c = p.memberMaxCharge(i)
+			}
+			p.caps[i] = c
+		}
+		capSum += c
+	}
+	return capSum
+}
+
 // transfer implements the proportional split shared by Discharge and
 // Charge. Each member's share is proportional to its instantaneous
 // capability, so no member is asked for more than it can serve and every
 // member is dispatched exactly once per step (keeping recovery and leakage
 // time in sync across the pool). It is the pool's hot path: one capability
-// pass and one dispatch pass over the SoA views, zero allocations.
+// pass and one dispatch pass over the SoA views, zero allocations. A
+// uniform pool dispatches member 0 alone and counts its result once per
+// member.
 func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) units.Power {
-	caps := p.caps
-	var capSum units.Power
-	if discharge {
-		for i := range p.members {
-			caps[i] = p.memberMaxDischarge(i)
-			capSum += caps[i]
-		}
-	} else {
-		for i := range p.members {
-			caps[i] = p.memberMaxCharge(i)
-			capSum += caps[i]
-		}
-	}
+	capSum := p.scanCaps(discharge)
 	if total <= 0 || capSum <= 0 {
-		for i := range p.members {
-			p.memberRest(i, dt)
-		}
+		p.Rest(dt)
 		return 0
 	}
 	if total > capSum {
 		total = capSum
 	}
-	var moved units.Power
+	live := p.live()
+	var moved, got units.Power
 	for i := range p.members {
-		share := units.Power(float64(total) * float64(caps[i]) / float64(capSum))
-		if discharge {
-			moved += p.memberDischarge(i, share, dt)
-		} else {
-			moved += p.memberCharge(i, share, dt)
+		if i < live {
+			share := units.Power(float64(total) * float64(p.caps[i]) / float64(capSum))
+			if discharge {
+				got = p.memberDischarge(i, share, dt)
+			} else {
+				got = p.memberCharge(i, share, dt)
+			}
 		}
+		moved += got
 	}
 	return moved
 }
 
 // Rest advances all members without load.
 func (p *Pool) Rest(dt time.Duration) {
-	for i := range p.members {
+	for i := range p.live() {
 		p.memberRest(i, dt)
 	}
 }
 
 // Stats sums member ledgers.
 func (p *Pool) Stats() Stats {
-	var s Stats
-	for _, m := range p.members {
-		s.add(m.Stats())
+	live := p.live()
+	var s, m Stats
+	for i := range p.members {
+		if i < live {
+			m = p.members[i].Stats()
+		}
+		s.add(m)
 	}
 	return s
 }
 
 // Reset resets all members.
 func (p *Pool) Reset() {
-	for _, m := range p.members {
+	for _, m := range p.members[:p.live()] {
 		m.Reset()
 	}
 }
@@ -395,9 +522,20 @@ func (p *Pool) Reset() {
 // SetSoC forces every member supporting it to the given state of charge
 // (experiment setup; see Battery.SetSoC).
 func (p *Pool) SetSoC(frac float64) {
-	for _, m := range p.members {
+	for _, m := range p.members[:p.live()] {
 		if s, ok := m.(interface{ SetSoC(float64) }); ok {
 			s.SetSoC(frac)
+		}
+	}
+}
+
+// PreAge pre-ages every battery member (experiment setup; see
+// Battery.PreAge). Unlike a loop over Members, it keeps a uniform pool
+// uniform.
+func (p *Pool) PreAge(lifeFraction float64) {
+	for _, b := range p.bat[:p.live()] {
+		if b != nil {
+			b.PreAge(lifeFraction)
 		}
 	}
 }
@@ -405,14 +543,16 @@ func (p *Pool) SetSoC(frac float64) {
 // Wear aggregates wear reports from battery members; non-battery members
 // are skipped. The second result is the number of batteries found.
 func (p *Pool) Wear() (WearReport, int) {
-	var sum WearReport
+	live := p.live()
+	var sum, r WearReport
 	n := 0
-	for _, m := range p.members {
-		b, ok := m.(*Battery)
-		if !ok {
+	for i, b := range p.bat {
+		if b == nil {
 			continue
 		}
-		r := b.Wear()
+		if i < live {
+			r = b.Wear()
+		}
 		sum.ThroughputAh += r.ThroughputAh
 		sum.WeightedAh += r.WeightedAh
 		sum.RatedAh += r.RatedAh

@@ -1,7 +1,10 @@
 package esd
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -179,5 +182,155 @@ func TestPoolZeroRequestRestsMembers(t *testing.T) {
 	}
 	if got := p.Charge(0, time.Minute); got != 0 {
 		t.Errorf("Charge(0) = %v", got)
+	}
+}
+
+// poolView renders every aggregate a pool reports as JSON, whose floats
+// are in shortest round-trip form (the units types' String methods would
+// round), so two views are equal exactly when every value matches bit
+// for bit.
+func poolView(t *testing.T, p *Pool) string {
+	t.Helper()
+	ckpt, err := CheckpointDevice(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wear, n := p.Wear()
+	b, err := json.Marshal(struct {
+		SoC, Stored, Capacity, Voltage, TVIdle, TVLoaded, MaxDischarge, MaxCharge float64
+		Depleted                                                                  bool
+		Stats                                                                     Stats
+		Wear                                                                      WearReport
+		Batteries                                                                 int
+		Checkpoint                                                                DeviceState
+	}{
+		p.SoC(), float64(p.Stored()), float64(p.Capacity()), float64(p.Voltage()),
+		float64(p.TerminalVoltage(0)), float64(p.TerminalVoltage(p.MaxDischargePower() / 3)),
+		float64(p.MaxDischargePower()), float64(p.MaxChargePower()),
+		p.Depleted(), p.Stats(), wear, n, ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestUniformPoolMatchesPerMemberPool drives a uniform pool and a NewPool
+// of independently built identical members through one seeded random
+// sequence of charges, discharges and rests, including zero requests and
+// requests past capacity. Seven members catch a sum replaced by a
+// product, which happens to round alike for powers of two. After every call the two must agree bit for
+// bit on each aggregate, Stats, Wear and the checkpoint; they must still
+// agree once a fault injected through Members ends the fast path.
+func TestUniformPoolMatchesPerMemberPool(t *testing.T) {
+	batCfg := agingConfig()
+	batCfg.Thermal = DefaultThermalConfig()
+	scCfg := DefaultSupercapConfig()
+	protos := []struct {
+		kind  string
+		build func() Device
+	}{
+		{"battery", func() Device {
+			b := MustNewBattery(batCfg)
+			b.PreAge(0.3)
+			return b
+		}},
+		{"supercap", func() Device { return MustNewSupercap(scCfg) }},
+	}
+	for _, proto := range protos {
+		kind, build := proto.kind, proto.build
+		for _, n := range []int{2, 7, 32} {
+			t.Run(fmt.Sprintf("%s/x%d", kind, n), func(t *testing.T) {
+				uni, err := NewUniformPool(kind, n, build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				members := make([]Device, n)
+				for i := range members {
+					members[i] = build()
+				}
+				ref := MustNewPool(kind, members...)
+				rng := rand.New(rand.NewSource(int64(n)))
+				step := func(i int) {
+					t.Helper()
+					limit := float64(ref.MaxDischargePower())
+					if rng.Intn(2) == 0 {
+						limit = float64(ref.MaxChargePower())
+					}
+					var req units.Power
+					switch r := rng.Float64(); {
+					case r < 0.1: // zero request
+					case r < 0.2: // far past capacity
+						req = units.Power(10*limit + 1e4)
+					default:
+						req = units.Power(rng.Float64() * 1.2 * limit)
+					}
+					dt := time.Duration(1+rng.Intn(30)) * time.Second
+					var got, want units.Power
+					switch op := rng.Intn(5); {
+					case op < 2:
+						got, want = uni.Discharge(req, dt), ref.Discharge(req, dt)
+					case op < 4:
+						got, want = uni.Charge(req, dt), ref.Charge(req, dt)
+					default:
+						uni.Rest(dt)
+						ref.Rest(dt)
+					}
+					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+						t.Fatalf("call %d moved %g W, per-member pool %g W", i, float64(got), float64(want))
+					}
+					if u, r := poolView(t, uni), poolView(t, ref); u != r {
+						t.Fatalf("call %d diverged:\nuniform:\n%s\nper-member:\n%s", i, u, r)
+					}
+				}
+				for i := 0; i < 400; i++ {
+					step(i)
+				}
+				if !uni.Uniform() {
+					t.Fatal("checkpointing and aggregates ended the uniform fast path")
+				}
+				if ref.Uniform() {
+					t.Fatal("NewPool built a uniform pool")
+				}
+				// Step once more without a checkpoint, so Members itself
+				// must bring the stale members up to date.
+				for _, p := range []*Pool{uni, ref} {
+					p.Discharge(p.MaxDischargePower()/2, time.Minute)
+					switch m := p.Members()[1].(type) {
+					case *Battery:
+						m.Fail()
+					case *Supercap:
+						m.Fail()
+					}
+				}
+				if uni.Uniform() {
+					t.Fatal("Members left the pool uniform")
+				}
+				for i := 400; i < 600; i++ {
+					step(i)
+				}
+			})
+		}
+	}
+}
+
+func TestNewUniformPoolValidation(t *testing.T) {
+	if _, err := NewUniformPool("empty", 0, MustNewBattery(DefaultBatteryConfig())); err == nil {
+		t.Error("NewUniformPool accepted zero members")
+	}
+	if _, err := NewUniformPool("nil", 2, nil); err == nil {
+		t.Error("NewUniformPool accepted a nil prototype")
+	}
+	if _, err := NewUniformPool("null", 2, Null{}); err == nil {
+		t.Error("NewUniformPool accepted a device it cannot copy")
+	}
+	proto := MustNewBattery(DefaultBatteryConfig())
+	p, err := NewUniformPool("ok", 3, proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto.Discharge(50, time.Minute)
+	if p.Size() != 3 || p.SoC() != 1 || p.Members()[0] == Device(proto) {
+		t.Error("uniform pool shares state with its prototype")
 	}
 }

@@ -43,6 +43,7 @@ func (b *Batch) resize(n int) {
 // pass and returns it. A nil batch allocates a fresh one; passing the
 // previous return value back reuses its backing arrays.
 func (p *Pool) Snapshot(b *Batch) *Batch {
+	p.sync()
 	if b == nil {
 		b = &Batch{}
 	}

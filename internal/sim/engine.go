@@ -1386,13 +1386,12 @@ func (e *Engine) result() Result {
 }
 
 // lifeConfig extracts a lifetime config from a pool's first battery
-// member, defaulting when none is found.
+// member, defaulting when none is found. It reads the pool's config
+// rather than its Members, which would end a uniform pool's fast path.
 func lifeConfig(d esd.Device) esd.LifetimeConfig {
 	if p, ok := d.(*esd.Pool); ok {
-		for _, m := range p.Members() {
-			if b, ok := m.(*esd.Battery); ok {
-				return b.Config().Life
-			}
+		if cfg, ok := p.BatteryConfig(); ok {
+			return cfg.Life
 		}
 	}
 	if b, ok := d.(*esd.Battery); ok {

@@ -42,11 +42,7 @@ type runState struct {
 func (st *runState) reset(p Prototype) {
 	st.battery.Reset()
 	if p.BatteryPreAge > 0 {
-		for _, m := range st.battery.Members() {
-			if b, ok := m.(*esd.Battery); ok {
-				b.PreAge(p.BatteryPreAge)
-			}
-		}
+		st.battery.PreAge(p.BatteryPreAge)
 	}
 	st.battery.SetSoC(p.InitialSoC)
 	if st.supercap != nil {

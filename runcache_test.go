@@ -147,6 +147,55 @@ func TestRunCacheReusesState(t *testing.T) {
 	}
 }
 
+// TestRunCacheKeepsPoolsUniform checks that a reused runState keeps its
+// pools on the uniform fast path across hooks-off runs, aging studies
+// included, and that a probes-on run, which reads each member, ends it.
+func TestRunCacheKeepsPoolsUniform(t *testing.T) {
+	p := DefaultPrototype()
+	p.BatteryPreAge = 0.3
+	w, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 30 * time.Minute
+	w = w.WithDuration(d)
+	opts := RunOptions{Duration: d}
+
+	cache := NewRunCache(1)
+	uniform := func(q Prototype) (battery, supercap bool) {
+		t.Helper()
+		st := cache.lookup(0, q.poolKey(HEBD, q.Budget))
+		if st == nil {
+			t.Fatal("run left no cached state")
+		}
+		return st.battery.Uniform(), st.supercap.Uniform()
+	}
+	var results []sim.Result
+	for run := 0; run < 2; run++ {
+		res, err := p.RunWith(cache, 0, HEBD, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		if ba, sc := uniform(p); !ba || !sc {
+			t.Fatalf("run %d: pools uniform = %v, %v after a hooks-off run, want true", run, ba, sc)
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatal("reused pre-aged run differs from the fresh one")
+	}
+
+	probed := p
+	probed.Capture = obs.NewCapture()
+	probed.ProbeEvery = 60
+	if _, err := probed.RunWith(cache, 0, HEBD, w, opts); err != nil {
+		t.Fatal(err)
+	}
+	if ba, sc := uniform(probed); ba || sc {
+		t.Fatalf("pools uniform = %v, %v after a probes-on run, want false", ba, sc)
+	}
+}
+
 // TestRunCacheUnpoolableOptionsBypass checks the fresh-path gates:
 // options that inject foreign components or leak internal state must not
 // populate the cache, and a populated cache must not serve them.
