@@ -541,6 +541,35 @@ func BenchmarkEngineManifestEnabled(b *testing.B) {
 	benchHooksOn(b, func(q *Prototype, _ *RunOptions) { q.Capture = obs.NewCapture() })
 }
 
+// BenchmarkCaptureWriteFiles writes one hooks-on 2 h HEB-D capture on PR
+// (events, decisions, probes every 60 steps, a checkpoint every slot,
+// audit and alerts) into a temp directory per iteration: the file half of
+// a flight-recorder run. The run itself is recorded once, untimed.
+func BenchmarkCaptureWriteFiles(b *testing.B) {
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const d = 2 * time.Hour
+	p := DefaultPrototype()
+	p.Capture = obs.NewCapture()
+	p.ProbeEvery = 60
+	p.CheckpointEvery = 1
+	p.Audit = obs.AuditModeReport
+	p.Alert = alerts.ModeReport
+	if _, err := p.Run(HEBD, pr.WithDuration(d), RunOptions{Duration: d}); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Capture.WriteFiles(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineAlertsEnabled runs the hour with the SLO rule engine in
 // report mode with the default rules.
 func BenchmarkEngineAlertsEnabled(b *testing.B) {

@@ -251,6 +251,9 @@ func TestBenchDrift(t *testing.T) {
 				tc.multi, tc.prof, tc.step, criticals, tc.want, sb.String())
 		}
 	}
+	if got := allocTolerance("BenchmarkCaptureWriteFiles"); got != allocSlack {
+		t.Errorf("CaptureWriteFiles allocs/op slack = %g, want ±%d", got, allocSlack)
+	}
 }
 
 func TestBenchBadFiles(t *testing.T) {

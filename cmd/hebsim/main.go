@@ -228,7 +228,7 @@ func main() {
 	}
 	if err == nil && capture != nil {
 		if err = capture.WriteFiles(*obsDir); err == nil {
-			slog.Info("wrote observability artifacts", "runs", len(capture.Runs()), "dir", *obsDir)
+			slog.Info("wrote observability artifacts", "runs", capture.Len(), "dir", *obsDir)
 		}
 		if err == nil && collector != nil {
 			// Profiles join the manifest in their own wall-clock inventory

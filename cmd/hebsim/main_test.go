@@ -6,8 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"heb/internal/obs"
 )
 
 // TestMain lets the tests drive hebsim end to end: with HEBSIM_TEST_MAIN
@@ -101,4 +104,36 @@ func TestFlightFlagMisuse(t *testing.T) {
 		t.Fatalf("capture without -checkpoint-every wrote checkpoints.jsonl (stat: %v)", err)
 	}
 	wantExit(t, 1, "checkpoints.jsonl", append(run, "-replay", "1-2")...)
+}
+
+// TestObsDirDropsStaleArtifacts reuses one -obs directory for a capture
+// with probes and checkpoints and then one without: the second capture
+// removes the first one's optional artifacts instead of inventorying
+// them as its own.
+func TestObsDirDropsStaleArtifacts(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cap")
+	run := []string{"-exp", "run", "-duration", "1h", "-obs", dir}
+	wantExit(t, 0, "", append(run, "-probes", "60", "-checkpoint-every", "1", "-audit", "report")...)
+	for _, name := range []string{"probes.jsonl", "checkpoints.jsonl", "audits.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("first capture: %v", err)
+		}
+	}
+	wantExit(t, 0, "", run...)
+	m, err := obs.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inventoried []string
+	for _, a := range m.Artifacts {
+		inventoried = append(inventoried, a.Name)
+	}
+	if want := []string{"events.jsonl", "decisions.jsonl", "metrics.prom"}; !slices.Equal(inventoried, want) {
+		t.Errorf("second manifest inventories %v, want %v", inventoried, want)
+	}
+	for _, name := range []string{"probes.jsonl", "checkpoints.jsonl", "audits.jsonl", "alerts.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale %s left behind (stat: %v)", name, err)
+		}
+	}
 }

@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"heb/internal/obs/alerts"
 )
 
 // ManifestVersion is the schema version stamped into every manifest; a
@@ -165,17 +163,10 @@ func parseRunKey(key string) (scheme, workload string, durationS float64, seed i
 	return scheme, workload, durationS, seed, cfgHash
 }
 
-// countingWriter measures the bytes a JSONL writer produces without
-// keeping them.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// runManifest builds one run's index row from its contributed artifact.
-func runManifest(a RunArtifact, fingerprint string) RunManifest {
+// runManifest builds one run's index row from its contributed artifact,
+// its content fingerprint and its bytes across the JSONL artifacts
+// (metrics.prom is aggregate and not attributable).
+func runManifest(a *RunArtifact, fingerprint string, bytes int64) RunManifest {
 	scheme, workload, durationS, seed, cfgHash := parseRunKey(a.Key)
 	fp := sha256.Sum256([]byte(fingerprint))
 	rm := RunManifest{
@@ -187,6 +178,7 @@ func runManifest(a RunArtifact, fingerprint string) RunManifest {
 		ConfigHash:      cfgHash,
 		Status:          StatusComplete,
 		Fingerprint:     hex.EncodeToString(fp[:6]),
+		Bytes:           bytes,
 		Summary: RunSummary{
 			Steps:         a.Steps,
 			MismatchSteps: a.MismatchSteps,
@@ -223,30 +215,27 @@ func runManifest(a RunArtifact, fingerprint string) RunManifest {
 		rm.Checkpoints = n
 		rm.CheckpointHead = a.Checkpoints[n-1].Hash
 	}
-	// The run's byte share is what its slice of each JSONL artifact
-	// serializes to; metrics.prom is aggregate and not attributable.
-	var cw countingWriter
-	_ = WriteEventsJSONL(&cw, a.Events)
-	_ = WriteDecisionsJSONL(&cw, a.Decisions)
-	_ = WriteProbesJSONL(&cw, a.Probes)
-	_ = WriteCheckpointsJSONL(&cw, a.Checkpoints)
-	if a.Audit != nil {
-		_ = WriteAuditsJSONL(&cw, []AuditReport{*a.Audit})
-	}
-	_ = alerts.WriteEventsJSONL(&cw, a.AlertEvents)
-	rm.Bytes = cw.n
 	return rm
 }
 
 // BuildManifest renders the capture's run index (status complete, no
-// artifact inventory — WriteFiles attaches that after the files land).
-// Output order matches Runs(), so the manifest is deterministic for any
-// worker count.
+// artifact inventory — WriteFiles attaches that as the files land). It
+// runs WriteFiles' pass into io.Discard for the run byte counts. Output
+// order matches Runs(), so the manifest is deterministic for any worker
+// count.
 func (c *Capture) BuildManifest() Manifest {
-	runs := c.Runs()
-	m := Manifest{V: ManifestVersion, Status: StatusComplete, Label: c.Label()}
-	for _, a := range runs {
-		m.Runs = append(m.Runs, runManifest(a, artifactFingerprint(a)))
+	s := c.snapshot()
+	// Into io.Discard only a record json cannot encode fails, and the
+	// file write reports that.
+	bytes, _, _ := s.write("")
+	return s.manifest(bytes)
+}
+
+// manifest renders s's run index given each run's JSONL bytes.
+func (s snapshot) manifest(bytes []int64) Manifest {
+	m := Manifest{V: ManifestVersion, Status: StatusComplete, Label: s.label}
+	for i := range s.runs {
+		m.Runs = append(m.Runs, runManifest(&s.runs[i], s.fps[i], bytes[i]))
 	}
 	return m
 }

@@ -1,10 +1,16 @@
 package obs
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"heb/internal/obs/alerts"
 )
 
 // TestManifestLifecycle walks the full capture lifecycle a killed-and-
@@ -147,5 +153,117 @@ func TestWriteManifestLeavesNoTempFiles(t *testing.T) {
 	}
 	if len(ents) != 1 || ents[0].Name() != ManifestName {
 		t.Fatalf("dir holds %v, want only %s", ents, ManifestName)
+	}
+}
+
+// deepArtifact is a run carrying every optional artifact: probes, an
+// audit, checkpoints and fired alerts.
+func deepArtifact(key string, soc float64) RunArtifact {
+	a := artifactA()
+	a.Key = key
+	a.Probes = []ProbeSample{
+		{Seconds: 60, Device: "battery/0", SoC: soc, VoltageV: 12.6, PowerW: 40},
+		{Seconds: 60, Device: "supercap/0", SoC: soc / 2, VoltageV: 15.1, PowerW: -12},
+	}
+	a.Audit = &AuditReport{Mode: "report", Steps: 3600, EnergyInWh: 100, EnergyOutWh: 99.5, Passed: true}
+	a.Checkpoints = []CheckpointRecord{
+		{V: CheckpointVersion, Slot: 1, Step: 600, Seconds: 600, State: json.RawMessage(`{"soc": 0.9}`), Hash: "h1"},
+		{V: CheckpointVersion, Slot: 2, Step: 1200, Seconds: 1200, State: json.RawMessage(`{"soc":0.8}`), Prev: "h1", Hash: "h2"},
+	}
+	a.AlertEvents = []alerts.Event{{Seconds: 900, Kind: alerts.KindSoCFloor, Severity: alerts.SeverityCritical, Device: "battery/0", Value: soc, Limit: 0.99}}
+	return a
+}
+
+// TestWriteFilesRemovesStaleArtifacts writes a capture with every
+// optional artifact and then one without any into the same directory:
+// the second removes the first one's optional files instead of
+// inventorying them as its own.
+func TestWriteFilesRemovesStaleArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	deep := NewCapture()
+	deep.Contribute(deepArtifact("HEB-D|PR|1h|seed=1", 0.7))
+	if err := deep.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Artifacts) != len(ArtifactNames) {
+		t.Fatalf("deep capture inventories %d files, want all %d", len(m.Artifacts), len(ArtifactNames))
+	}
+	plain := NewCapture()
+	plain.Contribute(artifactA())
+	if err := plain.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = ReadManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, a := range m.Artifacts {
+		names = append(names, a.Name)
+	}
+	if want := []string{"events.jsonl", "decisions.jsonl", "metrics.prom"}; !slices.Equal(names, want) {
+		t.Errorf("inventory %v, want %v", names, want)
+	}
+	for _, name := range []string{"probes.jsonl", "audits.jsonl", "checkpoints.jsonl", "alerts.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale %s left behind (stat: %v)", name, err)
+		}
+	}
+}
+
+// TestRunBytesMatchWrittenArtifacts checks the byte accounting of a
+// multi-run capture: the runs' bytes add up to every inventoried JSONL
+// artifact (metrics.prom is aggregate), each inventory entry matches the
+// file on disk, and BuildManifest equals the written manifest minus its
+// inventory.
+func TestRunBytesMatchWrittenArtifacts(t *testing.T) {
+	c := NewCapture()
+	c.SetLabel("bytes")
+	c.Contribute(deepArtifact("HEB-D|PR|1h|seed=1", 0.7))
+	c.Contribute(deepArtifact("HEB-D|PR|1h|seed=1", 0.6))
+	c.Contribute(artifactA())
+	c.Contribute(artifactB())
+	dir := t.TempDir()
+	if err := c.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runBytes, fileBytes int64
+	for _, r := range m.Runs {
+		runBytes += r.Bytes
+	}
+	for _, a := range m.Artifacts {
+		raw, err := os.ReadFile(filepath.Join(dir, a.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		if int64(len(raw)) != a.Bytes || hex.EncodeToString(sum[:]) != a.SHA256 {
+			t.Errorf("%s: inventory %d bytes %.12s, file %d bytes %x", a.Name, a.Bytes, a.SHA256, len(raw), sum[:6])
+		}
+		if a.Name != "metrics.prom" {
+			fileBytes += a.Bytes
+		}
+	}
+	if len(m.Runs) != 4 || runBytes != fileBytes {
+		t.Errorf("%d runs hold %d bytes, JSONL artifacts %d", len(m.Runs), runBytes, fileBytes)
+	}
+	m.Artifacts = nil
+	want, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(c.BuildManifest(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("BuildManifest differs from the written manifest:\n%s\nwant\n%s", got, want)
 	}
 }

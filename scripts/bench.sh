@@ -13,7 +13,9 @@
 # auditor + span tracer), Checkpoint (state snapshots at slot
 # boundaries), Manifest (capture run-index rows built from contributed
 # artifacts, no file IO), Alerts (the SLO rule engine, internal/obs/alerts)
-# and Prof (internal/obs/prof cell labels on the engine hot loop). The
+# and Prof (internal/obs/prof cell labels on the engine hot loop).
+# BenchmarkCaptureWriteFiles times the file half of a flight-recorder
+# run: one hooks-on 2 h HEB-D capture written to a temp directory. The
 # hooks-off path is BenchmarkEngineStep itself: its exact allocs/op gate
 # in the sweep set proves every nil-guarded hook costs nothing when off.
 # BenchmarkCheckpointDelta rides in the obs set: the checkpointed hour
@@ -32,9 +34,10 @@
 #
 # -check compares each set against its committed baseline with
 # `hebobs watch bench` (cmd/hebobs), which holds the tolerances: allocs/op
-# exact (deterministic) except ±8 for the MultiSeed pair and ProfEnabled,
-# whose pools and pprof buffers wobble; ns/op at most 1.5x the baseline
-# (wall-clock is noisy across machines, so only gross regressions fail).
+# exact (deterministic) except ±8 for the MultiSeed pair, ProfEnabled and
+# CaptureWriteFiles, whose pools and pprof buffers wobble; ns/op at most
+# 1.5x the baseline (wall-clock is noisy across machines, so only gross
+# regressions fail).
 # When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebobs prof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
@@ -138,7 +141,7 @@ run_set() {
 }
 
 run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
-run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled' "$obs_out"
+run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the
