@@ -224,11 +224,15 @@ func paintBurst(env []float64, step time.Duration, t0, width time.Duration, heig
 	if ramp < step {
 		ramp = step
 	}
-	for i := range env {
+	// Only samples in [t0, t0+width) change, so start at the burst and
+	// stop after it instead of scanning the whole envelope.
+	for i := max(0, int(t0/step)); i < len(env); i++ {
 		tt := time.Duration(i) * step
 		var v float64
 		switch {
-		case tt < t0 || tt >= t0+width:
+		case tt >= t0+width:
+			return
+		case tt < t0:
 			continue
 		case tt < t0+ramp:
 			v = float64(tt-t0) / float64(ramp)

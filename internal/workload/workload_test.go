@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -230,4 +231,58 @@ func meanOf(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// TestPaintBurstMatchesFullScan checks the range-bounded burst painter
+// against a scan of every sample, bit for bit, across burst starts on
+// and off the step grid, bursts narrower than a step, and bursts that
+// start before zero or run past the envelope's end.
+func TestPaintBurstMatchesFullScan(t *testing.T) {
+	fullScan := func(env []float64, step, t0, width time.Duration, height float64) {
+		ramp := width / 10
+		if ramp < step {
+			ramp = step
+		}
+		for i := range env {
+			tt := time.Duration(i) * step
+			var v float64
+			switch {
+			case tt < t0 || tt >= t0+width:
+				continue
+			case tt < t0+ramp:
+				v = float64(tt-t0) / float64(ramp)
+			case tt >= t0+width-ramp:
+				v = float64(t0+width-tt) / float64(ramp)
+			default:
+				v = 1
+			}
+			v *= height
+			if v > env[i] {
+				env[i] = v
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	const n = 500
+	for trial := 0; trial < 2000; trial++ {
+		step := time.Duration(1+rng.Intn(3)) * time.Second
+		t0 := time.Duration(rng.Int63n(int64(n+20)*int64(step))) - 10*step
+		if trial%3 == 0 {
+			t0 = t0 / step * step // on the grid
+		}
+		width := time.Duration(rng.Int63n(int64(80 * step)))
+		height := rng.Float64()
+		got, want := make([]float64, n), make([]float64, n)
+		for i := range got {
+			got[i] = rng.Float64() * 0.3
+			want[i] = got[i]
+		}
+		paintBurst(got, step, t0, width, height)
+		fullScan(want, step, t0, width, height)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("step %v t0 %v width %v: sample %d = %v, full scan %v", step, t0, width, i, got[i], want[i])
+			}
+		}
+	}
 }
