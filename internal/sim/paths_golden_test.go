@@ -1,0 +1,177 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"heb/internal/core"
+	"heb/internal/esd"
+	"heb/internal/obs"
+	"heb/internal/pat"
+	"heb/internal/power"
+	"heb/internal/trace"
+	"heb/internal/units"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_paths.golden from the current code")
+
+// burstyTrace is a deterministic per-server workload: each server
+// alternates idle stretches (below the LRU activity threshold) with busy
+// bursts of its own phase and depth, so LRU stamps, per-server demands
+// and relay positions all diverge between servers.
+func burstyTrace(servers int, duration, step time.Duration) *trace.Trace {
+	tr := trace.MustNew("bursty", step, servers, int(duration/step))
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func() float64 { // xorshift64*, fixed across Go releases
+		state ^= state >> 12
+		state ^= state << 25
+		state ^= state >> 27
+		return float64((state*0x2545f4914f6cdd1d)>>11) / (1 << 53)
+	}
+	for j := 0; j < servers; j++ {
+		period := 300 + 97*j // seconds
+		phase := 53 * j
+		for i := range tr.Samples {
+			u := 0.02 * next()
+			if k := (i + phase) % period; k < period/2 {
+				u = 0.35 + 0.65*math.Sin(math.Pi*float64(k)/float64(period/2)) + 0.1*(next()-0.5)
+			}
+			tr.Samples[i][j] = units.Clamp(u, 0, 1)
+		}
+	}
+	return tr
+}
+
+// eventDigest folds every emitted event into a count and an FNV-64 hash,
+// pinning the relay-movement sequence, not just its totals.
+type eventDigest struct {
+	n int
+	h uint64
+}
+
+func (d *eventDigest) Emit(ev obs.Event) {
+	b, _ := json.Marshal(ev)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x", d.h)
+	h.Write(b)
+	d.h = h.Sum64()
+	d.n++
+}
+
+// TestEnginePathsGolden pins the full Result, the final fabric state and
+// the event stream of four runs off the default path: DVFS capping, a
+// relay stuck on a pool across a peak, a starved run that sheds and
+// restarts, and servers with non-dense ids. Regenerate with
+// go test ./internal/sim -run TestEnginePathsGolden -update-golden.
+func TestEnginePathsGolden(t *testing.T) {
+	const d = time.Hour
+	run := func(t *testing.T, ids []int, budget units.Power, scheme core.Scheme, tweak func(*Config, *rig, **Engine)) []byte {
+		t.Helper()
+		r := newRig(t, budget)
+		for i, id := range ids {
+			r.servers[i] = power.MustNewServer(id, power.DefaultServerConfig())
+		}
+		cfg := baseConfig(r, burstyTrace(len(r.servers), d, time.Second), controller(t, scheme, budget))
+		cfg.Slot = 5 * time.Minute
+		dig := &eventDigest{}
+		cfg.Events = dig
+		var e *Engine
+		if tweak != nil {
+			tweak(&cfg, r, &e)
+		}
+		e = MustNew(cfg)
+		res := e.Run()
+		out, err := json.MarshalIndent(struct {
+			Result Result
+			Fabric power.FabricState
+			Events int
+			Digest string
+		}{res, e.Fabric().Checkpoint(), dig.n, fmt.Sprintf("%016x", dig.h)}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	starved := func(cfg *Config, r *rig, _ **Engine) {
+		small := esd.DefaultBatteryConfig()
+		small.CapacityAh = 0.3
+		r.battery = esd.MustNewPool("battery", esd.MustNewBattery(small))
+		tiny := esd.DefaultSupercapConfig()
+		tiny.Capacitance = 5
+		r.supercap = esd.MustNewPool("supercap", esd.MustNewSupercap(tiny))
+		cfg.Battery, cfg.Supercap = r.battery, r.supercap
+	}
+	var got bytes.Buffer
+	for _, tc := range []struct {
+		name   string
+		ids    []int
+		budget units.Power
+		scheme core.Scheme
+		tweak  func(*Config, *rig, **Engine)
+	}{
+		{name: "dvfs_capping", budget: 230, scheme: core.NewBaFirst(), tweak: func(cfg *Config, _ *rig, _ **Engine) {
+			cfg.DVFSCapping = true
+		}},
+		{name: "stuck_relay", budget: 240, scheme: core.NewHEBD(pat.MustNew(pat.DefaultConfig())), tweak: func(cfg *Config, _ *rig, eng **Engine) {
+			// Fail every relay that sits on a pool at the first mismatch
+			// tick after ten minutes, and repair them half an hour later:
+			// the stuck servers stay on their pool through surplus ticks.
+			var failed []int
+			cfg.Observer = func(s StepInfo) {
+				f := (*eng).Fabric()
+				switch {
+				case failed == nil && s.Mismatch && s.Now >= 10*time.Minute:
+					for _, srv := range f.Servers() {
+						if src := f.SourceOf(srv.ID()); src == power.SourceBattery || src == power.SourceSupercap {
+							_ = f.FailRelay(srv.ID())
+							failed = append(failed, srv.ID())
+						}
+					}
+				case failed != nil && s.Now == 40*time.Minute:
+					for _, id := range failed {
+						f.RepairRelay(id)
+					}
+				}
+			}
+		}},
+		{name: "shed_restart", budget: 200, scheme: core.NewSCFirst(), tweak: starved},
+		{name: "non_dense_ids", ids: []int{10, 20, 30, 40, 50, 60}, budget: 240,
+			scheme: core.NewHEBD(pat.MustNew(pat.DefaultConfig()))},
+	} {
+		fmt.Fprintf(&got, "== %s\n", tc.name)
+		got.Write(run(t, tc.ids, tc.budget, tc.scheme, tc.tweak))
+		got.WriteByte('\n')
+	}
+
+	path := filepath.Join("testdata", "engine_paths.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("engine paths differ from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("engine paths differ from %s in length: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
