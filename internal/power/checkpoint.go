@@ -41,7 +41,7 @@ func (f *Fabric) Checkpoint() FabricState {
 		Assign:   append([]Source(nil), f.assign...),
 		LastUse:  append([]time.Duration(nil), f.lastUse...),
 		Stuck:    append([]bool(nil), f.stuck...),
-		Offline:  f.offline,
+		Offline:  f.count[SourceOff],
 		Switches: f.switches,
 		Meter:    f.meter,
 		Servers:  make([]ServerState, len(f.servers)),

@@ -184,3 +184,59 @@ func TestEnergyLedgerClosesProperty(t *testing.T) {
 		t.Errorf("energy ledger open by %g J (lhs %g, rhs %g)", diff, lhs, rhs)
 	}
 }
+
+// splitRig builds an engine whose slot decision is ModeSplit at ratio,
+// with every server's demand snapshotted at the given utilizations. The
+// rig's pools carry far more than six servers draw, so applyDecision's
+// R_λ split never spills to the other pool.
+func splitRig(t *testing.T, ratio float64, utils ...float64) *Engine {
+	t.Helper()
+	r := newRig(t, 260)
+	for i, u := range utils {
+		r.servers[i].SetUtilization(u)
+	}
+	e := MustNew(baseConfig(r, flatTrace(0.5, 6, time.Minute, time.Second), controller(t, core.NewSCFirst(), 260)))
+	e.decision = core.Decision{Mode: core.ModeSplit, Ratio: ratio}
+	e.fabric.SnapshotDemand(e.demandByIdx)
+	return e
+}
+
+func TestApplyDecisionSplitRatio(t *testing.T) {
+	e := splitRig(t, 0.5)
+	e.applyDecision([]int{0, 1, 2, 3})
+	f := e.Fabric()
+	if got := f.Count(power.SourceSupercap); got != 2 {
+		t.Errorf("SC count %d, want 2 at ratio 0.5", got)
+	}
+	if got := f.Count(power.SourceBattery); got != 2 {
+		t.Errorf("battery count %d, want 2", got)
+	}
+	if got := f.Count(power.SourceUtility); got != 2 {
+		t.Errorf("utility count %d, want 2 untouched", got)
+	}
+}
+
+func TestApplyDecisionSplitExtremes(t *testing.T) {
+	for _, tc := range []struct {
+		ratio float64
+		src   power.Source
+	}{
+		{1, power.SourceSupercap},
+		{0, power.SourceBattery},
+		{7, power.SourceSupercap}, // out-of-range ratios clamp
+	} {
+		e := splitRig(t, tc.ratio)
+		e.applyDecision([]int{0, 1, 2, 3})
+		if got := e.Fabric().Count(tc.src); got != 4 {
+			t.Errorf("ratio %g: %v count %d, want 4", tc.ratio, tc.src, got)
+		}
+	}
+}
+
+func TestApplyDecisionSplitPutsBigLoadsOnSC(t *testing.T) {
+	e := splitRig(t, 0.25, 0.1, 0.9, 0.2, 0.5) // server 1 is the hungriest
+	e.applyDecision([]int{0, 1, 2, 3})         // one server on SC
+	if src := e.Fabric().SourceAt(1); src != power.SourceSupercap {
+		t.Errorf("hungriest server on %v, want supercap", src)
+	}
+}

@@ -58,12 +58,7 @@ func ScaleOutStudy(p Prototype, factors []int, duration time.Duration) ([]ScaleP
 	return runner.MapWorkers(context.Background(), len(factors), 1,
 		func(_ context.Context, worker, i int) (ScalePoint, error) {
 			f := factors[i]
-			pp := p
-			pp.NumServers = p.NumServers * f
-			pp.Budget = units.Power(float64(p.Budget) * float64(f))
-			pp.StorageWh = p.StorageWh * float64(f)
-			pp.BatteryStrings = p.BatteryStrings * f
-			pp.SCBanks = p.SCBanks * f
+			pp := p.scaledBy(f)
 
 			w, err := WorkloadNamed("PR")
 			if err != nil {
@@ -95,6 +90,17 @@ func ScaleOutStudy(p Prototype, factors []int, duration time.Duration) ([]ScaleP
 			}
 			return pt, nil
 		})
+}
+
+// scaledBy grows the prototype by factor f: servers, budget, storage and
+// pool members all scale together.
+func (p Prototype) scaledBy(f int) Prototype {
+	p.NumServers *= f
+	p.Budget = units.Power(float64(p.Budget) * float64(f))
+	p.StorageWh *= float64(f)
+	p.BatteryStrings *= f
+	p.SCBanks *= f
+	return p
 }
 
 // WriteScaleOut renders the study.
