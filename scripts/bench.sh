@@ -4,7 +4,10 @@
 #
 # The sweep set runs the multi-seed sequential/parallel pair plus the raw
 # engine throughput benchmark and its pooled-reuse counterpart
-# (BenchmarkEngineReuse: the same hour checked out of a warmed RunCache);
+# (BenchmarkEngineReuse: the same hour checked out of a warmed RunCache),
+# and BenchmarkEngineStepScale, the per-server hot loop at 96 servers (a
+# pooled x16 HEB-D hour on the mismatch-heavy DA workload), whose exact
+# allocs/op gate keeps that loop allocation-free as servers grow;
 # the Sequential/Parallel pair is the wall-clock headline for the shared
 # runner (internal/runner) and needs GOMAXPROCS >= 4 to show a speedup.
 #
@@ -140,7 +143,7 @@ run_set() {
 	fi
 }
 
-run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$' "$sweep_out"
+run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$' "$sweep_out"
 run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
