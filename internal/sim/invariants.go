@@ -156,7 +156,7 @@ func (c *Checker) step(e *Engine, now time.Duration) {
 	for _, n := range counts {
 		total += n
 	}
-	servers, offline := e.fabric.NumServers(), e.fabric.NumOffline()
+	servers, offline := e.fabric.NumServers(), e.fabric.Count(power.SourceOff)
 	if c.audit != nil {
 		if total != servers {
 			c.audit.Flag(obs.AuditEvent{Seconds: sec, Kind: alerts.KindRelayExclusivity,
