@@ -432,54 +432,6 @@ func benchPooledHour(b *testing.B, p Prototype, workload string) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
 }
 
-// BenchmarkCheckpointDelta measures the flight recorder's delta-encoded
-// chain: the HEB-D hour snapshotting every slot into a discarding sink,
-// keyframes every obs.DefaultKeyframeEvery records and suffix-spliced
-// deltas between. Compare against BenchmarkEngineStep for
-// the overhead ratio (target: under 1.2x ns/op and under 400 KB/op —
-// full-state chains cost ~2 MB/op) and see ckptKB/op for the bytes the
-// chain itself carries.
-func BenchmarkCheckpointDelta(b *testing.B) {
-	p := DefaultPrototype()
-	p.CheckpointEvery = 1
-	pr, err := WorkloadNamed("PR")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := pr.WithDuration(time.Hour)
-	if _, err := wl.Trace(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	var chainBytes, deltas, records int
-	for i := 0; i < b.N; i++ {
-		chainBytes, deltas, records = 0, 0, 0
-		opts := RunOptions{
-			Duration: time.Hour,
-			CheckpointSink: func(r obs.CheckpointRecord) {
-				chainBytes += len(r.State)
-				records++
-				if r.Delta {
-					deltas++
-				}
-			},
-		}
-		res, err := p.Run(HEBD, wl, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-	}
-	if records == 0 || deltas == 0 {
-		b.Fatalf("chain carried %d records / %d deltas; delta encoding not exercised", records, deltas)
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "simSteps/s")
-	b.ReportMetric(float64(chainBytes)/1024, "ckptKB/op")
-	b.ReportMetric(float64(deltas)/float64(records), "deltaShare")
-}
-
 // benchHooksOn times the HEB-D hour with one engine hook family switched
 // on by arm, which configures a fresh prototype copy and run options per
 // iteration. The hooks-off path is BenchmarkEngineStep itself: its exact

@@ -4,6 +4,7 @@ import (
 	_ "embed"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -290,8 +291,8 @@ func (m *monitor) handleCompare(w http.ResponseWriter, r *http.Request) {
 	tol := 0.0
 	if q := r.URL.Query().Get("tol"); q != "" {
 		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			writeText(w, http.StatusBadRequest, "bad tol\n")
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			writeText(w, http.StatusBadRequest, "bad tol (want a finite number >= 0)\n")
 			return
 		}
 		tol = v

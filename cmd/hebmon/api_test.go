@@ -20,7 +20,7 @@ import (
 // captureTwoSeeds records two real HEB-D runs of the same configuration
 // except for the seed into one capture directory and returns its
 // manifest.
-func captureTwoSeeds(t *testing.T, dir string) obs.Manifest {
+func captureTwoSeeds(t testing.TB, dir string) obs.Manifest {
 	t.Helper()
 	c := obs.NewCapture()
 	c.SetLabel("test")
@@ -52,7 +52,7 @@ func captureTwoSeeds(t *testing.T, dir string) obs.Manifest {
 
 // newTestMonitor serves the full mux over a scanned registry at root
 // ("" = no registry).
-func newTestMonitor(t *testing.T, root string) (*monitor, *httptest.Server) {
+func newTestMonitor(t testing.TB, root string) (*monitor, *httptest.Server) {
 	t.Helper()
 	m := &monitor{
 		rec:     telemetry.MustNewRecorder(16),
@@ -180,8 +180,10 @@ func TestAPICompareTwoSeeds(t *testing.T) {
 		t.Fatalf("self compare not empty: %+v", self)
 	}
 
-	if code, _ := get(t, ts.URL+"/api/runs/"+a+"/compare/"+b+"?tol=bogus"); code != http.StatusBadRequest {
-		t.Fatal("bad tol accepted")
+	for _, tol := range []string{"bogus", "NaN", "-1", "Inf", "-Inf", "1e999"} {
+		if code, _ := get(t, ts.URL+"/api/runs/"+a+"/compare/"+b+"?tol="+tol); code != http.StatusBadRequest {
+			t.Errorf("tol=%s accepted", tol)
+		}
 	}
 	if code, _ := get(t, ts.URL+"/api/runs/"+a+"/compare/ffffffffffff"); code != http.StatusNotFound {
 		t.Fatal("unknown other accepted")

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -20,7 +21,10 @@ import (
 // bracketing decisions and events when decisions.jsonl and events.jsonl
 // are present. Config-echo fields that differ between differently
 // configured runs (utility budget, cluster size) are ignored by default;
-// pass -ignore "" to diff strictly. A divergence is a finding.
+// pass -ignore "" to diff strictly. The metric series and the PAT entries
+// are stored as {len, digest} pairs, so a divergence only they show is
+// reported at their digest path and compared exactly whatever -tol says.
+// A divergence is a finding.
 func bisectCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bisect", flag.ExitOnError)
 	runA := fs.String("run-a", "", "run key to select from dirA's chain (default: last record's run)")
@@ -30,6 +34,9 @@ func bisectCmd(w io.Writer, args []string) error {
 	maxDiffs := fs.Int("max-diffs", 16, "cap on reported field diffs")
 	if err := parse(fs, args, 2); err != nil {
 		return err
+	}
+	if *tol < 0 || math.IsNaN(*tol) || math.IsInf(*tol, 0) {
+		return fmt.Errorf("-tol %g: want a finite tolerance >= 0", *tol)
 	}
 	diverged, err := bisect(w, fs.Arg(0), fs.Arg(1), *runA, *runB, *tol, ignoreSet(*ignore), *maxDiffs)
 	if err == nil && diverged {
@@ -52,9 +59,8 @@ func ignoreSet(s string) map[string]bool {
 // optional decision/event traces filtered to the same run.
 type side struct {
 	name, dir, run string
-	// records is the full validated chain (all runs); delta records
-	// materialize against it. bySlot maps this run's slots to indices
-	// into records.
+	// records is the full validated chain (all runs); bySlot maps this
+	// run's slots to indices into records.
 	records []obs.CheckpointRecord
 	bySlot  map[int]int
 	slots   []int
@@ -121,16 +127,6 @@ func (s *side) rec(slot int) obs.CheckpointRecord {
 	return s.records[s.bySlot[slot]]
 }
 
-// state returns the full engine+obs state at a slot, materializing delta
-// records against their keyframe chain.
-func (s *side) state(slot int) ([]byte, error) {
-	raw, err := obs.MaterializeAt(s.records, s.bySlot[slot])
-	if err != nil {
-		return nil, fmt.Errorf("%s: slot %d: %w", s.dir, slot, err)
-	}
-	return raw, nil
-}
-
 // decision returns the side's record for a 1-based control slot.
 func (s *side) decision(slot int) (obs.DecisionRecord, bool) {
 	for _, r := range s.decisions {
@@ -165,28 +161,13 @@ func bisect(w io.Writer, dirA, dirB, runA, runB string, tol float64, ignore map[
 	fmt.Fprintf(w, "A: %s run %q, checkpoints at slots %d-%d\n", a.dir, a.run, a.slots[0], a.slots[len(a.slots)-1])
 	fmt.Fprintf(w, "B: %s run %q, checkpoints at slots %d-%d\n", b.dir, b.run, b.slots[0], b.slots[len(b.slots)-1])
 
-	var diffErr error
 	diffAt := func(i int) []obs.FieldDiff {
-		slot := common[i]
-		sa, err := a.state(slot)
-		if err != nil {
-			diffErr = err
-			return nil
-		}
-		sb, err := b.state(slot)
-		if err != nil {
-			diffErr = err
-			return nil
-		}
-		return obs.DiffJSON(sa, sb, tol, ignore)
+		return obs.DiffJSON(a.rec(common[i]).State, b.rec(common[i]).State, tol, ignore)
 	}
 	// The simulator is deterministic: states equal at slot s stay equal at
 	// every later checkpoint, so "diverged" is monotone over the common
 	// slots and sort.Search lands exactly on the first divergence.
 	first := sort.Search(len(common), func(i int) bool { return len(diffAt(i)) > 0 })
-	if diffErr != nil {
-		return false, diffErr
-	}
 	if first == len(common) {
 		fmt.Fprintf(w, "no divergence across %d common checkpoints (slots %d-%d)\n",
 			len(common), common[0], common[len(common)-1])

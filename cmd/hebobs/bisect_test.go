@@ -24,7 +24,7 @@ func writeChain(t *testing.T, dir string, slots int, stateAt func(slot int) any)
 		if err != nil {
 			t.Fatal(err)
 		}
-		log.Append(s, s*600, float64(s*600), raw, false)
+		log.Append(s, s*600, float64(s*600), raw)
 	}
 	records := log.Records()
 	for i := range records {
@@ -120,8 +120,37 @@ func TestBisectRealRuns(t *testing.T) {
 		t.Fatalf("identical runs should not diverge, got:\n%s", out)
 	}
 	out = captureBisect(t, dirA, dirC, 0, nil, true)
-	if !strings.Contains(out, "first divergence at checkpoint slot") {
-		t.Fatalf("perturbed run should diverge, got:\n%s", out)
+	if !strings.Contains(out, "first divergence at checkpoint slot") || !strings.Contains(out, "$.battery.") {
+		t.Fatalf("perturbed run should diverge with a field-level diff, got:\n%s", out)
+	}
+}
+
+// TestBisectReportsDigests: a divergence only the PAT or a series shows
+// is reported at its digest path, and no tolerance hides it.
+func TestBisectReportsDigests(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	state := func(slot int, patSum, seriesSum string) any {
+		digest := func(n int, sum string) any { return map[string]any{"len": n, "digest": sum} }
+		return map[string]any{
+			"steps":         slot * 600,
+			"demand_series": digest(slot*600, seriesSum),
+			"controller":    map[string]any{"pat": map[string]any{"entries": digest(800, patSum), "lookups": slot}},
+		}
+	}
+	writeChain(t, dirA, 6, func(s int) any { return state(s, "11", "21") })
+	writeChain(t, dirB, 6, func(s int) any {
+		switch {
+		case s >= 5:
+			return state(s, "12", "22")
+		case s >= 3:
+			return state(s, "12", "21")
+		}
+		return state(s, "11", "21")
+	})
+	out := captureBisect(t, dirA, dirB, 0.5, nil, true)
+	if !strings.Contains(out, "first divergence at checkpoint slot 3") ||
+		!strings.Contains(out, "$.controller.pat.entries.digest") || strings.Contains(out, "$.demand_series") {
+		t.Fatalf("expected a PAT digest divergence at slot 3, got:\n%s", out)
 	}
 }
 
@@ -208,17 +237,6 @@ func record(t *testing.T, dir string, budget float64) {
 	}
 	if _, err := p.Run(heb.HEBD, pr.WithDuration(2*time.Hour), opts); err != nil {
 		t.Fatal(err)
-	}
-	// The 2h chain spans a keyframe boundary, so the bisect round-trip
-	// below exercises delta materialization, not just stored keyframes.
-	var deltas int
-	for _, r := range records {
-		if r.Delta {
-			deltas++
-		}
-	}
-	if deltas == 0 {
-		t.Fatalf("recorded chain carries no delta records (%d records)", len(records))
 	}
 	f, err := os.Create(filepath.Join(dir, "checkpoints.jsonl"))
 	if err != nil {

@@ -377,9 +377,9 @@ func writeChainJSONL(t *testing.T, dir string, records []obs.CheckpointRecord) {
 }
 
 // TestCheckRejectsV1Chain holds hebobs check to the single checkpoint schema:
-// a hand-built v2 keyframe/delta chain validates, while a v1 record is
-// refused — and the command exits non-zero — even though its retired
-// v1 hash (SHA-256 over the header and the whole state) is correct. The
+// a hand-built chain of the current version validates, while a v1 record
+// is refused — and the command exits non-zero — even though its hash
+// (SHA-256 over the header and the whole state) is correct. The
 // manifest is removed because these chains were written by the test,
 // not by the capture.
 func TestCheckRejectsV1Chain(t *testing.T) {
@@ -390,13 +390,13 @@ func TestCheckRejectsV1Chain(t *testing.T) {
 	}
 	key := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 1, Step: 600, Seconds: 600, State: []byte(`{}`)}
 	key.Hash = obs.HashCheckpoint(key)
-	delta := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 2, Step: 1200, Seconds: 1200,
-		State: []byte(`{}`), Delta: true, Prev: key.Hash}
-	delta.Hash = obs.HashCheckpoint(delta)
-	writeChainJSONL(t, dir, []obs.CheckpointRecord{key, delta})
+	next := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 2, Step: 1200, Seconds: 1200,
+		State: []byte(`{}`), Prev: key.Hash}
+	next.Hash = obs.HashCheckpoint(next)
+	writeChainJSONL(t, dir, []obs.CheckpointRecord{key, next})
 	inv, _, err := check(dir, false)
 	if err != nil {
-		t.Fatalf("v2 chain rejected: %v", err)
+		t.Fatalf("current-version chain rejected: %v", err)
 	}
 	if !strings.Contains(inv, "2 checkpoints (chain intact)") {
 		t.Errorf("inventory missing checkpoint summary: %q", inv)

@@ -68,6 +68,9 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"prof", "top"}, 2, "usage: hebobs prof top"},
 		{[]string{"check", missing}, 1, "events.jsonl missing"},
 		{[]string{"bisect", missing, missing}, 2, "no checkpoints"},
+		{[]string{"bisect", "-tol", "NaN", missing, missing}, 2, "-tol NaN"},
+		{[]string{"bisect", "-tol", "-1", missing, missing}, 2, "-tol -1"},
+		{[]string{"bisect", "-tol", "+Inf", missing, missing}, 2, "-tol +Inf"},
 		{[]string{"watch", "bench", missing, missing}, 2, "no such file"},
 		{[]string{"watch", "bench", "../../BENCH_obs.json", "../../BENCH_obs.json"}, 0, "within tolerance"},
 		{[]string{"prof", "check", "-baseline", missing, "../../BENCH_prof.json"}, 2, "no such file"},

@@ -584,8 +584,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		}
 	}
 	var ckptLog *obs.CheckpointLog
-	var checkpointFn func(slot, step int, now time.Duration, state []byte, delta bool) bool
-	var checkpointDeltaFn func() bool
+	var checkpointFn func(slot, step int, now time.Duration, state []byte) bool
 	// checked counts the carried records the run has regenerated so far;
 	// resumeErr is set at the first one it could not. Both are owned by
 	// the single engine goroutine.
@@ -595,12 +594,8 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		ckptLog = obs.NewCheckpointLog()
 		sink := opts.CheckpointSink
 		progress := p.Progress
-		// Keyframe cadence is a function of chain position alone. Each
-		// record is stored before the engine steps on, so the log is
-		// always current.
-		checkpointDeltaFn = func() bool { return ckptLog.NextIsDelta(obs.DefaultKeyframeEvery) }
-		checkpointFn = func(slot, step int, now time.Duration, state []byte, delta bool) bool {
-			rec := ckptLog.Append(slot, step, now.Seconds(), state, delta)
+		checkpointFn = func(slot, step int, now time.Duration, state []byte) bool {
+			rec := ckptLog.Append(slot, step, now.Seconds(), state)
 			if alerter != nil {
 				alerter.ObserveCheckpoint(rec.Seconds, rec.Prev, rec.Hash)
 			}
@@ -729,7 +724,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		MaxSteps:        opts.MaxSteps,
 		CheckpointEvery: p.CheckpointEvery,
 		Checkpoints:     checkpointFn,
-		CheckpointDelta: checkpointDeltaFn,
 		Prof:            profCtx,
 	}
 	var eng *sim.Engine
@@ -861,12 +855,14 @@ func (p Prototype) runKey(id SchemeID, workload Workload, duration time.Duration
 	h := fnv.New64a()
 	// Pointer-valued observability fields would hash as addresses, making
 	// keys depend on scheduling; they never influence results, so nil them.
+	// The trace group is a label, not configuration.
 	q := p
 	q.Capture = nil
 	q.Progress = nil
 	q.Audits = nil
 	q.Alerts = nil
 	q.Tracer = nil
+	q.TraceCell = ""
 	fmt.Fprintf(h, "%+v", q)
 	fmt.Fprintf(h, "|%T|%T|table=%v", opts.PeakPredictor, opts.ValleyPredictor, opts.Table != nil)
 	return fmt.Sprintf("%s|%s|%s|seed=%d|n=%d|budget=%g|storage=%g|scratio=%g|topo=%d|feed=%s|renew=%v|noise=%g|preage=%g|cfg=%016x",

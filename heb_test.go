@@ -350,3 +350,23 @@ func TestRunTableOverrideAndSink(t *testing.T) {
 		t.Error("BaOnly produced a table")
 	}
 }
+
+// TestRunKeyIgnoresTraceCell: the trace group is a label, so two
+// prototypes differing only in it share a run key, while a real
+// configuration change still moves the key's cfg= hash.
+func TestRunKeyIgnoresTraceCell(t *testing.T) {
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(p Prototype) string { return p.runKey(HEBD, pr, time.Hour, RunOptions{}) }
+	a, b := DefaultPrototype(), DefaultPrototype()
+	a.TraceCell, b.TraceCell = "fig12a", "summary"
+	if key(a) != key(b) || key(a) != key(DefaultPrototype()) {
+		t.Fatalf("trace label changed the run key:\n%s\n%s", key(a), key(b))
+	}
+	b.PATConfig.DeltaR *= 2
+	if key(a) == key(b) {
+		t.Fatal("a PAT tuning change left the run key unchanged")
+	}
+}

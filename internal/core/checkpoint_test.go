@@ -10,13 +10,11 @@ import (
 	"heb/internal/units"
 )
 
-// TestAppendCheckpointJSONMatchesMarshal pins the stitched encoder the
-// engine writes keyframes with to its reference: AppendCheckpointJSON
-// must produce exactly json.Marshal(Checkpoint()), both for a HEB-D
-// controller with a populated PAT, warmed predictors and sensor-noise
-// draws, and for a table-less scheme. A trace tap is attached, and its
-// pending record must stay out of the state.
-func TestAppendCheckpointJSONMatchesMarshal(t *testing.T) {
+// TestCheckpointStateOmitsTraceTap checks the controller snapshot for a
+// HEB-D controller with a populated PAT, warmed predictors and
+// sensor-noise draws, and for a table-less scheme: the PAT travels as a
+// digest, and the attached trace tap's pending record stays out.
+func TestCheckpointStateOmitsTraceTap(t *testing.T) {
 	cfg := testConfig()
 	cfg.SensorNoise = 0.05
 	cfg.NoiseSeed = 7
@@ -39,25 +37,18 @@ func TestAppendCheckpointJSONMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "HEB-D" && (st.PAT == nil || len(st.PAT.Entries) == 0) {
-			t.Fatalf("%s: PAT not populated; the test would not cover the table encoder", name)
+		if (name == "HEB-D") != (st.PAT != nil && st.PAT.Entries.Len > 0) {
+			t.Fatalf("%s: PAT state %+v", name, st.PAT)
 		}
 		if st.NoiseDraws == 0 {
 			t.Fatalf("%s: noise draws missing from the state", name)
 		}
-		want, err := json.Marshal(st)
+		raw, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Contains(want, []byte(`"pending"`)) {
+		if bytes.Contains(raw, []byte(`"pending"`)) {
 			t.Fatalf("%s: the trace tap's pending record leaked into the state", name)
-		}
-		got, err := c.AppendCheckpointJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: AppendCheckpointJSON differs from json.Marshal(Checkpoint()):\n got %s\nwant %s", name, got, want)
 		}
 	}
 }

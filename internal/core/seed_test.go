@@ -34,12 +34,11 @@ func referenceSeed(t *pat.Table, scCap units.Energy, maxPM units.Power, noise fl
 }
 
 // pooledTable returns a table that has served a run: seeded at a larger
-// mismatch range, then hit, updated and tracked, so that Reset parks a
+// mismatch range, then hit and updated, so that Reset parks a
 // spare set for the next seeding to recycle.
 func pooledTable(cfg pat.Config, scCap units.Energy, noise float64) *pat.Table {
 	t := pat.MustNew(cfg)
 	SeedPAT(t, scCap, 0, 300, DefaultBatteryDerate, noise)
-	t.TrackChanges()
 	for i := 0; i < 40; i++ {
 		f := float64(i%10) / 10
 		t.Lookup(f, 1-f, units.Power(i*7))

@@ -86,46 +86,7 @@ type Table struct {
 	// the old Entry values instead of allocating fresh ones.
 	spare map[Key]*Entry
 
-	// dirty and dropped track mutations since the last checkpoint mark,
-	// so a delta checkpoint carries only the handful of entries a slot
-	// touched instead of the whole table. Tracking is off until
-	// TrackChanges — profiling seeds thousands of entries before the
-	// first checkpoint could ever want them, and runs without delta
-	// checkpointing should not pay for the bookkeeping at all.
-	track   bool
-	dirty   map[Key]struct{}
-	dropped map[Key]struct{}
-
 	lookups, misses int
-}
-
-// TrackChanges turns on dirty/dropped tracking so CheckpointPatch can
-// report what changed. The engine enables it before the first step of a
-// delta-checkpointed run; the table's state at that moment becomes the
-// initial baseline.
-func (t *Table) TrackChanges() { t.track = true }
-
-// mark notes that k's entry changed since the last checkpoint mark.
-func (t *Table) mark(k Key) {
-	if !t.track {
-		return
-	}
-	if t.dirty == nil {
-		t.dirty = make(map[Key]struct{})
-	}
-	t.dirty[k] = struct{}{}
-}
-
-// markDropped notes that k's entry was evicted since the last mark.
-func (t *Table) markDropped(k Key) {
-	if !t.track {
-		return
-	}
-	delete(t.dirty, k)
-	if t.dropped == nil {
-		t.dropped = make(map[Key]struct{})
-	}
-	t.dropped[k] = struct{}{}
 }
 
 // New builds an empty table.
@@ -197,15 +158,13 @@ func (t *Table) Add(scFrac, baFrac float64, pm units.Power, ratio float64) Key {
 		t.entries[k] = e
 	}
 	*e = Entry{Key: k, Ratio: units.Clamp(ratio, 0, 1)}
-	t.mark(k)
-	delete(t.dropped, k)
 	return k
 }
 
-// Reset empties the table, clears the lookup counters and turns change
-// tracking off, keeping the configuration: a reset table matches a fresh
-// one. The retired entries are parked for Add to recycle, so a
-// pooled table re-seeded with a similar operating grid allocates nothing.
+// Reset empties the table and clears the lookup counters, keeping the
+// configuration: a reset table matches a fresh one. The retired entries
+// are parked for Add to recycle, so a pooled table re-seeded with a
+// similar operating grid allocates nothing.
 func (t *Table) Reset() {
 	if t.spare == nil {
 		t.spare = make(map[Key]*Entry, len(t.entries))
@@ -216,9 +175,6 @@ func (t *Table) Reset() {
 	}
 	t.entries, t.spare = t.spare, t.entries
 	t.lookups, t.misses = 0, 0
-	t.track = false
-	clear(t.dirty)
-	clear(t.dropped)
 }
 
 func (t *Table) evictColdest() {
@@ -231,7 +187,6 @@ func (t *Table) evictColdest() {
 	}
 	if coldest != nil {
 		delete(t.entries, coldest.Key)
-		t.markDropped(coldest.Key)
 	}
 }
 
@@ -255,7 +210,6 @@ func (t *Table) Lookup(scFrac, baFrac float64, pm units.Power) (ratio float64, e
 	k := t.Quantize(scFrac, baFrac, pm)
 	if e, ok := t.entries[k]; ok {
 		e.Hits++
-		t.mark(k)
 		return e.Ratio, true, true
 	}
 	t.misses++
@@ -264,7 +218,6 @@ func (t *Table) Lookup(scFrac, baFrac float64, pm units.Power) (ratio float64, e
 		return 0.5, false, false
 	}
 	e.Hits++
-	t.mark(e.Key)
 	return e.Ratio, false, true
 }
 
@@ -348,11 +301,9 @@ func (t *Table) Update(scFrac, baFrac float64, pm units.Power, observedRatio flo
 	case DriftBatteryFast:
 		e.Ratio = units.Clamp(e.Ratio+t.cfg.DeltaR, 0, 1)
 		e.Updates++
-		t.mark(k)
 	case DriftSupercapFast:
 		e.Ratio = units.Clamp(e.Ratio-t.cfg.DeltaR, 0, 1)
 		e.Updates++
-		t.mark(k)
 	}
 	return e.Ratio
 }

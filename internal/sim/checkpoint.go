@@ -3,13 +3,13 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"heb/internal/core"
 	"heb/internal/esd"
-	"heb/internal/jsonx"
+	"heb/internal/pat"
 	"heb/internal/power"
 	"heb/internal/units"
 )
@@ -30,7 +30,8 @@ type CappedFreq struct {
 // so a run's chain is byte-identical whichever hooks it has on. Nothing
 // restores from it: a resumed run re-simulates from the seed and checks
 // its records against the carried chain, and hebobs bisect diffs two chains
-// field by field.
+// field by field. The metric series and the PAT entries, the parts that
+// grow with run length or table size, travel as digests.
 type EngineState struct {
 	Steps int           `json:"steps"`
 	Now   time.Duration `json:"now"`
@@ -69,23 +70,20 @@ type EngineState struct {
 
 	Feed *power.UtilityFeedState `json:"feed,omitempty"`
 
-	// The metric series and the controller are declared last, omitempty:
-	// emitCheckpoint marshals the state with these fields empty (the
-	// reflected "head") and hand-appends them — the series through the
-	// jsonx fast path, the controller through its own stitcher — so the
-	// result still matches json.Marshal's field order byte-for-byte.
-	DemandSeries []float64             `json:"demand_series,omitempty"`
-	SlotPeaks    []float64             `json:"slot_peaks,omitempty"`
-	SlotValleys  []float64             `json:"slot_valleys,omitempty"`
-	Controller   *core.ControllerState `json:"controller,omitempty"`
+	DemandSeries pat.Digest           `json:"demand_series"`
+	SlotPeaks    pat.Digest           `json:"slot_peaks"`
+	SlotValleys  pat.Digest           `json:"slot_valleys"`
+	Controller   core.ControllerState `json:"controller"`
 }
 
-// checkpoint assembles the state at a slot boundary, with the series
-// fields aliasing the engine's live slices (emitCheckpoint marshals
-// immediately). The controller is left to the caller: the full and delta
-// paths encode it differently, and assembling the full PAT just to
-// discard it would dominate the delta path's cost.
+// checkpoint assembles the state at a slot boundary, first folding the
+// series samples appended since the previous checkpoint into their
+// running digests: a digest depends on its series alone, not on the
+// checkpoint cadence.
 func (e *Engine) checkpoint() (EngineState, error) {
+	foldSeries(&e.demandDigest, e.demandSeries)
+	foldSeries(&e.peaksDigest, e.slotPeaks)
+	foldSeries(&e.valleysDigest, e.slotValleys)
 	st := EngineState{
 		Steps:         e.steps,
 		Now:           e.now,
@@ -106,9 +104,9 @@ func (e *Engine) checkpoint() (EngineState, error) {
 		UtilityDrawn:  e.utilityDrawn,
 		UtilityPeak:   e.utilityPeak,
 		InitialStored: e.initialStored,
-		DemandSeries:  e.demandSeries,
-		SlotPeaks:     e.slotPeaks,
-		SlotValleys:   e.slotValleys,
+		DemandSeries:  e.demandDigest,
+		SlotPeaks:     e.peaksDigest,
+		SlotValleys:   e.valleysDigest,
 		ShedEvents:    e.shedEvents,
 		MismatchSteps: e.mismatchSteps,
 		Fabric:        e.fabric.Checkpoint(),
@@ -141,43 +139,23 @@ func (e *Engine) checkpoint() (EngineState, error) {
 		fs := uf.Checkpoint()
 		st.Feed = &fs
 	}
+	if st.Controller, err = e.cfg.Controller.Checkpoint(); err != nil {
+		return EngineState{}, fmt.Errorf("sim: checkpoint controller: %w", err)
+	}
 	return st, nil
 }
 
-// appendSeriesField appends `,"<key>":[...]` with the jsonx float fast
-// path; key must carry the leading comma and trailing colon.
-func appendSeriesField(b []byte, key string, s []float64) []byte {
-	b = append(b, key...)
-	return jsonx.AppendFloats(b, s)
+// foldSeries folds the samples of s beyond d.Len into d.
+func foldSeries(d *pat.Digest, s []float64) {
+	for _, v := range s[d.Len:] {
+		d.Fold(math.Float64bits(v))
+	}
 }
 
-// ckptBufPool holds the serialization buffers emitCheckpoint stitches
-// records into. A buffer is borrowed for the duration of one emission
-// (the sink must copy what it keeps) and returned grown, so after the
-// first keyframe has sized it, emissions allocate nothing for the
-// record itself — no matter how many short-lived engines come and go.
-var ckptBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-// emitCheckpoint serializes the state into a pooled buffer and hands it
-// to the configured sink (which must copy — the buffer goes back to the
-// pool when the sink returns), reporting the sink's verdict on whether
-// the run goes on. It runs only at checkpointed slot boundaries, never
-// in the hot loop.
-//
-// The document is stitched rather than marshaled in one reflection pass:
-// the reflected "head" (everything but the metric series and the
-// controller) is cheap, while the series and the PAT — the two parts
-// whose size grows with run length and table size — go through
-// hand-rolled encoders. When cfg.CheckpointDelta approves, the record is
-// delta-encoded: the series carry only the samples grown since the
-// previous emission (tagged with "<key>@base" splice offsets) and the
-// PAT travels as a keyed-merge patch of the entries the slot touched, so
-// a record's cost tracks slot activity instead of run history.
+// emitCheckpoint marshals the state and hands it to the configured sink,
+// reporting the sink's verdict on whether the run goes on. It runs only
+// at checkpointed slot boundaries, never in the hot loop.
 func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) bool {
-	delta := e.cfg.CheckpointDelta != nil && e.cfg.CheckpointDelta()
 	st, err := e.checkpoint()
 	if err != nil {
 		// State assembly fails only on a device/predictor type the
@@ -185,56 +163,9 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) bool {
 		// silently broken chain.
 		panic(fmt.Sprintf("sim: checkpoint at slot %d: %v", slot, err))
 	}
-	// The head reflects everything except the series and controller;
-	// both are declared omitempty and left unset here.
-	series := [3][]float64{st.DemandSeries, st.SlotPeaks, st.SlotValleys}
-	st.DemandSeries, st.SlotPeaks, st.SlotValleys = nil, nil, nil
-	head, err := json.Marshal(st)
+	b, err := json.Marshal(st)
 	if err != nil {
 		panic(fmt.Sprintf("sim: marshal checkpoint at slot %d: %v", slot, err))
 	}
-	bp := ckptBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], head[:len(head)-1]...)
-	if delta {
-		b = appendSeriesField(b, `,"demand_series":`, series[0][e.ckptDemandLen:])
-		b = appendSeriesField(b, `,"slot_peaks":`, series[1][e.ckptPeaksLen:])
-		b = appendSeriesField(b, `,"slot_valleys":`, series[2][e.ckptValleysLen:])
-		b = append(b, `,"demand_series@base":`...)
-		b = jsonx.AppendInt(b, e.ckptDemandLen)
-		b = append(b, `,"slot_peaks@base":`...)
-		b = jsonx.AppendInt(b, e.ckptPeaksLen)
-		b = append(b, `,"slot_valleys@base":`...)
-		b = jsonx.AppendInt(b, e.ckptValleysLen)
-	} else {
-		b = appendSeriesField(b, `,"demand_series":`, series[0])
-		b = appendSeriesField(b, `,"slot_peaks":`, series[1])
-		b = appendSeriesField(b, `,"slot_valleys":`, series[2])
-	}
-	b = append(b, `,"controller":`...)
-	if delta {
-		cd, err := e.cfg.Controller.CheckpointDelta()
-		if err != nil {
-			panic(fmt.Sprintf("sim: checkpoint controller at slot %d: %v", slot, err))
-		}
-		cb, err := json.Marshal(cd)
-		if err != nil {
-			panic(fmt.Sprintf("sim: marshal controller delta at slot %d: %v", slot, err))
-		}
-		b = append(b, cb...)
-	} else {
-		if b, err = e.cfg.Controller.AppendCheckpointJSON(b); err != nil {
-			panic(fmt.Sprintf("sim: checkpoint controller at slot %d: %v", slot, err))
-		}
-	}
-	b = append(b, '}')
-	// Every emission — keyframe or delta — becomes the next delta's
-	// baseline: the series lengths and the PAT marks both reset here.
-	e.ckptDemandLen = len(e.demandSeries)
-	e.ckptPeaksLen = len(e.slotPeaks)
-	e.ckptValleysLen = len(e.slotValleys)
-	e.cfg.Controller.MarkCheckpointed()
-	ok := e.cfg.Checkpoints(slot, step, now, b, delta)
-	*bp = b
-	ckptBufPool.Put(bp)
-	return ok
+	return e.cfg.Checkpoints(slot, step, now, b)
 }

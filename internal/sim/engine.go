@@ -18,6 +18,7 @@ import (
 	"heb/internal/esd"
 	"heb/internal/obs"
 	"heb/internal/obs/prof"
+	"heb/internal/pat"
 	"heb/internal/power"
 	"heb/internal/trace"
 	"heb/internal/units"
@@ -141,25 +142,15 @@ type Config struct {
 	// Checkpoints, when set together with a positive CheckpointEvery,
 	// receives the engine's serialized state (see EngineState) at
 	// checkpointed slot boundaries — after the boundary's finish/plan,
-	// before the first step of the new slot. delta reports whether the
-	// state is delta-encoded (the CheckpointDelta answer for this record).
-	// The state buffer is reused by the next emission; the sink must copy
-	// what it keeps. Returning false stops the run where it stands, as a
-	// MaxSteps stop does. A nil sink is the fast path: no state is
-	// assembled at all, so the hot loop stays allocation-free.
-	Checkpoints func(slot, step int, now time.Duration, state []byte, delta bool) bool
+	// before the first step of the new slot. Returning false stops the
+	// run where it stands, as a MaxSteps stop does. A nil sink is the
+	// fast path: no state is assembled at all, so the hot loop stays
+	// allocation-free.
+	Checkpoints func(slot, step int, now time.Duration, state []byte) bool
 	// CheckpointEvery is the checkpoint decimation in control slots
 	// (1 = every slot boundary). Zero disables checkpointing even when
 	// a sink is installed.
 	CheckpointEvery int
-	// CheckpointDelta, when set, is consulted at each checkpoint emission:
-	// returning true delta-encodes the record against the engine's previous
-	// emission (metric series carry only their new suffix, tagged with
-	// "<key>@base" splice offsets), false emits full state. The chain owner
-	// uses it to align keyframes with its record count; it must return
-	// false for the first record of a fresh chain. Nil always emits full
-	// state.
-	CheckpointDelta func() bool
 
 	// MaxSteps, when positive, stops the run after executing steps
 	// [0, MaxSteps) without the usual end-of-run bookkeeping (no trailing
@@ -301,10 +292,9 @@ type Engine struct {
 	// cfg.Probes or cfg.Invariants is set.
 	probeTargets []probeTarget
 
-	// Delta-checkpoint state: how much of each metric series the last
-	// emitted checkpoint already carried, so a delta record
-	// needs only the suffix grown since then.
-	ckptDemandLen, ckptPeaksLen, ckptValleysLen int
+	// Running digests of the metric series, folded up to the last
+	// checkpoint (see EngineState).
+	demandDigest, peaksDigest, valleysDigest pat.Digest
 }
 
 // probeTarget is one probed storage device within a run.
@@ -343,11 +333,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Events != nil {
 		e.fabric.SetSwitchListener(e.emitSwitch)
-	}
-	if cfg.CheckpointDelta != nil {
-		// Delta records diff the PAT against its last emission; tracking
-		// must be live before the first step mutates the table.
-		cfg.Controller.TrackCheckpointDeltas()
 	}
 	return e, nil
 }
@@ -469,10 +454,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.shedEvents = 0
 	e.mismatchSteps, e.steps = 0, 0
 	e.probeTargets = e.probeTargets[:0]
-	e.ckptDemandLen, e.ckptPeaksLen, e.ckptValleysLen = 0, 0, 0
-	if cfg.CheckpointDelta != nil {
-		cfg.Controller.TrackCheckpointDeltas()
-	}
+	e.demandDigest, e.peaksDigest, e.valleysDigest = pat.Digest{}, pat.Digest{}, pat.Digest{}
 	return nil
 }
 

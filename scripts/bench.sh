@@ -21,9 +21,6 @@
 # run: one hooks-on 2 h HEB-D capture written to a temp directory. The
 # hooks-off path is BenchmarkEngineStep itself: its exact allocs/op gate
 # in the sweep set proves every nil-guarded hook costs nothing when off.
-# BenchmarkCheckpointDelta rides in the obs set: the checkpointed hour
-# again, but reporting the delta chain's own bytes (ckptKB/op) and delta
-# share alongside ns/op.
 #
 # Usage:
 #   scripts/bench.sh [sweep.json [obs.json]]   measure and write baselines
@@ -47,19 +44,16 @@
 # Exits non-zero on any violation.
 #
 # On top of the baseline comparison, -check holds the measured run to
-# the zero-alloc/delta-checkpoint targets (absolute, independent of the
+# the zero-alloc/checkpoint targets (absolute, independent of the
 # committed baselines):
 #   - BenchmarkEngineReuse allocs/op < 100 — pooled run-state reuse
 #     keeps the whole construct/step/finish cycle allocation-free.
-#   - checkpoint chain B/op < 400000 (Enabled and Delta) — the delta
-#     format's allocation budget; full-state chains cost ~2.2 MB/op.
-#   - BenchmarkCheckpointDelta deltaShare >= 0.5 — deltas, not
-#     keyframes, must dominate the chain.
+#   - BenchmarkEngineCheckpointEnabled B/op < 400000 — the checkpoint
+#     chain's allocation budget.
 #   - CheckpointEnabled ns/op <= EngineStep x 1.2 (overhead target) x the
 #     ns_tol noise allowance. The deterministic columns above are gated
-#     exactly; the ratio shares the wall-clock tolerance because a
-#     single-core box measures 1.25-1.4x for a true ~1.25x (the floor
-#     is strconv shortest-float formatting of the series suffixes).
+#     exactly; the ratio shares the wall-clock tolerance because
+#     single-run timings are noisy.
 #   - MultiSeedParallel >= 2x MultiSeedSequential, gated only when the
 #     box has >= 4 CPUs — on fewer the pair is wall-clock identical by
 #     construction and the gate prints a skip note instead.
@@ -144,7 +138,7 @@ run_set() {
 }
 
 run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$' "$sweep_out"
-run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkCheckpointDelta$|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
+run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the
@@ -159,7 +153,6 @@ if [[ "$check" == 1 ]]; then
 			if ($(i + 1) == "ns/op") ns[name] = $i
 			else if ($(i + 1) == "allocs/op") allocs[name] = $i
 			else if ($(i + 1) == "B/op") bytes[name] = $i
-			else if ($(i + 1) == "deltaShare") share[name] = $i
 		}
 	}
 	function need(name) {
@@ -177,16 +170,6 @@ if [[ "$check" == 1 ]]; then
 		if (need("BenchmarkEngineCheckpointEnabled") && bytes["BenchmarkEngineCheckpointEnabled"] + 0 >= 400000) {
 			printf "TARGET BenchmarkEngineCheckpointEnabled: B/op %s, target < 400000\n", bytes["BenchmarkEngineCheckpointEnabled"]
 			bad = 1
-		}
-		if (need("BenchmarkCheckpointDelta")) {
-			if (bytes["BenchmarkCheckpointDelta"] + 0 >= 400000) {
-				printf "TARGET BenchmarkCheckpointDelta: B/op %s, target < 400000\n", bytes["BenchmarkCheckpointDelta"]
-				bad = 1
-			}
-			if (share["BenchmarkCheckpointDelta"] + 0 < 0.5) {
-				printf "TARGET BenchmarkCheckpointDelta: deltaShare %s, target >= 0.5\n", share["BenchmarkCheckpointDelta"]
-				bad = 1
-			}
 		}
 		if (need("BenchmarkEngineCheckpointEnabled") && need("BenchmarkEngineStep")) {
 			lim = ns["BenchmarkEngineStep"] * 1.2 * ns_tol
@@ -212,7 +195,7 @@ if [[ "$check" == 1 ]]; then
 		echo "bench.sh: target gate violation" >&2
 		exit 1
 	fi
-	echo "ok: zero-alloc/delta-checkpoint targets hold"
+	echo "ok: zero-alloc/checkpoint targets hold"
 fi
 
 # Profile gate: with a committed top-frames baseline, re-attribute the
