@@ -402,6 +402,31 @@ func BenchmarkEngineStepScale(b *testing.B) {
 	benchPooledHour(b, DefaultPrototype().scaledBy(16), "DA")
 }
 
+// BenchmarkRunStateResetScale prices what a pooled x16 HEB-D cell pays
+// before its first step: runState.reset, whose PAT restore copies the
+// seeded image (4096 entries of an 11,300-cell grid) back over the table
+// the previous run learned on. It must allocate nothing.
+func BenchmarkRunStateResetScale(b *testing.B) {
+	p := DefaultPrototype().scaledBy(16)
+	w, err := WorkloadNamed("DA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := NewRunCache(1)
+	if _, err := p.RunWith(cache, 0, HEBD, w.WithDuration(time.Hour), RunOptions{Duration: time.Hour}); err != nil {
+		b.Fatal(err)
+	}
+	st := cache.lookup(0, p.poolKey(HEBD, p.Budget))
+	if st == nil || st.table == nil {
+		b.Fatal("the warm-up run cached no HEB-D table")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.reset(p)
+	}
+}
+
 // benchPooledHour times one HEB-D hour of the named workload on p, every
 // iteration checking the run state out of a RunCache warmed by one cold
 // run, so allocs/op counts only what a reused run allocates.

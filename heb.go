@@ -502,6 +502,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	var battery, supercap *esd.Pool
 	var scheme core.Scheme
 	var peakPred, valleyPred forecast.Predictor
+	var image *pat.Table // a pooled PAT as seeded, before the run learns
 	var err error
 	if st != nil {
 		battery, supercap = st.battery, st.supercap
@@ -523,6 +524,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		scheme, peakPred, valleyPred, err = p.BuildScheme(id, scCap, battery.Capacity())
 		if err != nil {
 			return sim.Result{}, err
+		}
+		if table, ok := core.Table(scheme); ok && pooling {
+			image = table.Clone()
 		}
 	}
 	if opts.PeakPredictor != nil {
@@ -753,7 +757,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			eng:        eng,
 		}
 		if table, ok := core.Table(scheme); ok {
-			ns.table = table
+			ns.table, ns.image = table, image
 		}
 		cache.store(worker, poolKey, ns)
 	}

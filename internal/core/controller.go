@@ -334,13 +334,15 @@ func frac(avail, capacity units.Energy) float64 {
 // in ascending key order and every seeded entry is unhit, so inserting all
 // of them would make each Add past MaxEntries evict the oldest entry; the
 // survivors are always the highest-keyed MaxEntries bins. SeedPAT adds
-// just those, skipping the rest. The return value is the number of bins
-// profiled, kept or not.
+// just those, skipping the rest, into a dense grid reserved for the
+// profiled PM range. The return value is the number of bins profiled,
+// kept or not.
 func SeedPAT(t *pat.Table, scCap, baCap units.Energy, maxPM units.Power, derate, noise float64) int {
 	_ = derate
 	_ = baCap
 	cfg := t.Config()
 	pmBins := max(int(float64(maxPM)/cfg.PMBinWatts)+1, 0)
+	t.Reserve(pmBins)
 	perSC := cfg.LevelBins * pmBins
 	total := cfg.LevelBins * perSC
 	for i := max(total-cfg.MaxEntries, 0); i < total; i++ {

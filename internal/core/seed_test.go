@@ -100,13 +100,17 @@ func TestSeedPATScaleOutWindow(t *testing.T) {
 	}
 }
 
+// BenchmarkSeedPAT prices the unpooled path's profiling of a reset table
+// at x1 (800 bins, all kept) and x16 (11,300 bins, 4096 kept).
 func BenchmarkSeedPAT(b *testing.B) {
 	for _, scale := range []int{1, 16} {
 		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
 			t := pat.MustNew(pat.DefaultConfig())
 			scCap := units.WattHours(36 * float64(scale))
 			maxPM := units.Power(140 * scale)
+			SeedPAT(t, scCap, 0, maxPM, DefaultBatteryDerate, 0.22) // sizes the grid
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t.Reset()
 				SeedPAT(t, scCap, 0, maxPM, DefaultBatteryDerate, 0.22)

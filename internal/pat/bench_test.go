@@ -7,9 +7,11 @@ import (
 )
 
 // seeded builds a full 10×10×10 table: every SC and battery level at ten
-// PM bins from 10 W to 190 W.
+// PM bins from 10 W to 190 W, on a grid reserved for them as profiling
+// reserves it.
 func seeded() *Table {
 	t := MustNew(DefaultConfig())
+	t.Reserve(10)
 	for sc := 0.05; sc < 1; sc += 0.1 {
 		for ba := 0.05; ba < 1; ba += 0.1 {
 			for pm := 10.0; pm < 200; pm += 20 {

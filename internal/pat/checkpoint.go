@@ -52,10 +52,11 @@ func (t *Table) Checkpoint() TableState {
 
 // Digest summarizes the entries without sorting or allocating: the sum of
 // one sequence digest per entry over its key, ratio bits and counters.
-// Addition commutes, so the result does not depend on map iteration order.
+// Addition commutes, so the result does not depend on where an entry is
+// stored or in which order the entries are visited.
 func (t *Table) Digest() Digest {
-	d := Digest{Len: len(t.entries)}
-	for _, e := range t.entries {
+	d := Digest{Len: t.Len()}
+	t.each(func(e *Entry) {
 		var h Digest
 		h.Fold(uint64(e.Key.SCLevel))
 		h.Fold(uint64(e.Key.BALevel))
@@ -64,6 +65,6 @@ func (t *Table) Digest() Digest {
 		h.Fold(uint64(e.Hits))
 		h.Fold(uint64(e.Updates))
 		d.Sum += h.Sum
-	}
+	})
 	return d
 }

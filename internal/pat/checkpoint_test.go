@@ -1,6 +1,7 @@
 package pat
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -39,23 +40,32 @@ func TestDigestIndependentOfInsertionOrder(t *testing.T) {
 
 // TestDigestSeesEveryField: a change to any one field of one entry
 // changes the digest; the length alone would not catch any of these.
+// Each variant is the seeded table's entries with the first one mutated,
+// rebuilt through Load; the moved key lands on the overflow path.
 func TestDigestSeesEveryField(t *testing.T) {
-	base := seededTable(t).Digest()
+	tab := seededTable(t)
+	base := tab.Digest()
 	for name, mutate := range map[string]func(e *Entry){
-		"ratio":   func(e *Entry) { e.Ratio += 1e-12 },
+		"none":    func(e *Entry) {},
+		"ratio":   func(e *Entry) { e.Ratio -= 1e-12 },
 		"hits":    func(e *Entry) { e.Hits++ },
 		"updates": func(e *Entry) { e.Updates++ },
 		"key": func(e *Entry) {
 			e.Key.PMLevel += 1000
 		},
 	} {
-		tab := seededTable(t)
-		for _, e := range tab.entries {
-			mutate(e)
-			break
+		entries := tab.Entries()
+		mutate(&entries[0])
+		raw, err := json.Marshal(tableJSON{Config: tab.Config(), Entries: entries})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := tab.Digest(); got == base {
-			t.Errorf("%s: digest unchanged (%+v)", name, got)
+		back, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := back.Digest(); (got == base) != (name == "none") {
+			t.Errorf("%s: digest %+v against base %+v", name, got, base)
 		}
 	}
 }

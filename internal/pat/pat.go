@@ -9,6 +9,12 @@
 // the most similar known entry; after each slot the controller either adds
 // a new entry or nudges the stored ratio by ±Δr according to which pool
 // drained faster than expected (Figure 10 lines 12-23).
+//
+// Storage is a dense grid over the quantized key space the profiling
+// seeds (see Reserve) plus an overflow path for keys outside it, so the
+// common lookup is an index computation and a Reset is a mask clear.
+// A pooled table is restored from a copy of its seeded image (CopyFrom)
+// instead of being profiled again.
 package pat
 
 import (
@@ -16,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 
 	"heb/internal/units"
@@ -76,15 +83,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// maxGridCells caps the dense grid Reserve builds. Past it the table
+// keeps every entry on the overflow path: correct, only slower.
+const maxGridCells = 1 << 16
+
 // Table is the power allocation table. It is not safe for concurrent use;
 // the controller owns it from a single goroutine.
+//
+// Entries live in a dense grid indexed by (SC level, BA level, PM level),
+// spanning every SC and BA level and the PM levels [0, gridPM) that
+// Reserve sized it for; present marks which cells hold an entry. Keys
+// outside the grid (a mismatch above the profiled range, or any key of a
+// table that was never reserved) take the overflow path, a slice indexed
+// by key.
 type Table struct {
-	cfg     Config
-	entries map[Key]*Entry
-	// spare holds entries retired by Reset for reuse: re-seeding a pooled
-	// table revisits mostly the same operating points, so Add can recycle
-	// the old Entry values instead of allocating fresh ones.
-	spare map[Key]*Entry
+	cfg Config
+
+	grid    []Entry
+	present []uint64
+	gridPM  int
+	gridLen int
+
+	overflow   []Entry
+	overflowAt map[Key]int
 
 	lookups, misses int
 }
@@ -94,7 +115,7 @@ func New(cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Table{cfg: cfg, entries: make(map[Key]*Entry)}, nil
+	return &Table{cfg: cfg, overflowAt: make(map[Key]int)}, nil
 }
 
 // MustNew is New for known-good configs.
@@ -110,7 +131,100 @@ func MustNew(cfg Config) *Table {
 func (t *Table) Config() Config { return t.cfg }
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return t.gridLen + len(t.overflow) }
+
+// Reserve sizes the dense grid to cover PM levels [0, pmLevels) at every
+// SC and BA level, moving existing entries into it. Profiling calls it
+// with the range it seeds, so seeded operating points skip the overflow
+// path. It never shrinks the grid, and it leaves the table's contents
+// and counters as they were.
+func (t *Table) Reserve(pmLevels int) {
+	bins := t.cfg.LevelBins
+	if pmLevels <= t.gridPM || bins > maxGridCells || pmLevels > maxGridCells/(bins*bins) {
+		return
+	}
+	entries := t.Entries()
+	cells := bins * bins * pmLevels
+	t.grid = make([]Entry, cells)
+	t.present = make([]uint64, (cells+63)/64)
+	t.gridPM, t.gridLen = pmLevels, 0
+	t.overflow = t.overflow[:0]
+	clear(t.overflowAt)
+	for _, e := range entries {
+		*t.insert(e.Key) = e
+	}
+}
+
+// cell returns k's grid index, or false when k lies outside the grid.
+// Grid indices ascend in key order.
+func (t *Table) cell(k Key) (int, bool) {
+	bins := t.cfg.LevelBins
+	if k.SCLevel < 0 || k.SCLevel >= bins || k.BALevel < 0 || k.BALevel >= bins ||
+		k.PMLevel < 0 || k.PMLevel >= t.gridPM {
+		return 0, false
+	}
+	return (k.SCLevel*bins+k.BALevel)*t.gridPM + k.PMLevel, true
+}
+
+func (t *Table) has(i int) bool { return t.present[i>>6]&(1<<(i&63)) != 0 }
+
+// find returns the entry stored under k, or nil.
+func (t *Table) find(k Key) *Entry {
+	if i, ok := t.cell(k); ok {
+		if t.has(i) {
+			return &t.grid[i]
+		}
+		return nil
+	}
+	if i, ok := t.overflowAt[k]; ok {
+		return &t.overflow[i]
+	}
+	return nil
+}
+
+// insert makes room for a new entry under k, which must be absent, and
+// returns it for the caller to fill.
+func (t *Table) insert(k Key) *Entry {
+	if i, ok := t.cell(k); ok {
+		t.present[i>>6] |= 1 << (i & 63)
+		t.gridLen++
+		return &t.grid[i]
+	}
+	t.overflowAt[k] = len(t.overflow)
+	t.overflow = append(t.overflow, Entry{})
+	return &t.overflow[len(t.overflow)-1]
+}
+
+// remove deletes the entry under k, which must be present.
+func (t *Table) remove(k Key) {
+	if i, ok := t.cell(k); ok {
+		t.present[i>>6] &^= 1 << (i & 63)
+		t.gridLen--
+		return
+	}
+	i := t.overflowAt[k]
+	last := len(t.overflow) - 1
+	if i != last {
+		t.overflow[i] = t.overflow[last]
+		t.overflowAt[t.overflow[i].Key] = i
+	}
+	t.overflow = t.overflow[:last]
+	delete(t.overflowAt, k)
+}
+
+// each calls f on every entry, grid cells first in key order, then the
+// overflow entries in no particular order.
+func (t *Table) each(f func(e *Entry)) {
+	for w, word := range t.present {
+		for word != 0 {
+			f(&t.grid[w<<6+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	for i := range t.overflow {
+		f(&t.overflow[i])
+	}
+}
 
 // Quantize maps a raw operating point to its table key. scFrac and baFrac
 // are available-energy fractions in [0,1]; pm is the power mismatch.
@@ -144,49 +258,65 @@ func (t *Table) quantizePM(pm units.Power) int {
 // is evicted first.
 func (t *Table) Add(scFrac, baFrac float64, pm units.Power, ratio float64) Key {
 	k := t.Quantize(scFrac, baFrac, pm)
-	e, exists := t.entries[k]
-	if !exists {
-		if len(t.entries) >= t.cfg.MaxEntries {
+	e := t.find(k)
+	if e == nil {
+		if t.Len() >= t.cfg.MaxEntries {
 			t.evictColdest()
 		}
-		if s, ok := t.spare[k]; ok {
-			e = s
-			delete(t.spare, k)
-		} else {
-			e = &Entry{}
-		}
-		t.entries[k] = e
+		e = t.insert(k)
 	}
 	*e = Entry{Key: k, Ratio: units.Clamp(ratio, 0, 1)}
 	return k
 }
 
 // Reset empties the table and clears the lookup counters, keeping the
-// configuration: a reset table matches a fresh one. The retired entries
-// are parked for Add to recycle, so a pooled table re-seeded with a
-// similar operating grid allocates nothing.
+// configuration and the grid: a reset table matches a fresh one, and
+// refilling it allocates nothing.
 func (t *Table) Reset() {
-	if t.spare == nil {
-		t.spare = make(map[Key]*Entry, len(t.entries))
-	}
-	for k, e := range t.spare {
-		t.entries[k] = e
-		delete(t.spare, k)
-	}
-	t.entries, t.spare = t.spare, t.entries
+	clear(t.present)
+	t.gridLen = 0
+	t.overflow = t.overflow[:0]
+	clear(t.overflowAt)
 	t.lookups, t.misses = 0, 0
 }
 
+// CopyFrom makes t an independent copy of src: configuration, grid shape,
+// entries and counters. Restoring a pooled table from a seeded image
+// this way allocates nothing once t has held a table of src's shape.
+func (t *Table) CopyFrom(src *Table) {
+	t.cfg = src.cfg
+	t.grid = append(t.grid[:0], src.grid...)
+	t.present = append(t.present[:0], src.present...)
+	t.gridPM, t.gridLen = src.gridPM, src.gridLen
+	t.overflow = append(t.overflow[:0], src.overflow...)
+	if t.overflowAt == nil {
+		t.overflowAt = make(map[Key]int, len(src.overflow))
+	}
+	clear(t.overflowAt)
+	for i, e := range t.overflow {
+		t.overflowAt[e.Key] = i
+	}
+	t.lookups, t.misses = src.lookups, src.misses
+}
+
+// Clone returns an independent copy of t.
+func (t *Table) Clone() *Table {
+	c := &Table{}
+	c.CopyFrom(t)
+	return c
+}
+
+// evictColdest removes the least-hit entry, the lowest key among ties.
 func (t *Table) evictColdest() {
 	var coldest *Entry
-	for _, e := range t.entries {
+	t.each(func(e *Entry) {
 		if coldest == nil || e.Hits < coldest.Hits ||
 			(e.Hits == coldest.Hits && keyLess(e.Key, coldest.Key)) {
 			coldest = e
 		}
-	}
+	})
 	if coldest != nil {
-		delete(t.entries, coldest.Key)
+		t.remove(coldest.Key)
 	}
 }
 
@@ -208,7 +338,7 @@ func keyLess(a, b Key) bool {
 func (t *Table) Lookup(scFrac, baFrac float64, pm units.Power) (ratio float64, exact bool, found bool) {
 	t.lookups++
 	k := t.Quantize(scFrac, baFrac, pm)
-	if e, ok := t.entries[k]; ok {
+	if e := t.find(k); e != nil {
 		e.Hits++
 		return e.Ratio, true, true
 	}
@@ -223,22 +353,25 @@ func (t *Table) Lookup(scFrac, baFrac float64, pm units.Power) (ratio float64, e
 
 // similar returns the nearest entry to k, preferring matches in the PM
 // dimension (the mismatch magnitude drives the decision most strongly),
-// breaking exact-distance ties deterministically by key order.
+// breaking exact-distance ties deterministically by key order, so the
+// order the entries are visited in does not matter.
 func (t *Table) similar(k Key) *Entry {
 	var best *Entry
 	bestDist := math.Inf(1)
-	// Map order does not matter: a tie goes to the lower key, so one pass
-	// picks what a scan in key order would.
-	for kk, e := range t.entries {
-		d := 2*math.Abs(float64(kk.PMLevel-k.PMLevel)) +
-			math.Abs(float64(kk.SCLevel-k.SCLevel)) +
-			math.Abs(float64(kk.BALevel-k.BALevel))
-		if d < bestDist || (d == bestDist && keyLess(kk, best.Key)) {
+	t.each(func(e *Entry) {
+		if d := keyDist(e.Key, k); d < bestDist || (d == bestDist && keyLess(e.Key, best.Key)) {
 			bestDist = d
 			best = e
 		}
-	}
+	})
 	return best
+}
+
+// keyDist is the weighted Manhattan distance similar minimizes.
+func keyDist(a, b Key) float64 {
+	return 2*math.Abs(float64(a.PMLevel-b.PMLevel)) +
+		math.Abs(float64(a.SCLevel-b.SCLevel)) +
+		math.Abs(float64(a.BALevel-b.BALevel))
 }
 
 // Drift describes which pool drained faster than expected over a slot,
@@ -292,10 +425,10 @@ func safeRatio(num, den float64) float64 {
 // observed ratio first. The updated ratio is returned.
 func (t *Table) Update(scFrac, baFrac float64, pm units.Power, observedRatio float64, d Drift) float64 {
 	k := t.Quantize(scFrac, baFrac, pm)
-	e, ok := t.entries[k]
-	if !ok {
+	e := t.find(k)
+	if e == nil {
 		t.Add(scFrac, baFrac, pm, observedRatio)
-		e = t.entries[k]
+		e = t.find(k)
 	}
 	switch d {
 	case DriftBatteryFast:
@@ -311,11 +444,11 @@ func (t *Table) Update(scFrac, baFrac float64, pm units.Power, observedRatio flo
 // Entries returns the table contents sorted by key (for reports and
 // serialization).
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, *e)
+	out := make([]Entry, 0, t.Len())
+	t.each(func(e *Entry) { out = append(out, *e) })
+	if len(t.overflow) > 0 {
+		sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
 	return out
 }
 
@@ -339,19 +472,40 @@ func (t *Table) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a table saved by Save.
+// Load reads a table saved by Save. It rejects anything Save could not
+// have written: an invalid configuration, more entries than MaxEntries,
+// a key twice, a key no Quantize produces, a ratio outside [0,1],
+// negative counters, or data after the table.
 func Load(r io.Reader) (*Table, error) {
 	var tj tableJSON
-	if err := json.NewDecoder(r).Decode(&tj); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&tj); err != nil {
 		return nil, fmt.Errorf("pat: load: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("pat: load: trailing data after the table")
 	}
 	t, err := New(tj.Config)
 	if err != nil {
 		return nil, err
 	}
+	if len(tj.Entries) > t.cfg.MaxEntries {
+		return nil, fmt.Errorf("pat: load: %d entries exceed max entries %d", len(tj.Entries), t.cfg.MaxEntries)
+	}
 	for _, e := range tj.Entries {
-		e := e
-		t.entries[e.Key] = &e
+		k := e.Key
+		switch {
+		case k.SCLevel < 0 || k.SCLevel >= t.cfg.LevelBins ||
+			k.BALevel < 0 || k.BALevel >= t.cfg.LevelBins || k.PMLevel < 0:
+			return nil, fmt.Errorf("pat: load: key %+v outside %d level bins and non-negative PM levels", k, t.cfg.LevelBins)
+		case !(e.Ratio >= 0 && e.Ratio <= 1):
+			return nil, fmt.Errorf("pat: load: key %+v: ratio %g outside [0,1]", k, e.Ratio)
+		case e.Hits < 0 || e.Updates < 0:
+			return nil, fmt.Errorf("pat: load: key %+v: negative hits %d or updates %d", k, e.Hits, e.Updates)
+		case t.find(k) != nil:
+			return nil, fmt.Errorf("pat: load: duplicate key %+v", k)
+		}
+		*t.insert(k) = e
 	}
 	return t, nil
 }

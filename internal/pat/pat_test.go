@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -100,44 +99,28 @@ func TestLookupSimilarFallsBackToNearest(t *testing.T) {
 	}
 }
 
-// sortedSimilar is the reference nearest-entry search: scan the keys in
-// ascending order and keep the first strictly closer one.
-func sortedSimilar(t *Table, k Key) *Entry {
-	keys := make([]Key, 0, len(t.entries))
-	for kk := range t.entries {
-		keys = append(keys, kk)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	var best *Entry
-	bestDist := math.Inf(1)
-	for _, kk := range keys {
-		if d := keyDist(kk, k); d < bestDist {
-			bestDist = d
-			best = t.entries[kk]
-		}
-	}
-	return best
-}
-
-// TestSimilarMatchesSortedScan: the one-pass scan picks exactly the entry
-// a key-ordered scan picks, ties included. Keys are drawn from a small
-// grid so equidistant candidates are common.
+// TestSimilarMatchesSortedScan: the dense table's scan picks exactly the
+// entry a key-ordered scan of the reference picks, ties included. Keys
+// are drawn from a small space straddling the grid's edges, so
+// equidistant candidates are common and both the grid and the overflow
+// path hold some of them.
 func TestSimilarMatchesSortedScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ties := 0
 	for trial := 0; trial < 500; trial++ {
-		tb := MustNew(DefaultConfig())
+		p := tablePair{MustNew(DefaultConfig()), newRef(DefaultConfig())}
+		p.dense.Reserve(rng.Intn(5))
 		for n := rng.Intn(40); n > 0; n-- {
 			k := Key{SCLevel: rng.Intn(5), BALevel: rng.Intn(5), PMLevel: rng.Intn(6) - 1}
-			tb.entries[k] = &Entry{Key: k, Ratio: rng.Float64()}
+			p.fill(Entry{Key: k, Ratio: rng.Float64()})
 		}
 		for probe := 0; probe < 20; probe++ {
 			k := Key{SCLevel: rng.Intn(7) - 1, BALevel: rng.Intn(7) - 1, PMLevel: rng.Intn(8) - 1}
-			got, want := tb.similar(k), sortedSimilar(tb, k)
-			if got != want {
+			got, want := p.dense.similar(k), p.ref.sortedSimilar(k)
+			if (got == nil) != (want == nil) || got != nil && *got != *want {
 				t.Fatalf("trial %d: similar(%+v) = %+v, sorted scan = %+v", trial, k, got, want)
 			}
-			if want != nil && equidistant(tb, k, want.Key) {
+			if want != nil && p.ref.equidistant(k, want.Key) {
 				ties++
 			}
 		}
@@ -145,23 +128,6 @@ func TestSimilarMatchesSortedScan(t *testing.T) {
 	if ties == 0 {
 		t.Fatal("no equidistant candidates drawn; the tie-break went untested")
 	}
-}
-
-// keyDist is similar's weighted Manhattan distance between two keys.
-func keyDist(a, b Key) float64 {
-	return 2*math.Abs(float64(a.PMLevel-b.PMLevel)) +
-		math.Abs(float64(a.SCLevel-b.SCLevel)) +
-		math.Abs(float64(a.BALevel-b.BALevel))
-}
-
-// equidistant reports whether another entry is as close to k as best.
-func equidistant(t *Table, k, best Key) bool {
-	for kk := range t.entries {
-		if kk != best && keyDist(kk, k) == keyDist(best, k) {
-			return true
-		}
-	}
-	return false
 }
 
 func TestAddClampsRatio(t *testing.T) {
@@ -342,4 +308,97 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString(`{"config":{"LevelBins":0}}`)); err == nil {
 		t.Error("Load accepted invalid config")
 	}
+}
+
+// badTables are tables Save cannot write; Load must refuse each.
+var badTables = map[string]string{
+	"duplicate key": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":3},"Ratio":0.2,"Hits":0,"Updates":0},
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":3},"Ratio":0.9,"Hits":0,"Updates":0}]}`,
+	"over max entries": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":2},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":1,"PMLevel":1},"Ratio":0.1},
+		{"Key":{"SCLevel":2,"BALevel":2,"PMLevel":2},"Ratio":0.2},
+		{"Key":{"SCLevel":3,"BALevel":3,"PMLevel":3},"Ratio":0.3}]}`,
+	"sc level past bins": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":99,"BALevel":2,"PMLevel":3},"Ratio":0.2}]}`,
+	"negative ba level": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":-4,"PMLevel":3},"Ratio":0.2}]}`,
+	"negative pm level": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":-1},"Ratio":0.2}]}`,
+	"ratio above one": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":3},"Ratio":7}]}`,
+	"negative hits": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":3},"Ratio":0.2,"Hits":-3}]}`,
+	"negative updates": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":1,"BALevel":2,"PMLevel":3},"Ratio":0.2,"Updates":-1}]}`,
+	"second document": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[]}
+		{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[]}`,
+	"trailing garbage": `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[]} x`,
+}
+
+func TestLoadRejectsBadTables(t *testing.T) {
+	for name, raw := range badTables {
+		if tab, err := Load(bytes.NewBufferString(raw)); err == nil {
+			t.Errorf("%s: Load accepted it (%d entries)", name, tab.Len())
+		}
+	}
+}
+
+// TestLoadKeepsOutOfGridKeys: a mismatch level past anything profiled is
+// a key Quantize can produce, so Load keeps it and Lookup finds it.
+func TestLoadKeepsOutOfGridKeys(t *testing.T) {
+	raw := `{"config":{"LevelBins":10,"PMBinWatts":20,"DeltaR":0.01,"MaxEntries":8},"entries":[
+		{"Key":{"SCLevel":9,"BALevel":0,"PMLevel":5000},"Ratio":0.25,"Hits":4,"Updates":1}]}`
+	tab, err := Load(bytes.NewBufferString(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, exact, _ := tab.Lookup(0.95, 0.05, 5000*20+1); !exact || r != 0.25 {
+		t.Fatalf("Lookup = %g exact=%v, want the loaded 0.25", r, exact)
+	}
+}
+
+// FuzzLoad: Load either refuses its input or returns a table that
+// survives a Save→Load round trip byte for byte; it never panics.
+func FuzzLoad(f *testing.F) {
+	tb := MustNew(Config{LevelBins: 4, PMBinWatts: 20, DeltaR: 0.01, MaxEntries: 8})
+	tb.Reserve(3)
+	tb.Add(0.1, 0.9, 30, 0.4)
+	tb.Add(0.9, 0.1, 500, 0.7) // past the grid
+	tb.Lookup(0.1, 0.9, 30)
+	tb.Update(0.9, 0.1, 500, 0.7, DriftBatteryFast)
+	var saved bytes.Buffer
+	if err := tb.Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	for _, raw := range badTables {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tab, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if tab.Len() > tab.Config().MaxEntries {
+			t.Fatalf("loaded %d entries past max %d", tab.Len(), tab.Config().MaxEntries)
+		}
+		var first, second bytes.Buffer
+		if err := tab.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load refused Save's own output: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the table:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+		if back.Digest() != tab.Digest() {
+			t.Fatalf("round trip changed the digest")
+		}
+	})
 }

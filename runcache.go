@@ -26,6 +26,7 @@ type runState struct {
 	battery              *esd.Pool
 	supercap             *esd.Pool
 	table                *pat.Table // nil for table-free schemes
+	image                *pat.Table // table as SeedPAT left it, before any run
 	scheme               core.Scheme
 	peakPred, valleyPred forecast.Predictor
 	ctrl                 *core.Controller
@@ -38,7 +39,9 @@ type runState struct {
 // construction path would produce, in the same order Prototype.run
 // builds fresh components, so a reused run is bit-for-bit identical to
 // a fresh one. The per-run pieces (trace fn, sinks, seeds) are rebound
-// afterwards by the caller.
+// afterwards by the caller. The seeded PAT depends only on the
+// structural configuration the state is keyed by, so the table is
+// restored from its image instead of being profiled again.
 func (st *runState) reset(p Prototype) {
 	st.battery.Reset()
 	if p.BatteryPreAge > 0 {
@@ -50,13 +53,7 @@ func (st *runState) reset(p Prototype) {
 		st.supercap.SetSoC(p.InitialSoC)
 	}
 	if st.table != nil {
-		st.table.Reset()
-		var scCap units.Energy
-		if st.supercap != nil {
-			scCap = st.supercap.Capacity()
-		}
-		core.SeedPAT(st.table, scCap, st.battery.Capacity(), p.maxPM(),
-			core.DefaultBatteryDerate, p.ProfileNoise)
+		st.table.CopyFrom(st.image)
 	}
 	st.peakPred.Reset()
 	st.valleyPred.Reset()

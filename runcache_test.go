@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,27 +17,28 @@ import (
 	"heb/internal/sim"
 )
 
-// sweepArtifactBytes runs a seeds × schemes grid with full observability
-// on — probes, audits, flight-recorder checkpoints — and returns every
-// artifact file the capture writes. With pooled=true the cells go
-// through a shared RunCache (the zero-alloc reuse path); with
-// pooled=false every cell constructs a fresh engine. The two must be
-// byte-for-byte indistinguishable.
-func sweepArtifactBytes(t *testing.T, seeds, workers int, pooled bool) map[string][]byte {
+// sweepArtifactBytes runs a seeds × schemes grid of prototype p over d
+// of PR with full observability on — probes, audits, flight-recorder
+// checkpoints — and returns every artifact file the capture writes.
+// With pooled=true the cells go through a shared RunCache (the zero-alloc
+// reuse path), which is returned too; with pooled=false every cell
+// constructs a fresh engine. The two must be byte-for-byte
+// indistinguishable. HEB-S and HEB-D restore their PAT from the seeded
+// image on reuse, and the per-slot checkpoint digests pin the table, so
+// an image aliased to the live table or a stale copy shows up as a diff.
+func sweepArtifactBytes(t *testing.T, p Prototype, d time.Duration, seeds, workers int, pooled bool) (map[string][]byte, *RunCache) {
 	t.Helper()
-	p := DefaultPrototype()
 	p.Capture = obs.NewCapture()
 	p.ProbeEvery = 60
 	p.Audit = obs.AuditModeReport
 	p.CheckpointEvery = 1
 
-	schemes := []SchemeID{BaOnly, HEBD}
+	schemes := []SchemeID{BaOnly, HEBS, HEBD}
 	cells := seeds * len(schemes)
 	var cache *RunCache
 	if pooled {
 		cache = NewRunCache(runner.Workers(workers, cells))
 	}
-	d := 40 * time.Minute
 	_, err := runner.MapWorkers(context.Background(), cells, workers,
 		func(_ context.Context, worker, i int) (sim.Result, error) {
 			s, id := i/len(schemes), schemes[i%len(schemes)]
@@ -69,7 +71,7 @@ func sweepArtifactBytes(t *testing.T, seeds, workers int, pooled bool) map[strin
 		}
 		out[name] = b
 	}
-	return out
+	return out, cache
 }
 
 // TestPooledSweepMatchesFreshByteForByte is the acceptance check for
@@ -83,14 +85,56 @@ func TestPooledSweepMatchesFreshByteForByte(t *testing.T) {
 	const seeds = 3
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			fresh := sweepArtifactBytes(t, seeds, workers, false)
-			pooled := sweepArtifactBytes(t, seeds, workers, true)
+			fresh, _ := sweepArtifactBytes(t, DefaultPrototype(), 40*time.Minute, seeds, workers, false)
+			pooled, _ := sweepArtifactBytes(t, DefaultPrototype(), 40*time.Minute, seeds, workers, true)
 			for name, want := range fresh {
 				if !bytes.Equal(pooled[name], want) {
 					t.Errorf("%s differs between fresh and pooled sweeps", name)
 				}
 			}
 		})
+	}
+}
+
+// TestPooledScaleOutMatchesFresh is the same check on the scale-out
+// study's x16 cell, whose HEB-D table is seeded full to MaxEntries and,
+// over two hours, learns a key and so evicts a seeded one: the restored
+// image must carry the truncated seed exactly, whatever the previous run
+// evicted from the live table.
+func TestPooledScaleOutMatchesFresh(t *testing.T) {
+	p := DefaultPrototype().scaledBy(16)
+	const seeds, workers = 2, 1
+	fresh, _ := sweepArtifactBytes(t, p, 2*time.Hour, seeds, workers, false)
+	pooled, cache := sweepArtifactBytes(t, p, 2*time.Hour, seeds, workers, true)
+	for name, want := range fresh {
+		if !bytes.Equal(pooled[name], want) {
+			t.Errorf("%s differs between fresh and pooled x16 sweeps", name)
+		}
+	}
+	var st *runState
+	for key, s := range cache.perWorker[0] {
+		if strings.HasPrefix(key, HEBD.String()+"|") {
+			st = s
+		}
+	}
+	if st == nil {
+		t.Fatal("the pooled sweep cached no HEB-D state")
+	}
+	seeded := map[pat.Key]bool{}
+	for _, e := range st.image.Entries() {
+		seeded[e.Key] = true
+	}
+	if n, max := st.image.Len(), st.image.Config().MaxEntries; n != max {
+		t.Fatalf("x16 image holds %d entries, want the full %d", n, max)
+	}
+	learned := 0
+	for _, e := range st.table.Entries() {
+		if !seeded[e.Key] {
+			learned++
+		}
+	}
+	if learned == 0 {
+		t.Fatal("the x16 run added no key past the seed, so it never evicted")
 	}
 }
 

@@ -8,6 +8,11 @@
 # and BenchmarkEngineStepScale, the per-server hot loop at 96 servers (a
 # pooled x16 HEB-D hour on the mismatch-heavy DA workload), whose exact
 # allocs/op gate keeps that loop allocation-free as servers grow;
+# the PAT layer's rows: BenchmarkSeedPAT at x1 and x16 (the profiling the
+# unpooled path runs per cell, internal/core), BenchmarkLookupSimilar (a
+# PAT miss's nearest-entry scan, internal/pat) and
+# BenchmarkRunStateResetScale (a pooled x16 HEB-D reset, which restores
+# the PAT from its seeded image);
 # the Sequential/Parallel pair is the wall-clock headline for the shared
 # runner (internal/runner) and needs GOMAXPROCS >= 4 to show a speedup.
 #
@@ -48,6 +53,9 @@
 # committed baselines):
 #   - BenchmarkEngineReuse allocs/op < 100 — pooled run-state reuse
 #     keeps the whole construct/step/finish cycle allocation-free.
+#   - BenchmarkSeedPAT/x1, BenchmarkSeedPAT/x16 and
+#     BenchmarkRunStateResetScale allocs/op == 0 — seeding a reset table
+#     and restoring a pooled one from its image allocate nothing.
 #   - BenchmarkEngineCheckpointEnabled B/op < 400000 — the checkpoint
 #     chain's allocation budget.
 #   - CheckpointEnabled ns/op <= EngineStep x 1.2 (overhead target) x the
@@ -119,7 +127,8 @@ ns_tol=1.5
 
 run_set() {
 	local pattern="$1" out="$2"
-	go test -run '^$' -bench "$pattern" -benchmem -count=1 . | tee "$raw"
+	shift 2
+	go test -run '^$' -bench "$pattern" -benchmem -count=1 "${@:-.}" | tee "$raw"
 	cat "$raw" >>"$scratch/all_raw.txt"
 	if [[ "$check" == 1 ]]; then
 		local cur
@@ -137,7 +146,7 @@ run_set() {
 	fi
 }
 
-run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$' "$sweep_out"
+run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$|BenchmarkRunStateResetScale$|BenchmarkSeedPAT$|BenchmarkLookupSimilar$' "$sweep_out" . ./internal/core ./internal/pat
 run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
@@ -166,6 +175,13 @@ if [[ "$check" == 1 ]]; then
 		if (need("BenchmarkEngineReuse") && allocs["BenchmarkEngineReuse"] + 0 >= 100) {
 			printf "TARGET BenchmarkEngineReuse: allocs/op %s, target < 100\n", allocs["BenchmarkEngineReuse"]
 			bad = 1
+		}
+		split("BenchmarkSeedPAT/x1 BenchmarkSeedPAT/x16 BenchmarkRunStateResetScale", zero, " ")
+		for (i in zero) {
+			if (need(zero[i]) && allocs[zero[i]] + 0 != 0) {
+				printf "TARGET %s: allocs/op %s, target 0\n", zero[i], allocs[zero[i]]
+				bad = 1
+			}
 		}
 		if (need("BenchmarkEngineCheckpointEnabled") && bytes["BenchmarkEngineCheckpointEnabled"] + 0 >= 400000) {
 			printf "TARGET BenchmarkEngineCheckpointEnabled: B/op %s, target < 400000\n", bytes["BenchmarkEngineCheckpointEnabled"]
