@@ -112,6 +112,25 @@ func TestLiveAgingAccumulates(t *testing.T) {
 	}
 }
 
+// A reset clears the wear before refilling the wells, so a worn battery
+// comes back full at its unfaded capacity, exactly like a new one.
+func TestResetWornBatteryMatchesFresh(t *testing.T) {
+	cfg := DefaultBatteryConfig()
+	cfg.FadeAtEOL = 0.2
+	b := MustNewBattery(cfg)
+	b.PreAge(0.5)
+	for i := 0; i < 600; i++ {
+		b.Discharge(120, time.Second)
+	}
+	b.Reset()
+	if got, want := b.Checkpoint(), MustNewBattery(cfg).Checkpoint(); got != want {
+		t.Errorf("reset worn battery %+v, fresh %+v", got, want)
+	}
+	if got := b.SoC(); got != 1 {
+		t.Errorf("reset worn battery SoC %g, want 1", got)
+	}
+}
+
 func TestZeroFadeIsInert(t *testing.T) {
 	b := MustNewBattery(DefaultBatteryConfig()) // FadeAtEOL = 0
 	b.PreAge(1)

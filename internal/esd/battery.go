@@ -183,6 +183,27 @@ type Battery struct {
 
 	stats Stats
 	wear  wearTracker
+
+	// terms caches what depends only on the config and the wear; refresh
+	// recomputes it. Derived state, so not part of BatteryState.
+	terms batteryTerms
+
+	// flowSecs, flowSteps and flowH memoize flow's sub-step count and
+	// length for the last step length (the engine always steps the same
+	// dt). They depend only on the config.
+	flowSecs  float64
+	flowSteps int
+	flowH     float64
+}
+
+// batteryTerms are the derived quantities every step reads: the charge
+// capacity and DoD floor, the KiBaM well sizes, the wells' share of the
+// floor and the OCV line.
+type batteryTerms struct {
+	qMax, qFloor   float64
+	cap1, cap2     float64 // C·qMax and (1−C)·qMax
+	floorShare     float64 // C·qFloor
+	ocvLo, ocvSpan float64 // OCV at zero total SoC, and its full-scale rise
 }
 
 var _ Device = (*Battery)(nil)
@@ -216,23 +237,37 @@ func (b *Battery) lifeFraction() float64 {
 	if rated <= 0 {
 		return 0
 	}
-	return math.Min(1, b.wear.weightedAh/rated)
+	return min(1, b.wear.weightedAh/rated)
+}
+
+// refresh recomputes the cached terms from the config and the present
+// wear. Only the wear clock moves them, and only when capacity fade is
+// configured, so Reset, PreAge and a discharge with fade on call it.
+func (b *Battery) refresh() {
+	qMax := float64(units.AmpereHours(b.cfg.CapacityAh))
+	if b.cfg.FadeAtEOL > 0 {
+		qMax *= 1 - b.cfg.FadeAtEOL*b.lifeFraction()
+	}
+	qFloor := (1 - b.cfg.DoD) * qMax
+	vn := float64(b.cfg.NominalVoltage)
+	lo, hi := b.cfg.VEmptyFrac*vn, b.cfg.VFullFrac*vn
+	b.terms = batteryTerms{
+		qMax:       qMax,
+		qFloor:     qFloor,
+		cap1:       b.cfg.C * qMax,
+		cap2:       (1 - b.cfg.C) * qMax,
+		floorShare: b.cfg.C * qFloor,
+		ocvLo:      lo,
+		ocvSpan:    hi - lo,
+	}
 }
 
 // qMax is the total charge capacity in coulombs, shrunk by age when
 // capacity fade is configured.
-func (b *Battery) qMax() float64 {
-	nominal := float64(units.AmpereHours(b.cfg.CapacityAh))
-	if b.cfg.FadeAtEOL > 0 {
-		nominal *= 1 - b.cfg.FadeAtEOL*b.lifeFraction()
-	}
-	return nominal
-}
+func (b *Battery) qMax() float64 { return b.terms.qMax }
 
 // qFloor is the charge level at which the DoD window is exhausted.
-func (b *Battery) qFloor() float64 {
-	return (1 - b.cfg.DoD) * b.qMax()
-}
+func (b *Battery) qFloor() float64 { return b.terms.qFloor }
 
 // SoC reports state of charge over the usable DoD window.
 func (b *Battery) SoC() float64 {
@@ -259,36 +294,32 @@ func (b *Battery) Voltage() units.Voltage {
 // resistance at the achievable current. This is what the Figure 5
 // characterization plots.
 func (b *Battery) TerminalVoltage(p units.Power) units.Voltage {
-	voc := float64(b.ocv())
 	if p <= 0 {
-		return units.Voltage(voc)
+		return b.ocv()
 	}
-	r := b.effectiveOhm()
+	voc, r, iMax := b.dischargeLimits()
 	i := solveDischargeCurrent(float64(p), voc, r)
-	i = math.Min(i, b.maxDischargeCurrent())
+	i = min(i, iMax)
 	return units.Voltage(voc - i*r)
 }
 
 func (b *Battery) ocv() units.Voltage {
-	vn := float64(b.cfg.NominalVoltage)
-	lo, hi := b.cfg.VEmptyFrac*vn, b.cfg.VFullFrac*vn
-	return units.Voltage(lo + (hi-lo)*b.totalSoC())
+	return units.Voltage(b.terms.ocvLo + b.terms.ocvSpan*b.totalSoC())
 }
 
 // h1Frac is the fill fraction of the available well.
 func (b *Battery) h1Frac() float64 {
-	cap1 := b.cfg.C * b.qMax()
-	if cap1 <= 0 {
+	if b.terms.cap1 <= 0 {
 		return 0
 	}
-	return units.Clamp(b.q1/cap1, 0, 1)
+	return units.Clamp(b.q1/b.terms.cap1, 0, 1)
 }
 
 // effectiveOhm is the load-path resistance including the SoC-dependent
 // sag term that collapses the voltage when the available well runs low.
 func (b *Battery) effectiveOhm() float64 {
 	const floor = 0.05
-	h1 := math.Max(b.h1Frac(), floor)
+	h1 := max(b.h1Frac(), floor)
 	r := b.cfg.InternalOhm + b.cfg.SagOhm*(1-h1)/h1
 	if b.cfg.ResistanceGrowthAtEOL > 0 {
 		r *= 1 + b.cfg.ResistanceGrowthAtEOL*b.lifeFraction()
@@ -299,32 +330,34 @@ func (b *Battery) effectiveOhm() float64 {
 // availableDischargeCharge is how much charge can leave the available well
 // this step without violating the DoD floor.
 func (b *Battery) availableDischargeCharge() float64 {
-	floorShare := b.cfg.C * b.qFloor() // keep the wells proportionally floored
-	avail := b.q1 - floorShare
+	avail := b.q1 - b.terms.floorShare // keep the wells proportionally floored
 	total := b.q1 + b.q2 - b.qFloor()
-	return math.Max(0, math.Min(avail, total))
+	return max(0, min(avail, total))
 }
 
-// maxDischargeCurrent is the instantaneous current limit from the C-rate
-// cap and the cutoff-voltage constraint.
-func (b *Battery) maxDischargeCurrent() float64 {
+// dischargeLimits evaluates the OCV and the effective resistance once and
+// returns them with the instantaneous current limit from the C-rate cap
+// and the cutoff-voltage constraint.
+func (b *Battery) dischargeLimits() (voc, r, iMax float64) {
 	iRate := b.cfg.MaxDischargeC * b.cfg.CapacityAh // amps
-	voc := float64(b.ocv())
+	voc = float64(b.ocv())
 	vcut := b.cfg.CutoffFrac * float64(b.cfg.NominalVoltage)
-	r := b.effectiveOhm()
+	r = b.effectiveOhm()
 	iCut := (voc - vcut) / r
-	return math.Max(0, math.Min(iRate, iCut))
+	return voc, r, max(0, min(iRate, iCut))
 }
 
 // MaxDischargePower estimates deliverable power right now.
 func (b *Battery) MaxDischargePower() units.Power {
-	if b.failed || b.Depleted() {
+	if b.failed || b.availableDischargeCharge() < 1e-9 {
 		return 0
 	}
-	i := b.maxDischargeCurrent()
-	voc := float64(b.ocv())
-	v := voc - i*b.effectiveOhm()
-	return units.Power(math.Max(0, v*i))
+	voc, r, i := b.dischargeLimits()
+	if i < 1e-9 { // Depleted
+		return 0
+	}
+	v := voc - i*r
+	return units.Power(max(0, v*i))
 }
 
 // MaxChargePower estimates acceptable charging power right now.
@@ -344,7 +377,11 @@ func (b *Battery) MaxChargePower() units.Power {
 
 // Depleted reports whether the usable window is effectively empty.
 func (b *Battery) Depleted() bool {
-	return b.failed || b.availableDischargeCharge() < 1e-9 || b.maxDischargeCurrent() < 1e-9
+	if b.failed || b.availableDischargeCharge() < 1e-9 {
+		return true
+	}
+	_, _, iMax := b.dischargeLimits()
+	return iMax < 1e-9
 }
 
 // Fail injects a dead-string fault (open cell, blown fuse): the battery
@@ -363,7 +400,7 @@ func (b *Battery) Stored() units.Energy {
 	if b.failed {
 		return 0
 	}
-	q := math.Max(0, b.q1+b.q2-b.qFloor())
+	q := max(0, b.q1+b.q2-b.qFloor())
 	return units.Charge(q).At(b.ocv())
 }
 
@@ -379,15 +416,19 @@ func (b *Battery) Capacity() units.Energy {
 // for dt.
 func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 	secs := dt.Seconds()
-	if b.failed || req <= 0 || secs <= 0 || b.Depleted() {
+	if b.failed || req <= 0 || secs <= 0 {
 		b.flow(secs)
 		return 0
 	}
-	voc := float64(b.ocv())
-	r := b.effectiveOhm()
+	avail := b.availableDischargeCharge()
+	voc, r, iMax := b.dischargeLimits()
+	if avail < 1e-9 || iMax < 1e-9 { // Depleted
+		b.flow(secs)
+		return 0
+	}
 	i := solveDischargeCurrent(float64(req), voc, r)
-	i = math.Min(i, b.maxDischargeCurrent())
-	i = math.Min(i, b.availableDischargeCharge()/secs)
+	i = min(i, iMax)
+	i = min(i, avail/secs)
 	if i <= 0 {
 		b.flow(secs)
 		return 0
@@ -403,6 +444,9 @@ func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 		b.wear.weightedAh += extra
 		b.wear.lastWeight *= m
 	}
+	if b.cfg.FadeAtEOL > 0 {
+		b.refresh() // the wear clock moved the capacity
+	}
 	b.q1 -= drawn
 	b.stats.EnergyOut += delivered.Over(dt)
 	dissipated := (voc - v) * i
@@ -411,7 +455,7 @@ func (b *Battery) Discharge(req units.Power, dt time.Duration) units.Power {
 	b.stats.WeightedAh += units.Charge(drawn).Ah() * b.wear.lastWeight
 	b.stats.DischargeTime += dt
 
-	b.thermal.advance(b.cfg.Thermal, dissipated, secs)
+	b.thermal.advance(&b.cfg.Thermal, dissipated, secs)
 	b.flow(secs)
 	return delivered
 }
@@ -432,10 +476,10 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	voc := float64(b.ocv())
 	r := b.cfg.InternalOhm
 	i := solveChargeCurrent(float64(offered), voc, r)
-	i = math.Min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(b.cfg.Thermal))
+	i = min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(b.cfg.Thermal))
 	// Only CoulombicEff of the current is stored; cap so stored charge
 	// fits in the remaining headroom.
-	i = math.Min(i, head/(b.cfg.CoulombicEff*secs))
+	i = min(i, head/(b.cfg.CoulombicEff*secs))
 	if i <= 0 {
 		b.flow(secs)
 		return 0
@@ -447,8 +491,7 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	// Charge enters the available well first, overflowing into the bound
 	// well, mirroring how KiBaM treats charging as a negative current on
 	// the available well.
-	cap1 := b.cfg.C * b.qMax()
-	into1 := math.Min(stored, math.Max(0, cap1-b.q1))
+	into1 := min(stored, max(0, b.terms.cap1-b.q1))
 	b.q1 += into1
 	b.q2 += stored - into1
 
@@ -456,7 +499,7 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	b.stats.EnergyIn += input.Over(dt)
 	loss := input.Over(dt) - storedEnergy
 	b.stats.Loss += loss
-	b.thermal.advance(b.cfg.Thermal, float64(loss)/secs, secs)
+	b.thermal.advance(&b.cfg.Thermal, float64(loss)/secs, secs)
 
 	b.flow(secs)
 	return input
@@ -465,7 +508,7 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 // Rest lets the battery recover (well equalization), self-discharge and
 // cool toward ambient.
 func (b *Battery) Rest(dt time.Duration) {
-	b.thermal.advance(b.cfg.Thermal, 0, dt.Seconds())
+	b.thermal.advance(&b.cfg.Thermal, 0, dt.Seconds())
 	b.flow(dt.Seconds())
 }
 
@@ -476,8 +519,7 @@ func (b *Battery) flow(secs float64) {
 		return
 	}
 	kPerSec := b.cfg.K / 3600
-	cap1 := b.cfg.C * b.qMax()
-	cap2 := (1 - b.cfg.C) * b.qMax()
+	cap1, cap2 := b.terms.cap1, b.terms.cap2
 	// Live aging can shrink capacity below the stored charge; the
 	// stranded charge is lost (sulfated plate area).
 	if total := b.q1 + b.q2; total > cap1+cap2 {
@@ -485,19 +527,23 @@ func (b *Battery) flow(secs float64) {
 		b.q1 *= scale
 		b.q2 *= scale
 	}
-	steps := int(math.Ceil(secs * kPerSec / 0.1))
-	if steps < 1 {
-		steps = 1
+	if secs != b.flowSecs {
+		steps := int(math.Ceil(secs * kPerSec / 0.1))
+		if steps < 1 {
+			steps = 1
+		}
+		b.flowSecs, b.flowSteps, b.flowH = secs, steps, secs/float64(steps)
 	}
-	h := secs / float64(steps)
+	steps, h := b.flowSteps, b.flowH
 	leak := b.cfg.SelfDischargePerHour / 3600
+	capMin := min(cap1, cap2)
 	for s := 0; s < steps; s++ {
 		h1 := b.q1 / cap1
 		h2 := b.q2 / cap2
-		dq := kPerSec * (h2 - h1) * h * math.Min(cap1, cap2)
+		dq := kPerSec * (h2 - h1) * h * capMin
 		// Transfer bound charge toward the available well (or back).
 		dq = units.Clamp(dq, -b.q1, b.q2)
-		dq = math.Min(dq, cap1-b.q1)
+		dq = min(dq, cap1-b.q1)
 		b.q1 += dq
 		b.q2 -= dq
 		if leak > 0 {
@@ -512,14 +558,16 @@ func (b *Battery) flow(secs float64) {
 // Stats returns the cumulative energy ledger.
 func (b *Battery) Stats() Stats { return b.stats }
 
-// Reset restores full charge and clears the ledger and wear state.
+// Reset restores full charge and clears the ledger and wear state. The
+// wear goes first: the wells refill to the unfaded capacity.
 func (b *Battery) Reset() {
-	b.q1 = b.cfg.C * b.qMax()
-	b.q2 = (1 - b.cfg.C) * b.qMax()
+	b.wear = wearTracker{}
+	b.refresh()
+	b.q1 = b.terms.cap1
+	b.q2 = b.terms.cap2
 	b.failed = false
 	b.thermal = newThermalState(b.cfg.Thermal)
 	b.stats = Stats{}
-	b.wear = wearTracker{}
 }
 
 // Wear exposes the lifetime tracker for the Figure 12(c) analysis.
@@ -532,6 +580,7 @@ func (b *Battery) PreAge(lifeFraction float64) {
 	lifeFraction = units.Clamp(lifeFraction, 0, 1)
 	soc := b.SoC()
 	b.wear.weightedAh = lifeFraction * b.cfg.Life.ratedThroughputAh(b.cfg.CapacityAh)
+	b.refresh()
 	b.SetSoC(soc)
 }
 

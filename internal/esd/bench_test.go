@@ -72,6 +72,20 @@ func BenchmarkThermalBatteryDischargeStep(b *testing.B) {
 	}
 }
 
+// BenchmarkAgedBatteryDischargeStep prices capacity fade: with FadeAtEOL
+// set, every discharge moves the wear clock and so refreshes the cached
+// capacity terms.
+func BenchmarkAgedBatteryDischargeStep(b *testing.B) {
+	bat := MustNewBattery(agingConfig())
+	bat.PreAge(0.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if bat.Discharge(70, time.Second) < 35 {
+			bat.SetSoC(1)
+		}
+	}
+}
+
 // BenchmarkUniformPoolTransfer prices the uniform fast path: a battery
 // pool built by NewUniformPool against one of the same size built with
 // NewPool, which steps every member. Each op is one discharge and one

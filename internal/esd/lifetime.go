@@ -144,5 +144,5 @@ func (r WearReport) EstimateYears(cfg LifetimeConfig, elapsed time.Duration) flo
 	}
 	perYear := r.WeightedAh / (elapsed.Hours() / (24 * 365))
 	years := r.RatedAh / perYear
-	return math.Min(years, cfg.CalendarYears)
+	return min(years, cfg.CalendarYears)
 }

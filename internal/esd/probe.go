@@ -1,10 +1,6 @@
 package esd
 
-import (
-	"math"
-
-	"heb/internal/units"
-)
+import "heb/internal/units"
 
 // ProbeSnapshot is a point-in-time view of a device's internal state for
 // the observability layer: state of charge, open-circuit voltage, the
@@ -88,7 +84,7 @@ func (s *Supercap) ProbeSnapshot() ProbeSnapshot {
 		VoltageV:    s.v,
 		VMinV:       float64(s.cfg.VMin),
 		VMaxV:       vmax,
-		AvailAh:     units.Charge(c * math.Max(s.v-vf, 0)).Ah(),
+		AvailAh:     units.Charge(c * max(s.v-vf, 0)).Ah(),
 		CapacityAh:  units.Charge(c * (vmax - vf)).Ah(),
 		EnergyInWh:  s.stats.EnergyIn.Wh(),
 		EnergyOutWh: s.stats.EnergyOut.Wh(),

@@ -84,6 +84,9 @@ type Supercap struct {
 	// failed marks a fault-injected dead bank.
 	failed bool
 
+	// floorV is the DoD-window floor voltage, fixed by the config.
+	floorV float64
+
 	// leakSecs and leakFactor memoize leak's per-call voltage factor for
 	// the last step length (the engine always steps the same dt). Derived
 	// from the config, so neither is part of SupercapState.
@@ -99,7 +102,9 @@ func NewSupercap(cfg SupercapConfig) (*Supercap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Supercap{cfg: cfg}
+	vmax, vmin := float64(cfg.VMax), float64(cfg.VMin)
+	e := (1 - cfg.DoD) * (vmax*vmax - vmin*vmin)
+	s := &Supercap{cfg: cfg, floorV: math.Sqrt(vmin*vmin + e)}
 	s.Reset()
 	return s, nil
 }
@@ -118,11 +123,7 @@ func (s *Supercap) Config() SupercapConfig { return s.cfg }
 
 // vFloor is the lowest voltage the DoD window permits: the voltage at
 // which stored usable energy is (1-DoD) of the full window.
-func (s *Supercap) vFloor() float64 {
-	vmax, vmin := float64(s.cfg.VMax), float64(s.cfg.VMin)
-	e := (1 - s.cfg.DoD) * (vmax*vmax - vmin*vmin)
-	return math.Sqrt(vmin*vmin + e)
-}
+func (s *Supercap) vFloor() float64 { return s.floorV }
 
 // SoC is the usable-window state of charge (energy-based).
 func (s *Supercap) SoC() float64 {
@@ -143,7 +144,7 @@ func (s *Supercap) TerminalVoltage(p units.Power) units.Voltage {
 	if p <= 0 {
 		return units.Voltage(s.v)
 	}
-	pw := math.Min(float64(p), float64(s.MaxDischargePower()))
+	pw := min(float64(p), float64(s.MaxDischargePower()))
 	i := solveDischargeCurrent(pw, s.v, s.cfg.ESR)
 	return units.Voltage(s.v - i*s.cfg.ESR)
 }
@@ -188,7 +189,7 @@ func (s *Supercap) MaxDischargePower() units.Power {
 	}
 	p := s.v * s.v / (4 * s.cfg.ESR)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	return units.Power(p)
 }
@@ -206,7 +207,7 @@ func (s *Supercap) MaxChargePower() units.Power {
 	head := 0.5 * s.cfg.Capacitance * (vmax*vmax - s.v*s.v)
 	p := head
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	return units.Power(p)
 }
@@ -222,7 +223,7 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 	}
 	p := float64(req)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	vf := s.vFloor()
 	var delivered, loss float64
@@ -232,7 +233,7 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 		i := solveDischargeCurrent(p, s.v, s.cfg.ESR)
 		// Don't let this sub-step take the voltage below the floor.
 		iMax := (s.v - vf) * s.cfg.Capacitance / h
-		i = math.Min(i, iMax)
+		i = min(i, iMax)
 		if i <= 0 {
 			break
 		}
@@ -261,7 +262,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	}
 	p := float64(offered)
 	if s.cfg.MaxPower > 0 {
-		p = math.Min(p, float64(s.cfg.MaxPower))
+		p = min(p, float64(s.cfg.MaxPower))
 	}
 	vmax := float64(s.cfg.VMax)
 	var input, stored float64
@@ -270,7 +271,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	for st := 0; st < steps && s.v < vmax; st++ {
 		i := solveChargeCurrent(p, s.v, s.cfg.ESR)
 		iMax := (vmax - s.v) * s.cfg.Capacitance / h
-		i = math.Min(i, iMax)
+		i = min(i, iMax)
 		if i <= 0 {
 			break
 		}

@@ -81,12 +81,16 @@ func newThermalState(cfg ThermalConfig) thermalState {
 }
 
 // advance integrates the first-order thermal model over secs seconds with
-// dissipated watts of internal loss heating the cell.
-func (t *thermalState) advance(cfg ThermalConfig, dissipated, secs float64) {
-	if !cfg.Enabled() || secs <= 0 {
-		return
+// dissipated watts of internal loss heating the cell. It inlines, so a
+// battery with thermal modelling off pays only the check.
+func (t *thermalState) advance(cfg *ThermalConfig, dissipated, secs float64) {
+	if cfg.Enabled() && secs > 0 {
+		t.integrate(cfg, dissipated, secs)
 	}
-	target := cfg.AmbientC + math.Max(0, dissipated)*cfg.ThermalResistance
+}
+
+func (t *thermalState) integrate(cfg *ThermalConfig, dissipated, secs float64) {
+	target := cfg.AmbientC + max(0, dissipated)*cfg.ThermalResistance
 	alpha := 1 - math.Exp(-secs/cfg.TimeConstantSeconds)
 	t.tempC += (target - t.tempC) * alpha
 	if t.tempC > t.peakC {

@@ -150,7 +150,7 @@ func TestThermalSteadyStateMatchesDissipation(t *testing.T) {
 	st := newThermalState(cfg)
 	// 4W dissipated at 2.5 °C/W: steady state = 25 + 10 = 35 °C.
 	for i := 0; i < 8*1800; i++ {
-		st.advance(cfg, 4, 1)
+		st.advance(&cfg, 4, 1)
 	}
 	if math.Abs(st.tempC-35) > 0.5 {
 		t.Errorf("steady state %g °C, want 35", st.tempC)
@@ -160,7 +160,7 @@ func TestThermalSteadyStateMatchesDissipation(t *testing.T) {
 func TestThermalDisabledIsInert(t *testing.T) {
 	var cfg ThermalConfig
 	st := newThermalState(cfg)
-	st.advance(cfg, 100, 3600)
+	st.advance(&cfg, 100, 3600)
 	if st.tempC != 0 {
 		t.Errorf("disabled thermal state moved to %g", st.tempC)
 	}

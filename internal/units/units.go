@@ -120,7 +120,7 @@ func (q Charge) At(v Voltage) Energy { return Energy(float64(q) * float64(v)) }
 // panics rather than silently swapping bounds.
 func Clamp(x, lo, hi float64) float64 {
 	if lo > hi {
-		panic(fmt.Sprintf("units.Clamp: inverted bounds [%g, %g]", lo, hi))
+		panic(invertedBounds{lo, hi})
 	}
 	switch {
 	case x < lo:
@@ -130,4 +130,13 @@ func Clamp(x, lo, hi float64) float64 {
 	default:
 		return x
 	}
+}
+
+// invertedBounds is Clamp's panic value. Its Error method formats the
+// message, so the formatting stays out of Clamp and Clamp fits the
+// inlining budget with room for the callers that wrap it.
+type invertedBounds struct{ lo, hi float64 }
+
+func (e invertedBounds) Error() string {
+	return fmt.Sprintf("units.Clamp: inverted bounds [%g, %g]", e.lo, e.hi)
 }

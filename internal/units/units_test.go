@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -80,9 +81,15 @@ func TestClamp(t *testing.T) {
 		{-1, 0, 10, 0},
 		{11, 0, 10, 10},
 		{0, 0, 0, 0},
+		// NaN passes through, and -0 is kept: callers rely on Clamp
+		// returning x bit for bit whenever it is not below lo or above hi.
+		{math.NaN(), 0, 1, math.NaN()},
+		{math.Copysign(0, -1), 0, 1, math.Copysign(0, -1)},
+		{math.Copysign(0, -1), -1, 1, math.Copysign(0, -1)},
+		{0, math.Copysign(0, -1), 0, 0},
 	}
 	for _, tt := range tests {
-		if got := Clamp(tt.x, tt.lo, tt.hi); got != tt.want {
+		if got := Clamp(tt.x, tt.lo, tt.hi); math.Float64bits(got) != math.Float64bits(tt.want) {
 			t.Errorf("Clamp(%g, %g, %g) = %g, want %g", tt.x, tt.lo, tt.hi, got, tt.want)
 		}
 	}
@@ -90,8 +97,12 @@ func TestClamp(t *testing.T) {
 
 func TestClampInvertedBoundsPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("Clamp with inverted bounds did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("Clamp with inverted bounds did not panic")
+		}
+		if got, want := fmt.Sprint(r), "units.Clamp: inverted bounds [10, 0]"; got != want {
+			t.Errorf("panic message %q, want %q", got, want)
 		}
 	}()
 	Clamp(1, 10, 0)

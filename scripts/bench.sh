@@ -13,6 +13,11 @@
 # PAT miss's nearest-entry scan, internal/pat) and
 # BenchmarkRunStateResetScale (a pooled x16 HEB-D reset, which restores
 # the PAT from its seeded image);
+# the ESD layer's device steps (internal/esd): battery discharge and
+# charge, thermal and aged (capacity fade on, so every discharge
+# refreshes the cached capacity terms) battery discharge, super-capacitor
+# discharge and rest, a hybrid pool discharge and the uniform vs
+# per-member pool transfer at x2 and x32, all gated at 0 allocs/op;
 # the Sequential/Parallel pair is the wall-clock headline for the shared
 # runner (internal/runner) and needs GOMAXPROCS >= 4 to show a speedup.
 #
@@ -53,9 +58,10 @@
 # committed baselines):
 #   - BenchmarkEngineReuse allocs/op < 100 — pooled run-state reuse
 #     keeps the whole construct/step/finish cycle allocation-free.
-#   - BenchmarkSeedPAT/x1, BenchmarkSeedPAT/x16 and
-#     BenchmarkRunStateResetScale allocs/op == 0 — seeding a reset table
-#     and restoring a pooled one from its image allocate nothing.
+#   - BenchmarkSeedPAT/x1, BenchmarkSeedPAT/x16,
+#     BenchmarkRunStateResetScale and every ESD device-step row
+#     allocs/op == 0 — seeding a reset table, restoring a pooled one
+#     from its image and stepping a device allocate nothing.
 #   - BenchmarkEngineCheckpointEnabled B/op < 400000 — the checkpoint
 #     chain's allocation budget.
 #   - CheckpointEnabled ns/op <= EngineStep x 1.2 (overhead target) x the
@@ -146,7 +152,9 @@ run_set() {
 	fi
 }
 
-run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$|BenchmarkRunStateResetScale$|BenchmarkSeedPAT$|BenchmarkLookupSimilar$' "$sweep_out" . ./internal/core ./internal/pat
+esd_rows='BenchmarkBatteryDischargeStep BenchmarkBatteryChargeStep BenchmarkThermalBatteryDischargeStep BenchmarkAgedBatteryDischargeStep BenchmarkSupercapDischargeStep BenchmarkSupercapRest BenchmarkHybridPoolDischarge BenchmarkUniformPoolTransfer/uniform/x2 BenchmarkUniformPoolTransfer/newpool/x2 BenchmarkUniformPoolTransfer/uniform/x32 BenchmarkUniformPoolTransfer/newpool/x32'
+
+run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$|BenchmarkRunStateResetScale$|BenchmarkSeedPAT$|BenchmarkLookupSimilar$|BenchmarkBatteryDischargeStep$|BenchmarkBatteryChargeStep$|BenchmarkThermalBatteryDischargeStep$|BenchmarkAgedBatteryDischargeStep$|BenchmarkSupercapDischargeStep$|BenchmarkSupercapRest$|BenchmarkHybridPoolDischarge$|BenchmarkUniformPoolTransfer$' "$sweep_out" . ./internal/core ./internal/pat ./internal/esd
 run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
@@ -154,7 +162,7 @@ run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineC
 # committed baselines move.
 if [[ "$check" == 1 ]]; then
 	ncpu="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}"
-	if ! awk -v ns_tol="$ns_tol" -v ncpu="$ncpu" '
+	if ! awk -v ns_tol="$ns_tol" -v ncpu="$ncpu" -v esd_rows="$esd_rows" '
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
@@ -176,7 +184,7 @@ if [[ "$check" == 1 ]]; then
 			printf "TARGET BenchmarkEngineReuse: allocs/op %s, target < 100\n", allocs["BenchmarkEngineReuse"]
 			bad = 1
 		}
-		split("BenchmarkSeedPAT/x1 BenchmarkSeedPAT/x16 BenchmarkRunStateResetScale", zero, " ")
+		split("BenchmarkSeedPAT/x1 BenchmarkSeedPAT/x16 BenchmarkRunStateResetScale " esd_rows, zero, " ")
 		for (i in zero) {
 			if (need(zero[i]) && allocs[zero[i]] + 0 != 0) {
 				printf "TARGET %s: allocs/op %s, target 0\n", zero[i], allocs[zero[i]]
