@@ -98,11 +98,11 @@ func loadSide(name, dir, runKey string) (*side, error) {
 	}
 	sort.Ints(s.slots)
 
-	decisions, _, err := readArtifact(dir, "decisions.jsonl", obs.ReadDecisions)
+	decisions, _, err := readArtifact(dir, "decisions.jsonl", obs.ReadJSONL[obs.DecisionRecord])
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}
-	events, _, err := readArtifact(dir, "events.jsonl", obs.ReadEvents)
+	events, _, err := readArtifact(dir, "events.jsonl", obs.ReadJSONL[obs.Event])
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dir, err)
 	}

@@ -35,7 +35,7 @@ func writeChain(t *testing.T, dir string, slots int, stateAt func(slot int) any)
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.WriteCheckpointsJSONL(f, records); err != nil {
+	if err := obs.WriteJSONL(f, records); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +243,7 @@ func record(t *testing.T, dir string, budget float64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.WriteCheckpointsJSONL(f, records); err != nil {
+	if err := obs.WriteJSONL(f, records); err != nil {
 		t.Fatal(err)
 	}
 }

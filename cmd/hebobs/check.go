@@ -68,12 +68,12 @@ func (c artifacts) run(key string) artifacts {
 // writer accounted a run's share.
 func (c artifacts) bytes() int64 {
 	var buf bytes.Buffer
-	_ = obs.WriteEventsJSONL(&buf, c.events)
-	_ = obs.WriteDecisionsJSONL(&buf, c.decisions)
-	_ = obs.WriteProbesJSONL(&buf, c.probes)
-	_ = obs.WriteCheckpointsJSONL(&buf, c.checkpoints)
-	_ = obs.WriteAuditsJSONL(&buf, c.audits)
-	_ = alerts.WriteEventsJSONL(&buf, c.alerts)
+	_ = obs.WriteJSONL(&buf, c.events)
+	_ = obs.WriteJSONL(&buf, c.decisions)
+	_ = obs.WriteJSONL(&buf, c.probes)
+	_ = obs.WriteJSONL(&buf, c.checkpoints)
+	_ = obs.WriteJSONL(&buf, c.audits)
+	_ = obs.WriteJSONL(&buf, c.alerts)
 	return int64(buf.Len())
 }
 
@@ -94,12 +94,12 @@ func readRecords[T any](dir, name string, required bool, read func(io.Reader) ([
 func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 	var c artifacts
 	var errs [6]error
-	c.events, errs[0] = readRecords(dir, "events.jsonl", true, obs.ReadEvents)
-	c.decisions, errs[1] = readRecords(dir, "decisions.jsonl", true, obs.ReadDecisions)
-	c.probes, errs[2] = readRecords(dir, "probes.jsonl", false, obs.ReadProbes)
-	c.audits, errs[3] = readRecords(dir, "audits.jsonl", false, obs.ReadAudits)
+	c.events, errs[0] = readRecords(dir, "events.jsonl", true, obs.ReadJSONL[obs.Event])
+	c.decisions, errs[1] = readRecords(dir, "decisions.jsonl", true, obs.ReadJSONL[obs.DecisionRecord])
+	c.probes, errs[2] = readRecords(dir, "probes.jsonl", false, obs.ReadJSONL[obs.ProbeSample])
+	c.audits, errs[3] = readRecords(dir, "audits.jsonl", false, obs.ReadJSONL[obs.AuditReport])
 	c.checkpoints, errs[4] = readRecords(dir, "checkpoints.jsonl", false, obs.ReadCheckpoints)
-	c.alerts, errs[5] = readRecords(dir, "alerts.jsonl", false, alerts.ReadEvents)
+	c.alerts, errs[5] = readRecords(dir, "alerts.jsonl", false, obs.ReadJSONL[alerts.Event])
 	for _, err := range errs {
 		if err != nil {
 			return "", nil, err

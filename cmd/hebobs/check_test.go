@@ -371,7 +371,7 @@ func writeChainJSONL(t *testing.T, dir string, records []obs.CheckpointRecord) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.WriteCheckpointsJSONL(f, records); err != nil {
+	if err := obs.WriteJSONL(f, records); err != nil {
 		t.Fatal(err)
 	}
 }

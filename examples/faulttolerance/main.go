@@ -1,7 +1,7 @@
 // Fault-tolerance scenario: the paper sells HEB as improving datacenter
 // resiliency, so this example degrades the platform on purpose — noisy
-// buffer sensors, then a dead super-capacitor bank — and shows how the
-// HEB-D run responds compared to the healthy baseline.
+// buffer sensors, then batteries aged to 80% of their rated life — and
+// shows how the HEB-D run responds compared to the healthy baseline.
 //
 //	go run ./examples/faulttolerance
 package main

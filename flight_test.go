@@ -295,7 +295,7 @@ func TestChainIndependentOfHooks(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		var buf bytes.Buffer
-		if err := obs.WriteCheckpointsJSONL(&buf, records); err != nil {
+		if err := obs.WriteJSONL(&buf, records); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

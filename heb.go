@@ -576,7 +576,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	}
 	auditor := obs.NewAuditor(p.Audit)
 	alerter := alerts.NewEngine(p.Alert, p.AlertRules)
-	checker := sim.NewChecker(auditor, alerter)
+	checker := sim.NewChecker(auditor, alerter, probes, p.ProbeEvery)
 
 	carried := opts.ResumeCheckpoints
 	if len(carried) > 0 {
@@ -721,8 +721,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		ChargePriority:  charge,
 		Observer:        opts.Observer,
 		Events:          events,
-		Probes:          probes,
-		ProbeEvery:      p.ProbeEvery,
 		Invariants:      checker,
 		Spans:           span,
 		MaxSteps:        opts.MaxSteps,

@@ -133,6 +133,20 @@ func (p *Pool) Members() []Device {
 	return p.members
 }
 
+// ProbeMember returns member i's probe snapshot, zero when the member
+// cannot be probed. It hands no member out, so unlike Members it keeps a
+// uniform pool uniform: there every member's snapshot is member 0's,
+// which the members would match bit for bit once synced.
+func (p *Pool) ProbeMember(i int) ProbeSnapshot {
+	if i >= p.live() {
+		i = 0
+	}
+	if pr, ok := p.members[i].(Prober); ok {
+		return pr.ProbeSnapshot()
+	}
+	return ProbeSnapshot{}
+}
+
 // Uniform reports whether the pool still steps member 0 alone.
 func (p *Pool) Uniform() bool { return p.uniform }
 

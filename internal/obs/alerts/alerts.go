@@ -23,10 +23,8 @@
 package alerts
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -757,40 +755,4 @@ func (l *Log[R]) Unhealthy() []R {
 		}
 	}
 	return bad
-}
-
-// WriteEventsJSONL writes alert events one JSON object per line.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEvents parses a JSONL stream written by WriteEventsJSONL,
-// validating every kind and severity name.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("alerts: line %d: %w", line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
 }

@@ -1,7 +1,6 @@
 package alerts
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -253,36 +252,6 @@ func TestEventCapOverflow(t *testing.T) {
 	}
 	if r.Overflow == 0 || r.Events != EventCap+r.Overflow {
 		t.Fatalf("overflow accounting wrong: %+v", r)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	events := []Event{
-		{Seconds: 1, Kind: KindSoCFloor, Severity: SeverityCritical, Device: "battery/0", Value: 0.01, Limit: 0.05, Run: "r1"},
-		{Seconds: 2, Kind: KindRampRate, Severity: SeverityWarn, Value: 900, Limit: 250, Detail: "bus ramp outside envelope", Run: "r2"},
-	}
-	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events", len(got))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d: got %+v want %+v", i, got[i], events[i])
-		}
-	}
-	// Unknown kinds must be rejected, not silently zeroed.
-	if _, err := ReadEvents(strings.NewReader(`{"t":1,"kind":"made_up","severity":"warn"}` + "\n")); err == nil {
-		t.Error("accepted unknown kind")
-	}
-	if _, err := ReadEvents(strings.NewReader(`{"t":1,"kind":"soc_floor","severity":"fatal"}` + "\n")); err == nil {
-		t.Error("accepted unknown severity")
 	}
 }
 

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"heb/internal/obs/alerts"
@@ -224,30 +221,3 @@ type AuditLog = alerts.Log[AuditReport]
 
 // NewAuditLog builds an empty collector.
 func NewAuditLog() *AuditLog { return &AuditLog{} }
-
-// WriteAuditsJSONL writes reports one JSON object per line.
-func WriteAuditsJSONL(w io.Writer, reports []AuditReport) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range reports {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("obs: write audits: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadAudits parses a JSONL stream written by WriteAuditsJSONL.
-func ReadAudits(r io.Reader) ([]AuditReport, error) {
-	var out []AuditReport
-	dec := json.NewDecoder(r)
-	for {
-		var a AuditReport
-		if err := dec.Decode(&a); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read audits: %w", err)
-		}
-		out = append(out, a)
-	}
-}

@@ -22,19 +22,19 @@ func FuzzReadAudits(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		reports, err := ReadAudits(bytes.NewReader(raw))
+		reports, err := ReadJSONL[AuditReport](bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
 		var once, twice bytes.Buffer
-		if err := WriteAuditsJSONL(&once, reports); err != nil {
+		if err := WriteJSONL(&once, reports); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadAudits(bytes.NewReader(once.Bytes()))
+		again, err := ReadJSONL[AuditReport](bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatalf("re-read of written audits failed: %v", err)
 		}
-		if err := WriteAuditsJSONL(&twice, again); err != nil {
+		if err := WriteJSONL(&twice, again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {

@@ -147,13 +147,13 @@ func TestAuditsJSONLRoundTrip(t *testing.T) {
 	in[0].Run = "r1"
 
 	var buf bytes.Buffer
-	if err := WriteAuditsJSONL(&buf, in); err != nil {
+	if err := WriteJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"kind":"voltage_bound"`) {
 		t.Errorf("kind not serialized as name: %s", buf.String())
 	}
-	out, err := ReadAudits(&buf)
+	out, err := ReadJSONL[AuditReport](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,16 +362,6 @@ var ArtifactNames = func() []string {
 	return names
 }()
 
-// encodeAll writes recs one JSON object per line.
-func encodeAll[T any](enc *json.Encoder, recs []T) error {
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // artifactSink sits between the encoders and the buffered file: it counts
 // every byte written and, when hashing, feeds it to SHA-256.
 type artifactSink struct {

@@ -89,7 +89,7 @@ func TestCaptureOrderIndependence(t *testing.T) {
 
 func TestCaptureStampsRunKeys(t *testing.T) {
 	files := captureFiles(t, func(c *Capture) { c.Contribute(artifactA()) })
-	events, err := ReadEvents(bytes.NewBufferString(files["events.jsonl"]))
+	events, err := ReadJSONL[Event](bytes.NewBufferString(files["events.jsonl"]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCaptureStampsRunKeys(t *testing.T) {
 			t.Fatalf("event missing run stamp: %+v", e)
 		}
 	}
-	decisions, err := ReadDecisions(bytes.NewBufferString(files["decisions.jsonl"]))
+	decisions, err := ReadJSONL[DecisionRecord](bytes.NewBufferString(files["decisions.jsonl"]))
 	if err != nil {
 		t.Fatal(err)
 	}

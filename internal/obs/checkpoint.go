@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -98,32 +97,8 @@ func (l *CheckpointLog) Records() []CheckpointRecord {
 	return append([]CheckpointRecord(nil), l.records...)
 }
 
-// WriteCheckpointsJSONL writes records one JSON object per line.
-func WriteCheckpointsJSONL(w io.Writer, records []CheckpointRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("obs: write checkpoints: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCheckpoints parses a JSONL stream written by WriteCheckpointsJSONL.
-func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) {
-	var out []CheckpointRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec CheckpointRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read checkpoints: %w", err)
-		}
-		out = append(out, rec)
-	}
-}
+// ReadCheckpoints parses a checkpoints.jsonl stream.
+func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) { return ReadJSONL[CheckpointRecord](r) }
 
 // ValidateCheckpoints checks a checkpoint stream's structural invariants,
 // per run label: known schema version, no delta records, strictly

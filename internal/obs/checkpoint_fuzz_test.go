@@ -19,12 +19,12 @@ func FuzzReadCheckpoints(f *testing.F) {
 	l.Append(1, 600, 600, json.RawMessage(`{"steps":600,"demand_series":{"len":600,"digest":"1234567890123456789"}}`))
 	l.Append(2, 1200, 1200, json.RawMessage(`{"steps":1200,"demand_series":{"len":1200,"digest":"987654321"}}`))
 	var seed bytes.Buffer
-	if err := WriteCheckpointsJSONL(&seed, l.Records()); err != nil {
+	if err := WriteJSONL(&seed, l.Records()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		records, _ := ReadCheckpoints(bytes.NewReader(raw))
+		records, _ := ReadJSONL[CheckpointRecord](bytes.NewReader(raw))
 		if ValidateCheckpoints(records) != nil {
 			return
 		}

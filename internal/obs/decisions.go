@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -110,38 +107,6 @@ func (l *DecisionLog) Slot(n int) (DecisionRecord, bool) {
 		}
 	}
 	return DecisionRecord{}, false
-}
-
-// WriteJSONL writes the stored records one JSON object per line.
-func (l *DecisionLog) WriteJSONL(w io.Writer) error {
-	return WriteDecisionsJSONL(w, l.Records())
-}
-
-// WriteDecisionsJSONL writes records one JSON object per line.
-func WriteDecisionsJSONL(w io.Writer, records []DecisionRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("obs: write decisions: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadDecisions parses a JSONL stream written by WriteJSONL.
-func ReadDecisions(r io.Reader) ([]DecisionRecord, error) {
-	var out []DecisionRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec DecisionRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read decisions: %w", err)
-		}
-		out = append(out, rec)
-	}
 }
 
 // DecisionDiff is one slot where two traces disagree on the decision.

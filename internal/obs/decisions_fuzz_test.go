@@ -12,7 +12,7 @@ import (
 // testdata/fuzz/FuzzReadDecisions holds the malformed corpus.
 func FuzzReadDecisions(f *testing.F) {
 	var seed bytes.Buffer
-	if err := WriteDecisionsJSONL(&seed, []DecisionRecord{
+	if err := WriteJSONL(&seed, []DecisionRecord{
 		{Slot: 1, Seconds: 0, Scheme: "HEB-D", SCFrac: 0.9, BAFrac: 0.8, BudgetW: 280,
 			PredictedPeakW: 310, SmallPeak: true, Mode: "sc-first", Completed: true,
 			ActualPeakW: 305, SCFracEnd: 0.4, Run: "HEB-D|PR|1h|seed=1"},
@@ -23,19 +23,19 @@ func FuzzReadDecisions(f *testing.F) {
 	}
 	f.Add(seed.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		recs, err := ReadDecisions(bytes.NewReader(raw))
+		recs, err := ReadJSONL[DecisionRecord](bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
 		var once, twice bytes.Buffer
-		if err := WriteDecisionsJSONL(&once, recs); err != nil {
+		if err := WriteJSONL(&once, recs); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadDecisions(bytes.NewReader(once.Bytes()))
+		again, err := ReadJSONL[DecisionRecord](bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatalf("re-read of written decisions failed: %v", err)
 		}
-		if err := WriteDecisionsJSONL(&twice, again); err != nil {
+		if err := WriteJSONL(&twice, again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {

@@ -31,10 +31,10 @@ func TestDecisionLogAndJSONLRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, l.Records()); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadDecisions(&buf)
+	out, err := ReadJSONL[DecisionRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

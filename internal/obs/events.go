@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -203,38 +201,6 @@ func (l *Log) CountByKind() map[EventKind]int {
 		out[e.Kind]++
 	}
 	return out
-}
-
-// WriteJSONL writes the stored events one JSON object per line.
-func (l *Log) WriteJSONL(w io.Writer) error {
-	return WriteEventsJSONL(w, l.Events())
-}
-
-// WriteEventsJSONL writes events one JSON object per line.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("obs: write events: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEvents parses a JSONL stream written by WriteJSONL/WriteEventsJSONL.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
-	dec := json.NewDecoder(r)
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read events: %w", err)
-		}
-		out = append(out, e)
-	}
 }
 
 // multiSink fans one event out to several sinks.

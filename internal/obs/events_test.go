@@ -60,10 +60,10 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 		{Seconds: 30, Kind: EventMismatchBegin, Server: -1, Watts: 812.5},
 	}
 	var buf bytes.Buffer
-	if err := WriteEventsJSONL(&buf, in); err != nil {
+	if err := WriteJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadEvents(&buf)
+	out, err := ReadJSONL[Event](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadEventsRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(bytes.NewBufferString("{not json\n")); err == nil {
-		t.Fatal("ReadEvents accepted garbage")
+	if _, err := ReadJSONL[Event](bytes.NewBufferString("{not json\n")); err == nil {
+		t.Fatal("ReadJSONL accepted garbage")
 	}
 }
 

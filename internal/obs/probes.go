@@ -1,12 +1,5 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
 // ProbeSample is one decimated observation of a single storage device's
 // internal state. Samples carry only simulation-deterministic values so
 // probe artifacts stay byte-identical for any worker count.
@@ -36,9 +29,8 @@ type ProbeSample struct {
 // probeRing is one device's bounded sample history.
 type probeRing struct {
 	device  string
-	samples []ProbeSample // ring storage, len == cap once full
-	next    int           // write position
-	dropped int64         // samples overwritten by the ring
+	samples Ring[ProbeSample]
+	dropped int64 // samples overwritten by the ring
 	// lastNetWh/lastSec support the power derivative between samples.
 	lastNetWh float64
 	lastSec   float64
@@ -73,7 +65,7 @@ func (r *ProbeRecorder) ring(device string) *probeRing {
 	if i, ok := r.index[device]; ok {
 		return r.rings[i]
 	}
-	ring := &probeRing{device: device}
+	ring := &probeRing{device: device, samples: NewRing[ProbeSample](r.ringCap)}
 	r.index[device] = len(r.rings)
 	r.rings = append(r.rings, ring)
 	return ring
@@ -102,17 +94,9 @@ func (r *ProbeRecorder) Record(device string, sec float64, soc, voltage, availAh
 	ring.lastNetWh = netWh
 	ring.lastSec = sec
 	ring.primed = true
-
-	if len(ring.samples) < r.ringCap {
-		ring.samples = append(ring.samples, s)
-		return
+	if ring.samples.Push(s) {
+		ring.dropped++
 	}
-	ring.samples[ring.next] = s
-	ring.next++
-	if ring.next == r.ringCap {
-		ring.next = 0
-	}
-	ring.dropped++
 }
 
 // Devices returns the probed device names in registration order.
@@ -139,7 +123,7 @@ func (r *ProbeRecorder) Dropped() int64 {
 func (r *ProbeRecorder) Samples() []ProbeSample {
 	var out []ProbeSample
 	for _, ring := range r.rings {
-		out = append(out, ring.ordered()...)
+		out = append(out, ring.samples.Last(0)...)
 	}
 	return out
 }
@@ -150,41 +134,5 @@ func (r *ProbeRecorder) DeviceSamples(device string) []ProbeSample {
 	if !ok {
 		return nil
 	}
-	return r.rings[i].ordered()
-}
-
-// ordered unwraps the ring into oldest-first order.
-func (ring *probeRing) ordered() []ProbeSample {
-	if ring.dropped == 0 {
-		return append([]ProbeSample(nil), ring.samples...)
-	}
-	out := append([]ProbeSample(nil), ring.samples[ring.next:]...)
-	return append(out, ring.samples[:ring.next]...)
-}
-
-// WriteProbesJSONL writes samples one JSON object per line.
-func WriteProbesJSONL(w io.Writer, samples []ProbeSample) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range samples {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("obs: write probes: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadProbes parses a JSONL stream written by WriteProbesJSONL.
-func ReadProbes(r io.Reader) ([]ProbeSample, error) {
-	var out []ProbeSample
-	dec := json.NewDecoder(r)
-	for {
-		var s ProbeSample
-		if err := dec.Decode(&s); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: read probes: %w", err)
-		}
-		out = append(out, s)
-	}
+	return r.rings[i].samples.Last(0)
 }

@@ -74,10 +74,10 @@ func TestProbesJSONLRoundTrip(t *testing.T) {
 	in[0].Run = "test-run"
 
 	var buf bytes.Buffer
-	if err := WriteProbesJSONL(&buf, in); err != nil {
+	if err := WriteJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadProbes(&buf)
+	out, err := ReadJSONL[ProbeSample](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

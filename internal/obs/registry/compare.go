@@ -157,7 +157,7 @@ func loadDecisions(dir, key string) ([]obs.DecisionRecord, error) {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadDecisions(f)
+	recs, err := obs.ReadJSONL[obs.DecisionRecord](f)
 	if err != nil {
 		return nil, fmt.Errorf("registry: %s: %w", dir, err)
 	}

@@ -10,10 +10,7 @@ import "sync"
 // explicitly rather than hidden. Safe for concurrent use.
 type EventStream struct {
 	mu      sync.Mutex
-	cap     int
-	backlog []Event // ring storage, len == cap once full
-	next    int     // write position once full
-	full    bool
+	backlog Ring[Event]
 	dropped int64 // events not delivered to a slow subscriber
 	subs    map[int]chan Event
 	nextID  int
@@ -28,25 +25,14 @@ func NewEventStream(backlogCap int) *EventStream {
 	if backlogCap <= 0 {
 		backlogCap = DefaultStreamBacklog
 	}
-	return &EventStream{cap: backlogCap, subs: make(map[int]chan Event)}
+	return &EventStream{backlog: NewRing[Event](backlogCap), subs: make(map[int]chan Event)}
 }
 
 // Emit implements EventSink: record into the backlog ring and offer the
 // event to every subscriber without blocking.
 func (s *EventStream) Emit(e Event) {
 	s.mu.Lock()
-	if !s.full {
-		s.backlog = append(s.backlog, e)
-		if len(s.backlog) == s.cap {
-			s.full = true
-		}
-	} else {
-		s.backlog[s.next] = e
-		s.next++
-		if s.next == s.cap {
-			s.next = 0
-		}
-	}
+	s.backlog.Push(e)
 	for _, ch := range s.subs {
 		select {
 		case ch <- e:
@@ -70,12 +56,7 @@ func (s *EventStream) Subscribe(buf int) (id int, ch <-chan Event, backlog []Eve
 	id = s.nextID
 	s.nextID++
 	s.subs[id] = c
-	if s.full {
-		backlog = append(backlog, s.backlog[s.next:]...)
-		backlog = append(backlog, s.backlog[:s.next]...)
-	} else {
-		backlog = append(backlog, s.backlog...)
-	}
+	backlog = s.backlog.Last(0)
 	s.mu.Unlock()
 	return id, c, backlog
 }

@@ -104,7 +104,7 @@ func TestEventStreamConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(s.backlog); got != 16 {
+	if got := s.backlog.Len(); got != 16 {
 		t.Fatalf("backlog length %d, want 16 (ring full)", got)
 	}
 }

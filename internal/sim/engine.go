@@ -119,20 +119,11 @@ type Config struct {
 	// performance penalty energy buffers exist to avoid.
 	DVFSCapping bool
 
-	// Probes, when set, receives decimated per-device state samples (SoC,
-	// voltage, charge wells, Ah-throughput) for every battery string and
-	// super-capacitor bank in the pools. A nil recorder is the fast path:
-	// no snapshots are taken and the hot loop stays allocation-free.
-	Probes *obs.ProbeRecorder
-	// ProbeEvery is the probe decimation in steps (default 60: one
-	// sample per simulated minute at the 1 s step).
-	ProbeEvery int
-
 	// Invariants, when set, runs the invariant checker (see Checker):
-	// the energy auditor and the alert rules, fed from one pass per step.
-	// A checker in strict mode ends the run at the first failed strict
-	// check. Nil is the fast path: no checks run and the hot loop stays
-	// allocation-free.
+	// the energy auditor, the alert rules and the device probes, fed from
+	// one pass per step. A checker in strict mode ends the run at the
+	// first failed strict check. Nil is the fast path: no checks run, no
+	// device is snapshotted and the hot loop stays allocation-free.
 	Invariants *Checker
 
 	// Spans, when set, is the trace track this run records its span
@@ -227,9 +218,6 @@ func (c Config) withDefaults() Config {
 	if c.ActivityThreshold == 0 {
 		c.ActivityThreshold = 0.05
 	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 60
-	}
 	return c
 }
 
@@ -289,7 +277,7 @@ type Engine struct {
 	overloadScratch []int         // selectOverload result positions
 
 	// probeTargets enumerates the pool devices, built in Run only when
-	// cfg.Probes or cfg.Invariants is set.
+	// cfg.Invariants is set.
 	probeTargets []probeTarget
 
 	// Running digests of the metric series, folded up to the last
@@ -297,10 +285,13 @@ type Engine struct {
 	demandDigest, peaksDigest, valleysDigest pat.Digest
 }
 
-// probeTarget is one probed storage device within a run.
+// probeTarget is one probed storage device within a run: a bare device,
+// or member idx of a pool read through the pool's per-index view.
 type probeTarget struct {
 	name string
-	dev  esd.Prober
+	dev  esd.Prober // nil for a pool member
+	pool *esd.Pool
+	idx  int
 	// battery marks a battery-pool device. The SoC floor/ceiling and DoD
 	// alert rules scope to these: supercaps deep-cycle through their full
 	// window by design, so charge-protection SLOs only apply to batteries.
@@ -480,10 +471,8 @@ func (e *Engine) Run() Result {
 	e.slotPeaks = sizeSeries(e.slotPeaks, nSlots)
 	e.slotValleys = sizeSeries(e.slotValleys, nSlots)
 
-	if cfg.Probes != nil || cfg.Invariants != nil {
-		e.buildProbeTargets()
-	}
 	if cfg.Invariants != nil {
+		e.buildProbeTargets()
 		cfg.Invariants.start(e)
 	}
 
@@ -543,14 +532,11 @@ func (e *Engine) Run() Result {
 			}
 		}
 		if cfg.Invariants != nil {
-			cfg.Invariants.step(e, now)
-		}
-		if cfg.Probes != nil && i%cfg.ProbeEvery == 0 {
-			e.recordProbes(now)
-		}
-		if cfg.Invariants != nil && cfg.Invariants.abort() {
-			aborted = true
-			break
+			cfg.Invariants.step(e, i, now)
+			if cfg.Invariants.abort() {
+				aborted = true
+				break
+			}
 		}
 	}
 	if batch > 0 {
@@ -582,20 +568,23 @@ func (e *Engine) Run() Result {
 // buildProbeTargets enumerates the pools' individual storage devices.
 // Pool members get stable "<pool>/<index>" names; a bare device uses the
 // pool name alone. Devices that cannot be probed, or hold no usable
-// window at all (the Null placeholder), are skipped.
+// window at all (the Null placeholder), are skipped. Pool members are
+// read through Pool.ProbeMember, not Members, so a uniform pool keeps
+// stepping member 0 alone.
 func (e *Engine) buildProbeTargets() {
 	e.probeTargets = e.probeTargets[:0]
-	add := func(pool string, dev esd.Device, battery bool) {
+	add := func(name string, dev esd.Device, battery bool) {
+		t := probeTarget{name: name, battery: battery}
 		if p, ok := dev.(*esd.Pool); ok {
-			for i, m := range p.Members() {
-				if pr, ok := m.(esd.Prober); ok {
-					e.addProbeTarget(fmt.Sprintf("%s/%d", pool, i), pr, battery)
-				}
+			for i := range p.Size() {
+				t.name, t.pool, t.idx = fmt.Sprintf("%s/%d", name, i), p, i
+				e.addProbeTarget(t)
 			}
 			return
 		}
 		if pr, ok := dev.(esd.Prober); ok {
-			e.addProbeTarget(pool, pr, battery)
+			t.dev = pr
+			e.addProbeTarget(t)
 		}
 	}
 	add("battery", e.cfg.Battery, true)
@@ -604,21 +593,19 @@ func (e *Engine) buildProbeTargets() {
 	}
 }
 
-func (e *Engine) addProbeTarget(name string, pr esd.Prober, battery bool) {
-	s := pr.ProbeSnapshot()
-	if s.CapacityAh == 0 && s.CapacityWh == 0 {
+func (e *Engine) addProbeTarget(t probeTarget) {
+	if s := t.snapshot(); s.CapacityAh == 0 && s.CapacityWh == 0 {
 		return
 	}
-	e.probeTargets = append(e.probeTargets, probeTarget{name: name, dev: pr, battery: battery})
+	e.probeTargets = append(e.probeTargets, t)
 }
 
-// recordProbes samples every probe target into the recorder.
-func (e *Engine) recordProbes(now time.Duration) {
-	sec := now.Seconds()
-	for _, t := range e.probeTargets {
-		s := t.dev.ProbeSnapshot()
-		e.cfg.Probes.Record(t.name, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
+// snapshot reads the target's probe snapshot.
+func (t *probeTarget) snapshot() esd.ProbeSnapshot {
+	if t.pool != nil {
+		return t.pool.ProbeMember(t.idx)
 	}
+	return t.dev.ProbeSnapshot()
 }
 
 // planSlot queries the controller for the coming slot's decision.

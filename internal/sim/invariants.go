@@ -13,11 +13,14 @@ import (
 	"heb/internal/units"
 )
 
-// Checker is one run's invariant checker. It owns the bus ledger and the
-// per-device and relay checks, and feeds its two components — the energy
-// auditor (audits.jsonl) and the alert rule engine (alerts.jsonl, bridged
-// onto Events as EventAlert) — from a single pass per step: one snapshot
-// per probed device, one ledger delta, one relay partition count.
+// Checker is one run's invariant checker and device recorder. It owns
+// the bus ledger and the per-device and relay checks, and feeds its three
+// components — the energy auditor (audits.jsonl), the alert rule engine
+// (alerts.jsonl, bridged onto Events as EventAlert) and the probe
+// recorder (probes.jsonl) — from a single pass per step: one snapshot
+// per probed device, one ledger delta, one relay partition count. With
+// only the probe recorder on, the ledger and relay checks are skipped and
+// devices are snapshotted on probe steps alone.
 //
 // The strict rule: a component in strict mode turns its failure into an
 // aborted run — any audit violation for the auditor, any critical alert
@@ -28,21 +31,28 @@ import (
 // A Checker serves exactly one run; it is driven from the engine
 // goroutine and needs no locking.
 type Checker struct {
-	audit *obs.Auditor
-	alert *alerts.Engine
+	audit  *obs.Auditor
+	alert  *alerts.Engine
+	probes *obs.ProbeRecorder
+	every  int // probe decimation in steps
 
 	targets      []probeTarget // the engine's probed devices
 	ledger       ledgerState   // previous step's cumulative readings
 	mismatchPrev int           // mismatchSteps at the previous step
 }
 
-// NewChecker composes the run's checker from its components, either of
-// which may be nil (off); it returns nil when both are.
-func NewChecker(audit *obs.Auditor, alert *alerts.Engine) *Checker {
-	if audit == nil && alert == nil {
+// NewChecker composes the run's checker from its components, any of
+// which may be nil (off); it returns nil when all are. probes samples
+// every probed device each every steps (<= 0 selects 60: one sample per
+// simulated minute at the 1 s step).
+func NewChecker(audit *obs.Auditor, alert *alerts.Engine, probes *obs.ProbeRecorder, every int) *Checker {
+	if audit == nil && alert == nil && probes == nil {
 		return nil
 	}
-	return &Checker{audit: audit, alert: alert}
+	if every <= 0 {
+		every = 60
+	}
+	return &Checker{audit: audit, alert: alert, probes: probes, every: every}
 }
 
 // Err is the strict verdict of a finished run: nil unless a strict
@@ -106,7 +116,7 @@ func (c *Checker) start(e *Engine) {
 	c.mismatchPrev = e.mismatchSteps
 	for _, t := range c.targets {
 		if c.audit != nil {
-			s := t.dev.ProbeSnapshot()
+			s := t.snapshot()
 			c.audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
 		}
 		if c.alert != nil {
@@ -115,9 +125,9 @@ func (c *Checker) start(e *Engine) {
 	}
 }
 
-// step checks one executed step. The bus boundary sits between the
-// sources (utility feed, discharging devices) and the sinks (server load
-// as metered, charging devices, modeled conversion losses):
+// step checks and records executed step i. The bus boundary sits
+// between the sources (utility feed, discharging devices) and the sinks
+// (server load as metered, charging devices, modeled conversion losses):
 //
 //	in  = Δutility drawn + Δdevice discharge (terminal side)
 //	out = Δutility load credit + Δbuffer-served load + Δdevice charge
@@ -126,18 +136,26 @@ func (c *Checker) start(e *Engine) {
 // Every engine path balances these exactly, so the tolerance only
 // absorbs float summation error — any modeling bug that creates or
 // destroys energy at the bus shows up as drift.
-func (c *Checker) step(e *Engine, now time.Duration) {
+func (c *Checker) step(e *Engine, i int, now time.Duration) {
 	sec := now.Seconds()
-	cur, prev := readLedger(e), c.ledger
-	c.ledger = cur
-	inWh := ((cur.utilityDrawn - prev.utilityDrawn) + (cur.devOut - prev.devOut)).Wh()
-	outWh := ((cur.meterUtility - prev.meterUtility) + (cur.served - prev.served) +
-		(cur.devIn - prev.devIn) + (cur.convLoss - prev.convLoss)).Wh()
-	if c.audit != nil {
-		c.audit.RecordStep(sec, inWh, outWh)
+	checks := c.audit != nil || c.alert != nil
+	probe := c.probes != nil && i%c.every == 0
+	if !checks && !probe {
+		return
 	}
-	for i, t := range c.targets {
-		s := t.dev.ProbeSnapshot()
+	var inWh, outWh float64
+	if checks {
+		cur, prev := readLedger(e), c.ledger
+		c.ledger = cur
+		inWh = ((cur.utilityDrawn - prev.utilityDrawn) + (cur.devOut - prev.devOut)).Wh()
+		outWh = ((cur.meterUtility - prev.meterUtility) + (cur.served - prev.served) +
+			(cur.devIn - prev.devIn) + (cur.convLoss - prev.convLoss)).Wh()
+		if c.audit != nil {
+			c.audit.RecordStep(sec, inWh, outWh)
+		}
+	}
+	for j, t := range c.targets {
+		s := t.snapshot()
 		if c.audit != nil {
 			c.checkBounds(sec, t.name, &s)
 		}
@@ -145,8 +163,14 @@ func (c *Checker) step(e *Engine, now time.Duration) {
 		// full usable window by design, so floor/DoD breaches there are
 		// normal operation, not faults.
 		if t.battery {
-			c.alert.ObserveSoC(sec, i, s.SoC)
+			c.alert.ObserveSoC(sec, j, s.SoC)
 		}
+		if probe {
+			c.probes.Record(t.name, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
+		}
+	}
+	if !checks {
+		return
 	}
 	// Relay exclusivity: every server's relay sits in exactly one
 	// position, so the per-source counts partition the fleet and the off
@@ -212,7 +236,7 @@ func (c *Checker) checkBounds(sec float64, device string, s *esd.ProbeSnapshot) 
 func (c *Checker) finish(e *Engine) {
 	if c.audit != nil {
 		for i, t := range c.targets {
-			s := t.dev.ProbeSnapshot()
+			s := t.snapshot()
 			c.audit.EndDevice(i, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
 		}
 	}

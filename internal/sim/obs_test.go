@@ -15,8 +15,7 @@ func TestProbeDecimationAndDeviceNames(t *testing.T) {
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	rec := obs.NewProbeRecorder(0)
-	cfg.Probes = rec
-	cfg.ProbeEvery = 60
+	cfg.Invariants = NewChecker(nil, nil, rec, 60)
 	MustNew(cfg).Run()
 
 	devices := rec.Devices()
@@ -53,8 +52,7 @@ func TestProbesSkipNullBattery(t *testing.T) {
 	cfg.Battery = esd.Null{}
 	cfg.Supercap = nil
 	rec := obs.NewProbeRecorder(0)
-	cfg.Probes = rec
-	cfg.ProbeEvery = 30
+	cfg.Invariants = NewChecker(nil, nil, rec, 30)
 	MustNew(cfg).Run()
 	if n := len(rec.Devices()); n != 0 {
 		t.Errorf("Null battery produced %d probe devices", n)
@@ -66,7 +64,7 @@ func TestAuditPassesOnRealRun(t *testing.T) {
 	w := squareTrace(0.2, 1.0, 4*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
 	auditor := obs.NewAuditor(obs.AuditModeReport)
-	cfg.Invariants = NewChecker(auditor, nil)
+	cfg.Invariants = NewChecker(auditor, nil, nil, 0)
 	res := MustNew(cfg).Run()
 
 	rep := auditor.Report()
@@ -102,7 +100,7 @@ func TestAuditPassesUnderShedAndCharge(t *testing.T) {
 	w := squareTrace(0.2, 1.0, 6*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 200))
 	auditor := obs.NewAuditor(obs.AuditModeReport)
-	cfg.Invariants = NewChecker(auditor, nil)
+	cfg.Invariants = NewChecker(auditor, nil, nil, 0)
 	res := MustNew(cfg).Run()
 	if res.ShedEvents == 0 {
 		t.Fatal("regime produced no sheds; test lost its point")
@@ -124,7 +122,7 @@ func TestAuditStrictAbortsRun(t *testing.T) {
 	// Pre-flag a violation: the engine must stop at the first step's
 	// strict check instead of running out the clock.
 	auditor.Flag(obs.AuditEvent{Kind: alerts.KindLedgerDrift, Detail: "injected"})
-	cfg.Invariants = NewChecker(auditor, nil)
+	cfg.Invariants = NewChecker(auditor, nil, nil, 0)
 	res := MustNew(cfg).Run()
 	if res.Steps >= 600 {
 		t.Fatalf("strict audit did not abort: ran %d steps", res.Steps)
@@ -145,25 +143,46 @@ func (c *countingBattery) ProbeSnapshot() esd.ProbeSnapshot {
 	return c.Battery.ProbeSnapshot()
 }
 
-// TestCheckerSnapshotsEachDeviceOncePerStep pins the merged pass: with the
-// auditor and the rule engine both on, each step snapshots every probed
-// device exactly once.
+// TestCheckerSnapshotsEachDeviceOncePerStep pins the merged pass: with
+// the auditor or the rule engine on, each step snapshots every probed
+// device exactly once, probes included; with probes alone, only probe
+// steps do.
 func TestCheckerSnapshotsEachDeviceOncePerStep(t *testing.T) {
 	r := newRig(t, 260)
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
-	cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
-	bat := &countingBattery{Battery: esd.MustNewBattery(esd.DefaultBatteryConfig())}
-	cfg.Battery = bat
-	cfg.Supercap = nil
-	cfg.Invariants = NewChecker(obs.NewAuditor(obs.AuditModeReport), alerts.NewEngine(alerts.ModeReport, alerts.Rules{}))
-	res := MustNew(cfg).Run()
-	// Beyond one per step: enumerating the target, then opening and
-	// closing its audit ledger.
-	if want := res.Steps + 3; bat.snaps != want {
-		t.Errorf("%d ProbeSnapshot calls over %d steps, want %d", bat.snaps, res.Steps, want)
-	}
-	if err := cfg.Invariants.Err(); err != nil {
-		t.Errorf("report-mode checker returned a strict error: %v", err)
+	for _, tc := range []struct {
+		name   string
+		audit  *obs.Auditor
+		alert  *alerts.Engine
+		probes *obs.ProbeRecorder
+		// extra is the snapshots beyond the per-step ones: enumerating
+		// the target, and opening and closing its audit ledger.
+		perStep bool
+		extra   int
+	}{
+		{"audit+alerts", obs.NewAuditor(obs.AuditModeReport), alerts.NewEngine(alerts.ModeReport, alerts.Rules{}), nil, true, 3},
+		{"all three", obs.NewAuditor(obs.AuditModeReport), alerts.NewEngine(alerts.ModeReport, alerts.Rules{}), obs.NewProbeRecorder(0), true, 3},
+		{"probes only", nil, nil, obs.NewProbeRecorder(0), false, 1},
+	} {
+		cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
+		bat := &countingBattery{Battery: esd.MustNewBattery(esd.DefaultBatteryConfig())}
+		cfg.Battery = bat
+		cfg.Supercap = nil
+		cfg.Invariants = NewChecker(tc.audit, tc.alert, tc.probes, 60)
+		res := MustNew(cfg).Run()
+		want := tc.extra + res.Steps/60 // 300 steps probed every 60
+		if tc.perStep {
+			want = tc.extra + res.Steps
+		}
+		if bat.snaps != want {
+			t.Errorf("%s: %d ProbeSnapshot calls over %d steps, want %d", tc.name, bat.snaps, res.Steps, want)
+		}
+		if tc.probes != nil && len(tc.probes.Samples()) != res.Steps/60 {
+			t.Errorf("%s: %d probe samples, want %d", tc.name, len(tc.probes.Samples()), res.Steps/60)
+		}
+		if err := cfg.Invariants.Err(); err != nil {
+			t.Errorf("%s: report-mode checker returned a strict error: %v", tc.name, err)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"heb/internal/ascii"
+	"heb/internal/obs"
 	"heb/internal/sim"
 )
 
@@ -67,9 +68,7 @@ type Summary struct {
 // simulation goroutine records while HTTP handlers read.
 type Recorder struct {
 	mu      sync.RWMutex
-	ring    []Snapshot
-	next    int
-	full    bool
+	ring    obs.Ring[Snapshot]
 	summary Summary
 }
 
@@ -79,7 +78,7 @@ func NewRecorder(capacity int) (*Recorder, error) {
 		return nil, fmt.Errorf("telemetry: capacity %d must be positive", capacity)
 	}
 	return &Recorder{
-		ring: make([]Snapshot, capacity),
+		ring: obs.NewRing[Snapshot](capacity),
 		summary: Summary{
 			MinBatterySoC:  1,
 			MinSupercapSoC: 1,
@@ -105,12 +104,7 @@ func (r *Recorder) Observer() func(sim.StepInfo) {
 func (r *Recorder) Record(s Snapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ring[r.next] = s
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
+	r.ring.Push(s)
 	r.summary.Steps++
 	if s.Mismatch {
 		r.summary.MismatchSteps++
@@ -131,24 +125,18 @@ func (r *Recorder) Record(s Snapshot) {
 func (r *Recorder) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.full {
-		return len(r.ring)
-	}
-	return r.next
+	return r.ring.Len()
 }
 
 // Latest returns the most recent snapshot.
 func (r *Recorder) Latest() (Snapshot, bool) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.full && r.next == 0 {
+	last := r.ring.Last(1)
+	r.mu.RUnlock()
+	if len(last) == 0 {
 		return Snapshot{}, false
 	}
-	i := r.next - 1
-	if i < 0 {
-		i = len(r.ring) - 1
-	}
-	return r.ring[i], true
+	return last[0], true
 }
 
 // History returns up to n most recent snapshots, oldest first. n <= 0
@@ -160,22 +148,7 @@ func (r *Recorder) Latest() (Snapshot, bool) {
 func (r *Recorder) History(n int) []Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	size := r.next
-	if r.full {
-		size = len(r.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Snapshot, 0, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	return out
+	return r.ring.Last(n)
 }
 
 // Summary returns the aggregate counters.

@@ -215,10 +215,10 @@ func TestRunCaptureArtifacts(t *testing.T) {
 
 	// JSONL round-trip through the query helpers.
 	var buf bytes.Buffer
-	if err := obs.WriteDecisionsJSONL(&buf, a.Decisions); err != nil {
+	if err := obs.WriteJSONL(&buf, a.Decisions); err != nil {
 		t.Fatal(err)
 	}
-	back, err := obs.ReadDecisions(&buf)
+	back, err := obs.ReadJSONL[obs.DecisionRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"heb/internal/obs"
+	"heb/internal/obs/alerts"
 	"heb/internal/pat"
 	"heb/internal/runner"
 	"heb/internal/sim"
@@ -193,7 +194,7 @@ func TestRunCacheReusesState(t *testing.T) {
 
 // TestRunCacheKeepsPoolsUniform checks that a reused runState keeps its
 // pools on the uniform fast path across hooks-off runs, aging studies
-// included, and that a probes-on run, which reads each member, ends it.
+// included.
 func TestRunCacheKeepsPoolsUniform(t *testing.T) {
 	p := DefaultPrototype()
 	p.BatteryPreAge = 0.3
@@ -229,14 +230,39 @@ func TestRunCacheKeepsPoolsUniform(t *testing.T) {
 		t.Fatal("reused pre-aged run differs from the fresh one")
 	}
 
-	probed := p
-	probed.Capture = obs.NewCapture()
-	probed.ProbeEvery = 60
-	if _, err := probed.RunWith(cache, 0, HEBD, w, opts); err != nil {
+}
+
+// TestHooksKeepPoolsUniform checks that a pooled HEB-D run with probes
+// and alerts on leaves both pools uniform: the invariant checker reads
+// each member through Pool.ProbeMember, never Members, so a hooks-on run
+// still steps each pool once.
+func TestHooksKeepPoolsUniform(t *testing.T) {
+	p := DefaultPrototype()
+	p.Capture = obs.NewCapture()
+	p.ProbeEvery = 60
+	p.Alert = alerts.ModeReport
+	w, err := WorkloadNamed("PR")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ba, sc := uniform(probed); ba || sc {
-		t.Fatalf("pools uniform = %v, %v after a probes-on run, want false", ba, sc)
+	d := 30 * time.Minute
+	cache := NewRunCache(1)
+	if _, err := p.RunWith(cache, 0, HEBD, w.WithDuration(d), RunOptions{Duration: d}); err != nil {
+		t.Fatal(err)
+	}
+	runs := p.Capture.Runs()
+	if len(runs) != 1 || len(runs[0].Probes) == 0 || runs[0].Alerts == nil {
+		t.Fatal("hooks-on run recorded no probes or alert report")
+	}
+	st := cache.lookup(0, p.poolKey(HEBD, p.Budget))
+	if st == nil {
+		t.Fatal("run left no cached state")
+	}
+	if st.battery.Size() < 2 || st.supercap.Size() < 2 {
+		t.Fatalf("pools of %d and %d members cannot show per-member stepping", st.battery.Size(), st.supercap.Size())
+	}
+	if ba, sc := st.battery.Uniform(), st.supercap.Uniform(); !ba || !sc {
+		t.Fatalf("pools uniform = %v, %v after a hooks-on run, want true", ba, sc)
 	}
 }
 
