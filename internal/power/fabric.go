@@ -67,6 +67,11 @@ type Fabric struct {
 
 	count [NumSources]int // servers on each source, kept by AssignAt
 
+	// gen is the power-state generation: AssignAt bumps it when a server
+	// actually powers on or off, and Reset bumps it. A caller that caches
+	// per-server demand keys the cache by it.
+	gen uint64
+
 	// LRU order: lru holds every position sorted by (lastUse, id), except
 	// that positions TouchAt restamped since the last LRUPositions call
 	// (listed in touched, flagged in dirty) still sit at their old place.
@@ -249,14 +254,21 @@ func (f *Fabric) AssignAt(i int, src Source) error {
 			f.onSwitch(f.ids[i], was, src)
 		}
 	}
-	srv := f.servers[i]
-	if src == SourceOff {
-		srv.PowerOff()
-	} else {
-		srv.PowerOn()
+	if srv, on := f.servers[i], src != SourceOff; on != srv.On() {
+		if on {
+			srv.PowerOn()
+		} else {
+			srv.PowerOff()
+		}
+		f.gen++
 	}
 	return nil
 }
+
+// Generation returns the power-state generation: it changes exactly when
+// AssignAt powers a server on or off (a shed or a restart, not a move
+// between utility and a pool) and on Reset.
+func (f *Fabric) Generation() uint64 { return f.gen }
 
 // SnapshotDemand fills demand, indexed by position, with every server's
 // instantaneous draw and returns the draw of all powered servers, summed
@@ -480,6 +492,7 @@ func (f *Fabric) Reset() {
 	f.count = [NumSources]int{SourceUtility: len(f.servers)}
 	f.switches = [NumSources]int64{}
 	f.meter = Meter{}
+	f.gen++
 }
 
 // Meter returns the cumulative IPDU meter readings.

@@ -261,7 +261,9 @@ func TestFabricStuckRelayDoesNotCountSwitch(t *testing.T) {
 // equal and decreasing, one at a time or as a whole-tick batch — and
 // checks after every operation that the incrementally kept LRU order
 // matches a full sort by (lastUse, id) of a model the test keeps itself,
-// and that the kept per-source counts match a recount.
+// that the kept per-source counts match a recount, and that the power-state
+// generation moves exactly when the model's server on state toggles (a shed
+// or restart, not a move between utility and a pool) or the fabric resets.
 func TestFabricLRUAndCountsProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -278,6 +280,17 @@ func TestFabricLRUAndCountsProperty(t *testing.T) {
 			}
 			f := MustNewFabric(servers)
 			stamp := map[int]time.Duration{} // the model: id -> last use
+			on := make([]bool, len(tc.ids))  // the model: position -> powered
+			for i := range on {
+				on[i] = true
+			}
+			gen := f.Generation()
+			assign := func(i int, src Source, err error) {
+				if err == nil && on[i] != (src != SourceOff) {
+					on[i] = !on[i]
+					gen++
+				}
+			}
 			var buf []int
 			for op := 0; op < 5000; op++ {
 				i := rng.Intn(len(tc.ids))
@@ -298,9 +311,11 @@ func TestFabricLRUAndCountsProperty(t *testing.T) {
 						}
 					}
 				case k < 15:
-					_ = f.Assign(id, Source(rng.Intn(NumSources)))
+					src := Source(rng.Intn(NumSources))
+					assign(i, src, f.Assign(id, src))
 				case k < 17:
-					_ = f.AssignAt(i, Source(rng.Intn(NumSources)))
+					src := Source(rng.Intn(NumSources))
+					assign(i, src, f.AssignAt(i, src))
 				case k < 18:
 					_ = f.FailRelay(id)
 				case k < 19:
@@ -308,6 +323,7 @@ func TestFabricLRUAndCountsProperty(t *testing.T) {
 				default:
 					f.Reset()
 					clear(stamp)
+					gen++
 				}
 
 				want := slices.Clone(tc.ids)
@@ -320,6 +336,14 @@ func TestFabricLRUAndCountsProperty(t *testing.T) {
 				buf = f.LRUOrderInto(buf)
 				if !slices.Equal(buf, want) {
 					t.Fatalf("op %d: LRU order %v, want %v", op, buf, want)
+				}
+				if f.Generation() != gen {
+					t.Fatalf("op %d: generation %d, want %d", op, f.Generation(), gen)
+				}
+				for j, s := range servers {
+					if s.On() != on[j] {
+						t.Fatalf("op %d: server %d on=%v, model %v", op, s.ID(), s.On(), on[j])
+					}
 				}
 				counts := f.SourceCounts()
 				for src := Source(0); src < NumSources; src++ {

@@ -62,10 +62,15 @@ type Config struct {
 	// workload trace duration.
 	Duration time.Duration
 
-	// Servers are the compute nodes.
+	// Servers are the compute nodes. During Run they belong to the
+	// engine: it reuses each server's demand until it changes that
+	// server's utilization, frequency or power state itself, so nothing
+	// else may call a Server mutator until Run returns.
 	Servers []*power.Server
 	// Workload drives per-server utilization; its width must match the
-	// server count.
+	// server count. A row At returns again (the same slice) is held:
+	// the engine reuses the demand it computed from it, so rows must not
+	// be edited during Run.
 	Workload *trace.Trace
 
 	// Battery is the battery pool; required.
@@ -99,7 +104,9 @@ type Config struct {
 	// it synchronously from whichever goroutine is executing Run, never
 	// from any other goroutine, so an observer used by a single run needs
 	// no locking; an observer shared between concurrent runs (e.g. cells
-	// of a parallel sweep) must synchronize itself.
+	// of a parallel sweep) must synchronize itself. An observer may fail
+	// or repair relays through Engine.Fabric, but must not call Server
+	// mutators or edit trace rows (see Servers and Workload).
 	Observer func(StepInfo)
 
 	// Events, when set, receives the engine's discrete events: run
@@ -276,6 +283,21 @@ type Engine struct {
 	keepScratch     []bool        // selectOverload keep set
 	overloadScratch []int         // selectOverload result positions
 
+	// Held-row state (DESIGN §14, "Held rows"). snap counts demand
+	// snapshots; every cache below is valid for one snap value only.
+	// heldRow is the first element of the workload row the servers hold
+	// (nil forces a fresh row), active the positions that row marks
+	// active, and heldGen and heldTotal the fabric generation and powered
+	// total of the latest snapshot. sortedFrom is the last overload set
+	// applyDecision sorted under sortedSnap and sortedTo its sorted order.
+	snap                 uint64
+	heldRow              *float64
+	heldGen              uint64
+	heldTotal            units.Power
+	active               []int
+	sortedSnap           uint64
+	sortedFrom, sortedTo []int
+
 	// probeTargets enumerates the pool devices, built in Run only when
 	// cfg.Invariants is set.
 	probeTargets []probeTarget
@@ -312,16 +334,13 @@ func New(cfg Config) (*Engine, error) {
 	for _, s := range cfg.Servers {
 		peak += s.PeakDemand()
 	}
-	n := len(cfg.Servers)
 	e := &Engine{
-		cfg:             cfg,
-		fabric:          fabric,
-		dischargeConv:   cfg.Topology.DischargeConverter(peak),
-		utilityConv:     cfg.Topology.UtilityConverter(peak),
-		demandByIdx:     make([]units.Power, n),
-		keepScratch:     make([]bool, n),
-		overloadScratch: make([]int, 0, n),
+		cfg:           cfg,
+		fabric:        fabric,
+		dischargeConv: cfg.Topology.DischargeConverter(peak),
+		utilityConv:   cfg.Topology.UtilityConverter(peak),
 	}
+	e.sizeScratch(len(cfg.Servers))
 	if cfg.Events != nil {
 		e.fabric.SetSwitchListener(e.emitSwitch)
 	}
@@ -362,6 +381,19 @@ func MustNew(cfg Config) *Engine {
 
 // Fabric exposes the relay fabric (for tests and telemetry).
 func (e *Engine) Fabric() *power.Fabric { return e.fabric }
+
+// sizeScratch allocates the per-position hot-loop scratch for n servers.
+// The four position lists share one block, each capped at n so appends
+// never run into the next.
+func (e *Engine) sizeScratch(n int) {
+	e.demandByIdx = make([]units.Power, n)
+	e.keepScratch = make([]bool, n)
+	ints := make([]int, 4*n)
+	e.overloadScratch = ints[0:0:n]
+	e.active = ints[n : n : 2*n]
+	e.sortedFrom = ints[2*n : 2*n : 3*n]
+	e.sortedTo = ints[3*n : 3*n : 4*n]
+}
 
 // sizeSeries returns s emptied with capacity for at least want,
 // allocating only when the existing backing array is too small.
@@ -418,10 +450,10 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
-		e.demandByIdx = make([]units.Power, n)
-		e.keepScratch = make([]bool, n)
-		e.overloadScratch = make([]int, 0, n)
+		e.sizeScratch(n)
 	}
+	// A new run reads its first row fresh, and so takes a new snapshot.
+	e.heldRow = nil
 
 	e.decision = core.Decision{}
 	e.view = core.SlotView{}
@@ -697,23 +729,39 @@ func (e *Engine) step(now time.Duration) {
 	e.steps++
 	e.now = now
 
-	// Drive utilization from the workload and stamp LRU activity.
-	row, active := cfg.Workload.At(now), cfg.ActivityThreshold
-	for i, s := range cfg.Servers {
-		s.SetUtilization(row[i])
-		if row[i] > active {
-			e.fabric.TouchAt(i, now)
+	// Drive utilization from the workload and stamp LRU activity. A row
+	// the servers already hold (the trace's zero-order hold over a coarser
+	// sample step) leaves utilization and the active set as they are; the
+	// active positions are still restamped, since LRU stamps are state.
+	row := cfg.Workload.At(now)
+	fresh := &row[0] != e.heldRow
+	if fresh {
+		e.heldRow = &row[0]
+		e.active = e.active[:0]
+		for i, s := range cfg.Servers {
+			s.SetUtilization(row[i])
+			if row[i] > cfg.ActivityThreshold {
+				e.active = append(e.active, i)
+			}
 		}
+	}
+	for _, i := range e.active {
+		e.fabric.TouchAt(i, now)
 	}
 
 	supply := cfg.Feed.Available(now)
 	e.maybeRestart(now, supply)
 
-	// One demand evaluation per server per tick: utilization, frequency
-	// and power state stay fixed for the rest of the tick unless DVFS
-	// capping retunes frequencies (which re-snapshots) or a shed powers a
-	// server off (which the per-source sums see through its relay).
-	demand := e.fabric.SnapshotDemand(e.demandByIdx)
+	// At most one demand evaluation per server per tick: utilization,
+	// frequency and power state stay fixed for the rest of the tick unless
+	// DVFS capping retunes frequencies (which re-snapshots) or a shed
+	// powers a server off (which the per-source sums see through its
+	// relay). A held row under an unchanged power-state generation reuses
+	// the latest snapshot, which already reflects any retune.
+	demand := e.heldTotal
+	if fresh || e.fabric.Generation() != e.heldGen {
+		demand = e.snapshotDemand()
+	}
 	e.observeDemand(demand)
 
 	// Effective utility power deliverable to servers after the utility-
@@ -745,6 +793,16 @@ func (e *Engine) step(now time.Duration) {
 	if cfg.Observer != nil {
 		cfg.Observer(e.snapshot(now, demand, supply, mismatch))
 	}
+}
+
+// snapshotDemand re-evaluates every server's demand into demandByIdx and
+// starts a new snapshot, which invalidates the held-row caches keyed by
+// the previous one.
+func (e *Engine) snapshotDemand() units.Power {
+	e.heldTotal = e.fabric.SnapshotDemand(e.demandByIdx)
+	e.heldGen = e.fabric.Generation()
+	e.snap++
+	return e.heldTotal
 }
 
 // snapshot assembles the observer's per-tick view.
@@ -812,7 +870,7 @@ func (e *Engine) applyCapping(demand, effSupply units.Power, dt time.Duration) u
 		}
 	}
 	if retuned {
-		demand = e.fabric.SnapshotDemand(e.demandByIdx)
+		demand = e.snapshotDemand()
 	}
 	return demand
 }
@@ -1042,8 +1100,17 @@ func (e *Engine) applyDecision(overload []int) {
 	if e.cfg.Supercap != nil {
 		capSC = e.cfg.Supercap.MaxDischargePower() * 95 / 100
 	}
-	// Largest demands first, so big draws land where capacity exists.
-	slices.SortFunc(overload, e.byDemandDesc)
+	// Largest demands first, so big draws land where capacity exists. The
+	// order is a function of the set and the demand snapshot alone, so the
+	// previous mismatch tick's set under the same snapshot reuses its sort.
+	if e.sortedSnap == e.snap && slices.Equal(overload, e.sortedFrom) {
+		copy(overload, e.sortedTo)
+	} else {
+		e.sortedFrom = append(e.sortedFrom[:0], overload...)
+		slices.SortFunc(overload, e.byDemandDesc)
+		e.sortedTo = append(e.sortedTo[:0], overload...)
+		e.sortedSnap = e.snap
+	}
 	assignUpTo := func(set []int, first, second power.Source, capFirst, capSecond units.Power) {
 		for _, i := range set {
 			d := e.demandByIdx[i]

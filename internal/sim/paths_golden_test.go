@@ -66,61 +66,30 @@ func (d *eventDigest) Emit(ev obs.Event) {
 	d.n++
 }
 
-// TestEnginePathsGolden pins the full Result, the final fabric state and
-// the event stream of four runs off the default path: DVFS capping, a
-// relay stuck on a pool across a peak, a starved run that sheds and
-// restarts, and servers with non-dense ids. Regenerate with
-// go test ./internal/sim -run TestEnginePathsGolden -update-golden.
-func TestEnginePathsGolden(t *testing.T) {
-	const d = time.Hour
-	run := func(t *testing.T, ids []int, budget units.Power, scheme core.Scheme, tweak func(*Config, *rig, **Engine)) []byte {
-		t.Helper()
-		r := newRig(t, budget)
-		for i, id := range ids {
-			r.servers[i] = power.MustNewServer(id, power.DefaultServerConfig())
-		}
-		cfg := baseConfig(r, burstyTrace(len(r.servers), d, time.Second), controller(t, scheme, budget))
-		cfg.Slot = 5 * time.Minute
-		dig := &eventDigest{}
-		cfg.Events = dig
-		var e *Engine
-		if tweak != nil {
-			tweak(&cfg, r, &e)
-		}
-		e = MustNew(cfg)
-		res := e.Run()
-		out, err := json.MarshalIndent(struct {
-			Result Result
-			Fabric power.FabricState
-			Events int
-			Digest string
-		}{res, e.Fabric().Checkpoint(), dig.n, fmt.Sprintf("%016x", dig.h)}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	starved := func(cfg *Config, r *rig, _ **Engine) {
-		small := esd.DefaultBatteryConfig()
-		small.CapacityAh = 0.3
-		r.battery = esd.MustNewPool("battery", esd.MustNewBattery(small))
-		tiny := esd.DefaultSupercapConfig()
-		tiny.Capacitance = 5
-		r.supercap = esd.MustNewPool("supercap", esd.MustNewSupercap(tiny))
-		cfg.Battery, cfg.Supercap = r.battery, r.supercap
-	}
-	var got bytes.Buffer
-	for _, tc := range []struct {
-		name   string
-		ids    []int
-		budget units.Power
-		scheme core.Scheme
-		tweak  func(*Config, *rig, **Engine)
-	}{
-		{name: "dvfs_capping", budget: 230, scheme: core.NewBaFirst(), tweak: func(cfg *Config, _ *rig, _ **Engine) {
+// enginePath is one run off the default engine path: its server ids (nil
+// for the rig's dense ids), feed budget, scheme constructor (a HEB scheme
+// learns into its PAT, so every run builds its own) and a tweak applied to
+// the config before the engine is built. The tweak gets a pointer to the
+// engine variable so an observer can reach the fabric.
+type enginePath struct {
+	name   string
+	ids    []int
+	budget units.Power
+	scheme func() core.Scheme
+	tweak  func(*Config, *rig, **Engine)
+}
+
+func hebD() core.Scheme { return core.NewHEBD(pat.MustNew(pat.DefaultConfig())) }
+
+// enginePaths lists the four paths TestEnginePathsGolden pins: DVFS
+// capping, a relay stuck on a pool across a peak, a starved run that
+// sheds and restarts, and servers with non-dense ids.
+func enginePaths() []enginePath {
+	return []enginePath{
+		{name: "dvfs_capping", budget: 230, scheme: core.NewBaFirst, tweak: func(cfg *Config, _ *rig, _ **Engine) {
 			cfg.DVFSCapping = true
 		}},
-		{name: "stuck_relay", budget: 240, scheme: core.NewHEBD(pat.MustNew(pat.DefaultConfig())), tweak: func(cfg *Config, _ *rig, eng **Engine) {
+		{name: "stuck_relay", budget: 240, scheme: hebD, tweak: func(cfg *Config, _ *rig, eng **Engine) {
 			// Fail every relay that sits on a pool at the first mismatch
 			// tick after ten minutes, and repair them half an hour later:
 			// the stuck servers stay on their pool through surplus ticks.
@@ -142,12 +111,65 @@ func TestEnginePathsGolden(t *testing.T) {
 				}
 			}
 		}},
-		{name: "shed_restart", budget: 200, scheme: core.NewSCFirst(), tweak: starved},
+		{name: "shed_restart", budget: 200, scheme: core.NewSCFirst, tweak: starvedPools},
 		{name: "non_dense_ids", ids: []int{10, 20, 30, 40, 50, 60}, budget: 240,
-			scheme: core.NewHEBD(pat.MustNew(pat.DefaultConfig()))},
-	} {
-		fmt.Fprintf(&got, "== %s\n", tc.name)
-		got.Write(run(t, tc.ids, tc.budget, tc.scheme, tc.tweak))
+			scheme: hebD},
+	}
+}
+
+// starvedPools swaps in a battery and a supercap too small to ride out a
+// peak, so the run sheds servers and later restarts them.
+func starvedPools(cfg *Config, r *rig, _ **Engine) {
+	small := esd.DefaultBatteryConfig()
+	small.CapacityAh = 0.3
+	r.battery = esd.MustNewPool("battery", esd.MustNewBattery(small))
+	tiny := esd.DefaultSupercapConfig()
+	tiny.Capacitance = 5
+	r.supercap = esd.MustNewPool("supercap", esd.MustNewSupercap(tiny))
+	cfg.Battery, cfg.Supercap = r.battery, r.supercap
+}
+
+// runEnginePath runs one hour of p over the workload w builds for the
+// rig's servers and returns the engine with its Result, final fabric
+// state (LRU stamps included) and event digest as indented JSON.
+func runEnginePath(t *testing.T, p enginePath, w func(servers int) *trace.Trace) (*Engine, []byte) {
+	t.Helper()
+	r := newRig(t, p.budget)
+	for i, id := range p.ids {
+		r.servers[i] = power.MustNewServer(id, power.DefaultServerConfig())
+	}
+	cfg := baseConfig(r, w(len(r.servers)), controller(t, p.scheme(), p.budget))
+	cfg.Slot = 5 * time.Minute
+	dig := &eventDigest{}
+	cfg.Events = dig
+	var e *Engine
+	if p.tweak != nil {
+		p.tweak(&cfg, r, &e)
+	}
+	e = MustNew(cfg)
+	res := e.Run()
+	out, err := json.MarshalIndent(struct {
+		Result Result
+		Fabric power.FabricState
+		Events int
+		Digest string
+	}{res, e.Fabric().Checkpoint(), dig.n, fmt.Sprintf("%016x", dig.h)}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, out
+}
+
+// TestEnginePathsGolden pins the full Result, the final fabric state and
+// the event stream of the enginePaths runs on a 1 s trace. Regenerate
+// with go test ./internal/sim -run TestEnginePathsGolden -update-golden.
+func TestEnginePathsGolden(t *testing.T) {
+	perSecond := func(servers int) *trace.Trace { return burstyTrace(servers, time.Hour, time.Second) }
+	var got bytes.Buffer
+	for _, p := range enginePaths() {
+		fmt.Fprintf(&got, "== %s\n", p.name)
+		_, out := runEnginePath(t, p, perSecond)
+		got.Write(out)
 		got.WriteByte('\n')
 	}
 
