@@ -80,6 +80,9 @@ func main() {
 		os.Exit(2)
 	}
 	alertMode, err := alerts.ParseMode(*alertsF)
+	if err == nil {
+		err = checkFlags(*duration, *speedup, *history, *rescan)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hebmon:", err)
 		os.Exit(2)
@@ -89,6 +92,21 @@ func main() {
 		slog.Error("monitor failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects numeric flag values the monitor cannot honour.
+func checkFlags(duration time.Duration, speedup float64, history int, rescan time.Duration) error {
+	switch {
+	case duration <= 0:
+		return fmt.Errorf("-duration %v must be positive", duration)
+	case !(speedup >= 0):
+		return fmt.Errorf("-speedup %v must not be negative (0 = unpaced)", speedup)
+	case history <= 0:
+		return fmt.Errorf("-history %d must be positive", history)
+	case rescan <= 0:
+		return fmt.Errorf("-rescan %v must be positive", rescan)
+	}
+	return nil
 }
 
 func run(addr, scheme, wl string, duration time.Duration, speedup float64, history int, exitWhenDone bool, runsDir string, rescan time.Duration, alertMode alerts.Mode) error {

@@ -1,10 +1,10 @@
 // Command hebobs inspects what hebsim runs leave behind — capture
-// directories (`hebsim -obs dir/`), span traces (`hebsim -trace`),
-// scripts/bench.sh JSON and pprof profiles — one subcommand per question:
+// directories (`hebsim -obs dir/`, with the `-trace` file if written
+// there), scripts/bench.sh JSON and pprof profiles — one subcommand per
+// question:
 //
 //	check   is this capture complete, parseable and honest?
 //	bisect  where do two recorded runs first diverge?
-//	trace   which phases does a span trace spend its self time in?
 //	watch   which runs or cohorts are outliers (score, diff), and did a
 //	        benchmark regress (bench)?
 //	prof    where do profiled runs spend CPU or allocations (top), what
@@ -36,7 +36,6 @@ var commands = []struct {
 }{
 	{"check", "[-allow-drops] [-per-run] dir/", checkCmd},
 	{"bisect", "[-run-a KEY] [-run-b KEY] [-tol F] [-ignore F,...] [-max-diffs N] dirA/ dirB/", bisectCmd},
-	{"trace", "[-top N] trace.json", traceCmd},
 	{"watch score", "[-run ID] [-window N] [-min-cohort N] root/", watchScoreCmd},
 	{"watch diff", "[-window N] [-min-cohort N] rootA/ rootB/", watchDiffCmd},
 	{"watch bench", "[-ns-tol R] current.json baseline.json", watchBenchCmd},

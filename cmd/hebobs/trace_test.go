@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,11 +11,14 @@ import (
 	"heb/internal/obs"
 )
 
-// writeTrace records one HEB-D hour under a virtual-clock span tracer
-// and writes it where `hebsim -trace` would.
-func writeTrace(t *testing.T, path string) {
-	t.Helper()
+// TestCheckAcceptsRealTrace records one HEB-D hour under a tracer, writes
+// the capture and the trace where `hebsim -obs dir -trace dir/trace.json`
+// would, and checks that hebobs check validates the trace and that it
+// holds the run's one span.
+func TestCheckAcceptsRealTrace(t *testing.T) {
+	dir := t.TempDir()
 	p := heb.DefaultPrototype()
+	p.Capture = obs.NewCapture()
 	p.Tracer = obs.NewTracer()
 	wl, err := heb.WorkloadNamed("PR")
 	if err != nil {
@@ -25,7 +27,10 @@ func writeTrace(t *testing.T, path string) {
 	if _, err := p.Run(heb.HEBD, wl.WithDuration(time.Hour), heb.RunOptions{Duration: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
+	if err := p.Capture.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,40 +38,37 @@ func writeTrace(t *testing.T, path string) {
 	if err := p.Tracer.WriteChromeTrace(f); err != nil {
 		t.Fatal(err)
 	}
-}
 
-func TestTraceRollsUpRealCapture(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	writeTrace(t, path)
-	var out bytes.Buffer
-	if err := traceCmd(&out, []string{path}); err != nil {
+	inv, _, err := check(dir, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "\nsteps ") {
-		t.Fatalf("rollup lacks the steps phase:\n%s", out.String())
+	// Process and thread name metadata plus the run span.
+	if !strings.Contains(inv, ", 3 trace events") {
+		t.Errorf("inventory %q, want 3 trace events", inv)
 	}
-
-	// -top 1 keeps the summary and header lines plus one phase row.
-	out.Reset()
-	if err := traceCmd(&out, []string{"-top", "1", path}); err != nil {
-		t.Fatal(err)
+	var spans []string
+	for _, e := range p.Tracer.Events() {
+		if e.Phase == "X" {
+			spans = append(spans, e.Name)
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 || !strings.Contains(lines[0], "1 phases") {
-		t.Fatalf("-top 1 printed %d lines, want 3:\n%s", len(lines), out.String())
+	if len(spans) != 1 || spans[0] != "run" {
+		t.Errorf("trace spans %v, want one run span", spans)
 	}
 }
 
 func TestTraceRejectsInvalidTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
+	dir := t.TempDir()
+	writeCapture(t, dir)
 	// Two complete events on one thread that overlap without nesting.
 	bad := `[{"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":1},
 {"name":"b","ph":"X","ts":5,"dur":10,"pid":1,"tid":1}]`
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "trace.json"), []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, code := runMain(t, "trace", path)
+	out, code := runMain(t, "check", dir)
 	if code != 1 || !strings.Contains(out, "overlaps a without nesting") {
-		t.Fatalf("hebobs trace on an invalid trace: exit %d\n%s", code, out)
+		t.Fatalf("hebobs check on an invalid trace: exit %d\n%s", code, out)
 	}
 }

@@ -55,9 +55,8 @@ func main() {
 		audit    = flag.String("audit", "off", "invariant checker, energy-audit side: off, report, or strict (strict aborts a run at its first audit violation); reports land in the -obs capture's audits.jsonl")
 		alertsF  = flag.String("alerts", "off", "invariant checker, SLO-rule side: off, report, or strict (strict aborts a run once a critical alert fires); fired alerts land in the -obs capture's alerts.jsonl and each run's manifest health verdict")
 		alertFlr = flag.Float64("alert-soc-floor", 0, "override the soc_floor alert threshold (0 = rule default, negative disables); tightening it above a scheme's natural SoC swing fault-injects a critical breach")
-		profileF = flag.String("profile", "", "capture pprof profiles into <obs>/profiles/ (comma list of cpu, heap, allocs, mutex, block, or all; requires -obs); profiles measure wall-clock behaviour and are excluded from byte-identity checks, like -trace-clock wall")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event span profile to this file (open in Perfetto; summarize with hebobs trace)")
-		traceClk = flag.String("trace-clock", "virtual", "trace timestamps: virtual (deterministic) or wall (real elapsed time)")
+		profileF = flag.String("profile", "", "capture pprof profiles into <obs>/profiles/ (comma list of cpu, heap, allocs, mutex, block, or all; requires -obs); profiles measure wall-clock behaviour and are excluded from byte-identity checks, like -trace")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event file of wall-clock sweep-cell and run spans to this file (open in Perfetto; layer costs come from -profile and hebobs prof top -by phase)")
 		ckptEvry = flag.Int("checkpoint-every", 0, "flight recorder: checkpoint the engine state every N control slots into <obs>/checkpoints.jsonl (-exp run; requires -obs)")
 		resume   = flag.Bool("resume", false, "flight recorder: resume the interrupted -exp run recorded in <obs>/checkpoints.jsonl: re-run it from the seed, check it against the recorded chain, and append the records past its end")
 		replay   = flag.String("replay", "", "flight recorder: re-run to the end of the slot window \"[run:]A-B\", checking the run against <obs>/checkpoints.jsonl on the way, and print the window's events and decisions (-exp run)")
@@ -89,18 +88,9 @@ func main() {
 	p.Audit = parseMode("-audit", *audit)
 	p.Alert = parseMode("-alerts", *alertsF)
 	p.AlertRules.SoCFloor = *alertFlr
-	newTracer := obs.NewTracer
-	switch *traceClk {
-	case "virtual":
-	case "wall":
-		newTracer = obs.NewWallTracer
-	default:
-		slog.Error("unknown trace clock (want virtual or wall)", "clock", *traceClk)
-		os.Exit(2)
-	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
-		tracer = newTracer()
+		tracer = obs.NewTracer()
 		p.Tracer = tracer
 		p.TraceCell = *exp
 	}
@@ -240,7 +230,7 @@ func main() {
 	}
 	if err == nil && tracer != nil {
 		if err = writeTrace(*traceOut, tracer); err == nil {
-			slog.Info("wrote span profile", "file", *traceOut)
+			slog.Info("wrote trace", "file", *traceOut)
 		}
 	}
 	if err != nil {
@@ -402,10 +392,9 @@ func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Pow
 		}
 	}()
 	// Each cell gets its own tracer track (cell span) and files its runs'
-	// span tracks under its experiment name; with the default virtual
-	// clock the exported trace stays byte-identical for any worker count.
+	// tracks under its experiment name.
 	bufs, err := runner.MapTraced(context.Background(), len(suite), workers, prog, p.Tracer, "suite", suite,
-		func(_ context.Context, i int, _ *obs.Track) (*bytes.Buffer, error) {
+		func(_ context.Context, i int) (*bytes.Buffer, error) {
 			var buf bytes.Buffer
 			q := p
 			q.TraceCell = suite[i]

@@ -64,15 +64,15 @@ func TestRejectsBadCheckerModes(t *testing.T) {
 	wantExit(t, 2, "bad -alerts flag", "-exp", "run", "-duration", "1h", "-alerts", "loud")
 }
 
-// TestRejectsBadTraceAndProfileFlags checks that -trace-clock is validated
-// whether or not -trace is set, and that -profile needs a capture
-// directory to write into.
+// TestRejectsBadTraceAndProfileFlags checks that a -trace file that
+// cannot be written fails the run, and that -profile needs a capture
+// directory to write into and a known profile kind.
 func TestRejectsBadTraceAndProfileFlags(t *testing.T) {
 	run := []string{"-exp", "run", "-duration", "1h"}
-	wantExit(t, 2, "unknown trace clock", append(run, "-trace-clock", "bogus")...)
-	trace := filepath.Join(t.TempDir(), "trace.json")
-	wantExit(t, 2, "unknown trace clock", append(run, "-trace", trace, "-trace-clock", "bogus")...)
+	trace := filepath.Join(t.TempDir(), "missing", "trace.json")
+	wantExit(t, 1, "trace.json", append(run, "-trace", trace)...)
 	wantExit(t, 2, "-profile requires -obs", append(run, "-profile", "cpu")...)
+	wantExit(t, 2, "bad -profile flag", append(run, "-obs", t.TempDir(), "-profile", "bogus")...)
 }
 
 // TestReplayAndResumeTreatCheckerFlagsAlike pins one rule for both

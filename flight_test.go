@@ -385,10 +385,10 @@ func TestResumeRejectsForeignChain(t *testing.T) {
 }
 
 // TestResumeComposesWithCheckerAndTracer: a resumed run re-simulates
-// from the seed, so the invariant checker's per-step state and the
-// tracer's virtual clock are rebuilt from step 0 and every artifact —
-// audits.jsonl and alerts.jsonl included — is byte-identical to the
-// uninterrupted run's.
+// from the seed, so the invariant checker's per-step state is rebuilt
+// from step 0 and every capture artifact — audits.jsonl and alerts.jsonl
+// included — is byte-identical to the uninterrupted run's. The
+// wall-clock trace keeps its structure: one run span on the same track.
 func TestResumeComposesWithCheckerAndTracer(t *testing.T) {
 	const d = 2 * time.Hour
 	pr, err := WorkloadNamed("PR")
@@ -405,14 +405,6 @@ func TestResumeComposesWithCheckerAndTracer(t *testing.T) {
 		p.Tracer = obs.NewTracer()
 		return p
 	}
-	trace := func(p Prototype) []byte {
-		var buf bytes.Buffer
-		if err := p.Tracer.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
 	full := proto()
 	wantRes, err := full.Run(HEBD, wl, RunOptions{Duration: d})
 	if err != nil {
@@ -457,8 +449,8 @@ func TestResumeComposesWithCheckerAndTracer(t *testing.T) {
 			t.Errorf("%s differs between full and resumed run", name)
 		}
 	}
-	if !bytes.Equal(trace(resumed), trace(full)) {
-		t.Error("span trace differs between full and resumed run")
+	if !reflect.DeepEqual(traceShape(resumed.Tracer), traceShape(full.Tracer)) {
+		t.Error("trace structure differs between full and resumed run")
 	}
 	// Only the records past the carried chain go to the sink.
 	chain := append(append([]obs.CheckpointRecord(nil), records...), sunk...)

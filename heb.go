@@ -174,12 +174,11 @@ type Prototype struct {
 	// so one collector may serve a parallel sweep).
 	Alerts *alerts.Log[alerts.Report]
 
-	// Tracer, when set, records each run's span hierarchy (run → slot
-	// plan/finish → step batches) on a fresh per-run track named by the
-	// run key, so parallel sweeps never share a (single-writer) track.
-	// Virtual-clock tracers (obs.NewTracer) keep the exported trace
-	// byte-identical for any worker count; wall-clock tracers profile
-	// real elapsed time instead.
+	// Tracer, when set, records one wall-clock "run" span per run on a
+	// fresh per-run track named by the run key, so parallel sweeps never
+	// share a (single-writer) track. The trace shows when each run ran
+	// and for how long; where a run spends its time is answered by the
+	// phase-labelled pprof profiles (hebsim -profile).
 	Tracer *obs.Tracer
 	// TraceCell is the trace group (Perfetto process) this prototype's
 	// runs are filed under; sweeps set it per experiment cell. Empty uses
@@ -722,7 +721,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		Observer:        opts.Observer,
 		Events:          events,
 		Invariants:      checker,
-		Spans:           span,
 		MaxSteps:        opts.MaxSteps,
 		CheckpointEvery: p.CheckpointEvery,
 		Checkpoints:     checkpointFn,
@@ -760,7 +758,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		cache.store(worker, poolKey, ns)
 	}
 	prof.SetPhase(profCtx, prof.PhaseSteps)
+	span.Begin("run", "engine")
 	res := eng.Run()
+	span.End()
 	if resumeErr == nil && checked < len(carried) && opts.MaxSteps == 0 && checker.Err() == nil {
 		resumeErr = fmt.Errorf("heb: resume chain runs past the run's end: %d records from slot %d on were not recorded",
 			len(carried)-checked, carried[checked].Slot)

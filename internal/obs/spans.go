@@ -10,35 +10,21 @@ import (
 	"time"
 )
 
-// Tracer records hierarchical spans (sweep → cell → run → slot →
-// step-batch) and exports them as Chrome trace-event JSON loadable in
-// Perfetto / chrome://tracing.
-//
-// By default the tracer runs on a deterministic *virtual* clock: each
-// track advances its own cursor by modeled per-phase costs instead of
-// reading wall time. That is what lets trace.json satisfy the capture
-// guarantee — byte-identical output for any -workers count — which no
-// wall clock can. NewWallTracer swaps in real timestamps for genuine
-// profiling at the cost of reproducibility.
+// Tracer records wall-clock spans (a sweep's cells, each engine run) and
+// exports them as Chrome trace-event JSON loadable in Perfetto /
+// chrome://tracing, so a trace shows how a sweep's work was scheduled
+// across workers. Timestamps are real elapsed time since the tracer was
+// built: the set of tracks and span names is deterministic, their times
+// are not. Where a run spends its time is the phase-labelled pprof
+// profiles' question (hebobs prof top -by phase), not the tracer's.
 type Tracer struct {
 	mu     sync.Mutex
-	wall   bool
 	start  time.Time
 	tracks []*Track
 }
 
-// NewTracer builds a deterministic virtual-clock tracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-// NewWallTracer builds a wall-clock tracer. Its output reflects real
-// elapsed time and is NOT reproducible across invocations or worker
-// counts.
-func NewWallTracer() *Tracer {
-	return &Tracer{wall: true, start: time.Now()}
-}
-
-// Wall reports whether the tracer uses the wall clock.
-func (t *Tracer) Wall() bool { return t != nil && t.wall }
+// NewTracer builds a wall-clock tracer.
+func NewTracer() *Tracer { return &Tracer{start: time.Now()} }
 
 // NewTrack opens a named event track. group becomes the trace process
 // (one per sweep cell), name the thread within it (one per run). Tracks
@@ -51,33 +37,15 @@ func (t *Tracer) NewTrack(group, name string) *Track {
 	return tr
 }
 
-// Virtual per-phase costs in microseconds. The absolute values are
-// arbitrary; only their ratios shape the rendered trace, roughly matching
-// the measured relative cost of the phases.
-const (
-	// VirtualStepUS is the modeled cost of one engine step.
-	VirtualStepUS = 2
-	// VirtualPlanUS is the modeled cost of one hControl slot plan.
-	VirtualPlanUS = 40
-	// VirtualFinishUS is the modeled cost of closing a slot.
-	VirtualFinishUS = 5
-)
-
-// Track is one timeline within a tracer. Not safe for concurrent use; the
-// engine writes each track from its single run goroutine.
+// Track is one timeline within a tracer. Not safe for concurrent use; each
+// track is written from the single goroutine running its job.
 type Track struct {
 	tracer *Tracer
 	group  string
 	name   string
 
-	cursor int64 // virtual microseconds since track start
-	stack  []openSpan
-	spans  []span
-}
-
-type openSpan struct {
-	name, cat string
-	startUS   int64
+	stack []span // open spans, innermost last
+	spans []span
 }
 
 type span struct {
@@ -87,22 +55,8 @@ type span struct {
 	depth     int
 }
 
-// now returns the track's current timestamp in microseconds.
-func (tr *Track) now() int64 {
-	if tr.tracer.wall {
-		return time.Since(tr.tracer.start).Microseconds()
-	}
-	return tr.cursor
-}
-
-// Advance moves the virtual clock forward by us microseconds (a no-op on
-// wall-clock tracers, where time advances by itself).
-func (tr *Track) Advance(us int64) {
-	if tr == nil || tr.tracer.wall {
-		return
-	}
-	tr.cursor += us
-}
+// now returns the tracer's elapsed time in microseconds.
+func (tr *Track) now() int64 { return time.Since(tr.tracer.start).Microseconds() }
 
 // Begin opens a span. Spans must nest: every Begin is closed by the
 // matching End in LIFO order.
@@ -110,7 +64,7 @@ func (tr *Track) Begin(name, cat string) {
 	if tr == nil {
 		return
 	}
-	tr.stack = append(tr.stack, openSpan{name: name, cat: cat, startUS: tr.now()})
+	tr.stack = append(tr.stack, span{name: name, cat: cat, startUS: tr.now()})
 }
 
 // End closes the innermost open span.
@@ -120,18 +74,8 @@ func (tr *Track) End() {
 	}
 	top := tr.stack[len(tr.stack)-1]
 	tr.stack = tr.stack[:len(tr.stack)-1]
-	end := tr.now()
-	dur := end - top.startUS
-	if dur < 0 {
-		dur = 0
-	}
-	tr.spans = append(tr.spans, span{
-		name:    top.name,
-		cat:     top.cat,
-		startUS: top.startUS,
-		durUS:   dur,
-		depth:   len(tr.stack),
-	})
+	top.durUS, top.depth = tr.now()-top.startUS, len(tr.stack)
+	tr.spans = append(tr.spans, top)
 }
 
 // TraceEvent is one Chrome trace-event object. Only the fields the
@@ -148,7 +92,7 @@ type TraceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Events flattens the tracer into trace events in deterministic order:
+// Events flattens the tracer into trace events in a stable order:
 // tracks sorted by (group, name), pids assigned per group and tids per
 // track in that order, process/thread name metadata first, then each
 // track's spans in start order (outer before inner on ties).
@@ -200,7 +144,7 @@ func (t *Tracer) Events() []TraceEvent {
 }
 
 // WriteChromeTrace writes the tracer in Chrome trace-event JSON array
-// format. Output is deterministic for virtual-clock tracers.
+// format.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return WriteTraceEvents(w, t.Events())
 }
@@ -285,67 +229,4 @@ func ValidateTrace(events []TraceEvent) error {
 		}
 	}
 	return nil
-}
-
-// PhaseStat is one phase's rollup across a trace: how often it ran, its
-// total (inclusive) time and its self time with nested spans subtracted.
-type PhaseStat struct {
-	Name    string
-	Count   int64
-	TotalUS int64
-	SelfUS  int64
-}
-
-// Rollup aggregates a trace's complete events per span name, computing
-// self time by subtracting each span's directly nested children. Results
-// sort by descending self time, name breaking ties.
-func Rollup(events []TraceEvent) []PhaseStat {
-	type tkey struct{ pid, tid int }
-	agg := make(map[string]*PhaseStat)
-	get := func(name string) *PhaseStat {
-		s, ok := agg[name]
-		if !ok {
-			s = &PhaseStat{Name: name}
-			agg[name] = s
-		}
-		return s
-	}
-	type frame struct {
-		name  string
-		endUS int64
-	}
-	stacks := make(map[tkey][]frame)
-	for _, e := range events {
-		if e.Phase != "X" {
-			continue
-		}
-		k := tkey{e.PID, e.TID}
-		stack := stacks[k]
-		// Retire frames this event starts after.
-		for len(stack) > 0 && e.TS >= stack[len(stack)-1].endUS {
-			stack = stack[:len(stack)-1]
-		}
-		s := get(e.Name)
-		s.Count++
-		s.TotalUS += e.Dur
-		s.SelfUS += e.Dur
-		if len(stack) > 0 {
-			// This span's time is nested inside its parent: remove it from
-			// the parent's self time.
-			get(stack[len(stack)-1].name).SelfUS -= e.Dur
-		}
-		stack = append(stack, frame{name: e.Name, endUS: e.TS + e.Dur})
-		stacks[k] = stack
-	}
-	out := make([]PhaseStat, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SelfUS != out[j].SelfUS {
-			return out[i].SelfUS > out[j].SelfUS
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

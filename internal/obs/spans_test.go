@@ -2,37 +2,40 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // buildTrace makes a tracer with two tracks in the given creation order;
-// content is identical either way, exercising the writer's sorting.
+// structure is identical either way, exercising the writer's sorting.
 func buildTrace(order []string) *Tracer {
 	tr := NewTracer()
 	for _, name := range order {
 		track := tr.NewTrack("cellA", name)
+		track.Begin("cell", "sweep")
 		track.Begin("run", "engine")
-		track.Begin("plan", "control")
-		track.Advance(VirtualPlanUS)
 		track.End()
-		track.Begin("steps", "engine")
-		track.Advance(10 * VirtualStepUS)
+		track.Begin("run", "engine")
 		track.End()
 		track.End()
 	}
 	return tr
 }
 
+// untimed drops the wall-clock fields, leaving a trace's structure.
+func untimed(events []TraceEvent) []TraceEvent {
+	out := append([]TraceEvent(nil), events...)
+	for i := range out {
+		out[i].TS, out[i].Dur = 0, 0
+	}
+	return out
+}
+
 func TestTracerOutputIndependentOfTrackCreationOrder(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := buildTrace([]string{"run1", "run2"}).WriteChromeTrace(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildTrace([]string{"run2", "run1"}).WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("trace bytes depend on track creation order")
+	a := untimed(buildTrace([]string{"run1", "run2"}).Events())
+	b := untimed(buildTrace([]string{"run2", "run1"}).Events())
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("trace structure depends on track creation order:\n%v\n%v", a, b)
 	}
 }
 
@@ -73,65 +76,35 @@ func TestTracerProducesValidRoundTrippableTrace(t *testing.T) {
 	}
 }
 
-func TestVirtualClockNesting(t *testing.T) {
+func TestTrackSpansNest(t *testing.T) {
 	tr := NewTracer()
 	track := tr.NewTrack("g", "t")
 	track.Begin("outer", "x")
-	track.Advance(5)
 	track.Begin("inner", "x")
-	track.Advance(10)
 	track.End()
-	track.Advance(3)
 	track.End()
 
-	var outer, inner *TraceEvent
-	for i, e := range tr.Events() {
-		if e.Phase != "X" {
-			continue
-		}
+	var outer, inner TraceEvent
+	for _, e := range tr.Events() {
 		switch e.Name {
 		case "outer":
-			outer = &tr.Events()[i]
+			outer = e
 		case "inner":
-			inner = &tr.Events()[i]
+			inner = e
 		}
 	}
-	if outer == nil || inner == nil {
+	if outer.Phase != "X" || inner.Phase != "X" {
 		t.Fatal("spans missing")
 	}
-	if outer.TS != 0 || outer.Dur != 18 {
-		t.Errorf("outer ts=%d dur=%d, want 0/18", outer.TS, outer.Dur)
-	}
-	if inner.TS != 5 || inner.Dur != 10 {
-		t.Errorf("inner ts=%d dur=%d, want 5/10", inner.TS, inner.Dur)
+	if inner.TS < outer.TS || inner.TS+inner.Dur > outer.TS+outer.Dur {
+		t.Errorf("inner [%d,+%d] escapes outer [%d,+%d]", inner.TS, inner.Dur, outer.TS, outer.Dur)
 	}
 }
 
 func TestNilTrackIsSafe(t *testing.T) {
 	var track *Track
 	track.Begin("a", "b")
-	track.Advance(10)
 	track.End()
-}
-
-func TestWallTracerAdvanceIsNoOp(t *testing.T) {
-	tr := NewWallTracer()
-	if !tr.Wall() {
-		t.Fatal("wall tracer not wall")
-	}
-	track := tr.NewTrack("g", "t")
-	track.Begin("span", "x")
-	track.Advance(1 << 40) // must not teleport the clock
-	track.End()
-	events := tr.Events()
-	if err := ValidateTrace(events); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if e.Phase == "X" && e.Dur > 1<<39 {
-			t.Errorf("wall span inherited virtual advance: dur %d", e.Dur)
-		}
-	}
 }
 
 func TestValidateTraceRejectsMalformed(t *testing.T) {
@@ -161,35 +134,5 @@ func TestValidateTraceRejectsMalformed(t *testing.T) {
 	}
 	if err := ValidateTrace(ok); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
-	}
-}
-
-func TestRollupSelfTime(t *testing.T) {
-	events := []TraceEvent{
-		{Name: "run", Phase: "X", TS: 0, Dur: 100, PID: 1, TID: 1},
-		{Name: "plan", Phase: "X", TS: 0, Dur: 10, PID: 1, TID: 1},
-		{Name: "steps", Phase: "X", TS: 10, Dur: 80, PID: 1, TID: 1},
-		{Name: "plan", Phase: "X", TS: 90, Dur: 10, PID: 1, TID: 1},
-		// A second thread contributes to the same phase names.
-		{Name: "run", Phase: "X", TS: 0, Dur: 50, PID: 1, TID: 2},
-		{Name: "steps", Phase: "X", TS: 0, Dur: 50, PID: 1, TID: 2},
-	}
-	stats := Rollup(events)
-	byName := map[string]PhaseStat{}
-	for _, s := range stats {
-		byName[s.Name] = s
-	}
-	if s := byName["run"]; s.Count != 2 || s.TotalUS != 150 || s.SelfUS != 0 {
-		t.Errorf("run rollup %+v", s)
-	}
-	if s := byName["steps"]; s.Count != 2 || s.TotalUS != 130 || s.SelfUS != 130 {
-		t.Errorf("steps rollup %+v", s)
-	}
-	if s := byName["plan"]; s.Count != 2 || s.TotalUS != 20 || s.SelfUS != 20 {
-		t.Errorf("plan rollup %+v", s)
-	}
-	// Sorted by self time descending.
-	if stats[0].Name != "steps" {
-		t.Errorf("hottest phase %q, want steps", stats[0].Name)
 	}
 }

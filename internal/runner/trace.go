@@ -6,23 +6,16 @@ import (
 	"heb/internal/obs"
 )
 
-// MapTraced is MapProgress with span profiling: each job runs inside a
-// "cell" span on its own tracer track, grouped under sweep. Virtual-clock
-// tracers get their per-run detail from the engine (which advances the
-// track); the cell span here bounds it. tracer may be nil, making this
-// exactly MapProgress. names labels each job's track; jobs past the end
-// of names (or a nil names) fall back to the job index rendered by fn
-// itself, so callers should normally supply one name per job.
-//
-// The tracks a job may write to are handed to fn so the engine can nest
-// run/slot/step spans inside the cell span. Determinism is untouched:
-// track creation order does not matter because the trace writer sorts
-// tracks by (group, name).
-func MapTraced[T any](ctx context.Context, n, workers int, p *Progress, tracer *obs.Tracer, sweep string, names []string, fn func(ctx context.Context, i int, track *obs.Track) (T, error)) ([]T, error) {
+// MapTraced is MapProgress with each job timed by a wall-clock "cell"
+// span on its own tracer track, grouped under sweep, so the trace shows
+// the sweep's scheduling: per-worker busy time and the idle tail. tracer
+// may be nil, making this exactly MapProgress. names labels each job's
+// track; a job past the end of names gets an empty name. The trace
+// writer sorts tracks by (group, name), so track creation order does
+// not change the trace's structure.
+func MapTraced[T any](ctx context.Context, n, workers int, p *Progress, tracer *obs.Tracer, sweep string, names []string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if tracer == nil {
-		return MapProgress(ctx, n, workers, p, func(ctx context.Context, i int) (T, error) {
-			return fn(ctx, i, nil)
-		})
+		return MapProgress(ctx, n, workers, p, fn)
 	}
 	return MapProgress(ctx, n, workers, p, func(ctx context.Context, i int) (T, error) {
 		name := ""
@@ -31,7 +24,7 @@ func MapTraced[T any](ctx context.Context, n, workers int, p *Progress, tracer *
 		}
 		track := tracer.NewTrack(sweep, name)
 		track.Begin("cell", "sweep")
-		v, err := fn(ctx, i, track)
+		v, err := fn(ctx, i)
 		track.End()
 		return v, err
 	})

@@ -133,10 +133,6 @@ type Config struct {
 	// device is snapshotted and the hot loop stays allocation-free.
 	Invariants *Checker
 
-	// Spans, when set, is the trace track this run records its span
-	// hierarchy on (run → slot plan/finish → step batches).
-	Spans *obs.Track
-
 	// Checkpoints, when set together with a positive CheckpointEvery,
 	// receives the engine's serialized state (see EngineState) at
 	// checkpointed slot boundaries — after the boundary's finish/plan,
@@ -192,6 +188,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: step %v must be positive", c.Step)
 	case c.Slot < c.Step:
 		return fmt.Errorf("sim: slot %v must be >= step %v", c.Slot, c.Step)
+	case c.Duration < 0:
+		return fmt.Errorf("sim: duration %v must not be negative", c.Duration)
 	case len(c.Servers) == 0:
 		return fmt.Errorf("sim: no servers")
 	case c.Workload == nil:
@@ -481,10 +479,6 @@ func (e *Engine) Reset(cfg Config) error {
 	return nil
 }
 
-// stepBatchSize is how many engine steps share one "steps" trace span —
-// one span per step would swamp the trace with sub-microsecond slivers.
-const stepBatchSize = 600
-
 // Run executes the full simulation and returns its metrics.
 func (e *Engine) Run() Result {
 	cfg := e.cfg
@@ -514,8 +508,6 @@ func (e *Engine) Run() Result {
 			Detail: cfg.Controller.Scheme().Name(),
 		})
 	}
-	span := cfg.Spans
-	span.Begin("run", "engine")
 	if cfg.Prof != nil {
 		prof.SetPhase(cfg.Prof, prof.PhasePlan)
 	}
@@ -523,16 +515,11 @@ func (e *Engine) Run() Result {
 	if cfg.Prof != nil {
 		prof.SetPhase(cfg.Prof, prof.PhaseSteps)
 	}
-	batch := 0
 	aborted := false
 	stopped := false
 	for i := 0; i < steps; i++ {
 		now := time.Duration(i) * cfg.Step
 		if i > 0 && i%slotSteps == 0 {
-			if batch > 0 {
-				span.End()
-				batch = 0
-			}
 			if cfg.Prof != nil {
 				prof.SetPhase(cfg.Prof, prof.PhasePlan)
 			}
@@ -551,18 +538,7 @@ func (e *Engine) Run() Result {
 			stopped = true
 			break
 		}
-		if span != nil && batch == 0 {
-			span.Begin("steps", "engine")
-		}
 		e.step(now)
-		if span != nil {
-			span.Advance(obs.VirtualStepUS)
-			batch++
-			if batch == stepBatchSize {
-				span.End()
-				batch = 0
-			}
-		}
 		if cfg.Invariants != nil {
 			cfg.Invariants.step(e, i, now)
 			if cfg.Invariants.abort() {
@@ -571,15 +547,11 @@ func (e *Engine) Run() Result {
 			}
 		}
 	}
-	if batch > 0 {
-		span.End()
-	}
 	if !stopped {
 		// A MaxSteps stop is mid-slot by construction: the trailing slot
 		// stays open, as it was when the run was killed.
 		e.finishSlot()
 	}
-	span.End()
 	if cfg.Invariants != nil {
 		cfg.Invariants.finish(e)
 	}
@@ -642,9 +614,6 @@ func (t *probeTarget) snapshot() esd.ProbeSnapshot {
 
 // planSlot queries the controller for the coming slot's decision.
 func (e *Engine) planSlot(now time.Duration) {
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Begin("plan", "control")
-	}
 	scAvail, scCap := e.supercapEnergy()
 	baAvail := e.cfg.Battery.Stored()
 	baCap := e.cfg.Battery.Capacity()
@@ -652,10 +621,6 @@ func (e *Engine) planSlot(now time.Duration) {
 	e.slotPeak, e.slotValley, e.slotHasSample = 0, 0, false
 	if e.cfg.Events != nil {
 		e.emitPlanEvents(now)
-	}
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Advance(obs.VirtualPlanUS)
-		e.cfg.Spans.End()
 	}
 }
 
@@ -684,13 +649,6 @@ func (e *Engine) emitPlanEvents(now time.Duration) {
 func (e *Engine) finishSlot() {
 	if !e.slotHasSample {
 		return
-	}
-	if e.cfg.Spans != nil {
-		e.cfg.Spans.Begin("finish", "control")
-		defer func() {
-			e.cfg.Spans.Advance(obs.VirtualFinishUS)
-			e.cfg.Spans.End()
-		}()
 	}
 	scAvail, scCap := e.supercapEnergy()
 	r := core.SlotResult{

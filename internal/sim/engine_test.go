@@ -123,6 +123,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("accepted slot < step")
 	}
+	bad = good
+	bad.Duration = -time.Hour
+	if _, err := New(bad); err == nil {
+		t.Error("accepted negative duration")
+	}
 }
 
 func TestNoMismatchMeansNoDowntimeAndNoDischarge(t *testing.T) {

@@ -268,42 +268,3 @@ func TestObserverSeesDVFSCappingWindow(t *testing.T) {
 		t.Errorf("capped peak %g W not below uncapped %g W", capped, uncapped)
 	}
 }
-
-func TestEngineSpanStructure(t *testing.T) {
-	r := newRig(t, 260)
-	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
-	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
-	tracer := obs.NewTracer()
-	cfg.Spans = tracer.NewTrack("test", "run1")
-	MustNew(cfg).Run()
-
-	events := tracer.Events()
-	if err := obs.ValidateTrace(events); err != nil {
-		t.Fatalf("engine trace invalid: %v", err)
-	}
-	counts := map[string]int{}
-	for _, e := range events {
-		if e.Phase == "X" {
-			counts[e.Name]++
-		}
-	}
-	// 300 steps, 120-step slots: plans at 0/120/240, three slot closes,
-	// step batches broken at each slot boundary.
-	if counts["run"] != 1 || counts["plan"] != 3 || counts["finish"] != 3 || counts["steps"] != 3 {
-		t.Fatalf("span counts %v, want run=1 plan=3 finish=3 steps=3", counts)
-	}
-	stats := obs.Rollup(events)
-	byName := map[string]obs.PhaseStat{}
-	for _, s := range stats {
-		byName[s.Name] = s
-	}
-	if got := byName["steps"].TotalUS; got != 300*obs.VirtualStepUS {
-		t.Errorf("steps total %d us, want %d", got, 300*obs.VirtualStepUS)
-	}
-	if got := byName["plan"].TotalUS; got != 3*obs.VirtualPlanUS {
-		t.Errorf("plan total %d us, want %d", got, 3*obs.VirtualPlanUS)
-	}
-	if got := byName["run"].SelfUS; got != 0 {
-		t.Errorf("run self time %d us, want 0 (fully covered by phases)", got)
-	}
-}

@@ -316,3 +316,45 @@ func TestRunCacheConcurrentCheckout(t *testing.T) {
 		t.Fatal("pooled multi-seed summaries differ between 1 and 8 workers")
 	}
 }
+
+// TestHooksOffAllocsIndependentOfRunLength is the one proof that
+// observability off costs zero allocations per step for all engine
+// hooks at once: a pooled HEB-D run with every hook nil allocates the
+// same count at 1 h, 2 h and 4 h on PR, DA and MS. A hook whose nil path
+// allocated per step or per slot would make the count grow with the
+// run's length.
+func TestHooksOffAllocsIndependentOfRunLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	p := DefaultPrototype()
+	cache := NewRunCache(1)
+	want := -1.0
+	for _, name := range []string{"PR", "DA", "MS"} {
+		w, err := WorkloadNamed(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []time.Duration{time.Hour, 2 * time.Hour, 4 * time.Hour} {
+			wd, opts := w.WithDuration(d), RunOptions{Duration: d}
+			var runErr error
+			// AllocsPerRun's warm-up run grows the pooled state and
+			// memoizes the trace, so only the steady state is counted.
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := p.RunWith(cache, 0, HEBD, wd, opts); err != nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			if want < 0 {
+				want = got
+			}
+			if got != want {
+				t.Errorf("%s %v: %v allocs per pooled hooks-off run, want %v as at PR 1h", name, d, got, want)
+			}
+		}
+	}
+	t.Logf("%v allocs per pooled hooks-off run", want)
+}

@@ -23,14 +23,15 @@
 #
 # The obs set runs the same HEB-D hour with one hook family on each: Obs
 # (event log + decision trace), Probes (per-device probes + energy
-# auditor + span tracer), Checkpoint (state snapshots at slot
+# auditor + the run tracer's one span per run), Checkpoint (state snapshots at slot
 # boundaries), Manifest (capture run-index rows built from contributed
 # artifacts, no file IO), Alerts (the SLO rule engine, internal/obs/alerts)
 # and Prof (internal/obs/prof cell labels on the engine hot loop).
 # BenchmarkCaptureWriteFiles times the file half of a flight-recorder
 # run: one hooks-on 2 h HEB-D capture written to a temp directory. The
-# hooks-off path is BenchmarkEngineStep itself: its exact allocs/op gate
-# in the sweep set proves every nil-guarded hook costs nothing when off.
+# hooks-off path is BenchmarkEngineStep itself, gated on exact allocs/op
+# in the sweep set; the tier-1 test TestHooksOffAllocsIndependentOfRunLength
+# is what proves every nil-guarded hook costs nothing when off.
 #
 # Usage:
 #   scripts/bench.sh [sweep.json [obs.json]]   measure and write baselines

@@ -9,11 +9,11 @@
 # the engine counters.
 #
 # Phase 2 turns the deep-observability layer on — per-device probes,
-# the energy-conservation auditor in strict mode, and the span profiler
-# — and asserts: probes.jsonl/audits.jsonl land next to the baseline
-# artifacts, trace.json passes hebobs check's trace validator, hebobs trace can
-# roll the trace up into per-phase self times, and the run report
-# carries the battery wear line and a clean strict-audit summary.
+# the energy-conservation auditor in strict mode, and the wall-clock
+# span trace — and asserts: probes.jsonl/audits.jsonl land next to the
+# baseline artifacts, trace.json passes hebobs check's trace validator
+# and holds the run's span, and the run report carries the battery wear
+# line and a clean strict-audit summary.
 #
 # Phase 3 exercises the flight recorder end to end: record a run with
 # -checkpoint-every (hebobs check validates the hash chain), kill it by
@@ -44,7 +44,8 @@
 # multiseed sweep (-profile cpu,heap,allocs) lands pprof protos in
 # <obs>/profiles/ that hebobs check validates against the manifest's
 # profiles inventory (CPU samples must carry cell labels), prof top
-# attributes the allocation frames and buckets CPU by scheme, diff
+# attributes the allocation frames, buckets CPU by scheme and by engine
+# phase (the layer-cost answer: a steps bucket must show), diff
 # self-compares clean, check -update then gates its own baseline OK
 # while a seeded fake baseline fails, check without -kind follows the
 # baseline's sample to the allocs profile, and a differently-parallel
@@ -87,11 +88,10 @@ grep -q 'msg="audits done" runs=1 failed=0' "$dir/deep_stderr.txt" ||
 # hebobs check validates the deep artifacts too: probe/audit JSONL round-trip
 # through the obs readers, every audit report passed, trace nesting valid,
 # and the dropped-events counter at zero (no -allow-drops needed).
-"$dir/hebobs" check "$dir/deep"
-
-"$dir/hebobs" trace "$dir/deep/trace.json" >"$dir/rollup.txt"
-grep -q "steps" "$dir/rollup.txt" ||
-	{ echo "obs smoke: hebobs trace rollup lacks the steps phase" >&2; exit 1; }
+"$dir/hebobs" check "$dir/deep" | grep -q "trace events" ||
+	{ echo "obs smoke: hebobs check did not validate trace.json" >&2; exit 1; }
+grep -q '"name":"run"' "$dir/deep/trace.json" ||
+	{ echo "obs smoke: trace.json lacks the run span" >&2; exit 1; }
 
 echo "== obs smoke: flight recorder (checkpoint / resume / replay / bisect) =="
 go run ./cmd/hebsim -exp run -scheme HEB-D -workload PR -duration 30m \
@@ -247,6 +247,9 @@ grep -q "alloc_space/bytes" "$dir/top_allocs.txt" ||
 "$dir/hebobs" prof top -kind cpu -by scheme "$dir/prof_a" >"$dir/top_cpu.txt"
 grep -q "by scheme:" "$dir/top_cpu.txt" ||
 	{ echo "obs smoke: hebobs prof top -by scheme lacks the label buckets" >&2; exit 1; }
+"$dir/hebobs" prof top -kind cpu -by phase "$dir/prof_a" >"$dir/top_phase.txt"
+grep -qE '^  steps ' "$dir/top_phase.txt" ||
+	{ echo "obs smoke: hebobs prof top -by phase lacks the steps bucket" >&2; exit 1; }
 
 # diff against itself is clean; check -update writes a baseline the
 # same capture then passes, while a fabricated baseline whose dominant

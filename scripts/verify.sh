@@ -7,8 +7,9 @@
 # real cross-goroutine traffic) for a fast failure, then the full suite
 # exercises the parallel sweep runner under contention.
 # Tier 3: the end-to-end observability smoke test (hebsim -obs artifacts
-# parse back through the obs readers, plus the probes/audit/trace deep
-# pipeline through hebobs check and hebobs trace).
+# parse back through the obs readers, the probes/audit/trace deep
+# pipeline through hebobs check, and layer costs from the phase-labelled
+# CPU profile through hebobs prof top -by phase).
 # Tier 4: docs drift — regenerate the committed hebsim -exp all output
 # (timing columns normalized) and fail if it no longer matches
 # docs/hebsim_all_output.txt. CI's test job runs the same check.
