@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"heb/internal/esd"
+	"heb/internal/obs/prof"
 	"heb/internal/power"
 	"heb/internal/runner"
 	"heb/internal/sim"
@@ -54,21 +55,26 @@ func Figure3(p Prototype) ([]Figure3Row, error) {
 	// device types head-to-head, so each device gets the full storage
 	// capacity rather than its prototype share.
 	var rows []Figure3Row
-	for _, n := range []int{1, 2, 4} {
-		load := units.Power(float64(n) * float64(p.Server.PeakPower))
-		ba, err := p.BuildBatteryPool(p.StorageWh)
-		if err != nil {
-			return nil, err
+	var err error
+	prof.DoPhase(prof.PhaseCharacterize, func() {
+		for _, n := range []int{1, 2, 4} {
+			load := units.Power(float64(n) * float64(p.Server.PeakPower))
+			var ba, sc *esd.Pool
+			if ba, err = p.BuildBatteryPool(p.StorageWh); err != nil {
+				return
+			}
+			if sc, err = p.BuildSupercapPool(p.StorageWh); err != nil {
+				return
+			}
+			rows = append(rows, Figure3Row{
+				Servers: n,
+				Battery: sim.CharacterizeEfficiency(ba, load, 2, time.Hour, p.Server.BootEnergy),
+				SC:      sim.CharacterizeEfficiency(sc, load, 2, time.Hour, p.Server.BootEnergy),
+			})
 		}
-		sc, err := p.BuildSupercapPool(p.StorageWh)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Figure3Row{
-			Servers: n,
-			Battery: sim.CharacterizeEfficiency(ba, load, 2, time.Hour, p.Server.BootEnergy),
-			SC:      sim.CharacterizeEfficiency(sc, load, 2, time.Hour, p.Server.BootEnergy),
-		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

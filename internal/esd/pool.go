@@ -138,13 +138,34 @@ func (p *Pool) Members() []Device {
 // uniform pool uniform: there every member's snapshot is member 0's,
 // which the members would match bit for bit once synced.
 func (p *Pool) ProbeMember(i int) ProbeSnapshot {
+	var s ProbeSnapshot
+	p.ProbeMemberInto(i, &s, true)
+	return s
+}
+
+// ProbeMemberInto writes member i's probe snapshot into s, so a per-step
+// reader keeps one buffer per device instead of copying a snapshot out
+// per call. With full false a battery or super-capacitor member writes
+// only the bounds fields — SoC, VoltageV, VMinV, VMaxV, AvailAh, BoundAh
+// and CapacityAh — and leaves the ledger fields as they were; any other
+// member writes its whole snapshot, zero when it cannot be probed.
+func (p *Pool) ProbeMemberInto(i int, s *ProbeSnapshot, full bool) {
 	if i >= p.live() {
 		i = 0
 	}
-	if pr, ok := p.members[i].(Prober); ok {
-		return pr.ProbeSnapshot()
+	if b := p.bat[i]; b != nil {
+		b.probeInto(s, full)
+		return
 	}
-	return ProbeSnapshot{}
+	if c := p.sc[i]; c != nil {
+		c.probeInto(s, full)
+		return
+	}
+	if pr, ok := p.members[i].(Prober); ok {
+		*s = pr.ProbeSnapshot()
+		return
+	}
+	*s = ProbeSnapshot{}
 }
 
 // Uniform reports whether the pool still steps member 0 alone.
@@ -524,6 +545,34 @@ func (p *Pool) Stats() Stats {
 		s.add(m)
 	}
 	return s
+}
+
+// Meters returns Stats().EnergyIn and Stats().EnergyOut bit for bit —
+// the same member order and the same additions — without summing the
+// ledger's other fields: the invariant checker reads the bus meters
+// every step.
+func (p *Pool) Meters() (in, out units.Energy) {
+	live := p.live()
+	var mi, mo units.Energy
+	for i := range p.members {
+		if i < live {
+			mi, mo = p.memberMeters(i)
+		}
+		in += mi
+		out += mo
+	}
+	return in, out
+}
+
+func (p *Pool) memberMeters(i int) (in, out units.Energy) {
+	if b := p.bat[i]; b != nil {
+		return b.stats.EnergyIn, b.stats.EnergyOut
+	}
+	if s := p.sc[i]; s != nil {
+		return s.stats.EnergyIn, s.stats.EnergyOut
+	}
+	st := p.members[i].Stats()
+	return st.EnergyIn, st.EnergyOut
 }
 
 // Reset resets all members.

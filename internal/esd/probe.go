@@ -51,22 +51,32 @@ var (
 
 // ProbeSnapshot implements Prober with the raw KiBaM wells.
 func (b *Battery) ProbeSnapshot() ProbeSnapshot {
+	var s ProbeSnapshot
+	b.probeInto(&s, true)
+	return s
+}
+
+// probeInto writes the battery's snapshot into s. With full false it
+// writes only the bounds fields (SoC, VoltageV, VMinV, VMaxV, AvailAh,
+// BoundAh, CapacityAh) and leaves the ledger fields as they were.
+func (b *Battery) probeInto(s *ProbeSnapshot, full bool) {
 	vn := float64(b.cfg.NominalVoltage)
-	return ProbeSnapshot{
-		SoC:          b.SoC(),
-		VoltageV:     float64(b.ocv()),
-		VMinV:        b.cfg.VEmptyFrac * vn,
-		VMaxV:        b.cfg.VFullFrac * vn,
-		AvailAh:      units.Charge(b.q1).Ah(),
-		BoundAh:      units.Charge(b.q2).Ah(),
-		CapacityAh:   units.Charge(b.qMax()).Ah(),
-		ThroughputAh: b.stats.ThroughputAh,
-		EnergyInWh:   b.stats.EnergyIn.Wh(),
-		EnergyOutWh:  b.stats.EnergyOut.Wh(),
-		LossWh:       b.stats.Loss.Wh(),
-		StoredWh:     b.Stored().Wh(),
-		CapacityWh:   b.Capacity().Wh(),
+	s.SoC = b.SoC()
+	s.VoltageV = float64(b.ocv())
+	s.VMinV = b.cfg.VEmptyFrac * vn
+	s.VMaxV = b.cfg.VFullFrac * vn
+	s.AvailAh = units.Charge(b.q1).Ah()
+	s.BoundAh = units.Charge(b.q2).Ah()
+	s.CapacityAh = units.Charge(b.qMax()).Ah()
+	if !full {
+		return
 	}
+	s.ThroughputAh = b.stats.ThroughputAh
+	s.EnergyInWh = b.stats.EnergyIn.Wh()
+	s.EnergyOutWh = b.stats.EnergyOut.Wh()
+	s.LossWh = b.stats.Loss.Wh()
+	s.StoredWh = b.Stored().Wh()
+	s.CapacityWh = b.Capacity().Wh()
 }
 
 // ProbeSnapshot implements Prober: the capacitor's usable charge window
@@ -76,22 +86,33 @@ func (b *Battery) ProbeSnapshot() ProbeSnapshot {
 // available charge clamps at zero (unlike battery wells, where a negative
 // value is always an integration bug worth auditing).
 func (s *Supercap) ProbeSnapshot() ProbeSnapshot {
+	var p ProbeSnapshot
+	s.probeInto(&p, true)
+	return p
+}
+
+// probeInto writes the capacitor's snapshot into p; full as for
+// Battery.probeInto.
+func (s *Supercap) probeInto(p *ProbeSnapshot, full bool) {
 	vf := s.vFloor()
 	vmax := float64(s.cfg.VMax)
 	c := s.cfg.Capacitance
-	return ProbeSnapshot{
-		SoC:         s.SoC(),
-		VoltageV:    s.v,
-		VMinV:       float64(s.cfg.VMin),
-		VMaxV:       vmax,
-		AvailAh:     units.Charge(c * max(s.v-vf, 0)).Ah(),
-		CapacityAh:  units.Charge(c * (vmax - vf)).Ah(),
-		EnergyInWh:  s.stats.EnergyIn.Wh(),
-		EnergyOutWh: s.stats.EnergyOut.Wh(),
-		LossWh:      s.stats.Loss.Wh(),
-		StoredWh:    s.Stored().Wh(),
-		CapacityWh:  s.Capacity().Wh(),
+	p.SoC = s.SoC()
+	p.VoltageV = s.v
+	p.VMinV = float64(s.cfg.VMin)
+	p.VMaxV = vmax
+	p.AvailAh = units.Charge(c * max(s.v-vf, 0)).Ah()
+	p.BoundAh = 0
+	p.CapacityAh = units.Charge(c * (vmax - vf)).Ah()
+	if !full {
+		return
 	}
+	p.ThroughputAh = 0
+	p.EnergyInWh = s.stats.EnergyIn.Wh()
+	p.EnergyOutWh = s.stats.EnergyOut.Wh()
+	p.LossWh = s.stats.Loss.Wh()
+	p.StoredWh = s.Stored().Wh()
+	p.CapacityWh = s.Capacity().Wh()
 }
 
 // ProbeSnapshot implements Prober for the no-storage device.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -190,42 +191,114 @@ func (c *Capture) snapshot() snapshot {
 
 // artifactFingerprint summarizes an artifact's full simulated content —
 // counters, every event, every decision record — so that artifacts
-// sharing a Key still sort deterministically.
+// sharing a Key still sort deterministically. Its bytes are what fmt's
+// %d, %g, %s and %v verbs would print for each field (RunIDs hash them),
+// written with strconv into one builder sized from the record counts.
 func artifactFingerprint(a RunArtifact) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%d|%d|%d|%d", a.Steps, a.MismatchSteps, a.Slots, len(a.Events), len(a.Decisions))
+	var f fingerprint
+	// Bytes per record on hooks-on captures run up to about 26 (event),
+	// 100 (decision), 130 (probe sample), 65 (checkpoint), 50 (alert)
+	// and 31 (metric); rounding up keeps the builder from regrowing.
+	f.Grow(64 + 32*len(a.Events) + 112*len(a.Decisions) + 136*len(a.Probes) +
+		66*len(a.Checkpoints) + 64*len(a.AlertEvents) + 40*len(a.Metrics))
+	f.d("", a.Steps)
+	f.d("|", a.MismatchSteps)
+	f.d("|", a.Slots)
+	f.d("|", int64(len(a.Events)))
+	f.d("|", int64(len(a.Decisions)))
 	for _, e := range a.Events {
-		fmt.Fprintf(&sb, "|%g:%d:%d:%s:%s:%g", e.Seconds, e.Kind, e.Server, e.From, e.To, e.Watts)
+		f.g("|", e.Seconds)
+		f.d(":", int64(e.Kind))
+		f.d(":", int64(e.Server))
+		f.s(":", e.From)
+		f.s(":", e.To)
+		f.g(":", e.Watts)
 	}
 	for _, d := range a.Decisions {
-		fmt.Fprintf(&sb, "|%d:%s:%g:%v:%g:%g:%g:%g:%d",
-			d.Slot, d.Mode, d.Ratio, d.SmallPeak,
-			d.PredictedPeakW, d.ActualPeakW, d.SCFrac, d.BAFrac, d.PATLookups)
+		f.d("|", int64(d.Slot))
+		f.s(":", d.Mode)
+		f.g(":", d.Ratio)
+		f.v(":", d.SmallPeak)
+		f.g(":", d.PredictedPeakW)
+		f.g(":", d.ActualPeakW)
+		f.g(":", d.SCFrac)
+		f.g(":", d.BAFrac)
+		f.d(":", int64(d.PATLookups))
 	}
-	fmt.Fprintf(&sb, "|probes=%d,%d", len(a.Probes), a.ProbesDropped)
+	f.d("|probes=", int64(len(a.Probes)))
+	f.d(",", a.ProbesDropped)
 	for _, s := range a.Probes {
-		fmt.Fprintf(&sb, "|%g:%s:%g:%g:%g:%g:%g:%g", s.Seconds, s.Device, s.SoC, s.VoltageV, s.PowerW, s.AvailAh, s.BoundAh, s.ThroughputAh)
+		f.g("|", s.Seconds)
+		f.s(":", s.Device)
+		f.g(":", s.SoC)
+		f.g(":", s.VoltageV)
+		f.g(":", s.PowerW)
+		f.g(":", s.AvailAh)
+		f.g(":", s.BoundAh)
+		f.g(":", s.ThroughputAh)
 	}
-	if a.Audit != nil {
-		fmt.Fprintf(&sb, "|audit=%s:%d:%g:%g:%d:%v", a.Audit.Mode, a.Audit.Steps,
-			a.Audit.DriftWh, a.Audit.RelDrift, a.Audit.Violations, a.Audit.Passed)
+	if au := a.Audit; au != nil {
+		f.s("|audit=", au.Mode)
+		f.d(":", au.Steps)
+		f.g(":", au.DriftWh)
+		f.g(":", au.RelDrift)
+		f.d(":", au.Violations)
+		f.v(":", au.Passed)
 	}
-	fmt.Fprintf(&sb, "|ckpts=%d", len(a.Checkpoints))
+	f.d("|ckpts=", int64(len(a.Checkpoints)))
 	for _, r := range a.Checkpoints {
 		// The chain hash already covers slot, step, time and state.
-		fmt.Fprintf(&sb, "|%s", r.Hash)
+		f.s("|", r.Hash)
 	}
-	if a.Alerts != nil {
-		fmt.Fprintf(&sb, "|alerts=%s:%d:%d:%d:%s", a.Alerts.Mode,
-			a.Alerts.Events, a.Alerts.Warnings, a.Alerts.Criticals, a.Alerts.Health)
+	if al := a.Alerts; al != nil {
+		f.s("|alerts=", al.Mode)
+		f.d(":", int64(al.Events))
+		f.d(":", int64(al.Warnings))
+		f.d(":", int64(al.Criticals))
+		f.s(":", al.Health)
 	}
 	for _, e := range a.AlertEvents {
-		fmt.Fprintf(&sb, "|%g:%s:%s:%s:%g:%g", e.Seconds, e.Kind, e.Severity, e.Device, e.Value, e.Limit)
+		f.g("|", e.Seconds)
+		f.s(":", e.Kind.String())
+		f.s(":", e.Severity.String())
+		f.s(":", e.Device)
+		f.g(":", e.Value)
+		f.g(":", e.Limit)
 	}
 	for _, k := range sortedMetricKeys(a.Metrics) {
-		fmt.Fprintf(&sb, "|%s=%g", k, a.Metrics[k])
+		f.s("|", k)
+		f.g("=", a.Metrics[k])
 	}
-	return sb.String()
+	return f.String()
+}
+
+// fingerprint is artifactFingerprint's builder. Each method writes a
+// literal prefix, then one value as fmt prints it: d as %d, g as %g (the
+// shortest representation, so -0, NaN and +Inf print as fmt does), s as
+// %s and v as %v of a bool. Numbers are formatted in num first.
+type fingerprint struct {
+	strings.Builder
+	num [32]byte
+}
+
+func (f *fingerprint) d(prefix string, n int64) {
+	f.WriteString(prefix)
+	f.Write(strconv.AppendInt(f.num[:0], n, 10))
+}
+
+func (f *fingerprint) g(prefix string, x float64) {
+	f.WriteString(prefix)
+	f.Write(strconv.AppendFloat(f.num[:0], x, 'g', -1, 64))
+}
+
+func (f *fingerprint) s(prefix, str string) {
+	f.WriteString(prefix)
+	f.WriteString(str)
+}
+
+func (f *fingerprint) v(prefix string, b bool) {
+	f.WriteString(prefix)
+	f.Write(strconv.AppendBool(f.num[:0], b))
 }
 
 func sortedMetricKeys(m map[string]float64) []string {

@@ -256,6 +256,12 @@ const (
 	PhaseFinish = "finish" // result assembly and capture contribution
 )
 
+// Phases of work outside any cell, labelled through DoPhase.
+const (
+	PhaseCharacterize = "characterize" // device characterization (Figure 3)
+	PhaseTrace        = "trace"        // workload trace synthesis ahead of a cell
+)
+
 // DoCell runs fn with the cell's pprof labels attached to the goroutine,
 // starting in PhaseSetup. The labeled context must be threaded into any
 // nested SetPhase calls; pprof.Do restores the caller's labels on return.
@@ -266,6 +272,18 @@ func DoCell(scheme, workload string, seed int64, fn func(ctx context.Context)) {
 		LabelSeed, strconv.FormatInt(seed, 10),
 		LabelPhase, PhaseSetup,
 	), fn)
+}
+
+// DoPhase runs fn labelled with phase alone while a collector is
+// active, so work that steps devices or synthesizes traces outside any
+// cell is not left unattributed. It is for goroutines that carry no cell
+// labels: on return the goroutine carries no labels.
+func DoPhase(phase string, fn func()) {
+	if !Active() {
+		fn()
+		return
+	}
+	pprof.Do(context.Background(), pprof.Labels(LabelPhase, phase), func(context.Context) { fn() })
 }
 
 // SetPhase switches the goroutine's phase label in place, keeping the

@@ -89,6 +89,11 @@ func TestCollectorRoundTrip(t *testing.T) {
 		}
 		SetPhase(ctx, PhaseFinish)
 	})
+	DoPhase(PhaseCharacterize, func() {
+		for i := 0; i < 200; i++ {
+			sink += burn(200_000)
+		}
+	})
 	_ = sink
 	_ = escape
 	if err := c.Stop(); err != nil {
@@ -134,7 +139,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 	if combos < 1 {
 		t.Errorf("labeled combos = %d", combos)
 	}
-	var sawBurn, sawLabels bool
+	var sawBurn, sawLabels, sawPhase bool
 	for _, s := range cpu.Samples {
 		for _, fn := range cpu.Stack(s) {
 			if strings.Contains(fn, "burn") {
@@ -145,12 +150,18 @@ func TestCollectorRoundTrip(t *testing.T) {
 			s.Labels[LabelSeed] == "42" && s.Labels[LabelPhase] == PhaseSteps {
 			sawLabels = true
 		}
+		if s.Labels[LabelPhase] == PhaseCharacterize && s.Labels[LabelScheme] == "" {
+			sawPhase = true
+		}
 	}
 	if !sawBurn {
 		t.Error("burn frame not found in any CPU stack")
 	}
 	if !sawLabels {
 		t.Error("no sample carries the full cell label set in phase=steps")
+	}
+	if !sawPhase {
+		t.Error("no sample carries DoPhase's phase=characterize label alone")
 	}
 
 	allocs, err := ParseFile(filepath.Join(dir, Dir, FileName("allocs")))
@@ -174,6 +185,14 @@ func TestCollectorRoundTrip(t *testing.T) {
 
 func TestSetPhaseNilCtx(t *testing.T) {
 	SetPhase(nil, PhaseSteps) // must not panic when profiling is off
+}
+
+func TestDoPhaseInactiveRunsOnce(t *testing.T) {
+	calls := 0
+	DoPhase(PhaseTrace, func() { calls++ })
+	if calls != 1 {
+		t.Fatalf("DoPhase ran fn %d times with profiling off, want 1", calls)
+	}
 }
 
 func TestParseRejectsGarbage(t *testing.T) {

@@ -312,10 +312,16 @@ type probeTarget struct {
 	dev  esd.Prober // nil for a pool member
 	pool *esd.Pool
 	idx  int
+	// first is the position of the pool's member 0 in the target list.
+	// A uniform pool's members are all probed or all skipped, so while
+	// the pool is uniform member idx's snapshot is the one stored there.
+	first int
 	// battery marks a battery-pool device. The SoC floor/ceiling and DoD
 	// alert rules scope to these: supercaps deep-cycle through their full
 	// window by design, so charge-protection SLOs only apply to batteries.
 	battery bool
+	// snap is the latest snapshot read, written in place.
+	snap esd.ProbeSnapshot
 }
 
 // New builds an engine; defaults are applied before validation.
@@ -580,8 +586,9 @@ func (e *Engine) buildProbeTargets() {
 	add := func(name string, dev esd.Device, battery bool) {
 		t := probeTarget{name: name, battery: battery}
 		if p, ok := dev.(*esd.Pool); ok {
+			t.pool, t.first = p, len(e.probeTargets)
 			for i := range p.Size() {
-				t.name, t.pool, t.idx = fmt.Sprintf("%s/%d", name, i), p, i
+				t.name, t.idx = fmt.Sprintf("%s/%d", name, i), i
 				e.addProbeTarget(t)
 			}
 			return
@@ -598,18 +605,21 @@ func (e *Engine) buildProbeTargets() {
 }
 
 func (e *Engine) addProbeTarget(t probeTarget) {
-	if s := t.snapshot(); s.CapacityAh == 0 && s.CapacityWh == 0 {
+	if s := t.read(true); s.CapacityAh == 0 && s.CapacityWh == 0 {
 		return
 	}
 	e.probeTargets = append(e.probeTargets, t)
 }
 
-// snapshot reads the target's probe snapshot.
-func (t *probeTarget) snapshot() esd.ProbeSnapshot {
+// read refreshes t.snap from the device and returns it: every field
+// when full, else at least the bounds fields (see Pool.ProbeMemberInto).
+func (t *probeTarget) read(full bool) *esd.ProbeSnapshot {
 	if t.pool != nil {
-		return t.pool.ProbeMember(t.idx)
+		t.pool.ProbeMemberInto(t.idx, &t.snap, full)
+	} else {
+		t.snap = t.dev.ProbeSnapshot()
 	}
-	return t.dev.ProbeSnapshot()
+	return &t.snap
 }
 
 // planSlot queries the controller for the coming slot's decision.

@@ -18,9 +18,11 @@ import (
 // components — the energy auditor (audits.jsonl), the alert rule engine
 // (alerts.jsonl, bridged onto Events as EventAlert) and the probe
 // recorder (probes.jsonl) — from a single pass per step: one snapshot
-// per probed device, one ledger delta, one relay partition count. With
-// only the probe recorder on, the ledger and relay checks are skipped and
-// devices are snapshotted on probe steps alone.
+// per distinct probed device (a uniform pool's members share member 0's),
+// one ledger delta from the pools' bus meters, one relay partition count.
+// Off probe steps a snapshot holds only the fields the bounds and SoC
+// checks read. With only the probe recorder on, the ledger and relay
+// checks are skipped and devices are snapshotted on probe steps alone.
 //
 // The strict rule: a component in strict mode turns its failure into an
 // aborted run — any audit violation for the auditor, any critical alert
@@ -39,6 +41,7 @@ type Checker struct {
 	targets      []probeTarget // the engine's probed devices
 	ledger       ledgerState   // previous step's cumulative readings
 	mismatchPrev int           // mismatchSteps at the previous step
+	stepSec      float64       // the engine step in seconds
 }
 
 // NewChecker composes the run's checker from its components, any of
@@ -91,12 +94,11 @@ type ledgerState struct {
 
 // readLedger takes the engine's cumulative bus readings.
 func readLedger(e *Engine) ledgerState {
-	ba := e.cfg.Battery.Stats()
-	devIn, devOut := ba.EnergyIn, ba.EnergyOut
+	devIn, devOut := meters(e.cfg.Battery)
 	if e.cfg.Supercap != nil {
-		sc := e.cfg.Supercap.Stats()
-		devIn += sc.EnergyIn
-		devOut += sc.EnergyOut
+		in, out := meters(e.cfg.Supercap)
+		devIn += in
+		devOut += out
 	}
 	return ledgerState{
 		utilityDrawn: e.utilityDrawn,
@@ -108,15 +110,27 @@ func readLedger(e *Engine) ledgerState {
 	}
 }
 
+// meters reads a device's cumulative EnergyIn and EnergyOut; a pool's
+// through Pool.Meters, which leaves the rest of its ledger unsummed.
+func meters(d esd.Device) (in, out units.Energy) {
+	if p, ok := d.(*esd.Pool); ok {
+		return p.Meters()
+	}
+	s := d.Stats()
+	return s.EnergyIn, s.EnergyOut
+}
+
 // start binds the checker to the run: ledger baselines, the devices'
 // run-long audit ledgers and one rule slot per probed device.
 func (c *Checker) start(e *Engine) {
 	c.targets = e.probeTargets
 	c.ledger = readLedger(e)
 	c.mismatchPrev = e.mismatchSteps
-	for _, t := range c.targets {
+	c.stepSec = e.cfg.Step.Seconds()
+	for j := range c.targets {
+		t := &c.targets[j]
 		if c.audit != nil {
-			s := t.snapshot()
+			s := t.read(true)
 			c.audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
 		}
 		if c.alert != nil {
@@ -154,10 +168,14 @@ func (c *Checker) step(e *Engine, i int, now time.Duration) {
 			c.audit.RecordStep(sec, inWh, outWh)
 		}
 	}
-	for j, t := range c.targets {
-		s := t.snapshot()
+	for j := range c.targets {
+		t := &c.targets[j]
+		if !probe && c.audit == nil && !t.battery {
+			continue // the alert rules read battery snapshots alone
+		}
+		s := c.snapshot(j, probe)
 		if c.audit != nil {
-			c.checkBounds(sec, t.name, &s)
+			c.checkBounds(sec, t.name, s)
 		}
 		// Charge-protection SLOs scope to batteries: supercaps sweep their
 		// full usable window by design, so floor/DoD breaches there are
@@ -194,15 +212,27 @@ func (c *Checker) step(e *Engine, i int, now time.Duration) {
 		}
 	}
 	if c.alert != nil {
-		c.alert.ObserveMismatch(sec, e.mismatchSteps > c.mismatchPrev, e.cfg.Step.Seconds())
+		c.alert.ObserveMismatch(sec, e.mismatchSteps > c.mismatchPrev, c.stepSec)
 		c.alert.ObserveLedger(sec, inWh, outWh)
 		if n := len(e.demandSeries); n >= 2 {
-			c.alert.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/e.cfg.Step.Seconds())
+			c.alert.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/c.stepSec)
 		}
 		c.alert.ObserveRelays(sec, total == servers && counts[power.SourceOff] == offline, total, servers)
 		c.emitAlerts(e)
 	}
 	c.mismatchPrev = e.mismatchSteps
+}
+
+// snapshot reads target j for this step, full or bounds fields only.
+// Each distinct device is read once: while a pool is uniform, members
+// 1..n-1 return member 0's snapshot, read earlier in the same pass —
+// what Pool.ProbeMember returns for them.
+func (c *Checker) snapshot(j int, full bool) *esd.ProbeSnapshot {
+	t := &c.targets[j]
+	if t.idx > 0 && t.pool.Uniform() {
+		return &c.targets[t.first].snap
+	}
+	return t.read(full)
 }
 
 // checkBounds holds one probed device to its physical envelope: state of
@@ -235,15 +265,15 @@ func (c *Checker) checkBounds(sec float64, device string, s *esd.ProbeSnapshot) 
 // wear-rate rule and drains any still-queued alerts.
 func (c *Checker) finish(e *Engine) {
 	if c.audit != nil {
-		for i, t := range c.targets {
-			s := t.snapshot()
+		for i := range c.targets {
+			s := c.targets[i].read(true)
 			c.audit.EndDevice(i, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
 		}
 	}
 	if c.alert == nil {
 		return
 	}
-	sec := float64(e.steps) * e.cfg.Step.Seconds()
+	sec := float64(e.steps) * c.stepSec
 	if days := sec / 86400; days > 0 {
 		if wearer, ok := e.cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
 			if report, n := wearer.Wear(); n > 0 {

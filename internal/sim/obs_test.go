@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"heb/internal/esd"
 	"heb/internal/obs"
 	"heb/internal/obs/alerts"
+	"heb/internal/units"
 )
 
 func TestProbeDecimationAndDeviceNames(t *testing.T) {
@@ -266,5 +268,66 @@ func TestObserverSeesDVFSCappingWindow(t *testing.T) {
 	capped, uncapped := peakDemand(true), peakDemand(false)
 	if capped >= uncapped {
 		t.Errorf("capped peak %g W not below uncapped %g W", capped, uncapped)
+	}
+}
+
+// TestCheckerSnapshotsMatchProbeMember holds every snapshot the checker
+// reads to Pool.ProbeMember: whole on probe steps, on the bounds fields
+// (the ones checkBounds and the SoC rules read) otherwise, including the
+// members of a uniform pool that alias member 0's snapshot and the same
+// pool once Members has made its members diverge.
+func TestCheckerSnapshotsMatchProbeMember(t *testing.T) {
+	r := newRig(t, 260)
+	// Capacity fade makes every bounds field move with wear.
+	fading := esd.DefaultBatteryConfig()
+	fading.FadeAtEOL = 0.25
+	bat, err := esd.NewUniformPool("battery", 3, esd.MustNewBattery(fading))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := esd.NewUniformPool("supercap", 2, esd.MustNewSupercap(esd.DefaultSupercapConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.battery, r.supercap = bat, sc
+	cfg := baseConfig(r, flatTrace(0.5, 6, time.Minute, time.Second), controller(t, core.NewSCFirst(), 260))
+	c := NewChecker(obs.NewAuditor(obs.AuditModeReport), nil, obs.NewProbeRecorder(0), 7)
+	cfg.Invariants = c
+	e := MustNew(cfg)
+	e.buildProbeTargets()
+	c.start(e)
+	if len(c.targets) != 5 {
+		t.Fatalf("%d probe targets, want 5", len(c.targets))
+	}
+	bounds := func(s esd.ProbeSnapshot) [7]float64 {
+		return [7]float64{s.SoC, s.VoltageV, s.VMinV, s.VMaxV, s.AvailAh, s.BoundAh, s.CapacityAh}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for step := 0; step < 300; step++ {
+		if step == 150 {
+			m := bat.Members()
+			m[2].Discharge(m[2].MaxDischargePower()/2, time.Minute)
+		}
+		for _, p := range []*esd.Pool{bat, sc} {
+			if rng.Intn(2) == 0 {
+				p.Discharge(units.Power(rng.Float64()*1.2*float64(p.MaxDischargePower())), 10*time.Second)
+			} else {
+				p.Charge(units.Power(rng.Float64()*1.2*float64(p.MaxChargePower())), 10*time.Second)
+			}
+		}
+		full := step%c.every == 0
+		for j := range c.targets {
+			tg := &c.targets[j]
+			got, want := *c.snapshot(j, full), tg.pool.ProbeMember(tg.idx)
+			if full && got != want {
+				t.Fatalf("step %d %s: full snapshot %+v, ProbeMember %+v", step, tg.name, got, want)
+			}
+			if bounds(got) != bounds(want) {
+				t.Fatalf("step %d %s: bounds snapshot %+v, ProbeMember %+v", step, tg.name, got, want)
+			}
+		}
+	}
+	if bat.Uniform() || !sc.Uniform() {
+		t.Fatalf("uniform flags battery %v supercap %v, want false true", bat.Uniform(), sc.Uniform())
 	}
 }

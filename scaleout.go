@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"heb/internal/obs/prof"
 	"heb/internal/runner"
 	"heb/internal/units"
 )
@@ -67,7 +68,8 @@ func ScaleOutStudy(p Prototype, factors []int, duration time.Duration) ([]ScaleP
 			w = w.WithDuration(duration)
 			// Synthesize (and memoize) the trace before starting the
 			// clock; Run's own lookup then hits the cache.
-			if _, err := w.Trace(pp); err != nil {
+			prof.DoPhase(prof.PhaseTrace, func() { _, err = w.Trace(pp) })
+			if err != nil {
 				return ScalePoint{}, fmt.Errorf("heb: scale factor %d: %w", f, err)
 			}
 			start := time.Now()

@@ -69,6 +69,8 @@
 #     ns_tol noise allowance. The deterministic columns above are gated
 #     exactly; the ratio shares the wall-clock tolerance because
 #     single-run timings are noisy.
+#   - AlertsEnabled and ProbesEnabled ns/op <= EngineStep x 2.0 (the
+#     invariant checker's overhead target) x the same ns_tol allowance.
 #   - MultiSeedParallel >= 2x MultiSeedSequential, gated only when the
 #     box has >= 4 CPUs — on fewer the pair is wall-clock identical by
 #     construction and the gate prints a skip note instead.
@@ -206,6 +208,17 @@ if [[ "$check" == 1 ]]; then
 				bad = 1
 			}
 		}
+		split("BenchmarkEngineAlertsEnabled BenchmarkEngineProbesEnabled", checked, " ")
+		for (i in checked) {
+			if (need(checked[i]) && need("BenchmarkEngineStep")) {
+				lim = ns["BenchmarkEngineStep"] * 2.0 * ns_tol
+				if (ns[checked[i]] + 0 > lim) {
+					printf "TARGET checker overhead: %s %s ns/op vs EngineStep %s exceeds 2.0x target with %gx noise allowance\n",
+						checked[i], ns[checked[i]], ns["BenchmarkEngineStep"], ns_tol
+					bad = 1
+				}
+			}
+		}
 		if (ncpu + 0 >= 4) {
 			if (need("BenchmarkMultiSeedSequential") && need("BenchmarkMultiSeedParallel") &&
 				ns["BenchmarkMultiSeedParallel"] + 0 > ns["BenchmarkMultiSeedSequential"] / 2) {
@@ -222,7 +235,7 @@ if [[ "$check" == 1 ]]; then
 		echo "bench.sh: target gate violation" >&2
 		exit 1
 	fi
-	echo "ok: zero-alloc/checkpoint targets hold"
+	echo "ok: zero-alloc/checkpoint/checker targets hold"
 fi
 
 # Profile gate: with a committed top-frames baseline, re-attribute the
