@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -120,7 +121,7 @@ func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 		return "", nil, fmt.Errorf("metrics.prom: %w", err)
 	}
 	if dropped > 0 && !allowDrops {
-		return "", nil, fmt.Errorf("capture dropped %g events (per-run cap hit; raise the cap or pass -allow-drops)", dropped)
+		return "", nil, droppedError(dir, dropped)
 	}
 
 	inv := fmt.Sprintf("%d events, %d decision records, %d bytes of metrics", len(c.events), len(c.decisions), len(prom))
@@ -167,6 +168,23 @@ func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 		return "", nil, fmt.Errorf("manifest.json: %w", err)
 	}
 	return inv + ", " + mline, runs, nil
+}
+
+// droppedError reports a capture whose runs emitted more events than the
+// per-run cap (obs.DefaultEventCap) kept, naming each such run from the
+// manifest's rows when the capture has one.
+func droppedError(dir string, dropped float64) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "capture dropped %g events past the per-run cap of %d", dropped, obs.DefaultEventCap)
+	if m, err := obs.ReadManifest(dir); err == nil {
+		for _, rm := range m.Runs {
+			if n := rm.Summary.EventsDropped; n > 0 {
+				fmt.Fprintf(&b, "\n  run %s dropped %d: %s", rm.ID, n, rm.Key)
+			}
+		}
+	}
+	b.WriteString("\nevents.jsonl is incomplete for these runs; pass -allow-drops to check the rest")
+	return errors.New(b.String())
 }
 
 // verifyInventoried reads an inventoried file and checks it against the

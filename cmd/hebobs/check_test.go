@@ -187,6 +187,43 @@ func TestCheckAcceptsAlertedCapture(t *testing.T) {
 	}
 }
 
+// TestCheckNamesRunsThatDroppedEvents checks the dropped-events finding:
+// it names each run past the per-run event cap, from the manifest rows,
+// and the -allow-drops flag, and the flag turns it off.
+func TestCheckNamesRunsThatDroppedEvents(t *testing.T) {
+	dir := t.TempDir()
+	c := obs.NewCapture()
+	for i, dropped := range []int{0, 12, 3} {
+		c.Contribute(obs.RunArtifact{
+			Key:           fmt.Sprintf("HEB-D|PR|1h|seed=%d", i),
+			Events:        []obs.Event{{Kind: obs.EventRunStart, Server: -1}},
+			EventsDropped: dropped,
+			Decisions:     []obs.DecisionRecord{{Slot: 1}},
+			Steps:         3600,
+			Slots:         6,
+		})
+	}
+	if err := c.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := check(dir, false)
+	if err == nil {
+		t.Fatal("a capture with dropped events passed")
+	}
+	msg := err.Error()
+	for _, want := range []string{"dropped 15 events", "dropped 12: HEB-D|PR|1h|seed=1", "dropped 3: HEB-D|PR|1h|seed=2", "-allow-drops"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("finding %q lacks %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "seed=0") || strings.Contains(msg, "raise the cap") {
+		t.Errorf("finding %q names a run that dropped nothing or a cap no flag raises", msg)
+	}
+	if _, _, err := check(dir, true); err != nil {
+		t.Errorf("-allow-drops still fails: %v", err)
+	}
+}
+
 func TestCheckRejectsCorruptAlerts(t *testing.T) {
 	dir := t.TempDir()
 	writeCapture(t, dir)

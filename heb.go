@@ -487,47 +487,27 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		budget = opts.Budget
 	}
 	// Run-state pooling: a cached runState for this structural
-	// configuration replaces every construction below with a reset.
+	// configuration is reset instead of built, and a built one is parked
+	// for the worker's next cell.
 	var st *runState
 	var poolKey string
 	pooling := cache != nil && opts.poolable()
 	if pooling {
 		poolKey = p.poolKey(id, budget)
-		st = cache.lookup(worker, poolKey)
-		if st != nil {
+		if st = cache.lookup(worker, poolKey); st != nil {
 			st.reset(p)
 		}
 	}
-	var battery, supercap *esd.Pool
-	var scheme core.Scheme
-	var peakPred, valleyPred forecast.Predictor
-	var image *pat.Table // a pooled PAT as seeded, before the run learns
-	var err error
-	if st != nil {
-		battery, supercap = st.battery, st.supercap
-		scheme = st.scheme
-		peakPred, valleyPred = st.peakPred, st.valleyPred
-	} else {
-		battery, supercap, err = p.BuildPools(id)
-		if err != nil {
+	if st == nil {
+		var err error
+		if st, err = p.newRunState(id, budget, pooling); err != nil {
 			return sim.Result{}, err
 		}
-		battery.SetSoC(p.InitialSoC)
-		if supercap != nil {
-			supercap.SetSoC(p.InitialSoC)
-		}
-		var scCap units.Energy
-		if supercap != nil {
-			scCap = supercap.Capacity()
-		}
-		scheme, peakPred, valleyPred, err = p.BuildScheme(id, scCap, battery.Capacity())
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if table, ok := core.Table(scheme); ok && pooling {
-			image = table.Clone()
+		if pooling {
+			cache.store(worker, poolKey, st)
 		}
 	}
+	scheme, peakPred, valleyPred := st.scheme, st.peakPred, st.valleyPred
 	if opts.PeakPredictor != nil {
 		peakPred = opts.PeakPredictor
 	}
@@ -548,7 +528,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	var capLog *obs.Log
 	var capDecisions *obs.DecisionLog
 	if p.Capture != nil {
-		capLog = obs.NewLog(p.Capture.EventCap())
+		capLog = obs.NewLog(obs.DefaultEventCap)
 		capDecisions = obs.NewDecisionLog()
 	}
 	events := opts.Events
@@ -634,30 +614,13 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		NoiseSeed:       p.Seed,
 		Trace:           traceFn,
 	}
-	var ctrl *core.Controller
-	if st != nil {
-		ctrl = st.ctrl
-		if err := ctrl.Reset(ctrlCfg, scheme); err != nil {
-			return sim.Result{}, err
-		}
-	} else {
-		ctrl, err = core.NewController(ctrlCfg, scheme)
-		if err != nil {
-			return sim.Result{}, err
-		}
+	ctrl := &st.ctrl
+	if err := ctrl.Reset(ctrlCfg, scheme); err != nil {
+		return sim.Result{}, err
 	}
-
 	feed := opts.Feed
 	if feed == nil {
-		if st != nil {
-			feed = st.feed
-		} else {
-			f, err := power.NewUtilityFeed(budget)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			feed = f
-		}
+		feed = st.feed
 	}
 
 	tr, err := workload.Trace(p)
@@ -691,17 +654,11 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		charge = sim.ChargeBatteryFirst
 	}
 	var scDev esd.Device
-	if supercap != nil {
-		scDev = supercap
-	}
-	var servers []*power.Server
-	if st != nil {
-		servers = st.servers
-	} else {
-		servers = p.Servers()
+	if st.supercap != nil {
+		scDev = st.supercap
 	}
 	if workload.freqSet {
-		for _, s := range servers {
+		for _, s := range st.servers {
 			s.SetFreq(workload.freq)
 		}
 	}
@@ -709,9 +666,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		Step:            p.Step,
 		Slot:            p.Slot,
 		Duration:        opts.Duration,
-		Servers:         servers,
+		Servers:         st.servers,
 		Workload:        tr,
-		Battery:         battery,
+		Battery:         st.battery,
 		Supercap:        scDev,
 		Feed:            feed,
 		Renewable:       opts.Renewable,
@@ -726,36 +683,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		Checkpoints:     checkpointFn,
 		Prof:            profCtx,
 	}
-	var eng *sim.Engine
-	if st != nil {
-		eng = st.eng
-		if err := eng.Reset(engCfg); err != nil {
-			return sim.Result{}, err
-		}
-	} else {
-		eng, err = sim.New(engCfg)
-		if err != nil {
-			return sim.Result{}, err
-		}
-	}
-	if pooling && st == nil {
-		// First run of this configuration on this worker: park the freshly
-		// built state so subsequent cells reset instead of rebuilding.
-		ns := &runState{
-			battery:    battery,
-			supercap:   supercap,
-			scheme:     scheme,
-			peakPred:   peakPred,
-			valleyPred: valleyPred,
-			ctrl:       ctrl,
-			servers:    servers,
-			feed:       feed.(*power.UtilityFeed),
-			eng:        eng,
-		}
-		if table, ok := core.Table(scheme); ok {
-			ns.table, ns.image = table, image
-		}
-		cache.store(worker, poolKey, ns)
+	eng := &st.eng
+	if err := eng.Reset(engCfg); err != nil {
+		return sim.Result{}, err
 	}
 	prof.SetPhase(profCtx, prof.PhaseSteps)
 	span.Begin("run", "engine")

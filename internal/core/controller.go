@@ -83,37 +83,23 @@ type Controller struct {
 	noiseDraws int64
 }
 
-// NewController wires a controller around the given scheme.
+// NewController wires a controller around the given scheme. It is Reset
+// on a zero Controller.
 func NewController(cfg Config, scheme Scheme) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	c := new(Controller)
+	if err := c.Reset(cfg, scheme); err != nil {
 		return nil, err
 	}
-	if scheme == nil {
-		return nil, fmt.Errorf("core: controller needs a scheme")
-	}
-	c := &Controller{cfg: cfg, scheme: scheme}
-	c.peakPred = cfg.PeakPredictor
-	if c.peakPred == nil {
-		c.peakPred = forecast.MustNewHoltWinters(forecast.DefaultHoltWintersConfig())
-	}
-	c.valleyPred = cfg.ValleyPredictor
-	if c.valleyPred == nil {
-		c.valleyPred = forecast.MustNewHoltWinters(forecast.DefaultHoltWintersConfig())
-	}
-	if cfg.SensorNoise > 0 {
-		c.noise = rand.New(rand.NewSource(cfg.NoiseSeed))
-	}
-	c.patTable, _ = Table(scheme)
 	return c, nil
 }
 
-// Reset re-arms the controller for a fresh run over a new configuration
-// and scheme, producing the exact state NewController(cfg, scheme) would:
-// predictors and accuracy trackers discard their history, the slot
-// lifecycle restarts at slot zero, and the sensor-noise stream is
-// re-seeded from cfg.NoiseSeed. When the new config injects no custom
-// predictors and the old one didn't either, the owned defaults are reset
-// in place instead of reallocated — the run-state pooling path.
+// Reset binds the controller to a configuration and scheme for a fresh
+// run. Every field is rebuilt, so a reset controller's state equals a new
+// one's: predictors and accuracy trackers start without history, the slot
+// lifecycle restarts at slot zero and the sensor-noise stream starts at
+// cfg.NoiseSeed. Only two allocations carry over: default predictors the
+// controller built itself are reset in place when cfg again injects none,
+// and the noise generator is reseeded.
 func (c *Controller) Reset(cfg Config, scheme Scheme) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -121,46 +107,40 @@ func (c *Controller) Reset(cfg Config, scheme Scheme) error {
 	if scheme == nil {
 		return fmt.Errorf("core: controller needs a scheme")
 	}
-	peak, valley := cfg.PeakPredictor, cfg.ValleyPredictor
-	if peak == nil {
-		if c.cfg.PeakPredictor == nil && c.peakPred != nil {
-			peak = c.peakPred
-			peak.Reset()
-		} else {
-			peak = forecast.MustNewHoltWinters(forecast.DefaultHoltWintersConfig())
-		}
+	peak := ownedPredictor(cfg.PeakPredictor, c.cfg.PeakPredictor, c.peakPred)
+	valley := ownedPredictor(cfg.ValleyPredictor, c.cfg.ValleyPredictor, c.valleyPred)
+	noise := c.noise
+	if cfg.SensorNoise <= 0 {
+		noise = nil
+	} else if noise != nil {
+		noise.Seed(cfg.NoiseSeed)
+	} else {
+		noise = rand.New(rand.NewSource(cfg.NoiseSeed))
 	}
-	if valley == nil {
-		if c.cfg.ValleyPredictor == nil && c.valleyPred != nil {
-			valley = c.valleyPred
-			valley.Reset()
-		} else {
-			valley = forecast.MustNewHoltWinters(forecast.DefaultHoltWintersConfig())
-		}
+	table, _ := Table(scheme)
+	*c = Controller{
+		cfg:        cfg,
+		scheme:     scheme,
+		peakPred:   peak,
+		valleyPred: valley,
+		patTable:   table,
+		noise:      noise,
 	}
-	var noise *rand.Rand
-	if cfg.SensorNoise > 0 {
-		if c.noise != nil {
-			noise = c.noise
-			noise.Seed(cfg.NoiseSeed)
-		} else {
-			noise = rand.New(rand.NewSource(cfg.NoiseSeed))
-		}
-	}
-	c.cfg = cfg
-	c.scheme = scheme
-	c.peakPred, c.valleyPred = peak, valley
-	c.peakErr, c.valleyErr = forecast.Errors{}, forecast.Errors{}
-	c.lastView = SlotView{}
-	c.haveSlot = false
-	c.slotCount = 0
-	c.patTable, _ = Table(scheme)
-	c.lastLookups, c.lastMisses = 0, 0
-	c.pending = obs.DecisionRecord{}
-	c.havePending = false
-	c.noise = noise
-	c.noiseDraws = 0
 	return nil
+}
+
+// ownedPredictor picks a run's predictor: the injected one; else prev,
+// the default the controller built for a previous run whose config (old)
+// injected none, reset in place; else a new default.
+func ownedPredictor(injected, old, prev forecast.Predictor) forecast.Predictor {
+	switch {
+	case injected != nil:
+		return injected
+	case old == nil && prev != nil:
+		prev.Reset()
+		return prev
+	}
+	return forecast.MustNewHoltWinters(forecast.DefaultHoltWintersConfig())
 }
 
 // MustNewController is NewController for known-good configs.

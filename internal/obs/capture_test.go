@@ -130,13 +130,26 @@ func TestCaptureMetricsContent(t *testing.T) {
 	}
 }
 
+// TestCaptureEventCap checks that a run's events past DefaultEventCap
+// are counted, not stored, and that the count reaches both the metrics
+// counter and the run's manifest row.
 func TestCaptureEventCap(t *testing.T) {
-	c := NewCapture()
-	if c.EventCap() != DefaultEventCap {
-		t.Fatalf("default cap = %d", c.EventCap())
+	l := NewLog(DefaultEventCap)
+	for i := 0; i < DefaultEventCap+7; i++ {
+		l.Emit(Event{Seconds: float64(i), Kind: EventRelaySwitch})
 	}
-	c.SetEventCap(7)
-	if c.EventCap() != 7 {
-		t.Fatalf("cap after set = %d", c.EventCap())
+	if l.Len() != DefaultEventCap || l.Dropped() != 7 {
+		t.Fatalf("log kept %d and dropped %d events, want %d and 7", l.Len(), l.Dropped(), DefaultEventCap)
+	}
+	a := artifactA()
+	a.Events, a.EventsDropped = l.Events(), l.Dropped()
+	files := captureFiles(t, func(c *Capture) { c.Contribute(a) })
+	if !strings.Contains(files["metrics.prom"], "heb_obs_events_dropped_total 7") {
+		t.Errorf("metrics.prom does not count the 7 dropped events:\n%s", files["metrics.prom"])
+	}
+	c := NewCapture()
+	c.Contribute(a)
+	if m := c.BuildManifest(); len(m.Runs) != 1 || m.Runs[0].Summary.EventsDropped != 7 {
+		t.Errorf("manifest runs %+v, want one row with 7 events dropped", m.Runs)
 	}
 }

@@ -324,29 +324,12 @@ type probeTarget struct {
 	snap esd.ProbeSnapshot
 }
 
-// New builds an engine; defaults are applied before validation.
+// New builds an engine; defaults are applied before validation. It is
+// Reset on a zero Engine.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	e := new(Engine)
+	if err := e.Reset(cfg); err != nil {
 		return nil, err
-	}
-	fabric, err := power.NewFabric(cfg.Servers)
-	if err != nil {
-		return nil, err
-	}
-	var peak units.Power
-	for _, s := range cfg.Servers {
-		peak += s.PeakDemand()
-	}
-	e := &Engine{
-		cfg:           cfg,
-		fabric:        fabric,
-		dischargeConv: cfg.Topology.DischargeConverter(peak),
-		utilityConv:   cfg.Topology.UtilityConverter(peak),
-	}
-	e.sizeScratch(len(cfg.Servers))
-	if cfg.Events != nil {
-		e.fabric.SetSwitchListener(e.emitSwitch)
 	}
 	return e, nil
 }
@@ -408,80 +391,58 @@ func sizeSeries(s []float64, want int) []float64 {
 	return make([]float64, 0, want)
 }
 
-// Reset rebinds the engine to a new run configuration while keeping every
-// allocation the previous run made: the relay fabric (when the server set
-// is unchanged), the hot-loop scratch, the metric-series backing arrays
-// and the probe-target list are all reused. The Config is the immutable
-// per-run plan; everything else on the Engine is mutable run state that
-// this call returns to its post-New zero. Callers own resetting the
-// injected components (servers, pools, feed, controller) — the engine only
-// resets what it built itself. A Reset engine produces bit-for-bit the
-// same results as a freshly built one for the same configuration.
+// Reset binds the engine to a run configuration. Every field is rebuilt
+// from cfg, so a reset engine's state equals a new one's; only
+// allocations carry over: the relay fabric (reset, when the server set
+// is unchanged), the hot-loop scratch, the metric-series and probe-target
+// backing arrays (emptied) and the DVFS capping map (cleared). Callers own
+// resetting the injected components (servers, pools, feed, controller).
+// A reset engine produces bit-for-bit the same results as a new one for
+// the same configuration.
 func (e *Engine) Reset(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	sameServers := len(cfg.Servers) == len(e.cfg.Servers)
-	if sameServers {
-		for i, s := range cfg.Servers {
-			if s != e.cfg.Servers[i] {
-				sameServers = false
-				break
-			}
-		}
-	}
-	if sameServers {
-		e.fabric.Reset()
+	fabric := e.fabric
+	if slices.Equal(cfg.Servers, e.cfg.Servers) {
+		fabric.Reset()
 	} else {
-		fabric, err := power.NewFabric(cfg.Servers)
-		if err != nil {
+		var err error
+		if fabric, err = power.NewFabric(cfg.Servers); err != nil {
 			return err
 		}
-		e.fabric = fabric
 	}
 	var peak units.Power
 	for _, s := range cfg.Servers {
 		peak += s.PeakDemand()
 	}
-	e.cfg = cfg
-	e.dischargeConv = cfg.Topology.DischargeConverter(peak)
-	e.utilityConv = cfg.Topology.UtilityConverter(peak)
-	if cfg.Events != nil {
-		e.fabric.SetSwitchListener(e.emitSwitch)
-	} else {
-		e.fabric.SetSwitchListener(nil)
+	clear(e.cappedFrom)
+	*e = Engine{
+		cfg:             cfg,
+		fabric:          fabric,
+		dischargeConv:   cfg.Topology.DischargeConverter(peak),
+		utilityConv:     cfg.Topology.UtilityConverter(peak),
+		cappedFrom:      e.cappedFrom,
+		demandSeries:    e.demandSeries[:0],
+		slotPeaks:       e.slotPeaks[:0],
+		slotValleys:     e.slotValleys[:0],
+		demandByIdx:     e.demandByIdx,
+		keepScratch:     e.keepScratch,
+		overloadScratch: e.overloadScratch[:0],
+		active:          e.active[:0],
+		sortedFrom:      e.sortedFrom[:0],
+		sortedTo:        e.sortedTo[:0],
+		probeTargets:    e.probeTargets[:0],
 	}
-
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
 		e.sizeScratch(n)
 	}
-	// A new run reads its first row fresh, and so takes a new snapshot.
-	e.heldRow = nil
-
-	e.decision = core.Decision{}
-	e.view = core.SlotView{}
-	e.slotPeak, e.slotValley, e.slotHasSample = 0, 0, false
-	e.now = 0
-	e.inMismatch = false
-	e.lastMode, e.haveMode = 0, false
-	e.lastShed, e.hasShed = 0, false
-	if e.cappedFrom != nil {
-		clear(e.cappedFrom)
+	var onSwitch func(id int, from, to power.Source)
+	if cfg.Events != nil {
+		onSwitch = e.emitSwitch
 	}
-	e.degradedSecs = 0
-	e.servedSC, e.servedBA = 0, 0
-	e.renewGen, e.renewUsed = 0, 0
-	e.renewStored, e.renewSpilled = 0, 0
-	e.utilityDrawn, e.utilityPeak = 0, 0
-	e.initialStored = 0
-	e.demandSeries = e.demandSeries[:0]
-	e.slotPeaks = e.slotPeaks[:0]
-	e.slotValleys = e.slotValleys[:0]
-	e.shedEvents = 0
-	e.mismatchSteps, e.steps = 0, 0
-	e.probeTargets = e.probeTargets[:0]
-	e.demandDigest, e.peaksDigest, e.valleysDigest = pat.Digest{}, pat.Digest{}, pat.Digest{}
+	e.fabric.SetSwitchListener(onSwitch)
 	return nil
 }
 
@@ -514,21 +475,15 @@ func (e *Engine) Run() Result {
 			Detail: cfg.Controller.Scheme().Name(),
 		})
 	}
-	if cfg.Prof != nil {
-		prof.SetPhase(cfg.Prof, prof.PhasePlan)
-	}
+	prof.SetPhase(cfg.Prof, prof.PhasePlan)
 	e.planSlot(0)
-	if cfg.Prof != nil {
-		prof.SetPhase(cfg.Prof, prof.PhaseSteps)
-	}
+	prof.SetPhase(cfg.Prof, prof.PhaseSteps)
 	aborted := false
 	stopped := false
 	for i := 0; i < steps; i++ {
 		now := time.Duration(i) * cfg.Step
 		if i > 0 && i%slotSteps == 0 {
-			if cfg.Prof != nil {
-				prof.SetPhase(cfg.Prof, prof.PhasePlan)
-			}
+			prof.SetPhase(cfg.Prof, prof.PhasePlan)
 			e.finishSlot()
 			e.planSlot(now)
 			if cfg.Checkpoints != nil && cfg.CheckpointEvery > 0 && (i/slotSteps)%cfg.CheckpointEvery == 0 &&
@@ -536,9 +491,7 @@ func (e *Engine) Run() Result {
 				stopped = true
 				break
 			}
-			if cfg.Prof != nil {
-				prof.SetPhase(cfg.Prof, prof.PhaseSteps)
-			}
+			prof.SetPhase(cfg.Prof, prof.PhaseSteps)
 		}
 		if cfg.MaxSteps > 0 && i >= cfg.MaxSteps {
 			stopped = true

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"heb/internal/ascii"
 	"heb/internal/obs"
@@ -223,15 +222,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Serve runs the monitor on addr until the server fails; it is a
-// convenience for cmd/hebmon.
-func Serve(addr string, r *Recorder) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           r.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	return srv.ListenAndServe()
 }

@@ -13,15 +13,17 @@ import (
 	"heb/internal/units"
 )
 
-// runState is the poolable mutable half of a run: every long-lived
-// allocation a sweep cell makes — device pools, PAT table, predictors,
-// controller, servers, feed, engine — that the next cell with the same
-// structural configuration can reuse through the components' Reset
-// paths instead of rebuilding. A runState is owned by one worker at a
-// time, so it needs no locking. The observability sinks (event log,
-// decision trace, probe rings) are deliberately NOT pooled: a Capture
-// retains their backing slices after the run, so reusing them would
-// corrupt earlier artifacts.
+// runState is the mutable half of a run: every long-lived allocation a
+// cell makes — device pools, PAT table, predictors, servers, feed,
+// controller, engine. Every run, pooled or not, is built on one: a fresh
+// run on a new state, a pooled one on a state a previous cell with the
+// same structural configuration left behind, restored through the
+// components' Reset paths instead of rebuilt. The controller and engine
+// are held by value and bound by each run with Reset, which a zero value
+// accepts. A runState is owned by one worker at a time, so it needs no
+// locking. The observability sinks (event log, decision trace, probe
+// rings) are deliberately NOT pooled: a Capture retains their backing
+// slices after the run, so reusing them would corrupt earlier artifacts.
 type runState struct {
 	battery              *esd.Pool
 	supercap             *esd.Pool
@@ -29,18 +31,58 @@ type runState struct {
 	image                *pat.Table // table as SeedPAT left it, before any run
 	scheme               core.Scheme
 	peakPred, valleyPred forecast.Predictor
-	ctrl                 *core.Controller
 	servers              []*power.Server
 	feed                 *power.UtilityFeed
-	eng                  *sim.Engine
+	ctrl                 core.Controller
+	eng                  sim.Engine
 }
 
-// reset restores every pooled component to the state its fresh
-// construction path would produce, in the same order Prototype.run
-// builds fresh components, so a reused run is bit-for-bit identical to
-// a fresh one. The per-run pieces (trace fn, sinks, seeds) are rebound
-// afterwards by the caller. The seeded PAT depends only on the
-// structural configuration the state is keyed by, so the table is
+// newRunState builds the state for scheme id at budget: pools at the
+// initial SoC, the scheme with its predictors and seeded PAT, servers and
+// a utility feed. keepImage clones the seeded PAT, before any run learns
+// on it, so reset can restore it for the next run.
+func (p Prototype) newRunState(id SchemeID, budget units.Power, keepImage bool) (*runState, error) {
+	battery, supercap, err := p.BuildPools(id)
+	if err != nil {
+		return nil, err
+	}
+	battery.SetSoC(p.InitialSoC)
+	var scCap units.Energy
+	if supercap != nil {
+		supercap.SetSoC(p.InitialSoC)
+		scCap = supercap.Capacity()
+	}
+	scheme, peakPred, valleyPred, err := p.BuildScheme(id, scCap, battery.Capacity())
+	if err != nil {
+		return nil, err
+	}
+	feed, err := power.NewUtilityFeed(budget)
+	if err != nil {
+		return nil, err
+	}
+	st := &runState{
+		battery:    battery,
+		supercap:   supercap,
+		scheme:     scheme,
+		peakPred:   peakPred,
+		valleyPred: valleyPred,
+		servers:    p.Servers(),
+		feed:       feed,
+	}
+	if table, ok := core.Table(scheme); ok {
+		st.table = table
+		if keepImage {
+			st.image = table.Clone()
+		}
+	}
+	return st, nil
+}
+
+// reset restores every pooled component the run does not rebind with
+// Reset to the state newRunState builds, so a reused run is bit-for-bit
+// identical to a fresh one. The per-run pieces (trace fn, sinks, seeds)
+// are rebound afterwards by the caller. The seeded PAT depends only on
+// the structural configuration the state is keyed by, so the table is
 // restored from its image instead of being profiled again.
 func (st *runState) reset(p Prototype) {
 	st.battery.Reset()
@@ -97,7 +139,7 @@ func (c *RunCache) lookup(worker int, key string) *runState {
 	return c.perWorker[worker][key]
 }
 
-// store parks a freshly built state in worker's slot for reuse.
+// store parks a newly built state in worker's slot for reuse.
 func (c *RunCache) store(worker int, key string, st *runState) {
 	if c == nil || worker < 0 || worker >= len(c.perWorker) {
 		return
