@@ -525,15 +525,9 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	// Observability plumbing: the caller's sinks compose with the
 	// prototype's capture; everything stays nil when both are off so the
 	// engine keeps its allocation-free fast path.
-	var capLog *obs.Log
 	var capDecisions *obs.DecisionLog
 	if p.Capture != nil {
-		capLog = obs.NewLog(obs.DefaultEventCap)
 		capDecisions = obs.NewDecisionLog()
-	}
-	events := opts.Events
-	if capLog != nil {
-		events = obs.MultiSink(opts.Events, capLog)
 	}
 	var traceFn func(obs.DecisionRecord)
 	if opts.DecisionTrace != nil || capDecisions != nil {
@@ -637,6 +631,12 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		runDuration = tr.Duration()
 	}
 	key := p.runKey(id, workload, runDuration, opts)
+	var capLog *obs.Log
+	events := opts.Events
+	if p.Capture != nil {
+		capLog = obs.NewLog(obs.EventCapFor(runDuration))
+		events = obs.MultiSink(opts.Events, capLog)
+	}
 	var span *obs.Track
 	if p.Tracer != nil {
 		group := p.TraceCell

@@ -369,7 +369,7 @@ func (b *Battery) MaxChargePower() units.Power {
 	if head <= 0 {
 		return 0
 	}
-	i := b.cfg.MaxChargeC * b.cfg.CapacityAh * b.thermal.chargeDerate(b.cfg.Thermal)
+	i := b.cfg.MaxChargeC * b.cfg.CapacityAh * b.thermal.chargeDerate(&b.cfg.Thermal)
 	voc := float64(b.ocv())
 	v := voc + i*b.cfg.InternalOhm
 	return units.Power(v * i)
@@ -476,7 +476,7 @@ func (b *Battery) Charge(offered units.Power, dt time.Duration) units.Power {
 	voc := float64(b.ocv())
 	r := b.cfg.InternalOhm
 	i := solveChargeCurrent(float64(offered), voc, r)
-	i = min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(b.cfg.Thermal))
+	i = min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(&b.cfg.Thermal))
 	// Only CoulombicEff of the current is stored; cap so stored charge
 	// fits in the remaining headroom.
 	i = min(i, head/(b.cfg.CoulombicEff*secs))

@@ -133,7 +133,7 @@ func (b *refBattery) MaxChargePower() units.Power {
 	if head <= 0 {
 		return 0
 	}
-	i := b.cfg.MaxChargeC * b.cfg.CapacityAh * b.thermal.chargeDerate(b.cfg.Thermal)
+	i := b.cfg.MaxChargeC * b.cfg.CapacityAh * b.thermal.chargeDerate(&b.cfg.Thermal)
 	voc := float64(b.ocv())
 	v := voc + i*b.cfg.InternalOhm
 	return units.Power(v * i)
@@ -210,7 +210,7 @@ func (b *refBattery) Charge(offered units.Power, dt time.Duration) units.Power {
 	voc := float64(b.ocv())
 	r := b.cfg.InternalOhm
 	i := solveChargeCurrent(float64(offered), voc, r)
-	i = math.Min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(b.cfg.Thermal))
+	i = math.Min(i, b.cfg.MaxChargeC*b.cfg.CapacityAh*b.thermal.chargeDerate(&b.cfg.Thermal))
 	i = math.Min(i, head/(b.cfg.CoulombicEff*secs))
 	if i <= 0 {
 		b.flow(secs)

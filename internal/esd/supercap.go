@@ -91,6 +91,11 @@ type Supercap struct {
 	// the last step length (the engine always steps the same dt). Derived
 	// from the config, so neither is part of SupercapState.
 	leakSecs, leakFactor float64
+	// stepSecs, stepN and stepH memoize the integration sub-step count and
+	// length for the last step length, as leakSecs does the leak factor.
+	stepSecs float64
+	stepN    int
+	stepH    float64
 
 	stats Stats
 }
@@ -227,8 +232,7 @@ func (s *Supercap) Discharge(req units.Power, dt time.Duration) units.Power {
 	}
 	vf := s.vFloor()
 	var delivered, loss float64
-	steps := subSteps(secs)
-	h := secs / float64(steps)
+	steps, h := s.subStep(secs)
 	for st := 0; st < steps && s.v > vf; st++ {
 		i := solveDischargeCurrent(p, s.v, s.cfg.ESR)
 		// Don't let this sub-step take the voltage below the floor.
@@ -266,8 +270,7 @@ func (s *Supercap) Charge(offered units.Power, dt time.Duration) units.Power {
 	}
 	vmax := float64(s.cfg.VMax)
 	var input, stored float64
-	steps := subSteps(secs)
-	h := secs / float64(steps)
+	steps, h := s.subStep(secs)
 	for st := 0; st < steps && s.v < vmax; st++ {
 		i := solveChargeCurrent(p, s.v, s.cfg.ESR)
 		iMax := (vmax - s.v) * s.cfg.Capacitance / h
@@ -326,6 +329,16 @@ func (s *Supercap) SetSoC(frac float64) {
 	frac = units.Clamp(frac, 0, 1)
 	vmax, vf := float64(s.cfg.VMax), s.vFloor()
 	s.v = math.Sqrt(vf*vf + frac*(vmax*vmax-vf*vf))
+}
+
+// subStep returns subSteps(secs) and the sub-step length, memoized for
+// the last secs.
+func (s *Supercap) subStep(secs float64) (int, float64) {
+	if secs != s.stepSecs {
+		n := subSteps(secs)
+		s.stepSecs, s.stepN, s.stepH = secs, n, secs/float64(n)
+	}
+	return s.stepN, s.stepH
 }
 
 // subSteps picks an integration sub-step count: 1 s resolution, at least

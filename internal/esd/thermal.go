@@ -101,7 +101,7 @@ func (t *thermalState) integrate(cfg *ThermalConfig, dissipated, secs float64) {
 // chargeDerate returns the fraction of the nominal charge-current ceiling
 // available at the present temperature: 1 below DerateStartC, linearly
 // falling to 0 at ShutdownC.
-func (t *thermalState) chargeDerate(cfg ThermalConfig) float64 {
+func (t *thermalState) chargeDerate(cfg *ThermalConfig) float64 {
 	if !cfg.Enabled() {
 		return 1
 	}

@@ -132,15 +132,15 @@ func TestChargeDerateCurve(t *testing.T) {
 	cfg := DefaultThermalConfig()
 	st := newThermalState(cfg)
 	st.tempC = 30
-	if got := st.chargeDerate(cfg); got != 1 {
+	if got := st.chargeDerate(&cfg); got != 1 {
 		t.Errorf("derate at 30°C = %g, want 1", got)
 	}
 	st.tempC = 47.5 // midpoint of [40, 55]
-	if got := st.chargeDerate(cfg); math.Abs(got-0.5) > 1e-9 {
+	if got := st.chargeDerate(&cfg); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("derate at midpoint = %g, want 0.5", got)
 	}
 	st.tempC = 60
-	if got := st.chargeDerate(cfg); got != 0 {
+	if got := st.chargeDerate(&cfg); got != 0 {
 		t.Errorf("derate at 60°C = %g, want 0", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestThermalDisabledIsInert(t *testing.T) {
 	if st.tempC != 0 {
 		t.Errorf("disabled thermal state moved to %g", st.tempC)
 	}
-	if st.chargeDerate(cfg) != 1 || st.wearMultiplier(cfg) != 1 {
+	if st.chargeDerate(&cfg) != 1 || st.wearMultiplier(cfg) != 1 {
 		t.Error("disabled thermal affects operation")
 	}
 }

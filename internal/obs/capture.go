@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"heb/internal/obs/alerts"
 )
@@ -72,8 +73,20 @@ type Capture struct {
 }
 
 // DefaultEventCap bounds the events kept per run so a full-suite sweep
-// cannot grow without bound; overflow is counted, not stored.
+// cannot grow without bound; overflow is counted, not stored. It is the
+// floor of EventCapFor.
 const DefaultEventCap = 5000
+
+// eventCapPerHour is EventCapFor's allowance per simulated hour, about
+// twice the busiest run of a full suite: HEB-D on a day of solar supply
+// emits about 420 events per simulated hour.
+const eventCapPerHour = 1000
+
+// EventCapFor returns the per-run event cap for a run of simulated length
+// d: eventCapPerHour per simulated hour, never below DefaultEventCap.
+func EventCapFor(d time.Duration) int {
+	return max(DefaultEventCap, int(d.Hours()*eventCapPerHour))
+}
 
 // NewCapture builds an empty capture.
 func NewCapture() *Capture { return &Capture{} }

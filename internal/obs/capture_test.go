@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func artifactA() RunArtifact {
@@ -126,6 +127,25 @@ func TestCaptureMetricsContent(t *testing.T) {
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("metrics.prom missing %q\n%s", want, prom)
+		}
+	}
+}
+
+// TestEventCapFor checks that the per-run event cap grows with simulated
+// length and never falls below DefaultEventCap.
+func TestEventCapFor(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, DefaultEventCap},
+		{time.Hour, DefaultEventCap},
+		{5 * time.Hour, DefaultEventCap},
+		{24 * time.Hour, 24 * eventCapPerHour},
+		{168 * time.Hour, 168 * eventCapPerHour},
+	} {
+		if got := EventCapFor(c.d); got != c.want {
+			t.Errorf("EventCapFor(%v) = %d, want %d", c.d, got, c.want)
 		}
 	}
 }

@@ -37,6 +37,7 @@ func (s *Server) Checkpoint() ServerState {
 
 // Checkpoint captures the fabric's mutable state, including every server.
 func (f *Fabric) Checkpoint() FabricState {
+	f.flushHeld()
 	st := FabricState{
 		Assign:   append([]Source(nil), f.assign...),
 		LastUse:  append([]time.Duration(nil), f.lastUse...),

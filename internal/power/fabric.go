@@ -75,9 +75,25 @@ type Fabric struct {
 	// LRU order: lru holds every position sorted by (lastUse, id), except
 	// that positions TouchAt restamped since the last LRUPositions call
 	// (listed in touched, flagged in dirty) still sit at their old place.
-	// LRUPositions merges them back into lruNext and swaps the two.
+	// LRUPositions merges them back into lruNext and swaps the two. order
+	// is the order version: it changes whenever lru may have changed.
 	lru, lruNext, touched []int
 	dirty                 []bool
+	order                 uint64
+
+	// Held stamps (see StampHeld): held lists the positions StampHeld stamps
+	// together, heldStamp is the newest of those stamps and pending says
+	// it is not yet written to lastUse. heldTail records that the held
+	// positions occupy the tail of lru at one shared stamp, so a newer
+	// shared stamp leaves the order as it is.
+	held      []int
+	heldStamp time.Duration
+	pending   bool
+	heldTail  bool
+
+	// faults is the relay-fault generation: FailRelay, RepairRelay and
+	// Reset bump it.
+	faults uint64
 
 	// switches counts effective relay movements by destination position;
 	// a no-op Assign (same source) does not count — only physical relay
@@ -126,7 +142,7 @@ func NewFabric(servers []*Server) (*Fabric, error) {
 		}
 	}
 	// The per-position int and bool slices share one block each.
-	ints := make([]int, 4*n)
+	ints := make([]int, 5*n)
 	flags := make([]bool, 2*n)
 	f := &Fabric{
 		servers: servers,
@@ -135,6 +151,7 @@ func NewFabric(servers []*Server) (*Fabric, error) {
 		lru:     ints[n : 2*n : 2*n],
 		lruNext: ints[2*n : 3*n : 3*n],
 		touched: ints[3*n : 3*n : 4*n],
+		held:    ints[4*n : 4*n : 5*n],
 		assign:  make([]Source, n),
 		lastUse: make([]time.Duration, n),
 		stuck:   flags[:n:n],
@@ -212,6 +229,7 @@ func (f *Fabric) FailRelay(id int) error {
 		return fmt.Errorf("power: unknown server id %d", id)
 	}
 	f.stuck[i] = true
+	f.faults++
 	return nil
 }
 
@@ -219,8 +237,14 @@ func (f *Fabric) FailRelay(id int) error {
 func (f *Fabric) RepairRelay(id int) {
 	if i := f.idx(id); i >= 0 {
 		f.stuck[i] = false
+		f.faults++
 	}
 }
+
+// FaultGeneration returns the relay-fault generation: it changes on every
+// FailRelay and RepairRelay of a known server and on Reset. A caller that
+// caches a result depending on which relays can switch keys it by this.
+func (f *Fabric) FaultGeneration() uint64 { return f.faults }
 
 // RelayStuck reports whether server id's relay is failed.
 func (f *Fabric) RelayStuck(id int) bool {
@@ -351,14 +375,94 @@ func (f *Fabric) Touch(id int, now time.Duration) {
 // stamp queues the position for LRUPositions to re-place; each position
 // is queued at most once, however often it is restamped in between.
 func (f *Fabric) TouchAt(i int, now time.Duration) {
+	f.flushHeld()
+	f.touch(i, now)
+}
+
+func (f *Fabric) touch(i int, now time.Duration) {
 	if f.lastUse[i] == now {
 		return
 	}
 	f.lastUse[i] = now
+	f.heldTail = false
 	if !f.dirty[i] {
 		f.dirty[i] = true
 		f.touched = append(f.touched, i)
 	}
+}
+
+// Hold starts a new, empty held set, after writing out the previous
+// set's pending stamp. An engine that holds a workload row calls Hold
+// and HoldAt when it reads the row, and StampHeld on every tick.
+func (f *Fabric) Hold() {
+	f.flushHeld()
+	f.held = f.held[:0]
+	f.heldTail = false
+}
+
+// HoldAt adds the server at position i of Servers() to the held set. A
+// position is added at most once per set. A pending stamp is written out
+// first, so it covers only the positions held when it was taken.
+func (f *Fabric) HoldAt(i int) {
+	f.flushHeld()
+	f.held = append(f.held, i)
+	f.heldTail = false
+}
+
+// StampHeld records that every held position did useful work at now. It
+// has the effect of TouchAt on each of them but costs O(1): the stamp is
+// written to lastUse only when something reads it (LRUPositions,
+// Checkpoint, TouchAt, Hold or Reset), and once the held positions sit at
+// the LRU tail at one stamp, writing a newer one moves nothing.
+func (f *Fabric) StampHeld(now time.Duration) {
+	f.heldStamp, f.pending = now, true
+}
+
+// tailKeeps reports whether the pending held stamp leaves the LRU order
+// as it is: the held positions occupy the tail at one shared stamp, and
+// the pending stamp is no older, so they stay there in id order.
+func (f *Fabric) tailKeeps() bool {
+	return f.heldTail && f.heldStamp >= f.lastUse[f.held[0]]
+}
+
+// flushHeld writes the pending held stamp to lastUse.
+func (f *Fabric) flushHeld() {
+	if !f.pending {
+		return
+	}
+	f.pending = false
+	if f.tailKeeps() {
+		for _, i := range f.held {
+			f.lastUse[i] = f.heldStamp
+		}
+		return
+	}
+	for _, i := range f.held {
+		f.touch(i, f.heldStamp)
+	}
+}
+
+// heldAtTail reports whether the held positions occupy the tail of a
+// fully merged lru: they share one stamp s, the last len(held) entries
+// of lru all carry s and the entry before them an older stamp. Exactly
+// len(held) positions then carry s, so they are the held ones.
+func (f *Fabric) heldAtTail() bool {
+	k, n := len(f.held), len(f.lru)
+	if k == 0 {
+		return false
+	}
+	s := f.lastUse[f.held[0]]
+	for _, i := range f.held {
+		if f.lastUse[i] != s {
+			return false
+		}
+	}
+	for _, p := range f.lru[n-k:] {
+		if f.lastUse[p] != s {
+			return false
+		}
+	}
+	return k == n || f.lastUse[f.lru[n-k-1]] < s
 }
 
 // lruCmp orders positions by (lastUse, id), least recently used first;
@@ -382,9 +486,13 @@ func (f *Fabric) lruCmp(a, b int) int {
 // controller sheds servers when the buffers run dry ("We chose the least
 // recently used servers to shut down", §7.2). Only the positions
 // restamped since the previous call are sorted; they are merged into the
-// untouched run in O(n). The slice is the fabric's own and a later call
-// or Reset rewrites it: read it, do not keep it.
+// untouched run in O(n); a pending held stamp that keeps the order is
+// left pending. The slice is the fabric's own and a later call or Reset
+// rewrites it: read it, do not keep it.
 func (f *Fabric) LRUPositions() []int {
+	if !f.tailKeeps() {
+		f.flushHeld()
+	}
 	if len(f.touched) == 0 {
 		return f.lru
 	}
@@ -413,8 +521,16 @@ func (f *Fabric) LRUPositions() []int {
 	}
 	f.lru, f.lruNext = out, f.lru
 	f.touched = t[:0]
+	f.order++
+	f.heldTail = f.heldAtTail()
 	return out
 }
+
+// OrderVersion returns the LRU order version: LRUPositions returns the
+// same order as at its previous call whenever the version is unchanged.
+// A caller that caches a result derived from the order keys it by this,
+// read after LRUPositions.
+func (f *Fabric) OrderVersion() uint64 { return f.order }
 
 // LRUOrderInto fills buf with all server ids in LRUPositions order and
 // returns it, growing buf only when its capacity is short.
@@ -489,10 +605,14 @@ func (f *Fabric) Reset() {
 		slices.SortFunc(f.lru, f.lruCmp) // all stamps zero: id order
 	}
 	f.touched = f.touched[:0]
+	f.held = f.held[:0]
+	f.pending, f.heldTail = false, false
 	f.count = [NumSources]int{SourceUtility: len(f.servers)}
 	f.switches = [NumSources]int64{}
 	f.meter = Meter{}
 	f.gen++
+	f.order++
+	f.faults++
 }
 
 // Meter returns the cumulative IPDU meter readings.

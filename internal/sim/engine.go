@@ -284,17 +284,19 @@ type Engine struct {
 	// Held-row state (DESIGN §14, "Held rows"). snap counts demand
 	// snapshots; every cache below is valid for one snap value only.
 	// heldRow is the first element of the workload row the servers hold
-	// (nil forces a fresh row), active the positions that row marks
-	// active, and heldGen and heldTotal the fabric generation and powered
-	// total of the latest snapshot. sortedFrom is the last overload set
-	// applyDecision sorted under sortedSnap and sortedTo its sorted order.
+	// (nil forces a fresh row), and heldGen and heldTotal the fabric
+	// generation and powered total of the latest snapshot. sortedFrom is
+	// the last overload set applyDecision sorted under sortedSnap and
+	// sortedTo its sorted order. lastOverload is the last set
+	// selectOverload computed, valid while its inputs still equal overKey.
 	snap                 uint64
 	heldRow              *float64
 	heldGen              uint64
 	heldTotal            units.Power
-	active               []int
 	sortedSnap           uint64
 	sortedFrom, sortedTo []int
+	lastOverload         []int
+	overKey              overloadKey
 
 	// probeTargets enumerates the pool devices, built in Run only when
 	// cfg.Invariants is set.
@@ -303,6 +305,18 @@ type Engine struct {
 	// Running digests of the metric series, folded up to the last
 	// checkpoint (see EngineState).
 	demandDigest, peaksDigest, valleysDigest pat.Digest
+}
+
+// overloadKey is what a selectOverload result depends on: the demand
+// snapshot (a shed or a restart changes the power-state generation, so
+// the shed set too), the LRU order and the supply, and, for the relays
+// selectOverload would switch back to utility, every relay movement and
+// fault since the tick that computed it ended. switches and faults are
+// taken at that tick's end.
+type overloadKey struct {
+	snap, order, faults uint64
+	supply              units.Power
+	switches            [power.NumSources]int64
 }
 
 // probeTarget is one probed storage device within a run: a bare device,
@@ -377,7 +391,7 @@ func (e *Engine) sizeScratch(n int) {
 	e.keepScratch = make([]bool, n)
 	ints := make([]int, 4*n)
 	e.overloadScratch = ints[0:0:n]
-	e.active = ints[n : n : 2*n]
+	e.lastOverload = ints[n : n : 2*n]
 	e.sortedFrom = ints[2*n : 2*n : 3*n]
 	e.sortedTo = ints[3*n : 3*n : 4*n]
 }
@@ -430,9 +444,9 @@ func (e *Engine) Reset(cfg Config) error {
 		demandByIdx:     e.demandByIdx,
 		keepScratch:     e.keepScratch,
 		overloadScratch: e.overloadScratch[:0],
-		active:          e.active[:0],
 		sortedFrom:      e.sortedFrom[:0],
 		sortedTo:        e.sortedTo[:0],
+		lastOverload:    e.lastOverload[:0],
 		probeTargets:    e.probeTargets[:0],
 	}
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
@@ -653,22 +667,21 @@ func (e *Engine) step(now time.Duration) {
 	// Drive utilization from the workload and stamp LRU activity. A row
 	// the servers already hold (the trace's zero-order hold over a coarser
 	// sample step) leaves utilization and the active set as they are; the
-	// active positions are still restamped, since LRU stamps are state.
+	// fabric holds the row's active set from its first tick and records
+	// each tick's stamp in O(1).
 	row := cfg.Workload.At(now)
 	fresh := &row[0] != e.heldRow
 	if fresh {
 		e.heldRow = &row[0]
-		e.active = e.active[:0]
+		e.fabric.Hold()
 		for i, s := range cfg.Servers {
 			s.SetUtilization(row[i])
 			if row[i] > cfg.ActivityThreshold {
-				e.active = append(e.active, i)
+				e.fabric.HoldAt(i)
 			}
 		}
 	}
-	for _, i := range e.active {
-		e.fabric.TouchAt(i, now)
-	}
+	e.fabric.StampHeld(now)
 
 	supply := cfg.Feed.Available(now)
 	e.maybeRestart(now, supply)
@@ -964,13 +977,26 @@ func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units
 	}
 
 	e.fabric.MeterStepPools(dt, perSource, servedBA, servedSC)
+	e.overKey.switches, e.overKey.faults = e.fabric.SwitchCounts(), e.fabric.FaultGeneration()
 }
 
 // selectOverload returns the server positions that must leave utility
 // power so the remainder fits under effSupply. Most-recently-used servers
-// keep utility power; the overload set is returned in LRU order.
+// keep utility power; the overload set is returned in LRU order. When no
+// input changed since the previous mismatch tick (overKey), that tick's
+// set is copied: its kept servers are still on utility, so the walk would
+// switch nothing and return the same set.
 func (e *Engine) selectOverload(effSupply units.Power) []int {
 	order := e.fabric.LRUPositions() // least-recent first
+	key := overloadKey{
+		snap: e.snap, order: e.fabric.OrderVersion(), faults: e.fabric.FaultGeneration(),
+		supply: effSupply, switches: e.fabric.SwitchCounts(),
+	}
+	if key == e.overKey {
+		e.overloadScratch = append(e.overloadScratch[:0], e.lastOverload...)
+		return e.overloadScratch
+	}
+	e.overKey = key
 	// Walk from most-recent (end) filling the budget. The keep set is a
 	// reusable per-position bitmap, not a per-tick map.
 	var keep units.Power
@@ -1000,6 +1026,7 @@ func (e *Engine) selectOverload(effSupply units.Power) []int {
 		}
 	}
 	e.overloadScratch = overload
+	e.lastOverload = append(e.lastOverload[:0], overload...)
 	return overload
 }
 

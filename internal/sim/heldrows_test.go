@@ -7,6 +7,8 @@ import (
 
 	"heb/internal/core"
 	"heb/internal/esd"
+	"heb/internal/forecast"
+	"heb/internal/power"
 	"heb/internal/trace"
 )
 
@@ -24,23 +26,79 @@ func perTickCopy(tr *trace.Trace) *trace.Trace {
 
 // TestHeldRowsMatchPerTickRows runs every engine path twice: on a 10 s
 // trace, whose rows the engine holds for ten ticks each and so reuses its
-// demand snapshot and sorted overload order, and on a 1 s copy that reads
-// a fresh row every tick. The Result, the final fabric state (LRU stamps
-// included) and the event digest must be byte-equal.
+// demand snapshot, LRU order, overload set and sorted overload order, and
+// on a 1 s copy that reads a fresh row every tick. The Result, the final
+// fabric state (LRU stamps included) and the event digest must be
+// byte-equal.
 func TestHeldRowsMatchPerTickRows(t *testing.T) {
 	paths := enginePaths()
-	// A DVFS run whose pools are small enough that applyDecision's
-	// largest-first order decides which servers land on which pool.
-	paths = append(paths, enginePath{
-		name: "dvfs_order_sensitive", budget: 200, scheme: core.NewBaFirst,
-		tweak: func(cfg *Config, r *rig, _ **Engine) {
-			cfg.DVFSCapping = true
-			weak := esd.DefaultBatteryConfig()
-			weak.MaxDischargeC = 0.4
-			r.battery = esd.MustNewPool("battery", esd.MustNewBattery(weak))
-			cfg.Battery = r.battery
+	paths = append(paths,
+		// A DVFS run whose pools are small enough that applyDecision's
+		// largest-first order decides which servers land on which pool.
+		enginePath{
+			name: "dvfs_order_sensitive", budget: 200, scheme: core.NewBaFirst,
+			tweak: func(cfg *Config, r *rig, _ **Engine) {
+				cfg.DVFSCapping = true
+				weak := esd.DefaultBatteryConfig()
+				weak.MaxDischargeC = 0.4
+				r.battery = esd.MustNewPool("battery", esd.MustNewBattery(weak))
+				cfg.Battery = r.battery
+			},
 		},
-	})
+		// The rig scaled out sixteen times: 96 servers, budget and pools,
+		// with most mismatch ticks on a held row.
+		enginePath{
+			name: "scale_x16", servers: 96, budget: 16 * 190, scheme: hebD,
+			tweak: func(cfg *Config, r *rig, _ **Engine) {
+				bats, scs := make([]esd.Device, 16), make([]esd.Device, 16)
+				for i := range bats {
+					bats[i] = esd.MustNewBattery(esd.DefaultBatteryConfig())
+					scs[i] = esd.MustNewSupercap(esd.DefaultSupercapConfig())
+				}
+				r.battery, r.supercap = esd.MustNewPool("battery", bats...), esd.MustNewPool("supercap", scs...)
+				cfg.Battery, cfg.Supercap = r.battery, r.supercap
+				cfg.Controller = core.MustNewController(core.Config{
+					SmallPeakWatts: 16 * 40, Budget: 16 * 190, NumServers: 96,
+					PeakPredictor: forecast.NewNaive(), ValleyPredictor: forecast.NewNaive(),
+				}, hebD())
+			},
+		},
+		// Relays fail, are repaired and move in the middle of held rows:
+		// three seconds into each minute the relays on a pool fail, and
+		// they are repaired 37 s in, after three fresh rows have moved the
+		// demand, so a server kept on utility may still be stuck on a pool.
+		// At 45 s the first server on utility is moved onto the battery.
+		enginePath{
+			name: "relay_faults_mid_row", budget: 240, scheme: hebD,
+			tweak: func(cfg *Config, _ *rig, eng **Engine) {
+				var failed []int
+				cfg.Observer = func(s StepInfo) {
+					f := (*eng).Fabric()
+					switch s.Now % time.Minute {
+					case 3 * time.Second:
+						for _, srv := range f.Servers() {
+							if src := f.SourceOf(srv.ID()); src == power.SourceBattery || src == power.SourceSupercap {
+								_ = f.FailRelay(srv.ID())
+								failed = append(failed, srv.ID())
+							}
+						}
+					case 37 * time.Second:
+						for _, id := range failed {
+							f.RepairRelay(id)
+						}
+						failed = failed[:0]
+					case 45 * time.Second:
+						for _, srv := range f.Servers() {
+							if f.SourceOf(srv.ID()) == power.SourceUtility {
+								_ = f.Assign(srv.ID(), power.SourceBattery)
+								break
+							}
+						}
+					}
+				}
+			},
+		},
+	)
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
 			held := func(servers int) *trace.Trace { return burstyTrace(servers, time.Hour, 10*time.Second) }
@@ -51,6 +109,9 @@ func TestHeldRowsMatchPerTickRows(t *testing.T) {
 			// most snapshots, the per-tick run none.
 			if steps := uint64(eh.steps); eh.snap > steps/2 || ep.snap < steps {
 				t.Fatalf("%d steps: %d snapshots on the 10 s trace, %d on the 1 s copy", steps, eh.snap, ep.snap)
+			}
+			if p.servers > 0 && eh.mismatchSteps < eh.steps/4 {
+				t.Fatalf("%d steps: only %d mismatch ticks, too few to exercise the overload reuse", eh.steps, eh.mismatchSteps)
 			}
 			if !bytes.Equal(gotHeld, gotPerTick) {
 				gl, wl := bytes.Split(gotHeld, []byte("\n")), bytes.Split(gotPerTick, []byte("\n"))

@@ -66,17 +66,19 @@ func (d *eventDigest) Emit(ev obs.Event) {
 	d.n++
 }
 
-// enginePath is one run off the default engine path: its server ids (nil
-// for the rig's dense ids), feed budget, scheme constructor (a HEB scheme
-// learns into its PAT, so every run builds its own) and a tweak applied to
-// the config before the engine is built. The tweak gets a pointer to the
-// engine variable so an observer can reach the fabric.
+// enginePath is one run off the default engine path: its server count
+// (zero for the rig's six), server ids (nil for dense ids), feed budget,
+// scheme constructor (a HEB scheme learns into its PAT, so every run
+// builds its own) and a tweak applied to the config before the engine is
+// built. The tweak gets a pointer to the engine variable so an observer
+// can reach the fabric.
 type enginePath struct {
-	name   string
-	ids    []int
-	budget units.Power
-	scheme func() core.Scheme
-	tweak  func(*Config, *rig, **Engine)
+	name    string
+	servers int
+	ids     []int
+	budget  units.Power
+	scheme  func() core.Scheme
+	tweak   func(*Config, *rig, **Engine)
 }
 
 func hebD() core.Scheme { return core.NewHEBD(pat.MustNew(pat.DefaultConfig())) }
@@ -135,6 +137,12 @@ func starvedPools(cfg *Config, r *rig, _ **Engine) {
 func runEnginePath(t *testing.T, p enginePath, w func(servers int) *trace.Trace) (*Engine, []byte) {
 	t.Helper()
 	r := newRig(t, p.budget)
+	if p.servers > 0 {
+		r.servers = make([]*power.Server, p.servers)
+		for i := range r.servers {
+			r.servers[i] = power.MustNewServer(i, power.DefaultServerConfig())
+		}
+	}
 	for i, id := range p.ids {
 		r.servers[i] = power.MustNewServer(id, power.DefaultServerConfig())
 	}

@@ -10,6 +10,7 @@ import (
 
 	"heb/internal/obs"
 	"heb/internal/runner"
+	"heb/internal/solar"
 )
 
 // traceShape is a trace's structure — tracks by group and name, and
@@ -307,5 +308,26 @@ func TestPrototypeProgressCountsSteps(t *testing.T) {
 	}
 	if got := prog.Snapshot().Units; got != int64(res.Steps) {
 		t.Errorf("progress units %d != steps %d", got, res.Steps)
+	}
+}
+
+// TestCaptureKeepsDayLongSolarEvents checks that a captured day of HEB-D
+// on solar supply, which emits more events than DefaultEventCap, keeps
+// them all: the run's cap grows with its simulated length.
+func TestCaptureKeepsDayLongSolarEvents(t *testing.T) {
+	p := DefaultPrototype()
+	p.Capture = obs.NewCapture()
+	if _, err := Figure12d(p, solar.DefaultConfig(), 24*time.Hour, []SchemeID{HEBD}); err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for _, r := range p.Capture.BuildManifest().Runs {
+		if r.Summary.EventsDropped > 0 {
+			t.Errorf("run %s kept %d events and dropped %d", r.Key, r.Summary.Events, r.Summary.EventsDropped)
+		}
+		most = max(most, r.Summary.Events)
+	}
+	if most <= obs.DefaultEventCap {
+		t.Errorf("busiest run emitted %d events, not past DefaultEventCap %d: the check shows nothing", most, obs.DefaultEventCap)
 	}
 }
