@@ -530,11 +530,10 @@ func BenchmarkEngineManifestEnabled(b *testing.B) {
 	benchHooksOn(b, func(q *Prototype, _ *RunOptions) { q.Capture = obs.NewCapture() })
 }
 
-// BenchmarkCaptureWriteFiles writes one hooks-on 2 h HEB-D capture on PR
-// (events, decisions, probes every 60 steps, a checkpoint every slot,
-// audit and alerts) into a temp directory per iteration: the file half of
-// a flight-recorder run. The run itself is recorded once, untimed.
-func BenchmarkCaptureWriteFiles(b *testing.B) {
+// recordedCapture records one hooks-on 2 h HEB-D capture on PR (events,
+// decisions, probes every 60 steps, a checkpoint every slot, audit and
+// alerts): the capture a flight-recorder run writes.
+func recordedCapture(b *testing.B) *obs.Capture {
 	pr, err := WorkloadNamed("PR")
 	if err != nil {
 		b.Fatal(err)
@@ -549,12 +548,34 @@ func BenchmarkCaptureWriteFiles(b *testing.B) {
 	if _, err := p.Run(HEBD, pr.WithDuration(d), RunOptions{Duration: d}); err != nil {
 		b.Fatal(err)
 	}
+	return p.Capture
+}
+
+// BenchmarkCaptureWriteFiles writes the recordedCapture into a temp
+// directory per iteration: the file half of a flight-recorder run. The
+// run itself is recorded once, untimed.
+func BenchmarkCaptureWriteFiles(b *testing.B) {
+	c := recordedCapture(b)
 	dir := b.TempDir()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Capture.WriteFiles(dir); err != nil {
+		if err := c.WriteFiles(dir); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCaptureBuildManifest builds the recordedCapture's manifest per
+// iteration: WriteFiles' snapshot, encode and manifest work into
+// io.Discard, with no disk.
+func BenchmarkCaptureBuildManifest(b *testing.B) {
+	c := recordedCapture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := c.BuildManifest(); len(m.Runs) != 1 {
+			b.Fatalf("manifest holds %d runs", len(m.Runs))
 		}
 	}
 }

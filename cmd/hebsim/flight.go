@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -154,6 +153,8 @@ func parseReplayWindow(s string) (runKey string, a, b int, err error) {
 // are already in the file). Each record is written immediately, so a
 // killed run still leaves a valid chain behind. Appended records inherit
 // the prior group's run label to keep the file a single valid chain.
+// Records go through obs.WriteJSONL, the encoder that writes a capture's
+// checkpoints.jsonl.
 func newCheckpointAppender(path string, resume bool, groupRun string) (func(obs.CheckpointRecord), error) {
 	flags := os.O_CREATE | os.O_WRONLY
 	if resume {
@@ -168,12 +169,11 @@ func newCheckpointAppender(path string, resume bool, groupRun string) (func(obs.
 	if err != nil {
 		return nil, fmt.Errorf("flight recorder: %w", err)
 	}
-	enc := json.NewEncoder(f)
 	return func(r obs.CheckpointRecord) {
 		if r.Run == "" {
 			r.Run = groupRun
 		}
-		if err := enc.Encode(r); err != nil {
+		if err := obs.WriteJSONL(f, []obs.CheckpointRecord{r}); err != nil {
 			slog.Warn("write checkpoint failed", "err", err)
 		}
 	}, nil

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"io"
@@ -146,10 +145,11 @@ func (c *Capture) Len() int {
 }
 
 // Runs returns the contributed artifacts sorted into output order.
-func (c *Capture) Runs() []RunArtifact { return c.snapshot().runs }
+func (c *Capture) Runs() []RunArtifact { return c.snapshot(false).runs }
 
 // snapshot is a capture sorted once into output order: the label, the
-// runs and each run's content fingerprint.
+// runs and each run's content fingerprint ("" for a run that was not
+// fingerprinted).
 type snapshot struct {
 	label string
 	runs  []RunArtifact
@@ -157,29 +157,40 @@ type snapshot struct {
 }
 
 // snapshot copies the contributed runs and sorts them by (Key,
-// fingerprint), fingerprinting each run exactly once.
-func (c *Capture) snapshot() snapshot {
+// fingerprint). It fingerprints every run when all is set (the manifest
+// needs each run's fingerprint), and otherwise only the runs whose key
+// ties another's, which are all that the order needs.
+func (c *Capture) snapshot(all bool) snapshot {
 	c.mu.Lock()
 	label := c.label
 	out := append([]RunArtifact(nil), c.runs...)
 	c.mu.Unlock()
-	// Precompute fingerprints: key collisions are legitimate (a suite may
-	// run the same cell in several experiments, and a key cannot encode
-	// every config knob), so ties must order by full content to keep the
-	// written files scheduling-independent.
-	fps := make([]string, len(out))
 	idx := make([]int, len(out))
 	for i := range out {
-		fps[i] = artifactFingerprint(out[i])
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
+	sort.SliceStable(idx, func(a, b int) bool { return out[idx[a]].Key < out[idx[b]].Key })
+	// Key collisions are legitimate (a suite may run the same cell in
+	// several experiments, and a key cannot encode every config knob), so
+	// ties must order by full content to keep the written files
+	// scheduling-independent.
+	fps := make([]string, len(out))
+	for lo := 0; lo < len(idx); {
+		hi := lo + 1
+		for hi < len(idx) && out[idx[hi]].Key == out[idx[lo]].Key {
+			hi++
 		}
-		return fps[i] < fps[j]
-	})
+		if all || hi-lo > 1 {
+			for _, i := range idx[lo:hi] {
+				fps[i] = artifactFingerprint(out[i])
+			}
+		}
+		if hi-lo > 1 {
+			tie := idx[lo:hi]
+			sort.SliceStable(tie, func(a, b int) bool { return fps[tie[a]] < fps[tie[b]] })
+		}
+		lo = hi
+	}
 	s := snapshot{label: label, runs: make([]RunArtifact, len(out)), fps: make([]string, len(out))}
 	for k, i := range idx {
 		s.runs[k], s.fps[k] = out[i], fps[i]
@@ -313,7 +324,7 @@ func sortedMetricKeys(m map[string]float64) []string {
 
 // Registry renders the capture's deterministic counters into a fresh
 // metrics registry using the heb_<subsystem>_<name>_<unit> naming scheme.
-func (c *Capture) Registry() *Registry { return registry(c.snapshot().runs) }
+func (c *Capture) Registry() *Registry { return registry(c.snapshot(false).runs) }
 
 func registry(runs []RunArtifact) *Registry {
 	reg := NewRegistry()
@@ -335,11 +346,15 @@ func registry(runs []RunArtifact) *Registry {
 		}
 		reg.Counter("heb_obs_probes_total", "Probe samples retained.").Add(float64(len(a.Probes)))
 		reg.Counter("heb_obs_probes_dropped_total", "Probe samples overwritten by the per-device ring.").Add(float64(a.ProbesDropped))
-		for _, s := range a.Probes {
-			reg.Histogram("heb_probe_soc", "Probed device state of charge.",
-				LinearBuckets(0, 0.1, 10)).Observe(s.SoC)
-			reg.Histogram("heb_probe_power_watts", "Probed mean net terminal power (positive discharging).",
-				LinearBuckets(-200, 50, 10)).Observe(s.PowerW)
+		if len(a.Probes) > 0 {
+			soc := reg.Histogram("heb_probe_soc", "Probed device state of charge.",
+				LinearBuckets(0, 0.1, 10))
+			power := reg.Histogram("heb_probe_power_watts", "Probed mean net terminal power (positive discharging).",
+				LinearBuckets(-200, 50, 10))
+			for _, s := range a.Probes {
+				soc.Observe(s.SoC)
+				power.Observe(s.PowerW)
+			}
 		}
 		if a.Audit != nil {
 			reg.Counter("heb_audit_runs_total", "Audited runs by verdict.",
@@ -379,7 +394,7 @@ func (c *Capture) WriteFiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("obs: capture dir: %w", err)
 	}
-	s := c.snapshot()
+	s := c.snapshot(true)
 	bytes, inv, err := s.write(dir)
 	if err != nil {
 		return err
@@ -396,31 +411,31 @@ type artifact struct {
 	// has, set for an optional artifact, reports whether a run has
 	// records for it; the file is written only when some run does.
 	has func(a *RunArtifact) bool
-	run func(enc *json.Encoder, a *RunArtifact) error
+	run func(e *jsonlEncoder, a *RunArtifact) error
 }
 
 // artifacts lists every capture-owned file in inventory order.
 var artifacts = []artifact{
-	{name: "events.jsonl", run: func(enc *json.Encoder, a *RunArtifact) error { return encodeAll(enc, a.Events) }},
-	{name: "decisions.jsonl", run: func(enc *json.Encoder, a *RunArtifact) error { return encodeAll(enc, a.Decisions) }},
+	{name: "events.jsonl", run: func(e *jsonlEncoder, a *RunArtifact) error { return encodeAll(e, a.Events) }},
+	{name: "decisions.jsonl", run: func(e *jsonlEncoder, a *RunArtifact) error { return encodeAll(e, a.Decisions) }},
 	{name: "metrics.prom"},
 	{name: "probes.jsonl",
 		has: func(a *RunArtifact) bool { return len(a.Probes) > 0 },
-		run: func(enc *json.Encoder, a *RunArtifact) error { return encodeAll(enc, a.Probes) }},
+		run: func(e *jsonlEncoder, a *RunArtifact) error { return encodeAll(e, a.Probes) }},
 	{name: "audits.jsonl",
 		has: func(a *RunArtifact) bool { return a.Audit != nil },
-		run: func(enc *json.Encoder, a *RunArtifact) error {
+		run: func(e *jsonlEncoder, a *RunArtifact) error {
 			if a.Audit == nil {
 				return nil
 			}
-			return enc.Encode(a.Audit)
+			return e.encode(a.Audit)
 		}},
 	{name: "checkpoints.jsonl",
 		has: func(a *RunArtifact) bool { return len(a.Checkpoints) > 0 },
-		run: func(enc *json.Encoder, a *RunArtifact) error { return encodeAll(enc, a.Checkpoints) }},
+		run: func(e *jsonlEncoder, a *RunArtifact) error { return encodeAll(e, a.Checkpoints) }},
 	{name: "alerts.jsonl",
 		has: func(a *RunArtifact) bool { return len(a.AlertEvents) > 0 },
-		run: func(enc *json.Encoder, a *RunArtifact) error { return encodeAll(enc, a.AlertEvents) }},
+		run: func(e *jsonlEncoder, a *RunArtifact) error { return encodeAll(e, a.AlertEvents) }},
 }
 
 // ArtifactNames lists every capture-owned artifact file a manifest may
@@ -463,7 +478,7 @@ func (s snapshot) write(dir string) ([]int64, []ArtifactInfo, error) {
 		bw = bufio.NewWriterSize(nil, 64<<10)
 		sink.w, sink.h = bw, sha256.New()
 	}
-	enc := json.NewEncoder(sink)
+	enc := newJSONLEncoder(sink)
 	var inv []ArtifactInfo
 	for _, art := range artifacts {
 		path := filepath.Join(dir, art.name)
@@ -518,7 +533,7 @@ func (s snapshot) any(has func(a *RunArtifact) bool) bool {
 
 // encode writes one artifact's content through enc (JSONL) or sink
 // (metrics.prom), adding each run's JSONL bytes to bytes.
-func (s snapshot) encode(art artifact, enc *json.Encoder, sink *artifactSink, bytes []int64) error {
+func (s snapshot) encode(art artifact, enc *jsonlEncoder, sink *artifactSink, bytes []int64) error {
 	if art.run == nil {
 		return registry(s.runs).WritePrometheus(sink)
 	}

@@ -173,3 +173,36 @@ func TestCaptureEventCap(t *testing.T) {
 		t.Errorf("manifest runs %+v, want one row with 7 events dropped", m.Runs)
 	}
 }
+
+// TestRunsOrderMatchesManifest: Runs fingerprints only the runs whose
+// key ties another's, yet puts every run in the order BuildManifest's
+// fully fingerprinted sort gives, for any contribution order.
+func TestRunsOrderMatchesManifest(t *testing.T) {
+	var runs []RunArtifact
+	for i, steps := range []int64{7, 3, 5} {
+		a := artifactA()
+		a.Steps = steps
+		a.Slots = int64(i)
+		runs = append(runs, a)
+	}
+	runs = append(runs, artifactB())
+	c1 := artifactB()
+	c1.Key = "SCFirst|PR|1h|seed=1"
+	runs = append(runs, c1)
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 2, 3, 0, 1}, {1, 4, 0, 3, 2}} {
+		c := NewCapture()
+		for _, i := range order {
+			c.Contribute(runs[i])
+		}
+		m := c.BuildManifest()
+		got := c.Runs()
+		if len(got) != len(m.Runs) {
+			t.Fatalf("order %v: Runs has %d runs, manifest %d", order, len(got), len(m.Runs))
+		}
+		for i, a := range got {
+			if id := RunID(a.Key, artifactFingerprint(a)); id != m.Runs[i].ID {
+				t.Errorf("order %v: Runs()[%d] is %s %s, manifest row is %s %s", order, i, a.Key, id, m.Runs[i].Key, m.Runs[i].ID)
+			}
+		}
+	}
+}

@@ -1,7 +1,13 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -82,5 +88,67 @@ func TestMaterializeAtIndexes(t *testing.T) {
 		if _, err := MaterializeAt(records, i); err == nil {
 			t.Errorf("index %d accepted", i)
 		}
+	}
+}
+
+// TestHashCheckpointHeaderMatchesFmt: the strconv header hashes the
+// bytes fmt's "v=%d|slot=%d|step=%d|t=%g|prev=%s|" printed, over the
+// float corner cases and negative counters.
+func TestHashCheckpointHeaderMatchesFmt(t *testing.T) {
+	for _, r := range []CheckpointRecord{
+		{V: CheckpointVersion, Slot: 3, Step: 1800, Seconds: 1800, State: json.RawMessage(`{}`), Prev: "abc"},
+		{V: -1, Slot: math.MinInt64, Step: math.MaxInt64, Seconds: math.Copysign(0, -1)},
+		{Seconds: math.NaN(), Prev: strings.Repeat("f", 300)},
+		{Seconds: math.Inf(1), State: json.RawMessage(`null`)},
+		{Seconds: math.Inf(-1)},
+		{Seconds: 1e21},
+		{Seconds: 1e-7},
+		{Seconds: 5e-324},
+		{Seconds: 123456.789},
+	} {
+		h := sha256.New()
+		fmt.Fprintf(h, "v=%d|slot=%d|step=%d|t=%g|prev=%s|", r.V, r.Slot, r.Step, r.Seconds, r.Prev)
+		h.Write(r.State)
+		if got, want := HashCheckpoint(r), hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%+v: hash %s, fmt header gives %s", r, got, want)
+		}
+	}
+}
+
+// TestCheckpointStateRoundTrip: a chain whose state holds JSON
+// whitespace or HTML characters still validates after the capture
+// writes it and ReadCheckpoints reads it back, because the bytes hashed
+// are the bytes written.
+func TestCheckpointStateRoundTrip(t *testing.T) {
+	l := NewCheckpointLog()
+	for i, state := range []string{
+		`{"a": 1}`,
+		"{\n\t\"a\": [1, 2]\r\n}",
+		` {"a":1} `,
+		`{"s":"<x&y>"}`,
+		`{"a":1}`,
+	} {
+		l.Append(i, 600*i, float64(600*i), json.RawMessage(state))
+	}
+	c := NewCapture()
+	c.Contribute(RunArtifact{Key: "HEB-D|PR|1h0m0s|seed=1", Checkpoints: l.Records()})
+	dir := t.TempDir()
+	if err := c.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "checkpoints.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	records, err := ReadCheckpoints(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 5 {
+		t.Fatalf("read %d records, want 5", len(records))
+	}
+	if err := ValidateCheckpoints(records); err != nil {
+		t.Fatalf("written chain does not validate: %v", err)
 	}
 }

@@ -12,16 +12,45 @@ import (
 // alerts).
 func WriteJSONL[T any](w io.Writer, recs []T) error {
 	bw := bufio.NewWriter(w)
-	if err := encodeAll(json.NewEncoder(bw), recs); err != nil {
+	if err := encodeAll(newJSONLEncoder(bw), recs); err != nil {
 		return fmt.Errorf("obs: write JSONL: %w", err)
 	}
 	return bw.Flush()
 }
 
+// jsonlEncoder writes records one JSON object per line to w: a record
+// type with an appendJSON method through one reused buffer, any other
+// through encoding/json.
+type jsonlEncoder struct {
+	w   io.Writer
+	enc *json.Encoder
+	buf []byte
+}
+
+func newJSONLEncoder(w io.Writer) *jsonlEncoder {
+	return &jsonlEncoder{w: w, enc: json.NewEncoder(w)}
+}
+
+// encode writes one record; on error it writes nothing.
+func (e *jsonlEncoder) encode(v any) error {
+	a, ok := v.(jsonAppender)
+	if !ok {
+		return e.enc.Encode(v)
+	}
+	b, err := a.appendJSON(e.buf[:0])
+	e.buf = b
+	if err != nil {
+		return err
+	}
+	e.buf = append(e.buf, '\n')
+	_, err = e.w.Write(e.buf)
+	return err
+}
+
 // encodeAll writes recs one JSON object per line.
-func encodeAll[T any](enc *json.Encoder, recs []T) error {
+func encodeAll[T any](e *jsonlEncoder, recs []T) error {
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
+		if err := e.encode(&recs[i]); err != nil {
 			return err
 		}
 	}

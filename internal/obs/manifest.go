@@ -151,7 +151,7 @@ func parseRunKey(key string) (scheme, workload string, durationS float64, seed i
 			durationS = d.Seconds()
 		}
 	}
-	for _, p := range parts[3:] {
+	for _, p := range parts[min(3, len(parts)):] {
 		if v, ok := strings.CutPrefix(p, "seed="); ok {
 			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 				seed = n
@@ -224,7 +224,7 @@ func runManifest(a *RunArtifact, fingerprint string, bytes int64) RunManifest {
 // order matches Runs(), so the manifest is deterministic for any worker
 // count.
 func (c *Capture) BuildManifest() Manifest {
-	s := c.snapshot()
+	s := c.snapshot(true)
 	// Into io.Discard only a record json cannot encode fails, and the
 	// file write reports that.
 	bytes, _, _ := s.write("")

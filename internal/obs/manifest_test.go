@@ -267,3 +267,39 @@ func TestRunBytesMatchWrittenArtifacts(t *testing.T) {
 		t.Errorf("BuildManifest differs from the written manifest:\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestWriteFilesShortRunKeys: keys with fewer fields than a heb run key
+// write a capture whose manifest parses the fields present and leaves
+// the rest zero.
+func TestWriteFilesShortRunKeys(t *testing.T) {
+	want := map[string]RunManifest{
+		"k":                             {Scheme: "k"},
+		"HEB-D|PR":                      {Scheme: "HEB-D", Workload: "PR"},
+		"HEB-D|PR|2h0m0s":               {Scheme: "HEB-D", Workload: "PR", DurationSeconds: 7200},
+		"HEB-D|PR|1h0m0s|seed=7|cfg=ab": {Scheme: "HEB-D", Workload: "PR", DurationSeconds: 3600, Seed: 7, ConfigHash: "ab"},
+	}
+	c := NewCapture()
+	for key := range want {
+		c.Contribute(RunArtifact{Key: key})
+	}
+	dir := t.TempDir()
+	if err := c.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Runs) != len(want) {
+		t.Fatalf("manifest holds %d runs, want %d", len(m.Runs), len(want))
+	}
+	for _, r := range m.Runs {
+		w := want[r.Key]
+		if r.Scheme != w.Scheme || r.Workload != w.Workload || r.DurationSeconds != w.DurationSeconds ||
+			r.Seed != w.Seed || r.ConfigHash != w.ConfigHash {
+			t.Errorf("key %q parsed as %q %q %g %d %q, want %q %q %g %d %q", r.Key,
+				r.Scheme, r.Workload, r.DurationSeconds, r.Seed, r.ConfigHash,
+				w.Scheme, w.Workload, w.DurationSeconds, w.Seed, w.ConfigHash)
+		}
+	}
+}
