@@ -32,7 +32,6 @@ var dashboardHTML []byte
 type monitor struct {
 	rec     *telemetry.Recorder
 	metrics *telemetry.Metrics
-	proc    *telemetry.ProcMetrics
 	rt      *telemetry.RuntimeMetrics
 	stream  *obs.EventStream
 	reg     *registry.Registry
@@ -44,9 +43,21 @@ type monitor struct {
 	sseReported int64
 }
 
+// newMonitor builds a monitor whose recorder keeps history snapshots,
+// with the runtime sampler on its metrics registry and no run registry.
+func newMonitor(history int) *monitor {
+	m := &monitor{
+		rec:     telemetry.MustNewRecorder(history),
+		metrics: telemetry.NewMetrics(nil),
+		stream:  obs.NewEventStream(0),
+	}
+	m.rt = telemetry.NewRuntimeMetrics(m.metrics.Registry())
+	return m
+}
+
 // mux composes the monitor API: the recorder endpoints at their
 // historical paths, the SSE event stream, Prometheus exposition (with
-// fresh heb_proc_* gauges per scrape), pprof, the run registry API and
+// fresh runtime series per scrape), pprof, the run registry API and
 // the embedded dashboard page. Nothing registers on the default mux.
 func (m *monitor) mux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -61,7 +72,7 @@ func (m *monitor) mux() *http.ServeMux {
 	// before every scrape so lossy SSE delivery is visible on /metrics.
 	sseDrops := m.metrics.Registry().Counter("heb_sse_dropped_total",
 		"SSE events dropped to slow /events subscribers.")
-	metricsH := m.proc.Handler(m.rt.Handler(m.metrics.Registry().Handler()))
+	metricsH := m.rt.Handler(m.metrics.Registry().Handler())
 	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.sseMu.Lock()
 		if d := m.stream.Dropped(); d > m.sseReported {

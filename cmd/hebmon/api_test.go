@@ -14,7 +14,6 @@ import (
 	"heb/internal/obs/alerts"
 	"heb/internal/obs/prof"
 	"heb/internal/obs/registry"
-	"heb/internal/telemetry"
 )
 
 // captureTwoSeeds records two real HEB-D runs of the same configuration
@@ -54,13 +53,7 @@ func captureTwoSeeds(t testing.TB, dir string) obs.Manifest {
 // ("" = no registry).
 func newTestMonitor(t testing.TB, root string) (*monitor, *httptest.Server) {
 	t.Helper()
-	m := &monitor{
-		rec:     telemetry.MustNewRecorder(16),
-		metrics: telemetry.NewMetrics(nil),
-		stream:  obs.NewEventStream(0),
-	}
-	m.proc = telemetry.NewProcMetrics(m.metrics.Registry())
-	m.rt = telemetry.NewRuntimeMetrics(m.metrics.Registry())
+	m := newMonitor(16)
 	if root != "" {
 		m.reg = registry.New(root)
 		if err := m.reg.Scan(); err != nil {
@@ -354,13 +347,7 @@ func TestMetricsReportSSEDrops(t *testing.T) {
 }
 
 func TestReadyzGatesOnScan(t *testing.T) {
-	m := &monitor{
-		rec:     telemetry.MustNewRecorder(16),
-		metrics: telemetry.NewMetrics(nil),
-		stream:  obs.NewEventStream(0),
-	}
-	m.proc = telemetry.NewProcMetrics(m.metrics.Registry())
-	m.rt = telemetry.NewRuntimeMetrics(m.metrics.Registry())
+	m := newMonitor(16)
 	ts := httptest.NewServer(m.mux())
 	defer ts.Close()
 	if code, _ := get(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {

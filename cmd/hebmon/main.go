@@ -50,11 +50,9 @@ import (
 
 	"heb"
 	"heb/internal/logging"
-	"heb/internal/obs"
 	"heb/internal/obs/alerts"
 	"heb/internal/obs/registry"
 	"heb/internal/sim"
-	"heb/internal/telemetry"
 )
 
 // shutdownGrace bounds how long in-flight HTTP requests may drain.
@@ -119,13 +117,7 @@ func run(addr, scheme, wl string, duration time.Duration, speedup float64, histo
 		return err
 	}
 
-	m := &monitor{
-		rec:     telemetry.MustNewRecorder(history),
-		metrics: telemetry.NewMetrics(nil),
-		stream:  obs.NewEventStream(0),
-	}
-	m.proc = telemetry.NewProcMetrics(m.metrics.Registry())
-	m.rt = telemetry.NewRuntimeMetrics(m.metrics.Registry())
+	m := newMonitor(history)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"heb"
@@ -31,7 +29,6 @@ import (
 	"heb/internal/runner"
 	"heb/internal/sim"
 	"heb/internal/solar"
-	"heb/internal/telemetry"
 	"heb/internal/trace"
 	"heb/internal/units"
 )
@@ -61,7 +58,6 @@ func main() {
 		resume   = flag.Bool("resume", false, "flight recorder: resume the interrupted -exp run recorded in <obs>/checkpoints.jsonl: re-run it from the seed, check it against the recorded chain, and append the records past its end")
 		replay   = flag.String("replay", "", "flight recorder: re-run to the end of the slot window \"[run:]A-B\", checking the run against <obs>/checkpoints.jsonl on the way, and print the window's events and decisions (-exp run)")
 		logMode  = flag.String("log", logging.ModeText, "structured log format on stderr: text (deterministic) or json")
-		telAddr  = flag.String("telemetry", "", "serve live heb_runner_*/heb_proc_* self-telemetry at this address while the sweep runs (e.g. :9100)")
 	)
 	flag.Parse()
 	if err := logging.Setup(os.Stderr, *logMode, logging.Options{}); err != nil {
@@ -166,16 +162,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *telAddr != "" {
-		nw := *workers
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		prog := &runner.Progress{}
-		p.Progress = prog
-		go serveTelemetry(*telAddr, prog, nw)
-	}
-
 	if collector != nil {
 		// The collector window opens just before the experiments and
 		// closes right after them, so artifact serialization below never
@@ -254,31 +240,6 @@ func parseMode(name, value string) alerts.Mode {
 		os.Exit(2)
 	}
 	return m
-}
-
-// serveTelemetry exposes the process's live self-telemetry — the
-// heb_runner_* pool family fed by prog plus the heb_proc_* and
-// heb_runtime_* runtime families — at addr/metrics for the duration of
-// the sweep. Serving is strictly
-// observational: scrapes never touch simulation state, so experiment
-// output is unchanged.
-func serveTelemetry(addr string, prog *runner.Progress, workers int) {
-	reg := obs.NewRegistry()
-	rm := telemetry.NewRunnerMetrics(reg, prog, workers)
-	pm := telemetry.NewProcMetrics(reg)
-	rt := telemetry.NewRuntimeMetrics(reg)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.Handle("/metrics", pm.Handler(rt.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rm.Sample()
-		reg.Handler().ServeHTTP(w, r)
-	}))))
-	slog.Info("telemetry listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		slog.Warn("telemetry server stopped", "err", err)
-	}
 }
 
 // writeTrace exports the tracer as a Chrome trace-event JSON file.
@@ -370,11 +331,8 @@ func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Pow
 	// simulation run feeds its step count through Prototype.Progress, so
 	// the report shows queue depth, utilization and aggregate steps/s
 	// without perturbing the (deterministic) experiment output on stdout.
-	prog := p.Progress
-	if prog == nil {
-		prog = &runner.Progress{}
-		p.Progress = prog
-	}
+	prog := &runner.Progress{}
+	p.Progress = prog
 	nworkers := runner.Workers(workers, len(suite))
 	stop := make(chan struct{})
 	reporterDone := make(chan struct{})

@@ -769,6 +769,20 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	return res, nil
 }
 
+// withoutWiring returns p with its per-run wiring cleared, for hashing
+// into runKey and poolKey. The observability pointers would hash as
+// addresses, making keys depend on scheduling, and the trace group is a
+// label; none of them influences results.
+func (p Prototype) withoutWiring() Prototype {
+	p.Capture = nil
+	p.Progress = nil
+	p.Audits = nil
+	p.Alerts = nil
+	p.Tracer = nil
+	p.TraceCell = ""
+	return p
+}
+
 // runKey fingerprints one run's configuration for capture artifacts. The
 // readable prefix carries the headline knobs; the trailing cfg= hash
 // covers every remaining prototype field (battery chemistry, PAT tuning,
@@ -785,17 +799,7 @@ func (p Prototype) runKey(id SchemeID, workload Workload, duration time.Duration
 		feed = fmt.Sprintf("%T", opts.Feed)
 	}
 	h := fnv.New64a()
-	// Pointer-valued observability fields would hash as addresses, making
-	// keys depend on scheduling; they never influence results, so nil them.
-	// The trace group is a label, not configuration.
-	q := p
-	q.Capture = nil
-	q.Progress = nil
-	q.Audits = nil
-	q.Alerts = nil
-	q.Tracer = nil
-	q.TraceCell = ""
-	fmt.Fprintf(h, "%+v", q)
+	fmt.Fprintf(h, "%+v", p.withoutWiring())
 	fmt.Fprintf(h, "|%T|%T|table=%v", opts.PeakPredictor, opts.ValleyPredictor, opts.Table != nil)
 	return fmt.Sprintf("%s|%s|%s|seed=%d|n=%d|budget=%g|storage=%g|scratio=%g|topo=%d|feed=%s|renew=%v|noise=%g|preage=%g|cfg=%016x",
 		id, workload.Name(), duration, p.Seed, p.NumServers, float64(budget),

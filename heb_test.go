@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"heb/internal/esd"
+	"heb/internal/obs"
+	"heb/internal/obs/alerts"
 	"heb/internal/pat"
 	"heb/internal/power"
+	"heb/internal/runner"
 	"heb/internal/sim"
 	"heb/internal/units"
 )
@@ -368,5 +371,27 @@ func TestRunKeyIgnoresTraceCell(t *testing.T) {
 	b.PATConfig.DeltaR *= 2
 	if key(a) == key(b) {
 		t.Fatal("a PAT tuning change left the run key unchanged")
+	}
+}
+
+// TestKeysIgnoreWiring: a prototype with every per-run wiring field set
+// keys its runs and its pooled state like a bare one.
+func TestKeysIgnoreWiring(t *testing.T) {
+	pr, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, wired := DefaultPrototype(), DefaultPrototype()
+	wired.Capture = obs.NewCapture()
+	wired.Progress = &runner.Progress{}
+	wired.Audits = obs.NewAuditLog()
+	wired.Alerts = alerts.NewLog()
+	wired.Tracer = obs.NewTracer()
+	wired.TraceCell = "fig12a"
+	if a, b := bare.runKey(HEBD, pr, time.Hour, RunOptions{}), wired.runKey(HEBD, pr, time.Hour, RunOptions{}); a != b {
+		t.Errorf("wiring changed the run key:\n%s\n%s", a, b)
+	}
+	if a, b := bare.poolKey(HEBD, bare.Budget), wired.poolKey(HEBD, wired.Budget); a != b {
+		t.Errorf("wiring changed the pool key:\n%s\n%s", a, b)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -148,68 +147,80 @@ func (c *Capture) Len() int {
 func (c *Capture) Runs() []RunArtifact { return c.snapshot(false).runs }
 
 // snapshot is a capture sorted once into output order: the label, the
-// runs and each run's content fingerprint ("" for a run that was not
+// runs and each run's fingerprint digests (zero for a run that was not
 // fingerprinted).
 type snapshot struct {
 	label string
 	runs  []RunArtifact
-	fps   []string
+	sums  []runDigests
 }
 
-// snapshot copies the contributed runs and sorts them by (Key,
-// fingerprint). It fingerprints every run when all is set (the manifest
-// needs each run's fingerprint), and otherwise only the runs whose key
-// ties another's, which are all that the order needs.
+// snapshot copies the contributed runs and sorts them by (Key, content
+// digest). It fingerprints every run when all is set (the manifest
+// needs each run's digests), and otherwise only the runs whose key ties
+// another's, which are all that the order needs.
 func (c *Capture) snapshot(all bool) snapshot {
 	c.mu.Lock()
-	label := c.label
-	out := append([]RunArtifact(nil), c.runs...)
+	s := snapshot{label: c.label, runs: append([]RunArtifact(nil), c.runs...)}
 	c.mu.Unlock()
-	idx := make([]int, len(out))
-	for i := range out {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return out[idx[a]].Key < out[idx[b]].Key })
+	sort.SliceStable(s.runs, func(a, b int) bool { return s.runs[a].Key < s.runs[b].Key })
+	s.sums = make([]runDigests, len(s.runs))
 	// Key collisions are legitimate (a suite may run the same cell in
 	// several experiments, and a key cannot encode every config knob), so
 	// ties must order by full content to keep the written files
 	// scheduling-independent.
-	fps := make([]string, len(out))
-	for lo := 0; lo < len(idx); {
+	var f fingerprint
+	for lo := 0; lo < len(s.runs); {
 		hi := lo + 1
-		for hi < len(idx) && out[idx[hi]].Key == out[idx[lo]].Key {
+		for hi < len(s.runs) && s.runs[hi].Key == s.runs[lo].Key {
 			hi++
 		}
 		if all || hi-lo > 1 {
-			for _, i := range idx[lo:hi] {
-				fps[i] = artifactFingerprint(out[i])
+			if f.content == nil {
+				f = newFingerprint()
+			}
+			for i := lo; i < hi; i++ {
+				f.sum(&s.runs[i], &s.sums[i])
 			}
 		}
-		if hi-lo > 1 {
-			tie := idx[lo:hi]
-			sort.SliceStable(tie, func(a, b int) bool { return fps[tie[a]] < fps[tie[b]] })
+		// Stable insertion sort by content digest: a tie is a handful of runs.
+		for i := lo + 1; i < hi; i++ {
+			for j := i; j > lo && string(s.sums[j].content[:]) < string(s.sums[j-1].content[:]); j-- {
+				s.runs[j], s.runs[j-1] = s.runs[j-1], s.runs[j]
+				s.sums[j], s.sums[j-1] = s.sums[j-1], s.sums[j]
+			}
 		}
 		lo = hi
-	}
-	s := snapshot{label: label, runs: make([]RunArtifact, len(out)), fps: make([]string, len(out))}
-	for k, i := range idx {
-		s.runs[k], s.fps[k] = out[i], fps[i]
 	}
 	return s
 }
 
-// artifactFingerprint summarizes an artifact's full simulated content —
-// counters, every event, every decision record — so that artifacts
-// sharing a Key still sort deterministically. Its bytes are what fmt's
-// %d, %g, %s and %v verbs would print for each field (RunIDs hash them),
-// written with strconv into one builder sized from the record counts.
-func artifactFingerprint(a RunArtifact) string {
-	var f fingerprint
-	// Bytes per record on hooks-on captures run up to about 26 (event),
-	// 100 (decision), 130 (probe sample), 65 (checkpoint), 50 (alert)
-	// and 31 (metric); rounding up keeps the builder from regrowing.
-	f.Grow(64 + 32*len(a.Events) + 112*len(a.Decisions) + 136*len(a.Probes) +
-		66*len(a.Checkpoints) + 64*len(a.AlertEvents) + 40*len(a.Metrics))
+// runDigests are the SHA-256 sums of one run's fingerprint bytes: of
+// the bytes alone (the manifest fingerprint) and behind the run key and
+// a NUL (RunID).
+type runDigests struct{ content, id [sha256.Size]byte }
+
+// fingerprint streams an artifact's full simulated content — counters,
+// every event, every decision record — through a 1 KiB buffer into the
+// two states of runDigests, so that artifacts sharing a Key still sort
+// deterministically. One fingerprint serves every run of a snapshot.
+type fingerprint struct {
+	content, id hash.Hash
+	buf         []byte
+}
+
+func newFingerprint() fingerprint {
+	return fingerprint{content: sha256.New(), id: sha256.New(), buf: make([]byte, 0, 1<<10)}
+}
+
+// sum fingerprints a into dst.
+func (f *fingerprint) sum(a *RunArtifact, dst *runDigests) {
+	f.content.Reset()
+	f.id.Reset()
+	f.buf = append(append(f.buf[:0], a.Key...), 0)
+	f.id.Write(f.buf)
+	f.buf = f.buf[:0]
+
 	f.d("", a.Steps)
 	f.d("|", a.MismatchSteps)
 	f.d("|", a.Slots)
@@ -278,36 +289,46 @@ func artifactFingerprint(a RunArtifact) string {
 		f.s("|", k)
 		f.g("=", a.Metrics[k])
 	}
-	return f.String()
+
+	f.flush()
+	f.content.Sum(dst.content[:0])
+	f.id.Sum(dst.id[:0])
 }
 
-// fingerprint is artifactFingerprint's builder. Each method writes a
-// literal prefix, then one value as fmt prints it: d as %d, g as %g (the
-// shortest representation, so -0, NaN and +Inf print as fmt does), s as
-// %s and v as %v of a bool. Numbers are formatted in num first.
-type fingerprint struct {
-	strings.Builder
-	num [32]byte
+// flush hashes the buffered bytes into both states.
+func (f *fingerprint) flush() {
+	f.content.Write(f.buf)
+	f.id.Write(f.buf)
+	f.buf = f.buf[:0]
 }
 
-func (f *fingerprint) d(prefix string, n int64) {
-	f.WriteString(prefix)
-	f.Write(strconv.AppendInt(f.num[:0], n, 10))
-}
-
+// Each writer appends a literal prefix, then one value as fmt prints it:
+// d as %d, g as %g (the shortest form, so -0, NaN and +Inf print as fmt
+// does), s as %s and v as %v of a bool.
+func (f *fingerprint) s(prefix, str string)     { f.str(prefix); f.str(str) }
+func (f *fingerprint) d(prefix string, n int64) { f.buf = strconv.AppendInt(f.num(prefix), n, 10) }
+func (f *fingerprint) v(prefix string, b bool)  { f.buf = strconv.AppendBool(f.num(prefix), b) }
 func (f *fingerprint) g(prefix string, x float64) {
-	f.WriteString(prefix)
-	f.Write(strconv.AppendFloat(f.num[:0], x, 'g', -1, 64))
+	f.buf = strconv.AppendFloat(f.num(prefix), x, 'g', -1, 64)
 }
 
-func (f *fingerprint) s(prefix, str string) {
-	f.WriteString(prefix)
-	f.WriteString(str)
+// num writes prefix and returns the buffer with room for one number
+// (at most 24 bytes).
+func (f *fingerprint) num(prefix string) []byte {
+	if f.str(prefix); cap(f.buf)-len(f.buf) < 32 {
+		f.flush()
+	}
+	return f.buf
 }
 
-func (f *fingerprint) v(prefix string, b bool) {
-	f.WriteString(prefix)
-	f.Write(strconv.AppendBool(f.num[:0], b))
+// str buffers s, flushing each time the buffer fills.
+func (f *fingerprint) str(s string) {
+	for len(s) > cap(f.buf)-len(f.buf) {
+		n := copy(f.buf[len(f.buf):cap(f.buf)], s)
+		f.buf, s = f.buf[:cap(f.buf)], s[n:]
+		f.flush()
+	}
+	f.buf = append(f.buf, s...)
 }
 
 func sortedMetricKeys(m map[string]float64) []string {

@@ -200,7 +200,7 @@ func TestRunsOrderMatchesManifest(t *testing.T) {
 			t.Fatalf("order %v: Runs has %d runs, manifest %d", order, len(got), len(m.Runs))
 		}
 		for i, a := range got {
-			if id := RunID(a.Key, artifactFingerprint(a)); id != m.Runs[i].ID {
+			if id := RunID(a.Key, referenceFingerprint(a)); id != m.Runs[i].ID {
 				t.Errorf("order %v: Runs()[%d] is %s %s, manifest row is %s %s", order, i, a.Key, id, m.Runs[i].Key, m.Runs[i].ID)
 			}
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strings"
@@ -9,9 +10,9 @@ import (
 	"heb/internal/obs/alerts"
 )
 
-// referenceFingerprint is artifactFingerprint as first written, with fmt.
-// RunIDs and the capture's output order hash these bytes, so the strconv
-// version must reproduce them exactly.
+// referenceFingerprint is the fingerprint's bytes as first written, with
+// fmt. RunIDs and the capture's output order hash these bytes, so the
+// streamed strconv version must hash exactly them.
 func referenceFingerprint(a RunArtifact) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%d|%d|%d|%d", a.Steps, a.MismatchSteps, a.Slots, len(a.Events), len(a.Decisions))
@@ -82,8 +83,23 @@ func fuzzArtifact(x, y float64, n int64, s1, s2 string, b bool) RunArtifact {
 	}
 }
 
-// FuzzFingerprintMatchesReference holds artifactFingerprint to the fmt
-// reference byte for byte, over the float corner cases (NaN, ±Inf, -0,
+// checkDigests fails t unless fingerprinting a gives the SHA-256 sums of
+// its reference bytes, alone and behind its key and a NUL (RunID).
+func checkDigests(t *testing.T, f fingerprint, a RunArtifact) {
+	t.Helper()
+	var got runDigests
+	f.sum(&a, &got)
+	ref := referenceFingerprint(a)
+	if want := sha256.Sum256([]byte(ref)); got.content != want {
+		t.Fatalf("content digest differs from the fmt reference's (%d bytes): %q", len(ref), ref)
+	}
+	if want := RunID(a.Key, ref); fmt.Sprintf("%x", got.id[:6]) != want {
+		t.Fatalf("run id %x, want RunID %s (%d reference bytes)", got.id[:6], want, len(ref))
+	}
+}
+
+// FuzzFingerprintMatchesReference holds the streamed fingerprint to the
+// fmt reference's digests, over the float corner cases (NaN, ±Inf, -0,
 // subnormals, exponent forms), empty and non-UTF-8 strings, negative
 // counts and out-of-range enum values.
 func FuzzFingerprintMatchesReference(f *testing.F) {
@@ -93,15 +109,26 @@ func FuzzFingerprintMatchesReference(f *testing.F) {
 	f.Add(1e21, 1e-7, int64(math.MinInt64), "a|b:c", "\xff\xfe", true)
 	f.Add(5e-324, math.MaxFloat64, int64(255), "HEB-D/PR", "ok", false)
 	f.Add(123456.789, -0.000123, int64(3600), "x", "y", true)
+	fp := newFingerprint()
 	f.Fuzz(func(t *testing.T, x, y float64, n int64, s1, s2 string, b bool) {
-		a := fuzzArtifact(x, y, n, s1, s2, b)
-		if got, want := artifactFingerprint(a), referenceFingerprint(a); got != want {
-			t.Fatalf("fingerprint differs from the fmt reference:\n got  %q\n want %q", got, want)
-		}
+		checkDigests(t, fp, fuzzArtifact(x, y, n, s1, s2, b))
 		var empty RunArtifact
 		empty.Steps = n
-		if got, want := artifactFingerprint(empty), referenceFingerprint(empty); got != want {
-			t.Fatalf("empty-artifact fingerprint differs:\n got  %q\n want %q", got, want)
-		}
+		checkDigests(t, fp, empty)
 	})
+}
+
+// TestFingerprintCrossesFlushes checks an artifact whose fingerprint is
+// many buffers long, with a key longer than one buffer.
+func TestFingerprintCrossesFlushes(t *testing.T) {
+	a := fuzzArtifact(math.Pi, -1e-300, 7, strings.Repeat("k", 1<<10+3), "ok", true)
+	for i := 0; i < 2000; i++ {
+		x := float64(i) / 3
+		a.Events = append(a.Events, Event{Seconds: x, Kind: EventKind(i % 5), Server: i, From: "battery", To: "utility", Watts: -x})
+		a.Decisions = append(a.Decisions, DecisionRecord{Slot: i, Mode: "split", Ratio: x, PredictedPeakW: 1 / x, ActualPeakW: x * x})
+	}
+	if n := len(referenceFingerprint(a)); n < 64<<10 {
+		t.Fatalf("reference fingerprint is %d bytes, want at least 64 KiB", n)
+	}
+	checkDigests(t, newFingerprint(), a)
 }

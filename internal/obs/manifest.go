@@ -164,11 +164,10 @@ func parseRunKey(key string) (scheme, workload string, durationS float64, seed i
 }
 
 // runManifest builds one run's index row from its contributed artifact,
-// its content fingerprint and its bytes across the JSONL artifacts
+// its fingerprint digests and its bytes across the JSONL artifacts
 // (metrics.prom is aggregate and not attributable).
-func runManifest(a *RunArtifact, fingerprint string, bytes int64) RunManifest {
+func runManifest(a *RunArtifact, sums *runDigests, bytes int64) RunManifest {
 	scheme, workload, durationS, seed, cfgHash := parseRunKey(a.Key)
-	fp := sha256.Sum256([]byte(fingerprint))
 	rm := RunManifest{
 		Key:             a.Key,
 		Scheme:          scheme,
@@ -177,7 +176,7 @@ func runManifest(a *RunArtifact, fingerprint string, bytes int64) RunManifest {
 		Seed:            seed,
 		ConfigHash:      cfgHash,
 		Status:          StatusComplete,
-		Fingerprint:     hex.EncodeToString(fp[:6]),
+		Fingerprint:     hex.EncodeToString(sums.content[:6]),
 		Bytes:           bytes,
 		Summary: RunSummary{
 			Steps:         a.Steps,
@@ -191,7 +190,8 @@ func runManifest(a *RunArtifact, fingerprint string, bytes int64) RunManifest {
 			PATMisses:     a.PATMisses,
 		},
 	}
-	rm.ID = RunID(a.Key, fingerprint)
+	// RunID(a.Key, fingerprint bytes), hashed as the bytes streamed.
+	rm.ID = hex.EncodeToString(sums.id[:6])
 	for _, n := range a.RelaySwitches {
 		rm.Summary.RelaySwitches += n
 	}
@@ -235,7 +235,7 @@ func (c *Capture) BuildManifest() Manifest {
 func (s snapshot) manifest(bytes []int64) Manifest {
 	m := Manifest{V: ManifestVersion, Status: StatusComplete, Label: s.label}
 	for i := range s.runs {
-		m.Runs = append(m.Runs, runManifest(&s.runs[i], s.fps[i], bytes[i]))
+		m.Runs = append(m.Runs, runManifest(&s.runs[i], &s.sums[i], bytes[i]))
 	}
 	return m
 }

@@ -25,20 +25,6 @@ type Progress struct {
 	units      atomic.Int64
 	ckpts      atomic.Int64
 	firstStart atomic.Int64 // unix nanos of the first job start, 0 = none
-	cellObs    atomic.Pointer[func(d time.Duration, failed bool)]
-}
-
-// SetCellObserver installs a callback invoked at every job completion
-// with the cell's wall time and failure flag — the hook the telemetry
-// bridge feeds its per-cell latency histogram from. Pass nil to remove.
-// The observer runs on the worker goroutine and must be cheap and
-// concurrency-safe.
-func (p *Progress) SetCellObserver(fn func(d time.Duration, failed bool)) {
-	if fn == nil {
-		p.cellObs.Store(nil)
-		return
-	}
-	p.cellObs.Store(&fn)
 }
 
 // ProgressSnapshot is a point-in-time copy of a Progress.
@@ -119,15 +105,11 @@ func (p *Progress) jobStart() time.Time {
 
 // jobEnd marks a job leaving a worker.
 func (p *Progress) jobEnd(start time.Time, failed bool) {
-	d := time.Since(start)
-	p.cellNanos.Add(int64(d))
+	p.cellNanos.Add(int64(time.Since(start)))
 	p.active.Add(-1)
 	p.done.Add(1)
 	if failed {
 		p.failed.Add(1)
-	}
-	if fn := p.cellObs.Load(); fn != nil {
-		(*fn)(d, failed)
 	}
 }
 

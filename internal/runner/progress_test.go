@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,91 +114,5 @@ func TestMapProgressCancelledCountsFailures(t *testing.T) {
 	// the snapshot still reports the full queue as Total.
 	if s := p.Snapshot(); s.Total != 5 {
 		t.Errorf("total = %d, want 5", s.Total)
-	}
-}
-
-// TestCellObserverFiresOncePerCell pins the SetCellObserver contract:
-// for any worker count the callback fires exactly once per cell — failed
-// cells included, with the failure flag set — and the durations it sees
-// sum to the snapshot's CellSeconds.
-func TestCellObserverFiresOncePerCell(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var p Progress
-			var mu sync.Mutex
-			fired, failures := 0, 0
-			var seen time.Duration
-			p.SetCellObserver(func(d time.Duration, failed bool) {
-				mu.Lock()
-				fired++
-				seen += d
-				if failed {
-					failures++
-				}
-				mu.Unlock()
-			})
-			const n = 40
-			_, err := MapProgress(context.Background(), n, workers, &p, func(_ context.Context, i int) (int, error) {
-				if i%10 == 3 {
-					return 0, fmt.Errorf("cell %d boom", i)
-				}
-				return i, nil
-			})
-			if err == nil {
-				t.Fatal("expected the seeded failures to surface")
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if fired != n {
-				t.Errorf("observer fired %d times, want exactly %d", fired, n)
-			}
-			if failures != 4 {
-				t.Errorf("observer saw %d failures, want 4", failures)
-			}
-			s := p.Snapshot()
-			if got := time.Duration(s.CellSeconds * float64(time.Second)); seen < got/2 || seen > got*2 {
-				t.Errorf("observer durations sum to %v, snapshot says %v", seen, got)
-			}
-		})
-	}
-}
-
-// TestCellObserverNilResetMidSweep removes the observer while cells are
-// still completing: the swap must be safe (no panic, no observer call
-// after its view of the world is gone) and cells finishing afterwards
-// simply go unobserved.
-func TestCellObserverNilResetMidSweep(t *testing.T) {
-	var p Progress
-	var fired atomic.Int64
-	release := make(chan struct{})
-	p.SetCellObserver(func(time.Duration, bool) { fired.Add(1) })
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = MapProgress(context.Background(), 32, 4, &p, func(_ context.Context, i int) (struct{}, error) {
-			if i == 0 {
-				// First cell: drop the observer while the sweep is live.
-				p.SetCellObserver(nil)
-				close(release)
-			}
-			<-release
-			return struct{}{}, nil
-		})
-	}()
-	<-done
-	// At least the cells that completed before the reset may have fired;
-	// afterwards none do, so the count can never reach the full sweep.
-	if n := fired.Load(); n >= 32 {
-		t.Errorf("observer fired %d times after a mid-sweep nil reset", n)
-	}
-	// Reinstalling after a nil reset works.
-	p.SetCellObserver(func(time.Duration, bool) { fired.Add(100) })
-	if _, err := MapProgress(context.Background(), 1, 1, &p, func(_ context.Context, _ int) (struct{}, error) {
-		return struct{}{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fired.Load() < 100 {
-		t.Error("reinstalled observer did not fire")
 	}
 }

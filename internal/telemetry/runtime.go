@@ -9,115 +9,126 @@ import (
 	"heb/internal/obs"
 )
 
-// RuntimeMetrics exports a curated slice of runtime/metrics as the
-// heb_runtime_* family — the scheduler- and GC-level signals the
-// heb_proc_* MemStats view cannot see:
+// RuntimeMetrics exports the process's Go-runtime health, read from
+// runtime/metrics (which, unlike runtime.ReadMemStats, never stops the
+// world):
 //
-//	heb_runtime_gc_pause_seconds{q}      gauge, GC stop-the-world pause quantiles
-//	heb_runtime_sched_latency_seconds{q} gauge, goroutine scheduling latency quantiles
+//	heb_proc_heap_alloc_bytes            gauge, heap bytes in objects
+//	heb_proc_heap_objects                gauge, heap objects
+//	heb_proc_goroutines                  gauge
 //	heb_runtime_heap_goal_bytes          gauge, the pacer's current heap target
 //	heb_runtime_gomaxprocs               gauge
+//	heb_proc_gc_runs_total               counter, completed GC cycles
+//	heb_runtime_gc_pause_seconds{q}      gauge, GC stop-the-world pause quantiles
+//	heb_runtime_sched_latency_seconds{q} gauge, goroutine scheduling latency quantiles
 //	heb_runtime_cpu_utilization          gauge, 0..1 non-idle share of GOMAXPROCS
 //	                                     since the previous sample
 //
 // The runtime publishes pauses and latencies as histograms of all-time
 // totals; obs.Histogram only ingests individual observations, so the
-// distributions surface as quantile-labeled gauges instead. Like
-// ProcMetrics, values are pulled: call Sample before serving /metrics or
-// wrap the handler.
+// distributions surface as quantile-labeled gauges instead. Values are
+// pulled: call Sample before serving /metrics or wrap the handler with
+// Handler, which does it per scrape.
 type RuntimeMetrics struct {
-	gcPause  map[string]*obs.Gauge
-	schedLat map[string]*obs.Gauge
-	heapGoal *obs.Gauge
-	maxProcs *obs.Gauge
-	cpuUtil  *obs.Gauge
+	gauges            []*obs.Gauge // one per runtimeGauges entry
+	gcRuns            *obs.Counter
+	gcPause, schedLat [len(runtimeQuantiles)]*obs.Gauge
+	cpuUtil           *obs.Gauge
 
 	mu       sync.Mutex
-	samples  []metrics.Sample
-	lastIdle float64 // cumulative /cpu/classes/idle:cpu-seconds
-	lastAll  float64 // cumulative /cpu/classes/total:cpu-seconds
+	samples  []metrics.Sample // runtimeGauges, then rmDerived
+	lastGCs  uint64           // cumulative /gc/cycles/total:gc-cycles
+	lastIdle float64          // cumulative /cpu/classes/idle:cpu-seconds
+	lastAll  float64          // cumulative /cpu/classes/total:cpu-seconds
 	primed   bool
 }
 
 // runtimeQuantiles are the points reported for each runtime histogram.
-var runtimeQuantiles = []struct {
+var runtimeQuantiles = [...]struct {
 	label string
 	q     float64
 }{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
 
-// The runtime/metrics names RuntimeMetrics reads, in samples order.
-const (
-	rmGCPause  = "/sched/pauses/total/gc:seconds"
-	rmSchedLat = "/sched/latencies:seconds"
-	rmHeapGoal = "/gc/heap/goal:bytes"
-	rmMaxProcs = "/sched/gomaxprocs:threads"
-	rmCPUIdle  = "/cpu/classes/idle:cpu-seconds"
-	rmCPUAll   = "/cpu/classes/total:cpu-seconds"
-)
+// runtimeGauges are the KindUint64 runtime metrics published as is.
+var runtimeGauges = []struct{ metric, series, help string }{
+	{"/memory/classes/heap/objects:bytes", "heb_proc_heap_alloc_bytes", "Heap bytes occupied by objects."},
+	{"/gc/heap/objects:objects", "heb_proc_heap_objects", "Heap objects."},
+	{"/sched/goroutines:goroutines", "heb_proc_goroutines", "Goroutines currently running."},
+	{"/gc/heap/goal:bytes", "heb_runtime_heap_goal_bytes", "GC pacer heap goal."},
+	{"/sched/gomaxprocs:threads", "heb_runtime_gomaxprocs", "GOMAXPROCS at the latest sample."},
+}
 
-// NewRuntimeMetrics registers the heb_runtime_* family on reg (nil gets a
-// private registry).
+// rmDerived are the runtime metrics read after runtimeGauges, in the
+// order Sample unpacks them.
+var rmDerived = []string{
+	"/gc/cycles/total:gc-cycles",
+	"/sched/pauses/total/gc:seconds",
+	"/sched/latencies:seconds",
+	"/cpu/classes/idle:cpu-seconds",
+	"/cpu/classes/total:cpu-seconds",
+}
+
+// NewRuntimeMetrics registers the heb_proc_* and heb_runtime_* families
+// on reg (nil gets a private registry).
 func NewRuntimeMetrics(reg *obs.Registry) *RuntimeMetrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	r := &RuntimeMetrics{
-		gcPause:  map[string]*obs.Gauge{},
-		schedLat: map[string]*obs.Gauge{},
-		heapGoal: reg.Gauge("heb_runtime_heap_goal_bytes", "GC pacer heap goal (/gc/heap/goal)."),
-		maxProcs: reg.Gauge("heb_runtime_gomaxprocs", "GOMAXPROCS at the latest sample."),
+		gcRuns: reg.Counter("heb_proc_gc_runs_total", "Completed garbage collection cycles."),
 		cpuUtil: reg.Gauge("heb_runtime_cpu_utilization",
 			"Non-idle share (0..1) of available CPU since the previous sample (/cpu/classes)."),
 	}
-	for _, pt := range runtimeQuantiles {
-		lbl := obs.Label{Name: "q", Value: pt.label}
-		r.gcPause[pt.label] = reg.Gauge("heb_runtime_gc_pause_seconds",
-			"GC stop-the-world pause distribution quantiles (/sched/pauses/total/gc).", lbl)
-		r.schedLat[pt.label] = reg.Gauge("heb_runtime_sched_latency_seconds",
-			"Goroutine scheduling latency distribution quantiles (/sched/latencies).", lbl)
+	for _, g := range runtimeGauges {
+		r.gauges = append(r.gauges, reg.Gauge(g.series, g.help+" ("+g.metric+")"))
+		r.samples = append(r.samples, metrics.Sample{Name: g.metric})
 	}
-	r.samples = []metrics.Sample{
-		{Name: rmGCPause}, {Name: rmSchedLat}, {Name: rmHeapGoal},
-		{Name: rmMaxProcs}, {Name: rmCPUIdle}, {Name: rmCPUAll},
+	for _, name := range rmDerived {
+		r.samples = append(r.samples, metrics.Sample{Name: name})
+	}
+	for i, pt := range runtimeQuantiles {
+		lbl := obs.Label{Name: "q", Value: pt.label}
+		r.gcPause[i] = reg.Gauge("heb_runtime_gc_pause_seconds",
+			"GC stop-the-world pause distribution quantiles (/sched/pauses/total/gc).", lbl)
+		r.schedLat[i] = reg.Gauge("heb_runtime_sched_latency_seconds",
+			"Goroutine scheduling latency distribution quantiles (/sched/latencies).", lbl)
 	}
 	return r
 }
 
-// Sample refreshes every heb_runtime_* gauge from runtime/metrics. Safe
-// for concurrent scrapes.
+// Sample refreshes every series from one runtime/metrics read. The read
+// and the apply run under one mutex: were a stale reading applied after
+// a fresher one, the GC-cycle delta would run backwards. The counter
+// also only advances on a reading not lower than the last. A metric
+// this Go release does not publish (another value kind) is skipped.
 func (r *RuntimeMetrics) Sample() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
 	metrics.Read(r.samples)
-	for i := range r.samples {
-		s := &r.samples[i]
-		switch s.Name {
-		case rmGCPause:
-			setHistogramQuantiles(r.gcPause, s.Value)
-		case rmSchedLat:
-			setHistogramQuantiles(r.schedLat, s.Value)
-		case rmHeapGoal:
-			if s.Value.Kind() == metrics.KindUint64 {
-				r.heapGoal.Set(float64(s.Value.Uint64()))
-			}
-		case rmMaxProcs:
-			if s.Value.Kind() == metrics.KindUint64 {
-				r.maxProcs.Set(float64(s.Value.Uint64()))
-			}
+	for i, g := range r.gauges {
+		if v := r.samples[i].Value; v.Kind() == metrics.KindUint64 {
+			g.Set(float64(v.Uint64()))
 		}
 	}
-	r.sampleCPU()
+	d := r.samples[len(r.gauges):]
+	cycles, pauses, latencies, idle, total := d[0].Value, d[1].Value, d[2].Value, d[3].Value, d[4].Value
+	if cycles.Kind() == metrics.KindUint64 && cycles.Uint64() >= r.lastGCs {
+		r.gcRuns.Add(float64(cycles.Uint64() - r.lastGCs))
+		r.lastGCs = cycles.Uint64()
+	}
+	setHistogramQuantiles(&r.gcPause, pauses)
+	setHistogramQuantiles(&r.schedLat, latencies)
+	r.sampleCPU(idle, total)
 }
 
 // sampleCPU turns the cumulative /cpu/classes counters into a busy-share
 // gauge over the window since the previous sample. Caller holds mu.
-func (r *RuntimeMetrics) sampleCPU() {
-	idleS, allS := r.samples[4], r.samples[5]
-	if idleS.Value.Kind() != metrics.KindFloat64 || allS.Value.Kind() != metrics.KindFloat64 {
+func (r *RuntimeMetrics) sampleCPU(idleV, allV metrics.Value) {
+	if idleV.Kind() != metrics.KindFloat64 || allV.Kind() != metrics.KindFloat64 {
 		return
 	}
-	idle, all := idleS.Value.Float64(), allS.Value.Float64()
+	idle, all := idleV.Float64(), allV.Float64()
 	dIdle, dAll := idle-r.lastIdle, all-r.lastAll
 	r.lastIdle, r.lastAll = idle, all
 	if !r.primed {
@@ -132,13 +143,13 @@ func (r *RuntimeMetrics) sampleCPU() {
 
 // setHistogramQuantiles projects a runtime Float64Histogram onto the
 // quantile gauges.
-func setHistogramQuantiles(gauges map[string]*obs.Gauge, v metrics.Value) {
+func setHistogramQuantiles(gauges *[len(runtimeQuantiles)]*obs.Gauge, v metrics.Value) {
 	if v.Kind() != metrics.KindFloat64Histogram {
 		return
 	}
 	h := v.Float64Histogram()
-	for _, pt := range runtimeQuantiles {
-		gauges[pt.label].Set(histogramQuantile(h, pt.q))
+	for i, pt := range runtimeQuantiles {
+		gauges[i].Set(histogramQuantile(h, pt.q))
 	}
 }
 

@@ -71,16 +71,65 @@ func TestRuntimeMetricsSample(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeConcurrent hammers a proc+runtime-wrapped /metrics
+// TestProcMetricsSample checks the heb_proc_* series of the runtime
+// sampler, and that a GC-cycle reading lower than the last one leaves
+// the counter where it was instead of wrapping its delta.
+func TestProcMetricsSample(t *testing.T) {
+	reg := obs.NewRegistry()
+	rm := NewRuntimeMetrics(reg)
+	runtime.GC()
+	rm.Sample()
+	if v, ok := reg.Get("heb_proc_heap_alloc_bytes"); !ok || v <= 0 {
+		t.Fatalf("heap_alloc = %g, %v", v, ok)
+	}
+	if v, ok := reg.Get("heb_proc_heap_objects"); !ok || v <= 0 {
+		t.Fatalf("heap_objects = %g, %v", v, ok)
+	}
+	if v, ok := reg.Get("heb_proc_goroutines"); !ok || v < 1 {
+		t.Fatalf("goroutines = %g, %v", v, ok)
+	}
+	runs, ok := reg.Get("heb_proc_gc_runs_total")
+	if !ok || runs < 1 {
+		t.Fatalf("gc runs = %g, %v after runtime.GC", runs, ok)
+	}
+
+	rm.mu.Lock()
+	rm.lastGCs = math.MaxUint64
+	rm.mu.Unlock()
+	rm.Sample()
+	if v, _ := reg.Get("heb_proc_gc_runs_total"); v != runs {
+		t.Fatalf("gc runs moved from %g to %g on a lower reading", runs, v)
+	}
+}
+
+func TestProcMetricsHandlerSamplesPerScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewRuntimeMetrics(reg).Handler(reg.Handler())
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		"heb_proc_heap_alloc_bytes",
+		"heb_proc_goroutines",
+		"heb_proc_gc_runs_total",
+		"heb_proc_heap_objects",
+		"heb_runtime_gomaxprocs",
+	} {
+		if !strings.Contains(body, want+" ") {
+			t.Errorf("scrape missing %s", want)
+		}
+	}
+}
+
+// TestMetricsScrapeConcurrent hammers a sampler-wrapped /metrics
 // endpoint from 8 goroutines while the process allocates and GCs. Run
 // under -race this pins the guarantee that per-scrape sampling is safe,
-// and the final check catches the counter-inflation bug where an
-// out-of-order MemStats delta wrapped the unsigned subtraction.
+// and the final check catches counter inflation from a GC-cycle delta
+// applied out of order.
 func TestMetricsScrapeConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
-	pm := NewProcMetrics(reg)
 	rm := NewRuntimeMetrics(reg)
-	srv := httptest.NewServer(pm.Handler(rm.Handler(reg.Handler())))
+	srv := httptest.NewServer(rm.Handler(reg.Handler()))
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -109,17 +158,18 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// One more clean scrape: the GC-run counter must match the runtime's
-	// own count, not a wrapped uint32 delta.
-	pm.Sample()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	// One more clean sample: the GC-run counter must equal the runtime's
+	// own count (bracketed, since a GC may finish around the sample).
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rm.Sample()
+	runtime.ReadMemStats(&after)
 	runs, ok := reg.Get("heb_proc_gc_runs_total")
 	if !ok {
 		t.Fatal("heb_proc_gc_runs_total missing")
 	}
-	if runs > float64(ms.NumGC) || runs < 0 {
-		t.Errorf("gc runs counter %g inconsistent with runtime NumGC %d", runs, ms.NumGC)
+	if runs < float64(before.NumGC) || runs > float64(after.NumGC) {
+		t.Errorf("gc runs counter %g, runtime NumGC %d..%d", runs, before.NumGC, after.NumGC)
 	}
 	resp, err := http.Get(srv.URL + "/")
 	if err != nil {

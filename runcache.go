@@ -149,16 +149,11 @@ func (c *RunCache) store(worker int, key string, st *runState) {
 
 // poolKey fingerprints the structural configuration a runState is built
 // for: everything that shapes construction except the seed (rebound per
-// run) and the observability pointers (per-run wiring). Two runs with
+// run) and the per-run wiring (withoutWiring). Two runs with
 // equal pool keys build identical component graphs, so one's reset
 // state can serve the other.
 func (p Prototype) poolKey(id SchemeID, budget units.Power) string {
-	q := p
-	q.Capture = nil
-	q.Progress = nil
-	q.Audits = nil
-	q.Alerts = nil
-	q.Tracer = nil
+	q := p.withoutWiring()
 	q.Seed = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", q)

@@ -28,7 +28,8 @@
 # tree into the run registry, /healthz + /readyz come up, /api/runs
 # lists every complete run, and the compare endpoint distinguishes a
 # run from its differently-budgeted twin while calling the resumed
-# re-recording identical to the original.
+# re-recording identical to the original. Its /metrics must carry the
+# Go-runtime sampler's heb_proc_* and heb_runtime_* series.
 #
 # Phase 5 exercises the SLO alerting layer and the hebobs watch sentinel: a
 # clean run with -alerts report stays healthy (no alerts.jsonl, ok
@@ -178,6 +179,13 @@ grep -q '"delta":' "$dir/cmp_ab.json" ||
 curl -fsS "http://$addr/api/runs/$id_a/compare/$id_r" >"$dir/cmp_ar.json"
 grep -q '"identical":true' "$dir/cmp_ar.json" ||
 	{ echo "obs smoke: resumed re-recording not identical to original" >&2; exit 1; }
+
+# One scrape: the runtime sampler publishes both of its families.
+curl -fsS "http://$addr/metrics" >"$dir/metrics.txt"
+for series in heb_proc_goroutines heb_runtime_gomaxprocs; do
+	grep -q "^$series " "$dir/metrics.txt" ||
+		{ echo "obs smoke: hebmon /metrics lacks $series" >&2; exit 1; }
+done
 
 kill "$hebmon_pid" 2>/dev/null
 
