@@ -41,12 +41,7 @@ func PredictionAblation(p Prototype, w Workload, duration time.Duration) ([]Pred
 	// The naive and Holt-Winters variants are independent and run in
 	// parallel on the shared pool; the oracle run must wait for the
 	// Holt-Winters pass, whose measured slot extremes prime it.
-	schemes := []SchemeID{HEBF, HEBD}
-	cache := NewRunCache(runner.Workers(0, len(schemes)))
-	firstTwo, err := runner.MapWorkers(context.Background(), len(schemes), 0,
-		func(_ context.Context, worker, i int) (sim.Result, error) {
-			return p.RunWith(cache, worker, schemes[i], w, opts)
-		})
+	firstTwo, err := sweep([]sweepRun{{p, HEBF, w, opts}, {p, HEBD, w, opts}}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -63,19 +58,21 @@ func PredictionAblation(p Prototype, w Workload, duration time.Duration) ([]Pred
 		return nil, err
 	}
 
-	row := func(name string, r sim.Result) PredictionAblationRow {
-		return PredictionAblationRow{
-			Predictor:             name,
-			PeakMAPE:              r.PeakPredictionMAPE,
-			EnergyEfficiency:      r.EnergyEfficiency,
-			DowntimeServerSeconds: r.DowntimeServerSeconds,
-		}
-	}
 	return []PredictionAblationRow{
-		row("naive (HEB-F)", naive),
-		row("holt-winters (HEB-D)", hw),
-		row("oracle", oracleRes),
+		predictionRow("naive (HEB-F)", naive),
+		predictionRow("holt-winters (HEB-D)", hw),
+		predictionRow("oracle", oracleRes),
 	}, nil
+}
+
+// predictionRow reports one predictor variant's run.
+func predictionRow(name string, r sim.Result) PredictionAblationRow {
+	return PredictionAblationRow{
+		Predictor:             name,
+		PeakMAPE:              r.PeakPredictionMAPE,
+		EnergyEfficiency:      r.EnergyEfficiency,
+		DowntimeServerSeconds: r.DowntimeServerSeconds,
+	}
 }
 
 // CappingComparisonRow contrasts one mismatch-handling approach.
@@ -102,7 +99,10 @@ func CompareWithDVFSCapping(p Prototype, w Workload, duration time.Duration) ([]
 	}
 	w = w.WithDuration(duration)
 
-	// Both arms are independent simulations; run them concurrently.
+	// Both arms are independent simulations; run them concurrently. The
+	// capping arm builds its storage-free engine directly rather than
+	// through Prototype.Run, so it cannot be a sweep run and the pair
+	// goes through runner.Map.
 	runHEB := func() (sim.Result, error) {
 		return p.Run(HEBD, w, RunOptions{Duration: duration})
 	}
@@ -192,24 +192,24 @@ func AgingAblation(p Prototype, w Workload, preAge float64, duration time.Durati
 		return nil, err
 	}
 	w = w.WithDuration(duration)
-	schemes := []SchemeID{HEBS, HEBD}
-	cache := NewRunCache(runner.Workers(0, len(schemes)))
-	return runner.MapWorkers(context.Background(), len(schemes), 0,
-		func(_ context.Context, worker, i int) (AgingAblationRow, error) {
-			id := schemes[i]
-			res, err := p.RunWith(cache, worker, id, w, RunOptions{Duration: duration})
-			if err != nil {
-				return AgingAblationRow{}, err
-			}
-			return AgingAblationRow{
-				Scheme:                id,
-				PreAge:                preAge,
-				EnergyEfficiency:      res.EnergyEfficiency,
-				DowntimeServerSeconds: res.DowntimeServerSeconds,
-				ServedFromSupercapWh:  res.ServedFromSupercap.Wh(),
-				ServedFromBatteryWh:   res.ServedFromBattery.Wh(),
-			}, nil
-		})
+	opts := RunOptions{Duration: duration}
+	runs := []sweepRun{{p, HEBS, w, opts}, {p, HEBD, w, opts}}
+	results, err := sweep(runs, 0)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AgingAblationRow, len(runs))
+	for i, res := range results {
+		rows[i] = AgingAblationRow{
+			Scheme:                runs[i].scheme,
+			PreAge:                preAge,
+			EnergyEfficiency:      res.EnergyEfficiency,
+			DowntimeServerSeconds: res.DowntimeServerSeconds,
+			ServedFromSupercapWh:  res.ServedFromSupercap.Wh(),
+			ServedFromBatteryWh:   res.ServedFromBattery.Wh(),
+		}
+	}
+	return rows, nil
 }
 
 // SeasonalityAblation compares seasonless Holt smoothing against a full
@@ -232,32 +232,18 @@ func SeasonalityAblation(p Prototype, w Workload, days int) ([]PredictionAblatio
 		return forecast.MustNewHoltWinters(cfg)
 	}
 	// The two predictor variants are independent multi-day runs; run
-	// them concurrently on the shared pool.
-	variants := []RunOptions{
-		{Duration: duration},
-		{Duration: duration, PeakPredictor: mkSeasonal(), ValleyPredictor: mkSeasonal()},
-	}
-	// The seasonal variant injects its own predictors, so only the
-	// seasonless arm is poolable; RunWith routes each accordingly.
-	cache := NewRunCache(runner.Workers(0, len(variants)))
-	results, err := runner.MapWorkers(context.Background(), len(variants), 0,
-		func(_ context.Context, worker, i int) (sim.Result, error) {
-			return p.RunWith(cache, worker, HEBD, w, variants[i])
-		})
+	// them concurrently. The seasonal variant injects its own predictors,
+	// so only the seasonless arm is poolable; RunWith routes each
+	// accordingly.
+	results, err := sweep([]sweepRun{
+		{p, HEBD, w, RunOptions{Duration: duration}},
+		{p, HEBD, w, RunOptions{Duration: duration, PeakPredictor: mkSeasonal(), ValleyPredictor: mkSeasonal()}},
+	}, 0)
 	if err != nil {
 		return nil, err
 	}
-	seasonless, seasonal := results[0], results[1]
-	row := func(name string, r sim.Result) PredictionAblationRow {
-		return PredictionAblationRow{
-			Predictor:             name,
-			PeakMAPE:              r.PeakPredictionMAPE,
-			EnergyEfficiency:      r.EnergyEfficiency,
-			DowntimeServerSeconds: r.DowntimeServerSeconds,
-		}
-	}
 	return []PredictionAblationRow{
-		row("holt (seasonless)", seasonless),
-		row("holt-winters (daily season)", seasonal),
+		predictionRow("holt (seasonless)", results[0]),
+		predictionRow("holt-winters (daily season)", results[1]),
 	}, nil
 }

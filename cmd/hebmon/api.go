@@ -121,17 +121,6 @@ type runsResponse struct {
 // indexes; any other ?status= value can never match and gets a 400.
 var validStatuses = []string{obs.StatusRunning, obs.StatusComplete, obs.StatusFailed, obs.StatusKilled}
 
-// schemeNames lists the simulator's scheme identifiers for the ?scheme=
-// filter validation.
-func schemeNames() []string {
-	ids := heb.AllSchemes()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = id.String()
-	}
-	return out
-}
-
 func (m *monitor) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if m.reg == nil {
 		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
@@ -143,10 +132,11 @@ func (m *monitor) handleRuns(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown status %q (valid: %s)\n", s, strings.Join(validStatuses, ", ")))
 		return
 	}
-	if s := q.Get("scheme"); s != "" && !slices.Contains(schemeNames(), s) {
-		writeText(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown scheme %q (valid: %s)\n", s, strings.Join(schemeNames(), ", ")))
-		return
+	if s := q.Get("scheme"); s != "" {
+		if _, err := heb.SchemeNamed(s); err != nil {
+			writeText(w, http.StatusBadRequest, err.Error()+"\n")
+			return
+		}
 	}
 	runs := m.reg.Runs(registry.Filter{
 		Scheme:   q.Get("scheme"),

@@ -108,7 +108,7 @@ func checkFlags(duration time.Duration, speedup float64, history int, rescan tim
 }
 
 func run(addr, scheme, wl string, duration time.Duration, speedup float64, history int, exitWhenDone bool, runsDir string, rescan time.Duration, alertMode alerts.Mode) error {
-	id, err := schemeByName(scheme)
+	id, err := heb.SchemeNamed(scheme)
 	if err != nil {
 		return err
 	}
@@ -219,13 +219,4 @@ func run(addr, scheme, wl string, duration time.Duration, speedup float64, histo
 	}
 	slog.Info("monitor stopped")
 	return runErr
-}
-
-func schemeByName(name string) (heb.SchemeID, error) {
-	for _, id := range heb.AllSchemes() {
-		if id.String() == name {
-			return id, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", name)
 }

@@ -17,6 +17,8 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"heb"
@@ -35,7 +37,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig1, fig1b, fig3, fig4, fig5, fig6, fig12a, fig12b, fig12c, fig12d, fig13, fig14, fig15a, fig15b, fig15c, deploy, ablation, multiseed, capping, scale, curves, run, summary, all")
+		exp      = flag.String("exp", "all", "experiment: "+experimentNames())
 		duration = flag.Duration("duration", 6*time.Hour, "simulated time per run")
 		seed     = flag.Int64("seed", 42, "workload generation seed")
 		load     = flag.Float64("load", 60, "per-server watts for fig6")
@@ -66,6 +68,12 @@ func main() {
 	}
 	if *duration <= 0 {
 		slog.Error("-duration must be positive", "duration", *duration)
+		os.Exit(2)
+	}
+	all := experiments()
+	selected := slices.IndexFunc(all, func(x experiment) bool { return x.name == *exp })
+	if selected < 0 {
+		slog.Error("unknown -exp", "exp", *exp, "valid", experimentNames())
 		os.Exit(2)
 	}
 
@@ -172,12 +180,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var err error
-	if *exp == "run" {
-		err = runOnce(os.Stdout, p, *duration, *scheme, *wlName, *wlCSV, *patIn, *patOut, fl)
-	} else {
-		err = run(os.Stdout, *exp, p, *duration, units.Power(*load), *workers)
-	}
+	err := all[selected].run(os.Stdout, env{
+		p: p, duration: *duration, load: units.Power(*load), workers: *workers,
+		scheme: *scheme, workload: *wlName, workloadCSV: *wlCSV, patIn: *patIn, patOut: *patOut,
+		flight: fl,
+	})
 	if collector != nil {
 		if perr := collector.Stop(); perr != nil && err == nil {
 			err = fmt.Errorf("profile capture: %w", perr)
@@ -255,85 +262,119 @@ func writeTrace(path string, tracer *obs.Tracer) error {
 	return f.Close()
 }
 
-// run dispatches one experiment, writing its table to w. workers bounds
-// the worker pool of sweep experiments (<= 0 means GOMAXPROCS).
-func run(w io.Writer, exp string, p heb.Prototype, duration time.Duration, load units.Power, workers int) error {
-	switch exp {
-	case "table1":
-		return table1(w)
-	case "fig1":
-		return fig1(w, p)
-	case "fig1b":
-		return fig1b(w, p)
-	case "fig3":
-		return fig3(w, p)
-	case "fig4":
-		return fig4(w)
-	case "fig5":
-		return fig5(w, p)
-	case "fig6":
-		return fig6(w, p, load)
-	case "fig12a":
-		return fig12(w, p, duration, p.Budget, workers, "EE", func(r sim.Result) float64 { return r.EnergyEfficiency })
-	case "fig12b":
-		return fig12(w, p, duration, lowBudget(p), workers, "downtime(s)", func(r sim.Result) float64 { return r.DowntimeServerSeconds })
-	case "fig12c":
-		return fig12(w, p, duration, p.Budget, workers, "battLife(y)", func(r sim.Result) float64 { return r.BatteryLifetimeYears })
-	case "fig12d":
-		return fig12d(w, p, duration)
-	case "fig13":
-		return fig13(w, p, duration)
-	case "fig14":
-		return fig14(w, p, duration)
-	case "fig15a":
-		return fig15a(w)
-	case "fig15b":
-		return fig15b(w)
-	case "fig15c":
-		return fig15c(w, p, duration, workers)
-	case "deploy":
-		return deploy(w, p, duration)
-	case "ablation":
-		return ablation(w, p, duration)
-	case "multiseed":
-		return multiseed(w, p, duration, workers)
-	case "capping":
-		return capping(w, p, duration)
-	case "scale":
-		return scale(w, p, duration)
-	case "curves":
-		return curves(w, p, duration)
-	case "summary":
-		return summary(w, p, duration, workers)
-	case "all":
-		return runAll(w, p, duration, load, workers)
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+// env is the command line as an experiment sees it.
+type env struct {
+	p        heb.Prototype
+	duration time.Duration
+	load     units.Power // per-server watts for fig6
+	// workers bounds the worker pool of the experiments that take a
+	// worker count (<= 0 means GOMAXPROCS).
+	workers int
+	// The -exp run settings.
+	scheme, workload, workloadCSV, patIn, patOut string
+	flight                                       flight
+}
+
+// experiment is one -exp value: its name, whether -exp all runs it, and
+// the function that renders its table.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(w io.Writer, e env) error
+}
+
+// experiments lists every -exp value in help order; -exp all runs the
+// inAll ones in this order. It is a function rather than a variable
+// because runAll, one of its entries, reads it.
+func experiments() []experiment {
+	return []experiment{
+		{"table1", true, func(w io.Writer, _ env) error { return heb.WriteTable1(w) }},
+		{"fig1", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure1)(heb.Figure1(e.p.Seed)) }},
+		{"fig1b", true, fig1b},
+		{"fig3", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure3)(heb.Figure3(e.p)) }},
+		{"fig4", true, func(w io.Writer, _ env) error { return heb.WriteFigure4(w, heb.Figure4()) }},
+		{"fig5", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure5)(heb.Figure5(e.p)) }},
+		{"fig6", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure6)(heb.Figure6(e.p, e.load)) }},
+		{"fig12a", true, func(w io.Writer, e env) error {
+			return fig12(w, e, e.p.Budget, "EE", func(r sim.Result) float64 { return r.EnergyEfficiency })
+		}},
+		{"fig12b", true, func(w io.Writer, e env) error {
+			return fig12(w, e, lowBudget(e.p), "downtime(s)", func(r sim.Result) float64 { return r.DowntimeServerSeconds })
+		}},
+		{"fig12c", true, func(w io.Writer, e env) error {
+			return fig12(w, e, e.p.Budget, "battLife(y)", func(r sim.Result) float64 { return r.BatteryLifetimeYears })
+		}},
+		{"fig12d", true, fig12d},
+		{"fig13", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure13)(heb.Figure13(e.p, nil, e.duration)) }},
+		{"fig14", true, func(w io.Writer, e env) error { return emit(w, heb.WriteFigure14)(heb.Figure14(e.p, nil, e.duration)) }},
+		{"fig15a", true, fig15a},
+		{"fig15b", true, fig15b},
+		{"fig15c", true, fig15c},
+		{"deploy", true, deploy},
+		{"ablation", true, ablation},
+		{"multiseed", true, func(w io.Writer, e env) error {
+			return emit(w, heb.WriteMultiSeed)(heb.MultiSeedComparison(e.p, heb.MultiSeedOptions{
+				Seeds: 5, Duration: e.duration, Workload: "PR", Workers: e.workers,
+			}))
+		}},
+		{"capping", true, capping},
+		{"scale", true, func(w io.Writer, e env) error {
+			return emit(w, heb.WriteScaleOut)(heb.ScaleOutStudy(e.p, nil, e.duration))
+		}},
+		{"curves", false, curves},
+		{"run", false, runOnce},
+		{"summary", true, summary},
+		{"all", false, runAll},
 	}
+}
+
+// emit renders a computed table with write, or returns the error that
+// computing it gave: emit(w, heb.WriteFigure3)(heb.Figure3(p)).
+func emit[T any](w io.Writer, write func(io.Writer, T) error) func(T, error) error {
+	return func(v T, err error) error {
+		if err != nil {
+			return err
+		}
+		return write(w, v)
+	}
+}
+
+// experimentNames lists the -exp values for the flag's help text.
+func experimentNames() string {
+	var names []string
+	for _, e := range experiments() {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // runAll fans the full experiment suite out on the shared worker pool.
 // Each experiment renders into its own buffer; buffers are printed in
 // suite order once all experiments finish, so the output is byte-for-byte
 // identical for any worker count, and a failure reports the lowest-index
-// failing experiment. Inner sweeps run with a single worker — the suite
-// is already saturating the pool, and nesting would oversubscribe it.
+// failing experiment. The experiments that take a worker count (fig12a-c,
+// fig15c, multiseed, summary) run their inner sweeps on one worker, since
+// the suite already saturates the pool; fig12d, fig13, fig14, deploy,
+// ablation and capping take none and size their sweeps to GOMAXPROCS, and
+// scale always runs on one worker.
 // Note the scale experiment's steps/s numbers are co-scheduled with the
 // other experiments here; run -exp scale alone for clean throughput.
-func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Power, workers int) error {
-	suite := []string{
-		"table1", "fig1", "fig1b", "fig3", "fig4", "fig5", "fig6",
-		"fig12a", "fig12b", "fig12c", "fig12d",
-		"fig13", "fig14", "fig15a", "fig15b", "fig15c",
-		"deploy", "ablation", "multiseed", "capping", "scale", "summary",
+func runAll(w io.Writer, e env) error {
+	var suite []experiment
+	var names []string
+	for _, x := range experiments() {
+		if x.inAll {
+			suite = append(suite, x)
+			names = append(names, x.name)
+		}
 	}
 	// Live progress on stderr: the Progress observes the pool and each
 	// simulation run feeds its step count through Prototype.Progress, so
 	// the report shows queue depth, utilization and aggregate steps/s
 	// without perturbing the (deterministic) experiment output on stdout.
 	prog := &runner.Progress{}
-	p.Progress = prog
-	nworkers := runner.Workers(workers, len(suite))
+	e.p.Progress = prog
+	nworkers := runner.Workers(e.workers, len(suite))
 	stop := make(chan struct{})
 	reporterDone := make(chan struct{})
 	go func() {
@@ -351,13 +392,14 @@ func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Pow
 	}()
 	// Each cell gets its own tracer track (cell span) and files its runs'
 	// tracks under its experiment name.
-	bufs, err := runner.MapTraced(context.Background(), len(suite), workers, prog, p.Tracer, "suite", suite,
+	bufs, err := runner.MapTraced(context.Background(), len(suite), e.workers, prog, e.p.Tracer, "suite", names,
 		func(_ context.Context, i int) (*bytes.Buffer, error) {
 			var buf bytes.Buffer
-			q := p
-			q.TraceCell = suite[i]
-			if err := run(&buf, suite[i], q, duration, load, 1); err != nil {
-				return &buf, fmt.Errorf("%s: %w", suite[i], err)
+			q := e
+			q.p.TraceCell = names[i]
+			q.workers = 1
+			if err := suite[i].run(&buf, q); err != nil {
+				return &buf, fmt.Errorf("%s: %w", names[i], err)
 			}
 			return &buf, nil
 		})
@@ -370,7 +412,7 @@ func runAll(w io.Writer, p heb.Prototype, duration time.Duration, load units.Pow
 		if buf == nil || (err != nil && buf.Len() == 0) {
 			continue
 		}
-		if _, werr := fmt.Fprintf(w, "\n===== %s =====\n", suite[i]); werr != nil {
+		if _, werr := fmt.Fprintf(w, "\n===== %s =====\n", names[i]); werr != nil {
 			return werr
 		}
 		if _, werr := w.Write(buf.Bytes()); werr != nil {
@@ -408,23 +450,11 @@ func lowBudget(p heb.Prototype) units.Power {
 	return p.Budget * 85 / 100
 }
 
-func table1(w io.Writer) error {
-	return heb.WriteTable1(w)
-}
-
-func fig1(w io.Writer, p heb.Prototype) error {
-	r, err := heb.Figure1(p.Seed)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure1(w, r)
-}
-
 // fig1b illustrates the renewable mismatch of Figure 1(b): a stable load
 // against one simulated solar day, showing peak (deficit) and valley
 // (surplus) energy that the buffers must bridge and absorb.
-func fig1b(w io.Writer, p heb.Prototype) error {
-	cfg := solarDefault(p)
+func fig1b(w io.Writer, e env) error {
+	cfg := solarDefault(e.p)
 	series, err := cfg.Generate(24*time.Hour, time.Minute)
 	if err != nil {
 		return err
@@ -450,44 +480,16 @@ func fig1b(w io.Writer, p heb.Prototype) error {
 	return nil
 }
 
-func fig3(w io.Writer, p heb.Prototype) error {
-	rows, err := heb.Figure3(p)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure3(w, rows)
-}
-
-func fig4(w io.Writer) error {
-	return heb.WriteFigure4(w, heb.Figure4())
-}
-
-func fig5(w io.Writer, p heb.Prototype) error {
-	rows, err := heb.Figure5(p)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure5(w, rows)
-}
-
-func fig6(w io.Writer, p heb.Prototype, load units.Power) error {
-	r, err := heb.Figure6(p, load)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure6(w, r)
-}
-
-func fig12(w io.Writer, p heb.Prototype, duration time.Duration, budget units.Power, workers int, metric string, f func(sim.Result) float64) error {
-	results, err := heb.Figure12(p, heb.Figure12Options{Duration: duration, Budget: budget, Workers: workers})
+func fig12(w io.Writer, e env, budget units.Power, metric string, f func(sim.Result) float64) error {
+	results, err := heb.Figure12(e.p, heb.Figure12Options{Duration: e.duration, Budget: budget, Workers: e.workers})
 	if err != nil {
 		return err
 	}
 	return heb.WriteSchemeComparison(w, results, metric, f)
 }
 
-func fig12d(w io.Writer, p heb.Prototype, duration time.Duration) error {
-	results, err := heb.Figure12d(p, solarDefault(p), duration, nil)
+func fig12d(w io.Writer, e env) error {
+	results, err := heb.Figure12d(e.p, solarDefault(e.p), e.duration, nil)
 	if err != nil {
 		return err
 	}
@@ -501,23 +503,7 @@ func solarDefault(p heb.Prototype) solar.Config {
 	return cfg
 }
 
-func fig13(w io.Writer, p heb.Prototype, duration time.Duration) error {
-	pts, err := heb.Figure13(p, nil, duration)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure13(w, pts)
-}
-
-func fig14(w io.Writer, p heb.Prototype, duration time.Duration) error {
-	pts, err := heb.Figure14(p, nil, duration)
-	if err != nil {
-		return err
-	}
-	return heb.WriteFigure14(w, pts)
-}
-
-func fig15a(w io.Writer) error {
+func fig15a(w io.Writer, _ env) error {
 	items, total := heb.Figure15a()
 	for _, it := range items {
 		fmt.Fprintf(w, "%-45s $%.0f (%.0f%%)\n", it.Name, it.CostUSD, it.CostUSD/total*100)
@@ -526,7 +512,7 @@ func fig15a(w io.Writer) error {
 	return nil
 }
 
-func fig15b(w io.Writer) error {
+func fig15b(w io.Writer, _ env) error {
 	pts := heb.Figure15b()
 	fmt.Fprintln(w, "C_cap($/W)  peak(h)  ROI")
 	for _, pt := range pts {
@@ -535,11 +521,11 @@ func fig15b(w io.Writer) error {
 	return nil
 }
 
-func fig15c(w io.Writer, p heb.Prototype, duration time.Duration, workers int) error {
-	results, err := heb.Figure12(p, heb.Figure12Options{
-		Duration: duration,
+func fig15c(w io.Writer, e env) error {
+	results, err := heb.Figure12(e.p, heb.Figure12Options{
+		Duration: e.duration,
 		Schemes:  []heb.SchemeID{heb.BaOnly, heb.BaFirst, heb.SCFirst, heb.HEBD},
-		Workers:  workers,
+		Workers:  e.workers,
 	})
 	if err != nil {
 		return err
@@ -551,24 +537,24 @@ func fig15c(w io.Writer, p heb.Prototype, duration time.Duration, workers int) e
 	return heb.WriteFigure15c(w, rows)
 }
 
-func deploy(w io.Writer, p heb.Prototype, duration time.Duration) error {
+func deploy(w io.Writer, e env) error {
 	spec, err := heb.SpecNamed("PR")
 	if err != nil {
 		return err
 	}
-	results, err := heb.CompareDeployments(p, spec, 2, duration)
+	results, err := heb.CompareDeployments(e.p, spec, 2, e.duration)
 	if err != nil {
 		return err
 	}
 	return heb.WriteDeployments(w, results)
 }
 
-func ablation(w io.Writer, p heb.Prototype, duration time.Duration) error {
+func ablation(w io.Writer, e env) error {
 	wl, err := heb.WorkloadNamed("PR")
 	if err != nil {
 		return err
 	}
-	rows, err := heb.PredictionAblation(p, wl, duration)
+	rows, err := heb.PredictionAblation(e.p, wl, e.duration)
 	if err != nil {
 		return err
 	}
@@ -581,42 +567,39 @@ func ablation(w io.Writer, p heb.Prototype, duration time.Duration) error {
 	return nil
 }
 
-func multiseed(w io.Writer, p heb.Prototype, duration time.Duration, workers int) error {
-	results, err := heb.MultiSeedComparison(p, heb.MultiSeedOptions{
-		Seeds:    5,
-		Duration: duration,
-		Workload: "PR",
-		Workers:  workers,
-	})
-	if err != nil {
-		return err
-	}
-	return heb.WriteMultiSeed(w, results)
+// curveRecorder collects the demand and SoC series a run's Observer sees
+// and charts them.
+type curveRecorder struct{ demand, baSoC, scSoC []float64 }
+
+func (c *curveRecorder) observe(s sim.StepInfo) {
+	c.demand = append(c.demand, float64(s.Demand))
+	c.baSoC = append(c.baSoC, s.BatterySoC)
+	c.scSoC = append(c.scSoC, s.SupercapSoC)
+}
+
+func (c *curveRecorder) chart(w io.Writer) {
+	fmt.Fprintln(w, ascii.Chart("demand W", c.demand, 100))
+	fmt.Fprintln(w, ascii.Chart("batt SoC", c.baSoC, 100))
+	fmt.Fprintln(w, ascii.Chart("SC SoC", c.scSoC, 100))
 }
 
 // runOnce executes a single scheme on a single workload — optionally a
-// recorded CSV trace — and prints the result with demand/SoC curves. fl
-// arms the flight recorder (checkpointing, resume, windowed replay).
-func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlName, wlCSV, patIn, patOut string, fl flight) error {
-	var id heb.SchemeID
-	found := false
-	for _, s := range heb.AllSchemes() {
-		if s.String() == scheme {
-			id, found = s, true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown scheme %q", scheme)
+// recorded CSV trace — and prints the result with demand/SoC curves. The
+// flight settings arm the flight recorder (checkpointing, resume,
+// windowed replay).
+func runOnce(w io.Writer, e env) error {
+	id, err := heb.SchemeNamed(e.scheme)
+	if err != nil {
+		return err
 	}
 	var wl heb.Workload
-	if wlCSV != "" {
-		f, err := os.Open(wlCSV)
+	if e.workloadCSV != "" {
+		f, err := os.Open(e.workloadCSV)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		tr, err := trace.ReadCSV(f, wlCSV, 10*time.Second)
+		tr, err := trace.ReadCSV(f, e.workloadCSV, 10*time.Second)
 		if err != nil {
 			return err
 		}
@@ -625,24 +608,16 @@ func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlNam
 		}
 		wl = heb.WorkloadFromTrace(tr)
 	} else {
-		var err error
-		wl, err = heb.WorkloadNamed(wlName)
+		wl, err = heb.WorkloadNamed(e.workload)
 		if err != nil {
 			return err
 		}
-		wl = wl.WithDuration(duration)
+		wl = wl.WithDuration(e.duration)
 	}
-	var demand, baSoC, scSoC []float64
-	opts := heb.RunOptions{
-		Duration: duration,
-		Observer: func(s sim.StepInfo) {
-			demand = append(demand, float64(s.Demand))
-			baSoC = append(baSoC, s.BatterySoC)
-			scSoC = append(scSoC, s.SupercapSoC)
-		},
-	}
-	if patIn != "" {
-		f, err := os.Open(patIn)
+	var rec curveRecorder
+	opts := heb.RunOptions{Duration: e.duration, Observer: rec.observe}
+	if e.patIn != "" {
+		f, err := os.Open(e.patIn)
 		if err != nil {
 			return err
 		}
@@ -652,16 +627,17 @@ func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlNam
 			return err
 		}
 		opts.Table = table
-		fmt.Fprintf(w, "warm-started PAT from %s (%d entries)\n", patIn, table.Len())
+		fmt.Fprintf(w, "warm-started PAT from %s (%d entries)\n", e.patIn, table.Len())
 	}
 	var learned *pat.Table
-	if patOut != "" {
+	if e.patOut != "" {
 		opts.TableSink = func(t *pat.Table) { learned = t }
 	}
+	p := e.p
 	var win *replayWindow
-	if fl.enabled() {
+	if e.flight.enabled() {
 		var werr error
-		win, werr = wireFlight(w, &p, &opts, fl)
+		win, werr = wireFlight(w, &p, &opts, e.flight)
 		if werr != nil {
 			return werr
 		}
@@ -670,11 +646,11 @@ func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlNam
 	if err != nil {
 		return err
 	}
-	if patOut != "" {
+	if e.patOut != "" {
 		if learned == nil {
-			return fmt.Errorf("scheme %s has no PAT to persist", scheme)
+			return fmt.Errorf("scheme %s has no PAT to persist", e.scheme)
 		}
-		f, err := os.Create(patOut)
+		f, err := os.Create(e.patOut)
 		if err != nil {
 			return err
 		}
@@ -685,11 +661,9 @@ func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlNam
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "saved learned PAT to %s (%d entries)\n", patOut, learned.Len())
+		fmt.Fprintf(w, "saved learned PAT to %s (%d entries)\n", e.patOut, learned.Len())
 	}
-	fmt.Fprintln(w, ascii.Chart("demand W", demand, 100))
-	fmt.Fprintln(w, ascii.Chart("batt SoC", baSoC, 100))
-	fmt.Fprintln(w, ascii.Chart("SC SoC", scSoC, 100))
+	rec.chart(w)
 	fmt.Fprintln(w, res)
 	wear := res.BatteryWear
 	fmt.Fprintf(w, "battery wear: %.2f Ah throughput (%.2f equivalent full cycles), %.3g weighted Ah of %.0f rated, life used %.3g%%, est lifetime %.1f y\n",
@@ -701,12 +675,12 @@ func runOnce(w io.Writer, p heb.Prototype, duration time.Duration, scheme, wlNam
 	return nil
 }
 
-func capping(w io.Writer, p heb.Prototype, duration time.Duration) error {
+func capping(w io.Writer, e env) error {
 	wl, err := heb.WorkloadNamed("PR")
 	if err != nil {
 		return err
 	}
-	rows, err := heb.CompareWithDVFSCapping(p, wl, duration)
+	rows, err := heb.CompareWithDVFSCapping(e.p, wl, e.duration)
 	if err != nil {
 		return err
 	}
@@ -720,57 +694,40 @@ func capping(w io.Writer, p heb.Prototype, duration time.Duration) error {
 	return nil
 }
 
-func scale(w io.Writer, p heb.Prototype, duration time.Duration) error {
-	pts, err := heb.ScaleOutStudy(p, nil, duration)
-	if err != nil {
-		return err
-	}
-	return heb.WriteScaleOut(w, pts)
-}
-
-func curves(w io.Writer, p heb.Prototype, duration time.Duration) error {
+func curves(w io.Writer, e env) error {
 	wl, err := heb.WorkloadNamed("PR")
 	if err != nil {
 		return err
 	}
-	var demand, baSoC, scSoC []float64
-	res, err := p.Run(heb.HEBD, wl.WithDuration(duration), heb.RunOptions{
-		Duration: duration,
-		Observer: func(s sim.StepInfo) {
-			demand = append(demand, float64(s.Demand))
-			baSoC = append(baSoC, s.BatterySoC)
-			scSoC = append(scSoC, s.SupercapSoC)
-		},
+	var rec curveRecorder
+	res, err := e.p.Run(heb.HEBD, wl.WithDuration(e.duration), heb.RunOptions{
+		Duration: e.duration,
+		Observer: rec.observe,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, ascii.Chart("demand W", demand, 100))
-	fmt.Fprintln(w, ascii.Chart("batt SoC", baSoC, 100))
-	fmt.Fprintln(w, ascii.Chart("SC SoC", scSoC, 100))
+	rec.chart(w)
 	fmt.Fprintf(w, "run: %s\n", res)
 	return nil
 }
 
-func summary(w io.Writer, p heb.Prototype, duration time.Duration, workers int) error {
-	results, err := heb.Figure12(p, heb.Figure12Options{Duration: duration, Budget: lowBudget(p), Workers: workers})
+func summary(w io.Writer, e env) error {
+	results, err := heb.Figure12(e.p, heb.Figure12Options{Duration: e.duration, Budget: lowBudget(e.p), Workers: e.workers})
 	if err != nil {
 		return err
 	}
-	// Fold REU from the solar runs into the same result set.
-	reu, err := heb.Figure12d(p, solarDefault(p), duration, nil)
+	// Fold REU from the solar runs into the same result set; both grids
+	// list every scheme in AllSchemes order.
+	reu, err := heb.Figure12d(e.p, solarDefault(e.p), e.duration, nil)
 	if err != nil {
 		return err
 	}
-	for i := range results {
-		for j := range reu {
-			if reu[j].Scheme == results[i].Scheme {
-				meanREU := reu[j].Mean(func(r sim.Result) float64 { return r.REU })
-				for k, v := range results[i].Results {
-					v.REU = meanREU
-					results[i].Results[k] = v
-				}
-			}
+	for i, sr := range results {
+		meanREU := reu[i].Mean(func(r sim.Result) float64 { return r.REU })
+		for k, v := range sr.Results {
+			v.REU = meanREU
+			sr.Results[k] = v
 		}
 	}
 	return heb.WriteImprovementSummary(w, results)

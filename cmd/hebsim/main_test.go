@@ -59,6 +59,28 @@ func TestRejectsNonPositiveDuration(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownExperiment checks that an unknown -exp is a usage
+// error caught before any side effect: no capture manifest is started.
+func TestRejectsUnknownExperiment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cap")
+	wantExit(t, 2, "unknown -exp", "-exp", "fig12x", "-duration", "1h", "-obs", dir)
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+		t.Errorf("unknown -exp wrote a manifest (stat: %v)", err)
+	}
+}
+
+// TestReadmeListsEveryExperiment keeps README's -exp list in step with
+// the experiment table.
+func TestReadmeListsEveryExperiment(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readme := strings.Join(strings.Fields(string(b)), " "); !strings.Contains(readme, experimentNames()) {
+		t.Errorf("README.md does not list the -exp values %q", experimentNames())
+	}
+}
+
 func TestRejectsBadCheckerModes(t *testing.T) {
 	wantExit(t, 2, "bad -audit flag", "-exp", "run", "-duration", "1h", "-audit", "loud")
 	wantExit(t, 2, "bad -alerts flag", "-exp", "run", "-duration", "1h", "-alerts", "loud")

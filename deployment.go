@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"heb/internal/power"
+	"heb/internal/sim"
 	"heb/internal/trace"
 	"heb/internal/units"
 	"heb/internal/workload"
@@ -66,50 +67,49 @@ func CompareDeployments(p Prototype, spec workload.Spec, racks int, duration tim
 		return nil, err
 	}
 
-	var out []DeploymentResult
-
-	// Shared-buffer deployments: one engine over all servers.
-	for _, topo := range []power.Topology{power.TopologyClusterLevel, power.TopologyCentralizedUPS} {
+	// Shared-buffer deployments run one engine over all servers; the
+	// rack-level one runs independent engines, each with its share of
+	// budget and storage, so energy cannot move between racks.
+	shared := []power.Topology{power.TopologyClusterLevel, power.TopologyCentralizedUPS}
+	opts := RunOptions{Duration: duration}
+	var runs []sweepRun
+	for _, topo := range shared {
 		pp := p
 		pp.Topology = topo
-		res, err := pp.Run(HEBD, WorkloadFromTrace(merged), RunOptions{Duration: duration})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DeploymentResult{
-			Topology:              topo,
-			Racks:                 1,
-			EnergyEfficiency:      res.EnergyEfficiency,
-			DowntimeServerSeconds: res.DowntimeServerSeconds,
-			ConversionLoss:        res.ConversionLoss,
-			ServedFromBuffers:     res.ServedTotal(),
-			UnservedEnergy:        res.UnservedEnergy,
-		})
+		runs = append(runs, sweepRun{pp, HEBD, WorkloadFromTrace(merged), opts})
 	}
-
-	// Rack-level: independent engines, each with its share of budget and
-	// storage; energy cannot move between racks.
-	rackRes := DeploymentResult{Topology: power.TopologyRackLevel, Racks: racks}
-	var eeSum float64
-	for i := 0; i < racks; i++ {
+	for _, tr := range rackTraces {
 		pp := p
 		pp.Topology = power.TopologyRackLevel
 		pp.NumServers = perRack
 		pp.Budget = units.Power(float64(p.Budget) / float64(racks))
 		pp.StorageWh = p.StorageWh / float64(racks)
-		res, err := pp.Run(HEBD, WorkloadFromTrace(rackTraces[i]), RunOptions{Duration: duration})
-		if err != nil {
-			return nil, err
-		}
-		eeSum += res.EnergyEfficiency
-		rackRes.DowntimeServerSeconds += res.DowntimeServerSeconds
-		rackRes.ConversionLoss += res.ConversionLoss
-		rackRes.ServedFromBuffers += res.ServedTotal()
-		rackRes.UnservedEnergy += res.UnservedEnergy
+		runs = append(runs, sweepRun{pp, HEBD, WorkloadFromTrace(tr), opts})
 	}
-	rackRes.EnergyEfficiency = eeSum / float64(racks)
-	out = append(out, rackRes)
-	return out, nil
+	results, err := sweep(runs, 0)
+	if err != nil {
+		return nil, err
+	}
+
+	// Each architecture's row sums its engines' results and averages
+	// their EE.
+	row := func(topo power.Topology, group []sim.Result) DeploymentResult {
+		r := DeploymentResult{Topology: topo, Racks: len(group)}
+		for _, res := range group {
+			r.EnergyEfficiency += res.EnergyEfficiency
+			r.DowntimeServerSeconds += res.DowntimeServerSeconds
+			r.ConversionLoss += res.ConversionLoss
+			r.ServedFromBuffers += res.ServedTotal()
+			r.UnservedEnergy += res.UnservedEnergy
+		}
+		r.EnergyEfficiency /= float64(len(group))
+		return r
+	}
+	return []DeploymentResult{
+		row(shared[0], results[:1]),
+		row(shared[1], results[1:2]),
+		row(power.TopologyRackLevel, results[len(shared):]),
+	}, nil
 }
 
 // WriteDeployments renders the comparison.

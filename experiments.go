@@ -1,7 +1,6 @@
 package heb
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"heb/internal/esd"
 	"heb/internal/obs/prof"
 	"heb/internal/power"
-	"heb/internal/runner"
 	"heb/internal/sim"
 	"heb/internal/solar"
 	"heb/internal/tco"
@@ -242,101 +240,28 @@ func Figure12(p Prototype, opts Figure12Options) ([]SchemeResult, error) {
 	if len(opts.Workloads) == 0 {
 		opts.Workloads = EvaluationWorkloads()
 	}
-	// Every (scheme, workload) cell is an independent simulation; run
-	// them on the shared bounded worker pool. Determinism is per-cell
-	// (each run seeds its own generators), the pool returns results in
-	// cell order, and a failing grid always reports the lowest-index
-	// cell's error, so outcomes are reproducible for any worker count.
-	type cell struct {
-		scheme   SchemeID
-		workload Workload
-	}
-	cells := make([]cell, 0, len(opts.Schemes)*len(opts.Workloads))
-	for _, id := range opts.Schemes {
-		for _, w := range opts.Workloads {
-			cells = append(cells, cell{id, w})
-		}
-	}
-	results, err := runner.Map(context.Background(), len(cells), opts.Workers,
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			w := c.workload.WithDuration(opts.Duration)
-			res, err := p.Run(c.scheme, w, RunOptions{Duration: opts.Duration, Budget: opts.Budget})
-			if err != nil {
-				return sim.Result{}, fmt.Errorf("heb: %v on %s: %w", c.scheme, c.workload.Name(), err)
-			}
-			return res, nil
-		})
+	runs := schemeGrid(p, opts.Schemes, opts.Workloads, RunOptions{Duration: opts.Duration, Budget: opts.Budget})
+	results, err := sweep(runs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]SchemeResult, 0, len(opts.Schemes))
-	for si, id := range opts.Schemes {
-		sr := SchemeResult{Scheme: id, Results: make(map[string]sim.Result, len(opts.Workloads))}
-		for wi, w := range opts.Workloads {
-			sr.Results[w.Name()] = results[si*len(opts.Workloads)+wi]
-		}
-		out = append(out, sr)
-	}
-	return out, nil
+	return foldSchemes(opts.Schemes, opts.Workloads, results), nil
 }
 
-// Figure12d runs the renewable-energy-utilization study: the prototype
-// powered by the rooftop solar array instead of utility. The solar trace
-// is synthesized once and shared read-only; each (scheme, workload) cell
-// gets its own stateful feed over it and runs on the shared worker pool.
-func Figure12d(p Prototype, solarCfg solar.Config, duration time.Duration, schemes []SchemeID) ([]SchemeResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := solarCfg.Validate(); err != nil {
-		return nil, err
-	}
-	if duration == 0 {
-		duration = 24 * time.Hour
-	}
-	if len(schemes) == 0 {
-		schemes = AllSchemes()
-	}
-	series, err := solarCfg.Generate(duration, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	samples := make([]units.Power, len(series.Values))
-	for i, v := range series.Values {
-		samples[i] = units.Power(v)
-	}
-	workloads := EvaluationWorkloads()[:2] // PR and WC suffice for REU
-	type cell struct {
-		scheme   SchemeID
-		workload Workload
-	}
-	cells := make([]cell, 0, len(schemes)*len(workloads))
+// schemeGrid declares one run per (scheme, workload) cell, scheme-major,
+// each over opts.Duration.
+func schemeGrid(p Prototype, schemes []SchemeID, workloads []Workload, opts RunOptions) []sweepRun {
+	runs := make([]sweepRun, 0, len(schemes)*len(workloads))
 	for _, id := range schemes {
 		for _, w := range workloads {
-			cells = append(cells, cell{id, w})
+			runs = append(runs, sweepRun{p, id, w.WithDuration(opts.Duration), opts})
 		}
 	}
-	results, err := runner.Map(context.Background(), len(cells), 0,
-		func(_ context.Context, i int) (sim.Result, error) {
-			c := cells[i]
-			w := c.workload.WithDuration(duration)
-			feed, err := power.NewTraceFeed("solar", 10*time.Second, samples)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			res, err := p.Run(c.scheme, w, RunOptions{
-				Duration: duration, Feed: feed, Renewable: true,
-			})
-			if err != nil {
-				return sim.Result{}, fmt.Errorf("heb: %v on %s: %w", c.scheme, w.Name(), err)
-			}
-			return res, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	return runs
+}
+
+// foldSchemes groups the results of a schemeGrid by scheme.
+func foldSchemes(schemes []SchemeID, workloads []Workload, results []sim.Result) []SchemeResult {
 	out := make([]SchemeResult, 0, len(schemes))
 	for si, id := range schemes {
 		sr := SchemeResult{Scheme: id, Results: make(map[string]sim.Result, len(workloads))}
@@ -345,7 +270,69 @@ func Figure12d(p Prototype, solarCfg solar.Config, duration time.Duration, schem
 		}
 		out = append(out, sr)
 	}
-	return out, nil
+	return out
+}
+
+// reuWorkloads are the Figure 12(d) workloads: PR and WC suffice for REU.
+func reuWorkloads() []Workload { return EvaluationWorkloads()[:2] }
+
+// solarGrid declares the Figure 12(d) runs of schemes on p: the
+// reuWorkloads powered by the solar trace samples instead of utility.
+// The trace is shared read-only; each run gets its own stateful feed.
+func solarGrid(p Prototype, schemes []SchemeID, samples []units.Power, duration time.Duration) ([]sweepRun, error) {
+	runs := schemeGrid(p, schemes, reuWorkloads(), RunOptions{Duration: duration, Renewable: true})
+	for i := range runs {
+		feed, err := power.NewTraceFeed("solar", 10*time.Second, samples)
+		if err != nil {
+			return nil, err
+		}
+		runs[i].opts.Feed = feed
+	}
+	return runs, nil
+}
+
+// solarSamples synthesizes cfg's generation trace over duration on the
+// 10 s grid the solar feeds replay.
+func solarSamples(cfg solar.Config, duration time.Duration) ([]units.Power, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	series, err := cfg.Generate(duration, 10*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	samples := make([]units.Power, len(series.Values))
+	for i, v := range series.Values {
+		samples[i] = units.Power(v)
+	}
+	return samples, nil
+}
+
+// Figure12d runs the renewable-energy-utilization study: the prototype
+// powered by the rooftop solar array instead of utility.
+func Figure12d(p Prototype, solarCfg solar.Config, duration time.Duration, schemes []SchemeID) ([]SchemeResult, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if duration == 0 {
+		duration = 24 * time.Hour
+	}
+	if len(schemes) == 0 {
+		schemes = AllSchemes()
+	}
+	samples, err := solarSamples(solarCfg, duration)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := solarGrid(p, schemes, samples, duration)
+	if err != nil {
+		return nil, err
+	}
+	results, err := sweep(runs, 0)
+	if err != nil {
+		return nil, err
+	}
+	return foldSchemes(schemes, reuWorkloads(), results), nil
 }
 
 // RatioPoint is one capacity ratio of the Figure 13 sweep.
@@ -369,39 +356,67 @@ func Figure13(p Prototype, ratios []float64, duration time.Duration) ([]RatioPoi
 	if duration == 0 {
 		duration = 6 * time.Hour
 	}
-	solarCfg := solar.DefaultConfig()
-	solarCfg.PeakPower = units.Power(float64(p.NumServers)*float64(p.Server.PeakPower)) * 11 / 10
-	out := make([]RatioPoint, 0, len(ratios))
-	for _, r := range ratios {
-		pp := p
-		pp.SCRatio = r
-		point := RatioPoint{SCRatio: r}
-		// Peak-shaving metrics on a large-peak workload.
-		w, err := WorkloadNamed("DA")
-		if err != nil {
-			return nil, err
+	protos := make([]Prototype, len(ratios))
+	for i, r := range ratios {
+		protos[i] = p
+		protos[i].SCRatio = r
+	}
+	da, reu, err := capacitySweep(p, protos, duration)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]RatioPoint, len(ratios))
+	for i, r := range ratios {
+		out[i] = RatioPoint{
+			SCRatio:              r,
+			EnergyEfficiency:     da[i].EnergyEfficiency,
+			DowntimeSeconds:      da[i].DowntimeServerSeconds,
+			BatteryLifetimeYears: da[i].BatteryLifetimeYears,
+			REU:                  reu[i],
 		}
-		res, err := pp.Run(HEBD, w.WithDuration(duration), RunOptions{Duration: duration})
-		if err != nil {
-			return nil, err
-		}
-		point.EnergyEfficiency = res.EnergyEfficiency
-		point.DowntimeSeconds = res.DowntimeServerSeconds
-		point.BatteryLifetimeYears = res.BatteryLifetimeYears
-		// REU needs at least a full solar day regardless of the
-		// peak-shaving run length.
-		reuDur := duration
-		if reuDur < 24*time.Hour {
-			reuDur = 24 * time.Hour
-		}
-		reuRuns, err := Figure12d(pp, solarCfg, reuDur, []SchemeID{HEBD})
-		if err != nil {
-			return nil, err
-		}
-		point.REU = reuRuns[0].Mean(func(r sim.Result) float64 { return r.REU })
-		out = append(out, point)
 	}
 	return out, nil
+}
+
+// capacitySweep runs every point of a Figure 13/14 sweep as one cell
+// list. Per prototype it returns HEB-D's peak-shaving result on the
+// large-peak DA workload over duration, and its mean REU over the
+// Figure 12(d) solar runs, which need at least a full solar day
+// regardless of the peak-shaving run length. The solar array is sized to
+// p's cluster.
+func capacitySweep(p Prototype, protos []Prototype, duration time.Duration) (da []sim.Result, reu []float64, err error) {
+	solarCfg := solar.DefaultConfig()
+	solarCfg.PeakPower = units.Power(float64(p.NumServers)*float64(p.Server.PeakPower)) * 11 / 10
+	reuDur := max(duration, 24*time.Hour)
+	samples, err := solarSamples(solarCfg, reuDur)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := WorkloadNamed("DA")
+	if err != nil {
+		return nil, nil, err
+	}
+	var runs []sweepRun
+	for _, pp := range protos {
+		solarRuns, err := solarGrid(pp, []SchemeID{HEBD}, samples, reuDur)
+		if err != nil {
+			return nil, nil, err
+		}
+		runs = append(runs, sweepRun{pp, HEBD, w.WithDuration(duration), RunOptions{Duration: duration}})
+		runs = append(runs, solarRuns...)
+	}
+	results, err := sweep(runs, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	stride := len(runs) / len(protos)
+	for i := range protos {
+		cell := results[i*stride : (i+1)*stride]
+		sr := foldSchemes([]SchemeID{HEBD}, reuWorkloads(), cell[1:])[0]
+		da = append(da, cell[0])
+		reu = append(reu, sr.Mean(func(r sim.Result) float64 { return r.REU }))
+	}
+	return da, reu, nil
 }
 
 // GrowthPoint is one capacity level of the Figure 14 sweep.
@@ -427,39 +442,30 @@ func Figure14(p Prototype, dods []float64, duration time.Duration) ([]GrowthPoin
 	if duration == 0 {
 		duration = 6 * time.Hour
 	}
-	solarCfg := solar.DefaultConfig()
-	solarCfg.PeakPower = units.Power(float64(p.NumServers)*float64(p.Server.PeakPower)) * 11 / 10
-	baseDoD := p.Battery.DoD
-	out := make([]GrowthPoint, 0, len(dods))
-	for _, dod := range dods {
+	protos := make([]Prototype, len(dods))
+	for i, dod := range dods {
 		pp := p
 		pp.Battery.DoD = dod
 		pp.Supercap.DoD = dod
 		// StorageWh is specified at the configured DoD; scale the
 		// installed capacity with the usable window.
-		pp.StorageWh = p.StorageWh * dod / baseDoD
-		point := GrowthPoint{DoD: dod, EffectiveCapacityWh: pp.StorageWh}
-		w, err := WorkloadNamed("DA")
-		if err != nil {
-			return nil, err
+		pp.StorageWh = p.StorageWh * dod / p.Battery.DoD
+		protos[i] = pp
+	}
+	da, reu, err := capacitySweep(p, protos, duration)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]GrowthPoint, len(dods))
+	for i, dod := range dods {
+		out[i] = GrowthPoint{
+			DoD:                  dod,
+			EffectiveCapacityWh:  protos[i].StorageWh,
+			EnergyEfficiency:     da[i].EnergyEfficiency,
+			DowntimeSeconds:      da[i].DowntimeServerSeconds,
+			BatteryLifetimeYears: da[i].BatteryLifetimeYears,
+			REU:                  reu[i],
 		}
-		res, err := pp.Run(HEBD, w.WithDuration(duration), RunOptions{Duration: duration})
-		if err != nil {
-			return nil, err
-		}
-		point.EnergyEfficiency = res.EnergyEfficiency
-		point.DowntimeSeconds = res.DowntimeServerSeconds
-		point.BatteryLifetimeYears = res.BatteryLifetimeYears
-		reuDur := duration
-		if reuDur < 24*time.Hour {
-			reuDur = 24 * time.Hour
-		}
-		reuRuns, err := Figure12d(pp, solarCfg, reuDur, []SchemeID{HEBD})
-		if err != nil {
-			return nil, err
-		}
-		point.REU = reuRuns[0].Mean(func(r sim.Result) float64 { return r.REU })
-		out = append(out, point)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package heb
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,6 +25,14 @@ func TestSchemeIDStrings(t *testing.T) {
 		if id.String() != name {
 			t.Errorf("%d.String() = %q, want %q", int(id), id.String(), name)
 		}
+	}
+	for _, id := range AllSchemes() {
+		if got, err := SchemeNamed(want[id]); err != nil || got != id {
+			t.Errorf("SchemeNamed(%q) = %v, %v; want %v", want[id], got, err, id)
+		}
+	}
+	if _, err := SchemeNamed("HEB-X"); err == nil || !strings.Contains(err.Error(), "HEB-D") {
+		t.Errorf("SchemeNamed(HEB-X) error %v does not list the valid names", err)
 	}
 	if SchemeID(99).String() == "" {
 		t.Error("unknown scheme has empty string")

@@ -111,14 +111,6 @@ func MapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.
 	return results, firstError(errs)
 }
 
-// Each is Map for jobs with no result value.
-func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
 // firstError returns the lowest-index non-nil error.
 func firstError(errs []error) error {
 	for _, err := range errs {

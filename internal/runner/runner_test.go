@@ -129,19 +129,6 @@ func TestMapZeroJobs(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(context.Background(), 10, 4, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	cases := []struct{ req, n, want int }{
 		{0, 100, runtime.GOMAXPROCS(0)},

@@ -1,14 +1,11 @@
 package heb
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"heb/internal/runner"
-	"heb/internal/sim"
 	"heb/internal/stats"
 )
 
@@ -61,32 +58,25 @@ func MultiSeedComparison(p Prototype, opts MultiSeedOptions) ([]MultiSeedResult,
 		opts.Schemes = []SchemeID{BaOnly, SCFirst, HEBD}
 	}
 
-	// Flatten the seed-major grid; cell i = (seed i/len(schemes),
-	// scheme i%len(schemes)). Each cell derives its own prototype seed,
-	// so cells are independent and order-free; the runner returns them
-	// in grid order for deterministic accumulation below.
+	w, err := WorkloadNamed(opts.Workload)
+	if err != nil {
+		return nil, err
+	}
+	w = w.WithDuration(opts.Duration)
+	// The seed-major grid: run i is seed i/len(schemes) of scheme
+	// i%len(schemes). Only the seed differs between a scheme's runs, so
+	// each worker resets one pooled engine per scheme instead of
+	// rebuilding it.
 	nSchemes := len(opts.Schemes)
-	cells := opts.Seeds * nSchemes
-	// Every cell of a scheme reuses one pooled run state per worker: only
-	// the seed differs between cells, so the engine, device pools, PAT
-	// table and controller are reset instead of rebuilt.
-	cache := NewRunCache(runner.Workers(opts.Workers, cells))
-	results, err := runner.MapWorkers(context.Background(), cells, opts.Workers,
-		func(_ context.Context, worker, i int) (sim.Result, error) {
-			s, id := i/nSchemes, opts.Schemes[i%nSchemes]
-			pp := p
-			pp.Seed = p.Seed + int64(s)*7919
-			w, err := WorkloadNamed(opts.Workload)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			w = w.WithDuration(opts.Duration)
-			res, err := pp.RunWith(cache, worker, id, w, RunOptions{Duration: opts.Duration})
-			if err != nil {
-				return sim.Result{}, fmt.Errorf("heb: seed %d scheme %v: %w", s, id, err)
-			}
-			return res, nil
-		})
+	runs := make([]sweepRun, 0, opts.Seeds*nSchemes)
+	for s := 0; s < opts.Seeds; s++ {
+		pp := p
+		pp.Seed = p.Seed + int64(s)*7919
+		for _, id := range opts.Schemes {
+			runs = append(runs, sweepRun{pp, id, w, RunOptions{Duration: opts.Duration}})
+		}
+	}
+	results, err := sweep(runs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

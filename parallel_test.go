@@ -47,6 +47,19 @@ func TestSweepDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatal("Figure12 results differ between 1 and 4 workers")
 		}
+		// Figure12 reuses pooled engines across cells; each cell must
+		// equal a run on a freshly built one.
+		for _, sr := range seq {
+			for _, w := range opts.Workloads {
+				fresh, err := p.Run(sr.Scheme, w.WithDuration(opts.Duration), RunOptions{Duration: opts.Duration})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sr.Results[w.Name()], fresh) {
+					t.Errorf("Figure12 %v on %s differs from a fresh Run", sr.Scheme, w.Name())
+				}
+			}
+		}
 	})
 
 	t.Run("MultiSeed", func(t *testing.T) {

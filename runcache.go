@@ -1,6 +1,7 @@
 package heb
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 
@@ -9,6 +10,7 @@ import (
 	"heb/internal/forecast"
 	"heb/internal/pat"
 	"heb/internal/power"
+	"heb/internal/runner"
 	"heb/internal/sim"
 	"heb/internal/units"
 )
@@ -145,6 +147,34 @@ func (c *RunCache) store(worker int, key string, st *runState) {
 		return
 	}
 	c.perWorker[worker][key] = st
+}
+
+// sweepRun is one run of an experiment sweep.
+type sweepRun struct {
+	p        Prototype
+	scheme   SchemeID
+	workload Workload
+	opts     RunOptions
+}
+
+// sweep is the one path every multi-run experiment takes: it executes
+// runs on a pool of workers (<= 0 means GOMAXPROCS) through a shared
+// RunCache, so runs with the same structural configuration reuse one
+// worker's engine, and returns the results in run order. Pooled runs are
+// bit-for-bit identical to fresh ones (RunWith), and the pool reports the
+// lowest-index failure, so the outcome is the same for any worker count.
+func sweep(runs []sweepRun, workers int) ([]sim.Result, error) {
+	cache := NewRunCache(runner.Workers(workers, len(runs)))
+	return runner.MapWorkers(context.Background(), len(runs), workers,
+		func(_ context.Context, worker, i int) (sim.Result, error) {
+			r := runs[i]
+			res, err := r.p.RunWith(cache, worker, r.scheme, r.workload, r.opts)
+			if err != nil {
+				return sim.Result{}, fmt.Errorf("heb: %v on %s (seed %d): %w",
+					r.scheme, r.workload.Name(), r.p.Seed, err)
+			}
+			return res, nil
+		})
 }
 
 // poolKey fingerprints the structural configuration a runState is built

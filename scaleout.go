@@ -52,9 +52,10 @@ func ScaleOutStudy(p Prototype, factors []int, duration time.Duration) ([]ScaleP
 			return nil, fmt.Errorf("heb: scale factor %d must be positive", f)
 		}
 	}
-	// Factors differ structurally (server count, storage), so the cache
-	// only pays off when the same factor repeats; it is threaded through
-	// regardless so repeated studies share the plumbing.
+	// The study keeps its own pool rather than going through sweep: it
+	// synthesizes each trace before starting the clock and times the run
+	// alone, on one worker. Factors differ structurally (server count,
+	// storage), so the cache only pays off when the same factor repeats.
 	cache := NewRunCache(1)
 	return runner.MapWorkers(context.Background(), len(factors), 1,
 		func(_ context.Context, worker, i int) (ScalePoint, error) {

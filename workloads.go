@@ -2,6 +2,7 @@ package heb
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"heb/internal/power"
@@ -34,6 +35,20 @@ func WorkloadNamed(abbrev string) (Workload, error) {
 		return Workload{}, err
 	}
 	return WorkloadFromSpec(s), nil
+}
+
+// SchemeNamed resolves a Table 2 scheme by the name its String method
+// gives (BaOnly, BaFirst, SCFirst, HEB-F, HEB-S, HEB-D).
+func SchemeNamed(name string) (SchemeID, error) {
+	ids := AllSchemes()
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		if id.String() == name {
+			return id, nil
+		}
+		names[i] = id.String()
+	}
+	return 0, fmt.Errorf("heb: unknown scheme %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // SpecNamed resolves a Table 1 abbreviation to its raw generator spec
