@@ -10,6 +10,9 @@ package heb
 // control slot length, deployment topology) sit at the bottom.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -576,6 +579,27 @@ func BenchmarkCaptureBuildManifest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if m := c.BuildManifest(); len(m.Runs) != 1 {
 			b.Fatalf("manifest holds %d runs", len(m.Runs))
+		}
+	}
+}
+
+// BenchmarkReadCheckpoints reads the recordedCapture's checkpoint chain
+// (twelve records of the 2 h HEB-D run, as WriteFiles writes them) per
+// iteration: the read half of every resume, replay, check and bisect.
+func BenchmarkReadCheckpoints(b *testing.B) {
+	dir := b.TempDir()
+	if err := recordedCapture(b).WriteFiles(dir); err != nil {
+		b.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoints.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := obs.ReadCheckpoints(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

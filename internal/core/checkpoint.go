@@ -2,6 +2,7 @@ package core
 
 import (
 	"heb/internal/forecast"
+	"heb/internal/jsonenc"
 	"heb/internal/pat"
 )
 
@@ -28,6 +29,55 @@ type ControllerState struct {
 	NoiseDraws int64 `json:"noise_draws,omitempty"`
 
 	PAT *pat.TableState `json:"pat,omitempty"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *ControllerState) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"slot_count":`, s.SlotCount)
+	o.Bool(`,"have_slot":`, s.HaveSlot)
+	o.Key(`,"last_view":`)
+	s.LastView.AppendJSON(o)
+	o.Key(`,"peak_predictor":`)
+	s.PeakPredictor.AppendJSON(o)
+	o.Key(`,"valley_predictor":`)
+	s.ValleyPredictor.AppendJSON(o)
+	o.Key(`,"peak_errors":`)
+	s.PeakErrors.AppendJSON(o)
+	o.Key(`,"valley_errors":`)
+	s.ValleyErrors.AppendJSON(o)
+	o.IntOmit(`,"last_lookups":`, s.LastLookups)
+	o.IntOmit(`,"last_misses":`, s.LastMisses)
+	o.Int64Omit(`,"noise_draws":`, s.NoiseDraws)
+	if s.PAT != nil {
+		o.Key(`,"pat":`)
+		s.PAT.AppendJSON(o)
+	}
+	o.Close()
+}
+
+// AppendJSON writes the view (defined in scheme.go, untagged) as
+// json.Marshal does.
+func (v *SlotView) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"SCFrac":`, v.SCFrac)
+	o.Float(`,"BAFrac":`, v.BAFrac)
+	o.Float(`,"SCAvail":`, float64(v.SCAvail))
+	o.Float(`,"BAAvail":`, float64(v.BAAvail))
+	o.Float(`,"PredictedPeak":`, float64(v.PredictedPeak))
+	o.Float(`,"PredictedValley":`, float64(v.PredictedValley))
+	o.Float(`,"PredictedPM":`, float64(v.PredictedPM))
+	o.Float(`,"PredictedOver":`, float64(v.PredictedOver))
+	o.Float(`,"Budget":`, float64(v.Budget))
+	o.Int(`,"NumServers":`, v.NumServers)
+	o.Bool(`,"SmallPeak":`, v.SmallPeak)
+	o.Close()
+}
+
+// AppendJSON writes the decision (defined in scheme.go, untagged) as
+// json.Marshal does.
+func (d *Decision) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"Mode":`, int(d.Mode))
+	o.Float(`,"Ratio":`, d.Ratio)
+	o.Close()
 }
 
 // Checkpoint captures the controller's full mutable state, the PAT as

@@ -1,6 +1,10 @@
 package esd
 
-import "fmt"
+import (
+	"fmt"
+
+	"heb/internal/jsonenc"
+)
 
 // This file is the device half of the flight recorder: every Device can
 // dump its full mutable state into a JSON-able DeviceState. Configuration
@@ -47,6 +51,57 @@ type DeviceState struct {
 	Supercap *SupercapState `json:"supercap,omitempty"`
 	// Members holds per-member state for pools, in member order.
 	Members []DeviceState `json:"members,omitempty"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *DeviceState) AppendJSON(o *jsonenc.Object) {
+	o.Str(`{"kind":`, s.Kind)
+	if s.Battery != nil {
+		o.Key(`,"battery":`)
+		s.Battery.AppendJSON(o)
+	}
+	if s.Supercap != nil {
+		o.Key(`,"supercap":`)
+		s.Supercap.AppendJSON(o)
+	}
+	jsonenc.SliceOmit(o, `,"members":`, s.Members, (*DeviceState).AppendJSON)
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *BatteryState) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"q1":`, s.Q1)
+	o.Float(`,"q2":`, s.Q2)
+	o.BoolOmit(`,"failed":`, s.Failed)
+	o.Float(`,"temp_c":`, s.TempC)
+	o.Float(`,"peak_c":`, s.PeakC)
+	o.Key(`,"stats":`)
+	s.Stats.AppendJSON(o)
+	o.Float(`,"throughput_ah":`, s.ThroughputAh)
+	o.Float(`,"weighted_ah":`, s.WeightedAh)
+	o.Float(`,"last_weight":`, s.LastWeight)
+	o.Float(`,"peak_weight":`, s.PeakWeight)
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *SupercapState) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"v":`, s.V)
+	o.BoolOmit(`,"failed":`, s.Failed)
+	o.Key(`,"stats":`)
+	s.Stats.AppendJSON(o)
+	o.Close()
+}
+
+// AppendJSON writes the ledger as json.Marshal does.
+func (s *Stats) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"EnergyIn":`, float64(s.EnergyIn))
+	o.Float(`,"EnergyOut":`, float64(s.EnergyOut))
+	o.Float(`,"Loss":`, float64(s.Loss))
+	o.Float(`,"ThroughputAh":`, s.ThroughputAh)
+	o.Float(`,"WeightedAh":`, s.WeightedAh)
+	o.Int64(`,"DischargeTime":`, int64(s.DischargeTime))
+	o.Close()
 }
 
 // Checkpoint captures the battery's mutable state.

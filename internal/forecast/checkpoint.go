@@ -1,6 +1,10 @@
 package forecast
 
-import "fmt"
+import (
+	"fmt"
+
+	"heb/internal/jsonenc"
+)
 
 // Flight-recorder state for the demand predictors: each predictor's
 // internal windows/components serialize losslessly, so two runs whose
@@ -44,6 +48,61 @@ type ErrorsState struct {
 	SumAbs     float64 `json:"sum_abs"`
 	SumAbsPct  float64 `json:"sum_abs_pct"`
 	SumSquared float64 `json:"sum_squared"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *PredictorState) AppendJSON(o *jsonenc.Object) {
+	o.Str(`{"kind":`, s.Kind)
+	if s.Naive != nil {
+		o.Key(`,"naive":`)
+		s.Naive.AppendJSON(o)
+	}
+	if s.HoltWinters != nil {
+		o.Key(`,"holt_winters":`)
+		s.HoltWinters.AppendJSON(o)
+	}
+	if s.Oracle != nil {
+		o.Key(`,"oracle":`)
+		s.Oracle.AppendJSON(o)
+	}
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *NaiveState) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"last":`, s.Last)
+	o.Bool(`,"seen":`, s.Seen)
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *HoltWintersState) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"level":`, s.Level)
+	o.Float(`,"trend":`, s.Trend)
+	jsonenc.SliceOmit(o, `,"season":`, s.Season, appendFloat)
+	o.Int(`,"idx":`, s.Idx)
+	o.Int(`,"n":`, s.N)
+	jsonenc.SliceOmit(o, `,"warmup":`, s.Warmup, appendFloat)
+	o.Close()
+}
+
+func appendFloat(x *float64, o *jsonenc.Object) { o.Float("", *x) }
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *OracleState) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"idx":`, s.Idx)
+	o.Float(`,"last":`, s.Last)
+	o.Bool(`,"seen":`, s.Seen)
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *ErrorsState) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"n":`, s.N)
+	o.Float(`,"sum_abs":`, s.SumAbs)
+	o.Float(`,"sum_abs_pct":`, s.SumAbsPct)
+	o.Float(`,"sum_squared":`, s.SumSquared)
+	o.Close()
 }
 
 // Checkpoint captures the error tracker's accumulators.

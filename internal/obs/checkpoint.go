@@ -87,13 +87,14 @@ type CheckpointLog struct {
 // NewCheckpointLog builds an empty log.
 func NewCheckpointLog() *CheckpointLog { return &CheckpointLog{} }
 
-// Append chains and stores one snapshot (copying state, so the caller
-// may reuse its buffer), returning the finished record. The writers copy
-// State verbatim, so a state holding JSON whitespace (space, tab, CR or
-// LF) is compacted before it is hashed, keeping the chain valid when it
-// is read back; compact state, as json.Marshal writes it, is only
-// copied. State is not validated: invalid JSON fails when the chain is
-// read, not when it is written.
+// Append chains and stores one snapshot, returning the finished record.
+// It copies state once: the engine encodes every checkpoint into one
+// buffer it reuses. The writers copy State verbatim, so a state holding
+// JSON whitespace (space, tab, CR or LF) is compacted before it is
+// hashed, keeping the chain valid when it is read back; compact state,
+// as json.Marshal and the engine's appenders write it, is only copied.
+// State is not validated: invalid JSON fails when the chain is read, not
+// when it is written.
 func (l *CheckpointLog) Append(slot, step int, seconds float64, state json.RawMessage) CheckpointRecord {
 	rec := CheckpointRecord{
 		V:       CheckpointVersion,
@@ -136,8 +137,234 @@ func (l *CheckpointLog) Records() []CheckpointRecord {
 	return append([]CheckpointRecord(nil), l.records...)
 }
 
-// ReadCheckpoints parses a checkpoints.jsonl stream.
-func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) { return ReadJSONL[CheckpointRecord](r) }
+// ReadCheckpoints parses a checkpoints.jsonl stream. It reads the stream
+// once and parses each line on the layout CheckpointRecord.appendJSON
+// writes, without reflection; the records' State slices share the read
+// buffer, each capped at its own end. The first line off that layout
+// (whitespace, reordered, unknown or escaped keys and strings, a
+// non-object state, a number outside its field's type, a missing final
+// newline) sends the whole stream through ReadJSONL[CheckpointRecord],
+// so every input gets exactly the records and the error that reader
+// gives it. FuzzReadCheckpoints holds the two paths equal.
+func ReadCheckpoints(r io.Reader) ([]CheckpointRecord, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	if err == nil {
+		if recs, ok := parseCheckpoints(buf.Bytes()); ok {
+			return recs, nil
+		}
+	}
+	rest := io.Reader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		// The reader failed after buf: the JSONL reader meets the same
+		// error where it would have.
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	return ReadJSONL[CheckpointRecord](rest)
+}
+
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// parseCheckpoints parses every line of b on the written layout,
+// reporting false at the first line off it. An empty b holds no records.
+func parseCheckpoints(b []byte) ([]CheckpointRecord, bool) {
+	if len(b) == 0 {
+		return nil, true
+	}
+	recs := make([]CheckpointRecord, 0, bytes.Count(b, []byte{'\n'}))
+	for len(b) > 0 {
+		i := bytes.IndexByte(b, '\n')
+		if i < 0 {
+			return nil, false
+		}
+		p := ckptLine{rest: b[:i], ok: true}
+		rec, ok := p.record()
+		if !ok {
+			return nil, false
+		}
+		recs = append(recs, rec)
+		b = b[i+1:]
+	}
+	return recs, true
+}
+
+// ckptLine parses one checkpoint line. The fixed fields are read from
+// the front and the optional tail (delta, prev) and the hash from the
+// back; what lies between is the state, accepted only as one valid JSON
+// object. Each part being valid in its place makes the whole line a
+// JSON object with exactly these keys, so encoding/json reads it the
+// same way.
+type ckptLine struct {
+	rest []byte
+	ok   bool
+}
+
+func (p *ckptLine) record() (CheckpointRecord, bool) {
+	var r CheckpointRecord
+	p.lit(`{"v":`)
+	r.V = p.int()
+	if bytes.HasPrefix(p.rest, []byte(`,"run":`)) {
+		p.lit(`,"run":`)
+		r.Run = p.str()
+	}
+	p.lit(`,"slot":`)
+	r.Slot = p.int()
+	p.lit(`,"step":`)
+	r.Step = p.int()
+	p.lit(`,"t":`)
+	r.Seconds = p.float()
+	p.lit(`,"state":`)
+	p.litEnd(`"}`)
+	r.Hash = p.strEnd()
+	p.litEnd(`,"hash":`)
+	if bytes.HasSuffix(p.rest, []byte(`"`)) {
+		p.litEnd(`"`)
+		r.Prev = p.strEnd()
+		p.litEnd(`,"prev":`)
+	}
+	if bytes.HasSuffix(p.rest, []byte(`,"delta":true`)) {
+		p.litEnd(`,"delta":true`)
+		r.Delta = true
+	}
+	if !p.ok || !checkpointState(p.rest) {
+		return CheckpointRecord{}, false
+	}
+	r.State = p.rest[:len(p.rest):len(p.rest)]
+	return r, true
+}
+
+// checkpointState reports whether s is one JSON object with no
+// surrounding whitespace that stays within encoding/json's nesting limit
+// of 10000 once it sits inside a record: a state of n bytes nests at
+// most n/2 deep, so only a long one has its brackets counted.
+func checkpointState(s []byte) bool {
+	const maxDepth = 10000 - 1
+	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' || !json.Valid(s) {
+		return false
+	}
+	return len(s) < 2*maxDepth || bytes.Count(s, []byte{'{'})+bytes.Count(s, []byte{'['}) <= maxDepth
+}
+
+// lit consumes the literal s from the front.
+func (p *ckptLine) lit(s string) {
+	if p.ok = p.ok && bytes.HasPrefix(p.rest, []byte(s)); p.ok {
+		p.rest = p.rest[len(s):]
+	}
+}
+
+// litEnd consumes the literal s from the back.
+func (p *ckptLine) litEnd(s string) {
+	if p.ok = p.ok && bytes.HasSuffix(p.rest, []byte(s)); p.ok {
+		p.rest = p.rest[:len(p.rest)-len(s)]
+	}
+}
+
+// number consumes a JSON number from the front.
+func (p *ckptLine) number() []byte {
+	b := p.rest
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		p.ok = false
+		return nil
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		p.ok = p.ok && j > i+1
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		p.ok = p.ok && j > i
+		i = j
+	}
+	p.rest = b[i:]
+	return b[:i]
+}
+
+// digits returns the index of the first non-digit in b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// int consumes a JSON integer that fits an int; ParseInt refuses a
+// fraction or an exponent, as encoding/json does for an int field.
+func (p *ckptLine) int() int {
+	lit := p.number()
+	if !p.ok {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	p.ok = err == nil
+	return int(n)
+}
+
+// float consumes a JSON number that fits a float64.
+func (p *ckptLine) float() float64 {
+	lit := p.number()
+	if !p.ok {
+		return 0
+	}
+	x, err := strconv.ParseFloat(string(lit), 64)
+	p.ok = err == nil
+	return x
+}
+
+// plain reports whether s is printable ASCII without a quote or a
+// backslash: a JSON string body that decodes to itself.
+func plain(s []byte) bool {
+	for _, c := range s {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// str consumes a quoted plain string from the front.
+func (p *ckptLine) str() string {
+	p.lit(`"`)
+	i := bytes.IndexByte(p.rest, '"')
+	if !p.ok || i < 0 || !plain(p.rest[:i]) {
+		p.ok = false
+		return ""
+	}
+	s := string(p.rest[:i])
+	p.rest = p.rest[i+1:]
+	return s
+}
+
+// strEnd consumes a plain string body whose closing quote the caller
+// has consumed, and its opening quote, from the back.
+func (p *ckptLine) strEnd() string {
+	i := bytes.LastIndexByte(p.rest, '"')
+	if !p.ok || i < 0 || !plain(p.rest[i+1:]) {
+		p.ok = false
+		return ""
+	}
+	s := string(p.rest[i+1:])
+	p.rest = p.rest[:i]
+	return s
+}
 
 // ValidateCheckpoints checks a checkpoint stream's structural invariants,
 // per run label: known schema version, no delta records, strictly

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -150,5 +152,86 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	}
 	if err := ValidateCheckpoints(records); err != nil {
 		t.Fatalf("written chain does not validate: %v", err)
+	}
+}
+
+// TestReadCheckpointsLayout: a written multi-run chain (a first record
+// without prev, a delta record, float times, a state string that holds
+// `"},"hash":"`) is
+// read on its layout, with each State capped at its own end, and each
+// input off the layout goes to ReadJSONL whole and reads as it does
+// there. FuzzReadCheckpoints holds the two paths equal on any input;
+// this holds the layout path to being taken at all.
+func TestReadCheckpointsLayout(t *testing.T) {
+	var recs []CheckpointRecord
+	for _, run := range []string{"HEB-D|PR|2h0m0s|seed=1", "BaOnly|PR|2h0m0s|seed=1"} {
+		l := NewCheckpointLog()
+		l.Append(1, 600, 600.5, json.RawMessage(`{"steps":600,"s":"a\"},\"hash\":\"b"}`))
+		l.Append(2, 1200, 1e-7, json.RawMessage(`{"steps":1200,"pat":{"entries":{"len":3,"digest":"42"}}}`))
+		for _, r := range l.Records() {
+			r.Run = run
+			recs = append(recs, r)
+		}
+	}
+	recs[3].Delta = true
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	written := buf.String()
+	got, ok := parseCheckpoints([]byte(written))
+	if !ok {
+		t.Fatal("a written chain left the layout path")
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("layout path read\n %+v\nwant\n %+v", got, recs)
+	}
+	for i, r := range got {
+		if cap(r.State) != len(r.State) {
+			t.Errorf("record %d: State has spare capacity %d", i, cap(r.State)-len(r.State))
+		}
+	}
+	first, _, _ := strings.Cut(written, "\n")
+	for name, in := range map[string]string{
+		"crlf":           strings.ReplaceAll(written, "\n", "\r\n"),
+		"blank line":     first + "\n\n",
+		"space":          strings.Replace(written, `"slot":1`, `"slot": 1`, 1),
+		"reordered keys": strings.Replace(first, `"v":4,"run":"HEB-D|PR|2h0m0s|seed=1"`, `"run":"HEB-D|PR|2h0m0s|seed=1","v":4`, 1) + "\n",
+		"unknown key":    strings.Replace(first, `"slot":1`, `"x":0,"slot":1`, 1) + "\n",
+		"escaped run":    strings.Replace(first, "HEB-D|PR", `HEB-D\u003cPR`, 1) + "\n",
+		"exponent slot":  strings.Replace(first, `"slot":1`, `"slot":1e0`, 1) + "\n",
+		"leading zero":   strings.Replace(first, `"slot":1`, `"slot":01`, 1) + "\n",
+		"null state":     `{"v":4,"slot":1,"step":1,"t":1,"state":null,"hash":"x"}` + "\n",
+		"delta false":    strings.Replace(first, `,"hash"`, `,"delta":false,"hash"`, 1) + "\n",
+		"no newline":     first,
+		"trailing bytes": written + "x",
+		"int overflow":   strings.Replace(first, `"slot":1`, `"slot":9223372036854775808`, 1) + "\n",
+		"float overflow": strings.Replace(first, `"t":600.5`, `"t":1e999`, 1) + "\n",
+		"invalid state":  strings.Replace(first, `{"steps":600`, `{"steps":600,`, 1) + "\n",
+	} {
+		if _, ok := parseCheckpoints([]byte(in)); ok {
+			t.Errorf("%s: read on the layout path", name)
+		}
+		sameAsJSONL(t, name, in)
+	}
+	// encoding/json refuses nesting past 10000 levels; a record adds one
+	// to its state's, so the deepest state the layout path takes is 9999.
+	for depth, layout := range map[int]bool{9999: true, 10000: false} {
+		state := strings.Repeat(`{"a":`, depth-1) + "{}" + strings.Repeat("}", depth-1)
+		in := `{"v":4,"slot":1,"step":1,"t":1,"state":` + state + `,"hash":"x"}` + "\n"
+		if _, ok := parseCheckpoints([]byte(in)); ok != layout {
+			t.Errorf("state nested %d deep: layout path %v, want %v", depth, ok, layout)
+		}
+		sameAsJSONL(t, fmt.Sprintf("state nested %d deep", depth), in)
+	}
+}
+
+// sameAsJSONL requires ReadCheckpoints to read in as ReadJSONL does.
+func sameAsJSONL(t *testing.T, name, in string) {
+	t.Helper()
+	got, err := ReadCheckpoints(strings.NewReader(in))
+	want, werr := ReadJSONL[CheckpointRecord](strings.NewReader(in))
+	if (err != nil) != (werr != nil) || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: read %d records (error %v), ReadJSONL %d (error %v)", name, len(got), err, len(want), werr)
 	}
 }

@@ -1,6 +1,10 @@
 package pat
 
-import "math"
+import (
+	"math"
+
+	"heb/internal/jsonenc"
+)
 
 // TableState is the flight-recorder snapshot of a PAT: the configuration,
 // a digest of the learned entries (with their hit/update counters) and
@@ -21,6 +25,33 @@ type TableState struct {
 type Digest struct {
 	Len int    `json:"len"`
 	Sum uint64 `json:"digest,string"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *TableState) AppendJSON(o *jsonenc.Object) {
+	o.Key(`{"config":`)
+	s.Config.AppendJSON(o)
+	o.Key(`,"entries":`)
+	s.Entries.AppendJSON(o)
+	o.Int(`,"lookups":`, s.Lookups)
+	o.Int(`,"misses":`, s.Misses)
+	o.Close()
+}
+
+// AppendJSON writes the configuration as json.Marshal does.
+func (c *Config) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"LevelBins":`, c.LevelBins)
+	o.Float(`,"PMBinWatts":`, c.PMBinWatts)
+	o.Float(`,"DeltaR":`, c.DeltaR)
+	o.Int(`,"MaxEntries":`, c.MaxEntries)
+	o.Close()
+}
+
+// AppendJSON writes the digest as json.Marshal does, Sum quoted.
+func (d *Digest) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"len":`, d.Len)
+	o.QuotedUint64(`,"digest":`, d.Sum)
+	o.Close()
 }
 
 // Fold appends one 64-bit word to a running sequence digest.

@@ -3,6 +3,7 @@ package power
 import (
 	"time"
 
+	"heb/internal/jsonenc"
 	"heb/internal/units"
 )
 
@@ -28,6 +29,39 @@ type FabricState struct {
 	Switches [NumSources]int64 `json:"switches"`
 	Meter    Meter             `json:"meter"`
 	Servers  []ServerState     `json:"servers"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *ServerState) AppendJSON(o *jsonenc.Object) {
+	o.Bool(`{"on":`, s.On)
+	o.Float(`,"util":`, s.Util)
+	o.Int(`,"freq":`, int(s.Freq))
+	o.IntOmit(`,"cycles":`, s.Cycles)
+	o.FloatOmit(`,"wasted_boot":`, float64(s.WastedBoot))
+	o.Close()
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *FabricState) AppendJSON(o *jsonenc.Object) {
+	jsonenc.Slice(o, `{"assign":`, s.Assign, func(v *Source, o *jsonenc.Object) { o.Int("", int(*v)) })
+	jsonenc.Slice(o, `,"last_use":`, s.LastUse, func(v *time.Duration, o *jsonenc.Object) { o.Int64("", int64(*v)) })
+	jsonenc.SliceOmit(o, `,"stuck":`, s.Stuck, func(v *bool, o *jsonenc.Object) { o.Bool("", *v) })
+	o.IntOmit(`,"offline":`, s.Offline)
+	jsonenc.Slice(o, `,"switches":`, s.Switches[:], func(v *int64, o *jsonenc.Object) { o.Int64("", *v) })
+	o.Key(`,"meter":`)
+	s.Meter.AppendJSON(o)
+	jsonenc.Slice(o, `,"servers":`, s.Servers, (*ServerState).AppendJSON)
+	o.Close()
+}
+
+// AppendJSON writes the meter as json.Marshal does.
+func (m *Meter) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"Utility":`, float64(m.Utility))
+	o.Float(`,"Battery":`, float64(m.Battery))
+	o.Float(`,"Supercap":`, float64(m.Supercap))
+	o.Float(`,"Unserved":`, float64(m.Unserved))
+	o.Float(`,"DowntimeServerSeconds":`, m.DowntimeServerSeconds)
+	o.Close()
 }
 
 // Checkpoint captures the server's mutable state.
@@ -58,6 +92,13 @@ func (f *Fabric) Checkpoint() FabricState {
 type UtilityFeedState struct {
 	Drawn units.Energy `json:"drawn"`
 	Peak  units.Power  `json:"peak"`
+}
+
+// AppendJSON writes the state as json.Marshal does.
+func (s *UtilityFeedState) AppendJSON(o *jsonenc.Object) {
+	o.Float(`{"drawn":`, float64(s.Drawn))
+	o.Float(`,"peak":`, float64(s.Peak))
+	o.Close()
 }
 
 // Checkpoint captures the feed's cumulative meters.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +8,7 @@ import (
 
 	"heb/internal/core"
 	"heb/internal/esd"
+	"heb/internal/jsonenc"
 	"heb/internal/pat"
 	"heb/internal/power"
 	"heb/internal/units"
@@ -74,6 +74,66 @@ type EngineState struct {
 	SlotPeaks    pat.Digest           `json:"slot_peaks"`
 	SlotValleys  pat.Digest           `json:"slot_valleys"`
 	Controller   core.ControllerState `json:"controller"`
+}
+
+// AppendJSON writes the state as json.Marshal does, through each nested
+// state's appender; a NaN or infinite float sets o.Err. The tests hold it
+// to json.Marshal field by field and under the fuzzer.
+func (s *EngineState) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"steps":`, s.Steps)
+	o.Int64(`,"now":`, int64(s.Now))
+	o.Key(`,"decision":`)
+	s.Decision.AppendJSON(o)
+	o.Key(`,"view":`)
+	s.View.AppendJSON(o)
+	o.Float(`,"slot_peak":`, float64(s.SlotPeak))
+	o.Float(`,"slot_valley":`, float64(s.SlotValley))
+	o.Bool(`,"slot_has_sample":`, s.SlotHasSample)
+	o.Int64(`,"last_shed":`, int64(s.LastShed))
+	o.Bool(`,"has_shed":`, s.HasShed)
+	jsonenc.SliceOmit(o, `,"capped_from":`, s.CappedFrom, (*CappedFreq).AppendJSON)
+	o.Float(`,"degraded_secs":`, s.DegradedSecs)
+	o.Float(`,"served_sc":`, float64(s.ServedSC))
+	o.Float(`,"served_ba":`, float64(s.ServedBA))
+	o.Float(`,"renew_gen":`, float64(s.RenewGen))
+	o.Float(`,"renew_used":`, float64(s.RenewUsed))
+	o.Float(`,"renew_stored":`, float64(s.RenewStored))
+	o.Float(`,"renew_spilled":`, float64(s.RenewSpilled))
+	o.Float(`,"utility_drawn":`, float64(s.UtilityDrawn))
+	o.Float(`,"utility_peak":`, float64(s.UtilityPeak))
+	o.Float(`,"initial_stored":`, float64(s.InitialStored))
+	o.Int(`,"shed_events":`, s.ShedEvents)
+	o.Int(`,"mismatch_steps":`, s.MismatchSteps)
+	o.Float(`,"discharge_conv_loss":`, float64(s.DischargeConvLoss))
+	o.Float(`,"utility_conv_loss":`, float64(s.UtilityConvLoss))
+	o.Key(`,"battery":`)
+	s.Battery.AppendJSON(o)
+	if s.Supercap != nil {
+		o.Key(`,"supercap":`)
+		s.Supercap.AppendJSON(o)
+	}
+	o.Key(`,"fabric":`)
+	s.Fabric.AppendJSON(o)
+	if s.Feed != nil {
+		o.Key(`,"feed":`)
+		s.Feed.AppendJSON(o)
+	}
+	o.Key(`,"demand_series":`)
+	s.DemandSeries.AppendJSON(o)
+	o.Key(`,"slot_peaks":`)
+	s.SlotPeaks.AppendJSON(o)
+	o.Key(`,"slot_valleys":`)
+	s.SlotValleys.AppendJSON(o)
+	o.Key(`,"controller":`)
+	s.Controller.AppendJSON(o)
+	o.Close()
+}
+
+// AppendJSON writes the entry as json.Marshal does.
+func (c *CappedFreq) AppendJSON(o *jsonenc.Object) {
+	o.Int(`{"id":`, c.ID)
+	o.Int(`,"freq":`, int(c.Freq))
+	o.Close()
 }
 
 // checkpoint assembles the state at a slot boundary, first folding the
@@ -152,9 +212,12 @@ func foldSeries(d *pat.Digest, s []float64) {
 	}
 }
 
-// emitCheckpoint marshals the state and hands it to the configured sink,
-// reporting the sink's verdict on whether the run goes on. It runs only
-// at checkpointed slot boundaries, never in the hot loop.
+// emitCheckpoint encodes the state into the engine's checkpoint buffer,
+// which it reuses from one checkpoint to the next, and hands it to the
+// configured sink, reporting the sink's verdict on whether the run goes
+// on. The bytes are json.Marshal's; a sink that keeps them must copy
+// them. It runs only at checkpointed slot boundaries, never in the hot
+// loop.
 func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) bool {
 	st, err := e.checkpoint()
 	if err != nil {
@@ -163,9 +226,11 @@ func (e *Engine) emitCheckpoint(slot, step int, now time.Duration) bool {
 		// silently broken chain.
 		panic(fmt.Sprintf("sim: checkpoint at slot %d: %v", slot, err))
 	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		panic(fmt.Sprintf("sim: marshal checkpoint at slot %d: %v", slot, err))
+	o := jsonenc.Object{B: e.ckptBuf[:0]}
+	st.AppendJSON(&o)
+	e.ckptBuf = o.B
+	if o.Err != nil {
+		panic(fmt.Sprintf("sim: encode checkpoint at slot %d: %v", slot, o.Err))
 	}
-	return e.cfg.Checkpoints(slot, step, now, b)
+	return e.cfg.Checkpoints(slot, step, now, e.ckptBuf)
 }

@@ -137,9 +137,10 @@ type Config struct {
 	// receives the engine's serialized state (see EngineState) at
 	// checkpointed slot boundaries — after the boundary's finish/plan,
 	// before the first step of the new slot. Returning false stops the
-	// run where it stands, as a MaxSteps stop does. A nil sink is the
-	// fast path: no state is assembled at all, so the hot loop stays
-	// allocation-free.
+	// run where it stands, as a MaxSteps stop does. state is the
+	// engine's reused buffer: a sink that keeps it must copy it. A nil
+	// sink is the fast path: no state is assembled at all, so the hot
+	// loop stays allocation-free.
 	Checkpoints func(slot, step int, now time.Duration, state []byte) bool
 	// CheckpointEvery is the checkpoint decimation in control slots
 	// (1 = every slot boundary). Zero disables checkpointing even when
@@ -305,6 +306,9 @@ type Engine struct {
 	// Running digests of the metric series, folded up to the last
 	// checkpoint (see EngineState).
 	demandDigest, peaksDigest, valleysDigest pat.Digest
+	// ckptBuf holds the last encoded checkpoint state; emitCheckpoint
+	// reuses it.
+	ckptBuf []byte
 }
 
 // overloadKey is what a selectOverload result depends on: the demand
@@ -448,6 +452,7 @@ func (e *Engine) Reset(cfg Config) error {
 		sortedTo:        e.sortedTo[:0],
 		lastOverload:    e.lastOverload[:0],
 		probeTargets:    e.probeTargets[:0],
+		ckptBuf:         e.ckptBuf[:0],
 	}
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
 		e.sizeScratch(n)

@@ -31,7 +31,9 @@
 # run: one hooks-on 2 h HEB-D capture written to a temp directory.
 # BenchmarkCaptureBuildManifest times the same capture's snapshot, JSONL
 # encode and manifest into io.Discard, with no disk, so its ns/op is the
-# encode path's without file-system noise. The
+# encode path's without file-system noise. BenchmarkReadCheckpoints reads
+# the same capture's checkpoints.jsonl back through obs.ReadCheckpoints,
+# the read half of every resume, replay, check and bisect. The
 # hooks-off path is BenchmarkEngineStep itself, gated on exact allocs/op
 # in the sweep set; the tier-1 test TestHooksOffAllocsIndependentOfRunLength
 # is what proves every nil-guarded hook costs nothing when off.
@@ -163,7 +165,7 @@ run_set() {
 esd_rows='BenchmarkBatteryDischargeStep BenchmarkBatteryChargeStep BenchmarkThermalBatteryDischargeStep BenchmarkAgedBatteryDischargeStep BenchmarkSupercapDischargeStep BenchmarkSupercapRest BenchmarkHybridPoolDischarge BenchmarkUniformPoolTransfer/uniform/x2 BenchmarkUniformPoolTransfer/newpool/x2 BenchmarkUniformPoolTransfer/uniform/x32 BenchmarkUniformPoolTransfer/newpool/x32'
 
 run_set 'BenchmarkMultiSeedSequential|BenchmarkMultiSeedParallel|BenchmarkEngineStep$|BenchmarkEngineReuse$|BenchmarkEngineStepScale$|BenchmarkRunStateResetScale$|BenchmarkSeedPAT$|BenchmarkLookupSimilar$|BenchmarkBatteryDischargeStep$|BenchmarkBatteryChargeStep$|BenchmarkThermalBatteryDischargeStep$|BenchmarkAgedBatteryDischargeStep$|BenchmarkSupercapDischargeStep$|BenchmarkSupercapRest$|BenchmarkHybridPoolDischarge$|BenchmarkUniformPoolTransfer$' "$sweep_out" . ./internal/core ./internal/pat ./internal/esd
-run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$|BenchmarkCaptureBuildManifest$' "$obs_out"
+run_set 'BenchmarkEngineObsEnabled|BenchmarkEngineProbesEnabled|BenchmarkEngineCheckpointEnabled|BenchmarkEngineManifestEnabled|BenchmarkEngineAlertsEnabled|BenchmarkEngineProfEnabled|BenchmarkCaptureWriteFiles$|BenchmarkCaptureBuildManifest$|BenchmarkReadCheckpoints$' "$obs_out"
 
 # Target gates (see header): absolute holds on the measured run, applied
 # over the raw benchmark output of both sets so they bind even as the
