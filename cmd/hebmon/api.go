@@ -19,82 +19,117 @@ import (
 	"heb/internal/obs/alerts"
 	"heb/internal/obs/registry"
 	"heb/internal/obs/registry/baseline"
-	"heb/internal/telemetry"
+	"heb/internal/power"
 )
 
 //go:embed dashboard.html
 var dashboardHTML []byte
 
-// monitor bundles the live-run surfaces (recorder, metrics, event
-// stream) with the cross-run registry behind one mux. reg is nil when no
-// capture root was configured; the /api endpoints then answer 503 so a
-// dashboard can tell "no registry" from "empty registry".
+// monitor bundles the live run (snapshot ring, summary, engine and
+// runtime metrics, event stream) with the cross-run registry behind one
+// mux. reg is nil when no capture root was configured; the registry
+// endpoints then answer 503 so a dashboard can tell "no registry" from
+// "empty registry".
 type monitor struct {
-	rec     *telemetry.Recorder
-	metrics *telemetry.Metrics
-	rt      *telemetry.RuntimeMetrics
-	stream  *obs.EventStream
-	reg     *registry.Registry
-	ready   atomic.Bool
+	// mu guards the live run's state: observe writes it once per engine
+	// tick while the HTTP handlers read it.
+	mu           sync.RWMutex
+	ring         obs.Ring[Snapshot]
+	summary      Summary
+	lastSwitches [power.NumSources]int64
+
+	metrics  *obs.Registry
+	engine   engineMetrics
+	rt       *runtimeMetrics
+	sseDrops *obs.Counter
+	stream   *obs.EventStream
+	reg      *registry.Registry
+	ready    atomic.Bool
 
 	// sseMu guards sseReported, the portion of the stream's cumulative
-	// drop count already folded into heb_sse_dropped_total.
+	// drop count already folded into sseDrops.
 	sseMu       sync.Mutex
 	sseReported int64
 }
 
-// newMonitor builds a monitor whose recorder keeps history snapshots,
-// with the runtime sampler on its metrics registry and no run registry.
+// newMonitor builds a monitor that keeps history snapshots, with the
+// engine and runtime families on one metrics registry and no run
+// registry.
 func newMonitor(history int) *monitor {
-	m := &monitor{
-		rec:     telemetry.MustNewRecorder(history),
-		metrics: telemetry.NewMetrics(nil),
-		stream:  obs.NewEventStream(0),
+	reg := obs.NewRegistry()
+	return &monitor{
+		ring:    obs.NewRing[Snapshot](history),
+		summary: Summary{MinBatterySoC: 1, MinSupercapSoC: 1},
+		metrics: reg,
+		engine:  newEngineMetrics(reg),
+		rt:      newRuntimeMetrics(reg),
+		sseDrops: reg.Counter("heb_sse_dropped_total",
+			"SSE events dropped to slow /events subscribers."),
+		stream: obs.NewEventStream(0),
 	}
-	m.rt = telemetry.NewRuntimeMetrics(m.metrics.Registry())
-	return m
 }
 
-// mux composes the monitor API: the recorder endpoints at their
-// historical paths, the SSE event stream, Prometheus exposition (with
-// fresh runtime series per scrape), pprof, the run registry API and
-// the embedded dashboard page. Nothing registers on the default mux.
+// mux composes the monitor API: the live-run endpoints, the SSE event
+// stream, Prometheus exposition, pprof, the run registry API and the
+// embedded dashboard page. Nothing registers on the default mux.
 func (m *monitor) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/", m.rec.Handler())
+	// Unknown paths, and other methods on the GET-only routes, are a 404.
+	mux.Handle("/", http.NotFoundHandler())
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = w.Write(dashboardHTML)
 	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
 	mux.HandleFunc("GET /readyz", m.handleReady)
+	mux.HandleFunc("/latest", m.handleLatest)
+	mux.HandleFunc("/history", m.handleHistory)
+	mux.HandleFunc("/summary", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, m.summarize())
+	})
+	mux.HandleFunc("/curves", m.handleCurves)
 	mux.Handle("/events", eventsHandler(m.stream))
-	// Fold the stream's cumulative subscriber-drop count into a counter
-	// before every scrape so lossy SSE delivery is visible on /metrics.
-	sseDrops := m.metrics.Registry().Counter("heb_sse_dropped_total",
-		"SSE events dropped to slow /events subscribers.")
-	metricsH := m.rt.Handler(m.metrics.Registry().Handler())
-	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m.sseMu.Lock()
-		if d := m.stream.Dropped(); d > m.sseReported {
-			sseDrops.Add(float64(d - m.sseReported))
-			m.sseReported = d
-		}
-		m.sseMu.Unlock()
-		metricsH.ServeHTTP(w, r)
-	}))
+	mux.HandleFunc("/metrics", m.handleMetrics)
 	mux.HandleFunc("GET /api/alerts", m.handleAlerts)
-	mux.HandleFunc("GET /api/runs", m.handleRuns)
-	mux.HandleFunc("GET /api/runs/{id}", m.handleRun)
-	mux.HandleFunc("GET /api/runs/{id}/profiles", m.handleRunProfiles)
-	mux.HandleFunc("GET /api/runs/{id}/score", m.handleScore)
-	mux.HandleFunc("GET /api/runs/{id}/compare/{other}", m.handleCompare)
-	mux.HandleFunc("GET /api/captures", m.handleCaptures)
+	// The registry endpoints answer 503 while no capture root is set.
+	needReg := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if m.reg == nil {
+				writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
+				return
+			}
+			h(w, r)
+		}
+	}
+	mux.HandleFunc("GET /api/runs", needReg(m.handleRuns))
+	mux.HandleFunc("GET /api/runs/{id}", needReg(m.handleRun))
+	mux.HandleFunc("GET /api/runs/{id}/profiles", needReg(m.handleRunProfiles))
+	mux.HandleFunc("GET /api/runs/{id}/score", needReg(m.handleScore))
+	mux.HandleFunc("GET /api/runs/{id}/compare/{other}", needReg(m.handleCompare))
+	mux.HandleFunc("GET /api/captures", needReg(m.handleCaptures))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// handleMetrics serves the Prometheus exposition: it samples the Go
+// runtime, folds the stream's cumulative subscriber-drop count into
+// heb_sse_dropped_total (so lossy SSE delivery is visible), then writes
+// the registry.
+func (m *monitor) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m.rt.sample()
+	m.sseMu.Lock()
+	if d := m.stream.Dropped(); d > m.sseReported {
+		m.sseDrops.Add(float64(d - m.sseReported))
+		m.sseReported = d
+	}
+	m.sseMu.Unlock()
+	m.metrics.Handler().ServeHTTP(w, r)
 }
 
 // handleReady answers 200 once the initial registry scan has landed
@@ -122,10 +157,6 @@ type runsResponse struct {
 var validStatuses = []string{obs.StatusRunning, obs.StatusComplete, obs.StatusFailed, obs.StatusKilled}
 
 func (m *monitor) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	q := r.URL.Query()
 	if s := q.Get("status"); s != "" && !slices.Contains(validStatuses, s) {
 		writeText(w, http.StatusBadRequest,
@@ -150,10 +181,6 @@ func (m *monitor) handleRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *monitor) handleRun(w http.ResponseWriter, r *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	run, ok := m.reg.Find(r.PathValue("id"))
 	if !ok {
 		writeText(w, http.StatusNotFound, "unknown run\n")
@@ -173,10 +200,6 @@ type profilesResponse struct {
 }
 
 func (m *monitor) handleRunProfiles(w http.ResponseWriter, r *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	run, ok := m.reg.Find(r.PathValue("id"))
 	if !ok {
 		writeText(w, http.StatusNotFound, "unknown run\n")
@@ -243,10 +266,6 @@ func (m *monitor) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (m *monitor) handleScore(w http.ResponseWriter, r *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	id := r.PathValue("id")
 	if _, ok := m.reg.Find(id); !ok {
 		writeText(w, http.StatusNotFound, "unknown run\n")
@@ -278,10 +297,6 @@ func (m *monitor) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *monitor) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	id, other := r.PathValue("id"), r.PathValue("other")
 	for _, want := range []string{id, other} {
 		if _, ok := m.reg.Find(want); !ok {
@@ -307,10 +322,6 @@ func (m *monitor) handleCompare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *monitor) handleCaptures(w http.ResponseWriter, _ *http.Request) {
-	if m.reg == nil {
-		writeText(w, http.StatusServiceUnavailable, "no capture root configured (start hebmon with -runs)\n")
-		return
-	}
 	caps := m.reg.Captures()
 	if caps == nil {
 		caps = []registry.Capture{}

@@ -4,8 +4,15 @@
 //
 // The simulation is paced so that one simulated second takes
 // 1/speedup wall seconds; with the default speedup of 60 a 24-hour run
-// plays back in 24 minutes while /latest, /history and /summary serve
-// live state. /metrics exposes the engine's counters and gauges plus the
+// plays back in 24 minutes while the last -history steps serve live:
+//
+//	GET /healthz    200 "ok"
+//	GET /latest     most recent snapshot as JSON (404 before the first step)
+//	GET /history    last n snapshots, oldest first (?n= >= 1, default 60)
+//	GET /summary    aggregate counters since start
+//	GET /curves     demand/SoC sparklines as plain text (?w= width)
+//
+// /metrics exposes the engine's counters and gauges plus the
 // process's own heb_proc_* runtime health in Prometheus text format, and
 // /debug/pprof/ serves the standard Go profiles. GET / serves an
 // embedded dependency-free dashboard that streams the live run over SSE
@@ -153,16 +160,11 @@ func run(addr, scheme, wl string, duration time.Duration, speedup float64, histo
 		}
 	}()
 
-	recObserve := m.rec.Observer()
-	observer := func(s sim.StepInfo) {
-		recObserve(s)
-		m.metrics.Observe(s)
-	}
+	observer := m.observe
 	if speedup > 0 {
 		pace := time.Duration(float64(time.Second) / speedup)
-		inner := observer
 		observer = func(s sim.StepInfo) {
-			inner(s)
+			m.observe(s)
 			time.Sleep(pace)
 		}
 	}

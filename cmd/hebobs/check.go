@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 
 	"heb/internal/obs"
@@ -91,7 +90,8 @@ func readRecords[T any](dir, name string, required bool, read func(io.Reader) ([
 }
 
 // check validates every artifact in dir and returns a one-line inventory
-// plus the manifest's run rows (nil when the capture predates manifests).
+// plus the manifest's run rows; a capture without a manifest is a
+// finding.
 func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 	var c artifacts
 	var errs [6]error
@@ -107,6 +107,10 @@ func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 		}
 	}
 
+	m, err := obs.ReadManifest(dir)
+	if err != nil {
+		return "", nil, fmt.Errorf("manifest.json: %w", err)
+	}
 	prom, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
 	if err != nil {
 		return "", nil, err
@@ -116,12 +120,12 @@ func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 			return "", nil, fmt.Errorf("metrics.prom missing %s", want)
 		}
 	}
-	dropped, err := counterValue(string(prom), "heb_obs_events_dropped_total")
-	if err != nil {
-		return "", nil, fmt.Errorf("metrics.prom: %w", err)
+	dropped := 0
+	for _, rm := range m.Runs {
+		dropped += rm.Summary.EventsDropped
 	}
 	if dropped > 0 && !allowDrops {
-		return "", nil, droppedError(dir, dropped)
+		return "", nil, droppedError(m, dropped)
 	}
 
 	inv := fmt.Sprintf("%d events, %d decision records, %d bytes of metrics", len(c.events), len(c.decisions), len(prom))
@@ -163,24 +167,22 @@ func check(dir string, allowDrops bool) (string, []obs.RunManifest, error) {
 		inv += fmt.Sprintf(", %d trace events", len(events))
 	}
 
-	mline, runs, err := checkManifest(dir, c)
+	mline, err := checkManifest(dir, m, c)
 	if err != nil {
 		return "", nil, fmt.Errorf("manifest.json: %w", err)
 	}
-	return inv + ", " + mline, runs, nil
+	return inv + ", " + mline, m.Runs, nil
 }
 
 // droppedError reports a capture whose runs emitted more events than the
 // per-run cap (obs.DefaultEventCap) kept, naming each such run from the
-// manifest's rows when the capture has one.
-func droppedError(dir string, dropped float64) error {
+// manifest's rows.
+func droppedError(m obs.Manifest, dropped int) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "capture dropped %g events past the per-run cap of %d", dropped, obs.DefaultEventCap)
-	if m, err := obs.ReadManifest(dir); err == nil {
-		for _, rm := range m.Runs {
-			if n := rm.Summary.EventsDropped; n > 0 {
-				fmt.Fprintf(&b, "\n  run %s dropped %d: %s", rm.ID, n, rm.Key)
-			}
+	fmt.Fprintf(&b, "capture dropped %d events past the per-run cap of %d", dropped, obs.DefaultEventCap)
+	for _, rm := range m.Runs {
+		if n := rm.Summary.EventsDropped; n > 0 {
+			fmt.Fprintf(&b, "\n  run %s dropped %d: %s", rm.ID, n, rm.Key)
 		}
 	}
 	b.WriteString("\nevents.jsonl is incomplete for these runs; pass -allow-drops to check the rest")
@@ -208,36 +210,29 @@ func verifyInventoried(dir string, a obs.ArtifactInfo) ([]byte, error) {
 // on-disk artifacts: lifecycle status, artifact inventory (presence,
 // size, SHA-256, completeness) and per-run consistency (record counts,
 // checkpoint-chain head, alert health verdict, serialized byte share).
-func checkManifest(dir string, c artifacts) (string, []obs.RunManifest, error) {
-	m, err := obs.ReadManifest(dir)
-	if os.IsNotExist(err) {
-		return "no manifest (pre-manifest capture)", nil, nil
-	}
-	if err != nil {
-		return "", nil, err
-	}
+func checkManifest(dir string, m obs.Manifest, c artifacts) (string, error) {
 	if m.Status != obs.StatusComplete {
-		return "", nil, fmt.Errorf("capture status %q — the writer died or failed before finishing", m.Status)
+		return "", fmt.Errorf("capture status %q — the writer died or failed before finishing", m.Status)
 	}
 	if len(m.Runs) == 0 {
-		return "", nil, fmt.Errorf("status complete but no runs indexed")
+		return "", fmt.Errorf("status complete but no runs indexed")
 	}
 
 	inventoried := make(map[string]bool, len(m.Artifacts))
 	var totalBytes int64
 	for _, a := range m.Artifacts {
 		if !slices.Contains(obs.ArtifactNames, a.Name) {
-			return "", nil, fmt.Errorf("inventory entry %q is not a capture artifact", a.Name)
+			return "", fmt.Errorf("inventory entry %q is not a capture artifact", a.Name)
 		}
 		if _, err := verifyInventoried(dir, a); err != nil {
-			return "", nil, err
+			return "", err
 		}
 		inventoried[a.Name] = true
 		totalBytes += a.Bytes
 	}
 	for _, name := range obs.ArtifactNames {
 		if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil && !inventoried[name] {
-			return "", nil, fmt.Errorf("%s exists on disk but is missing from the inventory", name)
+			return "", fmt.Errorf("%s exists on disk but is missing from the inventory", name)
 		}
 	}
 
@@ -254,23 +249,14 @@ func checkManifest(dir string, c artifacts) (string, []obs.RunManifest, error) {
 	byKey := make(map[string]*keyTotals, len(m.Runs))
 	for _, rm := range m.Runs {
 		if rm.Status != obs.StatusComplete {
-			return "", nil, fmt.Errorf("run %s status %q in a complete capture", rm.ID, rm.Status)
+			return "", fmt.Errorf("run %s status %q in a complete capture", rm.ID, rm.Status)
 		}
-		// The health verdict must be honest about its own counts: critical
-		// iff criticals fired, warn iff only warnings fired, ok iff the
-		// rule engine ran clean, empty iff it was off.
+		// The health verdict must be honest about its own counts; an empty
+		// one (rule engine off) requires that none fired.
 		s := rm.Summary
-		healthy := false
-		switch s.Health {
-		case "", alerts.HealthOK:
-			healthy = s.AlertWarnings == 0 && s.AlertCriticals == 0
-		case alerts.HealthWarn:
-			healthy = s.AlertWarnings > 0 && s.AlertCriticals == 0
-		case alerts.HealthCritical:
-			healthy = s.AlertCriticals > 0
-		}
-		if !healthy {
-			return "", nil, fmt.Errorf("run %s: health %q inconsistent with %d warnings, %d criticals",
+		want := alerts.HealthFor(s.AlertWarnings, s.AlertCriticals)
+		if s.Health != want && (s.Health != "" || want != alerts.HealthOK) {
+			return "", fmt.Errorf("run %s: health %q inconsistent with %d warnings, %d criticals",
 				rm.ID, s.Health, s.AlertWarnings, s.AlertCriticals)
 		}
 		kt := byKey[rm.Key]
@@ -291,19 +277,19 @@ func checkManifest(dir string, c artifacts) (string, []obs.RunManifest, error) {
 	for key, kt := range byKey {
 		r := c.run(key)
 		if len(r.events) != kt.events {
-			return "", nil, fmt.Errorf("run %s: %d events on disk, manifest says %d", key, len(r.events), kt.events)
+			return "", fmt.Errorf("run %s: %d events on disk, manifest says %d", key, len(r.events), kt.events)
 		}
 		if len(r.decisions) != kt.decisions {
-			return "", nil, fmt.Errorf("run %s: %d decisions on disk, manifest says %d", key, len(r.decisions), kt.decisions)
+			return "", fmt.Errorf("run %s: %d decisions on disk, manifest says %d", key, len(r.decisions), kt.decisions)
 		}
 		if len(r.probes) != kt.probes {
-			return "", nil, fmt.Errorf("run %s: %d probes on disk, manifest says %d", key, len(r.probes), kt.probes)
+			return "", fmt.Errorf("run %s: %d probes on disk, manifest says %d", key, len(r.probes), kt.probes)
 		}
 		if len(r.checkpoints) != kt.checkpoints {
-			return "", nil, fmt.Errorf("run %s: %d checkpoints on disk, manifest says %d", key, len(r.checkpoints), kt.checkpoints)
+			return "", fmt.Errorf("run %s: %d checkpoints on disk, manifest says %d", key, len(r.checkpoints), kt.checkpoints)
 		}
 		if n := len(r.checkpoints); n > 0 && kt.rows == 1 && r.checkpoints[n-1].Hash != kt.head {
-			return "", nil, fmt.Errorf("run %s: checkpoint chain head %s, manifest says %s",
+			return "", fmt.Errorf("run %s: checkpoint chain head %s, manifest says %s",
 				key, r.checkpoints[n-1].Hash, kt.head)
 		}
 		warnsDisk, critsDisk := 0, 0
@@ -319,25 +305,25 @@ func checkManifest(dir string, c artifacts) (string, []obs.RunManifest, error) {
 		// recorded, so exact equality only binds uncapped runs.
 		if kt.alertWarnings+kt.alertCriticals <= alerts.EventCap*kt.rows {
 			if warnsDisk != kt.alertWarnings || critsDisk != kt.alertCriticals {
-				return "", nil, fmt.Errorf("run %s: %d warn + %d critical alerts on disk, manifest says %d + %d",
+				return "", fmt.Errorf("run %s: %d warn + %d critical alerts on disk, manifest says %d + %d",
 					key, warnsDisk, critsDisk, kt.alertWarnings, kt.alertCriticals)
 			}
 		} else if warnsDisk > kt.alertWarnings || critsDisk > kt.alertCriticals {
-			return "", nil, fmt.Errorf("run %s: more alerts on disk (%d warn, %d critical) than the manifest admits (%d, %d)",
+			return "", fmt.Errorf("run %s: more alerts on disk (%d warn, %d critical) than the manifest admits (%d, %d)",
 				key, warnsDisk, critsDisk, kt.alertWarnings, kt.alertCriticals)
 		}
 		if got := r.bytes(); got != kt.bytes {
-			return "", nil, fmt.Errorf("run %s: artifacts serialize to %d bytes, manifest says %d", key, got, kt.bytes)
+			return "", fmt.Errorf("run %s: artifacts serialize to %d bytes, manifest says %d", key, got, kt.bytes)
 		}
 	}
 	line := fmt.Sprintf("manifest v%d complete (%d runs, %d bytes inventoried)", m.V, len(m.Runs), totalBytes)
 	if err := checkProfiles(dir, m); err != nil {
-		return "", nil, err
+		return "", err
 	}
 	if len(m.Profiles) > 0 {
 		line += fmt.Sprintf(", %d profiles validated", len(m.Profiles))
 	}
-	return line, m.Runs, nil
+	return line, nil
 }
 
 // minLabeledCPUSamples is the CPU-profile size below which the
@@ -393,21 +379,4 @@ func checkProfiles(dir string, m obs.Manifest) error {
 		}
 	}
 	return nil
-}
-
-// counterValue extracts an unlabeled counter's value from a Prometheus
-// exposition.
-func counterValue(prom, name string) (float64, error) {
-	for _, line := range strings.Split(prom, "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s value %q", name, rest)
-		}
-		return v, nil
-	}
-	return 0, fmt.Errorf("missing %s", name)
 }

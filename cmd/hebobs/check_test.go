@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -56,18 +57,17 @@ func TestCheckAcceptsCompleteCapture(t *testing.T) {
 	}
 }
 
-func TestCheckAcceptsPreManifestCapture(t *testing.T) {
+// TestCheckRejectsMissingManifest checks that a capture without
+// manifest.json is a finding: every capture hebsim writes has one.
+func TestCheckRejectsMissingManifest(t *testing.T) {
 	dir := t.TempDir()
 	writeCapture(t, dir)
 	if err := os.Remove(filepath.Join(dir, obs.ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	inv, runs, err := check(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(inv, "no manifest") || runs != nil {
-		t.Errorf("pre-manifest capture mishandled: %q, %v", inv, runs)
+	_, runs, err := check(dir, false)
+	if err == nil || !strings.Contains(err.Error(), obs.ManifestName) || runs != nil {
+		t.Fatalf("capture without a manifest accepted: %v, %v", err, runs)
 	}
 }
 
@@ -413,24 +413,41 @@ func writeChainJSONL(t *testing.T, dir string, records []obs.CheckpointRecord) {
 	}
 }
 
+// inventoryFile points dir's manifest entry for name at the file's
+// current size and SHA-256, adding the entry when there is none.
+func inventoryFile(t *testing.T, dir, name string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	m.Artifacts = append(slices.DeleteFunc(m.Artifacts, func(a obs.ArtifactInfo) bool { return a.Name == name }),
+		obs.ArtifactInfo{Name: name, Bytes: int64(len(raw)), SHA256: hex.EncodeToString(sum[:])})
+	if err := obs.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckRejectsV1Chain holds hebobs check to the single checkpoint schema:
 // a hand-built chain of the current version validates, while a v1 record
 // is refused — and the command exits non-zero — even though its hash
-// (SHA-256 over the header and the whole state) is correct. The
-// manifest is removed because these chains were written by the test,
-// not by the capture.
+// (SHA-256 over the header and the whole state) is correct. The chains
+// carry no run key, so only the manifest's inventory has to follow them.
 func TestCheckRejectsV1Chain(t *testing.T) {
 	dir := t.TempDir()
 	writeCapture(t, dir)
-	if err := os.Remove(filepath.Join(dir, obs.ManifestName)); err != nil {
-		t.Fatal(err)
-	}
 	key := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 1, Step: 600, Seconds: 600, State: []byte(`{}`)}
 	key.Hash = obs.HashCheckpoint(key)
 	next := obs.CheckpointRecord{V: obs.CheckpointVersion, Slot: 2, Step: 1200, Seconds: 1200,
 		State: []byte(`{}`), Prev: key.Hash}
 	next.Hash = obs.HashCheckpoint(next)
 	writeChainJSONL(t, dir, []obs.CheckpointRecord{key, next})
+	inventoryFile(t, dir, "checkpoints.jsonl")
 	inv, _, err := check(dir, false)
 	if err != nil {
 		t.Fatalf("current-version chain rejected: %v", err)

@@ -202,15 +202,11 @@ func (rw *replayWindow) report(w io.Writer) {
 		fmt.Fprintf(w, "%5d %-14s %7.3f %11.1f %11.1f %11.3f %9v\n",
 			d.Slot, d.Mode, d.Ratio, d.PredictedPeakW, d.ActualPeakW, d.SCFracEnd, d.Completed)
 	}
-	n := 0
-	for _, e := range rw.events.Events() {
-		if e.Seconds < lo || e.Seconds >= hi {
-			continue
-		}
-		if n == 0 {
-			fmt.Fprintln(w, "events:")
-		}
-		n++
+	events := rw.events.Between(lo, hi)
+	if len(events) > 0 {
+		fmt.Fprintln(w, "events:")
+	}
+	for _, e := range events {
 		line := fmt.Sprintf("  t=%-8g %-18s server=%d", e.Seconds, e.Kind, e.Server)
 		if e.From != "" || e.To != "" {
 			line += fmt.Sprintf(" %s->%s", e.From, e.To)
@@ -223,5 +219,5 @@ func (rw *replayWindow) report(w io.Writer) {
 		}
 		fmt.Fprintln(w, line)
 	}
-	fmt.Fprintf(w, "%d events in window\n", n)
+	fmt.Fprintf(w, "%d events in window\n", len(events))
 }

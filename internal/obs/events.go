@@ -192,17 +192,6 @@ func (l *Log) Between(from, to float64) []Event {
 	return out
 }
 
-// CountByKind tallies the stored events per kind.
-func (l *Log) CountByKind() map[EventKind]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[EventKind]int)
-	for _, e := range l.events {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // multiSink fans one event out to several sinks.
 type multiSink []EventSink
 

@@ -34,10 +34,6 @@ func TestLogQueries(t *testing.T) {
 	if got := l.Between(1.5, 5); len(got) != 1 || got[0].Kind != EventRestore {
 		t.Fatalf("Between(1.5,5) = %+v", got)
 	}
-	counts := l.CountByKind()
-	if counts[EventShed] != 2 || counts[EventRestore] != 1 {
-		t.Fatalf("CountByKind = %v", counts)
-	}
 }
 
 func TestLogCapDropsAndCounts(t *testing.T) {

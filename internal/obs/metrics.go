@@ -277,18 +277,6 @@ func LinearBuckets(start, width float64, count int) []float64 {
 	return out
 }
 
-// ExponentialBuckets returns count bounds starting at start, each factor
-// times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Sample is one exported series value; histograms are flattened into
 // _bucket/_sum/_count samples like the text exposition.
 type Sample struct {

@@ -101,10 +101,6 @@ func TestBucketHelpers(t *testing.T) {
 	if lin[0] != 0 || lin[1] != 10 || lin[2] != 20 {
 		t.Fatalf("LinearBuckets = %v", lin)
 	}
-	exp := ExponentialBuckets(1, 2, 4)
-	if exp[3] != 8 {
-		t.Fatalf("ExponentialBuckets = %v", exp)
-	}
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {

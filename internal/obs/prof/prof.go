@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -230,16 +229,6 @@ func (c *Collector) Stop() error {
 	return firstErr
 }
 
-// Files lists the artifact names (relative to the capture dir) this
-// collector writes, in Kinds order.
-func (c *Collector) Files() []string {
-	var out []string
-	for _, k := range c.kinds {
-		out = append(out, filepath.Join(Dir, FileName(k)))
-	}
-	return out
-}
-
 // Cell label keys attached to every profiled sweep cell.
 const (
 	LabelScheme   = "scheme"
@@ -295,46 +284,4 @@ func SetPhase(ctx context.Context, phase string) {
 	}
 	ctx = pprof.WithLabels(ctx, pprof.Labels(LabelPhase, phase))
 	pprof.SetGoroutineLabels(ctx)
-}
-
-// CellLabelKeys is the label set hebobs check expects on labeled CPU samples.
-var CellLabelKeys = []string{LabelScheme, LabelWorkload, LabelSeed, LabelPhase}
-
-// LabeledShare reports the fraction [0,1] of a profile's headline value
-// carried by samples that have all cell label keys, plus the distinct
-// label-value combinations seen. Heap/allocs profiles legitimately score
-// 0 — the runtime only attaches goroutine labels to CPU samples.
-func LabeledShare(p *Profile) (share float64, combos int) {
-	idx, err := p.SampleTypeIndex("")
-	if err != nil {
-		return 0, 0
-	}
-	var total, labeled int64
-	seen := map[string]bool{}
-	for _, s := range p.Samples {
-		if idx >= len(s.Values) {
-			continue
-		}
-		v := s.Values[idx]
-		total += v
-		ok := true
-		var key []string
-		for _, k := range CellLabelKeys {
-			val, have := s.Labels[k]
-			if !have {
-				ok = false
-				break
-			}
-			key = append(key, k+"="+val)
-		}
-		if ok {
-			labeled += v
-			sort.Strings(key)
-			seen[strings.Join(key, ",")] = true
-		}
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(labeled) / float64(total), len(seen)
 }

@@ -103,13 +103,9 @@ func TestCollectorRoundTrip(t *testing.T) {
 		t.Fatal("still Active after Stop")
 	}
 
-	files := c.Files()
-	if len(files) != 3 {
-		t.Fatalf("Files() = %v", files)
-	}
-	for _, rel := range files {
-		if _, err := os.Stat(filepath.Join(dir, rel)); err != nil {
-			t.Fatalf("missing artifact %s: %v", rel, err)
+	for _, kind := range []string{"cpu", "heap", "allocs"} {
+		if _, err := os.Stat(filepath.Join(dir, Dir, FileName(kind))); err != nil {
+			t.Fatalf("missing %s artifact: %v", kind, err)
 		}
 	}
 
@@ -131,13 +127,6 @@ func TestCollectorRoundTrip(t *testing.T) {
 	// mostly carry the cell labels.
 	if len(cpu.Samples) == 0 {
 		t.Skip("no CPU samples captured (starved CI runner)")
-	}
-	share, combos := LabeledShare(cpu)
-	if share < 0.5 {
-		t.Errorf("labeled share = %.2f, want >= 0.5", share)
-	}
-	if combos < 1 {
-		t.Errorf("labeled combos = %d", combos)
 	}
 	var sawBurn, sawLabels, sawPhase bool
 	for _, s := range cpu.Samples {

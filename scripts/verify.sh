@@ -22,7 +22,7 @@ go test ./...
 
 echo "== tier 2: go vet + go test -race =="
 go vet ./...
-go test -race ./internal/obs/... ./internal/telemetry/... ./internal/runner/...
+go test -race ./internal/obs/... ./cmd/hebmon ./internal/runner/...
 go test -race ./...
 
 echo "== tier 3: observability smoke =="
