@@ -125,3 +125,24 @@ func BenchmarkUniformPoolTransfer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUniformPoolCapThenDischarge prices the pair of calls a
+// mismatch tick makes of each pool: MaxDischargePower, the capability
+// the engine assigns servers against, then Discharge at half of it.
+func BenchmarkUniformPoolCapThenDischarge(b *testing.B) {
+	for _, n := range []int{2, 32} {
+		p, err := NewUniformPool("battery", n, MustNewBattery(DefaultBatteryConfig()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("x%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 0 { // top up before the load drains the pool
+					p.SetSoC(0.9)
+				}
+				p.Discharge(p.MaxDischargePower()/2, time.Second)
+			}
+		})
+	}
+}

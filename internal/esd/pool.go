@@ -37,10 +37,10 @@ type Pool struct {
 	bat []*Battery
 	sc  []*Supercap
 
-	// caps is the reusable capability scratch for transfer and
-	// TerminalVoltage; it lives on the pool so the per-step hot path never
-	// allocates. The pool is single-goroutine (like its members), so one
-	// scratch suffices.
+	// caps is the reusable capability scratch for scanCaps, which every
+	// capability read and transfer takes; it lives on the pool so the
+	// per-step hot path never allocates. The pool is single-goroutine
+	// (like its members), so one scratch suffices.
 	caps []units.Power
 
 	// uniform is set while every member is a copy of one prototype that
@@ -427,30 +427,16 @@ func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 	return units.Voltage(num / den)
 }
 
-// MaxDischargePower sums member discharge capability.
+// MaxDischargePower sums member discharge capability through the scan
+// TerminalVoltage and Discharge take.
 func (p *Pool) MaxDischargePower() units.Power {
-	live := p.live()
-	var pw, m units.Power
-	for i := range p.members {
-		if i < live {
-			m = p.memberMaxDischarge(i)
-		}
-		pw += m
-	}
-	return pw
+	return p.scanCaps(true)
 }
 
-// MaxChargePower sums member charge acceptance.
+// MaxChargePower sums member charge acceptance through the scan Charge
+// takes.
 func (p *Pool) MaxChargePower() units.Power {
-	live := p.live()
-	var pw, m units.Power
-	for i := range p.members {
-		if i < live {
-			m = p.memberMaxCharge(i)
-		}
-		pw += m
-	}
-	return pw
+	return p.scanCaps(false)
 }
 
 // Depleted reports whether every member is depleted.

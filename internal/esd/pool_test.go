@@ -219,9 +219,12 @@ func poolView(t *testing.T, p *Pool) string {
 // of independently built identical members through one seeded random
 // sequence of charges, discharges and rests, including zero requests and
 // requests past capacity. Seven members catch a sum replaced by a
-// product, which happens to round alike for powers of two. After every call the two must agree bit for
-// bit on each aggregate, Stats, Wear and the checkpoint; they must still
-// agree once a fault injected through Members ends the fast path.
+// product, which happens to round alike for powers of two. Before each
+// call both pools make a random mix of the capability reads a tick makes
+// (MaxDischargePower, MaxChargePower, TerminalVoltage), which must agree
+// too. After every call the two must agree bit for bit on each
+// aggregate, Stats, Wear and the checkpoint; they must still agree once a
+// fault injected through Members ends the fast path.
 func TestUniformPoolMatchesPerMemberPool(t *testing.T) {
 	batCfg := agingConfig()
 	batCfg.Thermal = DefaultThermalConfig()
@@ -251,8 +254,28 @@ func TestUniformPoolMatchesPerMemberPool(t *testing.T) {
 				}
 				ref := MustNewPool(kind, members...)
 				rng := rand.New(rand.NewSource(int64(n)))
+				// The reads draw from their own source, so the call
+				// sequence stays the one rng alone makes.
+				reads := rand.New(rand.NewSource(int64(-n)))
 				step := func(i int) {
 					t.Helper()
+					for r := reads.Intn(4); r > 0; r-- {
+						var got, want units.Power
+						read := reads.Intn(3)
+						switch read {
+						case 0:
+							got, want = uni.MaxDischargePower(), ref.MaxDischargePower()
+						case 1:
+							got, want = uni.MaxChargePower(), ref.MaxChargePower()
+						default:
+							load := units.Power(reads.Float64()) * ref.MaxDischargePower()
+							got, want = units.Power(uni.TerminalVoltage(load)), units.Power(ref.TerminalVoltage(load))
+						}
+						if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+							t.Fatalf("call %d: %s read %g, per-member pool %g", i,
+								[...]string{"MaxDischargePower", "MaxChargePower", "TerminalVoltage"}[read], float64(got), float64(want))
+						}
+					}
 					limit := float64(ref.MaxDischargePower())
 					if rng.Intn(2) == 0 {
 						limit = float64(ref.MaxChargePower())

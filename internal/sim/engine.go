@@ -290,6 +290,8 @@ type Engine struct {
 	// the last overload set applyDecision sorted under sortedSnap and
 	// sortedTo its sorted order. lastOverload is the last set
 	// selectOverload computed, valid while its inputs still equal overKey.
+	// perSource is the last per-source split of the snapshot, valid while
+	// the snapshot and the relay movement counts still equal sourceKey.
 	snap                 uint64
 	heldRow              *float64
 	heldGen              uint64
@@ -298,6 +300,8 @@ type Engine struct {
 	sortedFrom, sortedTo []int
 	lastOverload         []int
 	overKey              overloadKey
+	perSource            [power.NumSources]units.Power
+	sourceKey            sourceKey
 
 	// probeTargets enumerates the pool devices, built in Run only when
 	// cfg.Invariants is set.
@@ -321,6 +325,16 @@ type overloadKey struct {
 	snap, order, faults uint64
 	supply              units.Power
 	switches            [power.NumSources]int64
+}
+
+// sourceKey is what a Fabric.DemandPerSource split depends on: the demand
+// snapshot and the relay assignment. Every effective relay move, a shed
+// included, bumps a switch count, so equal counts mean an unchanged
+// assignment. A reset engine's zero key never matches: the first snapshot
+// makes snap at least 1.
+type sourceKey struct {
+	snap     uint64
+	switches [power.NumSources]int64
 }
 
 // probeTarget is one probed storage device within a run: a bare device,
@@ -855,7 +869,7 @@ func (e *Engine) stepSurplus(now time.Duration, demand, supply, effSupply units.
 	// tick total; only a relay stuck on a pool needs the per-source split.
 	perSource := [power.NumSources]units.Power{power.SourceUtility: demand}
 	if e.onPools() {
-		perSource = e.fabric.DemandPerSource(e.demandByIdx)
+		perSource = e.demandPerSource()
 	}
 	e.fabric.MeterStepPools(dt, perSource, 0, 0)
 }
@@ -920,7 +934,7 @@ func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units
 	overload := e.selectOverload(effSupply)
 	e.applyDecision(overload)
 
-	perSource := e.fabric.DemandPerSource(e.demandByIdx)
+	perSource := e.demandPerSource()
 	utilityLoad := perSource[power.SourceUtility]
 
 	needBA := perSource[power.SourceBattery]
@@ -957,7 +971,7 @@ func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units
 		e.lastShed = now
 		e.hasShed = true
 		// Shed servers draw nothing: meter the relays as they now stand.
-		perSource = e.fabric.DemandPerSource(e.demandByIdx)
+		perSource = e.demandPerSource()
 	}
 
 	e.servedBA += servedBA.Over(dt)
@@ -983,6 +997,18 @@ func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units
 
 	e.fabric.MeterStepPools(dt, perSource, servedBA, servedSC)
 	e.overKey.switches, e.overKey.faults = e.fabric.SwitchCounts(), e.fabric.FaultGeneration()
+}
+
+// demandPerSource returns Fabric.DemandPerSource over the demand snapshot.
+// A held mismatch tick whose relays did not move reuses the previous
+// split: the snapshot changes only with snap and the assignment only with
+// a switch count, so the reused split equals a fresh sum bit for bit.
+func (e *Engine) demandPerSource() [power.NumSources]units.Power {
+	if key := (sourceKey{snap: e.snap, switches: e.fabric.SwitchCounts()}); key != e.sourceKey {
+		e.perSource = e.fabric.DemandPerSource(e.demandByIdx)
+		e.sourceKey = key
+	}
+	return e.perSource
 }
 
 // selectOverload returns the server positions that must leave utility

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -22,6 +23,27 @@ func perTickCopy(tr *trace.Trace) *trace.Trace {
 		out.Samples[i] = append([]float64(nil), tr.Samples[i/k]...)
 	}
 	return out
+}
+
+// scaleX16Path is the rig scaled out sixteen times: 96 servers, budget
+// and pools, with most mismatch ticks on a held row.
+func scaleX16Path() enginePath {
+	return enginePath{
+		name: "scale_x16", servers: 96, budget: 16 * 190, scheme: hebD,
+		tweak: func(cfg *Config, r *rig, _ **Engine) {
+			bats, scs := make([]esd.Device, 16), make([]esd.Device, 16)
+			for i := range bats {
+				bats[i] = esd.MustNewBattery(esd.DefaultBatteryConfig())
+				scs[i] = esd.MustNewSupercap(esd.DefaultSupercapConfig())
+			}
+			r.battery, r.supercap = esd.MustNewPool("battery", bats...), esd.MustNewPool("supercap", scs...)
+			cfg.Battery, cfg.Supercap = r.battery, r.supercap
+			cfg.Controller = core.MustNewController(core.Config{
+				SmallPeakWatts: 16 * 40, Budget: 16 * 190, NumServers: 96,
+				PeakPredictor: forecast.NewNaive(), ValleyPredictor: forecast.NewNaive(),
+			}, hebD())
+		},
+	}
 }
 
 // TestHeldRowsMatchPerTickRows runs every engine path twice: on a 10 s
@@ -45,24 +67,7 @@ func TestHeldRowsMatchPerTickRows(t *testing.T) {
 				cfg.Battery = r.battery
 			},
 		},
-		// The rig scaled out sixteen times: 96 servers, budget and pools,
-		// with most mismatch ticks on a held row.
-		enginePath{
-			name: "scale_x16", servers: 96, budget: 16 * 190, scheme: hebD,
-			tweak: func(cfg *Config, r *rig, _ **Engine) {
-				bats, scs := make([]esd.Device, 16), make([]esd.Device, 16)
-				for i := range bats {
-					bats[i] = esd.MustNewBattery(esd.DefaultBatteryConfig())
-					scs[i] = esd.MustNewSupercap(esd.DefaultSupercapConfig())
-				}
-				r.battery, r.supercap = esd.MustNewPool("battery", bats...), esd.MustNewPool("supercap", scs...)
-				cfg.Battery, cfg.Supercap = r.battery, r.supercap
-				cfg.Controller = core.MustNewController(core.Config{
-					SmallPeakWatts: 16 * 40, Budget: 16 * 190, NumServers: 96,
-					PeakPredictor: forecast.NewNaive(), ValleyPredictor: forecast.NewNaive(),
-				}, hebD())
-			},
-		},
+		scaleX16Path(),
 		// Relays fail, are repaired and move in the middle of held rows:
 		// three seconds into each minute the relays on a pool fail, and
 		// they are repaired 37 s in, after three fresh rows have moved the
@@ -121,6 +126,55 @@ func TestHeldRowsMatchPerTickRows(t *testing.T) {
 					}
 				}
 				t.Fatalf("held rows differ from per-tick rows in length: %d lines, want %d", len(gl), len(wl))
+			}
+		})
+	}
+}
+
+// TestKeptSplitMatchesFreshSplit checks the per-source split the engine
+// keeps across held ticks against a fresh Fabric.DemandPerSource, bit for
+// bit, after every tick of a 10 s trace, whose held rows let the engine
+// reuse it. A mismatch tick reads the split last, after its relays moved,
+// and a tick whose key still matches the engine's state would hand the
+// kept split to the next reader, so both are checked. It runs the DVFS,
+// stuck-relay, shed/restart and non-dense-id paths and the ×16 scale
+// path; most mismatch ticks must hold their snapshot, so that the reuse
+// is exercised.
+func TestKeptSplitMatchesFreshSplit(t *testing.T) {
+	held := func(servers int) *trace.Trace { return burstyTrace(servers, time.Hour, 10*time.Second) }
+	for _, p := range append(enginePaths(), scaleX16Path()) {
+		t.Run(p.name, func(t *testing.T) {
+			heldMismatch, lastSnap := 0, uint64(0)
+			tweak := p.tweak
+			p.tweak = func(cfg *Config, r *rig, eng **Engine) {
+				if tweak != nil {
+					tweak(cfg, r, eng)
+				}
+				// Check before the path's own observer, which may fail
+				// relays.
+				next := cfg.Observer
+				cfg.Observer = func(s StepInfo) {
+					e := *eng
+					if s.Mismatch || (sourceKey{snap: e.snap, switches: e.fabric.SwitchCounts()}) == e.sourceKey {
+						fresh := e.fabric.DemandPerSource(e.demandByIdx)
+						for src, want := range fresh {
+							if got := e.perSource[src]; math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+								t.Fatalf("%v: kept %v split %g W, fresh %g W", s.Now, power.Source(src), float64(got), float64(want))
+							}
+						}
+					}
+					if s.Mismatch && e.snap == lastSnap {
+						heldMismatch++
+					}
+					lastSnap = e.snap
+					if next != nil {
+						next(s)
+					}
+				}
+			}
+			e, _ := runEnginePath(t, p, held)
+			if heldMismatch < e.mismatchSteps/2 {
+				t.Fatalf("%d steps: only %d of %d mismatch ticks held their snapshot", e.steps, heldMismatch, e.mismatchSteps)
 			}
 		})
 	}
