@@ -102,12 +102,23 @@ func TestStrictAlertAbortsBreachedRun(t *testing.T) {
 	p.Alert = alerts.ModeStrict
 	p.AlertRules = alerts.Rules{SoCFloor: 0.99}
 	p.Alerts = alerts.NewLog()
-	res, err := p.Run(BaOnly, pr.WithDuration(d), RunOptions{Duration: d})
+	w, opts := pr.WithDuration(d), RunOptions{Duration: d}
+	res, err := p.Run(BaOnly, w, opts)
 	if err == nil {
 		t.Fatal("strict run with a breached SoC floor did not fail")
 	}
 	if !strings.Contains(err.Error(), "alert SLOs failed") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	// The abort names the run, also when no reader asked for its key.
+	named := "heb: " + p.runKey(BaOnly, w, d, opts) + ": "
+	if !strings.HasPrefix(err.Error(), named) {
+		t.Errorf("strict abort does not name the run:\n%v\nwant prefix %q", err, named)
+	}
+	bare := p
+	bare.Alerts = nil
+	if _, err := bare.Run(BaOnly, w, opts); err == nil || !strings.HasPrefix(err.Error(), named) {
+		t.Errorf("strict abort without an alert log does not name the run: %v", err)
 	}
 	if res.Steps >= int(d/p.Step) {
 		t.Errorf("strict run was not aborted early: %d steps", res.Steps)

@@ -235,6 +235,10 @@ func (p Prototype) Validate() error {
 		return fmt.Errorf("heb: sensor noise %g outside [0,1)", p.SensorNoise)
 	case p.BatteryPreAge < 0 || p.BatteryPreAge > 1:
 		return fmt.Errorf("heb: battery pre-age %g outside [0,1]", p.BatteryPreAge)
+	case p != p:
+		// Only a NaN field makes p unequal to itself; it passes every
+		// ordered check here and in the nested configs' Validate.
+		return fmt.Errorf("heb: prototype has a NaN field")
 	}
 	if err := p.Server.Validate(); err != nil {
 		return err
@@ -490,11 +494,11 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	// configuration is reset instead of built, and a built one is parked
 	// for the worker's next cell.
 	var st *runState
-	var poolKey string
+	var stateKey poolKey
 	pooling := cache != nil && opts.poolable()
 	if pooling {
-		poolKey = p.poolKey(id, budget)
-		if st = cache.lookup(worker, poolKey); st != nil {
+		stateKey = p.poolKey(id, budget)
+		if st = cache.lookup(worker, stateKey); st != nil {
 			st.reset(p)
 		}
 	}
@@ -504,7 +508,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			return sim.Result{}, err
 		}
 		if pooling {
-			cache.store(worker, poolKey, st)
+			cache.store(worker, stateKey, st)
 		}
 	}
 	scheme, peakPred, valleyPred := st.scheme, st.peakPred, st.valleyPred
@@ -562,13 +566,11 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	}
 	var ckptLog *obs.CheckpointLog
 	var checkpointFn func(slot, step int, now time.Duration, state []byte) bool
-	// checked counts the carried records the run has regenerated so far;
-	// resumeErr is set at the first one it could not. Both are owned by
-	// the single engine goroutine.
-	checked := 0
-	var resumeErr error
+	// resume is built only on the checkpointing branch, so a run without
+	// checkpoints does not heap-allocate the closure's state.
+	var resume *resumeCheck
 	if p.CheckpointEvery > 0 && (p.Capture != nil || opts.CheckpointSink != nil || len(carried) > 0) {
-		ckptLog = obs.NewCheckpointLog()
+		ckptLog, resume = obs.NewCheckpointLog(), &resumeCheck{}
 		sink := opts.CheckpointSink
 		progress := p.Progress
 		checkpointFn = func(slot, step int, now time.Duration, state []byte) bool {
@@ -576,13 +578,13 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 			if alerter != nil {
 				alerter.ObserveCheckpoint(rec.Seconds, rec.Prev, rec.Hash)
 			}
-			if checked < len(carried) {
+			if resume.checked < len(carried) {
 				// The carried record is already on disk: check it, do not
 				// sink it again.
-				c := carried[checked]
-				checked++
+				c := carried[resume.checked]
+				resume.checked++
 				if rec.Slot != c.Slot || rec.Step != c.Step || rec.Hash != c.Hash {
-					resumeErr = fmt.Errorf("heb: resume chain diverges at slot %d: the run recorded slot %d step %d hash %.12s, the chain holds slot %d step %d hash %.12s",
+					resume.err = fmt.Errorf("heb: resume chain diverges at slot %d: the run recorded slot %d step %d hash %.12s, the chain holds slot %d step %d hash %.12s",
 						min(rec.Slot, c.Slot), rec.Slot, rec.Step, rec.Hash, c.Slot, c.Step, c.Hash)
 					return false
 				}
@@ -624,13 +626,16 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 
 	// The run key depends only on configuration (the engine resolves a
 	// zero duration to the trace length, mirrored here), so it is known
-	// before the run and can label the tracer track and audit report as
-	// well as the capture artifact.
+	// before the run. It is formatted only for a reader: the tracer track,
+	// the reports, the capture artifact and a strict abort's error.
 	runDuration := opts.Duration
 	if runDuration == 0 {
 		runDuration = tr.Duration()
 	}
-	key := p.runKey(id, workload, runDuration, opts)
+	var key string
+	if p.Capture != nil || p.Tracer != nil || p.Audits != nil || p.Alerts != nil {
+		key = p.runKey(id, workload, runDuration, opts)
+	}
 	var capLog *obs.Log
 	events := opts.Events
 	if p.Capture != nil {
@@ -691,12 +696,12 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	span.Begin("run", "engine")
 	res := eng.Run()
 	span.End()
-	if resumeErr == nil && checked < len(carried) && opts.MaxSteps == 0 && checker.Err() == nil {
-		resumeErr = fmt.Errorf("heb: resume chain runs past the run's end: %d records from slot %d on were not recorded",
-			len(carried)-checked, carried[checked].Slot)
+	if resume != nil && resume.err == nil && resume.checked < len(carried) && opts.MaxSteps == 0 && checker.Err() == nil {
+		resume.err = fmt.Errorf("heb: resume chain runs past the run's end: %d records from slot %d on were not recorded",
+			len(carried)-resume.checked, carried[resume.checked].Slot)
 	}
-	if resumeErr != nil {
-		return res, resumeErr
+	if resume != nil && resume.err != nil {
+		return res, resume.err
 	}
 	prof.SetPhase(profCtx, prof.PhaseFinish)
 	// A trailing slot the run ended inside still deserves its record, so
@@ -764,15 +769,25 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		p.Capture.Contribute(artifact)
 	}
 	if err := checker.Err(); err != nil {
+		if key == "" {
+			key = p.runKey(id, workload, runDuration, opts)
+		}
 		return res, fmt.Errorf("heb: %s: %w", key, err)
 	}
 	return res, nil
 }
 
-// withoutWiring returns p with its per-run wiring cleared, for hashing
-// into runKey and poolKey. The observability pointers would hash as
-// addresses, making keys depend on scheduling, and the trace group is a
-// label; none of them influences results.
+// resumeCheck counts the carried records a resumed run has regenerated
+// and keeps the first it could not; only the engine goroutine touches it.
+type resumeCheck struct {
+	checked int
+	err     error
+}
+
+// withoutWiring returns p with its per-run wiring cleared, for runKey
+// and poolKey. The observability pointers would key runs by address,
+// making keys depend on scheduling, and the trace group is a label;
+// none of them influences results.
 func (p Prototype) withoutWiring() Prototype {
 	p.Capture = nil
 	p.Progress = nil

@@ -72,6 +72,8 @@ func TestPrototypeValidate(t *testing.T) {
 		{"bad supercap", func(p *Prototype) { p.Supercap.ESR = 0 }},
 		{"bad server", func(p *Prototype) { p.Server.IdlePower = 0 }},
 		{"bad pat", func(p *Prototype) { p.PATConfig.DeltaR = 0 }},
+		{"nan storage", func(p *Prototype) { p.StorageWh = math.NaN() }},
+		{"nan coulombic efficiency", func(p *Prototype) { p.Battery.CoulombicEff = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -384,7 +386,9 @@ func TestRunKeyIgnoresTraceCell(t *testing.T) {
 }
 
 // TestKeysIgnoreWiring: a prototype with every per-run wiring field set
-// keys its runs and its pooled state like a bare one.
+// keys its runs and its pooled state like a bare one. The pool key also
+// ignores the seed, which is rebound per run, but not a structural
+// change such as the PAT tuning.
 func TestKeysIgnoreWiring(t *testing.T) {
 	pr, err := WorkloadNamed("PR")
 	if err != nil {
@@ -401,6 +405,16 @@ func TestKeysIgnoreWiring(t *testing.T) {
 		t.Errorf("wiring changed the run key:\n%s\n%s", a, b)
 	}
 	if a, b := bare.poolKey(HEBD, bare.Budget), wired.poolKey(HEBD, wired.Budget); a != b {
-		t.Errorf("wiring changed the pool key:\n%s\n%s", a, b)
+		t.Errorf("wiring changed the pool key:\n%+v\n%+v", a, b)
+	}
+	reseeded := bare
+	reseeded.Seed++
+	if bare.poolKey(HEBD, bare.Budget) != reseeded.poolKey(HEBD, reseeded.Budget) {
+		t.Error("a seed change moved the pool key")
+	}
+	retuned := bare
+	retuned.PATConfig.DeltaR *= 2
+	if bare.poolKey(HEBD, bare.Budget) == retuned.poolKey(HEBD, retuned.Budget) {
+		t.Error("a PAT tuning change left the pool key unchanged")
 	}
 }

@@ -14,42 +14,32 @@ import (
 // HEB deployment pays one DC/AC stage on the storage path, and the
 // rack-level deployment avoids conversion entirely.
 type Converter struct {
-	name    string
 	nominal float64     // peak efficiency, e.g. 0.95
 	rated   units.Power // rated throughput for the efficiency curve
 
 	loss units.Energy
 }
 
-// NewConverter builds a conversion stage. nominal is peak efficiency in
-// (0,1]; rated is the design throughput.
-func NewConverter(name string, nominal float64, rated units.Power) (*Converter, error) {
+// NewConverter builds a conversion stage. name labels it in errors;
+// nominal is peak efficiency in (0,1]; rated is the design throughput.
+func NewConverter(name string, nominal float64, rated units.Power) (Converter, error) {
 	if nominal <= 0 || nominal > 1 {
-		return nil, fmt.Errorf("power: converter %q efficiency %g must be in (0,1]", name, nominal)
+		return Converter{}, fmt.Errorf("power: converter %q efficiency %g must be in (0,1]", name, nominal)
 	}
 	if rated <= 0 {
-		return nil, fmt.Errorf("power: converter %q rated power %v must be positive", name, rated)
+		return Converter{}, fmt.Errorf("power: converter %q rated power %v must be positive", name, rated)
 	}
-	return &Converter{name: name, nominal: nominal, rated: rated}, nil
+	return Converter{nominal: nominal, rated: rated}, nil
 }
 
 // MustNewConverter is NewConverter for known-good parameters.
-func MustNewConverter(name string, nominal float64, rated units.Power) *Converter {
+func MustNewConverter(name string, nominal float64, rated units.Power) Converter {
 	c, err := NewConverter(name, nominal, rated)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
-
-// Identity returns a pass-through stage (rack-level deployment: DC power
-// goes straight from the buffers to the servers).
-func Identity(name string) *Converter {
-	return &Converter{name: name, nominal: 1, rated: 1}
-}
-
-// Name returns the stage's name.
-func (c *Converter) Name() string { return c.name }
 
 // Efficiency returns the conversion efficiency at the given output load.
 func (c *Converter) Efficiency(out units.Power) float64 {
@@ -100,9 +90,6 @@ func (c *Converter) AddLoss(e units.Energy) {
 // Loss returns the cumulative recorded conversion loss.
 func (c *Converter) Loss() units.Energy { return c.loss }
 
-// ResetLoss clears the loss meter.
-func (c *Converter) ResetLoss() { c.loss = 0 }
-
 // Topology selects the deployment architecture of Section 4.2.
 type Topology int
 
@@ -135,22 +122,23 @@ func (t Topology) String() string {
 
 // DischargeConverter returns the conversion stage sitting between the
 // energy buffers and the servers for this topology, rated for rated watts.
-func (t Topology) DischargeConverter(rated units.Power) *Converter {
+func (t Topology) DischargeConverter(rated units.Power) Converter {
 	switch t {
 	case TopologyClusterLevel:
 		return MustNewConverter("DC/AC", 0.94, rated)
 	case TopologyCentralizedUPS:
 		return MustNewConverter("AC-DC-AC", 0.92, rated)
 	default:
-		return Identity("DC-direct")
+		// Pass-through: DC goes straight from the buffers to the servers.
+		return Converter{nominal: 1, rated: 1}
 	}
 }
 
 // UtilityConverter returns the stage on the utility path: only the
 // centralized UPS double-converts utility power.
-func (t Topology) UtilityConverter(rated units.Power) *Converter {
+func (t Topology) UtilityConverter(rated units.Power) Converter {
 	if t == TopologyCentralizedUPS {
 		return MustNewConverter("AC-DC-AC", 0.92, rated)
 	}
-	return Identity("AC-direct")
+	return Converter{nominal: 1, rated: 1} // pass-through
 }

@@ -171,12 +171,8 @@ func (e *Engine) checkpoint() (EngineState, error) {
 		MismatchSteps: e.mismatchSteps,
 		Fabric:        e.fabric.Checkpoint(),
 	}
-	if e.dischargeConv != nil {
-		st.DischargeConvLoss = e.dischargeConv.Loss()
-	}
-	if e.utilityConv != nil {
-		st.UtilityConvLoss = e.utilityConv.Loss()
-	}
+	st.DischargeConvLoss = e.dischargeConv.Loss()
+	st.UtilityConvLoss = e.utilityConv.Loss()
 	if len(e.cappedFrom) > 0 {
 		st.CappedFrom = make([]CappedFreq, 0, len(e.cappedFrom))
 		for id, f := range e.cappedFrom {

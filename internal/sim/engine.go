@@ -232,8 +232,8 @@ type Engine struct {
 	cfg    Config
 	fabric *power.Fabric
 
-	dischargeConv *power.Converter
-	utilityConv   *power.Converter
+	dischargeConv power.Converter
+	utilityConv   power.Converter
 
 	// Slot state.
 	decision      core.Decision
@@ -1166,7 +1166,7 @@ func (e *Engine) byDemandDesc(a, b int) int {
 // discharge asks the pools for the servers' demand through the topology's
 // conversion stage and returns the power delivered to servers per pool.
 func (e *Engine) discharge(needBA, needSC units.Power, dt time.Duration) (servedBA, servedSC units.Power) {
-	conv := e.dischargeConv
+	conv := &e.dischargeConv
 	askBA := conv.InputFor(needBA)
 	gotBA := units.Power(0)
 	if askBA > 0 {

@@ -25,9 +25,6 @@ const (
 	Megawatt Power = 1e6
 )
 
-// KW returns the power in kilowatts.
-func (p Power) KW() float64 { return float64(p) / 1e3 }
-
 // String formats the power with an adaptive unit prefix.
 func (p Power) String() string {
 	switch {

@@ -3,7 +3,6 @@ package heb
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 
 	"heb/internal/core"
 	"heb/internal/esd"
@@ -111,12 +110,11 @@ func (st *runState) reset(p Prototype) {
 // private map per worker: worker w only ever touches slot w, and
 // runner.MapWorkers guarantees jobs with the same worker index never
 // run concurrently, so the cache needs no synchronization. Keys are
-// structural configuration fingerprints (seed excluded — the seed only
-// drives the workload trace and the sensor-noise stream, both rebound
-// per run), so a seeds × schemes grid reuses one engine per scheme per
-// worker.
+// poolKeys (seed excluded — the seed only drives the workload trace and
+// the sensor-noise stream, both rebound per run), so a seeds × schemes
+// grid reuses one engine per scheme per worker.
 type RunCache struct {
-	perWorker []map[string]*runState
+	perWorker []map[poolKey]*runState
 }
 
 // NewRunCache builds a cache for the given worker count (as resolved by
@@ -125,16 +123,16 @@ func NewRunCache(workers int) *RunCache {
 	if workers < 1 {
 		workers = 1
 	}
-	c := &RunCache{perWorker: make([]map[string]*runState, workers)}
+	c := &RunCache{perWorker: make([]map[poolKey]*runState, workers)}
 	for i := range c.perWorker {
-		c.perWorker[i] = make(map[string]*runState)
+		c.perWorker[i] = make(map[poolKey]*runState)
 	}
 	return c
 }
 
 // lookup returns worker's pooled state for key, or nil on a miss or an
 // out-of-range worker index.
-func (c *RunCache) lookup(worker int, key string) *runState {
+func (c *RunCache) lookup(worker int, key poolKey) *runState {
 	if c == nil || worker < 0 || worker >= len(c.perWorker) {
 		return nil
 	}
@@ -142,7 +140,7 @@ func (c *RunCache) lookup(worker int, key string) *runState {
 }
 
 // store parks a newly built state in worker's slot for reuse.
-func (c *RunCache) store(worker int, key string, st *runState) {
+func (c *RunCache) store(worker int, key poolKey, st *runState) {
 	if c == nil || worker < 0 || worker >= len(c.perWorker) {
 		return
 	}
@@ -177,17 +175,22 @@ func sweep(runs []sweepRun, workers int) ([]sim.Result, error) {
 		})
 }
 
-// poolKey fingerprints the structural configuration a runState is built
-// for: everything that shapes construction except the seed (rebound per
-// run) and the per-run wiring (withoutWiring). Two runs with
-// equal pool keys build identical component graphs, so one's reset
-// state can serve the other.
-func (p Prototype) poolKey(id SchemeID, budget units.Power) string {
+// poolKey is the structural configuration a runState is built for:
+// everything that shapes construction except the seed (rebound per run)
+// and the per-run wiring (withoutWiring). Two runs with equal pool keys
+// build identical component graphs, so one's reset state can serve the
+// other. Without its wiring a Prototype holds no pointer, slice, map or
+// interface; Validate rejects a NaN field, which would never equal itself.
+type poolKey struct {
+	scheme SchemeID
+	budget units.Power
+	proto  Prototype
+}
+
+func (p Prototype) poolKey(id SchemeID, budget units.Power) poolKey {
 	q := p.withoutWiring()
 	q.Seed = 0
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", q)
-	return fmt.Sprintf("%s|budget=%g|cfg=%016x", id, float64(budget), h.Sum64())
+	return poolKey{scheme: id, budget: budget, proto: q}
 }
 
 // poolable reports whether a run may go through the cache: options that
