@@ -102,7 +102,7 @@ func CompareWithDVFSCapping(p Prototype, w Workload, duration time.Duration) ([]
 	// Both arms are independent simulations; run them concurrently. The
 	// capping arm builds its storage-free engine directly rather than
 	// through Prototype.Run, so it cannot be a sweep run and the pair
-	// goes through runner.Map.
+	// goes through runner.MapWorkers.
 	runHEB := func() (sim.Result, error) {
 		return p.Run(HEBD, w, RunOptions{Duration: duration})
 	}
@@ -138,8 +138,8 @@ func CompareWithDVFSCapping(p Prototype, w Workload, duration time.Duration) ([]
 		return eng.Run(), nil
 	}
 	arms := []func() (sim.Result, error){runHEB, runCapping}
-	results, err := runner.Map(context.Background(), len(arms), 0,
-		func(_ context.Context, i int) (sim.Result, error) { return arms[i]() })
+	results, err := runner.MapWorkers(context.Background(), len(arms), 0,
+		func(_ context.Context, _, i int) (sim.Result, error) { return arms[i]() })
 	if err != nil {
 		return nil, err
 	}

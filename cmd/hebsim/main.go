@@ -76,6 +76,23 @@ func main() {
 		slog.Error("unknown -exp", "exp", *exp, "valid", experimentNames())
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		slog.Error("-workers must not be negative (0 = GOMAXPROCS)", "workers", *workers)
+		os.Exit(2)
+	}
+	if *exp != "run" {
+		var runOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scheme", "workload", "workload-csv", "pat-in", "pat-out":
+				runOnly = append(runOnly, "-"+f.Name)
+			}
+		})
+		if len(runOnly) > 0 {
+			slog.Error("flags apply only to -exp run", "flags", strings.Join(runOnly, " "), "exp", *exp)
+			os.Exit(2)
+		}
+	}
 
 	p := heb.DefaultPrototype()
 	p.Seed = *seed

@@ -69,6 +69,22 @@ func TestRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRejectsIgnoredFlags checks that a negative -workers and a -exp run
+// flag given to another experiment are usage errors, not silently
+// ignored.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	wantExit(t, 2, "-workers must not be negative", "-exp", "fig6", "-duration", "1h", "-workers", "-3")
+	for _, f := range [][2]string{
+		{"-scheme", "HEB-S"},
+		{"-workload", "DA"},
+		{"-workload-csv", "trace.csv"},
+		{"-pat-in", "pat.json"},
+		{"-pat-out", "pat.json"},
+	} {
+		wantExit(t, 2, "flags="+f[0]+" exp=fig6", "-exp", "fig6", "-duration", "1h", f[0], f[1])
+	}
+}
+
 // TestReadmeListsEveryExperiment keeps README's -exp list in step with
 // the experiment table.
 func TestReadmeListsEveryExperiment(t *testing.T) {

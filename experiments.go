@@ -193,22 +193,6 @@ func (s SchemeResult) Mean(metric func(sim.Result) float64) float64 {
 	return sum / float64(len(s.Results))
 }
 
-// MeanOver averages a metric over a subset of workload names.
-func (s SchemeResult) MeanOver(names []string, metric func(sim.Result) float64) float64 {
-	var sum float64
-	n := 0
-	for _, name := range names {
-		if r, ok := s.Results[name]; ok {
-			sum += metric(r)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Figure12Options tune the scheme comparison runs.
 type Figure12Options struct {
 	// Duration is simulated time per workload (default 6h).

@@ -430,4 +430,7 @@ func TestSchemeResultMeanIsCallStable(t *testing.T) {
 	if s := pctGain(sr.Mean(ee), sr.Mean(ee)); s != "+0.0%" {
 		t.Fatalf("self-improvement = %q, want +0.0%%", s)
 	}
+	if got := (SchemeResult{Scheme: BaOnly}).Mean(ee); got != 0 {
+		t.Errorf("empty Mean = %g", got)
+	}
 }

@@ -662,11 +662,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	if st.supercap != nil {
 		scDev = st.supercap
 	}
-	if workload.freqSet {
-		for _, s := range st.servers {
-			s.SetFreq(workload.freq)
-		}
-	}
 	engCfg := sim.Config{
 		Step:            p.Step,
 		Slot:            p.Slot,

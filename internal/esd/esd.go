@@ -99,30 +99,6 @@ type Stats struct {
 	DischargeTime time.Duration
 }
 
-// RoundTripEfficiency is delivered energy divided by source energy drawn,
-// valid for a closed cycle (device returned to its starting charge). For
-// open cycles it understates efficiency because energy still stored counts
-// as input; callers comparing schemes should either close the cycle or use
-// EfficiencyWithResidual.
-func (s Stats) RoundTripEfficiency() float64 {
-	if s.EnergyIn <= 0 {
-		return 0
-	}
-	return float64(s.EnergyOut) / float64(s.EnergyIn)
-}
-
-// EfficiencyWithResidual credits energy still stored at the end of the run
-// (residual, relative to the starting level) as if it were deliverable:
-// (out + residual) / in. This is the metric used for scheme comparison
-// where runs do not end on a full charge.
-func (s Stats) EfficiencyWithResidual(residual units.Energy) float64 {
-	if s.EnergyIn <= 0 {
-		return 0
-	}
-	e := float64(s.EnergyOut+residual) / float64(s.EnergyIn)
-	return units.Clamp(e, 0, 1)
-}
-
 func (s *Stats) add(o Stats) {
 	s.EnergyIn += o.EnergyIn
 	s.EnergyOut += o.EnergyOut

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"heb/internal/units"
 )
 
 func TestBatterySetSoC(t *testing.T) {
@@ -143,25 +141,5 @@ func TestPoolTerminalVoltage(t *testing.T) {
 	single := MustNewBattery(DefaultBatteryConfig())
 	if loaded <= float64(single.TerminalVoltage(200)) {
 		t.Error("pool does not benefit from load sharing")
-	}
-}
-
-func TestStatsEfficiencyHelpers(t *testing.T) {
-	s := Stats{EnergyIn: 1000, EnergyOut: 800}
-	if got := s.RoundTripEfficiency(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("RoundTripEfficiency = %g", got)
-	}
-	if got := (Stats{}).RoundTripEfficiency(); got != 0 {
-		t.Errorf("empty stats efficiency %g", got)
-	}
-	if got := s.EfficiencyWithResidual(100); math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("EfficiencyWithResidual = %g", got)
-	}
-	// Residual credit clamps at 1.
-	if got := s.EfficiencyWithResidual(units.Energy(1e6)); got != 1 {
-		t.Errorf("over-credited efficiency %g", got)
-	}
-	if got := (Stats{}).EfficiencyWithResidual(50); got != 0 {
-		t.Errorf("empty stats with residual %g", got)
 	}
 }

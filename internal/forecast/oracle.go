@@ -42,9 +42,6 @@ func (o *Oracle) Observe(v float64) {
 	}
 }
 
-// Remaining reports how many primed values are left.
-func (o *Oracle) Remaining() int { return len(o.future) - o.idx }
-
 // Reset implements Predictor: the oracle rewinds to the start of its
 // primed series.
 func (o *Oracle) Reset() {

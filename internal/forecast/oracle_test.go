@@ -14,9 +14,6 @@ func TestOraclePredictsPrimedSeries(t *testing.T) {
 		}
 		o.Observe(w)
 	}
-	if o.Remaining() != 0 {
-		t.Errorf("remaining %d, want 0", o.Remaining())
-	}
 	// Exhausted: degrades to last value.
 	if got := o.Predict(); got != 30 {
 		t.Errorf("exhausted Predict = %g, want last value 30", got)
@@ -45,9 +42,6 @@ func TestOracleReset(t *testing.T) {
 	o.Reset()
 	if got := o.Predict(); got != 1 {
 		t.Errorf("after reset predicts %g, want 1", got)
-	}
-	if o.Remaining() != 2 {
-		t.Errorf("after reset remaining %d, want 2", o.Remaining())
 	}
 }
 

@@ -205,9 +205,6 @@ var structuralKinds = [numKinds]bool{
 	KindWearRate:         true,
 }
 
-// NumKinds is the number of finding kinds (for table-driven callers).
-const NumKinds = int(numKinds)
-
 // String names the kind as it appears in JSONL.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -429,27 +426,11 @@ func (a *Engine) AddDevice(name string) int {
 	return len(a.devices) - 1
 }
 
-// Mode reports the engine's mode; a nil engine is off.
-func (a *Engine) Mode() Mode {
-	if a == nil {
-		return ModeOff
-	}
-	return a.mode
-}
-
 // Strict reports whether a critical alert should abort the run.
 func (a *Engine) Strict() bool { return a != nil && a.mode == ModeStrict }
 
 // Violated reports whether any critical alert has fired.
 func (a *Engine) Violated() bool { return a != nil && a.crits > 0 }
-
-// Rules returns the effective (default-filled) rule set.
-func (a *Engine) Rules() Rules {
-	if a == nil {
-		return Rules{}
-	}
-	return a.rules
-}
 
 // observe runs one rule instance's debounce/hysteresis automaton and
 // fires at the arming threshold. It is small enough to inline, so the

@@ -24,7 +24,7 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestKindRoundTrip(t *testing.T) {
-	for k := Kind(0); k < Kind(NumKinds); k++ {
+	for k := Kind(0); k < numKinds; k++ {
 		parsed, err := ParseKind(k.String())
 		if err != nil || parsed != k {
 			t.Errorf("ParseKind(%q) = %v, %v", k.String(), parsed, err)
@@ -48,7 +48,7 @@ func TestOffModeIsNil(t *testing.T) {
 	a.ObserveRelays(0, false, 5, 6)
 	a.ObserveWear(0, "battery", 100)
 	a.ObserveCheckpoint(0, "x", "y")
-	if a.Violated() || a.Strict() || a.Mode() != ModeOff {
+	if a.Violated() || a.Strict() {
 		t.Error("nil engine reports activity")
 	}
 	if r := a.Report(); r.Health != HealthOK {

@@ -343,10 +343,8 @@ func sortedMetricKeys(m map[string]float64) []string {
 	return keys
 }
 
-// Registry renders the capture's deterministic counters into a fresh
-// metrics registry using the heb_<subsystem>_<name>_<unit> naming scheme.
-func (c *Capture) Registry() *Registry { return registry(c.snapshot(false).runs) }
-
+// registry renders the runs' deterministic counters into a fresh metrics
+// registry using the heb_<subsystem>_<name>_<unit> naming scheme.
 func registry(runs []RunArtifact) *Registry {
 	reg := NewRegistry()
 	reg.Counter("heb_capture_runs_total", "Runs contributing to this capture.").Add(float64(len(runs)))

@@ -97,18 +97,6 @@ func (l *DecisionLog) Records() []DecisionRecord {
 	return append([]DecisionRecord(nil), l.records...)
 }
 
-// Slot returns the record for the given 1-based slot ordinal.
-func (l *DecisionLog) Slot(n int) (DecisionRecord, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, r := range l.records {
-		if r.Slot == n {
-			return r, true
-		}
-	}
-	return DecisionRecord{}, false
-}
-
 // DecisionDiff is one slot where two traces disagree on the decision.
 type DecisionDiff struct {
 	Slot int

@@ -166,19 +166,6 @@ func (l *Log) Events() []Event {
 	return append([]Event(nil), l.events...)
 }
 
-// ByKind returns the stored events of one kind, in order.
-func (l *Log) ByKind(k EventKind) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Between returns the stored events with from <= Seconds < to.
 func (l *Log) Between(from, to float64) []Event {
 	l.mu.Lock()

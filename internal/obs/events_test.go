@@ -28,8 +28,8 @@ func TestLogQueries(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("len = %d, want 3", l.Len())
 	}
-	if got := l.ByKind(EventShed); len(got) != 2 || got[1].Server != 7 {
-		t.Fatalf("ByKind(shed) = %+v", got)
+	if got := l.Events(); len(got) != 3 || got[2].Kind != EventShed || got[2].Server != 7 {
+		t.Fatalf("Events() = %+v", got)
 	}
 	if got := l.Between(1.5, 5); len(got) != 1 || got[0].Kind != EventRestore {
 		t.Fatalf("Between(1.5,5) = %+v", got)

@@ -247,20 +247,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshotLocked copies the histogram state.
 func (h *Histogram) snapshot() (counts []uint64, sum float64, count uint64) {
 	h.mu.Lock()

@@ -69,11 +69,11 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 10} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if n, _ := r.Get("heb_lat_seconds_count"); n != 5 {
+		t.Fatalf("count = %g, want 5", n)
 	}
-	if h.Sum() != 16 {
-		t.Fatalf("sum = %g, want 16", h.Sum())
+	if sum, _ := r.Get("heb_lat_seconds_sum"); sum != 16 {
+		t.Fatalf("sum = %g, want 16", sum)
 	}
 	// Cumulative buckets: le=1 → 2 (0.5, 1), le=2 → 3, le=5 → 4, +Inf → 5.
 	want := map[string]float64{

@@ -127,12 +127,3 @@ func (r *ProbeRecorder) Samples() []ProbeSample {
 	}
 	return out
 }
-
-// DeviceSamples returns the retained samples of one device in time order.
-func (r *ProbeRecorder) DeviceSamples(device string) []ProbeSample {
-	i, ok := r.index[device]
-	if !ok {
-		return nil
-	}
-	return r.rings[i].samples.Last(0)
-}

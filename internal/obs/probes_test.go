@@ -11,7 +11,7 @@ func TestProbeRecorderPowerDerivative(t *testing.T) {
 	r.Record("battery/0", 60, 0.49, 23.9, 0.9, 1, 0.1, 2) // +2 Wh net out over 60 s
 	r.Record("battery/0", 120, 0.5, 24, 1, 1, 0.1, 1)     // −1 Wh (charged) over 60 s
 
-	s := r.DeviceSamples("battery/0")
+	s := r.Samples()
 	if len(s) != 3 {
 		t.Fatalf("got %d samples, want 3", len(s))
 	}
@@ -36,7 +36,7 @@ func TestProbeRingWrapKeepsNewest(t *testing.T) {
 	if got := r.Dropped(); got != 3 {
 		t.Fatalf("dropped %d, want 3", got)
 	}
-	s := r.DeviceSamples("sc/0")
+	s := r.Samples()
 	if len(s) != 4 {
 		t.Fatalf("retained %d samples, want 4", len(s))
 	}

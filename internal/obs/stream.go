@@ -77,10 +77,3 @@ func (s *EventStream) Dropped() int64 {
 	defer s.mu.Unlock()
 	return s.dropped
 }
-
-// Subscribers returns the current listener count.
-func (s *EventStream) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}

@@ -41,9 +41,6 @@ func TestEventStreamDeliveryAndUnsubscribe(t *testing.T) {
 	if len(backlog) != 0 {
 		t.Fatalf("fresh stream backlog %v, want empty", backlog)
 	}
-	if got := s.Subscribers(); got != 1 {
-		t.Fatalf("Subscribers() = %d, want 1", got)
-	}
 	s.Emit(ev(1))
 	if e := <-ch; e.Seconds != 1 {
 		t.Fatalf("delivered %v, want seconds=1", e)
@@ -52,8 +49,11 @@ func TestEventStreamDeliveryAndUnsubscribe(t *testing.T) {
 	if _, open := <-ch; open {
 		t.Fatal("channel still open after Unsubscribe")
 	}
-	if got := s.Subscribers(); got != 0 {
-		t.Fatalf("Subscribers() = %d after Unsubscribe, want 0", got)
+	// An unsubscribed listener is gone: emitting neither delivers to it
+	// nor counts a drop against it.
+	s.Emit(ev(2))
+	if got := s.Dropped(); got != 0 {
+		t.Fatalf("Dropped() = %d after Unsubscribe, want 0", got)
 	}
 	// Double-unsubscribe is a no-op, not a double close.
 	s.Unsubscribe(id)

@@ -87,8 +87,9 @@ func (f *Fabric) Checkpoint() FabricState {
 	return st
 }
 
-// UtilityFeedState is the serialized mutable state of a UtilityFeed.
-// TraceFeed replays a precomputed series and carries no mutable state.
+// UtilityFeedState is the checkpointed utility meters of a run on a
+// UtilityFeed: the energy drawn and the peak draw, as the engine meters
+// them. A TraceFeed run carries none.
 type UtilityFeedState struct {
 	Drawn units.Energy `json:"drawn"`
 	Peak  units.Power  `json:"peak"`
@@ -99,9 +100,4 @@ func (s *UtilityFeedState) AppendJSON(o *jsonenc.Object) {
 	o.Float(`{"drawn":`, float64(s.Drawn))
 	o.Float(`,"peak":`, float64(s.Peak))
 	o.Close()
-}
-
-// Checkpoint captures the feed's cumulative meters.
-func (f *UtilityFeed) Checkpoint() UtilityFeedState {
-	return UtilityFeedState{Drawn: f.drawn, Peak: f.peak}
 }

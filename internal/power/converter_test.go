@@ -126,22 +126,8 @@ func TestUtilityFeed(t *testing.T) {
 	if f.Available(time.Hour) != 260 {
 		t.Errorf("Available = %v, want 260", f.Available(time.Hour))
 	}
-	f.RecordDraw(200, time.Second)
-	f.RecordDraw(250, time.Second)
-	f.RecordDraw(-5, time.Second) // ignored
-	if got := f.EnergyDrawn(); math.Abs(float64(got-450)) > 1e-9 {
-		t.Errorf("EnergyDrawn = %v, want 450J", got)
-	}
-	if got := f.PeakDraw(); got != 250 {
-		t.Errorf("PeakDraw = %v, want 250", got)
-	}
-	f.SetBudget(300)
-	if f.Budget() != 300 {
-		t.Errorf("SetBudget not applied")
-	}
-	f.Reset()
-	if f.EnergyDrawn() != 0 || f.PeakDraw() != 0 {
-		t.Error("Reset did not clear meters")
+	if f.Budget() != 260 || f.Name() != "utility" {
+		t.Errorf("Budget, Name = %v, %q; want 260, utility", f.Budget(), f.Name())
 	}
 }
 

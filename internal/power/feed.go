@@ -9,7 +9,7 @@ import (
 
 // Feed is a power source with a time-varying availability: the utility
 // grid under a provisioned budget, or a renewable generator. At each
-// simulation step the engine asks Available and records what it drew.
+// simulation step the engine asks Available.
 type Feed interface {
 	// Available returns the power the feed can supply at time t.
 	Available(t time.Duration) units.Power
@@ -19,11 +19,11 @@ type Feed interface {
 
 // UtilityFeed is grid power capped at the provisioned budget — the
 // under-provisioned infrastructure of Section 2.1. Budget is what the
-// breakers/contract allow, not what the load wants.
+// breakers/contract allow, not what the load wants. It holds only the
+// budget: the engine meters what it draws (Result.UtilityEnergy and
+// UtilityPeak), so one feed may serve any number of runs.
 type UtilityFeed struct {
 	budget units.Power
-	drawn  units.Energy
-	peak   units.Power
 }
 
 // NewUtilityFeed builds a grid feed with the given provisioned budget.
@@ -49,34 +49,8 @@ func (f *UtilityFeed) Name() string { return "utility" }
 // Budget returns the provisioned power budget.
 func (f *UtilityFeed) Budget() units.Power { return f.budget }
 
-// SetBudget adjusts the provisioned budget (the experiments lower it to
-// force mismatches).
-func (f *UtilityFeed) SetBudget(b units.Power) { f.budget = b }
-
 // Available implements Feed: the grid always offers exactly the budget.
 func (f *UtilityFeed) Available(time.Duration) units.Power { return f.budget }
-
-// RecordDraw notes p watts drawn for dt, tracking energy and peak demand
-// for the TCO peak-tariff analysis.
-func (f *UtilityFeed) RecordDraw(p units.Power, dt time.Duration) {
-	if p <= 0 {
-		return
-	}
-	f.drawn += p.Over(dt)
-	if p > f.peak {
-		f.peak = p
-	}
-}
-
-// Reset clears the cumulative draw accounting, keeping the budget — the
-// state a fresh NewUtilityFeed(f.Budget()) would have.
-func (f *UtilityFeed) Reset() { f.drawn, f.peak = 0, 0 }
-
-// EnergyDrawn returns cumulative grid energy.
-func (f *UtilityFeed) EnergyDrawn() units.Energy { return f.drawn }
-
-// PeakDraw returns the highest recorded draw.
-func (f *UtilityFeed) PeakDraw() units.Power { return f.peak }
 
 // TraceFeed replays a pre-computed availability series (used for solar
 // generation and recorded grid traces). Between samples it holds the

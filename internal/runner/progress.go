@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"sync/atomic"
 	"time"
+
+	"heb/internal/obs"
 )
 
 // Progress tracks a pool's live state for monitoring: how many cells are
@@ -113,18 +115,40 @@ func (p *Progress) jobEnd(start time.Time, failed bool) {
 	}
 }
 
-// MapProgress is Map with live progress tracking: p (may be nil, making
-// this exactly Map) observes each job's start, end, failure and wall
-// time. Determinism is untouched — results still come back in job-index
-// order and the first-failing-index error still wins.
-func MapProgress[T any](ctx context.Context, n, workers int, p *Progress, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if p == nil {
-		return Map(ctx, n, workers, fn)
+// MapTraced is MapWorkers with live progress tracking and wall-clock
+// spans. p (may be nil) observes each job's start, end, failure and wall
+// time. tracer (may be nil) times each job with a "cell" span on its own
+// track, grouped under sweep, so the trace shows the sweep's scheduling:
+// per-worker busy time and the idle tail. names labels each job's track;
+// a job past the end of names gets an empty name. The trace writer sorts
+// tracks by (group, name), so track creation order does not change the
+// trace's structure. Determinism is untouched — results still come back
+// in job-index order and the first-failing-index error still wins.
+func MapTraced[T any](ctx context.Context, n, workers int, p *Progress, tracer *obs.Tracer, sweep string, names []string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	if p != nil {
+		p.total.Add(int64(n))
 	}
-	p.total.Add(int64(n))
-	return Map(ctx, n, workers, func(ctx context.Context, i int) (T, error) {
-		start := p.jobStart()
+	return MapWorkers(ctx, n, workers, func(ctx context.Context, _, i int) (T, error) {
+		var start time.Time
+		if p != nil {
+			start = p.jobStart()
+		}
+		var track *obs.Track
+		if tracer != nil {
+			name := ""
+			if i < len(names) {
+				name = names[i]
+			}
+			track = tracer.NewTrack(sweep, name)
+			track.Begin("cell", "sweep")
+		}
 		v, err := fn(ctx, i)
+		if track != nil {
+			track.End()
+		}
+		if p == nil {
+			return v, err
+		}
 		p.jobEnd(start, err != nil)
 		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			// Failed cells are worth a structured warning as they happen;

@@ -12,7 +12,7 @@ import (
 func TestMapProgressCountsAndOrder(t *testing.T) {
 	var p Progress
 	n := 50
-	results, err := MapProgress(context.Background(), n, 4, &p, func(_ context.Context, i int) (int, error) {
+	results, err := MapTraced(context.Background(), n, 4, &p, nil, "", nil, func(_ context.Context, i int) (int, error) {
 		p.AddUnits(10)
 		if i == 7 || i == 33 {
 			return 0, fmt.Errorf("cell %d boom", i)
@@ -49,7 +49,7 @@ func TestMapProgressCountsAndOrder(t *testing.T) {
 }
 
 func TestMapProgressNilProgressIsMap(t *testing.T) {
-	results, err := MapProgress[int](context.Background(), 3, 2, nil, func(_ context.Context, i int) (int, error) {
+	results, err := MapTraced[int](context.Background(), 3, 2, nil, nil, "", nil, func(_ context.Context, i int) (int, error) {
 		return i + 1, nil
 	})
 	if err != nil {
@@ -66,7 +66,7 @@ func TestProgressActiveDuringRun(t *testing.T) {
 	var once sync.Once
 	sawActive := make(chan int, 1)
 	go func() {
-		_, _ = MapProgress(context.Background(), 4, 4, &p, func(_ context.Context, i int) (struct{}, error) {
+		_, _ = MapTraced(context.Background(), 4, 4, &p, nil, "", nil, func(_ context.Context, i int) (struct{}, error) {
 			once.Do(func() {
 				// Give the other workers a moment to enter their jobs.
 				time.Sleep(20 * time.Millisecond)
@@ -104,7 +104,7 @@ func TestMapProgressCancelledCountsFailures(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var p Progress
-	_, err := MapProgress(ctx, 5, 1, &p, func(ctx context.Context, i int) (int, error) {
+	_, err := MapTraced(ctx, 5, 1, &p, nil, "", nil, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -41,29 +41,22 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) on a pool of workers
-// goroutines (<= 0 selects GOMAXPROCS) and returns the n results in
-// index order. All jobs are attempted even when some fail — cells of an
-// experiment grid are independent — and the returned error is the error
-// of the lowest-index failing job, which makes failures reproducible
-// under any scheduling. If ctx is cancelled, jobs that have not started
-// yet fail with ctx.Err(); the partial results gathered so far are
-// still returned alongside the error.
+// MapWorkers runs fn(ctx, worker, i) for every i in [0, n) on a pool of
+// workers goroutines (<= 0 selects GOMAXPROCS) and returns the n results
+// in index order. All jobs are attempted even when some fail — cells of
+// an experiment grid are independent — and the returned error is the
+// error of the lowest-index failing job, which makes failures
+// reproducible under any scheduling. If ctx is cancelled, jobs that have
+// not started yet fail with ctx.Err(); the partial results gathered so
+// far are still returned alongside the error.
 //
-// fn must be safe for concurrent invocation; the pool provides no
-// synchronization between jobs beyond the completion barrier.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorkers(ctx, n, workers, func(ctx context.Context, _, i int) (T, error) {
-		return fn(ctx, i)
-	})
-}
-
-// MapWorkers is Map with worker identity: fn additionally receives the
-// index (in [0, Workers(workers, n))) of the pool worker running the
-// job. Jobs with the same worker index never run concurrently, so
-// per-worker state — a reusable engine cache, scratch buffers — needs no
-// locking as long as it is keyed by that index. The sequential fast
-// path runs everything as worker 0.
+// fn also receives the index (in [0, Workers(workers, n))) of the pool
+// worker running the job. Jobs with the same worker index never run
+// concurrently, so per-worker state — a reusable engine cache, scratch
+// buffers — needs no locking as long as it is keyed by that index. The
+// sequential fast path runs everything as worker 0. fn must otherwise be
+// safe for concurrent invocation; the pool provides no synchronization
+// between jobs beyond the completion barrier.
 func MapWorkers[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, worker, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

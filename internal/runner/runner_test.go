@@ -13,7 +13,7 @@ import (
 
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got, err := Map(context.Background(), 33, workers, func(_ context.Context, i int) (int, error) {
+		got, err := MapWorkers(context.Background(), 33, workers, func(_ context.Context, _, i int) (int, error) {
 			// Finish out of submission order on purpose.
 			time.Sleep(time.Duration((33-i)%5) * time.Millisecond)
 			return i * i, nil
@@ -36,7 +36,7 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	// Several jobs fail; regardless of scheduling the reported error must
 	// be the lowest-index one. Run repeatedly to shake out interleavings.
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(context.Background(), 16, 4, func(_ context.Context, i int) (int, error) {
+		_, err := MapWorkers(context.Background(), 16, 4, func(_ context.Context, _, i int) (int, error) {
 			if i == 3 || i == 5 || i == 11 {
 				return 0, fmt.Errorf("job %d failed", i)
 			}
@@ -50,7 +50,7 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 
 func TestMapRunsAllJobsDespiteErrors(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(context.Background(), 10, 3, func(_ context.Context, i int) (int, error) {
+	_, err := MapWorkers(context.Background(), 10, 3, func(_ context.Context, _, i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("first job fails")
@@ -74,7 +74,7 @@ func TestMapCancellationMidSweep(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		results, err = Map(ctx, 100, 2, func(ctx context.Context, i int) (int, error) {
+		results, err = MapWorkers(ctx, 100, 2, func(ctx context.Context, _, i int) (int, error) {
 			started.Add(1)
 			select {
 			case <-release:
@@ -107,7 +107,7 @@ func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := 0
-	_, err := Map(ctx, 5, 1, func(_ context.Context, i int) (int, error) {
+	_, err := MapWorkers(ctx, 5, 1, func(_ context.Context, _, i int) (int, error) {
 		ran++
 		return i, nil
 	})
@@ -120,7 +120,7 @@ func TestMapPreCancelledContext(t *testing.T) {
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	got, err := Map(context.Background(), 0, 4, func(_ context.Context, i int) (int, error) {
+	got, err := MapWorkers(context.Background(), 0, 4, func(_ context.Context, _, i int) (int, error) {
 		t.Fatal("fn must not run")
 		return 0, nil
 	})
@@ -156,7 +156,7 @@ func TestMapRaceExercise(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	results, err := Map(context.Background(), 500, 8, func(_ context.Context, i int) (int, error) {
+	results, err := MapWorkers(context.Background(), 500, 8, func(_ context.Context, _, i int) (int, error) {
 		mu.Lock()
 		seen[i] = true
 		mu.Unlock()

@@ -137,11 +137,10 @@ func (c *CappedFreq) AppendJSON(o *jsonenc.Object) {
 }
 
 // checkpoint assembles the state at a slot boundary, first folding the
-// series samples appended since the previous checkpoint into their
-// running digests: a digest depends on its series alone, not on the
-// checkpoint cadence.
+// slot samples appended since the previous checkpoint into their running
+// digests (the demand digest is folded each tick): a digest depends on
+// its series alone, not on the checkpoint cadence.
 func (e *Engine) checkpoint() (EngineState, error) {
-	foldSeries(&e.demandDigest, e.demandSeries)
 	foldSeries(&e.peaksDigest, e.slotPeaks)
 	foldSeries(&e.valleysDigest, e.slotValleys)
 	st := EngineState{
@@ -191,9 +190,8 @@ func (e *Engine) checkpoint() (EngineState, error) {
 		}
 		st.Supercap = &ds
 	}
-	if uf, ok := e.cfg.Feed.(*power.UtilityFeed); ok {
-		fs := uf.Checkpoint()
-		st.Feed = &fs
+	if _, ok := e.cfg.Feed.(*power.UtilityFeed); ok {
+		st.Feed = &power.UtilityFeedState{Drawn: e.utilityDrawn, Peak: e.utilityPeak}
 	}
 	if st.Controller, err = e.cfg.Controller.Checkpoint(); err != nil {
 		return EngineState{}, fmt.Errorf("sim: checkpoint controller: %w", err)

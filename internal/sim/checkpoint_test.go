@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -42,7 +43,9 @@ func TestRecordHashSeesDigestedState(t *testing.T) {
 	}{{0.1, 0.9, 40, 0.3}, {0.5, 0.5, 100, 0.5}, {0.9, 0.2, 300, 0.7}}
 	fill := func(demand float64, ratio float64, hit int, reverse bool) func(e *Engine, table *pat.Table) {
 		return func(e *Engine, table *pat.Table) {
-			e.demandSeries = append(e.demandSeries, 300, 310, demand, 290)
+			for _, d := range []float64{300, 310, demand, 290} {
+				e.demandDigest.Fold(math.Float64bits(d))
+			}
 			for i := range ops {
 				op := ops[i]
 				if reverse {

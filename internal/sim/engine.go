@@ -100,13 +100,16 @@ type Config struct {
 
 	// Observer, when set, receives a StepInfo after every engine tick —
 	// the hook the telemetry monitor (prototype item 5, "system
-	// real-time running state monitoring") attaches to. The engine calls
-	// it synchronously from whichever goroutine is executing Run, never
-	// from any other goroutine, so an observer used by a single run needs
-	// no locking; an observer shared between concurrent runs (e.g. cells
-	// of a parallel sweep) must synchronize itself. An observer may fail
-	// or repair relays through Engine.Fabric, but must not call Server
-	// mutators or edit trace rows (see Servers and Workload).
+	// real-time running state monitoring") attaches to, and the way to
+	// collect the per-tick demand series (StepInfo.Demand): the engine
+	// keeps only each slot's peak and valley (Result.SlotPeaks and
+	// SlotValleys). The engine calls it synchronously from whichever
+	// goroutine is executing Run, never from any other goroutine, so an
+	// observer used by a single run needs no locking; an observer shared
+	// between concurrent runs (e.g. cells of a parallel sweep) must
+	// synchronize itself. An observer may fail or repair relays through
+	// Engine.Fabric, but must not call Server mutators or edit trace rows
+	// (see Servers and Workload).
 	Observer func(StepInfo)
 
 	// Events, when set, receives the engine's discrete events: run
@@ -269,7 +272,7 @@ type Engine struct {
 	utilityDrawn         units.Energy
 	utilityPeak          units.Power
 	initialStored        units.Energy
-	demandSeries         []float64
+	demand               units.Power // the latest tick's total demand
 	slotPeaks            []float64
 	slotValleys          []float64
 	shedEvents           int
@@ -307,8 +310,9 @@ type Engine struct {
 	// cfg.Invariants is set.
 	probeTargets []probeTarget
 
-	// Running digests of the metric series, folded up to the last
-	// checkpoint (see EngineState).
+	// Running digests of the metric series (see EngineState): the demand
+	// digest folds each tick's demand as it is observed, and only when the
+	// run checkpoints; the slot digests are folded up to the last checkpoint.
 	demandDigest, peaksDigest, valleysDigest pat.Digest
 	// ckptBuf holds the last encoded checkpoint state; emitCheckpoint
 	// reuses it.
@@ -426,9 +430,10 @@ func sizeSeries(s []float64, want int) []float64 {
 // Reset binds the engine to a run configuration. Every field is rebuilt
 // from cfg, so a reset engine's state equals a new one's; only
 // allocations carry over: the relay fabric (reset, when the server set
-// is unchanged), the hot-loop scratch, the metric-series and probe-target
+// is unchanged), the hot-loop scratch, the slot-series and probe-target
 // backing arrays (emptied) and the DVFS capping map (cleared). Callers own
-// resetting the injected components (servers, pools, feed, controller).
+// resetting the injected components (servers, pools, controller); a
+// utility feed holds only its budget, so it needs no reset.
 // A reset engine produces bit-for-bit the same results as a new one for
 // the same configuration.
 func (e *Engine) Reset(cfg Config) error {
@@ -456,7 +461,6 @@ func (e *Engine) Reset(cfg Config) error {
 		dischargeConv:   cfg.Topology.DischargeConverter(peak),
 		utilityConv:     cfg.Topology.UtilityConverter(peak),
 		cappedFrom:      e.cappedFrom,
-		demandSeries:    e.demandSeries[:0],
 		slotPeaks:       e.slotPeaks[:0],
 		slotValleys:     e.slotValleys[:0],
 		demandByIdx:     e.demandByIdx,
@@ -489,11 +493,9 @@ func (e *Engine) Run() Result {
 	}
 	nSlots := steps/slotSteps + 1
 	e.initialStored = e.storedTotal()
-	// Size the metric series up front: appending one sample per tick to a
-	// growing slice would re-copy the whole history log2(steps) times. A
-	// pooled engine arrives here with full-capacity backing arrays from
-	// its previous run, so sizing truncates instead of allocating.
-	e.demandSeries = sizeSeries(e.demandSeries, steps)
+	// Size the slot series up front. A pooled engine arrives here with
+	// full-capacity backing arrays from its previous run, so sizing
+	// truncates instead of allocating.
 	e.slotPeaks = sizeSeries(e.slotPeaks, nSlots)
 	e.slotValleys = sizeSeries(e.slotValleys, nSlots)
 
@@ -858,9 +860,6 @@ func (e *Engine) stepSurplus(now time.Duration, demand, supply, effSupply units.
 	} else {
 		drawn += absorbed
 	}
-	if f, ok := cfg.Feed.(*power.UtilityFeed); ok {
-		f.RecordDraw(drawn, dt)
-	}
 	e.utilityDrawn += drawn.Over(dt)
 	if drawn > e.utilityPeak {
 		e.utilityPeak = drawn
@@ -982,9 +981,6 @@ func (e *Engine) stepMismatch(now time.Duration, demand, supply, effSupply units
 		drawnInput = supply
 	}
 	e.utilityConv.AddLoss((drawnInput - utilityLoad).Over(dt))
-	if f, ok := cfg.Feed.(*power.UtilityFeed); ok {
-		f.RecordDraw(drawnInput, dt)
-	}
 	e.utilityDrawn += drawnInput.Over(dt)
 	if drawnInput > e.utilityPeak {
 		e.utilityPeak = drawnInput
@@ -1249,9 +1245,13 @@ func (e *Engine) maybeRestart(now time.Duration, supply units.Power) {
 	}
 }
 
-// observeDemand tracks the slot's peak and valley of total demand.
+// observeDemand keeps the tick's total demand, folds it into the demand
+// digest when the run checkpoints, and tracks the slot's peak and valley.
 func (e *Engine) observeDemand(d units.Power) {
-	e.demandSeries = append(e.demandSeries, float64(d))
+	e.demand = d
+	if e.cfg.Checkpoints != nil && e.cfg.CheckpointEvery > 0 {
+		e.demandDigest.Fold(math.Float64bits(float64(d)))
+	}
 	if !e.slotHasSample {
 		e.slotPeak, e.slotValley = d, d
 		e.slotHasSample = true
@@ -1277,12 +1277,6 @@ func fracEnergy(avail, capacity units.Energy) float64 {
 		return 0
 	}
 	return units.Clamp(float64(avail)/float64(capacity), 0, 1)
-}
-
-// DemandSeries returns the recorded total-demand series (one value per
-// step) for post-hoc analysis like MPPU.
-func (e *Engine) DemandSeries() []float64 {
-	return e.demandSeries
 }
 
 func (e *Engine) result() Result {

@@ -371,9 +371,10 @@ func TestHybridAbsorbsMoreRenewableThanBatteryOnly(t *testing.T) {
 func TestDemandSeriesRecorded(t *testing.T) {
 	r := newRig(t, 500)
 	w := flatTrace(0.5, 6, 5*time.Minute, time.Second)
-	eng := MustNew(baseConfig(r, w, controller(t, core.NewSCFirst(), 500)))
-	eng.Run()
-	series := eng.DemandSeries()
+	cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 500))
+	var series []float64
+	cfg.Observer = func(s StepInfo) { series = append(series, float64(s.Demand)) }
+	MustNew(cfg).Run()
 	if len(series) != 300 {
 		t.Fatalf("demand series length %d, want 300", len(series))
 	}

@@ -23,13 +23,24 @@ func runWithEvents(t *testing.T, tweak func(*Config)) (*obs.Log, Result) {
 	return log, MustNew(cfg).Run()
 }
 
+// byKind returns the logged events of kind k, in order.
+func byKind(log *obs.Log, k obs.EventKind) []obs.Event {
+	var out []obs.Event
+	for _, e := range log.Events() {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestRunEmitsStartAndEnd(t *testing.T) {
 	log, _ := runWithEvents(t, nil)
-	starts := log.ByKind(obs.EventRunStart)
+	starts := byKind(log, obs.EventRunStart)
 	if len(starts) != 1 || starts[0].Detail != "HEB-D" || starts[0].Server != -1 {
 		t.Fatalf("run_start = %+v", starts)
 	}
-	ends := log.ByKind(obs.EventRunEnd)
+	ends := byKind(log, obs.EventRunEnd)
 	if len(ends) != 1 || ends[0].Seconds != (30*time.Minute).Seconds() {
 		t.Fatalf("run_end = %+v", ends)
 	}
@@ -41,8 +52,8 @@ func TestRunEmitsStartAndEnd(t *testing.T) {
 
 func TestMismatchWindowsPairAndMatchCounter(t *testing.T) {
 	log, res := runWithEvents(t, nil)
-	begins := log.ByKind(obs.EventMismatchBegin)
-	ends := log.ByKind(obs.EventMismatchEnd)
+	begins := byKind(log, obs.EventMismatchBegin)
+	ends := byKind(log, obs.EventMismatchEnd)
 	if len(begins) == 0 {
 		t.Fatal("square wave produced no mismatch windows")
 	}
@@ -69,12 +80,12 @@ func TestMismatchWindowsPairAndMatchCounter(t *testing.T) {
 
 func TestRelayEventsMatchSwitchCounts(t *testing.T) {
 	log, res := runWithEvents(t, nil)
-	sheds := len(log.ByKind(obs.EventShed))
-	restores := len(log.ByKind(obs.EventRestore))
+	sheds := len(byKind(log, obs.EventShed))
+	restores := len(byKind(log, obs.EventRestore))
 	if sheds == 0 {
 		// The rig may not shed under this budget; relay traffic is still
 		// required.
-		if len(log.ByKind(obs.EventRelaySwitch)) == 0 {
+		if len(byKind(log, obs.EventRelaySwitch)) == 0 {
 			t.Fatal("no relay movement events at all")
 		}
 	}
@@ -82,8 +93,8 @@ func TestRelayEventsMatchSwitchCounts(t *testing.T) {
 	for _, n := range res.RelaySwitches {
 		total += n
 	}
-	relayEvents := len(log.ByKind(obs.EventRelaySwitch)) +
-		len(log.ByKind(obs.EventHandoff)) + sheds + restores
+	relayEvents := len(byKind(log, obs.EventRelaySwitch)) +
+		len(byKind(log, obs.EventHandoff)) + sheds + restores
 	if int64(relayEvents) != total {
 		t.Errorf("relay events %d != Result.RelaySwitches total %d", relayEvents, total)
 	}
@@ -94,7 +105,7 @@ func TestRelayEventsMatchSwitchCounts(t *testing.T) {
 
 func TestChargeModeChangeEmitted(t *testing.T) {
 	log, _ := runWithEvents(t, nil)
-	changes := log.ByKind(obs.EventChargeModeChange)
+	changes := byKind(log, obs.EventChargeModeChange)
 	if len(changes) == 0 {
 		t.Fatal("no charge-mode-change events; the first plan must emit one")
 	}
@@ -113,7 +124,7 @@ func TestChargeModeChangeEmitted(t *testing.T) {
 
 func TestPATEventsPerSlotPlan(t *testing.T) {
 	log, res := runWithEvents(t, nil)
-	pats := len(log.ByKind(obs.EventPATHit)) + len(log.ByKind(obs.EventPATMiss))
+	pats := len(byKind(log, obs.EventPATHit)) + len(byKind(log, obs.EventPATMiss))
 	// HEB-D consults the table only on large-peak plans, so the count is
 	// bounded by the slot count and must be nonzero for this overloaded rig.
 	if pats == 0 {
@@ -208,7 +219,7 @@ func TestFlushTraceEmitsIncompleteSlot(t *testing.T) {
 	if dl.Len() != 1 {
 		t.Fatalf("records = %d, want 1", dl.Len())
 	}
-	if rec, _ := dl.Slot(1); rec.Completed {
+	if rec := dl.Records()[0]; rec.Completed {
 		t.Error("unfinished slot marked completed")
 	}
 	c.FlushTrace() // idempotent

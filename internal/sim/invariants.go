@@ -41,6 +41,7 @@ type Checker struct {
 	targets      []probeTarget // the engine's probed devices
 	ledger       ledgerState   // previous step's cumulative readings
 	mismatchPrev int           // mismatchSteps at the previous step
+	prevDemand   float64       // the previous step's total demand (ramp rule)
 	stepSec      float64       // the engine step in seconds
 }
 
@@ -214,9 +215,11 @@ func (c *Checker) step(e *Engine, i int, now time.Duration) {
 	if c.alert != nil {
 		c.alert.ObserveMismatch(sec, e.mismatchSteps > c.mismatchPrev, c.stepSec)
 		c.alert.ObserveLedger(sec, inWh, outWh)
-		if n := len(e.demandSeries); n >= 2 {
-			c.alert.ObserveRamp(sec, math.Abs(e.demandSeries[n-1]-e.demandSeries[n-2])/c.stepSec)
+		d := float64(e.demand)
+		if e.steps >= 2 {
+			c.alert.ObserveRamp(sec, math.Abs(d-c.prevDemand)/c.stepSec)
 		}
+		c.prevDemand = d
 		c.alert.ObserveRelays(sec, total == servers && counts[power.SourceOff] == offline, total, servers)
 		c.emitAlerts(e)
 	}

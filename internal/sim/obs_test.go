@@ -26,7 +26,12 @@ func TestProbeDecimationAndDeviceNames(t *testing.T) {
 	}
 	// 300 steps sampled every 60: i = 0, 60, 120, 180, 240.
 	for _, d := range devices {
-		samples := rec.DeviceSamples(d)
+		var samples []obs.ProbeSample
+		for _, s := range rec.Samples() {
+			if s.Device == d {
+				samples = append(samples, s)
+			}
+		}
 		if len(samples) != 5 {
 			t.Fatalf("%s has %d samples, want 5", d, len(samples))
 		}

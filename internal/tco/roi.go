@@ -47,11 +47,6 @@ func (p ROIParams) Validate() error {
 	return nil
 }
 
-// HybridCostPerWh is C_HEB: the blended storage cost in $/Wh.
-func (p ROIParams) HybridCostPerWh() float64 {
-	return (p.BatteryCostPerKWh*p.BatteryFraction + p.SCCostPerKWh*p.SCFraction) / 1000
-}
-
 // AmortizedHybridCostPerWhYear spreads the blended cost over component
 // lifetimes, in $/Wh/year.
 func (p ROIParams) AmortizedHybridCostPerWhYear() float64 {

@@ -6,8 +6,6 @@
 // (Figure 15(c)).
 package tco
 
-import "fmt"
-
 // Technology describes one energy storage technology's cost structure
 // (paper references [34, 37, 38]).
 type Technology struct {
@@ -47,16 +45,6 @@ func Technologies() []Technology {
 	}
 }
 
-// TechnologyByName finds a technology in the Figure 4 set.
-func TechnologyByName(name string) (Technology, error) {
-	for _, t := range Technologies() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return Technology{}, fmt.Errorf("tco: unknown technology %q", name)
-}
-
 // BreakdownItem is one slice of the prototype cost pie (Figure 15(a)).
 type BreakdownItem struct {
 	Name    string
@@ -84,17 +72,4 @@ func BreakdownTotal(items []BreakdownItem) float64 {
 		sum += it.CostUSD
 	}
 	return sum
-}
-
-// BreakdownShare returns each item's fraction of the total.
-func BreakdownShare(items []BreakdownItem) map[string]float64 {
-	total := BreakdownTotal(items)
-	out := make(map[string]float64, len(items))
-	if total <= 0 {
-		return out
-	}
-	for _, it := range items {
-		out[it.Name] = it.CostUSD / total
-	}
-	return out
 }

@@ -121,61 +121,12 @@ func (tr *Trace) Aggregate() []float64 {
 	return out
 }
 
-// MaxAggregate returns the highest per-step aggregate utilization.
-func (tr *Trace) MaxAggregate() float64 {
-	var max float64
-	for _, v := range tr.Aggregate() {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Slice returns a sub-trace covering rows [from, to).
 func (tr *Trace) Slice(from, to int) (*Trace, error) {
 	if from < 0 || to > len(tr.Samples) || from > to {
 		return nil, fmt.Errorf("trace %q: slice [%d,%d) out of range (len %d)", tr.Name, from, to, len(tr.Samples))
 	}
 	return &Trace{Name: tr.Name, Step: tr.Step, Samples: tr.Samples[from:to]}, nil
-}
-
-// Resample returns a copy with the given step, averaging (downsampling) or
-// repeating (upsampling) rows as needed.
-func (tr *Trace) Resample(step time.Duration) (*Trace, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("trace: resample step %v must be positive", step)
-	}
-	if len(tr.Samples) == 0 {
-		return &Trace{Name: tr.Name, Step: step}, nil
-	}
-	w := tr.Servers()
-	total := tr.Duration()
-	steps := int(total / step)
-	if steps < 1 {
-		steps = 1
-	}
-	out := MustNew(tr.Name, step, w, steps)
-	for i := 0; i < steps; i++ {
-		t0 := time.Duration(i) * step
-		t1 := t0 + step
-		lo := int(t0 / tr.Step)
-		hi := int(t1 / tr.Step)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		if hi > len(tr.Samples) {
-			hi = len(tr.Samples)
-		}
-		for j := 0; j < w; j++ {
-			var sum float64
-			for k := lo; k < hi; k++ {
-				sum += tr.Samples[k][j]
-			}
-			out.Samples[i][j] = sum / float64(hi-lo)
-		}
-	}
-	return out, nil
 }
 
 // WriteCSV encodes the trace as CSV: a header row ("t_seconds",

@@ -74,9 +74,6 @@ func TestAggregate(t *testing.T) {
 	if math.Abs(agg[0]-0.8) > 1e-12 || math.Abs(agg[1]-1.9) > 1e-12 {
 		t.Errorf("Aggregate = %v, want [0.8 1.9]", agg)
 	}
-	if got := tr.MaxAggregate(); math.Abs(got-1.9) > 1e-12 {
-		t.Errorf("MaxAggregate = %g, want 1.9", got)
-	}
 }
 
 func TestSlice(t *testing.T) {
@@ -93,49 +90,6 @@ func TestSlice(t *testing.T) {
 	}
 	if _, err := tr.Slice(0, 11); err == nil {
 		t.Error("overlong slice accepted")
-	}
-}
-
-func TestResampleDown(t *testing.T) {
-	tr := MustNew("x", time.Second, 1, 4)
-	for i := range tr.Samples {
-		tr.Samples[i][0] = float64(i+1) / 10 // 0.1 0.2 0.3 0.4
-	}
-	out, err := tr.Resample(2 * time.Second)
-	if err != nil {
-		t.Fatalf("Resample: %v", err)
-	}
-	if out.Steps() != 2 {
-		t.Fatalf("resampled steps %d, want 2", out.Steps())
-	}
-	if math.Abs(out.Samples[0][0]-0.15) > 1e-12 || math.Abs(out.Samples[1][0]-0.35) > 1e-12 {
-		t.Errorf("downsample averages wrong: %v", out.Samples)
-	}
-}
-
-func TestResampleUp(t *testing.T) {
-	tr := MustNew("x", 2*time.Second, 1, 2)
-	tr.Samples[0][0] = 0.2
-	tr.Samples[1][0] = 0.8
-	out, err := tr.Resample(time.Second)
-	if err != nil {
-		t.Fatalf("Resample: %v", err)
-	}
-	if out.Steps() != 4 {
-		t.Fatalf("resampled steps %d, want 4", out.Steps())
-	}
-	want := []float64{0.2, 0.2, 0.8, 0.8}
-	for i, w := range want {
-		if math.Abs(out.Samples[i][0]-w) > 1e-12 {
-			t.Errorf("upsample[%d] = %g, want %g", i, out.Samples[i][0], w)
-		}
-	}
-}
-
-func TestResampleValidation(t *testing.T) {
-	tr := MustNew("x", time.Second, 1, 4)
-	if _, err := tr.Resample(0); err == nil {
-		t.Error("accepted zero resample step")
 	}
 }
 

@@ -107,24 +107,6 @@ func MultiSeedComparison(p Prototype, opts MultiSeedOptions) ([]MultiSeedResult,
 	return out, nil
 }
 
-// SignificantEEGain reports whether the second scheme's EE distribution
-// sits significantly above the first's (non-overlapping 95% CIs).
-func SignificantEEGain(results []MultiSeedResult, base, improved SchemeID) (bool, error) {
-	var b, i *MultiSeedResult
-	for k := range results {
-		switch results[k].Scheme {
-		case base:
-			b = &results[k]
-		case improved:
-			i = &results[k]
-		}
-	}
-	if b == nil || i == nil {
-		return false, fmt.Errorf("heb: schemes %v/%v missing from results", base, improved)
-	}
-	return i.EE.Mean > b.EE.Mean && !i.EE.Overlaps(b.EE), nil
-}
-
 // WriteMultiSeed renders the distributions.
 func WriteMultiSeed(w io.Writer, results []MultiSeedResult) error {
 	if len(results) == 0 {

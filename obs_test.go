@@ -243,15 +243,19 @@ func TestRunCaptureArtifacts(t *testing.T) {
 		}
 	}
 
-	var prom bytes.Buffer
-	if err := p.Capture.Registry().WritePrometheus(&prom); err != nil {
+	dir := t.TempDir()
+	if err := p.Capture.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	prom, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"heb_engine_steps_total", "heb_engine_mismatch_steps_total",
 		"heb_control_slots_total", "heb_pat_lookups_total",
 	} {
-		if !bytes.Contains(prom.Bytes(), []byte(want)) {
+		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("metrics exposition missing %s", want)
 		}
 	}

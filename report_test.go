@@ -58,27 +58,6 @@ func TestImprovementFormatters(t *testing.T) {
 	}
 }
 
-func TestSchemeResultMeanOver(t *testing.T) {
-	sr := SchemeResult{Scheme: HEBD, Results: map[string]sim.Result{
-		"PR": {EnergyEfficiency: 0.9},
-		"MS": {EnergyEfficiency: 0.7},
-	}}
-	ee := func(r sim.Result) float64 { return r.EnergyEfficiency }
-	if got := sr.MeanOver([]string{"PR"}, ee); got != 0.9 {
-		t.Errorf("MeanOver(PR) = %g", got)
-	}
-	if got := sr.MeanOver([]string{"PR", "MS"}, ee); got != 0.8 {
-		t.Errorf("MeanOver(PR,MS) = %g", got)
-	}
-	if got := sr.MeanOver([]string{"XX"}, ee); got != 0 {
-		t.Errorf("MeanOver(unknown) = %g", got)
-	}
-	empty := SchemeResult{Scheme: BaOnly}
-	if got := empty.Mean(ee); got != 0 {
-		t.Errorf("empty Mean = %g", got)
-	}
-}
-
 func TestWriteDeploymentsEmpty(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteDeployments(&sb, nil); err == nil {

@@ -81,7 +81,8 @@ func (p Prototype) newRunState(id SchemeID, budget units.Power, keepImage bool) 
 
 // reset restores every pooled component the run does not rebind with
 // Reset to the state newRunState builds, so a reused run is bit-for-bit
-// identical to a fresh one. The per-run pieces (trace fn, sinks, seeds)
+// identical to a fresh one. The feed holds only its budget, part of the
+// key, so it carries over as it is. The per-run pieces (trace fn, sinks, seeds)
 // are rebound afterwards by the caller. The seeded PAT depends only on
 // the structural configuration the state is keyed by, so the table is
 // restored from its image instead of being profiled again.
@@ -103,7 +104,6 @@ func (st *runState) reset(p Prototype) {
 	for _, s := range st.servers {
 		s.Reset()
 	}
-	st.feed.Reset()
 }
 
 // RunCache pools runState values across the cells of a sweep, one

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -352,5 +354,44 @@ func TestHooksOffAllocsIndependentOfRunLength(t *testing.T) {
 				t.Errorf("%s %v: %v allocs per pooled hooks-off run, want %d", name, d, got, want)
 			}
 		}
+	}
+}
+
+// TestFreshHooksOffBytesIndependentOfRunLength: a fresh (uncached)
+// hooks-off HEB-D run on PR builds its whole state anew, yet what it
+// allocates grows by less than a byte per simulated step from 1 h to
+// 4 h: the engine keeps no per-tick series. Each length takes the least
+// of three runs after a warm-up that memoizes the trace.
+func TestFreshHooksOffBytesIndependentOfRunLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	p := DefaultPrototype()
+	w, err := WorkloadNamed("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesFor := func(d time.Duration) uint64 {
+		wd, opts := w.WithDuration(d), RunOptions{Duration: d}
+		least := uint64(math.MaxUint64)
+		for i := range 4 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := p.Run(HEBD, wd, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; i > 0 {
+				least = min(least, got)
+			}
+		}
+		return least
+	}
+	short, long := bytesFor(time.Hour), bytesFor(4*time.Hour)
+	steps := (4*time.Hour - time.Hour) / p.Step
+	perStep := (float64(long) - float64(short)) / float64(steps)
+	t.Logf("fresh run: %d B at 1 h, %d B at 4 h: %.2f B per simulated step", short, long, perStep)
+	if perStep >= 1 {
+		t.Errorf("fresh run allocates %.2f B per simulated step, want < 1", perStep)
 	}
 }

@@ -57,7 +57,9 @@
 # When BENCH_prof.json is committed, -check additionally re-runs
 # the engine memprofile and gates its frame shares through `hebobs prof
 # check` (new frames >= 3% flat, known frames grown past 1.5x fail).
-# Exits non-zero on any violation.
+# A failing set or gate does not stop -check: it records the failure,
+# runs every remaining set and gate, then exits non-zero naming each
+# one that failed.
 #
 # On top of the baseline comparison, -check holds the measured run to
 # the zero-alloc/checkpoint targets (absolute, independent of the
@@ -141,6 +143,9 @@ to_json() {
 # overhead target below.
 ns_tol=1.5
 
+# failed names each -check set or gate that failed.
+failed=()
+
 run_set() {
 	local pattern="$1" out="$2"
 	shift 2
@@ -151,9 +156,8 @@ run_set() {
 		cur="$(mktemp)"
 		to_json <"$raw" >"$cur"
 		if ! go run ./cmd/hebobs watch bench -ns-tol "$ns_tol" "$cur" "$out"; then
-			rm -f "$cur"
 			echo "bench.sh: regression against $out" >&2
-			exit 1
+			failed+=("$out")
 		fi
 		rm -f "$cur"
 	else
@@ -238,9 +242,10 @@ if [[ "$check" == 1 ]]; then
 	}
 	' "$scratch/all_raw.txt"; then
 		echo "bench.sh: target gate violation" >&2
-		exit 1
+		failed+=("targets")
+	else
+		echo "ok: zero-alloc/checkpoint/checker targets hold"
 	fi
-	echo "ok: zero-alloc/checkpoint/checker targets hold"
 fi
 
 # Profile gate: with a committed top-frames baseline, re-attribute the
@@ -250,6 +255,11 @@ if [[ "$check" == 1 && -f "$prof_base" ]]; then
 	engine_memprofile
 	if ! go run ./cmd/hebobs prof check -baseline "$prof_base" "$scratch/engine_mem.pprof"; then
 		echo "bench.sh: profile regression against $prof_base" >&2
-		exit 1
+		failed+=("$prof_base")
 	fi
+fi
+
+if ((${#failed[@]})); then
+	echo "bench.sh: failed: ${failed[*]}" >&2
+	exit 1
 fi

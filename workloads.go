@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"heb/internal/power"
 	"heb/internal/trace"
 	"heb/internal/workload"
 )
@@ -17,8 +16,6 @@ type Workload struct {
 	spec     *workload.Spec
 	tr       *trace.Trace
 	duration time.Duration
-	freq     power.FreqLevel
-	freqSet  bool
 }
 
 // WorkloadFromSpec wraps a Table 1 spec; the trace is generated when the
@@ -66,14 +63,6 @@ func WorkloadFromTrace(tr *trace.Trace) Workload {
 // only; trace-backed workloads keep their own length and wrap).
 func (w Workload) WithDuration(d time.Duration) Workload {
 	w.duration = d
-	return w
-}
-
-// WithFrequency pins the cluster's DVFS level for this workload, the way
-// the paper pins its two workload groups to 1.3 and 1.8 GHz.
-func (w Workload) WithFrequency(f power.FreqLevel) Workload {
-	w.freq = f
-	w.freqSet = true
 	return w
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"heb/internal/power"
 	"heb/internal/trace"
 	"heb/internal/workload"
 )
@@ -72,21 +71,6 @@ func TestWorkloadEmpty(t *testing.T) {
 	}
 	if w.Name() != "empty" {
 		t.Errorf("empty workload name %q", w.Name())
-	}
-}
-
-func TestWorkloadWithFrequency(t *testing.T) {
-	p := DefaultPrototype()
-	w, _ := WorkloadNamed("TS")
-	w = w.WithFrequency(power.FreqLow).WithDuration(10 * time.Minute)
-	// Run and confirm lower peak draw: at FreqLow the cluster peak is
-	// 6·(30+40·0.55) = 312 W < budget, so no mismatch at all.
-	res, err := p.Run(SCFirst, w, RunOptions{Duration: 10 * time.Minute, Budget: 320})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MismatchSteps != 0 {
-		t.Errorf("low-frequency run saw %d mismatch steps under a 320W budget", res.MismatchSteps)
 	}
 }
 
