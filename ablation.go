@@ -125,10 +125,14 @@ func CompareWithDVFSCapping(p Prototype, w Workload, duration time.Duration) ([]
 		if err != nil {
 			return sim.Result{}, err
 		}
+		battery, err := esd.NewPool("battery", esd.Null{})
+		if err != nil {
+			return sim.Result{}, err
+		}
 		eng, err := sim.New(sim.Config{
 			Step: p.Step, Slot: p.Slot, Duration: duration,
 			Servers: p.Servers(), Workload: tr,
-			Battery: esd.Null{}, Feed: feed,
+			Battery: battery, Feed: feed,
 			Controller:  ctrl,
 			DVFSCapping: true,
 		})

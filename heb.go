@@ -658,10 +658,6 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 	case BaFirst:
 		charge = sim.ChargeBatteryFirst
 	}
-	var scDev esd.Device
-	if st.supercap != nil {
-		scDev = st.supercap
-	}
 	engCfg := sim.Config{
 		Step:            p.Step,
 		Slot:            p.Slot,
@@ -669,7 +665,7 @@ func (p Prototype) run(id SchemeID, workload Workload, opts RunOptions, profCtx 
 		Servers:         st.servers,
 		Workload:        tr,
 		Battery:         st.battery,
-		Supercap:        scDev,
+		Supercap:        st.supercap,
 		Feed:            feed,
 		Renewable:       opts.Renewable,
 		Controller:      ctrl,

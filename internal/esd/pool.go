@@ -13,14 +13,11 @@ import (
 // how paralleled strings share current in practice: a sagging string
 // naturally carries less.
 //
-// Internally the pool keeps a struct-of-arrays view of its members: the
-// concrete batteries and supercaps are resolved once at construction into
-// index-aligned typed slices, so the per-step hot path (capability scan,
-// proportional split, dispatch) runs as direct calls over dense arrays
-// instead of interface dispatch, and the capability scratch is pool-owned
-// rather than allocated per call. Member order is preserved everywhere, so
-// the floating-point summation order — and therefore every simulation
-// result — is bit-identical to the naive per-device loop.
+// Every member call goes through the Device interface, and the
+// capability scratch is pool-owned rather than allocated per call. Member
+// order is preserved everywhere, so the floating-point summation order —
+// and therefore every simulation result — is bit-identical to the naive
+// per-device loop.
 //
 // A pool built by NewUniformPool owns n copies of one prototype. They
 // stay in lockstep, so while the pool is uniform it steps member 0 alone
@@ -30,12 +27,6 @@ import (
 type Pool struct {
 	name    string
 	members []Device
-
-	// SoA views, index-aligned with members: bat[i]/sc[i] is non-nil when
-	// members[i] is of that concrete type. A foreign Device implementation
-	// leaves both nil and falls back to interface dispatch.
-	bat []*Battery
-	sc  []*Supercap
 
 	// caps is the reusable capability scratch for scanCaps, which every
 	// capability read and transfer takes; it lives on the pool so the
@@ -61,22 +52,11 @@ func NewPool(name string, members ...Device) (*Pool, error) {
 			return nil, fmt.Errorf("esd: pool %q member %d is nil", name, i)
 		}
 	}
-	p := &Pool{
+	return &Pool{
 		name:    name,
 		members: members,
-		bat:     make([]*Battery, len(members)),
-		sc:      make([]*Supercap, len(members)),
 		caps:    make([]units.Power, len(members)),
-	}
-	for i, m := range members {
-		switch d := m.(type) {
-		case *Battery:
-			p.bat[i] = d
-		case *Supercap:
-			p.sc[i] = d
-		}
-	}
-	return p, nil
+	}, nil
 }
 
 // NewUniformPool builds a pool of n copies of proto, a *Battery or
@@ -153,19 +133,20 @@ func (p *Pool) ProbeMemberInto(i int, s *ProbeSnapshot, full bool) {
 	if i >= p.live() {
 		i = 0
 	}
-	if b := p.bat[i]; b != nil {
-		b.probeInto(s, full)
-		return
+	switch m := p.members[i].(type) {
+	case partialProber:
+		m.probeInto(s, full)
+	case Prober:
+		*s = m.ProbeSnapshot()
+	default:
+		*s = ProbeSnapshot{}
 	}
-	if c := p.sc[i]; c != nil {
-		c.probeInto(s, full)
-		return
-	}
-	if pr, ok := p.members[i].(Prober); ok {
-		*s = pr.ProbeSnapshot()
-		return
-	}
-	*s = ProbeSnapshot{}
+}
+
+// partialProber is a member whose snapshot can skip the ledger fields:
+// the battery and the super-capacitor.
+type partialProber interface {
+	probeInto(s *ProbeSnapshot, full bool)
 }
 
 // Uniform reports whether the pool still steps member 0 alone.
@@ -176,11 +157,14 @@ func (p *Pool) sync() {
 	if !p.uniform {
 		return
 	}
-	for i := 1; i < len(p.members); i++ {
-		if b := p.bat[0]; b != nil {
-			*p.bat[i] = *b
-		} else {
-			*p.sc[i] = *p.sc[0]
+	switch d := p.members[0].(type) {
+	case *Battery:
+		for _, m := range p.members[1:] {
+			*m.(*Battery) = *d
+		}
+	case *Supercap:
+		for _, m := range p.members[1:] {
+			*m.(*Supercap) = *d
 		}
 	}
 }
@@ -189,8 +173,8 @@ func (p *Pool) sync() {
 // Configurations never change after construction, so unlike Members it
 // leaves a uniform pool uniform.
 func (p *Pool) BatteryConfig() (BatteryConfig, bool) {
-	for _, b := range p.bat {
-		if b != nil {
+	for _, m := range p.members {
+		if b, ok := m.(*Battery); ok {
 			return b.Config(), true
 		}
 	}
@@ -199,131 +183,6 @@ func (p *Pool) BatteryConfig() (BatteryConfig, bool) {
 
 // Size returns the member count.
 func (p *Pool) Size() int { return len(p.members) }
-
-// The member* helpers devirtualize the hot-path Device calls: the concrete
-// type was resolved at construction, so the common case is a direct method
-// call the compiler can see through. Member order — and so float summation
-// order — matches the members slice exactly.
-
-func (p *Pool) memberCapacity(i int) units.Energy {
-	if b := p.bat[i]; b != nil {
-		return b.Capacity()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Capacity()
-	}
-	return p.members[i].Capacity()
-}
-
-func (p *Pool) memberSoC(i int) float64 {
-	if b := p.bat[i]; b != nil {
-		return b.SoC()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.SoC()
-	}
-	return p.members[i].SoC()
-}
-
-func (p *Pool) memberStored(i int) units.Energy {
-	if b := p.bat[i]; b != nil {
-		return b.Stored()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Stored()
-	}
-	return p.members[i].Stored()
-}
-
-func (p *Pool) memberVoltage(i int) units.Voltage {
-	if b := p.bat[i]; b != nil {
-		return b.Voltage()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Voltage()
-	}
-	return p.members[i].Voltage()
-}
-
-func (p *Pool) memberMaxDischarge(i int) units.Power {
-	if b := p.bat[i]; b != nil {
-		return b.MaxDischargePower()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.MaxDischargePower()
-	}
-	return p.members[i].MaxDischargePower()
-}
-
-func (p *Pool) memberMaxCharge(i int) units.Power {
-	if b := p.bat[i]; b != nil {
-		return b.MaxChargePower()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.MaxChargePower()
-	}
-	return p.members[i].MaxChargePower()
-}
-
-func (p *Pool) memberDepleted(i int) bool {
-	if b := p.bat[i]; b != nil {
-		return b.Depleted()
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Depleted()
-	}
-	return p.members[i].Depleted()
-}
-
-func (p *Pool) memberRest(i int, dt time.Duration) {
-	if b := p.bat[i]; b != nil {
-		b.Rest(dt)
-		return
-	}
-	if s := p.sc[i]; s != nil {
-		s.Rest(dt)
-		return
-	}
-	p.members[i].Rest(dt)
-}
-
-func (p *Pool) memberDischarge(i int, req units.Power, dt time.Duration) units.Power {
-	if b := p.bat[i]; b != nil {
-		return b.Discharge(req, dt)
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Discharge(req, dt)
-	}
-	return p.members[i].Discharge(req, dt)
-}
-
-func (p *Pool) memberCharge(i int, offered units.Power, dt time.Duration) units.Power {
-	if b := p.bat[i]; b != nil {
-		return b.Charge(offered, dt)
-	}
-	if s := p.sc[i]; s != nil {
-		return s.Charge(offered, dt)
-	}
-	return p.members[i].Charge(offered, dt)
-}
-
-// memberTerminalVoltage returns the loaded terminal voltage and whether the
-// member models one.
-func (p *Pool) memberTerminalVoltage(i int, load units.Power) (units.Voltage, bool) {
-	if b := p.bat[i]; b != nil {
-		return b.TerminalVoltage(load), true
-	}
-	if s := p.sc[i]; s != nil {
-		return s.TerminalVoltage(load), true
-	}
-	tv, ok := p.members[i].(interface {
-		TerminalVoltage(units.Power) units.Voltage
-	})
-	if !ok {
-		return 0, false
-	}
-	return tv.TerminalVoltage(load), true
-}
 
 // The aggregates below loop over every member in order. Members at or
 // past live() are stale copies of member 0 in a uniform pool, so each
@@ -346,7 +205,7 @@ func (p *Pool) SoC() float64 {
 	var num, den, soc, c float64
 	for i := range p.members {
 		if i < live {
-			soc, c = p.memberSoC(i), float64(p.memberCapacity(i))
+			soc, c = p.members[i].SoC(), float64(p.members[i].Capacity())
 		}
 		num += soc * c
 		den += c
@@ -363,7 +222,7 @@ func (p *Pool) Stored() units.Energy {
 	var e, m units.Energy
 	for i := range p.members {
 		if i < live {
-			m = p.memberStored(i)
+			m = p.members[i].Stored()
 		}
 		e += m
 	}
@@ -376,7 +235,7 @@ func (p *Pool) Capacity() units.Energy {
 	var e, m units.Energy
 	for i := range p.members {
 		if i < live {
-			m = p.memberCapacity(i)
+			m = p.members[i].Capacity()
 		}
 		e += m
 	}
@@ -388,7 +247,7 @@ func (p *Pool) Capacity() units.Energy {
 func (p *Pool) Voltage() units.Voltage {
 	var v units.Voltage
 	for i := range p.live() {
-		if mv := p.memberVoltage(i); mv > v {
+		if mv := p.members[i].Voltage(); mv > v {
 			v = mv
 		}
 	}
@@ -411,11 +270,10 @@ func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 	for i := range p.members {
 		if i < live {
 			share := units.Power(float64(load) * float64(p.caps[i]) / float64(capSum))
-			v, ok := p.memberTerminalVoltage(i, share)
 			vw, w = 0, 0
-			if ok {
+			if tv, ok := p.members[i].(terminalVoltager); ok {
 				w = float64(p.caps[i])
-				vw = float64(v) * w
+				vw = float64(tv.TerminalVoltage(share)) * w
 			}
 		}
 		num += vw
@@ -425,6 +283,11 @@ func (p *Pool) TerminalVoltage(load units.Power) units.Voltage {
 		return p.Voltage()
 	}
 	return units.Voltage(num / den)
+}
+
+// terminalVoltager is a member that models its loaded terminal voltage.
+type terminalVoltager interface {
+	TerminalVoltage(load units.Power) units.Voltage
 }
 
 // MaxDischargePower sums member discharge capability through the scan
@@ -442,7 +305,7 @@ func (p *Pool) MaxChargePower() units.Power {
 // Depleted reports whether every member is depleted.
 func (p *Pool) Depleted() bool {
 	for i := range p.live() {
-		if !p.memberDepleted(i) {
+		if !p.members[i].Depleted() {
 			return false
 		}
 	}
@@ -469,9 +332,9 @@ func (p *Pool) scanCaps(discharge bool) units.Power {
 	for i := range p.members {
 		if i < live {
 			if discharge {
-				c = p.memberMaxDischarge(i)
+				c = p.members[i].MaxDischargePower()
 			} else {
-				c = p.memberMaxCharge(i)
+				c = p.members[i].MaxChargePower()
 			}
 			p.caps[i] = c
 		}
@@ -485,7 +348,7 @@ func (p *Pool) scanCaps(discharge bool) units.Power {
 // capability, so no member is asked for more than it can serve and every
 // member is dispatched exactly once per step (keeping recovery and leakage
 // time in sync across the pool). It is the pool's hot path: one capability
-// pass and one dispatch pass over the SoA views, zero allocations. A
+// pass and one dispatch pass over the members, zero allocations. A
 // uniform pool dispatches member 0 alone and counts its result once per
 // member.
 func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) units.Power {
@@ -503,9 +366,9 @@ func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) uni
 		if i < live {
 			share := units.Power(float64(total) * float64(p.caps[i]) / float64(capSum))
 			if discharge {
-				got = p.memberDischarge(i, share, dt)
+				got = p.members[i].Discharge(share, dt)
 			} else {
-				got = p.memberCharge(i, share, dt)
+				got = p.members[i].Charge(share, dt)
 			}
 		}
 		moved += got
@@ -515,8 +378,8 @@ func (p *Pool) transfer(total units.Power, dt time.Duration, discharge bool) uni
 
 // Rest advances all members without load.
 func (p *Pool) Rest(dt time.Duration) {
-	for i := range p.live() {
-		p.memberRest(i, dt)
+	for _, m := range p.members[:p.live()] {
+		m.Rest(dt)
 	}
 }
 
@@ -542,23 +405,13 @@ func (p *Pool) Meters() (in, out units.Energy) {
 	var mi, mo units.Energy
 	for i := range p.members {
 		if i < live {
-			mi, mo = p.memberMeters(i)
+			st := p.members[i].Stats()
+			mi, mo = st.EnergyIn, st.EnergyOut
 		}
 		in += mi
 		out += mo
 	}
 	return in, out
-}
-
-func (p *Pool) memberMeters(i int) (in, out units.Energy) {
-	if b := p.bat[i]; b != nil {
-		return b.stats.EnergyIn, b.stats.EnergyOut
-	}
-	if s := p.sc[i]; s != nil {
-		return s.stats.EnergyIn, s.stats.EnergyOut
-	}
-	st := p.members[i].Stats()
-	return st.EnergyIn, st.EnergyOut
 }
 
 // Reset resets all members.
@@ -582,8 +435,8 @@ func (p *Pool) SetSoC(frac float64) {
 // Battery.PreAge). Unlike a loop over Members, it keeps a uniform pool
 // uniform.
 func (p *Pool) PreAge(lifeFraction float64) {
-	for _, b := range p.bat[:p.live()] {
-		if b != nil {
+	for _, m := range p.members[:p.live()] {
+		if b, ok := m.(*Battery); ok {
 			b.PreAge(lifeFraction)
 		}
 	}
@@ -595,8 +448,9 @@ func (p *Pool) Wear() (WearReport, int) {
 	live := p.live()
 	var sum, r WearReport
 	n := 0
-	for i, b := range p.bat {
-		if b == nil {
+	for i, m := range p.members {
+		b, ok := m.(*Battery)
+		if !ok {
 			continue
 		}
 		if i < live {

@@ -73,10 +73,11 @@ type Config struct {
 	// be edited during Run.
 	Workload *trace.Trace
 
-	// Battery is the battery pool; required.
-	Battery esd.Device
+	// Battery is the battery pool; required. A run with no storage at
+	// all passes a pool of one esd.Null.
+	Battery *esd.Pool
 	// Supercap is the SC pool; nil for battery-only systems.
-	Supercap esd.Device
+	Supercap *esd.Pool
 
 	// Feed supplies power: a budgeted utility feed or a solar trace.
 	Feed power.Feed
@@ -341,11 +342,10 @@ type sourceKey struct {
 	switches [power.NumSources]int64
 }
 
-// probeTarget is one probed storage device within a run: a bare device,
-// or member idx of a pool read through the pool's per-index view.
+// probeTarget is one probed storage device within a run: member idx of a
+// pool, read through the pool's per-index view.
 type probeTarget struct {
 	name string
-	dev  esd.Prober // nil for a pool member
 	pool *esd.Pool
 	idx  int
 	// first is the position of the pool's member 0 in the target list.
@@ -563,26 +563,17 @@ func (e *Engine) Run() Result {
 	return e.result()
 }
 
-// buildProbeTargets enumerates the pools' individual storage devices.
-// Pool members get stable "<pool>/<index>" names; a bare device uses the
-// pool name alone. Devices that cannot be probed, or hold no usable
-// window at all (the Null placeholder), are skipped. Pool members are
-// read through Pool.ProbeMember, not Members, so a uniform pool keeps
-// stepping member 0 alone.
+// buildProbeTargets enumerates the pools' individual storage devices
+// under stable "<pool>/<index>" names. Devices that cannot be probed, or
+// hold no usable window at all (the Null placeholder), are skipped.
+// Members are read through Pool.ProbeMemberInto, not Members, so a
+// uniform pool keeps stepping member 0 alone.
 func (e *Engine) buildProbeTargets() {
 	e.probeTargets = e.probeTargets[:0]
-	add := func(name string, dev esd.Device, battery bool) {
-		t := probeTarget{name: name, battery: battery}
-		if p, ok := dev.(*esd.Pool); ok {
-			t.pool, t.first = p, len(e.probeTargets)
-			for i := range p.Size() {
-				t.name, t.idx = fmt.Sprintf("%s/%d", name, i), i
-				e.addProbeTarget(t)
-			}
-			return
-		}
-		if pr, ok := dev.(esd.Prober); ok {
-			t.dev = pr
+	add := func(name string, p *esd.Pool, battery bool) {
+		t := probeTarget{pool: p, first: len(e.probeTargets), battery: battery}
+		for i := range p.Size() {
+			t.name, t.idx = fmt.Sprintf("%s/%d", name, i), i
 			e.addProbeTarget(t)
 		}
 	}
@@ -592,21 +583,21 @@ func (e *Engine) buildProbeTargets() {
 	}
 }
 
+// addProbeTarget appends t and drops it again when its device holds no
+// usable window. It reads the appended copy: the snapshot pointer passes
+// through an interface call, so reading t itself would move t to the heap.
 func (e *Engine) addProbeTarget(t probeTarget) {
-	if s := t.read(true); s.CapacityAh == 0 && s.CapacityWh == 0 {
-		return
-	}
 	e.probeTargets = append(e.probeTargets, t)
+	n := len(e.probeTargets) - 1
+	if s := e.probeTargets[n].read(true); s.CapacityAh == 0 && s.CapacityWh == 0 {
+		e.probeTargets = e.probeTargets[:n]
+	}
 }
 
 // read refreshes t.snap from the device and returns it: every field
 // when full, else at least the bounds fields (see Pool.ProbeMemberInto).
 func (t *probeTarget) read(full bool) *esd.ProbeSnapshot {
-	if t.pool != nil {
-		t.pool.ProbeMemberInto(t.idx, &t.snap, full)
-	} else {
-		t.snap = t.dev.ProbeSnapshot()
-	}
+	t.pool.ProbeMemberInto(t.idx, &t.snap, full)
 	return &t.snap
 }
 
@@ -1339,15 +1330,10 @@ func (e *Engine) result() Result {
 	}
 
 	// Battery wear and projected lifetime.
-	if wearer, ok := cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
-		report, n := wearer.Wear()
-		if n > 0 {
-			res.BatteryWear = report
-			res.BatteryLifetimeYears = report.EstimateYears(lifeConfig(cfg.Battery), cfg.Duration)
-		}
-	} else if b, ok := cfg.Battery.(*esd.Battery); ok {
-		res.BatteryWear = b.Wear()
-		res.BatteryLifetimeYears = res.BatteryWear.EstimateYears(b.Config().Life, cfg.Duration)
+	if report, n := cfg.Battery.Wear(); n > 0 {
+		bc, _ := cfg.Battery.BatteryConfig()
+		res.BatteryWear = report
+		res.BatteryLifetimeYears = report.EstimateYears(bc.Life, cfg.Duration)
 	}
 
 	if cfg.Renewable {
@@ -1366,19 +1352,4 @@ func (e *Engine) result() Result {
 	res.SlotPeaks = append([]float64(nil), e.slotPeaks...)
 	res.SlotValleys = append([]float64(nil), e.slotValleys...)
 	return res
-}
-
-// lifeConfig extracts a lifetime config from a pool's first battery
-// member, defaulting when none is found. It reads the pool's config
-// rather than its Members, which would end a uniform pool's fast path.
-func lifeConfig(d esd.Device) esd.LifetimeConfig {
-	if p, ok := d.(*esd.Pool); ok {
-		if cfg, ok := p.BatteryConfig(); ok {
-			return cfg.Life
-		}
-	}
-	if b, ok := d.(*esd.Battery); ok {
-		return b.Config().Life
-	}
-	return esd.DefaultLifetimeConfig()
 }

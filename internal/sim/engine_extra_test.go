@@ -39,9 +39,8 @@ func TestDVFSCappingReducesDemandAndRecords(t *testing.T) {
 	r := newRig(t, 260)
 	w := squareTrace(0.2, 1.0, 10*time.Minute, 6, 30*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
-	cfg.Battery = nil
+	cfg.Battery = esd.MustNewPool("battery", esd.Null{})
 	cfg.Supercap = nil
-	cfg.Battery = esd.Null{}
 	cfg.DVFSCapping = true
 	res := MustNew(cfg).Run()
 

@@ -95,9 +95,9 @@ type ledgerState struct {
 
 // readLedger takes the engine's cumulative bus readings.
 func readLedger(e *Engine) ledgerState {
-	devIn, devOut := meters(e.cfg.Battery)
+	devIn, devOut := e.cfg.Battery.Meters()
 	if e.cfg.Supercap != nil {
-		in, out := meters(e.cfg.Supercap)
+		in, out := e.cfg.Supercap.Meters()
 		devIn += in
 		devOut += out
 	}
@@ -109,16 +109,6 @@ func readLedger(e *Engine) ledgerState {
 		devOut:       devOut,
 		convLoss:     e.dischargeConv.Loss() + e.utilityConv.Loss(),
 	}
-}
-
-// meters reads a device's cumulative EnergyIn and EnergyOut; a pool's
-// through Pool.Meters, which leaves the rest of its ledger unsummed.
-func meters(d esd.Device) (in, out units.Energy) {
-	if p, ok := d.(*esd.Pool); ok {
-		return p.Meters()
-	}
-	s := d.Stats()
-	return s.EnergyIn, s.EnergyOut
 }
 
 // start binds the checker to the run: ledger baselines, the devices'
@@ -278,12 +268,8 @@ func (c *Checker) finish(e *Engine) {
 	}
 	sec := float64(e.steps) * c.stepSec
 	if days := sec / 86400; days > 0 {
-		if wearer, ok := e.cfg.Battery.(interface{ Wear() (esd.WearReport, int) }); ok {
-			if report, n := wearer.Wear(); n > 0 {
-				c.alert.ObserveWear(sec, "battery", report.EquivalentFullCycles/days)
-			}
-		} else if b, ok := e.cfg.Battery.(*esd.Battery); ok {
-			c.alert.ObserveWear(sec, "battery", b.Wear().EquivalentFullCycles/days)
+		if report, n := e.cfg.Battery.Wear(); n > 0 {
+			c.alert.ObserveWear(sec, "battery", report.EquivalentFullCycles/days)
 		}
 	}
 	c.emitAlerts(e)

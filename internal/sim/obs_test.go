@@ -56,7 +56,7 @@ func TestProbesSkipNullBattery(t *testing.T) {
 	r := newRig(t, 260)
 	w := flatTrace(0.3, 6, 2*time.Minute, time.Second)
 	cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
-	cfg.Battery = esd.Null{}
+	cfg.Battery = esd.MustNewPool("battery", esd.Null{})
 	cfg.Supercap = nil
 	rec := obs.NewProbeRecorder(0)
 	cfg.Invariants = NewChecker(nil, nil, rec, 30)
@@ -139,15 +139,24 @@ func TestAuditStrictAbortsRun(t *testing.T) {
 	}
 }
 
-// countingBattery counts ProbeSnapshot calls on a bare battery device.
+// countingBattery counts ProbeSnapshot calls on a battery. It holds the
+// battery in a named field behind an embedded Device: embedding
+// *esd.Battery would promote the battery's partial probe, which the pool
+// would call instead of the counted ProbeSnapshot.
 type countingBattery struct {
-	*esd.Battery
+	esd.Device
+	bat   *esd.Battery
 	snaps int
+}
+
+func newCountingBattery() *countingBattery {
+	b := esd.MustNewBattery(esd.DefaultBatteryConfig())
+	return &countingBattery{Device: b, bat: b}
 }
 
 func (c *countingBattery) ProbeSnapshot() esd.ProbeSnapshot {
 	c.snaps++
-	return c.Battery.ProbeSnapshot()
+	return c.bat.ProbeSnapshot()
 }
 
 // TestCheckerSnapshotsEachDeviceOncePerStep pins the merged pass: with
@@ -172,8 +181,8 @@ func TestCheckerSnapshotsEachDeviceOncePerStep(t *testing.T) {
 		{"probes only", nil, nil, obs.NewProbeRecorder(0), false, 1},
 	} {
 		cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
-		bat := &countingBattery{Battery: esd.MustNewBattery(esd.DefaultBatteryConfig())}
-		cfg.Battery = bat
+		bat := newCountingBattery()
+		cfg.Battery = esd.MustNewPool("battery", bat)
 		cfg.Supercap = nil
 		cfg.Invariants = NewChecker(tc.audit, tc.alert, tc.probes, 60)
 		res := MustNew(cfg).Run()
@@ -252,7 +261,7 @@ func TestObserverSeesDVFSCappingWindow(t *testing.T) {
 		r := newRig(t, 260)
 		w := squareTrace(0.2, 1.0, 10*time.Minute, 6, 30*time.Minute, time.Second)
 		cfg := baseConfig(r, w, controller(t, core.NewBaOnly(), 260))
-		cfg.Battery = esd.Null{}
+		cfg.Battery = esd.MustNewPool("battery", esd.Null{})
 		cfg.Supercap = nil
 		cfg.DVFSCapping = capping
 		peak := 0.0

@@ -108,19 +108,6 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// Aggregate returns the per-step sum of utilization across servers.
-func (tr *Trace) Aggregate() []float64 {
-	out := make([]float64, len(tr.Samples))
-	for i, row := range tr.Samples {
-		var sum float64
-		for _, v := range row {
-			sum += v
-		}
-		out[i] = sum
-	}
-	return out
-}
-
 // Slice returns a sub-trace covering rows [from, to).
 func (tr *Trace) Slice(from, to int) (*Trace, error) {
 	if from < 0 || to > len(tr.Samples) || from > to {

@@ -66,16 +66,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	tr := MustNew("x", time.Second, 2, 2)
-	tr.Samples[0] = []float64{0.5, 0.3}
-	tr.Samples[1] = []float64{1.0, 0.9}
-	agg := tr.Aggregate()
-	if math.Abs(agg[0]-0.8) > 1e-12 || math.Abs(agg[1]-1.9) > 1e-12 {
-		t.Errorf("Aggregate = %v, want [0.8 1.9]", agg)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tr := MustNew("x", time.Second, 1, 10)
 	sub, err := tr.Slice(2, 5)

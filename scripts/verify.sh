@@ -13,6 +13,11 @@
 # Tier 4: docs drift — regenerate the committed hebsim -exp all output
 # (timing columns normalized) and fail if it no longer matches
 # docs/hebsim_all_output.txt. CI's test job runs the same check.
+#
+# Not a tier: scripts/identity.sh [rev] checks that the working tree's
+# hebsim captures are byte-identical to rev's (default HEAD). A
+# behaviour-preserving refactor runs it by hand; a change that alters
+# outputs on purpose fails it, so neither this script nor CI runs it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
