@@ -64,8 +64,32 @@ func (s *DeviceState) AppendJSON(o *jsonenc.Object) {
 		o.Key(`,"supercap":`)
 		s.Supercap.AppendJSON(o)
 	}
-	jsonenc.SliceOmit(o, `,"members":`, s.Members, (*DeviceState).AppendJSON)
+	if len(s.Members) > 0 {
+		o.Key(`,"members":[`)
+		var from, to int // the bytes of the last member encoded
+		for i := range s.Members {
+			m := &s.Members[i]
+			if i > 0 {
+				o.Key(",")
+				if m.shares(&s.Members[i-1]) {
+					o.B = append(o.B, o.B[from:to]...)
+					continue
+				}
+			}
+			from = len(o.B)
+			m.AppendJSON(o)
+			to = len(o.B)
+		}
+		o.Key("]")
+	}
 	o.Close()
+}
+
+// shares reports whether s points at prev's state, so it encodes to
+// prev's bytes: a uniform pool's members share member 0's.
+func (s *DeviceState) shares(prev *DeviceState) bool {
+	return s.Kind == prev.Kind && s.Battery == prev.Battery && s.Supercap == prev.Supercap &&
+		len(s.Members) == 0 && len(prev.Members) == 0
 }
 
 // AppendJSON writes the state as json.Marshal does.
@@ -128,8 +152,10 @@ func (s *Supercap) Checkpoint() SupercapState {
 // CheckpointDevice serializes any Device implementation, recursing into
 // pools. Unknown implementations are an error: a device the recorder
 // cannot serialize must not silently escape the checkpoint. A uniform
-// pool first syncs its stale members, so it serializes exactly as the
-// per-member pool would.
+// pool checkpoints member 0 once and every member shares that state —
+// what its stale members would hold once synced — so it serializes
+// exactly as the per-member pool would, at a cost that does not grow
+// with its size.
 func CheckpointDevice(d Device) (DeviceState, error) {
 	switch v := d.(type) {
 	case *Battery:
@@ -141,14 +167,17 @@ func CheckpointDevice(d Device) (DeviceState, error) {
 	case Null:
 		return DeviceState{Kind: "null"}, nil
 	case *Pool:
-		v.sync()
 		out := DeviceState{Kind: "pool", Members: make([]DeviceState, len(v.members))}
-		for i, m := range v.members {
+		live := v.live()
+		for i, m := range v.members[:live] {
 			ms, err := CheckpointDevice(m)
 			if err != nil {
 				return DeviceState{}, fmt.Errorf("esd: pool %q member %d: %w", v.name, i, err)
 			}
 			out.Members[i] = ms
+		}
+		for i := live; i < len(out.Members); i++ {
+			out.Members[i] = out.Members[0]
 		}
 		return out, nil
 	default:

@@ -113,22 +113,15 @@ func (p *Pool) Members() []Device {
 	return p.members
 }
 
-// ProbeMember returns member i's probe snapshot, zero when the member
-// cannot be probed. It hands no member out, so unlike Members it keeps a
-// uniform pool uniform: there every member's snapshot is member 0's,
-// which the members would match bit for bit once synced.
-func (p *Pool) ProbeMember(i int) ProbeSnapshot {
-	var s ProbeSnapshot
-	p.ProbeMemberInto(i, &s, true)
-	return s
-}
-
 // ProbeMemberInto writes member i's probe snapshot into s, so a per-step
 // reader keeps one buffer per device instead of copying a snapshot out
 // per call. With full false a battery or super-capacitor member writes
 // only the bounds fields — SoC, VoltageV, VMinV, VMaxV, AvailAh, BoundAh
 // and CapacityAh — and leaves the ledger fields as they were; any other
-// member writes its whole snapshot, zero when it cannot be probed.
+// member writes its whole snapshot, zero when it cannot be probed. It
+// hands no member out, so unlike Members it keeps a uniform pool
+// uniform: there every member's snapshot is member 0's, which the
+// members would match bit for bit once synced.
 func (p *Pool) ProbeMemberInto(i int, s *ProbeSnapshot, full bool) {
 	if i >= p.live() {
 		i = 0

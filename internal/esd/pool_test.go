@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"heb/internal/jsonenc"
 	"heb/internal/units"
 )
 
@@ -188,12 +189,18 @@ func TestPoolZeroRequestRestsMembers(t *testing.T) {
 // poolView renders every aggregate a pool reports as JSON, whose floats
 // are in shortest round-trip form (the units types' String methods would
 // round), so two views are equal exactly when every value matches bit
-// for bit.
+// for bit. The checkpoint is in the view twice, through json.Marshal and
+// through AppendJSON, which must write Marshal's bytes.
 func poolView(t *testing.T, p *Pool) string {
 	t.Helper()
 	ckpt, err := CheckpointDevice(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	o := jsonenc.Object{}
+	ckpt.AppendJSON(&o)
+	if want, err := json.Marshal(ckpt); err != nil || o.Err != nil || string(o.B) != string(want) {
+		t.Fatalf("checkpoint appender wrote %s (%v), json.Marshal %s (%v)", o.B, o.Err, want, err)
 	}
 	wear, n := p.Wear()
 	b, err := json.Marshal(struct {
@@ -203,11 +210,12 @@ func poolView(t *testing.T, p *Pool) string {
 		Wear                                                                      WearReport
 		Batteries                                                                 int
 		Checkpoint                                                                DeviceState
+		Appended                                                                  json.RawMessage
 	}{
 		p.SoC(), float64(p.Stored()), float64(p.Capacity()), float64(p.Voltage()),
 		float64(p.TerminalVoltage(0)), float64(p.TerminalVoltage(p.MaxDischargePower() / 3)),
 		float64(p.MaxDischargePower()), float64(p.MaxChargePower()),
-		p.Depleted(), p.Stats(), wear, n, ckpt,
+		p.Depleted(), p.Stats(), wear, n, ckpt, o.B,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +323,8 @@ func TestUniformPoolMatchesPerMemberPool(t *testing.T) {
 				if ref.Uniform() {
 					t.Fatal("NewPool built a uniform pool")
 				}
-				// Step once more without a checkpoint, so Members itself
-				// must bring the stale members up to date.
+				// Step once more: a checkpoint never syncs the stale
+				// members, so Members itself must bring them up to date.
 				for _, p := range []*Pool{uni, ref} {
 					p.Discharge(p.MaxDischargePower()/2, time.Minute)
 					switch m := p.Members()[1].(type) {
@@ -333,6 +341,35 @@ func TestUniformPoolMatchesPerMemberPool(t *testing.T) {
 					step(i)
 				}
 			})
+		}
+	}
+}
+
+// TestUniformCheckpointAllocsIndependentOfSize pins a uniform pool's
+// checkpoint to its one distinct device: CheckpointDevice plus AppendJSON
+// into a reused buffer allocates as often at x32 as at x2.
+func TestUniformCheckpointAllocsIndependentOfSize(t *testing.T) {
+	for _, proto := range []Device{MustNewBattery(DefaultBatteryConfig()), MustNewSupercap(DefaultSupercapConfig())} {
+		var allocs [2]float64
+		for i, n := range []int{2, 32} {
+			p, err := NewUniformPool("pool", n, proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Discharge(p.MaxDischargePower()/2, time.Minute)
+			var buf []byte
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				st, err := CheckpointDevice(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := jsonenc.Object{B: buf[:0]}
+				st.AppendJSON(&o)
+				buf = o.B
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%T pool checkpoint: %v allocs at x2, %v at x32", proto, allocs[0], allocs[1])
 		}
 	}
 }

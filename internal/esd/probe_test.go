@@ -127,10 +127,11 @@ func boundsFields(s ProbeSnapshot) [7]float64 {
 	return [7]float64{s.SoC, s.VoltageV, s.VMinV, s.VMaxV, s.AvailAh, s.BoundAh, s.CapacityAh}
 }
 
-// TestProbeMemberIntoMatchesProbeMember holds the in-place snapshot to
-// ProbeMember: whole when full, on the bounds fields otherwise, written
-// over a buffer full of stale values. A uniform pool's members all
-// report member 0's snapshot, which the checker's aliasing relies on.
+// TestProbeMemberIntoMatchesProbeMember holds the in-place snapshot,
+// written over a buffer full of stale values, to a full read into a
+// zeroed snapshot: whole when full, on the bounds fields otherwise. A
+// uniform pool's members all report member 0's snapshot, which the
+// checker's aliasing relies on.
 func TestProbeMemberIntoMatchesProbeMember(t *testing.T) {
 	stale := ProbeSnapshot{SoC: -7, VoltageV: -7, VMinV: -7, VMaxV: -7, AvailAh: -7, BoundAh: -7,
 		CapacityAh: -7, ThroughputAh: -7, EnergyInWh: -7, EnergyOutWh: -7, LossWh: -7, StoredWh: -7, CapacityWh: -7}
@@ -139,19 +140,21 @@ func TestProbeMemberIntoMatchesProbeMember(t *testing.T) {
 			p := tc.pool
 			runReadPath(p, tc.deUniform, func(call int) {
 				for i := range p.Size() {
-					want := p.ProbeMember(i)
-					if p.Uniform() && want != p.ProbeMember(0) {
+					var want, first ProbeSnapshot
+					p.ProbeMemberInto(i, &want, true)
+					p.ProbeMemberInto(0, &first, true)
+					if p.Uniform() && want != first {
 						t.Fatalf("call %d: uniform member %d snapshot differs from member 0's", call, i)
 					}
 					full := stale
 					p.ProbeMemberInto(i, &full, true)
 					if full != want {
-						t.Fatalf("call %d member %d: full read %+v, ProbeMember %+v", call, i, full, want)
+						t.Fatalf("call %d member %d: full read %+v over stale values, %+v over zero", call, i, full, want)
 					}
 					part := stale
 					p.ProbeMemberInto(i, &part, false)
 					if boundsFields(part) != boundsFields(want) {
-						t.Fatalf("call %d member %d: bounds read %+v, ProbeMember %+v", call, i, part, want)
+						t.Fatalf("call %d member %d: bounds read %+v over stale values, %+v over zero", call, i, part, want)
 					}
 				}
 			})

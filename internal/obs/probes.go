@@ -46,6 +46,7 @@ const DefaultProbeRing = 4096
 // goroutine, and each run owns its own recorder.
 type ProbeRecorder struct {
 	ringCap int
+	expect  int // the storage a new ring starts with (see Expect)
 	rings   []*probeRing
 	index   map[string]int
 }
@@ -59,6 +60,11 @@ func NewProbeRecorder(ringCap int) *ProbeRecorder {
 	return &ProbeRecorder{ringCap: ringCap, index: make(map[string]int)}
 }
 
+// Expect sizes each ring created from here on for samples per device,
+// capped at the ring capacity, so a run that knows its sample count
+// records without regrowing its rings.
+func (r *ProbeRecorder) Expect(samples int) { r.expect = min(samples, r.ringCap) }
+
 // ring returns the device's ring, creating it on first use and preserving
 // registration order for deterministic output.
 func (r *ProbeRecorder) ring(device string) *probeRing {
@@ -66,6 +72,7 @@ func (r *ProbeRecorder) ring(device string) *probeRing {
 		return r.rings[i]
 	}
 	ring := &probeRing{device: device, samples: NewRing[ProbeSample](r.ringCap)}
+	ring.samples.buf = make([]ProbeSample, 0, r.expect)
 	r.index[device] = len(r.rings)
 	r.rings = append(r.rings, ring)
 	return ring
@@ -121,9 +128,16 @@ func (r *ProbeRecorder) Dropped() int64 {
 // Samples returns the retained samples, devices in registration order and
 // each device's samples in time order (oldest surviving first).
 func (r *ProbeRecorder) Samples() []ProbeSample {
-	var out []ProbeSample
+	n := 0
 	for _, ring := range r.rings {
-		out = append(out, ring.samples.Last(0)...)
+		n += ring.samples.Len()
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ProbeSample, 0, n)
+	for _, ring := range r.rings {
+		out = ring.samples.AppendTo(out)
 	}
 	return out
 }

@@ -47,6 +47,53 @@ func TestProbeRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestProbeSamplesConcatenateRings holds Samples to each device ring's
+// Last(0) concatenated in registration order, for rings that never
+// wrapped, rings that wrapped, and rings sized for the run through
+// Expect, which must hold every sample without regrowing.
+func TestProbeSamplesConcatenateRings(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		ringCap, expect int
+		samples         int
+	}{
+		{"unwrapped", 0, 0, 7},
+		{"wrapped", 5, 0, 12},
+		{"wrapped and sized", 5, 13, 12},
+		{"sized for the run", 0, 13, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewProbeRecorder(tc.ringCap)
+			r.Expect(tc.expect)
+			for i := range tc.samples {
+				// Three devices, registered out of name order, with
+				// their sample counts staggered.
+				for d, dev := range []string{"sc/0", "battery/1", "battery/0"} {
+					if i >= d {
+						r.Record(dev, float64(i), 0.5, 12, float64(d), 0, float64(i), 0)
+					}
+				}
+			}
+			var want []ProbeSample
+			for _, ring := range r.rings {
+				want = append(want, ring.samples.Last(0)...)
+				if tc.expect > 0 && cap(ring.samples.buf) != min(tc.expect, r.ringCap) {
+					t.Errorf("%s: ring storage %d, want %d", ring.device, cap(ring.samples.buf), min(tc.expect, r.ringCap))
+				}
+			}
+			got := r.Samples()
+			if len(got) != len(want) || len(got) != cap(got) {
+				t.Fatalf("%d samples in %d of storage, want %d", len(got), cap(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("sample %d: %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestProbeDevicesPreserveRegistrationOrder(t *testing.T) {
 	r := NewProbeRecorder(0)
 	for _, d := range []string{"battery/1", "battery/0", "sc/0"} {

@@ -35,6 +35,11 @@ func (r *Ring[T]) Push(v T) bool {
 	return true
 }
 
+// AppendTo appends every value held to dst, oldest first.
+func (r *Ring[T]) AppendTo(dst []T) []T {
+	return append(append(dst, r.buf[r.next:]...), r.buf[:r.next]...)
+}
+
 // Len returns the number of values held.
 func (r *Ring[T]) Len() int { return len(r.buf) }
 

@@ -112,8 +112,14 @@ func readLedger(e *Engine) ledgerState {
 }
 
 // start binds the checker to the run: ledger baselines, the devices'
-// run-long audit ledgers and one rule slot per probed device.
+// run-long audit ledgers, one rule slot per probed device and probe
+// rings sized for the run's samples.
 func (c *Checker) start(e *Engine) {
+	if c.probes != nil {
+		// Steps 0, every, 2*every, ... of the run are probed.
+		steps := int(e.cfg.Duration / e.cfg.Step)
+		c.probes.Expect((steps + c.every - 1) / c.every)
+	}
 	c.targets = e.probeTargets
 	c.ledger = readLedger(e)
 	c.mismatchPrev = e.mismatchSteps
@@ -219,7 +225,7 @@ func (c *Checker) step(e *Engine, i int, now time.Duration) {
 // snapshot reads target j for this step, full or bounds fields only.
 // Each distinct device is read once: while a pool is uniform, members
 // 1..n-1 return member 0's snapshot, read earlier in the same pass —
-// what Pool.ProbeMember returns for them.
+// what Pool.ProbeMemberInto writes for them.
 func (c *Checker) snapshot(j int, full bool) *esd.ProbeSnapshot {
 	t := &c.targets[j]
 	if t.idx > 0 && t.pool.Uniform() {

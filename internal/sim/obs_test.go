@@ -286,10 +286,11 @@ func TestObserverSeesDVFSCappingWindow(t *testing.T) {
 }
 
 // TestCheckerSnapshotsMatchProbeMember holds every snapshot the checker
-// reads to Pool.ProbeMember: whole on probe steps, on the bounds fields
-// (the ones checkBounds and the SoC rules read) otherwise, including the
-// members of a uniform pool that alias member 0's snapshot and the same
-// pool once Members has made its members diverge.
+// reads to a full Pool.ProbeMemberInto read into a zeroed snapshot:
+// whole on probe steps, on the bounds fields (the ones checkBounds and
+// the SoC rules read) otherwise, including the members of a uniform pool
+// that alias member 0's snapshot and the same pool once Members has made
+// its members diverge.
 func TestCheckerSnapshotsMatchProbeMember(t *testing.T) {
 	r := newRig(t, 260)
 	// Capacity fade makes every bounds field move with wear.
@@ -332,12 +333,14 @@ func TestCheckerSnapshotsMatchProbeMember(t *testing.T) {
 		full := step%c.every == 0
 		for j := range c.targets {
 			tg := &c.targets[j]
-			got, want := *c.snapshot(j, full), tg.pool.ProbeMember(tg.idx)
+			var want esd.ProbeSnapshot
+			tg.pool.ProbeMemberInto(tg.idx, &want, true)
+			got := *c.snapshot(j, full)
 			if full && got != want {
-				t.Fatalf("step %d %s: full snapshot %+v, ProbeMember %+v", step, tg.name, got, want)
+				t.Fatalf("step %d %s: full snapshot %+v, member read %+v", step, tg.name, got, want)
 			}
 			if bounds(got) != bounds(want) {
-				t.Fatalf("step %d %s: bounds snapshot %+v, ProbeMember %+v", step, tg.name, got, want)
+				t.Fatalf("step %d %s: bounds snapshot %+v, member read %+v", step, tg.name, got, want)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"heb/internal/esd"
 	"heb/internal/jsonenc"
 )
 
@@ -136,7 +137,24 @@ func TestEngineStateAppenderMatchesMarshal(t *testing.T) {
 		len(full.Battery.Members) == 0 || full.Controller.PeakPredictor.HoltWinters == nil {
 		t.Fatal("the filled state leaves an optional part out")
 	}
-	for name, st := range map[string]*EngineState{"full": &full, "zero leaves": &zeroLeaves, "zero": {}} {
+	// A uniform pool's members share member 0's state, which the
+	// appender copies as bytes. Runs of shared members sit next to
+	// members that differ from their predecessor only in kind, only in
+	// their state pointer or only in their nested members.
+	shared := full
+	leaf, nested := full.Battery.Members[0], full.Battery.Members[1]
+	leaf.Members = nil
+	other, twin, renested := leaf, leaf, nested
+	other.Kind = "other"
+	twinState := *leaf.Battery
+	twinState.Q1++
+	twin.Battery = &twinState
+	renested.Members = []esd.DeviceState{leaf}
+	shared.Battery.Members = []esd.DeviceState{leaf, leaf, twin, other, other, nested, nested, renested, leaf}
+	sc := *full.Supercap
+	sc.Members = []esd.DeviceState{leaf, leaf, leaf}
+	shared.Supercap = &sc
+	for name, st := range map[string]*EngineState{"full": &full, "zero leaves": &zeroLeaves, "zero": {}, "shared members": &shared} {
 		want, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
@@ -209,22 +227,44 @@ func (s *byteSource) length(depth int) int {
 	return int(s.byte()%5) - 1 // nil, empty, 1..3 elements
 }
 
+// shareMembers makes pool member i share member i-1's state, as a
+// uniform pool's members share member 0's, wherever the next bit of
+// share is set, walking d's pools depth first.
+func shareMembers(d *esd.DeviceState, share *uint64) {
+	for i := range d.Members {
+		shareMembers(&d.Members[i], share)
+		if i > 0 && *share&1 == 1 {
+			d.Members[i] = d.Members[i-1]
+		}
+		*share >>= 1
+	}
+}
+
 // FuzzEngineStateMatchesMarshal builds an EngineState from the fuzz
 // bytes (pools of any size down to three levels, nil or set supercap,
 // feed, PAT and predictor variants, nil and empty slices, capped servers,
-// and floats drawn from encoding/json's edge cases or raw bits) and
-// requires the appenders to write json.Marshal's bytes, failing exactly
-// when Marshal fails.
+// and floats drawn from encoding/json's edge cases or raw bits), lets
+// the bits of share make pool members share their predecessor's state,
+// and requires the appenders to write json.Marshal's bytes, failing
+// exactly when Marshal fails.
 func FuzzEngineStateMatchesMarshal(f *testing.F) {
-	f.Add([]byte{})
+	f.Add([]byte{}, uint64(0))
 	for i := range specialFloats {
-		f.Add(bytes.Repeat([]byte{byte(i)}, 96))
+		f.Add(bytes.Repeat([]byte{byte(i)}, 96), uint64(0))
 	}
-	f.Add(bytes.Repeat([]byte{0xff}, 512))
-	f.Add(bytes.Repeat([]byte{3, 1, 7, 0x80, 2}, 200))
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Add(bytes.Repeat([]byte{0xff}, 512), uint64(0))
+	f.Add(bytes.Repeat([]byte{3, 1, 7, 0x80, 2}, 200), uint64(0))
+	// Uniform pools: every member shares its predecessor's state, and
+	// these bytes make six of them battery or supercap leaves, whose
+	// bytes the appender copies.
+	f.Add(bytes.Repeat([]byte{9, 1, 9, 4}, 100), ^uint64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, share uint64) {
 		var st EngineState
 		fillState(reflect.ValueOf(&st).Elem(), &byteSource{b: raw}, 0)
+		shareMembers(&st.Battery, &share)
+		if st.Supercap != nil {
+			shareMembers(st.Supercap, &share)
+		}
 		want, werr := json.Marshal(&st)
 		got, gerr := appendState(&st)
 		if (werr != nil) != (gerr != nil) {

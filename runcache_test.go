@@ -235,7 +235,7 @@ func TestRunCacheKeepsPoolsUniform(t *testing.T) {
 
 // TestHooksKeepPoolsUniform checks that a pooled HEB-D run with probes
 // and alerts on leaves both pools uniform: the invariant checker reads
-// each member through Pool.ProbeMember, never Members, so a hooks-on run
+// each member through Pool.ProbeMemberInto, never Members, so a hooks-on run
 // still steps each pool once.
 func TestHooksKeepPoolsUniform(t *testing.T) {
 	p := DefaultPrototype()

@@ -39,7 +39,7 @@ go build -o "$work/hebsim.tree" ./cmd/hebsim || exit 2
 # Each command writes its capture into the directory named by -obs.
 captures=(
 	"-exp all -duration 1h -workers 2 -audit report -alerts report -probes 60"
-	"-exp run -duration 2h -checkpoint-every 1"
+	"-exp run -duration 2h -checkpoint-every 1 -probes 60 -audit report -alerts report"
 )
 
 status=0
