@@ -34,7 +34,6 @@ type probeRing struct {
 	// lastNetWh/lastSec support the power derivative between samples.
 	lastNetWh float64
 	lastSec   float64
-	primed    bool
 }
 
 // DefaultProbeRing bounds the samples kept per device: at the default
@@ -46,9 +45,7 @@ const DefaultProbeRing = 4096
 // goroutine, and each run owns its own recorder.
 type ProbeRecorder struct {
 	ringCap int
-	expect  int // the storage a new ring starts with (see Expect)
-	rings   []*probeRing
-	index   map[string]int
+	rings   []probeRing // in AddDevice order
 }
 
 // NewProbeRecorder builds a recorder keeping at most ringCap samples per
@@ -57,62 +54,39 @@ func NewProbeRecorder(ringCap int) *ProbeRecorder {
 	if ringCap <= 0 {
 		ringCap = DefaultProbeRing
 	}
-	return &ProbeRecorder{ringCap: ringCap, index: make(map[string]int)}
+	return &ProbeRecorder{ringCap: ringCap}
 }
 
-// Expect sizes each ring created from here on for samples per device,
-// capped at the ring capacity, so a run that knows its sample count
-// records without regrowing its rings.
-func (r *ProbeRecorder) Expect(samples int) { r.expect = min(samples, r.ringCap) }
-
-// ring returns the device's ring, creating it on first use and preserving
-// registration order for deterministic output.
-func (r *ProbeRecorder) ring(device string) *probeRing {
-	if i, ok := r.index[device]; ok {
-		return r.rings[i]
-	}
-	ring := &probeRing{device: device, samples: NewRing[ProbeSample](r.ringCap)}
-	ring.samples.buf = make([]ProbeSample, 0, r.expect)
-	r.index[device] = len(r.rings)
+// AddDevice registers a device and returns the index Record takes for
+// it. Its ring starts with room for samples (>= 0) values, capped at the
+// ring capacity, so a run that registers its sample count records
+// without regrowing the ring.
+func (r *ProbeRecorder) AddDevice(device string, samples int) int {
+	ring := probeRing{device: device, samples: NewRing[ProbeSample](r.ringCap)}
+	ring.samples.buf = make([]ProbeSample, 0, min(samples, r.ringCap))
 	r.rings = append(r.rings, ring)
-	return ring
+	return len(r.rings) - 1
 }
 
-// Record appends one sample for device at sec simulation seconds. netWh is
-// the device's cumulative net output energy (discharged minus charged, in
-// watt-hours) from which the recorder derives the mean terminal power
-// since the device's previous sample.
-func (r *ProbeRecorder) Record(device string, sec float64, soc, voltage, availAh, boundAh, throughputAh, netWh float64) {
-	ring := r.ring(device)
-	s := ProbeSample{
-		Seconds:      sec,
-		Device:       device,
-		SoC:          soc,
-		VoltageV:     voltage,
-		AvailAh:      availAh,
-		BoundAh:      boundAh,
-		ThroughputAh: throughputAh,
-	}
-	if ring.primed {
-		if dt := sec - ring.lastSec; dt > 0 {
-			s.PowerW = (netWh - ring.lastNetWh) * 3600 / dt
-		}
-	}
-	ring.lastNetWh = netWh
-	ring.lastSec = sec
-	ring.primed = true
-	if ring.samples.Push(s) {
+// Record writes one sample for device (an AddDevice index) at sec
+// simulation seconds straight into its ring. netWh is the device's
+// cumulative net output energy (discharged minus charged, in watt-hours)
+// from which the recorder derives the mean terminal power since the
+// device's previous sample.
+func (r *ProbeRecorder) Record(device int, sec float64, soc, voltage, availAh, boundAh, throughputAh, netWh float64) {
+	ring := &r.rings[device]
+	primed := ring.samples.Len() > 0
+	s, overwrote := ring.samples.Slot()
+	if overwrote {
 		ring.dropped++
 	}
-}
-
-// Devices returns the probed device names in registration order.
-func (r *ProbeRecorder) Devices() []string {
-	out := make([]string, len(r.rings))
-	for i, ring := range r.rings {
-		out[i] = ring.device
+	s.Seconds, s.Device, s.SoC, s.VoltageV = sec, ring.device, soc, voltage
+	s.AvailAh, s.BoundAh, s.ThroughputAh = availAh, boundAh, throughputAh
+	s.PowerW = 0 // Run stays empty: the capture labels its copy
+	if dt := sec - ring.lastSec; primed && dt > 0 {
+		s.PowerW = (netWh - ring.lastNetWh) * 3600 / dt
 	}
-	return out
+	ring.lastNetWh, ring.lastSec = netWh, sec
 }
 
 // Dropped returns how many samples ring overflow discarded across all

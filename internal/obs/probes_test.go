@@ -7,9 +7,10 @@ import (
 
 func TestProbeRecorderPowerDerivative(t *testing.T) {
 	r := NewProbeRecorder(0)
-	r.Record("battery/0", 0, 0.5, 24, 1, 1, 0, 0)
-	r.Record("battery/0", 60, 0.49, 23.9, 0.9, 1, 0.1, 2) // +2 Wh net out over 60 s
-	r.Record("battery/0", 120, 0.5, 24, 1, 1, 0.1, 1)     // −1 Wh (charged) over 60 s
+	b := r.AddDevice("battery/0", 3)
+	r.Record(b, 0, 0.5, 24, 1, 1, 0, 0)
+	r.Record(b, 60, 0.49, 23.9, 0.9, 1, 0.1, 2) // +2 Wh net out over 60 s
+	r.Record(b, 120, 0.5, 24, 1, 1, 0.1, 1)     // −1 Wh (charged) over 60 s
 
 	s := r.Samples()
 	if len(s) != 3 {
@@ -30,8 +31,9 @@ func TestProbeRecorderPowerDerivative(t *testing.T) {
 
 func TestProbeRingWrapKeepsNewest(t *testing.T) {
 	r := NewProbeRecorder(4)
+	sc := r.AddDevice("sc/0", 7)
 	for i := 0; i < 7; i++ {
-		r.Record("sc/0", float64(i), 0.5, 12, 1, 0, 0, 0)
+		r.Record(sc, float64(i), 0.5, 12, 1, 0, 0, 0)
 	}
 	if got := r.Dropped(); got != 3 {
 		t.Fatalf("dropped %d, want 3", got)
@@ -64,13 +66,15 @@ func TestProbeSamplesConcatenateRings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewProbeRecorder(tc.ringCap)
-			r.Expect(tc.expect)
+			// Three devices, registered out of name order, with their
+			// sample counts staggered.
+			for _, dev := range []string{"sc/0", "battery/1", "battery/0"} {
+				r.AddDevice(dev, tc.expect)
+			}
 			for i := range tc.samples {
-				// Three devices, registered out of name order, with
-				// their sample counts staggered.
-				for d, dev := range []string{"sc/0", "battery/1", "battery/0"} {
+				for d := range r.rings {
 					if i >= d {
-						r.Record(dev, float64(i), 0.5, 12, float64(d), 0, float64(i), 0)
+						r.Record(d, float64(i), 0.5, 12, float64(d), 0, float64(i), 0)
 					}
 				}
 			}
@@ -97,9 +101,13 @@ func TestProbeSamplesConcatenateRings(t *testing.T) {
 func TestProbeDevicesPreserveRegistrationOrder(t *testing.T) {
 	r := NewProbeRecorder(0)
 	for _, d := range []string{"battery/1", "battery/0", "sc/0"} {
-		r.Record(d, 0, 0.5, 12, 1, 0, 0, 0)
+		r.Record(r.AddDevice(d, 1), 0, 0.5, 12, 1, 0, 0, 0)
 	}
-	got := r.Devices()
+	all := r.Samples()
+	var got []string
+	for _, s := range all {
+		got = append(got, s.Device)
+	}
 	want := []string{"battery/1", "battery/0", "sc/0"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -107,7 +115,6 @@ func TestProbeDevicesPreserveRegistrationOrder(t *testing.T) {
 		}
 	}
 	// Samples interleave by device in the same registration order.
-	all := r.Samples()
 	if len(all) != 3 || all[0].Device != "battery/1" || all[2].Device != "sc/0" {
 		t.Errorf("merged samples out of order: %+v", all)
 	}
@@ -115,8 +122,9 @@ func TestProbeDevicesPreserveRegistrationOrder(t *testing.T) {
 
 func TestProbesJSONLRoundTrip(t *testing.T) {
 	r := NewProbeRecorder(0)
-	r.Record("battery/0", 0, 0.55, 24.7, 0.49, 0.91, 0, 0)
-	r.Record("battery/0", 60, 0.553, 24.71, 0.5, 0.91, 0.01, -0.14)
+	b := r.AddDevice("battery/0", 2)
+	r.Record(b, 0, 0.55, 24.7, 0.49, 0.91, 0, 0)
+	r.Record(b, 60, 0.553, 24.71, 0.5, 0.91, 0.01, -0.14)
 	in := r.Samples()
 	in[0].Run = "test-run"
 

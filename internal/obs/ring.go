@@ -23,16 +23,26 @@ func NewRing[T any](capacity int) Ring[T] {
 // Push appends v, overwriting the oldest value once the ring is full, and
 // reports whether it did.
 func (r *Ring[T]) Push(v T) bool {
-	if len(r.buf) < r.capacity {
-		r.buf = append(r.buf, v)
-		return false
+	slot, overwrote := r.Slot()
+	*slot = v
+	return overwrote
+}
+
+// Slot returns where the next value goes, the oldest value's place once
+// the ring is full, and reports whether it overwrites; the caller writes
+// the value through the pointer, so a large value is never copied in.
+func (r *Ring[T]) Slot() (*T, bool) {
+	if n := len(r.buf); n < r.capacity {
+		var zero T
+		r.buf = append(r.buf, zero)
+		return &r.buf[n], false
 	}
-	r.buf[r.next] = v
+	slot := &r.buf[r.next]
 	r.next++
 	if r.next == r.capacity {
 		r.next = 0
 	}
-	return true
+	return slot, true
 }
 
 // AppendTo appends every value held to dst, oldest first.

@@ -307,10 +307,6 @@ type Engine struct {
 	perSource            [power.NumSources]units.Power
 	sourceKey            sourceKey
 
-	// probeTargets enumerates the pool devices, built in Run only when
-	// cfg.Invariants is set.
-	probeTargets []probeTarget
-
 	// Running digests of the metric series (see EngineState): the demand
 	// digest folds each tick's demand as it is observed, and only when the
 	// run checkpoints; the slot digests are folded up to the last checkpoint.
@@ -340,24 +336,6 @@ type overloadKey struct {
 type sourceKey struct {
 	snap     uint64
 	switches [power.NumSources]int64
-}
-
-// probeTarget is one probed storage device within a run: member idx of a
-// pool, read through the pool's per-index view.
-type probeTarget struct {
-	name string
-	pool *esd.Pool
-	idx  int
-	// first is the position of the pool's member 0 in the target list.
-	// A uniform pool's members are all probed or all skipped, so while
-	// the pool is uniform member idx's snapshot is the one stored there.
-	first int
-	// battery marks a battery-pool device. The SoC floor/ceiling and DoD
-	// alert rules scope to these: supercaps deep-cycle through their full
-	// window by design, so charge-protection SLOs only apply to batteries.
-	battery bool
-	// snap is the latest snapshot read, written in place.
-	snap esd.ProbeSnapshot
 }
 
 // New builds an engine; defaults are applied before validation. It is
@@ -430,8 +408,8 @@ func sizeSeries(s []float64, want int) []float64 {
 // Reset binds the engine to a run configuration. Every field is rebuilt
 // from cfg, so a reset engine's state equals a new one's; only
 // allocations carry over: the relay fabric (reset, when the server set
-// is unchanged), the hot-loop scratch, the slot-series and probe-target
-// backing arrays (emptied) and the DVFS capping map (cleared). Callers own
+// is unchanged), the hot-loop scratch, the slot-series backing arrays
+// (emptied) and the DVFS capping map (cleared). Callers own
 // resetting the injected components (servers, pools, controller); a
 // utility feed holds only its budget, so it needs no reset.
 // A reset engine produces bit-for-bit the same results as a new one for
@@ -469,7 +447,6 @@ func (e *Engine) Reset(cfg Config) error {
 		sortedFrom:      e.sortedFrom[:0],
 		sortedTo:        e.sortedTo[:0],
 		lastOverload:    e.lastOverload[:0],
-		probeTargets:    e.probeTargets[:0],
 		ckptBuf:         e.ckptBuf[:0],
 	}
 	if n := len(cfg.Servers); len(e.demandByIdx) != n {
@@ -500,7 +477,6 @@ func (e *Engine) Run() Result {
 	e.slotValleys = sizeSeries(e.slotValleys, nSlots)
 
 	if cfg.Invariants != nil {
-		e.buildProbeTargets()
 		cfg.Invariants.start(e)
 	}
 
@@ -561,44 +537,6 @@ func (e *Engine) Run() Result {
 		cfg.Events.Emit(obs.Event{Seconds: end, Kind: obs.EventRunEnd, Server: -1})
 	}
 	return e.result()
-}
-
-// buildProbeTargets enumerates the pools' individual storage devices
-// under stable "<pool>/<index>" names. Devices that cannot be probed, or
-// hold no usable window at all (the Null placeholder), are skipped.
-// Members are read through Pool.ProbeMemberInto, not Members, so a
-// uniform pool keeps stepping member 0 alone.
-func (e *Engine) buildProbeTargets() {
-	e.probeTargets = e.probeTargets[:0]
-	add := func(name string, p *esd.Pool, battery bool) {
-		t := probeTarget{pool: p, first: len(e.probeTargets), battery: battery}
-		for i := range p.Size() {
-			t.name, t.idx = fmt.Sprintf("%s/%d", name, i), i
-			e.addProbeTarget(t)
-		}
-	}
-	add("battery", e.cfg.Battery, true)
-	if e.cfg.Supercap != nil {
-		add("supercap", e.cfg.Supercap, false)
-	}
-}
-
-// addProbeTarget appends t and drops it again when its device holds no
-// usable window. It reads the appended copy: the snapshot pointer passes
-// through an interface call, so reading t itself would move t to the heap.
-func (e *Engine) addProbeTarget(t probeTarget) {
-	e.probeTargets = append(e.probeTargets, t)
-	n := len(e.probeTargets) - 1
-	if s := e.probeTargets[n].read(true); s.CapacityAh == 0 && s.CapacityWh == 0 {
-		e.probeTargets = e.probeTargets[:n]
-	}
-}
-
-// read refreshes t.snap from the device and returns it: every field
-// when full, else at least the bounds fields (see Pool.ProbeMemberInto).
-func (t *probeTarget) read(full bool) *esd.ProbeSnapshot {
-	t.pool.ProbeMemberInto(t.idx, &t.snap, full)
-	return &t.snap
 }
 
 // planSlot queries the controller for the coming slot's decision.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"heb/internal/esd"
@@ -38,7 +39,7 @@ type Checker struct {
 	probes *obs.ProbeRecorder
 	every  int // probe decimation in steps
 
-	targets      []probeTarget // the engine's probed devices
+	targets      []probeTarget // the run's device table (see start)
 	ledger       ledgerState   // previous step's cumulative readings
 	mismatchPrev int           // mismatchSteps at the previous step
 	prevDemand   float64       // the previous step's total demand (ramp rule)
@@ -111,16 +112,37 @@ func readLedger(e *Engine) ledgerState {
 	}
 }
 
-// start binds the checker to the run: ledger baselines, the devices'
-// run-long audit ledgers, one rule slot per probed device and probe
-// rings sized for the run's samples.
+// probeTarget is one checked storage device within a run: member idx of
+// a pool, read through the pool's per-index view. Its index in the
+// checker's table is its index in every component (see start).
+type probeTarget struct {
+	name string
+	pool *esd.Pool
+	idx  int
+	// first is the position of the pool's member 0 in the target list.
+	// A uniform pool's members are all probed or all skipped, so while
+	// the pool is uniform member idx's snapshot is the one stored there.
+	first int
+	// battery marks a battery-pool device. The SoC floor/ceiling and DoD
+	// alert rules scope to these: supercaps deep-cycle through their full
+	// window by design, so charge-protection SLOs only apply to batteries.
+	battery bool
+	// snap is the latest snapshot read, written in place.
+	snap esd.ProbeSnapshot
+}
+
+// start binds the checker to the run: the device table, ledger
+// baselines, the devices' run-long audit ledgers, one rule slot per
+// battery and one probe ring per device, sized for the run's samples.
+// Batteries come first in the table, so battery j is rule slot j too.
 func (c *Checker) start(e *Engine) {
+	c.buildTargets(e.cfg.Battery, e.cfg.Supercap)
+	samples := 0
 	if c.probes != nil {
 		// Steps 0, every, 2*every, ... of the run are probed.
 		steps := int(e.cfg.Duration / e.cfg.Step)
-		c.probes.Expect((steps + c.every - 1) / c.every)
+		samples = (steps + c.every - 1) / c.every
 	}
-	c.targets = e.probeTargets
 	c.ledger = readLedger(e)
 	c.mismatchPrev = e.mismatchSteps
 	c.stepSec = e.cfg.Step.Seconds()
@@ -130,10 +152,55 @@ func (c *Checker) start(e *Engine) {
 			s := t.read(true)
 			c.audit.StartDevice(t.name, s.EnergyInWh, s.EnergyOutWh, s.LossWh, s.StoredWh)
 		}
-		if c.alert != nil {
+		if c.alert != nil && t.battery {
 			c.alert.AddDevice(t.name)
 		}
+		if c.probes != nil {
+			c.probes.AddDevice(t.name, samples)
+		}
 	}
+}
+
+// buildTargets enumerates the pools' individual storage devices under
+// stable "<pool>/<index>" names, batteries first. Devices that hold no
+// usable window at all (the Null placeholder) are skipped. Members are
+// read through Pool.ProbeMemberInto, not Members, so a uniform pool keeps
+// stepping member 0 alone.
+func (c *Checker) buildTargets(ba, sc *esd.Pool) {
+	n := ba.Size()
+	if sc != nil {
+		n += sc.Size()
+	}
+	c.targets = make([]probeTarget, 0, n)
+	add := func(name string, p *esd.Pool, battery bool) {
+		t := probeTarget{pool: p, first: len(c.targets), battery: battery}
+		for i := range p.Size() {
+			t.name, t.idx = name+"/"+strconv.Itoa(i), i
+			c.addTarget(t)
+		}
+	}
+	add("battery", ba, true)
+	if sc != nil {
+		add("supercap", sc, false)
+	}
+}
+
+// addTarget appends t and drops it again when its device holds no usable
+// window. It reads the appended copy: the snapshot pointer passes through
+// an interface call, so reading t itself would move t to the heap.
+func (c *Checker) addTarget(t probeTarget) {
+	c.targets = append(c.targets, t)
+	n := len(c.targets) - 1
+	if s := c.targets[n].read(true); s.CapacityAh == 0 && s.CapacityWh == 0 {
+		c.targets = c.targets[:n]
+	}
+}
+
+// read refreshes t.snap from the device and returns it: every field
+// when full, else at least the bounds fields (see Pool.ProbeMemberInto).
+func (t *probeTarget) read(full bool) *esd.ProbeSnapshot {
+	t.pool.ProbeMemberInto(t.idx, &t.snap, full)
+	return &t.snap
 }
 
 // step checks and records executed step i. The bus boundary sits
@@ -181,7 +248,7 @@ func (c *Checker) step(e *Engine, i int, now time.Duration) {
 			c.alert.ObserveSoC(sec, j, s.SoC)
 		}
 		if probe {
-			c.probes.Record(t.name, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
+			c.probes.Record(j, sec, s.SoC, s.VoltageV, s.AvailAh, s.BoundAh, s.ThroughputAh, s.NetOutWh())
 		}
 	}
 	if !checks {

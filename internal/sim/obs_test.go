@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func TestProbeDecimationAndDeviceNames(t *testing.T) {
 	cfg.Invariants = NewChecker(nil, nil, rec, 60)
 	MustNew(cfg).Run()
 
-	devices := rec.Devices()
+	devices := sampleDevices(rec.Samples())
 	if len(devices) != 2 || devices[0] != "battery/0" || devices[1] != "supercap/0" {
 		t.Fatalf("probed devices %v, want [battery/0 supercap/0]", devices)
 	}
@@ -52,6 +54,18 @@ func TestProbeDecimationAndDeviceNames(t *testing.T) {
 	}
 }
 
+// sampleDevices lists the devices of samples in order of first appearance,
+// which is the recorder's registration order.
+func sampleDevices(samples []obs.ProbeSample) []string {
+	var devices []string
+	for _, s := range samples {
+		if !slices.Contains(devices, s.Device) {
+			devices = append(devices, s.Device)
+		}
+	}
+	return devices
+}
+
 func TestProbesSkipNullBattery(t *testing.T) {
 	r := newRig(t, 260)
 	w := flatTrace(0.3, 6, 2*time.Minute, time.Second)
@@ -61,8 +75,80 @@ func TestProbesSkipNullBattery(t *testing.T) {
 	rec := obs.NewProbeRecorder(0)
 	cfg.Invariants = NewChecker(nil, nil, rec, 30)
 	MustNew(cfg).Run()
-	if n := len(rec.Devices()); n != 0 {
+	if n := len(sampleDevices(rec.Samples())); n != 0 {
 		t.Errorf("Null battery produced %d probe devices", n)
+	}
+}
+
+// TestCheckerDeviceTableOrdersEveryComponent runs one checked run over a
+// ×3 uniform battery pool and a ×2 supercap pool with every component
+// on. The probe samples (what probes.jsonl lists) name the devices in the
+// audit report's order, each device gets one sample per probe step, and
+// no ring regrows: the run allocates exactly as much as one probing every
+// step.
+func TestCheckerDeviceTableOrdersEveryComponent(t *testing.T) {
+	// run returns the least allocation count of three identical runs, so
+	// that an allocation elsewhere in the process does not count.
+	run := func(every int) (report obs.AuditReport, rec *obs.ProbeRecorder, res Result, mallocs uint64) {
+		for k := range 3 {
+			r := newRig(t, 260)
+			var err error
+			if r.battery, err = esd.NewUniformPool("battery", 3, esd.MustNewBattery(esd.DefaultBatteryConfig())); err != nil {
+				t.Fatal(err)
+			}
+			if r.supercap, err = esd.NewUniformPool("supercap", 2, esd.MustNewSupercap(esd.DefaultSupercapConfig())); err != nil {
+				t.Fatal(err)
+			}
+			w := squareTrace(0.2, 1.0, 4*time.Minute, 6, 5*time.Minute, time.Second)
+			cfg := baseConfig(r, w, controller(t, core.NewSCFirst(), 260))
+			auditor := obs.NewAuditor(obs.AuditModeReport)
+			rec = obs.NewProbeRecorder(0)
+			cfg.Invariants = NewChecker(auditor, alerts.NewEngine(alerts.ModeReport, alerts.Rules{}), rec, every)
+			e := MustNew(cfg)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res = e.Run()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; k == 0 || n < mallocs {
+				mallocs = n
+			}
+			report = auditor.Report()
+		}
+		return report, rec, res, mallocs
+	}
+	const every = 7
+	report, rec, res, mallocs := run(every)
+	want := []string{"battery/0", "battery/1", "battery/2", "supercap/0", "supercap/1"}
+	var audited []string
+	for _, d := range report.Devices {
+		audited = append(audited, d.Device)
+	}
+	if !slices.Equal(audited, want) {
+		t.Fatalf("audit report devices %v, want %v", audited, want)
+	}
+	samples := rec.Samples()
+	if got := sampleDevices(samples); !slices.Equal(got, audited) {
+		t.Fatalf("probe devices %v, want the audit order %v", got, audited)
+	}
+	perDevice := (res.Steps + every - 1) / every
+	for _, d := range want {
+		n := 0
+		for _, s := range samples {
+			if s.Device == d {
+				n++
+			}
+		}
+		if n != perDevice {
+			t.Errorf("%s has %d samples over %d steps, want %d", d, n, res.Steps, perDevice)
+		}
+	}
+	if rec.Dropped() != 0 {
+		t.Errorf("rings dropped %d samples", rec.Dropped())
+	}
+	// A ring that regrew while recording would allocate more often the
+	// more samples it holds.
+	if _, _, _, dense := run(1); dense != mallocs && !raceEnabled {
+		t.Errorf("a run probing every step allocates %d times, one probing every %d steps %d", dense, every, mallocs)
 	}
 }
 
@@ -309,7 +395,6 @@ func TestCheckerSnapshotsMatchProbeMember(t *testing.T) {
 	c := NewChecker(obs.NewAuditor(obs.AuditModeReport), nil, obs.NewProbeRecorder(0), 7)
 	cfg.Invariants = c
 	e := MustNew(cfg)
-	e.buildProbeTargets()
 	c.start(e)
 	if len(c.targets) != 5 {
 		t.Fatalf("%d probe targets, want 5", len(c.targets))
